@@ -435,6 +435,8 @@ type ServiceOptions struct {
 	// owned resources. Ingest is NOT filtered here — the HTTP layer
 	// rejects misdirected posts loudly instead (421) so a routing bug
 	// can never silently split a resource's live state across nodes.
+	// The shard map is static, so NewService evaluates Owned once per
+	// resource and never calls it again.
 	Owned func(resource int) bool
 	// MaxResidentResources caps how many resources the memory-tiering
 	// policy keeps hot (tracker and count vector materialized on the
@@ -503,9 +505,12 @@ type Service struct {
 	// so a hit is always bit-identical to re-running the query.
 	cache *resultCache
 
-	// owned is the cluster-membership predicate (nil outside a cluster:
-	// every resource is local).
-	owned func(int) bool
+	// owned is the cluster-membership set, one entry per resource,
+	// materialised from ServiceOptions.Owned at boot (nil outside a
+	// cluster: every resource is local). Immutable afterwards, so every
+	// reader — the allocator mask, the ingest ownership check, the query
+	// kernels — pays one load instead of a ring hash.
+	owned []bool
 
 	recovery RecoveryStats // boot-time recovery facts, immutable
 
@@ -641,8 +646,13 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// partition invariant — every live post lives on its resource's
 	// owner — is what makes scatter-gather queries exact.
 	env := strategy.Env(engine.NewView(eng, opts.Seed))
+	var owned []bool
 	if opts.Owned != nil {
-		env = strategy.Masked(env, opts.Owned)
+		owned = make([]bool, eng.N())
+		for i := range owned {
+			owned[i] = opts.Owned(i)
+		}
+		env = strategy.Masked(env, func(i int) bool { return owned[i] })
 	}
 	s := &Service{
 		eng:              eng,
@@ -652,7 +662,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		keep:             opts.KeepSnapshots,
 		recovery:         rec,
 		lastSnapSeq:      rec.SnapshotSeq,
-		owned:            opts.Owned,
+		owned:            owned,
 		tiered:           tiered,
 		maxResident:      opts.MaxResidentResources,
 		maxResidentBytes: opts.MaxResidentBytes,
@@ -978,9 +988,12 @@ func (s *Service) Search(query Post, k int) ([]Scored, uint64, error) {
 type WeightedTag = ir.WeightedTag
 
 // OwnsResource reports whether this service owns the resource under its
-// cluster placement (always true outside a cluster).
+// cluster placement (always true outside a cluster). An id outside the
+// corpus belongs to no other node either, so it passes here and fails
+// the range check of whatever operation follows — a bad id is a 400 on
+// every node, never a misdirection.
 func (s *Service) OwnsResource(resource int) bool {
-	return s.owned == nil || s.owned(resource)
+	return s.owned == nil || resource < 0 || resource >= len(s.owned) || s.owned[resource]
 }
 
 // RFD exports a resource's live count vector (ascending tag order), its
@@ -1009,6 +1022,14 @@ func (s *Service) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k i
 	}
 	if qNorm2 < 0 {
 		return nil, 0, fmt.Errorf("incentivetag: negative query norm %g", qNorm2)
+	}
+	for _, wt := range query {
+		// An rfd holds positive counts only, and the pruned executor's
+		// score bounds scale with the weights: a non-positive one from
+		// the wire would turn an upper bound into a lower one.
+		if wt.Count <= 0 {
+			return nil, 0, fmt.Errorf("incentivetag: query tag %d has non-positive count %d", wt.Tag, wt.Count)
+		}
 	}
 	res, epoch := s.idx.TopKWeighted(query, qNorm2, exclude, k, s.owned)
 	return res, epoch, nil

@@ -27,6 +27,24 @@ const (
 	probeBackoffMax      = 8
 )
 
+// backendIdleConns is the keep-alive pool the gateway's own transport
+// holds per backend. net/http's default of 2 is sized for a browser: a
+// gateway under more than two concurrent queries would dial and discard
+// a connection per extra scatter leg. Concurrent legs to one node are
+// bounded by the gateway's in-flight queries, so a fixed pool well above
+// any admitted concurrency keeps every leg on a warm connection.
+const backendIdleConns = 64
+
+// newTransport builds the backend transport a gateway uses when the
+// configuration supplies none: the standard dial/TLS/timeout settings
+// with the per-backend idle pool raised and no cross-backend cap below it.
+func newTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = backendIdleConns
+	t.MaxIdleConns = 0
+	return t
+}
+
 // backend is one tagserved node as seen from the gateway: its identity,
 // a liveness flag maintained by the prober (and reactively cleared by
 // in-flight transport failures), and per-backend telemetry for
@@ -78,13 +96,18 @@ func (e *statusError) Error() string {
 // the JSON answer into out (unless nil), and converts failures into
 // either a transport error (node marked down reactively — the prober
 // re-admits it) or a *statusError carrying the node's own status code.
+// in is encoded as JSON, except a json.RawMessage, which is sent as is:
+// a scatter encodes its one body once and hands the bytes to every leg.
 func (b *backend) do(ctx context.Context, method, path string, in, out any) error {
 	b.requests.Add(1)
 	var body io.Reader
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("encoding %s body: %w", path, err)
+		buf, encoded := in.(json.RawMessage)
+		if !encoded {
+			var err error
+			if buf, err = json.Marshal(in); err != nil {
+				return fmt.Errorf("encoding %s body: %w", path, err)
+			}
 		}
 		body = bytes.NewReader(buf)
 	}

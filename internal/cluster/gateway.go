@@ -31,7 +31,9 @@ type Config struct {
 	// ProbeInterval is the per-backend /healthz cadence
 	// (0 = DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// Transport overrides the backend HTTP transport (tests).
+	// Transport overrides the backend HTTP transport (tests). Nil builds
+	// the gateway's own, with a per-backend keep-alive pool sized for
+	// concurrent scatter legs.
 	Transport http.RoundTripper
 }
 
@@ -90,7 +92,11 @@ func New(cfg Config) (*Gateway, error) {
 	if g.probeInterval <= 0 {
 		g.probeInterval = DefaultProbeInterval
 	}
-	client := &http.Client{Transport: cfg.Transport, Timeout: 30 * time.Second}
+	transport := cfg.Transport
+	if transport == nil {
+		transport = newTransport()
+	}
+	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
 	for i, n := range cfg.Map.Nodes {
 		g.backends = append(g.backends, newBackend(i, n, client))
 	}
@@ -529,14 +535,20 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Phase 2: scatter the explicit weighted query to every live node
-	// (the owner included — it ranks the other resources it owns).
-	req := server.ClusterTopKRequest{
+	// (the owner included — it ranks the other resources it owns). The
+	// body is the same for every leg, so it is encoded once.
+	body, err := json.Marshal(server.ClusterTopKRequest{
 		MapHash: g.mapHash,
 		Exclude: resource,
 		QNorm2:  rfd.Norm2,
 		K:       k,
 		Entries: rfd.Entries,
+	})
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "encoding /cluster/topk body: %v", err)
+		return
 	}
+	req := json.RawMessage(body)
 	type leg struct {
 		name string
 		resp server.ClusterTopKResponse

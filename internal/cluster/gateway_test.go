@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -579,5 +581,86 @@ func TestGatewayMapHashMismatch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatched-map search = %d, want 409", resp.StatusCode)
+	}
+}
+
+// The gateway's own transport keeps scatter legs on warm connections:
+// against a stub node that counts accepted connections, 8 concurrent
+// clients × 50 /topk queries (two requests to the node each) open a
+// number of connections bounded by the client count, not the query
+// count. net/http's default transport keeps two idle connections per
+// host and dials-and-discards for every request beyond them. The stub
+// also decodes each scatter body strictly: the once-encoded bytes must
+// still be the /cluster/topk wire shape.
+func TestGatewayBackendConnectionsBoundedByClients(t *testing.T) {
+	const clients, queries = 8, 50
+	var conns, legs atomic.Int64
+	mux := http.NewServeMux()
+	reply := func(w http.ResponseWriter, v any) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(v)
+	}
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, server.HealthResponse{Ready: true})
+	})
+	mux.HandleFunc("GET /cluster/rfd", func(w http.ResponseWriter, r *http.Request) {
+		reply(w, server.RFDResponse{Norm2: 4, Entries: []server.WeightedEntry{{Tag: 1, Count: 2}}})
+	})
+	mux.HandleFunc("POST /cluster/topk", func(w http.ResponseWriter, r *http.Request) {
+		var req server.ClusterTopKRequest
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err != nil || req.K != 3 || req.QNorm2 != 4 || len(req.Entries) != 1 {
+			http.Error(w, "bad scatter body", http.StatusBadRequest)
+			return
+		}
+		legs.Add(1)
+		reply(w, server.ClusterTopKResponse{Top: []server.TopKEntry{{Resource: 1, Score: 0.5}}})
+	})
+	stub := httptest.NewUnstartedServer(mux)
+	stub.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	stub.Start()
+	defer stub.Close()
+
+	m := &cluster.Map{VNodes: 8, Nodes: []cluster.Node{{Name: "stub", URL: stub.URL}}}
+	gw, err := cluster.New(cluster.Config{Map: m, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	defer gw.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := gw.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for q := 0; q < queries; q++ {
+				rec := httptest.NewRecorder()
+				gw.Handler().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/topk?resource=%d&k=3", c*queries+q), nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("client %d query %d: status %d: %s", c, q, rec.Code, rec.Body)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if got := legs.Load(); got != clients*queries {
+		t.Fatalf("stub served %d scatter legs, want %d", got, clients*queries)
+	}
+	// One connection per concurrent client, one for the prober, and
+	// room for dials that lose the race against a connection going idle.
+	if got := conns.Load(); got > 2*clients+2 {
+		t.Fatalf("%d queries from %d clients opened %d backend connections", clients*queries, clients, got)
 	}
 }

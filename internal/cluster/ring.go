@@ -101,9 +101,13 @@ func newRing(names []string, vnodes int) *Ring {
 
 // Owner maps a resource id to the index of its owning node: the first
 // ring point at or clockwise from the resource's hash, wrapping past
-// the top of the hash space to the first point.
+// the top of the hash space to the first point. The decimal key is
+// formatted into a stack buffer (an int64 needs at most 20 bytes), so
+// placement allocates nothing: the gateway calls this per ingested
+// event and per query.
 func (r *Ring) Owner(resource int) int {
-	h := mix64(fnv1a64(strconv.AppendInt(nil, int64(resource), 10)))
+	var buf [20]byte
+	h := mix64(fnv1a64(strconv.AppendInt(buf[:0], int64(resource), 10)))
 	i := sort.Search(len(r.points), func(j int) bool { return r.points[j].hash >= h })
 	if i == len(r.points) {
 		i = 0

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -26,6 +28,43 @@ func TestRingDeterministic(t *testing.T) {
 		if a.Owner(id) != b.Owner(id) {
 			t.Fatalf("resource %d: %d vs %d", id, a.Owner(id), b.Owner(id))
 		}
+	}
+}
+
+// Placement is frozen: the digest below was taken from the ring as first
+// shipped, so any change to the key format, the hash or the tie-break —
+// which would silently re-home live resources and move the map hash's
+// meaning — fails here. Negative and large ids pin the key formatting.
+func TestRingPlacementGolden(t *testing.T) {
+	m := testMap(t, "n0", "n1", "n2")
+	r := m.Ring()
+	owners := make([]byte, 10000)
+	for id := range owners {
+		owners[id] = byte(r.Owner(id))
+	}
+	const want = "e157044d7fad326de9d6893fe50e28302e2271c28e2f16edf367e9dbb9ec081b"
+	if got := fmt.Sprintf("%x", sha256.Sum256(owners)); got != want {
+		t.Fatalf("placement of ids 0..9999 moved: digest %s, want %s", got, want)
+	}
+	if r.Owner(-7) != 2 || r.Owner(1<<40) != 1 {
+		t.Fatalf("placement of -7 / 2^40 moved: %d / %d, want 2 / 1", r.Owner(-7), r.Owner(1<<40))
+	}
+	if m.Hash() != "48e561dc5c0125c8" {
+		t.Fatalf("map hash moved: %s", m.Hash())
+	}
+}
+
+// Placement sits on the gateway's per-event and per-query path; it must
+// not allocate.
+func TestRingOwnerAllocFree(t *testing.T) {
+	r := testMap(t, "n0", "n1", "n2").Ring()
+	id := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		r.Owner(id)
+		r.Owner(-id)
+		id += 7919
+	}); a != 0 {
+		t.Fatalf("Ring.Owner allocates %.1f times per call pair", a)
 	}
 }
 

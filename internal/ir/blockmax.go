@@ -29,7 +29,9 @@
 //  2. Select: each candidate is first tested with a sqrt-free squared
 //     comparison against the kth score (plus the deferred-tag bounds
 //     its accumulator may lack), and only the ones that could still
-//     matter pay for the exact rescore.
+//     matter pay for the exact rescore. A query restricted to an owned
+//     set (see cluster.go) drops the candidates outside it here, before
+//     any of that.
 //
 // From the second shard on the selector is already hot, so the cuts in
 // phase 1 bite immediately; shard order is what powers the pruning.
@@ -382,6 +384,11 @@ type prunedQuery struct {
 	subjNorm float64   // TopK: ‖subject‖ (hoisted once)
 	qNorm2   float64   // Search: |query| after dedup
 	search   bool
+	// owned, when non-nil, holds one entry per resource and admits only
+	// the true ones to selection and padding (a cluster node ranks the
+	// resources it owns). Candidates are only ever removed, so every
+	// pruning bound stays an upper bound; see cluster.go.
+	owned []bool
 }
 
 // pruneStats accumulates one query's pruning counters locally; they are
@@ -403,6 +410,9 @@ type pruneStats struct {
 // selector, making the final merge free. pad controls the
 // zero-similarity padding of TopK semantics (Search never pads).
 func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad bool) []Scored {
+	if pq.owned != nil && len(pq.owned) != ix.n {
+		panic("ir: owned set does not cover the indexed resources")
+	}
 	sel := topKSelector{k: k, h: sc.heap[:0]}
 	sc.promote = sc.promote[:0]
 	var ps pruneStats
@@ -466,7 +476,7 @@ func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad b
 		// was ever pruned: every overlapping candidate is in the visited
 		// set, exactly the exclusion set the exhaustive padding uses.
 		for id := 0; id < ix.n && sel.len() < k; id++ {
-			if id == pq.subject || sc.cells[id].gen == sc.gen {
+			if id == pq.subject || sc.cells[id].gen == sc.gen || (pq.owned != nil && !pq.owned[id]) {
 				continue
 			}
 			sel.push(id, 0)
@@ -682,8 +692,12 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 	shardWidth := len(ix.shards)
 	osh := ix.shards[s]
 	norms := ix.norm2
+	owned := pq.owned
 	for _, id32 := range cands {
 		id := int(id32)
+		if owned != nil && !owned[id] {
+			continue
+		}
 		n2 := norms[id]
 		if n2 == 0 { // no posts or zero norm: the exhaustive paths skip these too
 			continue

@@ -318,20 +318,19 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	if sh.vecs[l] == nil {
 		sc.promote = append(sc.promote, int32(subject))
 	}
-	promote := promoteList(sc)
-	ix.putScratch(sc)
-	ix.runlockAll()
-	ix.promote(promote)
+	ix.endQuery(sc)
 	return res, epoch
 }
 
-// promoteList copies the scratch's promotion ids out before the scratch
-// returns to the pool (promotion runs after the read locks drop).
-func promoteList(sc *queryScratch) []int32 {
-	if len(sc.promote) == 0 {
-		return nil
-	}
-	return append([]int32(nil), sc.promote...)
+// endQuery closes a pruned query: the scratch returns to the pool, the
+// read view is released, and only then are the cold resources the query
+// had to decode promoted (queries never upgrade to write locks), so the
+// ids are copied out before the scratch can be reused.
+func (ix *OnlineIndex) endQuery(sc *queryScratch) {
+	promote := append([]int32(nil), sc.promote...) // stays nil when there is nothing to promote
+	ix.putScratch(sc)
+	ix.runlockAll()
+	ix.promote(promote)
 }
 
 // norm2At adapts the dense norm cache to the rank finalizers' resolver
@@ -433,26 +432,7 @@ func normalizeQuery(q tags.Post) tags.Post {
 // pruned executor, bit-identical to SearchExhaustive. Returns the
 // epoch-consistent view it scored against.
 func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
-	ix.searchQueries.Add(1)
-	query = normalizeQuery(query)
-	if k <= 0 || len(query) == 0 || ix.n == 0 {
-		return nil, ix.epoch.Load()
-	}
-	ix.rlockAll()
-	epoch := ix.epoch.Load()
-	sc := ix.getScratch()
-	// The query vector's squared norm is |query| exactly (unit counts
-	// over distinct tags). The score expression mirrors
-	// sparse.Counts.Cosine term for term (single sqrt of the norm
-	// product, same clamping), so a Search score is bit-identical to
-	// Cosine against a count vector holding the query.
-	pq := prunedQuery{subject: -1, tags: query, qNorm2: float64(len(query)), search: true}
-	res := ix.runPruned(&pq, k, sc, false)
-	promote := promoteList(sc)
-	ix.putScratch(sc)
-	ix.runlockAll()
-	ix.promote(promote)
-	return res, epoch
+	return ix.SearchOwned(query, k, nil)
 }
 
 // SearchExhaustive is the pre-pruning Search, preserved as the pruning

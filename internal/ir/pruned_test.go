@@ -55,7 +55,7 @@ func assertIdentical(t *testing.T, ctx string, got, want []Scored) {
 		t.Fatalf("%s: %d results vs %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 			t.Fatalf("%s rank %d: got (%d, %x) want (%d, %x)",
 				ctx, i, got[i].ID, math.Float64bits(got[i].Score), want[i].ID, math.Float64bits(want[i].Score))
 		}

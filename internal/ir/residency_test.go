@@ -93,7 +93,7 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 			got, _ := tiered.TopKWeighted(entries, norm2, subject, 10, nil)
 			want, _ := oracle.TopKWeighted(wantE, wantN, subject, 10, nil)
 			compareScored(t, tctx(t, tc.seed, step, "weighted", subject, 10), got, want)
-			owned := func(id int) bool { return id%2 == 0 }
+			owned := ownedSet(tc.n, func(id int) bool { return id%2 == 0 })
 			oq := randomPost(rng, tc.dim)
 			gs, _ := tiered.SearchOwned(oq, 5, owned)
 			ws, _ := oracle.SearchOwned(oq, 5, owned)

@@ -98,17 +98,19 @@ func (s *Server) handleClusterRFD(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
 		return
 	}
-	entries, norm2, epoch, err := svc.RFD(resource)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	if !svc.OwnsResource(resource) {
 		// The gateway asked the wrong node for the subject vector: its
 		// ring disagrees with ours despite the matching hash (should be
 		// impossible) or the caller bypassed the gateway. Refuse rather
-		// than serve a stale primed vector as if it were live.
+		// than serve a stale primed vector as if it were live — and
+		// before RFD copies that vector out. An id outside the corpus
+		// passes the ownership check and is RFD's 400.
 		writeError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", resource)
+		return
+	}
+	entries, norm2, epoch, err := svc.RFD(resource)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	out := RFDResponse{Resource: resource, Epoch: epoch, Norm2: norm2, Entries: make([]WeightedEntry, len(entries))}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	incentivetag "incentivetag"
@@ -14,13 +15,18 @@ import (
 // minimal one-shard stand-in for a real cluster member.
 func newClusterNode(t *testing.T, hash string) *harness {
 	t.Helper()
+	return newClusterNodeOwned(t, hash, func(r int) bool { return r%2 == 0 })
+}
+
+func newClusterNodeOwned(t *testing.T, hash string, owned func(int) bool) *harness {
+	t.Helper()
 	ds, err := incentivetag.Generate(incentivetag.DefaultConfig(40, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc, err := incentivetag.NewService(ds, incentivetag.ServiceOptions{
 		Strategy: "FP-MU",
-		Owned:    func(r int) bool { return r%2 == 0 },
+		Owned:    owned,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +100,11 @@ func TestClusterRFDShapeAndOwnership(t *testing.T) {
 	// A non-owned subject's rfd is refused: this node's copy is stale.
 	var e server.ErrorResponse
 	h.call(t, "GET", "/cluster/rfd?resource=3&maphash="+hash, nil, &e, http.StatusMisdirectedRequest)
-	// Out-of-range stays a plain 400.
+	// Out-of-range stays a plain 400 — whatever the predicate would have
+	// said about an id it was never asked about.
 	h.call(t, "GET", "/cluster/rfd?resource=999&maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/rfd?resource=1001&maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/rfd?resource=-1&maphash="+hash, nil, &e, http.StatusBadRequest)
 	h.call(t, "GET", "/cluster/rfd?resource=x&maphash="+hash, nil, &e, http.StatusBadRequest)
 	h.call(t, "GET", "/cluster/rfd?maphash="+hash, nil, &e, http.StatusBadRequest)
 }
@@ -136,6 +145,51 @@ func TestClusterTopKScoresOnlyOwned(t *testing.T) {
 	var e server.ErrorResponse
 	h.call(t, "GET", "/cluster/search?maphash="+hash, nil, &e, http.StatusBadRequest)
 	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{MapHash: hash, K: 0}, &e, http.StatusBadRequest)
+	// An rfd never carries a non-positive count; the wire must not either.
+	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{
+		MapHash: hash, Exclude: 4, QNorm2: 4, K: 3,
+		Entries: []server.WeightedEntry{{Tag: 1, Count: 2}, {Tag: 2, Count: 0}},
+	}, &e, http.StatusBadRequest)
+	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{
+		MapHash: hash, Exclude: 4, QNorm2: 4, K: 3,
+		Entries: []server.WeightedEntry{{Tag: 1, Count: -2}},
+	}, &e, http.StatusBadRequest)
+}
+
+// Ownership is data after boot: the predicate is evaluated once per
+// resource by NewService and no request path — ingest checks, the
+// allocator mask, the cluster query kernels — ever calls it again.
+func TestOwnershipMaterialisedAtBoot(t *testing.T) {
+	const hash = "abba0123abba0123"
+	var calls atomic.Int64
+	h := newClusterNodeOwned(t, hash, func(r int) bool {
+		calls.Add(1)
+		return r%2 == 0
+	})
+	n := int64(len(h.ds.Resources))
+	if got := calls.Load(); got != n {
+		t.Fatalf("boot evaluated the predicate %d times for %d resources", got, n)
+	}
+	var e server.ErrorResponse
+	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 2, Tags: []int32{1, 3}}, nil, http.StatusOK)
+	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 3, Tags: []int32{1}}, &e, http.StatusMisdirectedRequest)
+	var rfd server.RFDResponse
+	h.call(t, "GET", "/cluster/rfd?resource=2&maphash="+hash, nil, &rfd, http.StatusOK)
+	h.call(t, "GET", "/cluster/rfd?resource=3&maphash="+hash, nil, &e, http.StatusMisdirectedRequest)
+	var top server.ClusterTopKResponse
+	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{
+		MapHash: hash, Exclude: 2, QNorm2: rfd.Norm2, K: 40, Entries: rfd.Entries,
+	}, &top, http.StatusOK)
+	var sr server.SearchResponse
+	h.call(t, "GET", "/cluster/search?tags=1,2,3&k=40&maphash="+hash, nil, &sr, http.StatusOK)
+	var alloc server.AllocateResponse
+	h.call(t, "POST", "/allocate", server.AllocateRequest{}, &alloc, http.StatusOK)
+	if !alloc.OK || alloc.Resource%2 != 0 {
+		t.Fatalf("allocator handed out %+v on a node owning even ids", alloc)
+	}
+	if got := calls.Load(); got != n {
+		t.Fatalf("serving called the predicate %d more times", got-n)
+	}
 }
 
 func TestIngestMisdirected(t *testing.T) {
@@ -143,6 +197,8 @@ func TestIngestMisdirected(t *testing.T) {
 	var e server.ErrorResponse
 	// Single post to a non-owned resource: 421, not silently dropped.
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 3, Tags: []int32{1}}, &e, http.StatusMisdirectedRequest)
+	// A resource that does not exist is a bad request, not a misdirection.
+	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 1001, Tags: []int32{1}}, &e, http.StatusBadRequest)
 	// A batch containing one misdirected event is refused whole.
 	before := h.posts(t)
 	h.call(t, "POST", "/ingest", server.IngestRequest{Events: []server.IngestEvent{
