@@ -392,7 +392,7 @@ type ServiceOptions struct {
 	// Shards is the engine shard count (default engine.DefaultShards);
 	// ingest throughput scales with shards across cores.
 	Shards int
-	// Strategy names the allocation policy behind Allocate: "RR", "FP",
+	// Strategy names the allocation policy behind Lease: "RR", "FP",
 	// "MU" or "FP-MU" (default "FP-MU"). "FC" is rejected: Free Choice
 	// models organic tagger behaviour over the recorded replay stream,
 	// which a live service receives through Ingest instead of
@@ -443,14 +443,17 @@ type ServiceOptions struct {
 	// heap); the rest are frozen into compact varint records and
 	// rehydrated on touch. 0 means unbounded. Setting either residency
 	// budget enables tiering: a background policy loop evicts the
-	// least-recently-touched resources back inside the budget, the query
-	// index mirrors each eviction by freezing the matching forward
+	// least-recently-touched resources back inside the budget, and the
+	// query index mirrors each eviction by freezing the matching forward
 	// vector (posting lists stay live so pruned queries bound and skip
-	// cold resources without rehydrating them), and — with a WALDir
-	// holding a snapshot — boot switches to an mmap'd cold start where
-	// every resource begins cold, aliasing its record inside the mapped
-	// snapshot. Every answer on every path stays bit-identical to an
-	// untiered service; only memory and latency profiles change.
+	// cold resources without rehydrating them). The budget does NOT
+	// choose how a durable service boots: recovery always maps the newest
+	// snapshot and starts every resource cold, aliasing its record inside
+	// the mapping. Without a budget nothing is ever evicted, so a
+	// restarted node converges to all-resident as traffic touches each
+	// resource; with one, the policy holds it inside the budget. Every
+	// answer on every path is bit-identical either way; only memory and
+	// latency profiles change.
 	MaxResidentResources int
 	// MaxResidentBytes caps the estimated heap held by hot resources
 	// (count vectors, MA rings, trackers). 0 means unbounded.
@@ -484,9 +487,9 @@ type AllocatorStats = alloc.Stats
 //
 // Every method is safe for arbitrary concurrency: ingest scales across
 // engine shards, while strategy state is serialized inside the lease
-// allocator (internal/alloc). Allocate/Complete remain as the
-// resource-keyed sequential surface; under the one-task-at-a-time
-// discipline they make exactly the decisions the lease path makes.
+// allocator (internal/alloc). A single worker that fulfills every lease
+// before taking the next reproduces Algorithm 1's sequential loop
+// decision for decision.
 type Service struct {
 	eng    *engine.Engine
 	wal    *tagstore.Store
@@ -525,11 +528,13 @@ type Service struct {
 	stopSnap chan struct{}
 	snapWG   sync.WaitGroup
 
-	// Tiering machinery (zero when no residency budget is configured).
-	// mapped is the snapshot mapping a cold boot aliased its frozen
-	// records out of; it must outlive the engine, so Close releases it
-	// last. rehydrateHist collects per-rehydration latencies from the
-	// engine's observer hook (lock-free; it runs under shard locks).
+	// Residency machinery. mapped is the snapshot mapping recovery
+	// aliased its frozen records out of (nil when no snapshot was
+	// loaded); it must outlive the engine, so Close releases it last.
+	// rehydrateHist collects per-rehydration latencies from the engine's
+	// observer hook (lock-free; it runs under shard locks). tiered, the
+	// budgets and the tier loop are zero when no residency budget is
+	// configured.
 	tiered           bool
 	maxResident      int
 	maxResidentBytes int64
@@ -574,9 +579,10 @@ type RecoveryStats struct {
 // historical tagging log would be.
 //
 // With a non-empty WALDir the service is durable: if the directory
-// already holds state, NewService first RECOVERS — it loads the newest
-// valid snapshot (falling back over damaged ones), replays the log tail
-// past it, and only then starts serving, yielding an engine that is
+// already holds state, NewService first RECOVERS — it maps the newest
+// valid snapshot (falling back over damaged ones) and indexes it cold,
+// replays the log tail past it (rehydrating the resources it touches),
+// and only then starts serving, yielding an engine that is
 // bit-identical to the one that last acknowledged a post there. A
 // background snapshotter then keeps recovery cheap: on the configured
 // interval/record policy it exports engine state, durably writes a
@@ -599,7 +605,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		opts.KeepSnapshots = 2
 	}
 	if opts.Strategy == "FC" {
-		return nil, fmt.Errorf("incentivetag: FC models organic tagger choice over the recorded replay; a live Service receives organic traffic through Ingest — pick RR, FP, MU or FP-MU for Allocate")
+		return nil, fmt.Errorf("incentivetag: FC models organic tagger choice over the recorded replay; a live Service receives organic traffic through Ingest — pick RR, FP, MU or FP-MU for Lease")
 	}
 	data := sim.FromDataset(ds, opts.Resources)
 	if err := data.Validate(); err != nil {
@@ -612,11 +618,10 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		TagUniverse:    data.TagUniverse,
 	}
 	tiered := opts.MaxResidentResources > 0 || opts.MaxResidentBytes > 0
-	var hist *admit.Histogram
-	if tiered {
-		hist = admit.NewHistogram()
-		engCfg.RehydrateObserver = func(nanos int64) { hist.Observe(time.Duration(nanos)) }
-	}
+	// Any restarted durable service rehydrates (recovery indexes the
+	// snapshot cold), budget or not, so the latency profile is always on.
+	hist := admit.NewHistogram()
+	engCfg.RehydrateObserver = func(nanos int64) { hist.Observe(time.Duration(nanos)) }
 	var wal *tagstore.Store
 	if opts.WALDir != "" {
 		var err error
@@ -626,7 +631,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		}
 		engCfg.WAL = wal
 	}
-	eng, rec, mapped, err := buildEngine(engCfg, data, wal, opts.WALDir, tiered)
+	eng, rec, mapped, err := buildEngine(engCfg, data, wal, opts.WALDir)
 	if err != nil {
 		if wal != nil {
 			wal.Close()
@@ -674,11 +679,13 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// replayed), so a post-crash server answers queries identically to
 	// the one that crashed — then attach the delta subscriber before any
 	// traffic can flow. This one-time seed is the only corpus scan the
-	// query path ever performs. A tiered service seeds frozen: each
+	// query path ever performs. A budgeted service seeds frozen: each
 	// resource's support streams straight from the engine (live vector or
 	// frozen record, residency unchanged) into a compressed forward
-	// vector, so a cold mmap boot never materializes the corpus just to
-	// answer queries — subjects thaw as traffic touches them.
+	// vector, so boot never materializes the corpus just to answer
+	// queries — subjects thaw as traffic touches them. An unbudgeted one
+	// seeds live forward vectors (SnapshotRFDs decodes cold records
+	// transiently, engine residency unchanged).
 	if tiered {
 		s.idx = ir.NewOnlineIndexFrozen(eng.N(), eng.Shards(), data.TagUniverse, eng.ForEachEntry)
 	} else {
@@ -708,91 +715,54 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 // the directory and the corpus/options is a loud error: recovery either
 // reproduces the pre-crash engine exactly or refuses to serve.
 //
-// A tiered service boots COLD from the newest snapshot: the snapshot
-// file is mmap'd, each resource's frozen record aliases its byte span
-// inside the mapping, and only scalars are computed during one
-// streaming validation pass (engine.NewFromMapped) — seq cross-checks
-// and corpus binding are the same as the decoded path. The returned
-// mapping (nil otherwise) must stay open as long as the engine lives;
-// Service.Close releases it.
-func buildEngine(cfg engine.Config, data *sim.Data, wal *tagstore.Store, walDir string, tiered bool) (*engine.Engine, RecoveryStats, *tagstore.MappedSnapshot, error) {
+// There is one restore path: the newest valid snapshot file is mmap'd,
+// engine.Restore indexes it COLD — each resource's frozen record aliases
+// its byte span inside the mapping and only scalars are computed during
+// one streaming validation pass — and the WAL tail past the snapshot is
+// replayed on top, rehydrating exactly the resources it touches. The
+// returned mapping (nil when no snapshot was loaded) must stay open as
+// long as the engine lives; Service.Close releases it.
+func buildEngine(cfg engine.Config, data *sim.Data, wal *tagstore.Store, walDir string) (*engine.Engine, RecoveryStats, *tagstore.MappedSnapshot, error) {
 	var rec RecoveryStats
 	if wal == nil {
 		eng, err := engine.New(cfg, data.EngineSpecs())
 		return eng, rec, nil, err
 	}
 	start := time.Now()
-	var eng *engine.Engine
-	var mapped *tagstore.MappedSnapshot
-	var snapSeq uint64
-	if tiered {
-		m, ok, skipped, err := tagstore.MapLatestSnapshot(walDir)
-		if err != nil {
-			return nil, rec, nil, err
-		}
-		rec.SnapshotsSkipped = skipped
-		if ok {
-			var stateSeq uint64
-			eng, stateSeq, err = engine.NewFromMapped(cfg, data.EngineSpecs(), m.Payload)
-			if err == nil && stateSeq != m.LastSeq {
-				err = fmt.Errorf("snapshot file covers seq %d but its state says %d", m.LastSeq, stateSeq)
-			}
-			if err == nil && stateSeq > wal.LastSeq() {
-				err = fmt.Errorf("snapshot covers seq %d but the log ends at %d — log truncated behind the snapshot", stateSeq, wal.LastSeq())
-			}
-			if err == nil && wal.FirstSeq() > stateSeq+1 {
-				err = fmt.Errorf("log starts at seq %d, leaving a gap after snapshot seq %d", wal.FirstSeq(), stateSeq)
-			}
-			if err != nil {
-				m.Close()
-				return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: %w", walDir, err)
-			}
-			mapped = m
-			snapSeq = m.LastSeq
-			rec.SnapshotLoaded = true
-			rec.SnapshotSeq = snapSeq
-		}
-	} else {
-		seq, payload, ok, skipped, err := tagstore.LatestSnapshot(walDir)
-		if err != nil {
-			return nil, rec, nil, err
-		}
-		rec.SnapshotsSkipped = skipped
-		if ok {
-			st, err := engine.UnmarshalState(payload)
-			if err != nil {
-				return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: %w", walDir, err)
-			}
-			if st.LastSeq != seq {
-				return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: snapshot file covers seq %d but its state says %d", walDir, seq, st.LastSeq)
-			}
-			if st.LastSeq > wal.LastSeq() {
-				return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: snapshot covers seq %d but the log ends at %d — log truncated behind the snapshot", walDir, st.LastSeq, wal.LastSeq())
-			}
-			if wal.FirstSeq() > st.LastSeq+1 {
-				return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: log starts at seq %d, leaving a gap after snapshot seq %d", walDir, wal.FirstSeq(), st.LastSeq)
-			}
-			eng, err = engine.NewFromState(cfg, data.EngineSpecs(), st)
-			if err != nil {
-				return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: %w", walDir, err)
-			}
-			rec.SnapshotLoaded = true
-			rec.SnapshotSeq = seq
-			snapSeq = seq
-		}
+	mapped, ok, skipped, err := tagstore.MapLatestSnapshot(walDir)
+	if err != nil {
+		return nil, rec, nil, err
 	}
-	if eng == nil {
+	rec.SnapshotsSkipped = skipped
+	var eng *engine.Engine
+	if ok {
+		var stateSeq uint64
+		eng, stateSeq, err = engine.Restore(cfg, data.EngineSpecs(), mapped.Payload)
+		if err == nil && stateSeq != mapped.LastSeq {
+			err = fmt.Errorf("snapshot file covers seq %d but its state says %d", mapped.LastSeq, stateSeq)
+		}
+		if err == nil && stateSeq > wal.LastSeq() {
+			err = fmt.Errorf("snapshot covers seq %d but the log ends at %d — log truncated behind the snapshot", stateSeq, wal.LastSeq())
+		}
+		if err == nil && wal.FirstSeq() > stateSeq+1 {
+			err = fmt.Errorf("log starts at seq %d, leaving a gap after snapshot seq %d", wal.FirstSeq(), stateSeq)
+		}
+		if err != nil {
+			mapped.Close()
+			return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: %w", walDir, err)
+		}
+		rec.SnapshotLoaded = true
+		rec.SnapshotSeq = mapped.LastSeq
+	} else {
 		if wal.LastSeq() > 0 && wal.FirstSeq() > 1 {
 			return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: log starts at seq %d with no usable snapshot — compacted records are unrecoverable", walDir, wal.FirstSeq())
 		}
-		var err error
-		eng, err = engine.New(cfg, data.EngineSpecs())
-		if err != nil {
+		if eng, err = engine.New(cfg, data.EngineSpecs()); err != nil {
 			return nil, rec, nil, err
 		}
 	}
 	n := eng.N()
-	bytes, err := wal.ScanFrom(snapSeq+1, func(seq uint64, rid uint32, p Post) error {
+	bytes, err := wal.ScanFrom(rec.SnapshotSeq+1, func(seq uint64, rid uint32, p Post) error {
 		if int64(rid) >= int64(n) {
 			return fmt.Errorf("incentivetag: recovering %s: log record seq %d targets resource %d outside the corpus (n=%d) — the directory belongs to a different dataset", walDir, seq, rid, n)
 		}
@@ -881,25 +851,6 @@ func (s *Service) LeaseResource(lease LeaseID) (resource int, ok bool) {
 // AllocStats reports the lease lifecycle counters (issued, outstanding,
 // fulfilled, expired).
 func (s *Service) AllocStats() AllocatorStats { return s.alloc.StatsSnapshot() }
-
-// Allocate is the sequential resource-keyed surface over Lease: it
-// leases the next task and returns only the resource. Every successful
-// Allocate must be followed by exactly one Complete for that resource.
-// Prefer Lease/Fulfill for concurrent workers — they carry the lease
-// identity explicitly.
-func (s *Service) Allocate(remaining int) (resource int, ok bool) {
-	resource, _, ok = s.alloc.Lease(remaining)
-	return resource, ok
-}
-
-// Complete ingests the post produced by an allocated task and notifies
-// the strategy (Algorithm 1's UPDATE step), settling the oldest
-// outstanding lease on the resource. Calling Complete on a resource
-// with no outstanding lease preserves the historical unpaired-Complete
-// behaviour: the post is ingested and the strategy notified directly.
-func (s *Service) Complete(resource int, p Post) error {
-	return s.alloc.FulfillResource(resource, p)
-}
 
 // Count returns the number of posts a resource has received.
 func (s *Service) Count(resource int) int { return s.eng.Count(resource) }
@@ -1179,9 +1130,13 @@ func (s *Service) snapshotter(interval time.Duration, records int) {
 // latency profile. Counters are monotone since boot and partition-clean:
 // a cluster's per-node values sum meaningfully.
 type TierStats struct {
-	// Enabled reports whether a residency budget is configured (TierNow
-	// and the background loop only run when it is; the counters below
-	// still read zero-cold on an untiered service).
+	// Enabled reports whether a residency budget is configured: TierNow
+	// and the background loop only run when it is. The counters below are
+	// live either way — recovery starts every resource cold regardless of
+	// budget, so an unbudgeted node restarted from a snapshot reports
+	// Cold > 0 and counts rehydrations until traffic has touched every
+	// resource (it never evicts, so Cold only falls). A node that never
+	// loaded a snapshot reads zero-cold.
 	Enabled bool `json:"enabled"`
 	// MaxResident and MaxResidentBytes echo the configured budgets
 	// (0 = unbounded).
@@ -1202,8 +1157,8 @@ type TierStats struct {
 	IndexEvictions    uint64 `json:"index_evictions"`
 	IndexRehydrations uint64 `json:"index_rehydrations"`
 	// Rehydrate latency: sample count and upper-bound p50/p99 in seconds
-	// from the engine's per-rehydration observer (zero when untiered or
-	// before the first rehydration).
+	// from the engine's per-rehydration observer (zero before the first
+	// rehydration).
 	RehydrateCount uint64  `json:"rehydrate_count"`
 	RehydrateP50   float64 `json:"rehydrate_p50_seconds"`
 	RehydrateP99   float64 `json:"rehydrate_p99_seconds"`
@@ -1215,7 +1170,7 @@ type TierStats struct {
 func (s *Service) Residency() TierStats {
 	est := s.eng.Residency()
 	qst := s.idx.Stats()
-	ts := TierStats{
+	return TierStats{
 		Enabled:           s.tiered,
 		MaxResident:       s.maxResident,
 		MaxResidentBytes:  s.maxResidentBytes,
@@ -1228,13 +1183,10 @@ func (s *Service) Residency() TierStats {
 		IndexFrozenBytes:  qst.FrozenBytes,
 		IndexEvictions:    qst.VecEvictions,
 		IndexRehydrations: qst.VecRehydrations,
+		RehydrateCount:    s.rehydrateHist.Count(),
+		RehydrateP50:      s.rehydrateHist.Quantile(0.50),
+		RehydrateP99:      s.rehydrateHist.Quantile(0.99),
 	}
-	if s.rehydrateHist != nil {
-		ts.RehydrateCount = s.rehydrateHist.Count()
-		ts.RehydrateP50 = s.rehydrateHist.Quantile(0.50)
-		ts.RehydrateP99 = s.rehydrateHist.Quantile(0.99)
-	}
-	return ts
 }
 
 // TierNow synchronously runs one tiering policy pass: the engine evicts
@@ -1276,10 +1228,10 @@ func (s *Service) tierLoop(interval time.Duration) {
 
 // Close stops the background snapshotter and tiering loop, writes a
 // final snapshot (when a WAL is configured and new records landed),
-// flushes and releases the log, and finally unmaps the boot snapshot a
-// tiered cold start aliased — cold resources read their frozen records
-// out of that mapping, so it must outlive every engine read, and the
-// Service must not be used after Close.
+// flushes and releases the log, and finally unmaps the snapshot recovery
+// booted from — cold resources read their frozen records out of that
+// mapping, so it must outlive every engine read, and the Service must
+// not be used after Close.
 func (s *Service) Close() error {
 	if s.stopSnap != nil {
 		close(s.stopSnap)

@@ -27,8 +27,8 @@
 //     snapshot+tail versus full-log replay (wall clock and bytes read)
 //     — plus the disk reclaimed by snapshot-driven compaction. Both
 //     recovered engines must match the live engine bit for bit;
-//   - the memory-tiering path: live heap of the corpus recovered
-//     all-resident versus cold-booted off the mmap'd snapshot under a
+//   - the memory-tiering path: live heap of the corpus restored off
+//     the mmap'd snapshot and fully rehydrated versus restored under a
 //     cold-majority residency budget (at the scenario scale and 10x),
 //     per-resource evict/rehydrate latency, and the cold-query cost of
 //     the pruned executor on frozen forward vectors. A tiered service
@@ -753,22 +753,23 @@ func runRecoveryBenchmark(data *sim.Data, batch int) RecoveryReport {
 		if err != nil {
 			fail("recovery reopen: %v", err)
 		}
-		seq, pl, ok, _, err := tagstore.LatestSnapshot(dir)
+		m, ok, _, err := tagstore.MapLatestSnapshot(dir)
 		if err != nil || !ok {
 			fail("recovery snapshot load: ok=%v err=%v", ok, err)
 		}
-		decoded, err := engine.UnmarshalState(pl)
-		if err != nil {
-			fail("recovery snapshot decode: %v", err)
-		}
-		eng, err = engine.NewFromState(cfg, data.EngineSpecs(), decoded)
+		eng, seq, err := engine.Restore(cfg, data.EngineSpecs(), m.Payload)
 		if err != nil {
 			fail("recovery restore: %v", err)
 		}
-		bytes = int64(len(pl)) + replayInto(store, eng, seq+1)
+		bytes = int64(len(m.Payload)) + replayInto(store, eng, seq+1)
 		elapsed = time.Since(t0)
 		store.Close()
 		verify(eng, "snapshot+tail")
+		// The restored engine's cold records alias the mapping: release it
+		// only once nothing reads the engine any more.
+		if err := m.Close(); err != nil {
+			fail("recovery snapshot unmap: %v", err)
+		}
 		if ms := float64(elapsed.Nanoseconds()) / 1e6; pass == 0 || ms < rep.SnapshotTailMillis {
 			rep.SnapshotTailMillis = ms
 			rep.SnapshotTailBytes = bytes

@@ -170,11 +170,12 @@ func memoryIdentityGate(n int, seed int64, batch int) {
 }
 
 // measureHeapScale seeds a durable engine snapshot, then measures the
-// live-heap delta of bringing the per-resource state back two ways:
-// all-resident (NewFromState decodes every tracker onto the heap — the
-// pre-tiering recovery) and tiered (NewFromMapped serves every frozen
-// record out of the mmap'd snapshot, then a cold-majority working set
-// of residentBudget resources is rehydrated). The engine is measured in
+// live-heap delta of restoring it (engine.Restore over the mmap'd file,
+// every resource cold) at two residency levels: all-resident (every
+// resource rehydrated — what an unbudgeted node converges to under
+// traffic) and tiered (only a cold-majority working set of
+// residentBudget resources rehydrated, the rest served as frozen records
+// out of the mapping). The engine is measured in
 // isolation on purpose: it is the layer whose bytes scale per resident
 // resource — postings, allocator and cache state are identical in both
 // configurations and would only dilute the ratio into an average over
@@ -214,53 +215,36 @@ func measureHeapScale(n int, seed int64, batch, residentBudget int) (int64, int6
 	}
 	seedEng, payload, st = nil, nil, nil
 
-	h0 := heapAfterGC()
-	_, pl, ok, _, err := tagstore.LatestSnapshot(dir)
-	if err != nil || !ok {
-		fail("memory heap: snapshot load: ok=%v err=%v", ok, err)
-	}
-	decoded, err := engine.UnmarshalState(pl)
-	if err != nil {
-		fail("memory heap: %v", err)
-	}
-	hotEng, err := engine.NewFromState(cfg, data.EngineSpecs(), decoded)
-	if err != nil {
-		fail("memory heap: %v", err)
-	}
-	pl, decoded = nil, nil
-	hAll := heapAfterGC() - h0
-	runtime.KeepAlive(hotEng)
-	hotEng = nil
-
-	h0 = heapAfterGC()
-	m, ok, _, err := tagstore.MapLatestSnapshot(dir)
-	if err != nil || !ok {
-		fail("memory heap: snapshot map: ok=%v err=%v", ok, err)
-	}
-	coldEng, _, err := engine.NewFromMapped(cfg, data.EngineSpecs(), m.Payload)
-	if err != nil {
-		fail("memory heap: %v", err)
-	}
-	for i := 0; i < residentBudget; i++ {
-		if err := coldEng.EnsureResident(i); err != nil {
+	// restoreResident measures the live-heap delta of restoring the
+	// snapshot and rehydrating the first `resident` resources.
+	restoreResident := func(resident int) int64 {
+		h0 := heapAfterGC()
+		m, ok, _, err := tagstore.MapLatestSnapshot(dir)
+		if err != nil || !ok {
+			fail("memory heap: snapshot map: ok=%v err=%v", ok, err)
+		}
+		eng, _, err := engine.Restore(cfg, data.EngineSpecs(), m.Payload)
+		if err != nil {
 			fail("memory heap: %v", err)
 		}
+		for i := 0; i < resident; i++ {
+			if err := eng.EnsureResident(i); err != nil {
+				fail("memory heap: %v", err)
+			}
+		}
+		h := heapAfterGC() - h0
+		if res := eng.Residency(); res.Resident != resident || res.Cold != eng.N()-resident {
+			fail("memory heap: census off: %+v (want %d resident)", res, resident)
+		}
+		if err := m.Close(); err != nil {
+			fail("memory heap: %v", err)
+		}
+		if h < 1 {
+			h = 1
+		}
+		return h
 	}
-	hTier := heapAfterGC() - h0
-	runtime.KeepAlive(coldEng)
-	if res := coldEng.Residency(); res.Resident != residentBudget || res.Cold != n-residentBudget {
-		fail("memory heap: tiered census off: %+v (budget %d)", res, residentBudget)
-	}
-	if err := m.Close(); err != nil {
-		fail("memory heap: %v", err)
-	}
-	if hAll < 1 {
-		hAll = 1
-	}
-	if hTier < 1 {
-		hTier = 1
-	}
-	return hAll, hTier
+	return restoreResident(data.N()), restoreResident(residentBudget)
 }
 
 // runMemoryBenchmark fills the MemoryReport for the scenario scale and

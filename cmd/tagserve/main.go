@@ -1,7 +1,7 @@
 // Command tagserve drives the live tagging Service the way a serving
 // deployment would see traffic: many goroutines stream organic posts
 // into the sharded engine concurrently, an optional allocation loop
-// spends an incentive budget through Allocate/Complete at the same
+// spends an incentive budget through Lease/Fulfill at the same
 // time, and aggregate metrics are sampled live — each sample an O(1)
 // read, never a corpus scan.
 //
@@ -304,13 +304,13 @@ func main() {
 	if *budget > 0 {
 		t0 := time.Now()
 		for remaining := *budget; remaining > 0; {
-			i, ok := svc.Allocate(remaining)
+			i, lease, ok := svc.Lease(remaining)
 			if !ok {
 				break
 			}
 			p, _ := claim(i)
-			if err := svc.Complete(i, p); err != nil {
-				fmt.Fprintf(os.Stderr, "tagserve: complete: %v\n", err)
+			if err := svc.Fulfill(lease, p); err != nil {
+				fmt.Fprintf(os.Stderr, "tagserve: fulfill: %v\n", err)
 				os.Exit(1)
 			}
 			allocated++

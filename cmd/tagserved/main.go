@@ -36,9 +36,10 @@
 // -max-resident-bytes budget how many resources (and how much estimated
 // heap) stay hot; the rest are frozen to compact records and rehydrated
 // on touch, a background policy loop (-tier-interval) evicts the
-// least-recently-touched back inside the budget, and — combined with
-// -wal — a restart boots COLD straight off the mmap'd snapshot instead
-// of decoding the corpus into the heap. Answers on every endpoint are
+// least-recently-touched back inside the budget. A -wal restart always
+// boots COLD straight off the mmap'd snapshot (budget or not); without
+// a budget the cold records simply warm up on touch and are never
+// evicted again. Answers on every endpoint are
 // bit-identical with tiering on or off; /info, /metrics and
 // /metrics/prom (tagserved_resident_resources and friends) expose the
 // census.

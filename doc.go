@@ -30,7 +30,7 @@
 //     experiments (RunExperiment, Experiments);
 //   - a live serving facade over the concurrent sharded tagging engine
 //     (Service): lock-striped Ingest from any number of goroutines, the
-//     Allocate/Complete incentive loop of Algorithm 1 against live
+//     Lease/Fulfill/Expire incentive loop of Algorithm 1 against live
 //     state, and O(1) aggregate metric reads (Quality, Snapshot) backed
 //     by incrementally maintained quality sums — with optional full
 //     durability (ServiceOptions.WALDir): a segmented write-ahead post
@@ -97,12 +97,16 @@
 // mirrors each eviction into the query index, which keeps its cold
 // forward vectors compressed while posting lists stay live; any write
 // touching a cold resource rehydrates it on the spot with the same
-// exact-integer recompute snapshot restore uses. A tiered restart on a
-// WALDir boots cold straight off the mmap'd snapshot
-// (tagstore.MapLatestSnapshot): every frozen record aliases the
-// mapping, so the heap cost per cold resource is a few scalars (~17x
-// fewer live-heap bytes per resource than an all-resident boot at
-// fig6 scale — gated in CI). Answers are bit-identical with tiering
+// exact-integer recompute. Every restart on a WALDir — with or without
+// a budget; there is one restore path — boots cold straight off the
+// mmap'd snapshot (tagstore.MapLatestSnapshot → engine.Restore): every
+// frozen record aliases the mapping, and the log-tail replay rehydrates
+// what it touches. Under a budget the heap cost per cold resource stays
+// a few scalars (~17x fewer live-heap bytes per resource than with
+// everything rehydrated at fig6 scale — gated in CI); without one
+// nothing is evicted, so a restarted node reports cold resources and
+// rehydrations until traffic has touched everything, then stays
+// all-resident. Answers are bit-identical with tiering
 // on or off — metrics, qualities, allocation decisions and top-k
 // rankings are property-tested against a never-evicted twin at the
 // engine, index and Service levels, and cold subjects are served off

@@ -41,8 +41,8 @@
 // Under the sequential discipline — every Lease settled by Fulfill
 // before the next Lease — the in-flight mask is always the identity at
 // Choose time and the Choose/Update interleaving is exactly the replay
-// loop's, so the allocator reproduces the legacy Allocate/Complete
-// decision sequence bit for bit (asserted by TestSequentialEquivalence).
+// loop's, so the allocator reproduces the replay loop's decision
+// sequence bit for bit (asserted by TestSequentialEquivalence).
 package alloc
 
 import (
@@ -70,9 +70,8 @@ type Allocator struct {
 	strat strategy.Strategy
 
 	mu       sync.Mutex
-	inflight []int             // outstanding leases per resource
-	leases   map[LeaseID]int   // lease → resource
-	byRes    map[int][]LeaseID // resource → outstanding leases, FIFO
+	inflight []int           // outstanding leases per resource
+	leases   map[LeaseID]int // lease → resource
 	nextID   LeaseID
 	settled  uint64 // fulfilled + expired, for Stats
 	expired  uint64
@@ -89,7 +88,6 @@ func New(strat strategy.Strategy, env strategy.Env, sink Sink) *Allocator {
 		strat:    strat,
 		inflight: make([]int, env.N()),
 		leases:   make(map[LeaseID]int),
-		byRes:    make(map[int][]LeaseID),
 	}
 	// The mask closure reads inflight only while a.mu is held: Init runs
 	// before the allocator is published, and Choose/Update only ever run
@@ -113,7 +111,6 @@ func (a *Allocator) Lease(remaining int) (resource int, lease LeaseID, ok bool) 
 	a.nextID++
 	id := a.nextID
 	a.leases[id] = i
-	a.byRes[i] = append(a.byRes[i], id)
 	a.inflight[i]++
 	return i, id, true
 }
@@ -126,18 +123,6 @@ func (a *Allocator) settleLocked(lease LeaseID) (int, error) {
 		return -1, fmt.Errorf("alloc: lease %d unknown or already settled", lease)
 	}
 	delete(a.leases, lease)
-	q := a.byRes[i]
-	for k, id := range q {
-		if id == lease {
-			q = append(q[:k], q[k+1:]...)
-			break
-		}
-	}
-	if len(q) == 0 {
-		delete(a.byRes, i)
-	} else {
-		a.byRes[i] = q
-	}
 	a.inflight[i]--
 	a.settled++
 	return i, nil
@@ -147,10 +132,9 @@ func (a *Allocator) settleLocked(lease LeaseID) (int, error) {
 // ingested into the sink and the strategy runs Algorithm 1's UPDATE.
 // Fulfilling a lease that was never issued, was already fulfilled, or
 // was expired returns an error without touching engine or strategy
-// state. As with the legacy Complete, the strategy is notified even when
-// the ingest itself fails (e.g. a WAL write error), so a failed
-// completion re-arms the resource instead of permanently removing it;
-// the ingest error is returned.
+// state. The strategy is notified even when the ingest itself fails
+// (e.g. a WAL write error), so a failed completion re-arms the resource
+// instead of permanently removing it; the ingest error is returned.
 func (a *Allocator) Fulfill(lease LeaseID, p tags.Post) error {
 	a.mu.Lock()
 	i, err := a.settleLocked(lease)
@@ -158,14 +142,10 @@ func (a *Allocator) Fulfill(lease LeaseID, p tags.Post) error {
 	if err != nil {
 		return err
 	}
-	return a.completeTask(i, p)
-}
-
-// completeTask is the shared settle tail: ingest outside the allocator
-// mutex (the engine's shard locks provide safety), then UPDATE under it.
-// The order matters — MU's priority key is the post-ingest MA score.
-func (a *Allocator) completeTask(i int, p tags.Post) error {
-	err := a.sink.Ingest(i, p)
+	// Ingest outside the allocator mutex (the engine's shard locks
+	// provide safety), then UPDATE under it. The order matters — MU's
+	// priority key is the post-ingest MA score.
+	err = a.sink.Ingest(i, p)
 	a.mu.Lock()
 	a.strat.Update(i)
 	a.mu.Unlock()
@@ -187,31 +167,6 @@ func (a *Allocator) Expire(lease LeaseID) error {
 	a.expired++
 	a.strat.Update(i)
 	return nil
-}
-
-// FulfillResource settles the oldest outstanding lease on the resource —
-// the legacy Allocate/Complete surface, where callers track resources,
-// not leases. When no lease is outstanding it falls back to the bare
-// completion path (ingest + UPDATE for in-range resources), preserving
-// the historical contract that Complete may be called unpaired.
-func (a *Allocator) FulfillResource(resource int, p tags.Post) error {
-	a.mu.Lock()
-	var lease LeaseID
-	have := false
-	if q := a.byRes[resource]; len(q) > 0 {
-		lease, have = q[0], true
-	}
-	if have {
-		if _, err := a.settleLocked(lease); err != nil {
-			a.mu.Unlock()
-			return err
-		}
-	}
-	a.mu.Unlock()
-	if have || (resource >= 0 && resource < len(a.inflight)) {
-		return a.completeTask(resource, p)
-	}
-	return a.sink.Ingest(resource, p) // out of range: sink reports it
 }
 
 // Resource returns the resource an outstanding lease targets; ok is

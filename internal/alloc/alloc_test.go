@@ -74,16 +74,16 @@ func postFor(data *sim.Data, eng *engine.Engine, i int) tags.Post {
 }
 
 // TestSequentialEquivalence is the acceptance gate of the lease
-// refactor: with one worker settling every lease before taking the
-// next, the Lease/Fulfill path must reproduce the legacy
-// Allocate/Complete loop (Choose → Ingest → Update under one mutex)
-// decision for decision, and leave bit-identical engine state.
+// allocator: with one worker settling every lease before taking the
+// next, the Lease/Fulfill path must reproduce Algorithm 1's sequential
+// loop (Choose → Ingest → Update, driven on the bare strategy) decision
+// for decision, and leave bit-identical engine state.
 func TestSequentialEquivalence(t *testing.T) {
 	data := corpus(t)
 	const budget = 400
 	for _, name := range servedStrategies {
 		t.Run(name, func(t *testing.T) {
-			// Legacy path: the pre-lease Service loop, verbatim.
+			// Reference: the strategy driven directly, no allocator.
 			legacyEng := newEngine(t, data, engine.DefaultShards)
 			legacy := newStrategy(t, name)
 			legacy.Init(engine.NewView(legacyEng, 1))
@@ -323,38 +323,6 @@ func TestConcurrentLeaseRace(t *testing.T) {
 				t.Fatalf("stats %+v, want fulfilled=%d expired=%d", st, fulfilled.Load(), expired.Load())
 			}
 		})
-	}
-}
-
-// TestFulfillResource covers the legacy resource-keyed settle surface:
-// oldest-lease FIFO, and the unpaired-Complete fallback.
-func TestFulfillResource(t *testing.T) {
-	data := corpus(t)
-	eng := newEngine(t, data, 1)
-	a := alloc.New(strategy.NewFP(), engine.NewView(eng, 1), eng)
-
-	i, _, ok := a.Lease(1 << 20)
-	if !ok {
-		t.Fatal("no lease")
-	}
-	if err := a.FulfillResource(i, postFor(data, eng, i)); err != nil {
-		t.Fatal(err)
-	}
-	if a.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after FulfillResource", a.Outstanding())
-	}
-
-	// Unpaired completion: no lease outstanding — ingests and re-arms.
-	posts := eng.Snapshot().Posts
-	if err := a.FulfillResource(3, postFor(data, eng, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if got := eng.Snapshot().Posts; got != posts+1 {
-		t.Fatalf("posts = %d, want %d", got, posts+1)
-	}
-	// Out-of-range unpaired completion surfaces the sink's error.
-	if err := a.FulfillResource(eng.N()+5, tags.Post{0}); err == nil {
-		t.Fatal("out-of-range resource accepted")
 	}
 }
 

@@ -323,22 +323,8 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 		if spec.Cost < 0 {
 			return nil, fmt.Errorf("engine: resource %d: negative cost %d", i, spec.Cost)
 		}
-		r := &resource{
-			tracker: newTracker(cfg),
-			stableK: spec.StableK,
-			cost:    spec.Cost,
-		}
-		if r.cost == 0 {
-			r.cost = 1
-		}
-		if spec.Ref != nil {
-			rc := spec.Ref.Counts()
-			r.refCounts = rc
-			r.refNorm2 = rc.Norm2()
-			r.refPosts = rc.Posts()
-			v := spec.Ref.Vector()
-			r.refDense, r.refSpill = v.Dense, v.Spill
-		}
+		r := newResource(spec)
+		r.tracker = newTracker(cfg)
 		for _, p := range spec.Initial {
 			if r.refCounts != nil {
 				r.addDot(p)
@@ -359,6 +345,26 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 		}
 	}
 	return e, nil
+}
+
+// newResource builds the spec-derived part of a resource — what no
+// snapshot stores: stable point, task cost (default 1) and the fields
+// pre-extracted from the reference. The caller supplies the tagging
+// state (a tracker in New, a frozen record in Restore).
+func newResource(spec ResourceSpec) *resource {
+	r := &resource{stableK: spec.StableK, cost: spec.Cost}
+	if r.cost == 0 {
+		r.cost = 1
+	}
+	if spec.Ref != nil {
+		rc := spec.Ref.Counts()
+		r.refCounts = rc
+		r.refNorm2 = rc.Norm2()
+		r.refPosts = rc.Posts()
+		v := spec.Ref.Vector()
+		r.refDense, r.refSpill = v.Dense, v.Spill
+	}
+	return r
 }
 
 // newTracker builds a resource tracker: hybrid dense/map counts when the

@@ -21,8 +21,8 @@ import (
 //
 //	hot → cold  (freezeLocked)    encode tracker state, drop tracker+dot
 //	cold → hot  (rehydrateLocked) decode record, rebuild tracker, then
-//	                              recompute dot/quality exactly as
-//	                              NewFromState does
+//	                              recompute dot/quality from the exact
+//	                              integer counts
 //
 // Every mutating path (Ingest, IngestBatch, IngestMany, Replay)
 // rehydrates on touch before applying; reads that only need scalars —
@@ -32,11 +32,13 @@ import (
 // Reads that need the full vector (VerifyMetrics, SnapshotRFDs,
 // ExportState) decode transiently without changing residency.
 //
-// Bit-identity across a freeze/rehydrate cycle is the same argument
-// NewFromState makes for restart: counts, dot and norms are exact
-// integers (every value < 2⁵³), so recomputation is order-independent,
-// while the floats that carry rounding history — the MA ring and its
-// running sum — are stored bit-for-bit and never recomputed.
+// Bit-identity across a freeze/rehydrate cycle — and across a restart,
+// which is Restore indexing every resource cold and this same rehydrate
+// bringing it back — rests on one argument: counts, dot and norms are
+// exact integers (every value < 2⁵³), so recomputation is
+// order-independent, while the floats that carry rounding history — the
+// MA ring and its running sum — are stored bit-for-bit and never
+// recomputed.
 
 // residentOverheadBytes is the fixed per-resource heap estimate beyond
 // the count vector while hot: the resource and Tracker structs plus
@@ -137,9 +139,10 @@ func (e *Engine) freezeLocked(r *resource, i int) error {
 
 // rehydrateLocked transitions a cold resource back to hot: the frozen
 // record is decoded, the tracker restored (ring bits verbatim), and the
-// reference dot product and quality recomputed exactly as NewFromState
-// does — exact integer sums, so the rebuilt resource is bit-identical
-// to one that was never evicted. Caller holds the owning shard's lock.
+// reference dot product and quality recomputed as exact integer sums
+// over the stored support, so the rebuilt resource is bit-identical to
+// one that was never evicted (or never restarted). Caller holds the
+// owning shard's lock.
 func (e *Engine) rehydrateLocked(r *resource, i int) error {
 	start := time.Now()
 	var rs ResourceState
@@ -188,7 +191,7 @@ func (e *Engine) ensureResidentLocked(r *resource, i int) error {
 // frozenCounts decodes a cold resource's count vector transiently —
 // residency is unchanged and the result is freshly allocated. The
 // frozen record was either produced by freezeLocked or validated by
-// NewFromMapped, so damage here means memory corruption: panic loudly
+// Restore, so damage here means memory corruption: panic loudly
 // rather than serve wrong numbers. Caller holds the shard lock.
 func (e *Engine) frozenCounts(r *resource, i int) *sparse.Counts {
 	var rs ResourceState

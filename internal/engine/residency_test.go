@@ -113,11 +113,11 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 	}
 }
 
-// TestNewFromMappedColdBoot round-trips an engine through the marshalled
+// TestRestoreColdBoot round-trips an engine through the marshalled
 // payload into a fully cold engine and checks (a) nothing is resident,
 // (b) scalar reads answer bit-identically without forcing residency,
 // (c) traffic rehydrates on touch and converges to the hot twin.
-func TestNewFromMappedColdBoot(t *testing.T) {
+func TestRestoreColdBoot(t *testing.T) {
 	for _, universe := range []int{0, 512} {
 		const n = 40
 		specs := stateSpecs(n, 5)
@@ -134,7 +134,7 @@ func TestNewFromMappedColdBoot(t *testing.T) {
 		}
 		payload := marshaled(t, live)
 
-		cold, lastSeq, err := NewFromMapped(cfg, specs, payload)
+		cold, lastSeq, err := Restore(cfg, specs, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,30 +187,6 @@ func TestNewFromMappedColdBoot(t *testing.T) {
 		if !bytes.Equal(marshaled(t, cold), marshaled(t, live)) {
 			t.Fatal("marshalled states differ after mapped boot + traffic")
 		}
-	}
-}
-
-// TestNewFromMappedRejects mirrors NewFromState's loud-failure contract
-// on the mapped path.
-func TestNewFromMappedRejects(t *testing.T) {
-	specs := stateSpecs(8, 3)
-	cfg := Config{Omega: 5, Shards: 2, UnderThreshold: 10}
-	e, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := marshaled(t, e)
-	if _, _, err := NewFromMapped(Config{Omega: 7, Shards: 2, UnderThreshold: 10}, specs, payload); err == nil {
-		t.Fatal("config mismatch accepted")
-	}
-	if _, _, err := NewFromMapped(cfg, specs[:7], payload); err == nil {
-		t.Fatal("corpus size mismatch accepted")
-	}
-	if _, _, err := NewFromMapped(cfg, specs, payload[:len(payload)-1]); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
-	if _, _, err := NewFromMapped(cfg, specs, append(append([]byte{}, payload...), 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
 	}
 }
 

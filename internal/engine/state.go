@@ -5,20 +5,20 @@ import (
 	"math"
 
 	"incentivetag/internal/codec"
-	"incentivetag/internal/sparse"
-	"incentivetag/internal/stability"
 	"incentivetag/internal/tags"
 	"incentivetag/internal/tagstore"
 )
 
 // stateVersion is bumped on incompatible State encoding changes;
-// UnmarshalBinary rejects unknown versions loudly instead of misreading.
+// Restore rejects unknown versions loudly instead of misreading.
 const stateVersion = 1
 
 // statePrefix namespaces the codec reader's positioned decode errors.
 const statePrefix = "engine: state"
 
-// State is the complete serializable engine state: everything needed to
+// State is the complete serializable engine state — the WRITE side of
+// durability (ExportState → MarshalBinary → tagstore.WriteSnapshot);
+// Restore reads the marshalled form back. It holds everything needed to
 // rebuild an engine that is bit-identical to the one exported — same
 // per-resource counts, MA windows, qualities, and aggregate metrics, so
 // a snapshot plus the WAL records with seq > LastSeq replays to exactly
@@ -128,119 +128,26 @@ func (e *Engine) ExportState() *State {
 	return st
 }
 
-// NewFromState rebuilds an engine from an exported State instead of
-// replaying each spec's Initial prefix. The specs supply what a snapshot
-// never stores — references, stable points, task costs — and must
-// describe the same corpus the exporting engine was built over; the
-// configuration must match the exporting engine's exactly. Violations
-// fail loudly: a snapshot restored against the wrong corpus or options
-// must never silently diverge.
-func NewFromState(cfg Config, specs []ResourceSpec, st *State) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Omega < 2 {
-		return nil, fmt.Errorf("engine: omega must be ≥ 2, got %d", cfg.Omega)
-	}
-	if st == nil {
-		return nil, fmt.Errorf("engine: nil state")
-	}
-	if st.Omega != cfg.Omega || st.Shards != cfg.Shards ||
-		st.UnderThreshold != cfg.UnderThreshold || st.TagUniverse != cfg.TagUniverse {
-		return nil, fmt.Errorf("engine: state (omega=%d shards=%d under=%d universe=%d) does not match config (omega=%d shards=%d under=%d universe=%d)",
-			st.Omega, st.Shards, st.UnderThreshold, st.TagUniverse,
-			cfg.Omega, cfg.Shards, cfg.UnderThreshold, cfg.TagUniverse)
-	}
-	n := len(specs)
-	if len(st.Resources) != n {
-		return nil, fmt.Errorf("engine: state has %d resources, corpus has %d", len(st.Resources), n)
-	}
-	if len(st.Aggregates) != cfg.Shards {
-		return nil, fmt.Errorf("engine: state has %d shard aggregates for %d shards", len(st.Aggregates), cfg.Shards)
-	}
-	if cfg.WAL != nil && !walCapacityOK(n) {
-		return nil, fmt.Errorf("engine: %d resources overflow the WAL's 32-bit record ids", n)
-	}
-	e := &Engine{cfg: cfg, n: n, shards: make([]*shard, cfg.Shards)}
-	for s := range e.shards {
-		e.shards[s] = &shard{}
-	}
-	ingested := 0
-	for i, spec := range specs {
-		rs := &st.Resources[i]
-		if rs.Posts < len(spec.Initial) {
-			return nil, fmt.Errorf("engine: resource %d state has %d posts but the corpus primes %d — snapshot belongs to a different corpus", i, rs.Posts, len(spec.Initial))
-		}
-		counts, err := sparse.FromEntries(cfg.TagUniverse, rs.Tags, rs.Counts, rs.Posts)
-		if err != nil {
-			return nil, fmt.Errorf("engine: resource %d: %w", i, err)
-		}
-		tracker, err := stability.RestoreTracker(cfg.Omega, counts, rs.Ring, rs.Head, rs.Fill, rs.Sum)
-		if err != nil {
-			return nil, fmt.Errorf("engine: resource %d: %w", i, err)
-		}
-		r := &resource{
-			tracker:  tracker,
-			stableK:  spec.StableK,
-			cost:     spec.Cost,
-			consumed: rs.Posts,
-		}
-		if r.cost == 0 {
-			r.cost = 1
-		}
-		if spec.Ref != nil {
-			rc := spec.Ref.Counts()
-			r.refCounts = rc
-			r.refNorm2 = rc.Norm2()
-			r.refPosts = rc.Posts()
-			v := spec.Ref.Vector()
-			r.refDense, r.refSpill = v.Dense, v.Spill
-			// The reference dot product is an exact integer sum over the
-			// stored support — bit-identical to the incrementally
-			// maintained value of the exported engine.
-			for k, t := range rs.Tags {
-				r.dot += rs.Counts[k] * v.Get(t)
-			}
-		}
-		r.quality = r.computeQuality()
-
-		sh := e.shards[i%cfg.Shards]
-		sh.res = append(sh.res, r)
-		if r.stableK > 0 && r.consumed >= r.stableK {
-			sh.over++
-		}
-		if cfg.UnderThreshold >= 0 && r.consumed <= cfg.UnderThreshold {
-			sh.under++
-		}
-		ingested += rs.Posts - len(spec.Initial)
-	}
-	posts := 0
-	for s, agg := range st.Aggregates {
-		sh := e.shards[s]
-		sh.qsum, sh.qcomp = agg.QSum, agg.QComp
-		sh.spent, sh.posts, sh.wasted = agg.Spent, agg.Posts, agg.Wasted
-		posts += agg.Posts
-	}
-	if posts != ingested {
-		return nil, fmt.Errorf("engine: state aggregates record %d ingested posts but resource counts imply %d — snapshot belongs to a different corpus", posts, ingested)
-	}
-	return e, nil
-}
-
-// NewFromMapped rebuilds an engine from a marshalled State payload with
-// every resource starting COLD: the payload is indexed, not decoded —
-// each resource keeps a frozen record that aliases its byte span inside
-// payload, and only the scalars the engine answers reads from (post
-// count, quality, MA window sum) are computed during a single streaming
-// pass. When payload is an mmap'd snapshot (tagstore.MapSnapshot), boot
-// cost is one sequential page-cache walk and the resident heap holds no
-// per-resource vectors or trackers at all; resources rehydrate lazily as
-// traffic touches them.
+// Restore rebuilds an engine from a marshalled State payload — the only
+// way durable state enters an engine. Every resource starts COLD: the
+// payload is indexed, not decoded — each resource keeps a frozen record
+// that aliases its byte span inside payload, and only the scalars the
+// engine answers reads from (post count, quality, MA window sum) are
+// computed during a single streaming pass. When payload is an mmap'd
+// snapshot (tagstore.MapSnapshot), boot cost is one sequential
+// page-cache walk and the resident heap holds no per-resource vectors or
+// trackers at all; resources rehydrate lazily as traffic touches them,
+// so an engine nobody evicts converges to all-resident under traffic.
 //
-// The caller must keep payload valid (the mapping open) for the life of
-// the engine: frozen records alias it until their resource is
-// rehydrated. Validation matches NewFromState — configuration, corpus
-// and aggregate mismatches fail loudly. The returned lastSeq is the
-// snapshot's WAL coverage, as State.LastSeq.
-func NewFromMapped(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastSeq uint64, err error) {
+// The specs supply what a snapshot never stores — references, stable
+// points, task costs — and must describe the same corpus the exporting
+// engine was built over; the configuration must match the exporting
+// engine's exactly. Violations fail loudly: a snapshot restored against
+// the wrong corpus or options must never silently diverge. The caller
+// must keep payload valid (the mapping open) for the life of the
+// engine: frozen records alias it until their resource is rehydrated.
+// The returned lastSeq is the snapshot's WAL coverage, as State.LastSeq.
+func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastSeq uint64, err error) {
 	cfg = cfg.withDefaults()
 	if cfg.Omega < 2 {
 		return nil, 0, fmt.Errorf("engine: omega must be ≥ 2, got %d", cfg.Omega)
@@ -275,21 +182,7 @@ func NewFromMapped(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine,
 	}
 	ingested := 0
 	for i, spec := range specs {
-		res := &resource{
-			stableK: spec.StableK,
-			cost:    spec.Cost,
-		}
-		if res.cost == 0 {
-			res.cost = 1
-		}
-		if spec.Ref != nil {
-			rc := spec.Ref.Counts()
-			res.refCounts = rc
-			res.refNorm2 = rc.Norm2()
-			res.refPosts = rc.Posts()
-			v := spec.Ref.Vector()
-			res.refDense, res.refSpill = v.Dense, v.Spill
-		}
+		res := newResource(spec)
 		// One streaming pass per record: accumulate the exact-integer dot
 		// and squared norm (term for term as FromEntries would) without
 		// materializing the support, and remember the record's byte span
@@ -396,7 +289,7 @@ const maxStateSlice = 1 << 28
 // (tag, count) pairs ascending from a −1 base, then the MA window (ring
 // length, bit-exact ring floats, head, fill, sum). This layout is the
 // unit shared by full snapshots (MarshalBinary), the residency tier's
-// frozen records, and the mapped-boot index (scanResourceState) — one
+// frozen records, and Restore's cold index (scanResourceState) — one
 // encoder, three consumers. i names the resource in errors.
 func appendResourceState(buf []byte, i int, rs *ResourceState) ([]byte, error) {
 	if len(rs.Tags) != len(rs.Counts) {
@@ -460,7 +353,7 @@ func readResourceState(r *codec.Reader, rs *ResourceState) {
 // slices: entry (when non-nil) sees each (tag, count) support pair, the
 // ring is skipped, and the scalars a cold resource retains — the post
 // count and the MA window's running sum — are returned. It is the
-// allocation-free twin of readResourceState used by NewFromMapped.
+// allocation-free twin of readResourceState used by Restore.
 func scanResourceState(r *codec.Reader, entry func(t tags.Tag, n int64)) (posts int, sum float64) {
 	posts = int(r.Uvarint("posts"))
 	nt := r.Length("support size", maxStateSlice)
@@ -522,42 +415,4 @@ func (st *State) MarshalBinary() ([]byte, error) {
 		buf = codec.AppendUvarint(buf, uint64(agg.Wasted))
 	}
 	return buf, nil
-}
-
-// UnmarshalState decodes a MarshalBinary payload, rejecting unknown
-// versions and any structural damage.
-func UnmarshalState(payload []byte) (*State, error) {
-	d := codec.NewReader(payload, statePrefix)
-	if v := d.Uvarint("version"); d.Err() == nil && v != stateVersion {
-		return nil, fmt.Errorf("engine: state version %d not supported (want %d)", v, stateVersion)
-	}
-	st := &State{
-		Omega:          int(d.Uvarint("omega")),
-		Shards:         int(d.Uvarint("shards")),
-		UnderThreshold: int(d.Varint("under threshold")),
-		TagUniverse:    int(d.Uvarint("tag universe")),
-		LastSeq:        d.Uvarint("last seq"),
-	}
-	n := d.Length("resource count", maxStateSlice)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	st.Resources = make([]ResourceState, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		readResourceState(d, &st.Resources[i])
-	}
-	na := d.Length("aggregate count", maxStateSlice)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	st.Aggregates = make([]ShardAggregate, na)
-	for s := 0; s < na && d.Err() == nil; s++ {
-		agg := &st.Aggregates[s]
-		agg.QSum = d.Float64("qsum")
-		agg.QComp = d.Float64("qcomp")
-		agg.Spent = int(d.Uvarint("spent"))
-		agg.Posts = int(d.Uvarint("posts"))
-		agg.Wasted = int(d.Uvarint("wasted"))
-	}
-	return st, d.Finish()
 }

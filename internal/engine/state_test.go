@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -89,18 +90,28 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 			}
 		}
 
-		// Round-trip through the binary encoding, as recovery does.
-		payload, err := live.ExportState().MarshalBinary()
+		// Round-trip through the binary encoding, as recovery does. The
+		// restored engine starts cold and must already read identically.
+		payload := marshaled(t, live)
+		restored, _, err := Restore(cfg, specs, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := UnmarshalState(payload)
-		if err != nil {
-			t.Fatal(err)
+		assertEnginesBitIdentical(t, live, restored)
+
+		// Rehydrating every resource must reproduce the exported state bit
+		// for bit: nothing is lost or rounded on the way through a frozen
+		// record.
+		for i := 0; i < restored.N(); i++ {
+			if err := restored.EnsureResident(i); err != nil {
+				t.Fatal(err)
+			}
 		}
-		restored, err := NewFromState(cfg, specs, st)
-		if err != nil {
-			t.Fatal(err)
+		if st := restored.Residency(); st.Cold != 0 {
+			t.Fatalf("EnsureResident left %d resources cold", st.Cold)
+		}
+		if !bytes.Equal(marshaled(t, restored), payload) {
+			t.Fatal("re-exported state differs from the restored payload")
 		}
 		assertEnginesBitIdentical(t, live, restored)
 
@@ -150,7 +161,10 @@ func TestReplayMatchesIngest(t *testing.T) {
 	}
 }
 
-func TestNewFromStateValidation(t *testing.T) {
+// TestRestoreRejects pins the loud-failure contract of the one restore
+// path: a payload that does not belong to this configuration and corpus,
+// or that is structurally damaged, is refused — never half-restored.
+func TestRestoreRejects(t *testing.T) {
 	specs := stateSpecs(16, 11)
 	cfg := Config{Omega: 5, Shards: 2, UnderThreshold: 10}
 	eng, err := New(cfg, specs)
@@ -163,49 +177,52 @@ func TestNewFromStateValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := eng.ExportState()
-
-	cases := []struct {
-		name string
-		cfg  Config
-		sp   []ResourceSpec
-		st   *State
-	}{
-		{"omega mismatch", Config{Omega: 7, Shards: 2, UnderThreshold: 10}, specs, st},
-		{"shards mismatch", Config{Omega: 5, Shards: 4, UnderThreshold: 10}, specs, st},
-		{"threshold mismatch", Config{Omega: 5, Shards: 2, UnderThreshold: 3}, specs, st},
-		{"universe mismatch", Config{Omega: 5, Shards: 2, UnderThreshold: 10, TagUniverse: 64}, specs, st},
-		{"resource count mismatch", cfg, specs[:8], st},
-		{"nil state", cfg, specs, nil},
-	}
-	for _, tc := range cases {
-		if _, err := NewFromState(tc.cfg, tc.sp, tc.st); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
+	payload := marshaled(t, eng)
+	if _, _, err := Restore(cfg, specs, payload); err != nil {
+		t.Fatalf("intact payload rejected: %v", err)
 	}
 
-	// A different corpus (longer initial prefixes than the state's post
-	// counts) must be rejected, not silently adopted.
+	// A different corpus: longer initial prefixes than the state's post
+	// counts.
 	bigger := stateSpecs(16, 12)
 	for i := range bigger {
 		for len(bigger[i].Initial) < 200 {
 			bigger[i].Initial = append(bigger[i].Initial, bigger[i].Initial[0])
 		}
 	}
-	if _, err := NewFromState(cfg, bigger, st); err == nil {
-		t.Error("state restored against a corpus with longer primed prefixes")
-	}
-
-	// Corrupt payloads must fail decode, never half-restore.
-	payload, err := st.MarshalBinary()
+	// Aggregates that disagree with the per-resource post counts.
+	skewed := eng.ExportState()
+	skewed.Aggregates[0].Posts++
+	skewedPayload, err := skewed.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnmarshalState(payload[:len(payload)/2]); err == nil {
-		t.Error("truncated state decoded")
+	// The version is the payload's first varint.
+	future := append([]byte{stateVersion + 1}, payload[1:]...)
+
+	cases := []struct {
+		name    string
+		cfg     Config
+		sp      []ResourceSpec
+		payload []byte
+	}{
+		{"omega mismatch", Config{Omega: 7, Shards: 2, UnderThreshold: 10}, specs, payload},
+		{"shards mismatch", Config{Omega: 5, Shards: 4, UnderThreshold: 10}, specs, payload},
+		{"threshold mismatch", Config{Omega: 5, Shards: 2, UnderThreshold: 3}, specs, payload},
+		{"universe mismatch", Config{Omega: 5, Shards: 2, UnderThreshold: 10, TagUniverse: 64}, specs, payload},
+		{"resource count mismatch", cfg, specs[:8], payload},
+		{"posts below the primed prefix", cfg, bigger, payload},
+		{"aggregates disagree with resources", cfg, specs, skewedPayload},
+		{"unknown version", cfg, specs, future},
+		{"empty payload", cfg, specs, nil},
+		{"truncated mid-resource", cfg, specs, payload[:len(payload)/2]},
+		{"truncated by one byte", cfg, specs, payload[:len(payload)-1]},
+		{"trailing byte", cfg, specs, append(append([]byte{}, payload...), 0)},
 	}
-	if _, err := UnmarshalState(append(payload, 0)); err == nil {
-		t.Error("trailing garbage accepted")
+	for _, tc := range cases {
+		if _, _, err := Restore(tc.cfg, tc.sp, tc.payload); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -445,7 +445,10 @@ type MetricsResponse struct {
 	// Memory-tiering census: hot/cold resource counts and transition
 	// counters (monotone, partition-clean — a cluster gateway sums them),
 	// the estimated hot heap, and the engine's rehydrate p99 in seconds
-	// (gateways take the max). All zero-cold on an untiered node.
+	// (gateways take the max). Zero-cold on a node that never loaded a
+	// snapshot; a node restarted from one — budgeted or not — counts the
+	// snapshot's records cold until traffic (or the tail replay)
+	// rehydrates them.
 	ResidentResources int     `json:"resident_resources"`
 	ColdResources     int     `json:"cold_resources"`
 	Evictions         uint64  `json:"evictions"`

@@ -304,10 +304,31 @@ func TestOpenAdoptsOrphanRotatedSegment(t *testing.T) {
 	}
 }
 
+// latestSnapshot maps the newest valid snapshot, copies what the
+// assertions need out of the mapping and releases it.
+func latestSnapshot(t *testing.T, dir string) (seq uint64, payload string, ok bool, skipped int) {
+	t.Helper()
+	m, ok, skipped, err := MapLatestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ok {
+		return 0, "", false, skipped
+	}
+	seq, payload = m.LastSeq, string(m.Payload)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Payload != nil || m.Close() != nil {
+		t.Fatal("Close must drop the payload and be safe to repeat")
+	}
+	return seq, payload, true, skipped
+}
+
 func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	dir := t.TempDir()
-	if _, _, ok, _, err := LatestSnapshot(dir); err != nil || ok {
-		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
+	if _, _, ok, _ := latestSnapshot(t, dir); ok {
+		t.Fatal("empty dir yielded a snapshot")
 	}
 	if _, err := WriteSnapshot(dir, 10, []byte("state-ten")); err != nil {
 		t.Fatal(err)
@@ -315,11 +336,11 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if _, err := WriteSnapshot(dir, 25, []byte("state-twenty-five")); err != nil {
 		t.Fatal(err)
 	}
-	seq, payload, ok, skipped, err := LatestSnapshot(dir)
-	if err != nil || !ok || skipped != 0 {
-		t.Fatalf("latest: ok=%v skipped=%d err=%v", ok, skipped, err)
+	seq, payload, ok, skipped := latestSnapshot(t, dir)
+	if !ok || skipped != 0 {
+		t.Fatalf("latest: ok=%v skipped=%d", ok, skipped)
 	}
-	if seq != 25 || string(payload) != "state-twenty-five" {
+	if seq != 25 || payload != "state-twenty-five" {
 		t.Fatalf("latest = (%d, %q)", seq, payload)
 	}
 
@@ -333,11 +354,11 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, payload, ok, skipped, err = LatestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("fallback: ok=%v err=%v", ok, err)
+	seq, payload, ok, skipped = latestSnapshot(t, dir)
+	if !ok {
+		t.Fatal("fallback: no snapshot")
 	}
-	if seq != 10 || string(payload) != "state-ten" || skipped != 1 {
+	if seq != 10 || payload != "state-ten" || skipped != 1 {
 		t.Fatalf("fallback = (%d, %q, skipped=%d)", seq, payload, skipped)
 	}
 
@@ -345,7 +366,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(99)+".tmp"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if seq, _, _, _, _ := LatestSnapshot(dir); seq != 10 {
+	if seq, _, _, _ := latestSnapshot(t, dir); seq != 10 {
 		t.Fatalf("temp file considered: seq=%d", seq)
 	}
 
@@ -353,7 +374,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(99)), raw[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadSnapshot(filepath.Join(dir, snapName(99))); err == nil {
+	if _, err := MapSnapshot(filepath.Join(dir, snapName(99))); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 

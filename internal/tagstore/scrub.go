@@ -8,8 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"incentivetag/internal/tags"
 )
 
 // ScrubReport summarizes a full-store integrity verification.
@@ -94,18 +92,4 @@ func scrubSegment(f *os.File) (records int64, validBytes int64, badOff int64, ca
 		records++
 		off += int64(4+len(payload)) + 4
 	}
-}
-
-// AppendSeq writes a sequence of posts for one resource; it is the
-// bulk-load path used by dataset persistence. On error the store may hold
-// a prefix of the sequence (each record is individually framed, so no
-// torn state is possible beyond the usual tail rules). For the
-// group-commit path used by the serving engine, see Batch / AppendBatch.
-func (s *Store) AppendSeq(rid uint32, seq []tags.Post) error {
-	for i, p := range seq {
-		if err := s.Append(rid, p); err != nil {
-			return fmt.Errorf("tagstore: batch item %d: %w", i, err)
-		}
-	}
-	return nil
 }

@@ -183,29 +183,34 @@ func TestCrashPointPrefixRecovery(t *testing.T) {
 	}
 }
 
-func TestAppendSeq(t *testing.T) {
+// A resource's posts read back in append order, and a rejected post
+// leaves the records appended before it in place.
+func TestAppendOrderAndRejectedPost(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
 	defer s.Close()
-	batch := []tags.Post{tags.MustPost(1, 2), tags.MustPost(3), tags.MustPost(2, 4)}
-	if err := s.AppendSeq(9, batch); err != nil {
-		t.Fatal(err)
+	seq := []tags.Post{tags.MustPost(1, 2), tags.MustPost(3), tags.MustPost(2, 4)}
+	for _, p := range seq {
+		if err := s.Append(9, p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := s.Posts(9)
 	if err != nil || len(got) != 3 {
-		t.Fatalf("batch readback: %v %v", got, err)
+		t.Fatalf("readback: %v %v", got, err)
 	}
-	for i := range batch {
-		if !got[i].Equal(batch[i]) {
-			t.Fatalf("batch item %d differs", i)
+	for i := range seq {
+		if !got[i].Equal(seq[i]) {
+			t.Fatalf("item %d differs", i)
 		}
 	}
-	// Batch with an invalid item stops at the offender.
-	err = s.AppendSeq(10, []tags.Post{tags.MustPost(1), {}})
-	if err == nil {
-		t.Fatal("invalid batch accepted")
+	if err := s.Append(10, tags.MustPost(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(10, tags.Post{}); err == nil {
+		t.Fatal("empty post accepted")
 	}
 	if s.Count(10) != 1 {
-		t.Errorf("prefix of failed batch lost: count=%d", s.Count(10))
+		t.Errorf("record before the rejected post lost: count=%d", s.Count(10))
 	}
 }

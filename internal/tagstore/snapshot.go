@@ -22,7 +22,7 @@ import (
 // The CRC covers the header too, so a snapshot whose seq or length field
 // was torn is rejected, not misread. Files are written to a temp name,
 // fsynced and renamed into place, so a crash mid-write never produces a
-// file that LatestSnapshot could half-trust; readers skip damaged files
+// file that MapLatestSnapshot could half-trust; readers skip damaged files
 // and fall back to the next-newest, and in the worst case recovery
 // degrades to a full log replay — never to silent corruption.
 const (
@@ -44,7 +44,7 @@ type SnapshotInfo struct {
 	// Name is the file name within the store directory.
 	Name string
 	// LastSeq is the log sequence number the snapshot covers (parsed
-	// from the name; ReadSnapshot re-verifies it against the header).
+	// from the name; MapSnapshot re-verifies it against the header).
 	LastSeq uint64
 	// Bytes is the file size.
 	Bytes int64
@@ -128,56 +128,6 @@ func WriteSnapshot(dir string, lastSeq uint64, payload []byte) (string, error) {
 	return path, nil
 }
 
-// ReadSnapshot loads and fully validates one snapshot file: magic,
-// length framing, CRC over header and payload, and the name/header seq
-// agreement.
-func ReadSnapshot(path string) (lastSeq uint64, payload []byte, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, nil, fmt.Errorf("tagstore: read snapshot: %w", err)
-	}
-	hdr := len(snapMagic) + 8 + 4
-	if len(raw) < hdr+4 {
-		return 0, nil, fmt.Errorf("tagstore: snapshot %s truncated (%d bytes)", filepath.Base(path), len(raw))
-	}
-	if string(raw[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("tagstore: snapshot %s has bad magic", filepath.Base(path))
-	}
-	lastSeq = binary.LittleEndian.Uint64(raw[len(snapMagic):])
-	n := binary.LittleEndian.Uint32(raw[len(snapMagic)+8:])
-	if int64(n) > maxSnapshotBytes || len(raw) != hdr+int(n)+4 {
-		return 0, nil, fmt.Errorf("tagstore: snapshot %s length mismatch (payload %d, file %d)", filepath.Base(path), n, len(raw))
-	}
-	body := raw[:hdr+int(n)]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[hdr+int(n):]) {
-		return 0, nil, fmt.Errorf("tagstore: snapshot %s crc mismatch", filepath.Base(path))
-	}
-	if want := filepath.Base(path); want != snapName(lastSeq) && strings.HasPrefix(want, snapPrefix) {
-		return 0, nil, fmt.Errorf("tagstore: snapshot %s header seq %d disagrees with its name", want, lastSeq)
-	}
-	return lastSeq, body[hdr:], nil
-}
-
-// LatestSnapshot returns the newest snapshot in dir that validates,
-// trying older ones when newer files are damaged. ok is false when no
-// valid snapshot exists (recovery then falls back to a full log replay).
-// skipped reports how many damaged snapshot files were passed over.
-func LatestSnapshot(dir string) (lastSeq uint64, payload []byte, ok bool, skipped int, err error) {
-	infos, err := ListSnapshots(dir)
-	if err != nil {
-		return 0, nil, false, 0, err
-	}
-	for i := len(infos) - 1; i >= 0; i-- {
-		seq, pl, rerr := ReadSnapshot(filepath.Join(dir, infos[i].Name))
-		if rerr != nil {
-			skipped++
-			continue
-		}
-		return seq, pl, true, skipped, nil
-	}
-	return 0, nil, false, skipped, nil
-}
-
 // PruneSnapshots validates every snapshot file in dir, deletes the
 // damaged ones plus all but the newest keep VALID ones (keep ≥ 1), and
 // returns how many files were removed along with the oldest retained
@@ -196,13 +146,15 @@ func PruneSnapshots(dir string, keep int) (removed int, oldestSeq uint64, ok boo
 	}
 	var valid []SnapshotInfo
 	for _, info := range infos {
-		if _, _, rerr := ReadSnapshot(filepath.Join(dir, info.Name)); rerr != nil {
+		m, merr := MapSnapshot(filepath.Join(dir, info.Name))
+		if merr != nil {
 			if err := os.Remove(filepath.Join(dir, info.Name)); err != nil {
 				return removed, 0, false, fmt.Errorf("tagstore: prune snapshot: %w", err)
 			}
 			removed++
 			continue
 		}
+		m.Close()
 		valid = append(valid, info)
 	}
 	for i := 0; i+keep < len(valid); i++ {

@@ -15,12 +15,12 @@ import (
 // records pointing into it — the engine's cold-boot path — pay neither
 // a heap copy of the state nor a parse of resources nobody touches.
 //
-// The whole file, header and payload, is CRC-validated at map time,
-// exactly as ReadSnapshot validates a heap read. Close unmaps; every
-// byte slice derived from Payload dies with it, so the owner must keep
-// the MappedSnapshot open for as long as any consumer may read those
-// bytes (the Service holds it for the engine's lifetime). Unlinking the
-// file — snapshot pruning — does not invalidate an open mapping.
+// The whole file, header and payload, is CRC-validated at map time.
+// Close unmaps; every byte slice derived from Payload dies with it, so
+// the owner must keep the MappedSnapshot open for as long as any
+// consumer may read those bytes (the Service holds it for the engine's
+// lifetime). Unlinking the file — snapshot pruning — does not
+// invalidate an open mapping.
 type MappedSnapshot struct {
 	// LastSeq is the log sequence number the payload covers.
 	LastSeq uint64
@@ -43,9 +43,10 @@ func (m *MappedSnapshot) Close() error {
 	return u()
 }
 
-// MapSnapshot maps and fully validates one snapshot file — the mmap
-// counterpart of ReadSnapshot, with identical validation: magic, length
+// MapSnapshot maps and fully validates one snapshot file: magic, length
 // framing, CRC over header and payload, and name/header seq agreement.
+// It is the only snapshot reader; on platforms without mmap the
+// "mapping" is a heap read behind the same contract (see mapFile).
 func MapSnapshot(path string) (*MappedSnapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -88,9 +89,9 @@ func MapSnapshot(path string) (*MappedSnapshot, error) {
 }
 
 // MapLatestSnapshot maps the newest snapshot in dir that validates,
-// trying older ones when newer files are damaged — the mmap counterpart
-// of LatestSnapshot, with the same fallback semantics. ok is false when
-// no valid snapshot exists; skipped counts damaged files passed over.
+// trying older ones when newer files are damaged. ok is false when no
+// valid snapshot exists (recovery then falls back to a full log replay);
+// skipped counts damaged files passed over.
 func MapLatestSnapshot(dir string) (m *MappedSnapshot, ok bool, skipped int, err error) {
 	infos, err := ListSnapshots(dir)
 	if err != nil {

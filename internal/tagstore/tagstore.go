@@ -14,7 +14,7 @@
 // number: the first record ever appended is seq 1, and the MANIFEST
 // records each segment's first seq, so a record's seq is recoverable
 // from its position alone — no per-record framing overhead. Sequence
-// numbers are what tie snapshots (WriteSnapshot/LatestSnapshot) to the
+// numbers are what tie snapshots (WriteSnapshot/MapLatestSnapshot) to the
 // log: a snapshot covering seq S plus the records with seq > S replay
 // to the exact pre-crash state, and DropThrough(S) reclaims the sealed
 // segments a snapshot has made redundant.

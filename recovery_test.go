@@ -324,3 +324,222 @@ func TestServiceRecoveryRejectsForeignState(t *testing.T) {
 		t.Fatal("snapshot restored under a different omega")
 	}
 }
+
+// assertRestoreEquivalent compares a restored service with the
+// never-restarted one that wrote its directory on every surface a client
+// can read: metrics and per-resource counts, plus full /topk rankings
+// down to the score's float bits.
+func assertRestoreEquivalent(t *testing.T, ctx string, live, re *Service) {
+	t.Helper()
+	assertServicesBitIdentical(t, live, re)
+	for i := 0; i < live.N(); i++ {
+		want, _, err := live.TopK(i, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := re.TopK(i, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: topk %d: %d results, want %d", ctx, i, len(got), len(want))
+		}
+		for r := range want {
+			if got[r].ID != want[r].ID || math.Float64bits(got[r].Score) != math.Float64bits(want[r].Score) {
+				t.Fatalf("%s: topk %d rank %d: (%d, %v), want (%d, %v)",
+					ctx, i, r, got[r].ID, got[r].Score, want[r].ID, want[r].Score)
+			}
+		}
+	}
+}
+
+// TestServiceRestoreEquivalence pins the one restore path over every
+// shape a durable directory can take, with and without a residency
+// budget: the restored service equals the never-restarted one that wrote
+// the directory, recovery starts every snapshot-carried resource cold
+// and rehydrates exactly what the log tail touches, an unbudgeted node
+// converges to all-resident under traffic, and Close releases the
+// mapping.
+func TestServiceRestoreEquivalence(t *testing.T) {
+	ds := testDS(t)
+	events := liveEvents(ds, 300)
+	ingest := func(t *testing.T, svc *Service, evs []PostEvent) {
+		t.Helper()
+		for _, ev := range evs {
+			if err := svc.Ingest(ev.Resource, ev.Post); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snapshot := func(t *testing.T, svc *Service) {
+		t.Helper()
+		if res, err := svc.SnapshotNow(); err != nil || res.Skipped {
+			t.Fatalf("snapshot: %+v err=%v", res, err)
+		}
+	}
+	scenarios := []struct {
+		name string
+		// drive feeds all of events to the live service, snapshotting
+		// along the way.
+		drive        func(t *testing.T, live *Service)
+		damageNewest bool
+		want         RecoveryStats
+	}{
+		{
+			name:  "no snapshot + log",
+			drive: func(t *testing.T, live *Service) { ingest(t, live, events) },
+			want:  RecoveryStats{Recovered: true, ReplayedRecords: 300},
+		},
+		{
+			name: "snapshot only",
+			drive: func(t *testing.T, live *Service) {
+				ingest(t, live, events)
+				snapshot(t, live)
+			},
+			want: RecoveryStats{Recovered: true, SnapshotLoaded: true, SnapshotSeq: 300},
+		},
+		{
+			name: "snapshot + tail",
+			drive: func(t *testing.T, live *Service) {
+				ingest(t, live, events[:280])
+				snapshot(t, live)
+				ingest(t, live, events[280:])
+			},
+			want: RecoveryStats{Recovered: true, SnapshotLoaded: true, SnapshotSeq: 280, ReplayedRecords: 20},
+		},
+		{
+			name: "damaged newest snapshot → fallback",
+			drive: func(t *testing.T, live *Service) {
+				ingest(t, live, events[:250])
+				snapshot(t, live)
+				ingest(t, live, events[250:280])
+				snapshot(t, live)
+				ingest(t, live, events[280:])
+			},
+			damageNewest: true,
+			want:         RecoveryStats{Recovered: true, SnapshotLoaded: true, SnapshotSeq: 250, SnapshotsSkipped: 1, ReplayedRecords: 50},
+		},
+	}
+	budgets := []struct {
+		name        string
+		maxResident int
+	}{{"no budget", 0}, {"MaxResidentResources 8", 8}}
+
+	for _, sc := range scenarios {
+		for _, bd := range budgets {
+			t.Run(sc.name+"/"+bd.name, func(t *testing.T) {
+				live, err := NewService(ds, durableOpts(t.TempDir()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer live.Close()
+				sc.drive(t, live)
+
+				crash := copyDir(t, live.walDir)
+				if sc.damageNewest {
+					snaps, err := tagstore.ListSnapshots(crash)
+					if err != nil || len(snaps) < 2 {
+						t.Fatalf("want ≥ 2 snapshots to damage the newest: %v err=%v", snaps, err)
+					}
+					path := filepath.Join(crash, snaps[len(snaps)-1].Name)
+					raw, err := os.ReadFile(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					raw[len(raw)/2] ^= 0xff
+					if err := os.WriteFile(path, raw, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				opts := durableOpts(crash)
+				opts.MaxResidentResources = bd.maxResident
+				opts.TierInterval = -1
+				re, err := NewService(ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer re.Close()
+
+				rec := re.RecoveryStats()
+				if (rec.ReplayBytes > 0) != (sc.want.ReplayedRecords > 0) {
+					t.Fatalf("replay bytes %d for %d replayed records", rec.ReplayBytes, sc.want.ReplayedRecords)
+				}
+				rec.ReplayBytes, rec.ReplayMillis = 0, 0
+				want := sc.want
+				want.RecoveredPosts = len(events)
+				if rec != want {
+					t.Fatalf("recovery stats:\nwant %+v\ngot  %+v", want, rec)
+				}
+
+				// Cold at boot is exactly what the snapshot carried and the
+				// tail did not touch — whatever the budget.
+				wantCold, wantRehydrated := 0, 0
+				if sc.want.SnapshotLoaded {
+					touched := make(map[int]bool)
+					for _, ev := range events[sc.want.SnapshotSeq:] {
+						touched[ev.Resource] = true
+					}
+					wantCold, wantRehydrated = ds.N()-len(touched), len(touched)
+					if wantCold == 0 {
+						t.Fatal("scenario leaves nothing cold; shorten its tail")
+					}
+				}
+				st := re.Residency()
+				if st.Cold != wantCold || st.Rehydrations != uint64(wantRehydrated) {
+					t.Fatalf("boot residency: want %d cold, %d rehydrated: %+v", wantCold, wantRehydrated, st)
+				}
+				if st.Enabled != (bd.maxResident > 0) || st.RehydrateCount != st.Rehydrations {
+					t.Fatalf("tier stats: %+v", st)
+				}
+				if (re.mapped != nil) != sc.want.SnapshotLoaded {
+					t.Fatalf("mapping held = %v, snapshot loaded = %v", re.mapped != nil, sc.want.SnapshotLoaded)
+				}
+				assertRestoreEquivalent(t, "at boot", live, re)
+				if got := re.Residency().Cold; got != wantCold {
+					t.Fatalf("reads changed engine residency: %d cold, want %d", got, wantCold)
+				}
+
+				// One post to every resource: the unbudgeted node ends fully
+				// resident (it never evicts); the budgeted one is held to its
+				// budget by the policy. Answers stay equal either way.
+				cursor := startCursor(ds)
+				for _, ev := range events {
+					cursor[ev.Resource]++
+				}
+				for i := 0; i < ds.N(); i++ {
+					p := nextPost(ds, cursor, i)
+					if err := live.Ingest(i, p); err != nil {
+						t.Fatal(err)
+					}
+					if err := re.Ingest(i, p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if bd.maxResident == 0 {
+					if st := re.Residency(); st.Cold != 0 || st.Evictions != 0 {
+						t.Fatalf("unbudgeted node after touching everything: %+v", st)
+					}
+					if _, err := re.TierNow(); err == nil {
+						t.Fatal("TierNow ran without a residency budget")
+					}
+				} else {
+					if _, err := re.TierNow(); err != nil {
+						t.Fatal(err)
+					}
+					if st := re.Residency(); st.Resident > bd.maxResident {
+						t.Fatalf("TierNow left %d resident, budget %d", st.Resident, bd.maxResident)
+					}
+				}
+				assertRestoreEquivalent(t, "after touching every resource", live, re)
+
+				m := re.mapped
+				if err := re.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if re.mapped != nil || (m != nil && m.Payload != nil) {
+					t.Fatal("Close did not release the snapshot mapping")
+				}
+			})
+		}
+	}
+}
