@@ -793,6 +793,15 @@ func (s *Service) Ingest(resource int, p Post) error {
 // PostEvent is one element of a cross-resource ingest batch.
 type PostEvent = engine.PostEvent
 
+// ErrResourceRange and ErrEmptyPost are wrapped by every ingest error
+// that is the caller's mistake — a resource index outside [0, N) or a
+// post with no tags; any other ingest error (a WAL write failure, a
+// failed rehydration) is the service's. Test with errors.Is.
+var (
+	ErrResourceRange = engine.ErrResourceRange
+	ErrEmptyPost     = engine.ErrEmptyPost
+)
+
 // IngestBatch records a batch of posts for one resource under a single
 // shard-lock acquisition and one group-committed WAL write. The
 // resulting state is bit-identical to ingesting the posts one at a time;

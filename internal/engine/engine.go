@@ -45,6 +45,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -240,6 +241,16 @@ func (s *shard) add(x float64) {
 	s.qsum = t
 }
 
+// ErrResourceRange and ErrEmptyPost mark the two ingest failures that are
+// the caller's mistake rather than the engine's: every "resource index
+// … out of range" and "empty post" error wraps one of them, with the
+// sentinel's text standing where those words always stood in the
+// message, so callers classify with errors.Is instead of by wording.
+var (
+	ErrResourceRange = errors.New("out of range")
+	ErrEmptyPost     = errors.New("empty post")
+)
+
 // Subscriber consumes per-post ingest deltas — the hook a live query
 // index (ir.OnlineIndex) hangs off so it never has to rescan the
 // corpus. PostApplied is invoked once per applied post, strictly after
@@ -420,10 +431,10 @@ func (e *Engine) locate(i int) (*shard, int) {
 // recovery replays exactly the live history.
 func (e *Engine) Ingest(i int, p tags.Post) error {
 	if i < 0 || i >= e.n {
-		return fmt.Errorf("engine: resource index %d out of range [0,%d)", i, e.n)
+		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	if len(p) == 0 {
-		return fmt.Errorf("engine: empty post for resource %d", i)
+		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, i)
 	}
 	sh, l := e.locate(i)
 	sh.mu.Lock()
@@ -459,11 +470,11 @@ func (e *Engine) Ingest(i int, p tags.Post) error {
 // is bit-identical to ingesting the posts one at a time.
 func (e *Engine) IngestBatch(i int, posts []tags.Post) error {
 	if i < 0 || i >= e.n {
-		return fmt.Errorf("engine: resource index %d out of range [0,%d)", i, e.n)
+		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	for k, p := range posts {
 		if len(p) == 0 {
-			return fmt.Errorf("engine: empty post %d for resource %d", k, i)
+			return fmt.Errorf("engine: %w %d for resource %d", ErrEmptyPost, k, i)
 		}
 	}
 	if len(posts) == 0 {
@@ -515,10 +526,10 @@ type PostEvent struct {
 func (e *Engine) IngestMany(events []PostEvent) error {
 	for k, ev := range events {
 		if ev.Resource < 0 || ev.Resource >= e.n {
-			return fmt.Errorf("engine: event %d: resource index %d out of range [0,%d)", k, ev.Resource, e.n)
+			return fmt.Errorf("engine: event %d: resource index %d %w [0,%d)", k, ev.Resource, ErrResourceRange, e.n)
 		}
 		if len(ev.Post) == 0 {
-			return fmt.Errorf("engine: event %d: empty post for resource %d", k, ev.Resource)
+			return fmt.Errorf("engine: event %d: %w for resource %d", k, ErrEmptyPost, ev.Resource)
 		}
 	}
 	// One unlocked pre-pass counts each shard's events, so untouched

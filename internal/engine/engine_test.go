@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -666,6 +667,27 @@ func TestBatchValidation(t *testing.T) {
 	}
 	if err := e.IngestMany(nil); err != nil {
 		t.Errorf("empty event batch rejected: %v", err)
+	}
+	// Callers classify these by identity (errors.Is), and the sentinels
+	// stand inside the messages, so the texts are what they always were.
+	for _, tc := range []struct {
+		err  error
+		is   error
+		text string
+	}{
+		{e.Ingest(9, tags.Post{1}), ErrResourceRange, "engine: resource index 9 out of range [0,4)"},
+		{e.Ingest(0, nil), ErrEmptyPost, "engine: empty post for resource 0"},
+		{e.IngestBatch(-2, nil), ErrResourceRange, "engine: resource index -2 out of range [0,4)"},
+		{e.IngestBatch(0, []tags.Post{{1}, {}}), ErrEmptyPost, "engine: empty post 1 for resource 0"},
+		{e.IngestMany([]PostEvent{{0, tags.Post{1}}, {4, tags.Post{1}}}), ErrResourceRange, "engine: event 1: resource index 4 out of range [0,4)"},
+		{e.IngestMany([]PostEvent{{3, nil}}), ErrEmptyPost, "engine: event 0: empty post for resource 3"},
+		{e.Replay(4, tags.Post{1}), ErrResourceRange, "engine: resource index 4 out of range [0,4)"},
+		{e.Replay(1, nil), ErrEmptyPost, "engine: empty post for resource 1"},
+		{e.EnsureResident(7), ErrResourceRange, "engine: resource index 7 out of range [0,4)"},
+	} {
+		if !errors.Is(tc.err, tc.is) || tc.err.Error() != tc.text {
+			t.Errorf("got %q (is %q: %v), want %q", tc.err, tc.is, errors.Is(tc.err, tc.is), tc.text)
+		}
 	}
 	// Validation happens before any mutation.
 	if got := e.Snapshot().Posts; got != 0 {

@@ -234,7 +234,7 @@ func (e *Engine) Resident(i int) bool {
 // ingest path performs implicitly.
 func (e *Engine) EnsureResident(i int) error {
 	if i < 0 || i >= e.n {
-		return fmt.Errorf("engine: resource index %d out of range [0,%d)", i, e.n)
+		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	sh, l := e.locate(i)
 	sh.mu.Lock()
@@ -252,7 +252,7 @@ func (e *Engine) EnsureResident(i int) error {
 // quality and every aggregate read identically before and after.
 func (e *Engine) Evict(i int) (bool, error) {
 	if i < 0 || i >= e.n {
-		return false, fmt.Errorf("engine: resource index %d out of range [0,%d)", i, e.n)
+		return false, fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	sh, l := e.locate(i)
 	sh.mu.Lock()

@@ -250,10 +250,10 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 // apply it; callers must feed only the WAL tail past State.LastSeq.
 func (e *Engine) Replay(i int, p tags.Post) error {
 	if i < 0 || i >= e.n {
-		return fmt.Errorf("engine: resource index %d out of range [0,%d)", i, e.n)
+		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	if len(p) == 0 {
-		return fmt.Errorf("engine: empty post for resource %d", i)
+		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, i)
 	}
 	sh, l := e.locate(i)
 	sh.mu.Lock()

@@ -47,6 +47,18 @@
 // bound at all times without rescanning. Bounds that are loose cost
 // speed, never correctness.
 //
+// # How the order is maintained under ingest
+//
+// A +1 bump moves one entry: it swaps with the head of its run of equal
+// counts and is bumped there, so the list stays count-descending with
+// only two positions changed. The list carries no side structure for
+// that — the entry is found by scanning for its id and the run head by
+// binary search over the sorted prefix — because posting lists are
+// short where ingest lands (see bmList for the census); a list that
+// outgrows one block gets an id→slot index at that moment, so a scan
+// never exceeds blockSize entries. Queries read none of this: they see
+// entries, block maxima and the list max only.
+//
 // # Why pruning is bit-identical to the exhaustive path
 //
 // Pruning only ever decides which candidates NOT to score. Survivors
@@ -155,9 +167,17 @@ func (r *dirRow) ratchet(imp float64) {
 func (r *dirRow) maxImpact() float64 { return math.Float64frombits(r.maxBits.Load()) }
 
 // bmList is one tag's shard-local posting list: entries sorted by count
-// descending (ties in arrival order), an id→slot lookup for O(1) bumps,
-// a count→run-head lookup that makes the sorted order maintainable in
-// O(1) per +1 bump, and the block/list impact ratchets. Field order
+// descending (ties in arrival order) plus the block/list impact
+// ratchets. A +1 bump needs two positions — the entry's own and the head
+// of its run of equal counts — and finds both from the entries alone: the
+// entry by scanning for its id, the run head by binary search over the
+// count-descending prefix before it. That is the cheapest thing to do for
+// the lists ingest actually hits (at Figure-6 scale: 110 763 lists, p50 1
+// / p99 5 / max 79 entries, 84 % of bumps in lists of ≤ 8 entries, none
+// past one block — the scan stays inside a cache line or two, where a
+// side map costs an allocation per list and a cache-missing probe per
+// bump). Only a list that outgrows its first block gets an id→slot index,
+// so the scan is bounded by blockSize whatever the data does. Field order
 // keeps entries and maxImpact on the leading cache line: a single-block
 // list (the overwhelmingly common shape) is scanned and bounded without
 // touching the rest of the struct.
@@ -166,13 +186,11 @@ type bmList struct {
 	maxImpact float64 // whole-list max entry impact (ratchet)
 	row       *dirRow // directory row this list belongs to (nil in unit tests)
 	shard     int32   // this list's shard index within the row
-	slot      map[int32]int32
-	// runStart maps a count value to the leftmost index of its run of
-	// equal counts. Bumping an entry swaps it with its run's head and
-	// shrinks the run by one — the only two positions whose order
-	// changes — so the count-descending invariant survives every +1 in
-	// constant time.
-	runStart    map[int32]int32
+	// slot maps id → index into entries. nil while the list fits one
+	// block (len(entries) ≤ blockSize); built when the list outgrows it
+	// (by the bump that appends entry blockSize+1, or by finalize) and
+	// kept exact by every swap and append from then on.
+	slot        map[int32]int32
 	blockImpact []float64 // per-block max entry impact (ratchet)
 }
 
@@ -213,12 +231,37 @@ func (pl *bmList) finalize(norm2 func(id int32) float64) {
 	pl.blockImpact = make([]float64, (len(es)+blockSize-1)/blockSize)
 	for i := range es {
 		e := &es[i]
-		pl.slot[e.id] = int32(i)
-		if i == 0 || es[i-1].count != e.count {
-			pl.runStart[e.count] = int32(i)
-		}
 		pl.bound(i/blockSize, impactBound(int64(e.count), norm2(e.id)))
 	}
+	if len(es) > blockSize {
+		pl.indexSlots()
+	}
+}
+
+// indexSlots builds the id→slot index of a list that has outgrown one
+// block.
+func (pl *bmList) indexSlots() {
+	pl.slot = make(map[int32]int32, 2*len(pl.entries))
+	for i, e := range pl.entries {
+		pl.slot[e.id] = int32(i)
+	}
+}
+
+// find returns the index of id's entry, or -1: one map probe when the
+// list is indexed, otherwise a scan of its single block.
+func (pl *bmList) find(id int32) int32 {
+	if pl.slot != nil {
+		if idx, ok := pl.slot[id]; ok {
+			return idx
+		}
+		return -1
+	}
+	for i := range pl.entries {
+		if pl.entries[i].id == id {
+			return int32(i)
+		}
+	}
+	return -1
 }
 
 // bound ratchets the block, list and directory-row impact maxima.
@@ -236,61 +279,64 @@ func (pl *bmList) bound(b int, imp float64) {
 
 // bumpOne adds one to the resource's posting (appending on first touch)
 // while preserving the count-descending order: the entry swaps with the
-// head of its equal-count run, the run shrinks by one, and the entry
-// joins (or founds) the count+1 run. norm2After is the resource's
-// squared norm with the post already applied and norms is the index's
-// dense norm cache (used to re-derive the displaced run head's impact
-// bound — its current norm only shrinks its true impact, so the fresh
-// bound is valid, in fact tighter than the one it was stored under).
-// The old, now-stale block maxima remain valid upper bounds. Reports
-// whether a new entry was appended.
+// head of its equal-count run — the only two positions whose order
+// changes — and is bumped there, which shrinks its old run by one from
+// the left and extends (or founds) the count+1 run by one on the right.
+// The run head is the first entry of the sorted prefix whose count is
+// not above the entry's own. norm2After is the resource's squared norm
+// with the post already applied and norms is the index's dense norm
+// cache (used to re-derive the displaced run head's impact bound — its
+// current norm only shrinks its true impact, so the fresh bound is
+// valid, in fact tighter than the one it was stored under). The old,
+// now-stale block maxima remain valid upper bounds. Reports whether a
+// new entry was appended.
 func (pl *bmList) bumpOne(id int32, norm2After float64, norms []float64) (appended bool) {
-	if idx, ok := pl.slot[id]; ok {
-		c := pl.entries[idx].count
+	if idx := pl.find(id); idx >= 0 {
+		es := pl.entries
+		c := es[idx].count
 		if c == math.MaxInt32 {
 			panic("ir: posting count outside int32 range")
 		}
-		j := pl.runStart[c]
+		j, hi := int32(0), idx
+		for j < hi {
+			if mid := (j + hi) >> 1; es[mid].count > c {
+				j = mid + 1
+			} else {
+				hi = mid
+			}
+		}
 		if j != idx {
-			pl.entries[idx], pl.entries[j] = pl.entries[j], pl.entries[idx]
-			pl.slot[pl.entries[idx].id] = idx
-			pl.slot[id] = j
+			es[idx], es[j] = es[j], es[idx]
+			if pl.slot != nil {
+				pl.slot[es[idx].id] = idx
+				pl.slot[id] = j
+			}
 			// The displaced run head moved into the bumped entry's block;
 			// its impact must be covered there too.
 			if bi, bj := int(idx)/blockSize, int(j)/blockSize; bi != bj {
-				d := pl.entries[idx]
+				d := es[idx]
 				if imp := impactBound(int64(d.count), norms[d.id]); imp > pl.blockImpact[bi] {
 					pl.blockImpact[bi] = imp
 				}
 			}
 		}
-		// Shrink (or dissolve) the old run, join the count+1 run.
-		if int(j)+1 < len(pl.entries) && pl.entries[j+1].count == c {
-			pl.runStart[c] = j + 1
-		} else {
-			delete(pl.runStart, c)
-		}
-		if _, ok := pl.runStart[c+1]; !ok {
-			pl.runStart[c+1] = j
-		}
-		e := &pl.entries[j]
-		e.count = c + 1
-		pl.bound(int(j)/blockSize, impactBound(int64(e.count), norm2After))
+		es[j].count = c + 1
+		pl.bound(int(j)/blockSize, impactBound(int64(c+1), norm2After))
 		return false
 	}
 	// First touch: a count of 1 is ≤ every live count, so appending at
 	// the tail preserves the descending order.
 	j := int32(len(pl.entries))
-	imp := impactBound(1, norm2After)
 	pl.entries = append(pl.entries, bmEntry{id: id, count: 1})
-	pl.slot[id] = j
-	if _, ok := pl.runStart[1]; !ok {
-		pl.runStart[1] = j
+	if pl.slot != nil {
+		pl.slot[id] = j
+	} else if len(pl.entries) > blockSize {
+		pl.indexSlots()
 	}
 	if int(j)%blockSize == 0 {
 		pl.blockImpact = append(pl.blockImpact, 0)
 	}
-	pl.bound(int(j)/blockSize, imp)
+	pl.bound(int(j)/blockSize, impactBound(1, norm2After))
 	pl.noteLen()
 	return true
 }

@@ -177,7 +177,7 @@ func (ix *OnlineIndex) posting(s int, t tags.Tag) *bmList {
 	sh := ix.shards[s]
 	pl := sh.postings[t]
 	if pl == nil {
-		pl = &bmList{slot: make(map[int32]int32), runStart: make(map[int32]int32), shard: int32(s)}
+		pl = &bmList{shard: int32(s)}
 		ix.censusMu.Lock()
 		row := ix.dir[t]
 		if row == nil {
@@ -218,10 +218,10 @@ func (ix *OnlineIndex) locate(i int) (*onlineShard, int) {
 // vector absorbs the post (each tag's count-delta is +1 — a post names
 // a tag at most once) and the touched posting lists are bumped in
 // place, each bump preserving its list's count-descending block-max
-// order in O(1). Safe for concurrent use; posts for resources on
-// different shards proceed in parallel. Callers must apply each
-// resource's posts in ingest order (the engine's subscriber hook runs
-// under the shard lock, which guarantees exactly that).
+// order by one swap (see bmList.bumpOne). Safe for concurrent use; posts
+// for resources on different shards proceed in parallel. Callers must
+// apply each resource's posts in ingest order (the engine's subscriber
+// hook runs under the shard lock, which guarantees exactly that).
 func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
 	if resource < 0 || resource >= ix.n || len(p) == 0 {
 		return

@@ -223,7 +223,7 @@ func TestSearchDuplicateTagsRegression(t *testing.T) {
 
 // White-box invariants of the block-max posting layout, checked after
 // heavy incremental ingest: every list stays count-descending (id order
-// inside an equal-count run is arbitrary — the O(1) run-swap bump moves
+// inside an equal-count run is arbitrary — the run-swap bump moves
 // entries to run heads), every block bound dominates the
 // current impact of each entry it covers (bounds are ratcheted with
 // historical norms, and norms only grow, so recomputing with today's

@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -67,6 +68,7 @@ import (
 
 	incentivetag "incentivetag"
 	"incentivetag/internal/admit"
+	"incentivetag/internal/tags"
 )
 
 // DefaultMaxBody bounds request bodies when Config.MaxBodyBytes is 0;
@@ -533,23 +535,33 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // readJSON decodes the request body strictly (unknown fields rejected —
 // they are almost always a client schema bug worth failing loudly on).
-// Bodies over the configured cap get a distinct 413 so clients can tell
-// "split your batch" apart from "fix your schema".
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
+	return s.decodeJSON(w, http.MaxBytesReader(w, r.Body, s.maxBody), v)
+}
+
+// decodeJSON is readJSON over any reader of the (size-capped) body.
+func (s *Server) decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.bodyTooLarge.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes; split the batch", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		s.bodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// bodyError answers a request whose body could not be read or decoded.
+// Bodies over the configured cap get a distinct 413 so clients can tell
+// "split your batch" apart from "fix your schema".
+func (s *Server) bodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.bodyTooLarge.Add(1)
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"request body exceeds %d bytes; split the batch", mbe.Limit)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // post builds a validated tags.Post from wire tag ids.
@@ -558,77 +570,73 @@ func post(ts []int32) (incentivetag.Post, error) {
 	for k, t := range ts {
 		ids[k] = incentivetag.Tag(t)
 	}
-	return incentivetag.NewPost(ids...)
+	return tags.Normalize(ids)
 }
 
+// handleIngest reads the body once and decodes it with the canonical
+// scanner or, when the body is any other JSON, the general decoder (see
+// ingest.go); both hand the same ingestBatch to applyIngest.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	svc := s.service(w)
 	if svc == nil {
 		return
 	}
-	var req IngestRequest
-	if !s.readJSON(w, r, &req) {
+	buf, err := s.readBody(w, r)
+	defer putBody(buf)
+	if err != nil {
+		s.bodyError(w, err)
 		return
 	}
-	single := len(req.Tags) > 0
-	if single == (len(req.Events) > 0) {
-		writeError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
-		return
-	}
-	if single {
-		p, err := post(req.Tags)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+	in, ok := scanIngest(buf.Bytes())
+	if !ok {
+		if in, ok = s.decodeIngest(w, buf.Bytes()); !ok {
 			return
 		}
-		if !svc.OwnsResource(req.Resource) {
+	}
+	s.applyIngest(w, svc, in)
+}
+
+// applyIngest is the one tail behind both /ingest decoders: ownership
+// check, ingest, response.
+func (s *Server) applyIngest(w http.ResponseWriter, svc *incentivetag.Service, in ingestBatch) {
+	// at prefixes a batch complaint with the event it is about.
+	at := func(k int) string {
+		if in.single {
+			return ""
+		}
+		return fmt.Sprintf("event %d: ", k)
+	}
+	for k, ev := range in.events {
+		if !svc.OwnsResource(ev.Resource) {
 			// A post accepted off-owner would be invisible to every
 			// scatter-gather query (nodes score only owned resources), so a
 			// misrouted ingest is refused loudly rather than lost silently.
 			writeError(w, http.StatusMisdirectedRequest,
-				"resource %d is not owned by this node; route via the gateway", req.Resource)
+				"%sresource %d is not owned by this node; route via the gateway", at(k), ev.Resource)
 			return
 		}
-		if err := s.ingest(w, func() error { return svc.Ingest(req.Resource, p) }); err == nil {
-			writeJSON(w, http.StatusOK, IngestResponse{Ingested: 1})
-		}
+	}
+	if in.bad != nil {
+		writeError(w, http.StatusBadRequest, "%s%v", at(len(in.events)), in.bad)
 		return
 	}
-	events := make([]incentivetag.PostEvent, len(req.Events))
-	for k, ev := range req.Events {
-		p, err := post(ev.Tags)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "event %d: %v", k, err)
-			return
+	var err error
+	if in.single {
+		err = svc.Ingest(in.events[0].Resource, in.events[0].Post)
+	} else {
+		err = svc.IngestMany(in.events)
+	}
+	if err != nil {
+		// Resource-index and empty-post complaints are the client's fault
+		// (400); anything else (e.g. a WAL write failure) is ours (500).
+		status := http.StatusInternalServerError
+		if errors.Is(err, incentivetag.ErrResourceRange) || errors.Is(err, incentivetag.ErrEmptyPost) {
+			status = http.StatusBadRequest
 		}
-		if !svc.OwnsResource(ev.Resource) {
-			writeError(w, http.StatusMisdirectedRequest,
-				"event %d: resource %d is not owned by this node; route via the gateway", k, ev.Resource)
-			return
-		}
-		events[k] = incentivetag.PostEvent{Resource: ev.Resource, Post: p}
+		writeError(w, status, "%v", err)
+		return
 	}
-	if err := s.ingest(w, func() error { return svc.IngestMany(events) }); err == nil {
-		writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(events)})
-	}
-}
-
-// ingest runs fn and maps its error onto the right status class:
-// resource-index and empty-post complaints are the client's fault (400),
-// anything else (e.g. a WAL write failure) is ours (500). The engine
-// returns plain fmt errors, so message shape is the seam we have.
-func (s *Server) ingest(w http.ResponseWriter, fn func() error) error {
-	err := fn()
-	if err == nil {
-		return nil
-	}
-	status := http.StatusInternalServerError
-	msg := err.Error()
-	if strings.Contains(msg, "out of range") || strings.Contains(msg, "empty post") {
-		status = http.StatusBadRequest
-	}
-	writeError(w, status, "%s", msg)
-	return err
+	writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(in.events)})
 }
 
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {

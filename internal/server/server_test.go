@@ -8,12 +8,16 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	incentivetag "incentivetag"
 	"incentivetag/internal/server"
+	"incentivetag/internal/tagstore"
 )
 
 type harness struct {
@@ -83,6 +87,58 @@ func (h *harness) call(t *testing.T, method, path string, body, out any, wantSta
 			t.Fatal(err)
 		}
 	}
+}
+
+// walFailure returns a durable harness whose next WAL append must fail
+// with an error naming a path that contains "out of range": the log
+// directory is called that, its active segment is already full (so the
+// next append rotates), and the directory is gone (so the rotation's
+// create fails).
+func walFailure(t *testing.T) *harness {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "out of range")
+	st, err := tagstore.Open(dir, tagstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := make([]incentivetag.Tag, 4000) // ~8 KiB a record: 200-wide gaps take two varint bytes
+	for k := range wide {
+		wide[k] = incentivetag.Tag(200 * (k + 1))
+	}
+	for full := false; !full; {
+		if err := st.Append(0, wide); err != nil {
+			t.Fatal(err)
+		}
+		stat, err := st.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		full = stat.Bytes >= 4<<20 // tagstore's default MaxSegmentBytes
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := incentivetag.Generate(incentivetag.DefaultConfig(60, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := incentivetag.NewService(ds, incentivetag.ServiceOptions{Strategy: "FP-MU", WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Service: svc, Strategy: "FP-MU"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Close() // fails by construction: its log directory is gone
+	})
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	return &harness{ds: ds, svc: svc, ts: ts}
 }
 
 // wireTags converts a recorded post to the wire id representation.
@@ -273,6 +329,15 @@ func TestProtocolErrors(t *testing.T) {
 	h.call(t, "POST", "/ingest", map[string]any{"resource": 0, "tags": []int{1}, "bogus": 1}, nil, http.StatusBadRequest)
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 10 * h.ds.N(), Tags: []int32{1}}, nil, http.StatusBadRequest)
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 0, Tags: []int32{-4}}, nil, http.StatusBadRequest)
+
+	// The status class follows the error's identity, not its wording: a WAL
+	// failure is the server's (500) even when the path in its message
+	// happens to read like a client fault.
+	var e server.ErrorResponse
+	walFailure(t).call(t, "POST", "/ingest", server.IngestRequest{Resource: 0, Tags: []int32{1}}, &e, http.StatusInternalServerError)
+	if !strings.Contains(e.Error, "wal") || !strings.Contains(e.Error, "out of range") {
+		t.Fatalf("WAL failure reported as %q: not the case this test is about", e.Error)
+	}
 
 	// Settle protocol errors: unknown lease, double settle.
 	h.call(t, "POST", "/complete", server.CompleteRequest{Lease: 777, Tags: []int32{1}}, nil, http.StatusConflict)

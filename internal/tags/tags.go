@@ -10,7 +10,7 @@ package tags
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -103,28 +103,29 @@ type Post []Tag
 // NewPost builds a Post from the given tags, deduplicating and sorting.
 // It returns an error if the resulting set is empty.
 func NewPost(ts ...Tag) (Post, error) {
+	return Normalize(append(Post(nil), ts...))
+}
+
+// Normalize is NewPost without the copy: it sorts and deduplicates ts in
+// place and returns the leading slice that holds the post, for callers
+// that own ts (a decoder filling its own buffer). Same errors as NewPost;
+// ts is left sorted when one is returned.
+func Normalize(ts []Tag) (Post, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("tags: a post must contain at least one tag")
 	}
-	p := make(Post, len(ts))
-	copy(p, ts)
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
-	// Deduplicate in place.
-	w := 0
-	for i, t := range p {
-		if t < 0 {
-			return nil, fmt.Errorf("tags: invalid tag id %d in post", t)
-		}
-		if i == 0 || t != p[i-1] {
-			p[w] = t
+	slices.Sort(ts)
+	if ts[0] < 0 {
+		return nil, fmt.Errorf("tags: invalid tag id %d in post", ts[0])
+	}
+	w := 1
+	for _, t := range ts[1:] {
+		if t != ts[w-1] {
+			ts[w] = t
 			w++
 		}
 	}
-	p = p[:w]
-	if len(p) == 0 {
-		return nil, fmt.Errorf("tags: a post must contain at least one tag")
-	}
-	return p, nil
+	return Post(ts[:w]), nil
 }
 
 // MustPost is NewPost that panics on error; intended for tests and
