@@ -805,7 +805,7 @@ var (
 // IngestBatch records a batch of posts for one resource under a single
 // shard-lock acquisition and one group-committed WAL write. The
 // resulting state is bit-identical to ingesting the posts one at a time;
-// throughput is substantially higher (see BENCH_engine.json).
+// throughput is substantially higher (see bench/README.md).
 func (s *Service) IngestBatch(resource int, posts []Post) error {
 	return s.eng.IngestBatch(resource, posts)
 }

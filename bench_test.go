@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"incentivetag/internal/benchkit"
 	"incentivetag/internal/experiments"
 	"incentivetag/internal/ir"
 	"incentivetag/internal/optimal"
@@ -336,29 +335,6 @@ func BenchmarkAblationCurvesParallel(b *testing.B) {
 	}
 }
 
-// Checkpoint-dense Figure-6 style runs: n=2000 with a metric snapshot
-// every 100 spent units of a B=10000 budget. The engine path reads the
-// incrementally maintained aggregates in O(1) per checkpoint; the
-// full-scan path retains the seed's O(n·|tags|) recomputation. The
-// ns/op ratio is the engine extraction's headline speedup (tracked
-// across PRs by cmd/tagbench → BENCH_engine.json).
-func benchCheckpointDense(b *testing.B, reference bool) {
-	sc := benchkit.DefaultScenario()
-	data, err := benchkit.Corpus(sc.N, sc.Seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchkit.Run(data, sc, reference); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCheckpointDenseEngine(b *testing.B)   { benchCheckpointDense(b, false) }
-func BenchmarkCheckpointDenseFullScan(b *testing.B) { benchCheckpointDense(b, true) }
-
 // Corpus generation throughput (the workload generator itself).
 func BenchmarkGenerateCorpus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -368,34 +344,3 @@ func BenchmarkGenerateCorpus(b *testing.B) {
 		}
 	}
 }
-
-// --- Serving ingest path: per-post map baseline vs batched dense --------
-// Small-scale companions of cmd/tagbench's ingest suite (which runs the
-// full n=2000 scenario); one op is a full pass of the corpus's future
-// posts through a live engine. See BENCH_engine.json for the tracked
-// full-scale numbers.
-
-func benchIngest(b *testing.B, dense bool, batch, workers int) {
-	data, err := benchkit.Corpus(400, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	events := benchkit.FutureEvents(data)
-	parts := benchkit.Partition(events, workers)
-	eng, err := benchkit.BuildEngine(data, 0, dense, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := benchkit.RunIngest(eng, parts, batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns/post")
-}
-
-func BenchmarkIngestBaselinePerPost(b *testing.B)   { benchIngest(b, false, 1, 1) }
-func BenchmarkIngestDenseBatch(b *testing.B)        { benchIngest(b, true, 256, 1) }
-func BenchmarkIngestDenseBatchWorkers(b *testing.B) { benchIngest(b, true, 256, 4) }

@@ -56,11 +56,10 @@
 //     recovery semantics are unchanged, and the resulting state is
 //     bit-identical to one-at-a-time ingestion.
 //
-// cmd/tagbench measures the pipeline (single-thread baseline vs batched
-// dense, a shards×workers throughput matrix, allocations per post, WAL
-// group-commit gains, snapshot+tail vs full-replay recovery) and
-// records it in BENCH_engine.json; README.md documents the report's
-// fields.
+// bash bench/run.sh measures the pipeline end to end and layer by layer
+// (engine apply, index update, WAL group commit, Service, HTTP decode,
+// restart recovery: the ingest-http workload of BENCHMARK.json);
+// bench/README.md documents every metric.
 //
 // # Durability
 //

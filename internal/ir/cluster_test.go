@@ -163,7 +163,7 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 			sets := make([][]bool, parts)
 			for j := range sets {
 				j := j
-				sets[j] = ownedSet(tc.n, func(id int) bool { return (id*2654435761+salt)>>4%parts == j })
+				sets[j] = ownedSet(tc.n, func(id int) bool { return int((uint64(id)*2654435761+uint64(salt))>>4%uint64(parts)) == j })
 			}
 			return sets
 		}

@@ -13,7 +13,7 @@
 // blocked, and whole blocks/tags whose score upper bound cannot beat
 // the current kth answer are skipped outright — bit-identical to the
 // exhaustive paths, which remain available as TopKExhaustive and
-// SearchExhaustive (the pruning oracle and benchmark baseline).
+// SearchExhaustive (the pruning oracle).
 package ir
 
 import (
@@ -338,8 +338,8 @@ func (ix *OnlineIndex) endQuery(sc *queryScratch) {
 func (ix *OnlineIndex) norm2At(id int32) float64 { return ix.norm2[id] }
 
 // TopKExhaustive is the pre-pruning serving path, preserved verbatim as
-// the pruning oracle and benchmark baseline: it touches every posting
-// of every subject tag and accumulates dot products in a per-query map.
+// the pruning oracle: it touches every posting of every subject tag and
+// accumulates dot products in a per-query map.
 // Results are bit-identical to TopK at the same epoch.
 func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
 	ix.topkQueries.Add(1)
@@ -436,7 +436,7 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 }
 
 // SearchExhaustive is the pre-pruning Search, preserved as the pruning
-// oracle and benchmark baseline (with the same internal query dedup).
+// oracle (with the same internal query dedup).
 // Results are bit-identical to Search at the same epoch.
 func (ix *OnlineIndex) SearchExhaustive(query tags.Post, k int) ([]Scored, uint64) {
 	ix.searchQueries.Add(1)

@@ -13,6 +13,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +188,28 @@ func TestHealthzReportsOverload(t *testing.T) {
 // promLine matches one sample line of the text exposition format.
 var promLine = regexp.MustCompile(`^tagserved_[a-z0-9_]+(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? ((\+Inf)|([0-9eE.+-]+))$`)
 
+// promSamples parses a text exposition into series → value, failing the
+// test on any line that is not a well-formed sample.
+func promSamples(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !promLine.MatchString(line) {
+			t.Fatalf("malformed exposition line: %q", line)
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(strings.Replace(line[sp+1:], "+Inf", "inf", 1), 64)
+		if err != nil {
+			t.Fatalf("unparseable value in %q: %v", line, err)
+		}
+		samples[line[:sp]] = v
+	}
+	return samples
+}
+
 func TestPromMetricsExposition(t *testing.T) {
 	srv, ts, ds := newAdmitServer(t, Config{MaxBodyBytes: 512})
 	body := ingestBody(t, ds)
@@ -228,21 +252,7 @@ func TestPromMetricsExposition(t *testing.T) {
 	}
 	text := string(raw)
 
-	samples := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
-			t.Fatalf("malformed exposition line: %q", line)
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(strings.Replace(line[sp+1:], "+Inf", "inf", 1), 64)
-		if err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		samples[line[:sp]] = v
-	}
+	samples := promSamples(t, text)
 
 	wantAtLeast := map[string]float64{
 		`tagserved_requests_total{route="/ingest",class="bulk",outcome="admitted"}`:      3,
@@ -366,5 +376,136 @@ func TestDrainGateRefusesMidDrain(t *testing.T) {
 	}
 	if err := <-serveDone; err != http.ErrServerClosed {
 		t.Fatalf("Serve: %v", err)
+	}
+}
+
+// fireOpenLoop fires fire() n times on a fixed schedule at rate per
+// second, each in its own goroutine and never waiting for an earlier one
+// to finish — the arrival rate does not slow down because the server
+// does. A late generator catches up at once, so n is exact; it returns
+// when every request has been answered.
+func fireOpenLoop(n int, rate float64, fire func()) {
+	interval := time.Duration(float64(time.Second) / rate)
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		time.Sleep(time.Until(start.Add(time.Duration(i) * interval)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fire()
+		}()
+	}
+	wg.Wait()
+}
+
+// TestOverloadLadder drives an admission-controlled server below and
+// past its bulk capacity with an interactive stream alongside, and
+// asserts the overload contract: it sheds, with a usable Retry-After,
+// and never errors; interactive traffic sees 200 or 429 only; and the
+// per-class outcome counters account for every request offered. No
+// latency or shed-fraction figure is asserted: those depend on the box.
+func TestOverloadLadder(t *testing.T) {
+	const (
+		bulkRate  = 100.0 // bulk requests/s the bucket admits
+		interRate = 100.0
+		phase     = 300 * time.Millisecond
+	)
+	_, ts, ds := newAdmitServer(t, Config{Admission: admit.Config{
+		Rate: bulkRate, Burst: 5, MaxInFlight: 32, Queue: 64, QueueWait: 100 * time.Millisecond,
+	}})
+	body := ingestBody(t, ds)
+	tr := &http.Transport{MaxIdleConnsPerHost: 64}
+	defer tr.CloseIdleConnections()
+	hc := &http.Client{Transport: tr, Timeout: 10 * time.Second}
+
+	// Requests run on their own goroutines, so a step's tallies are atomic.
+	var offeredBulk, offeredInter int
+	for _, mult := range []float64{0.5, 2} {
+		var shed, badRetryAfter, errs, interOther atomic.Int64
+		var subject atomic.Int64
+		nBulk := int(bulkRate * mult * phase.Seconds())
+		nInter := int(interRate * mult * phase.Seconds())
+		offeredBulk += nBulk
+		offeredInter += nInter
+
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			fireOpenLoop(nBulk, bulkRate*mult, func() {
+				resp, err := hc.Post(ts.URL+"/ingest", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs.Add(1) // a transport failure counts against the server
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusTooManyRequests:
+					shed.Add(1)
+					if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+						badRetryAfter.Add(1)
+					}
+				case resp.StatusCode != http.StatusOK:
+					errs.Add(1)
+				}
+			})
+		}()
+		go func() {
+			defer wg.Done()
+			fireOpenLoop(nInter, interRate*mult, func() {
+				r := int(subject.Add(1)) % ds.N()
+				resp, err := hc.Get(fmt.Sprintf("%s/topk?resource=%d&k=10", ts.URL, r))
+				if err != nil {
+					errs.Add(1)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+					interOther.Add(1)
+				}
+			})
+		}()
+		wg.Wait()
+
+		if n := errs.Load(); n != 0 {
+			t.Fatalf("%gx: %d transport errors or bulk answers other than 200/429 — overload must degrade, not error", mult, n)
+		}
+		if n := interOther.Load(); n != 0 {
+			t.Fatalf("%gx: %d interactive answers were neither 200 nor 429", mult, n)
+		}
+		if n := badRetryAfter.Load(); n != 0 {
+			t.Fatalf("%gx: %d shed responses without an integer Retry-After >= 1", mult, n)
+		}
+		if mult > 1 && shed.Load() == 0 {
+			t.Fatalf("%gx offered load shed no bulk — the token bucket is not limiting", mult)
+		}
+	}
+
+	resp, err := hc.Get(ts.URL + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byClass := map[string]int{}
+	for series, v := range promSamples(t, string(raw)) {
+		if !strings.HasPrefix(series, "tagserved_requests_total{") {
+			continue
+		}
+		for _, class := range []string{"bulk", "interactive"} {
+			if strings.Contains(series, `class="`+class+`"`) {
+				byClass[class] += int(v)
+			}
+		}
+	}
+	if byClass["bulk"] != offeredBulk || byClass["interactive"] != offeredInter {
+		t.Fatalf("admitted+shed+timed_out = %d bulk / %d interactive, offered %d / %d",
+			byClass["bulk"], byClass["interactive"], offeredBulk, offeredInter)
 	}
 }

@@ -183,7 +183,3 @@ func retryAfterSeconds(d time.Duration) int {
 	}
 	return secs
 }
-
-// AdmissionStats exposes the admission controller's census (used by the
-// overload bench and tests; the HTTP surface is /metrics/prom).
-func (s *Server) AdmissionStats() admit.Stats { return s.ctl.StatsSnapshot() }
