@@ -431,8 +431,8 @@ type ServiceOptions struct {
 	// cluster's placement ring. The incentive allocator is masked to
 	// owned resources (a node never hands out a task whose completion
 	// would land a live post on a resource another node owns), and the
-	// cluster query surface (RFD/TopKWeighted/SearchOwned) scores only
-	// owned resources. Ingest is NOT filtered here — the HTTP layer
+	// cluster query surface (SubjectTopK/TopKWeighted/SearchOwned) scores
+	// only owned resources. Ingest is NOT filtered here — the HTTP layer
 	// rejects misdirected posts loudly instead (421) so a routing bug
 	// can never silently split a resource's live state across nodes.
 	// The shard map is static, so NewService evaluates Owned once per
@@ -956,23 +956,28 @@ func (s *Service) OwnsResource(resource int) bool {
 	return s.owned == nil || resource < 0 || resource >= len(s.owned) || s.owned[resource]
 }
 
-// RFD exports a resource's live count vector (ascending tag order), its
-// exact squared norm and the epoch of the consistent view it was read
-// under. A cluster gateway calls this on the subject's owner node and
-// ships the result to every node as a TopKWeighted query. Integer
+// SubjectTopK is the owner node's leg of a cluster /topk. Under one
+// epoch-consistent view it exports the subject's live count vector
+// (ascending tag order) with its exact squared norm — the query a
+// gateway ships to every other node as a TopKWeighted call — and ranks
+// this node's OWNED resources against it, subject excluded. Integer
 // counts and norms transfer exactly through JSON float64s, which is
 // what keeps the distributed scores bit-identical.
-func (s *Service) RFD(resource int) ([]WeightedTag, float64, uint64, error) {
-	if n := s.eng.N(); resource < 0 || resource >= n {
-		return nil, 0, 0, fmt.Errorf("incentivetag: resource index %d out of range [0,%d)", resource, n)
+func (s *Service) SubjectTopK(subject, k int) (query []WeightedTag, qNorm2 float64, top []Scored, epoch uint64, err error) {
+	if n := s.eng.N(); subject < 0 || subject >= n {
+		return nil, 0, nil, 0, fmt.Errorf("incentivetag: resource index %d out of range [0,%d)", subject, n)
 	}
-	entries, norm2, _, epoch := s.idx.RFDEntries(resource)
-	return entries, norm2, epoch, nil
+	if k <= 0 {
+		return nil, 0, nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
+	}
+	query, qNorm2, top, epoch = s.idx.SubjectTopK(subject, k, s.owned)
+	return query, qNorm2, top, epoch, nil
 }
 
 // TopKWeighted ranks this node's OWNED resources against an explicit
-// integer-weighted query vector (a subject's counts fetched from its
-// owner node via RFD), excluding resource `exclude` (negative = none).
+// integer-weighted query vector (a subject's counts as its owner node's
+// SubjectTopK exported them), excluding resource `exclude` (negative =
+// none).
 // Per-node answers merged under the (score desc, id asc) comparator are
 // bit-identical to a single-node TopK over the union state — see
 // internal/ir/cluster.go for the exactness argument.

@@ -18,7 +18,11 @@
 // cmd/taggate): its allocator and cluster query surface are masked to
 // the resources the consistent-hash ring assigns it, /ingest refuses
 // non-owned resources with 421 Misdirected Request, and the /cluster/*
-// scatter-gather endpoints require the map's hash on every call.
+// scatter-gather endpoints require the map's hash on every call:
+// GET /cluster/topk on a subject's owner answers its owned-only ranking
+// plus, as "query", the request every other node takes verbatim as its
+// POST /cluster/topk body; GET /cluster/search is the owned-only search
+// (wire shapes and the decode rule are in internal/server/cluster.go).
 //
 // The admission flags make overload a deliberate policy instead of an
 // accident: -rate/-burst token-bucket the crowd's bulk ingest (shed

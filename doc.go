@@ -178,12 +178,14 @@
 // owns (ServiceOptions.Owned, evaluated once per resource at boot into
 // a dense owned-set that the ingest check, the allocator mask and the
 // query kernels read), and the gateway proxies ingest to each post's
-// owner while scatter-gathering /topk and /search: the subject's live
-// count vector is fetched from its owner, broadcast as an explicit
-// weighted query, and the per-node partial rankings are merged
-// bit-identically to a single-node engine fed the same posts (integer
-// count sums are order-independent in float64; every node scores with
-// the one pruned executor, filtered to what it owns). Every merged
+// owner while scatter-gathering /topk and /search: the subject's owner
+// answers first — its own partial ranking and, read under the same
+// view, the subject's live count vector as an explicit weighted query —
+// the gateway forwards those bytes verbatim to every other node, and
+// the per-node partial rankings are merged bit-identically to a
+// single-node engine fed the same posts (integer count sums are
+// order-independent in float64; every node scores with the one pruned
+// executor, filtered to what it owns). Every merged
 // response carries per-node epochs and a partial flag: a dead shard
 // degrades reads to 200/partial rather than 5xx, and the shard-map
 // hash rides on every cluster RPC so divergent maps fail with 409

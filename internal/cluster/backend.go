@@ -92,28 +92,50 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("status %d: %s", e.status, e.msg)
 }
 
-// do proxies one request to this backend: counts it, times it, decodes
-// the JSON answer into out (unless nil), and converts failures into
+// maxAnswerBytes bounds a backend's answer. The largest legitimate one is
+// an owner's /cluster/topk leg, whose query member the other nodes would
+// refuse beyond their own request cap; well past that, a runaway answer
+// is a node fault, not something to buffer.
+const maxAnswerBytes = 4 * server.DefaultMaxBody
+
+// maxPooledAnswer is the largest buffer answerPool keeps: pooling what
+// one worst-case answer grew would pin that much per idle buffer.
+const maxPooledAnswer = 1 << 20
+
+// answerPool recycles the buffers backend answers are read into.
+var answerPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putAnswer returns a buffer fetch handed out (nil is a no-op), once
+// nothing references its bytes.
+func putAnswer(buf *bytes.Buffer) {
+	if buf != nil && buf.Cap() <= maxPooledAnswer {
+		answerPool.Put(buf)
+	}
+}
+
+// fetch proxies one request to this backend: counts it, times it up to
+// the last byte of the answer, and returns a 2xx answer's body in a
+// pooled buffer the caller hands back with putAnswer. Failures become
 // either a transport error (node marked down reactively — the prober
 // re-admits it) or a *statusError carrying the node's own status code.
 // in is encoded as JSON, except a json.RawMessage, which is sent as is:
-// a scatter encodes its one body once and hands the bytes to every leg.
-func (b *backend) do(ctx context.Context, method, path string, in, out any) error {
+// a scatter hands the owner's bytes to every other leg.
+func (b *backend) fetch(ctx context.Context, method, path string, in any) (*bytes.Buffer, error) {
 	b.requests.Add(1)
 	var body io.Reader
 	if in != nil {
-		buf, encoded := in.(json.RawMessage)
+		raw, encoded := in.(json.RawMessage)
 		if !encoded {
 			var err error
-			if buf, err = json.Marshal(in); err != nil {
-				return fmt.Errorf("encoding %s body: %w", path, err)
+			if raw, err = json.Marshal(in); err != nil {
+				return nil, fmt.Errorf("encoding %s body: %w", path, err)
 			}
 		}
-		body = bytes.NewReader(buf)
+		body = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, b.url+path, body)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -126,27 +148,64 @@ func (b *backend) do(ctx context.Context, method, path string, in, out any) erro
 		// (and every request until the prober readmits it) skips it.
 		b.errors.Add(1)
 		b.setUp(false)
-		return fmt.Errorf("%s %s%s: %w", method, b.name, path, err)
+		return nil, fmt.Errorf("%s %s%s: %w", method, b.name, path, err)
 	}
 	defer resp.Body.Close()
-	b.hist.Observe(time.Since(start))
 	if resp.StatusCode/100 != 2 {
 		var e server.ErrorResponse
 		json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e)
+		b.hist.Observe(time.Since(start))
 		if resp.StatusCode/100 == 5 {
 			b.errors.Add(1)
 		}
-		return &statusError{status: resp.StatusCode, msg: e.Error, retryAfter: resp.Header.Get("Retry-After")}
+		return nil, &statusError{status: resp.StatusCode, msg: e.Error, retryAfter: resp.Header.Get("Retry-After")}
 	}
+	buf := answerPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, maxAnswerBytes+1))
+	b.hist.Observe(time.Since(start))
+	if err == nil && n > maxAnswerBytes {
+		err = fmt.Errorf("answer exceeds %d bytes", maxAnswerBytes)
+	}
+	if err != nil {
+		b.errors.Add(1)
+		putAnswer(buf)
+		return nil, fmt.Errorf("reading %s %s%s: %w", method, b.name, path, err)
+	}
+	return buf, nil
+}
+
+// do is fetch with the answer decoded into out (unless nil).
+func (b *backend) do(ctx context.Context, method, path string, in, out any) error {
+	buf, err := b.fetch(ctx, method, path, in)
+	if err != nil {
+		return err
+	}
+	defer putAnswer(buf)
 	if out == nil {
-		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
 		b.errors.Add(1)
 		return fmt.Errorf("decoding %s %s%s: %w", method, b.name, path, err)
 	}
 	return nil
+}
+
+// leg is fetch for a scatter leg, decoded by server.DecodeClusterLeg.
+// out.Query may alias the returned buffer: the caller hands it back with
+// putAnswer once nothing reads the query any more (nil on error).
+func (b *backend) leg(ctx context.Context, method, path string, in any, out *server.ClusterLeg) (*bytes.Buffer, error) {
+	buf, err := b.fetch(ctx, method, path, in)
+	if err != nil {
+		return nil, err
+	}
+	if err := server.DecodeClusterLeg(buf.Bytes(), out); err != nil {
+		b.errors.Add(1)
+		putAnswer(buf)
+		return nil, fmt.Errorf("decoding %s %s%s: %w", method, b.name, path, err)
+	}
+	return buf, nil
 }
 
 // probe asks the node's /healthz once. A node is up when it answers 200

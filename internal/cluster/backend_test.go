@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"incentivetag/internal/server"
 )
 
 // A scatter encodes its body once and hands the bytes to every leg: do
@@ -39,5 +42,28 @@ func TestBackendDoSendsRawMessageVerbatim(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("request part %d = %q, want %q", i, got[i], want[i])
 		}
+	}
+}
+
+// The per-backend latency histogram times a request up to the last byte
+// of its answer — transfer included, not just the wait for the headers.
+func TestBackendLatencyIncludesBody(t *testing.T) {
+	const stall = 60 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"epoch":1,`))
+		w.(http.Flusher).Flush()
+		time.Sleep(stall)
+		w.Write([]byte(`"top":[]}`))
+	}))
+	defer ts.Close()
+	b := newBackend(0, Node{Name: "n0", URL: ts.URL}, ts.Client())
+	var leg server.ClusterLeg
+	buf, err := b.leg(context.Background(), http.MethodGet, "/cluster/search", nil, &leg)
+	if err != nil || leg.Epoch != 1 {
+		t.Fatalf("leg = %+v, %v", leg, err)
+	}
+	putAnswer(buf)
+	if got := b.hist.Quantile(0.5); got < stall.Seconds() {
+		t.Fatalf("histogram observed %.3fs for an answer whose body took %.3fs", got, stall.Seconds())
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -493,6 +494,14 @@ func (g *Gateway) ingestBatch(w http.ResponseWriter, r *http.Request, events []s
 
 // --- queries --------------------------------------------------------------
 
+// scatterLeg is one node's part in a scatter: its answer or why there is
+// none.
+type scatterLeg struct {
+	b    *backend
+	resp server.ClusterLeg
+	err  error
+}
+
 func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	rs := q.Get("resource")
@@ -510,9 +519,11 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Phase 1: the subject's live count vector exists only on its owner
-	// node. Without it there is no query to scatter, so a down owner is
-	// the one case /topk answers 503 instead of degrading to partial.
+	// The owner's leg goes first: the subject's live count vector exists
+	// only there, and the owner answers it — as the query for every other
+	// node — beside its own partial ranking, both from one read view.
+	// Without it there is no query to scatter, so a down owner is the one
+	// case /topk answers 503 instead of degrading to partial.
 	owner := g.backends[g.ring.Owner(resource)]
 	if !owner.up.Load() {
 		w.Header().Set("Retry-After", "1")
@@ -520,9 +531,9 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 			"resource %d's owner node %q is down; top-k needs the subject vector", resource, owner.name)
 		return
 	}
-	var rfd server.RFDResponse
-	err = owner.do(r.Context(), http.MethodGet,
-		"/cluster/rfd?resource="+strconv.Itoa(resource)+"&maphash="+g.mapHash, nil, &rfd)
+	legs := []scatterLeg{{b: owner}}
+	ownerBuf, err := owner.leg(r.Context(), http.MethodGet,
+		"/cluster/topk?resource="+strconv.Itoa(resource)+"&k="+strconv.Itoa(k)+"&maphash="+g.mapHash, nil, &legs[0].resp)
 	var se *statusError
 	if errors.As(err, &se) {
 		relayStatus(w, se)
@@ -533,62 +544,55 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "owner node %q: %v", owner.name, err)
 		return
 	}
-
-	// Phase 2: scatter the explicit weighted query to every live node
-	// (the owner included — it ranks the other resources it owns). The
-	// body is the same for every leg, so it is encoded once.
-	body, err := json.Marshal(server.ClusterTopKRequest{
-		MapHash: g.mapHash,
-		Exclude: resource,
-		QNorm2:  rfd.Norm2,
-		K:       k,
-		Entries: rfd.Entries,
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding /cluster/topk body: %v", err)
+	query := legs[0].resp.Query
+	if len(query) == 0 {
+		putAnswer(ownerBuf)
+		writeError(w, http.StatusBadGateway, "owner node %q answered without the query for the other nodes", owner.name)
 		return
 	}
-	req := json.RawMessage(body)
-	type leg struct {
-		name string
-		resp server.ClusterTopKResponse
-		err  error
+
+	// Every other live node ranks against the owner's bytes as they came:
+	// the gateway neither decodes nor re-encodes the subject vector.
+	for _, b := range g.upBackends() {
+		if b != owner {
+			legs = append(legs, scatterLeg{b: b})
+		}
 	}
-	up := g.upBackends()
-	legs := make([]leg, len(up))
 	var wg sync.WaitGroup
-	for i, b := range up {
+	for i := 1; i < len(legs); i++ {
 		wg.Add(1)
-		go func(i int, b *backend) {
+		go func(l *scatterLeg) {
 			defer wg.Done()
-			legs[i].name = b.name
-			legs[i].err = b.do(r.Context(), http.MethodPost, "/cluster/topk", req, &legs[i].resp)
-		}(i, b)
+			var buf *bytes.Buffer
+			buf, l.err = l.b.leg(r.Context(), http.MethodPost, "/cluster/topk", query, &l.resp)
+			putAnswer(buf)
+		}(&legs[i])
 	}
 	wg.Wait()
 
 	lists := make([][]server.TopKEntry, 0, len(legs))
 	epochs := make(map[string]uint64, len(legs))
 	var epochSum uint64
-	ok2 := 0
 	for _, l := range legs {
 		if l.err != nil {
 			continue
 		}
-		ok2++
 		lists = append(lists, l.resp.Top)
-		epochs[l.name] = l.resp.Epoch
+		epochs[l.b.name] = l.resp.Epoch
 		epochSum += l.resp.Epoch
 	}
-	if ok2 == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
-		return
+	// query aliases the owner's buffer, so the buffer goes back only now,
+	// and only when every leg got its 2xx: a node answers one after it has
+	// read the whole body, whereas after a refusal or a transport error
+	// the transport's write loop may still be reading it.
+	if len(lists) == len(legs) {
+		putAnswer(ownerBuf)
 	}
 	writeJSON(w, http.StatusOK, TopKResponse{
 		Resource: resource,
 		Epoch:    epochSum,
 		Epochs:   epochs,
-		Partial:  ok2 < len(g.backends),
+		Partial:  len(lists) < len(g.backends),
 		Top:      mergeTop(lists, k),
 	})
 }
@@ -611,20 +615,17 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	path := "/cluster/search?tags=" + url.QueryEscape(ts) +
 		"&k=" + strconv.Itoa(k) + "&maphash=" + g.mapHash
-	type leg struct {
-		name string
-		resp server.SearchResponse
-		err  error
-	}
-	legs := make([]leg, len(up))
+	legs := make([]scatterLeg, len(up))
 	var wg sync.WaitGroup
 	for i, b := range up {
+		legs[i].b = b
 		wg.Add(1)
-		go func(i int, b *backend) {
+		go func(l *scatterLeg) {
 			defer wg.Done()
-			legs[i].name = b.name
-			legs[i].err = b.do(r.Context(), http.MethodGet, path, nil, &legs[i].resp)
-		}(i, b)
+			var buf *bytes.Buffer
+			buf, l.err = l.b.leg(r.Context(), http.MethodGet, path, nil, &l.resp)
+			putAnswer(buf) // a search answer carries no query: nothing aliases it
+		}(&legs[i])
 	}
 	wg.Wait()
 
@@ -647,7 +648,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 			tags = l.resp.Tags
 		}
 		lists = append(lists, l.resp.Top)
-		epochs[l.name] = l.resp.Epoch
+		epochs[l.b.name] = l.resp.Epoch
 		epochSum += l.resp.Epoch
 	}
 	if okLegs == 0 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -19,6 +20,7 @@ import (
 	incentivetag "incentivetag"
 	"incentivetag/internal/admit"
 	"incentivetag/internal/cluster"
+	"incentivetag/internal/promtest"
 	"incentivetag/internal/server"
 )
 
@@ -584,49 +586,229 @@ func TestGatewayMapHashMismatch(t *testing.T) {
 	}
 }
 
-// The gateway's own transport keeps scatter legs on warm connections:
-// against a stub node that counts accepted connections, 8 concurrent
-// clients × 50 /topk queries (two requests to the node each) open a
-// number of connections bounded by the client count, not the query
-// count. net/http's default transport keeps two idle connections per
-// host and dials-and-discards for every request beyond them. The stub
-// also decodes each scatter body strictly: the once-encoded bytes must
-// still be the /cluster/topk wire shape.
-func TestGatewayBackendConnectionsBoundedByClients(t *testing.T) {
-	const clients, queries = 8, 50
-	var conns, legs atomic.Int64
-	mux := http.NewServeMux()
+// promText fetches a /metrics/prom exposition.
+func promText(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics/prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s/metrics/prom: status %d, %v", url, resp.StatusCode, err)
+	}
+	return string(raw)
+}
+
+// The gateway's exposition parses — every line a sample, no series twice
+// — and so does every node's behind it, where the two methods of
+// /cluster/topk count under one route label: after q gateway /topk
+// queries over n real nodes the nodes have admitted exactly q·n legs on
+// it, and the gateway has proxied as many requests (plus its probes').
+func TestGatewayPromExposition(t *testing.T) {
+	const queries = 12
+	h := newCluster(t, 3, admit.Config{})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 5; i++ {
+		h.ingestVia(rng)
+	}
+	for q := 0; q < queries; q++ {
+		h.call("GET", fmt.Sprintf("/topk?resource=%d&k=5", q), nil, nil, http.StatusOK)
+	}
+	h.call("GET", "/search?tags=1,2&k=5", nil, nil, http.StatusOK)
+
+	gw, err := promtest.Parse("taggate_", promText(t, h.gts.URL))
+	if err != nil {
+		t.Fatalf("gateway exposition: %v", err)
+	}
+	for series, want := range map[string]float64{
+		`taggate_requests_total{route="/topk",class="interactive",outcome="admitted"}`:   queries,
+		`taggate_requests_total{route="/search",class="interactive",outcome="admitted"}`: 1,
+		`taggate_request_seconds_count{route="/topk"}`:                                   queries,
+		`taggate_backend_up{node="node0"}`:                                               1,
+	} {
+		if got, ok := gw[series]; !ok || got != want {
+			t.Fatalf("gateway sample %s = %v (present %v), want %v", series, got, ok, want)
+		}
+	}
+	var legs, proxied float64
+	for _, nd := range h.nodes {
+		node, err := promtest.Parse("tagserved_", promText(t, nd.ts.URL))
+		if err != nil {
+			t.Fatalf("%s exposition: %v", nd.name, err)
+		}
+		legs += node[`tagserved_requests_total{route="/cluster/topk",class="interactive",outcome="admitted"}`]
+		proxied += gw[`taggate_backend_requests_total{node="`+nd.name+`"}`]
+		if q := gw[`taggate_backend_request_quantile_seconds{node="`+nd.name+`",q="0.5"}`]; q <= 0 {
+			t.Fatalf("%s: backend latency p50 = %v after %d legs", nd.name, q, queries)
+		}
+	}
+	if legs != queries*3 {
+		t.Fatalf("nodes admitted %v /cluster/topk legs for %d queries over 3 nodes, want %d", legs, queries, queries*3)
+	}
+	if proxied < legs {
+		t.Fatalf("gateway counts %v proxied requests, fewer than the %v legs the nodes served", proxied, legs)
+	}
+}
+
+// stubCluster is n fake nodes that speak the /cluster/topk protocol and
+// keep the books on it: per subject, how many owner legs (GET) and query
+// legs (POST) arrived, and whether every POST body was, byte for byte,
+// the query member the owner leg answered for that subject.
+type stubCluster struct {
+	gw    *cluster.Gateway
+	conns atomic.Int64
+
+	mu    sync.Mutex
+	gets  map[int]int
+	posts map[int]int
+	bad   []string
+}
+
+// stubQuery is the request the stub owner hands out for a subject. Its
+// length varies with the subject, so a buffer reused too early shows as
+// a body of the wrong subject or the wrong length; every fifth subject
+// has no entries, which is not canonical and takes the gateway through
+// its encoding/json fallback.
+func stubQuery(subject, k int, hash string) server.ClusterTopKRequest {
+	req := server.ClusterTopKRequest{MapHash: hash, Exclude: subject, K: k, Entries: []server.WeightedEntry{}}
+	if subject%5 != 0 {
+		for t := 0; t <= subject%37; t++ {
+			c := int64(1 + (subject+t)%9)
+			req.Entries = append(req.Entries, server.WeightedEntry{Tag: int32(3 * t), Count: c})
+			req.QNorm2 += float64(c * c)
+		}
+	}
+	return req
+}
+
+func newStubCluster(t *testing.T, n int) *stubCluster {
+	t.Helper()
+	sc := &stubCluster{gets: map[int]int{}, posts: map[int]int{}}
 	reply := func(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(v)
 	}
+	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		reply(w, server.HealthResponse{Ready: true})
 	})
-	mux.HandleFunc("GET /cluster/rfd", func(w http.ResponseWriter, r *http.Request) {
-		reply(w, server.RFDResponse{Norm2: 4, Entries: []server.WeightedEntry{{Tag: 1, Count: 2}}})
+	mux.HandleFunc("GET /cluster/topk", func(w http.ResponseWriter, r *http.Request) {
+		var subject, k int
+		fmt.Sscan(r.URL.Query().Get("resource"), &subject)
+		fmt.Sscan(r.URL.Query().Get("k"), &k)
+		sc.mu.Lock()
+		sc.gets[subject]++
+		sc.mu.Unlock()
+		req := stubQuery(subject, k, r.URL.Query().Get("maphash"))
+		reply(w, server.ClusterTopKResponse{Epoch: 7, Top: []server.TopKEntry{{Resource: subject + 1, Score: 0.5}}, Query: &req})
 	})
 	mux.HandleFunc("POST /cluster/topk", func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
 		var req server.ClusterTopKRequest
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil || req.K != 3 || req.QNorm2 != 4 || len(req.Entries) != 1 {
-			http.Error(w, "bad scatter body", http.StatusBadRequest)
-			return
+		err := dec.Decode(&req)
+		want, _ := json.Marshal(stubQuery(req.Exclude, req.K, req.MapHash))
+		sc.mu.Lock()
+		sc.posts[req.Exclude]++
+		if err != nil || !bytes.Equal(body, want) {
+			sc.bad = append(sc.bad, fmt.Sprintf("subject %d: forwarded %q, the owner answered %q (%v)", req.Exclude, body, want, err))
 		}
-		legs.Add(1)
-		reply(w, server.ClusterTopKResponse{Top: []server.TopKEntry{{Resource: 1, Score: 0.5}}})
+		sc.mu.Unlock()
+		reply(w, server.ClusterTopKResponse{Epoch: 7, Top: []server.TopKEntry{{Resource: req.Exclude + 2, Score: 0.25}}})
 	})
-	stub := httptest.NewUnstartedServer(mux)
-	stub.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-		if st == http.StateNew {
-			conns.Add(1)
+	m := &cluster.Map{VNodes: 8}
+	for i := 0; i < n; i++ {
+		stub := httptest.NewUnstartedServer(mux)
+		stub.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				sc.conns.Add(1)
+			}
+		}
+		stub.Start()
+		t.Cleanup(stub.Close)
+		m.Nodes = append(m.Nodes, cluster.Node{Name: fmt.Sprintf("stub%d", i), URL: stub.URL})
+	}
+	gw, err := cluster.New(cluster.Config{Map: m, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Start()
+	t.Cleanup(gw.Stop)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := gw.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sc.gw = gw
+	return sc
+}
+
+// hammer runs clients × queries concurrent gateway /topk calls, each for
+// a subject of its own, and checks the merged answer of every one.
+func (sc *stubCluster) hammer(t *testing.T, clients, queries, nodes int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for q := 0; q < queries; q++ {
+				subject := c*queries + q
+				rec := httptest.NewRecorder()
+				sc.gw.Handler().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/topk?resource=%d&k=3", subject), nil))
+				var got cluster.TopKResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+					t.Errorf("subject %d: status %d: %s (%v)", subject, rec.Code, rec.Body, err)
+					return
+				}
+				if got.Partial || len(got.Epochs) != nodes || got.Epoch != uint64(7*nodes) || len(got.Top) != nodes || got.Top[0].Resource != subject+1 {
+					t.Errorf("subject %d: merged answer %+v", subject, got)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// A gateway /topk is one leg per node and nothing is re-encoded on the
+// way: against three stub nodes, 8 concurrent clients × 50 queries (run
+// under -race) make, per query, exactly one owner GET and two POSTs whose
+// bodies are byte-identical to the owner's query member — through the
+// scanner and through the encoding/json fallback alike, which is also
+// what holds the pooled owner buffer to "returned after the last leg".
+func TestGatewayTopKOneLegPerNodeVerbatim(t *testing.T) {
+	const clients, queries, nodes = 8, 50, 3
+	sc := newStubCluster(t, nodes)
+	sc.hammer(t, clients, queries, nodes)
+	for _, complaint := range sc.bad {
+		t.Error(complaint)
+	}
+	for subject := 0; subject < clients*queries; subject++ {
+		if sc.gets[subject] != 1 || sc.posts[subject] != nodes-1 {
+			t.Fatalf("subject %d: %d owner legs and %d query legs, want 1 and %d", subject, sc.gets[subject], sc.posts[subject], nodes-1)
 		}
 	}
-	stub.Start()
-	defer stub.Close()
+	if len(sc.gets) != clients*queries || len(sc.posts) != clients*queries {
+		t.Fatalf("legs for %d / %d subjects, %d were queried", len(sc.gets), len(sc.posts), clients*queries)
+	}
+}
 
-	m := &cluster.Map{VNodes: 8, Nodes: []cluster.Node{{Name: "stub", URL: stub.URL}}}
+// An owner that answers without the query member (not a node of this
+// protocol) is a bad gateway, not a silently partial ranking.
+func TestGatewayTopKOwnerWithoutQuery(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			w.Write([]byte(`{"ready":true}`))
+			return
+		}
+		w.Write([]byte(`{"epoch":1,"top":[]}`))
+	}))
+	defer stub.Close()
+	m := &cluster.Map{VNodes: 8, Nodes: []cluster.Node{{Name: "a", URL: stub.URL}, {Name: "b", URL: stub.URL}}}
 	gw, err := cluster.New(cluster.Config{Map: m, ProbeInterval: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -638,29 +820,33 @@ func TestGatewayBackendConnectionsBoundedByClients(t *testing.T) {
 	if err := gw.WaitReady(ctx); err != nil {
 		t.Fatal(err)
 	}
-
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for q := 0; q < queries; q++ {
-				rec := httptest.NewRecorder()
-				gw.Handler().ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/topk?resource=%d&k=3", c*queries+q), nil))
-				if rec.Code != http.StatusOK {
-					t.Errorf("client %d query %d: status %d: %s", c, q, rec.Code, rec.Body)
-					return
-				}
-			}
-		}(c)
+	rec := httptest.NewRecorder()
+	gw.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/topk?resource=1&k=3", nil))
+	if rec.Code != http.StatusBadGateway {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	wg.Wait()
-	if got := legs.Load(); got != clients*queries {
-		t.Fatalf("stub served %d scatter legs, want %d", got, clients*queries)
+}
+
+// The gateway's own transport keeps scatter legs on warm connections:
+// against a one-node stub that counts accepted connections, 8 concurrent
+// clients × 50 /topk queries — one leg each on a one-node map, the owner's
+// — open a number of connections bounded by the client count, not the
+// query count. net/http's default transport keeps two idle connections
+// per host and dials-and-discards for every request beyond them.
+func TestGatewayBackendConnectionsBoundedByClients(t *testing.T) {
+	const clients, queries = 8, 50
+	sc := newStubCluster(t, 1)
+	sc.hammer(t, clients, queries, 1)
+	legs := 0
+	for _, n := range sc.gets {
+		legs += n
+	}
+	if legs != clients*queries || len(sc.posts) != 0 {
+		t.Fatalf("stub served %d owner legs and query legs for %d subjects, want %d and none", legs, len(sc.posts), clients*queries)
 	}
 	// One connection per concurrent client, one for the prober, and
 	// room for dials that lose the race against a connection going idle.
-	if got := conns.Load(); got > 2*clients+2 {
+	if got := sc.conns.Load(); got > 2*clients+2 {
 		t.Fatalf("%d queries from %d clients opened %d backend connections", clients*queries, clients, got)
 	}
 }

@@ -7,8 +7,9 @@
 // owner. A node answering a cluster query therefore must (a) score only
 // owned resources and (b) accept the query vector from outside: for a
 // gateway /topk the subject's count vector lives on the subject's owner
-// node, is fetched once via RFDEntries, and is shipped to every node as
-// an explicit integer-weighted query.
+// node, which exports it beside its own partial ranking (SubjectTopK);
+// the gateway ships it to every other node as an explicit
+// integer-weighted query (TopKWeighted).
 //
 // Ownership reaches the index as data — a dense set with one entry per
 // resource, materialised once at boot from the static shard map — and
@@ -63,35 +64,38 @@ type WeightedTag struct {
 
 // RFDEntries exports resource id's live count vector as weighted tags
 // (ascending tag order) plus its squared norm, post count and the epoch
-// of the consistent view it was read under. This is what a gateway
-// fetches from a subject's owner node before scattering a TopKWeighted
-// query. Returns nil entries for an out-of-range id.
+// of the consistent view it was read under — the query a TopKWeighted
+// scatter ranks against. Returns nil entries for an out-of-range id.
 func (ix *OnlineIndex) RFDEntries(id int) (entries []WeightedTag, norm2 float64, posts int, epoch uint64) {
 	if id < 0 || id >= ix.n {
 		return nil, 0, 0, ix.epoch.Load()
 	}
 	ix.rlockAll()
 	defer ix.runlockAll()
-	epoch = ix.epoch.Load()
+	entries, norm2, posts = ix.rfdEntriesLocked(id)
+	return entries, norm2, posts, ix.epoch.Load()
+}
+
+// rfdEntriesLocked is RFDEntries under the caller's read view.
+func (ix *OnlineIndex) rfdEntriesLocked(id int) (entries []WeightedTag, norm2 float64, posts int) {
 	sh, l := ix.locate(id)
 	if c := sh.vecs[l]; c != nil {
 		entries = make([]WeightedTag, 0, c.Len())
 		for _, t := range c.Support() {
 			entries = append(entries, WeightedTag{Tag: t, Count: c.Get(t)})
 		}
-		return entries, c.Norm2(), c.Posts(), epoch
+		return entries, c.Norm2(), c.Posts()
 	}
-	// Cold resource: stream the frozen blob transiently — a gateway
-	// fetching a remote subject's rfd does not make it locally hot. The
-	// squared norm is re-summed from the same exact integers Norm2
-	// accumulated, so the wire values are bit-identical either way.
+	// Cold resource: stream the frozen blob transiently — exporting a
+	// subject's rfd does not make it hot. The squared norm is re-summed
+	// from the same exact integers Norm2 accumulated, so the wire values
+	// are bit-identical either way.
 	entries = []WeightedTag{}
-	norm2 = 0
 	posts = scanFrozenVec(sh.frozen[l], id, func(t tags.Tag, c int64) {
 		entries = append(entries, WeightedTag{Tag: t, Count: c})
 		norm2 += float64(c) * float64(c)
 	})
-	return entries, norm2, posts, epoch
+	return entries, norm2, posts
 }
 
 // TopKWeighted runs a top-k similarity query against an explicit
@@ -110,11 +114,17 @@ func (ix *OnlineIndex) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude
 	if k <= 0 {
 		return nil, ix.epoch.Load()
 	}
+	ix.rlockAll()
+	epoch := ix.epoch.Load()
+	return ix.topKWeightedLocked(query, qNorm2, exclude, k, owned), epoch
+}
+
+// topKWeightedLocked is TopKWeighted's body: it runs under the caller's
+// read view and releases it.
+func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, exclude, k int, owned []bool) []Scored {
 	if exclude >= ix.n {
 		exclude = -1 // names no indexed resource; keep it out of the int32 id space
 	}
-	ix.rlockAll()
-	epoch := ix.epoch.Load()
 	sc := ix.getScratch()
 	pq := prunedQuery{subject: exclude, subjNorm: math.Sqrt(qNorm2), owned: owned}
 	if pq.subjNorm > 0 {
@@ -129,7 +139,25 @@ func (ix *OnlineIndex) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude
 	}
 	res := ix.runPruned(&pq, k, sc, true)
 	ix.endQuery(sc)
-	return res, epoch
+	return res
+}
+
+// SubjectTopK is the owner's leg of a scatter-gather /topk: under ONE
+// read view it exports the subject's rfd (as RFDEntries does) and ranks
+// the owned resources against it (as TopKWeighted does), so the vector
+// every other node will rank against and the owner's own partial
+// ranking are of the same epoch. Two calls cannot promise that: a post
+// to the subject may land between them. Invalid subjects or k ≤ 0
+// return nil entries.
+func (ix *OnlineIndex) SubjectTopK(subject, k int, owned []bool) (entries []WeightedTag, norm2 float64, top []Scored, epoch uint64) {
+	ix.topkQueries.Add(1)
+	if k <= 0 || subject < 0 || subject >= ix.n {
+		return nil, 0, nil, ix.epoch.Load()
+	}
+	ix.rlockAll()
+	epoch = ix.epoch.Load()
+	entries, norm2, _ = ix.rfdEntriesLocked(subject)
+	return entries, norm2, ix.topKWeightedLocked(entries, norm2, subject, k, owned), epoch
 }
 
 // SearchOwned is Search restricted to the resources owned admits (nil

@@ -428,3 +428,107 @@ func TestRFDEntriesShape(t *testing.T) {
 		t.Fatal("out-of-range id returned entries")
 	}
 }
+
+// SubjectTopK is RFDEntries + TopKWeighted under one read view. On a
+// quiesced index that is not observable: for every subject of the zipf
+// corpus — hot, cold and zero-norm alike — the exported vector and the
+// owned ranking are bit-identical to the two calls, and a twin index
+// driven by the two calls ends with the same residency.
+func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
+	const n, dim, shards, k = 300, 40, 8, 12
+	model, rng, _ := zipfModel(17, n, dim, 8)
+	one, two := NewOnlineIndex(cloneAll(model), shards), NewOnlineIndex(cloneAll(model), shards)
+	var cold []int
+	for id := 0; id < n; id++ {
+		if rng.Intn(2) == 0 {
+			cold = append(cold, id)
+		}
+	}
+	one.Evict(cold)
+	two.Evict(cold)
+	owned := ownedSet(n, func(id int) bool { return id%3 != 1 })
+	var zeroNorm, coldSubjects int
+	for subject := 0; subject < n; subject++ {
+		if !one.ResidentVec(subject) {
+			coldSubjects++
+		}
+		wantEntries, wantNorm2, _, wantEpoch := two.RFDEntries(subject)
+		want, _ := two.TopKWeighted(wantEntries, wantNorm2, subject, k, owned)
+		entries, norm2, got, epoch := one.SubjectTopK(subject, k, owned)
+		if epoch != wantEpoch || math.Float64bits(norm2) != math.Float64bits(wantNorm2) || len(entries) != len(wantEntries) {
+			t.Fatalf("subject %d: vector (%d entries, norm2 %v, epoch %d), want (%d, %v, %d)",
+				subject, len(entries), norm2, epoch, len(wantEntries), wantNorm2, wantEpoch)
+		}
+		for i := range entries {
+			if entries[i] != wantEntries[i] {
+				t.Fatalf("subject %d entry %d: %+v, want %+v", subject, i, entries[i], wantEntries[i])
+			}
+		}
+		if norm2 == 0 {
+			zeroNorm++
+		}
+		assertIdentical(t, tSprintf("subject %d", subject), got, want)
+	}
+	if zeroNorm == 0 || coldSubjects == 0 || coldSubjects == n {
+		t.Fatalf("corpus exercised %d zero-norm and %d cold subjects of %d", zeroNorm, coldSubjects, n)
+	}
+	if a, b := one.Stats(), two.Stats(); a.ColdVecs != b.ColdVecs || a.VecRehydrations != b.VecRehydrations {
+		t.Fatalf("residency diverged: one view %d cold / %d rehydrations, two calls %d / %d",
+			a.ColdVecs, a.VecRehydrations, b.ColdVecs, b.VecRehydrations)
+	}
+	if e, _, top, _ := one.SubjectTopK(n, k, owned); e != nil || top != nil {
+		t.Fatal("out-of-range subject returned an answer")
+	}
+	if e, _, top, _ := one.SubjectTopK(3, 0, owned); e != nil || top != nil {
+		t.Fatal("k = 0 returned an answer")
+	}
+}
+
+// The reason SubjectTopK exists: posts land on the subject while it is
+// being queried, and every answer must still be of ONE epoch — the
+// exported counts square-sum to the exported norm, which two separate
+// reads cannot promise. Run under -race.
+func TestSubjectTopKOneViewUnderApply(t *testing.T) {
+	const n, dim, shards, subject = 64, 30, 4, 9
+	model, _, _ := zipfModel(23, n, dim, 6)
+	ix := NewOnlineIndex(cloneAll(model), shards)
+	owned := ownedSet(n, func(id int) bool { return id%2 == 1 })
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			wrng := rand.New(rand.NewSource(700 + int64(w)))
+			wz := rand.NewZipf(wrng, 1.3, 1.0, dim-1)
+			for i := 0; !stop.Load(); i++ {
+				target := subject
+				if i%4 == 3 {
+					target = wrng.Intn(n)
+				}
+				ix.Apply(target, zipfPost(wrng, wz, dim))
+				if i%64 == 0 {
+					ix.Evict([]int{subject}) // cold exports go through the blob
+				}
+			}
+		}(w)
+	}
+	var last uint64
+	for q := 0; q < 500; q++ {
+		entries, norm2, top, epoch := ix.SubjectTopK(subject, 5, owned)
+		var sum float64
+		for _, e := range entries {
+			sum += float64(e.Count) * float64(e.Count)
+		}
+		if sum != norm2 {
+			t.Fatalf("query %d at epoch %d: counts square-sum to %v, exported norm2 %v", q, epoch, sum, norm2)
+		}
+		if epoch < last || len(top) != 5 {
+			t.Fatalf("query %d: epoch %d after %d, %d results", q, epoch, last, len(top))
+		}
+		last = epoch
+	}
+	stop.Store(true)
+	wg.Wait()
+}

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,6 +19,7 @@ import (
 
 	incentivetag "incentivetag"
 	"incentivetag/internal/admit"
+	"incentivetag/internal/promtest"
 )
 
 // newAdmitServer builds a ready server over a small generated corpus
@@ -185,31 +185,6 @@ func TestHealthzReportsOverload(t *testing.T) {
 	}
 }
 
-// promLine matches one sample line of the text exposition format.
-var promLine = regexp.MustCompile(`^tagserved_[a-z0-9_]+(\{[a-zA-Z_]+="[^"]*"(,[a-zA-Z_]+="[^"]*")*\})? ((\+Inf)|([0-9eE.+-]+))$`)
-
-// promSamples parses a text exposition into series → value, failing the
-// test on any line that is not a well-formed sample.
-func promSamples(t *testing.T, text string) map[string]float64 {
-	t.Helper()
-	samples := map[string]float64{}
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !promLine.MatchString(line) {
-			t.Fatalf("malformed exposition line: %q", line)
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		v, err := strconv.ParseFloat(strings.Replace(line[sp+1:], "+Inf", "inf", 1), 64)
-		if err != nil {
-			t.Fatalf("unparseable value in %q: %v", line, err)
-		}
-		samples[line[:sp]] = v
-	}
-	return samples
-}
-
 func TestPromMetricsExposition(t *testing.T) {
 	srv, ts, ds := newAdmitServer(t, Config{MaxBodyBytes: 512})
 	body := ingestBody(t, ds)
@@ -222,6 +197,23 @@ func TestPromMetricsExposition(t *testing.T) {
 		resp.Body.Close()
 	}
 	resp, err := http.Get(ts.URL + "/topk?resource=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	// Both methods of /cluster/topk, the owner leg's query fed back as a
+	// query leg: one route, so one label and one histogram count the two.
+	resp, err = http.Get(ts.URL + "/cluster/topk?resource=0&k=2&maphash=")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var leg ClusterLeg
+	if err := json.NewDecoder(resp.Body).Decode(&leg); err != nil || len(leg.Query) == 0 {
+		t.Fatalf("owner leg: %v, query %q", err, leg.Query)
+	}
+	resp.Body.Close()
+	resp, err = http.Post(ts.URL+"/cluster/topk", "application/json", bytes.NewReader(leg.Query))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +244,19 @@ func TestPromMetricsExposition(t *testing.T) {
 	}
 	text := string(raw)
 
-	samples := promSamples(t, text)
+	samples, err := promtest.Parse("tagserved_", text)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	wantAtLeast := map[string]float64{
 		`tagserved_requests_total{route="/ingest",class="bulk",outcome="admitted"}`:      3,
 		`tagserved_requests_total{route="/topk",class="interactive",outcome="admitted"}`: 1,
 		`tagserved_request_seconds_count{route="/ingest",class="bulk"}`:                  3,
 		`tagserved_body_too_large_total`:                                                 1,
+
+		`tagserved_requests_total{route="/cluster/topk",class="interactive",outcome="admitted"}`: 2,
+		`tagserved_request_seconds_count{route="/cluster/topk",class="interactive"}`:             2,
 	}
 	for name, want := range wantAtLeast {
 		if got, ok := samples[name]; !ok || got < want {
@@ -493,8 +491,12 @@ func TestOverloadLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	samples, err := promtest.Parse("tagserved_", string(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
 	byClass := map[string]int{}
-	for series, v := range promSamples(t, string(raw)) {
+	for series, v := range samples {
 		if !strings.HasPrefix(series, "tagserved_requests_total{") {
 			continue
 		}

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -52,37 +53,48 @@ func TestClusterMapHashGate(t *testing.T) {
 	h := newClusterNode(t, "cafe0123cafe0123")
 	var e server.ErrorResponse
 	// Missing and wrong hashes are refused with 409.
-	h.call(t, "GET", "/cluster/rfd?resource=0", nil, &e, http.StatusConflict)
-	h.call(t, "GET", "/cluster/rfd?resource=0&maphash=beef", nil, &e, http.StatusConflict)
+	h.call(t, "GET", "/cluster/topk?resource=0", nil, &e, http.StatusConflict)
+	h.call(t, "GET", "/cluster/topk?resource=0&maphash=beef", nil, &e, http.StatusConflict)
 	h.call(t, "GET", "/cluster/search?tags=1&maphash=beef", nil, &e, http.StatusConflict)
 	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{MapHash: "beef", K: 3}, &e, http.StatusConflict)
-	// The right hash is served.
-	var rfd server.RFDResponse
-	h.call(t, "GET", "/cluster/rfd?resource=0&maphash=cafe0123cafe0123", nil, &rfd, http.StatusOK)
-	if rfd.Resource != 0 {
-		t.Fatalf("rfd resource = %d", rfd.Resource)
+	// The right hash is served, and rides on to the other nodes.
+	var own server.ClusterTopKResponse
+	h.call(t, "GET", "/cluster/topk?resource=0&maphash=cafe0123cafe0123", nil, &own, http.StatusOK)
+	if own.Query == nil || own.Query.Exclude != 0 || own.Query.MapHash != "cafe0123cafe0123" {
+		t.Fatalf("owner leg query = %+v", own.Query)
 	}
 
 	// A standalone node (no cluster config) serves the surface as a
 	// one-node cluster for an empty hash and refuses any real one.
 	solo := newHarness(t, 0)
-	solo.call(t, "GET", "/cluster/rfd?resource=1&maphash=", nil, &rfd, http.StatusOK)
-	solo.call(t, "GET", "/cluster/rfd?resource=1&maphash=cafe0123cafe0123", nil, &e, http.StatusConflict)
+	solo.call(t, "GET", "/cluster/topk?resource=1&maphash=", nil, &own, http.StatusOK)
+	solo.call(t, "GET", "/cluster/topk?resource=1&maphash=cafe0123cafe0123", nil, &e, http.StatusConflict)
 }
 
+// The owner's leg (GET /cluster/topk) carries the subject's rfd as the
+// query for the other nodes: shape, ownership and parameter checks.
 func TestClusterRFDShapeAndOwnership(t *testing.T) {
 	const hash = "feed0123feed0123"
 	h := newClusterNode(t, hash)
 	// Grow resource 2's live vector so the rfd is non-trivial.
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 2, Tags: []int32{1, 3}}, nil, http.StatusOK)
 
-	var rfd server.RFDResponse
-	h.call(t, "GET", "/cluster/rfd?resource=2&maphash="+hash, nil, &rfd, http.StatusOK)
-	if rfd.Resource != 2 || rfd.Norm2 <= 0 || len(rfd.Entries) == 0 {
-		t.Fatalf("rfd = %+v", rfd)
+	var own server.ClusterTopKResponse
+	h.call(t, "GET", "/cluster/topk?resource=2&k=7&maphash="+hash, nil, &own, http.StatusOK)
+	rfd := own.Query
+	if rfd == nil || rfd.Exclude != 2 || rfd.K != 7 || rfd.MapHash != hash || rfd.QNorm2 <= 0 || len(rfd.Entries) == 0 {
+		t.Fatalf("owner leg query = %+v", rfd)
 	}
-	if rfd.Epoch == 0 {
-		t.Fatal("rfd epoch did not advance past the ingest")
+	if own.Epoch == 0 {
+		t.Fatal("owner leg epoch did not advance past the ingest")
+	}
+	if len(own.Top) != 7 {
+		t.Fatalf("owner leg ranked %d resources, want 7", len(own.Top))
+	}
+	for _, e := range own.Top {
+		if e.Resource%2 != 0 || e.Resource == 2 {
+			t.Fatalf("owner leg ranked resource %d: not owned, or the subject itself", e.Resource)
+		}
 	}
 	var norm2 float64
 	prev := int32(-1)
@@ -93,36 +105,50 @@ func TestClusterRFDShapeAndOwnership(t *testing.T) {
 		prev = e.Tag
 		norm2 += float64(e.Count) * float64(e.Count)
 	}
-	if norm2 != rfd.Norm2 {
-		t.Fatalf("norm2 %v does not match entries %v", rfd.Norm2, norm2)
+	if norm2 != rfd.QNorm2 {
+		t.Fatalf("qnorm2 %v does not match entries %v", rfd.QNorm2, norm2)
+	}
+	// The owner's ranking is the one its own query would have produced.
+	var again server.ClusterTopKResponse
+	h.call(t, "POST", "/cluster/topk", rfd, &again, http.StatusOK)
+	if again.Query != nil {
+		t.Fatal("a query leg answered a query member")
+	}
+	if len(again.Top) != len(own.Top) {
+		t.Fatalf("query leg ranked %d, owner leg %d", len(again.Top), len(own.Top))
+	}
+	for i := range own.Top {
+		if again.Top[i].Resource != own.Top[i].Resource || math.Float64bits(again.Top[i].Score) != math.Float64bits(own.Top[i].Score) {
+			t.Fatalf("rank %d: owner leg %+v, query leg %+v", i, own.Top[i], again.Top[i])
+		}
 	}
 
-	// A non-owned subject's rfd is refused: this node's copy is stale.
+	// A non-owned subject is refused: this node's copy is stale.
 	var e server.ErrorResponse
-	h.call(t, "GET", "/cluster/rfd?resource=3&maphash="+hash, nil, &e, http.StatusMisdirectedRequest)
+	h.call(t, "GET", "/cluster/topk?resource=3&maphash="+hash, nil, &e, http.StatusMisdirectedRequest)
 	// Out-of-range stays a plain 400 — whatever the predicate would have
 	// said about an id it was never asked about.
-	h.call(t, "GET", "/cluster/rfd?resource=999&maphash="+hash, nil, &e, http.StatusBadRequest)
-	h.call(t, "GET", "/cluster/rfd?resource=1001&maphash="+hash, nil, &e, http.StatusBadRequest)
-	h.call(t, "GET", "/cluster/rfd?resource=-1&maphash="+hash, nil, &e, http.StatusBadRequest)
-	h.call(t, "GET", "/cluster/rfd?resource=x&maphash="+hash, nil, &e, http.StatusBadRequest)
-	h.call(t, "GET", "/cluster/rfd?maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/topk?resource=999&maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/topk?resource=1001&maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/topk?resource=-1&maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/topk?resource=x&maphash="+hash, nil, &e, http.StatusBadRequest)
+	h.call(t, "GET", "/cluster/topk?maphash="+hash, nil, &e, http.StatusBadRequest)
+	for _, k := range []string{"0", "-3", "1001", "ten"} {
+		h.call(t, "GET", "/cluster/topk?resource=2&k="+k+"&maphash="+hash, nil, &e, http.StatusBadRequest)
+	}
+	h.call(t, "GET", "/cluster/topk?resource=2&k=1000&maphash="+hash, nil, &own, http.StatusOK)
+	// GET and POST are the route's two methods.
+	for _, method := range []string{"PUT", "DELETE", "PATCH"} {
+		h.call(t, method, "/cluster/topk?resource=2&maphash="+hash, nil, &e, http.StatusMethodNotAllowed)
+	}
 }
 
 func TestClusterTopKScoresOnlyOwned(t *testing.T) {
 	const hash = "beef0123beef0123"
 	h := newClusterNode(t, hash)
-	var rfd server.RFDResponse
-	h.call(t, "GET", "/cluster/rfd?resource=4&maphash="+hash, nil, &rfd, http.StatusOK)
-
 	var resp server.ClusterTopKResponse
-	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{
-		MapHash: hash,
-		Exclude: 4,
-		QNorm2:  rfd.Norm2,
-		K:       40,
-		Entries: rfd.Entries,
-	}, &resp, http.StatusOK)
+	h.call(t, "GET", "/cluster/topk?resource=4&k=40&maphash="+hash, nil, &resp, http.StatusOK)
+	h.call(t, "POST", "/cluster/topk", resp.Query, &resp, http.StatusOK)
 	if len(resp.Top) == 0 {
 		t.Fatal("no results")
 	}
@@ -173,13 +199,10 @@ func TestOwnershipMaterialisedAtBoot(t *testing.T) {
 	var e server.ErrorResponse
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 2, Tags: []int32{1, 3}}, nil, http.StatusOK)
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 3, Tags: []int32{1}}, &e, http.StatusMisdirectedRequest)
-	var rfd server.RFDResponse
-	h.call(t, "GET", "/cluster/rfd?resource=2&maphash="+hash, nil, &rfd, http.StatusOK)
-	h.call(t, "GET", "/cluster/rfd?resource=3&maphash="+hash, nil, &e, http.StatusMisdirectedRequest)
 	var top server.ClusterTopKResponse
-	h.call(t, "POST", "/cluster/topk", server.ClusterTopKRequest{
-		MapHash: hash, Exclude: 2, QNorm2: rfd.Norm2, K: 40, Entries: rfd.Entries,
-	}, &top, http.StatusOK)
+	h.call(t, "GET", "/cluster/topk?resource=2&k=40&maphash="+hash, nil, &top, http.StatusOK)
+	h.call(t, "GET", "/cluster/topk?resource=3&maphash="+hash, nil, &e, http.StatusMisdirectedRequest)
+	h.call(t, "POST", "/cluster/topk", top.Query, &top, http.StatusOK)
 	var sr server.SearchResponse
 	h.call(t, "GET", "/cluster/search?tags=1,2,3&k=40&maphash="+hash, nil, &sr, http.StatusOK)
 	var alloc server.AllocateResponse

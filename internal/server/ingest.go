@@ -82,7 +82,7 @@ func scanIngest(b []byte) (in ingestBatch, ok bool) {
 	// body byte for any other: every event opens a brace and takes
 	// minEventBytes, every tag follows a comma or opens a list.
 	sc := ingestScanner{
-		b:      b,
+		cursor: cursor{b: b},
 		events: make([]incentivetag.PostEvent, 0, min(bytes.Count(b, []byte{'{'}), len(b)/minEventBytes)),
 		arena:  make([]incentivetag.Tag, 0, min(bytes.Count(b, []byte{','})+1, len(b)/2)),
 	}
@@ -108,85 +108,25 @@ func scanIngest(b []byte) (in ingestBatch, ok bool) {
 			}
 		}
 	}
-	if !sc.lit("}") {
-		return in, false
-	}
-	sc.ws()
 	in.events = sc.events
-	return in, sc.i == len(b)
+	return in, sc.lit("}") && sc.end()
 }
 
 // ingestScanner is a cursor over the body plus the output so far.
 type ingestScanner struct {
-	b      []byte
-	i      int
+	cursor
 	events []incentivetag.PostEvent
 	arena  []incentivetag.Tag // every event's post is a slice of this
-}
-
-// ws skips JSON whitespace.
-func (sc *ingestScanner) ws() {
-	for sc.i < len(sc.b) {
-		switch sc.b[sc.i] {
-		case ' ', '\t', '\n', '\r':
-			sc.i++
-		default:
-			return
-		}
-	}
-}
-
-// lit consumes optional whitespace, then exactly s.
-func (sc *ingestScanner) lit(s string) bool {
-	sc.ws()
-	if len(sc.b)-sc.i < len(s) || string(sc.b[sc.i:sc.i+len(s)]) != s {
-		return false
-	}
-	sc.i += len(s)
-	return true
-}
-
-// sep consumes optional whitespace, then a list separator: more=true on
-// a comma, more=false on the closing bracket.
-func (sc *ingestScanner) sep(close byte) (more, ok bool) {
-	sc.ws()
-	if sc.i == len(sc.b) {
-		return false, false
-	}
-	c := sc.b[sc.i]
-	sc.i++
-	return c == ',', c == ',' || c == close
-}
-
-// uint consumes optional whitespace, then a JSON integer in [0, limit]: no
-// sign, no leading zero, no fraction or exponent (whatever follows the
-// digits is the caller's next expected token, so "1.0" and "1e3" fail
-// there).
-func (sc *ingestScanner) uint(limit uint64) (v uint64, ok bool) {
-	sc.ws()
-	start := sc.i
-	for ; sc.i < len(sc.b); sc.i++ {
-		d := uint64(sc.b[sc.i] - '0')
-		if d > 9 {
-			break
-		}
-		if v > (limit-d)/10 {
-			return 0, false
-		}
-		v = v*10 + d
-	}
-	n := sc.i - start
-	return v, n == 1 || (n > 1 && sc.b[start] != '0')
 }
 
 // event consumes the two fields of one event — "resource":N,"tags":[T,…]
 // — and appends it, its post carved from the arena's tail.
 func (sc *ingestScanner) event() bool {
-	if !sc.lit(`"resource"`) || !sc.lit(":") {
+	if !sc.key(`"resource"`) {
 		return false
 	}
 	resource, ok := sc.uint(math.MaxInt)
-	if !ok || !sc.lit(",") || !sc.lit(`"tags"`) || !sc.lit(":") || !sc.lit("[") {
+	if !ok || !sc.lit(",") || !sc.key(`"tags"`) || !sc.lit("[") {
 		return false
 	}
 	start := len(sc.arena)

@@ -253,9 +253,11 @@ func NewDeferred(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	// Cluster scatter-gather endpoints (only useful on cluster members;
 	// guarded by the shard-map hash check). Interactive class: they are
-	// the gateway-side query path's building blocks.
-	s.mux.HandleFunc("GET /cluster/rfd", s.instrument("/cluster/rfd", admit.Interactive, s.handleClusterRFD))
-	s.mux.HandleFunc("POST /cluster/topk", s.instrument("/cluster/topk", admit.Interactive, s.handleClusterTopK))
+	// the gateway-side query path's building blocks. /cluster/topk takes
+	// GET and POST under one pattern, so one route label: a second
+	// instrument for the same label would repeat every series of it in
+	// /metrics/prom.
+	s.mux.HandleFunc("/cluster/topk", s.instrument("/cluster/topk", admit.Interactive, s.handleClusterTopK))
 	s.mux.HandleFunc("GET /cluster/search", s.instrument("/cluster/search", admit.Interactive, s.handleClusterSearch))
 	return s, nil
 }
@@ -463,6 +465,16 @@ type MetricsResponse struct {
 type TopKEntry struct {
 	Resource int     `json:"resource"`
 	Score    float64 `json:"score"`
+}
+
+// topEntries renders a ranking on the wire ([] rather than null when
+// empty).
+func topEntries(scored []incentivetag.Scored) []TopKEntry {
+	top := make([]TopKEntry, len(scored))
+	for i, sc := range scored {
+		top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
+	}
+	return top
 }
 
 // TopKResponse answers GET /topk?resource=i&k=10. Epoch is the query
@@ -816,20 +828,29 @@ func parseK(w http.ResponseWriter, q url.Values) (int, bool) {
 	return k, true
 }
 
+// parseResource reads the required resource parameter; ok=false means
+// the error response was already written.
+func parseResource(w http.ResponseWriter, q url.Values) (int, bool) {
+	rs := q.Get("resource")
+	if rs == "" {
+		writeError(w, http.StatusBadRequest, "missing resource parameter")
+		return 0, false
+	}
+	resource, err := strconv.Atoi(rs)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
+	}
+	return resource, err == nil
+}
+
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	svc := s.service(w)
 	if svc == nil {
 		return
 	}
 	q := r.URL.Query()
-	rs := q.Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
-		return
-	}
-	subject, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
+	subject, ok := parseResource(w, q)
+	if !ok {
 		return
 	}
 	if n := svc.N(); n == 0 {
@@ -850,11 +871,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	out := TopKResponse{Resource: subject, Epoch: epoch, Top: make([]TopKEntry, len(scored))}
-	for i, sc := range scored {
-		out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, TopKResponse{Resource: subject, Epoch: epoch, Top: topEntries(scored)})
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -893,12 +910,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: make([]TopKEntry, len(scored))}
+	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: topEntries(scored)}
 	for i, t := range query {
 		out.Tags[i] = int32(t)
-	}
-	for i, sc := range scored {
-		out.Top[i] = TopKEntry{Resource: sc.ID, Score: sc.Score}
 	}
 	writeJSON(w, http.StatusOK, out)
 }
