@@ -2,6 +2,7 @@ package incentivetag
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,6 +290,67 @@ func TestPreferenceCrowdFacade(t *testing.T) {
 	l.Pay(0, 2)
 	if l.Total != 2 {
 		t.Error("ledger facade broken")
+	}
+}
+
+// SetCosts between two runs of one Simulation takes effect on the next
+// run exactly as on a Simulation that never ran before it (the primed
+// state a Simulation caches stores no costs), and nil restores unit costs.
+func TestSetCostsBetweenRuns(t *testing.T) {
+	ds := testDS(t)
+	costs := make([]int, ds.N())
+	for i := range costs {
+		costs[i] = 1 + i%3
+	}
+	same := func(what string, got, want *Result) {
+		t.Helper()
+		if got.Spent != want.Spent || math.Float64bits(got.FinalQuality) != math.Float64bits(want.FinalQuality) {
+			t.Fatalf("%s: spent %d quality %.17g, want %d %.17g", what, got.Spent, got.FinalQuality, want.Spent, want.FinalQuality)
+		}
+		for i := range want.Assignment {
+			if got.Assignment[i] != want.Assignment[i] {
+				t.Fatalf("%s: assignment diverges at resource %d", what, i)
+			}
+		}
+	}
+	s := NewSimulation(ds, Options{Seed: 9})
+	unit, err := s.Run("RR", 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCosts(costs); err != nil {
+		t.Fatal(err)
+	}
+	weighted, err := s.Run("RR", 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent := 0
+	for i, x := range weighted.Assignment {
+		spent += x * costs[i]
+	}
+	if weighted.Spent != spent || spent <= 87 || spent > 90 {
+		t.Fatalf("weighted run spent %d, Σ x·cost = %d of budget 90", weighted.Spent, spent)
+	}
+	fresh := NewSimulation(ds, Options{Seed: 9})
+	if err := fresh.SetCosts(costs); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run("RR", 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("costs set after a run", weighted, want)
+	if err := s.SetCosts(nil); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.Run("RR", 90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("unit costs restored", again, unit)
+	if unit.Spent != 90 {
+		t.Fatalf("unit-cost run spent %d of 90", unit.Spent)
 	}
 }
 

@@ -81,10 +81,11 @@ type Config struct {
 	// hybrid dense/map representation (sparse.NewHybridCounts), making
 	// the per-post count update an array index with zero map traffic and
 	// zero steady-state allocation. 0 keeps the map-backed reference
-	// representation (bit-identical metrics, minimal memory) — the replay
-	// simulator's choice. Each hybrid vector's dense base costs up to
-	// 4·DenseTagCap bytes per resource, the deliberate space-for-time
-	// trade of the serving path.
+	// representation (bit-identical metrics, minimal memory) — what the
+	// replay simulator runs on, dense bases having been measured to buy it
+	// no speed (see sim.NewState). Each hybrid vector's dense base costs
+	// up to 4·DenseTagCap bytes per resource, the deliberate
+	// space-for-time trade of the serving path.
 	TagUniverse int
 	// WAL, when non-nil, is an append-only post log every ingested post
 	// is written to before it mutates engine state (the durable

@@ -103,20 +103,7 @@ func TestStepExhaustion(t *testing.T) {
 func TestRunDeterminism(t *testing.T) {
 	d := testData(t, 30, 5)
 	for _, name := range []string{"FC", "RR", "FP", "MU", "FP-MU"} {
-		mk := func() strategy.Strategy {
-			switch name {
-			case "FC":
-				return strategy.NewFC(nil)
-			case "RR":
-				return strategy.NewRR()
-			case "FP":
-				return strategy.NewFP()
-			case "MU":
-				return strategy.NewMU()
-			default:
-				return strategy.NewFPMU(5)
-			}
-		}
+		mk := func() strategy.Strategy { return mkStrategy(name, 5) }
 		st1 := NewState(d, 5, 99)
 		if _, err := st1.Run(mk(), 150, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -144,20 +131,7 @@ func TestEngineMatchesReferenceCheckpoints(t *testing.T) {
 	d := testData(t, 40, 21)
 	checkpoints := []int{0, 25, 50, 75, 100, 125, 150, 175, 200}
 	for _, name := range []string{"FC", "RR", "FP", "MU", "FP-MU"} {
-		mk := func() strategy.Strategy {
-			switch name {
-			case "FC":
-				return strategy.NewFC(nil)
-			case "RR":
-				return strategy.NewRR()
-			case "FP":
-				return strategy.NewFP()
-			case "MU":
-				return strategy.NewMU()
-			default:
-				return strategy.NewFPMU(5)
-			}
-		}
+		mk := func() strategy.Strategy { return mkStrategy(name, 5) }
 		inc := NewState(d, 5, 77)
 		incCps, err := inc.Run(mk(), 200, checkpoints)
 		if err != nil {

@@ -412,7 +412,9 @@ func FromEntries(universe int, ts []tags.Tag, ns []int64, posts int) (*Counts, e
 	if universe > 0 {
 		c = NewHybridCounts(universe)
 	} else {
-		c = NewCounts()
+		// Pre-sized: the support is known, so the map never grows or
+		// rehashes while it is filled.
+		c = &Counts{m: make(map[tags.Tag]int64, len(ts))}
 	}
 	for i, t := range ts {
 		n := ns[i]

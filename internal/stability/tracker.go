@@ -151,9 +151,11 @@ func (tr *Tracker) MA() (float64, bool) {
 // Snapshot returns an independent copy of the current rfd counts F(k).
 func (tr *Tracker) Snapshot() *sparse.Counts { return tr.counts.Clone() }
 
-// Reset returns the tracker to its initial empty state, retaining ω.
+// Reset returns the tracker to its initial empty state, retaining ω and
+// the count vector's representation and backing storage (a sized tracker
+// stays hybrid).
 func (tr *Tracker) Reset() {
-	tr.counts = sparse.NewCounts()
+	tr.counts.Reset()
 	for i := range tr.ring {
 		tr.ring[i] = 0
 	}

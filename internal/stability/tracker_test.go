@@ -3,6 +3,7 @@ package stability
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"incentivetag/internal/sparse"
@@ -156,24 +157,41 @@ func TestSeriesShape(t *testing.T) {
 }
 
 func TestTrackerReset(t *testing.T) {
-	tr := NewTracker(3)
-	seq := randSeq(13, 20, 5)
-	for _, p := range seq {
-		tr.Observe(p)
-	}
-	tr.Reset()
-	if tr.Posts() != 0 {
-		t.Error("Reset did not clear posts")
-	}
-	if _, ok := tr.MA(); ok {
-		t.Error("Reset did not clear MA window")
-	}
-	// Replays identically after reset.
-	tr2 := NewTracker(3)
-	for i, p := range seq {
-		a, b := tr.Observe(p), tr2.Observe(p)
-		if a != b {
-			t.Fatalf("post %d: reset tracker diverged (%g vs %g)", i, a, b)
+	// Map-form and sized (hybrid) trackers alike: Reset keeps the form.
+	for _, mk := range []func() *Tracker{
+		func() *Tracker { return NewTracker(3) },
+		func() *Tracker { return NewTrackerSized(3, 64) },
+	} {
+		tr := mk()
+		hybrid := tr.Counts().Hybrid()
+		seq := randSeq(13, 20, 5)
+		for _, p := range seq {
+			tr.Observe(p)
+		}
+		tr.Reset()
+		if tr.Posts() != 0 || tr.Counts().Len() != 0 {
+			t.Error("Reset did not clear posts")
+		}
+		if _, ok := tr.MA(); ok {
+			t.Error("Reset did not clear MA window")
+		}
+		if tr.Counts().Hybrid() != hybrid {
+			t.Errorf("Reset changed the count representation (hybrid %v → %v)", hybrid, tr.Counts().Hybrid())
+		}
+		// Replays identically after reset.
+		tr2 := mk()
+		for i, p := range seq {
+			a, b := tr.Observe(p), tr2.Observe(p)
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("post %d: reset tracker diverged (%g vs %g)", i, a, b)
+			}
+		}
+		m1, _ := tr.MA()
+		m2, _ := tr2.MA()
+		ts1, ns1 := tr.Counts().Entries(nil, nil)
+		ts2, ns2 := tr2.Counts().Entries(nil, nil)
+		if math.Float64bits(m1) != math.Float64bits(m2) || !reflect.DeepEqual(ts1, ts2) || !reflect.DeepEqual(ns1, ns2) {
+			t.Error("reset tracker's final state differs from a fresh tracker's")
 		}
 	}
 }
