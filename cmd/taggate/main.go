@@ -31,11 +31,14 @@
 // ready only with every node up, degraded while any is down; GET
 // /owner?resource=i reports where the ring places a resource.
 //
-// The admission flags reuse tagserved's middleware at the gateway:
-// proxied ingest is the bulk class (shed first, 429 + Retry-After pass-
-// through from the nodes included), queries and the lease loop are
-// interactive. GET /metrics/prom adds per-backend liveness, request,
-// error and latency series to the same admission telemetry.
+// The gateway serves through tagserved's request edge (server.Edge) and
+// its http.Server settings: the admission flags configure the same
+// middleware — proxied ingest is the bulk class (shed first, 429 +
+// Retry-After pass-through from the nodes included), queries and the
+// lease loop are interactive — and -max-body the same 413 cap. GET
+// /metrics/prom renders the node's admission, latency and 413 families
+// under the taggate_ prefix with the same label sets, plus per-backend
+// liveness, request, error and latency series.
 package main
 
 import (
@@ -51,6 +54,7 @@ import (
 
 	"incentivetag/internal/admit"
 	"incentivetag/internal/cluster"
+	"incentivetag/internal/server"
 )
 
 func fail(format string, args ...any) {
@@ -101,13 +105,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "taggate: fronting %d nodes (vnodes=%d, map hash %s) on %s\n",
 		len(m.Nodes), m.VNodes, g.MapHash(), l.Addr())
 
-	hs := &http.Server{
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
+	hs := server.NewHTTPServer(g.Handler())
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(l) }()
 

@@ -160,8 +160,8 @@
 // overload lasts. GET /metrics/prom exposes the admission picture in
 // Prometheus text format (per-route/class outcome counters that sum
 // exactly to offered load, log-bucketed latency histograms with
-// p50/p90/p99 gauges, in-flight and queue-depth gauges) with no client
-// library; GET /healthz distinguishes recovering, overloaded, and
+// p50/p90/p99 gauges, in-flight and queue gauges with their limits, the
+// 413 count) with no client library; GET /healthz distinguishes recovering, overloaded, and
 // draining from serving; shutdown stops admitting before it waits for
 // in-flight work. Limits are per-process — behind a load balancer,
 // size the rate per replica. The zero AdmissionConfig disables
@@ -189,8 +189,10 @@
 // response carries per-node epochs and a partial flag: a dead shard
 // degrades reads to 200/partial rather than 5xx, and the shard-map
 // hash rides on every cluster RPC so divergent maps fail with 409
-// instead of silently mis-ranking. The gateway reuses the admission
-// layer and exposes per-backend health and latency at /metrics/prom.
+// instead of silently mis-ranking. The gateway serves through the
+// node's request edge (server.Edge: admission, body cap, http.Server
+// timeouts, one Prometheus writer), so its taggate_* exposition has the
+// node's families and label sets, plus per-backend health and latency.
 //
 // # Quick start
 //

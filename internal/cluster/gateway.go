@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -43,16 +42,16 @@ type Config struct {
 // a single tagserved node — /ingest routed to each post's owner,
 // /topk and /search scatter-gathered and merged bit-identically, merged
 // /metrics, plus cluster-only /owner. Create with New, start the prober
-// with Start, serve via Handler or ListenAndServe.
+// with Start, serve Handler through server.NewHTTPServer.
 type Gateway struct {
 	m        *Map
 	ring     *Ring
 	mapHash  string
 	backends []*backend
 
-	ctl     *admit.Controller
-	insts   []*routeInst
-	maxBody int64
+	// edge is the node's request edge, reused: admission, body cap,
+	// instrumentation and the shared half of /metrics/prom.
+	edge *server.Edge
 
 	probeInterval time.Duration
 	probeCancel   context.CancelFunc
@@ -60,9 +59,6 @@ type Gateway struct {
 
 	rr  atomic.Uint64 // allocate round-robin cursor
 	mux *http.ServeMux
-
-	mu sync.Mutex
-	hs *http.Server
 }
 
 // New validates the configuration and builds the route table. The
@@ -82,13 +78,9 @@ func New(cfg Config) (*Gateway, error) {
 		m:             cfg.Map,
 		ring:          cfg.Map.Ring(),
 		mapHash:       cfg.Map.Hash(),
-		ctl:           admit.NewController(cfg.Admission),
-		maxBody:       cfg.MaxBodyBytes,
+		edge:          server.NewEdge("taggate_", cfg.Admission, cfg.MaxBodyBytes),
 		probeInterval: cfg.ProbeInterval,
 		mux:           http.NewServeMux(),
-	}
-	if g.maxBody == 0 {
-		g.maxBody = server.DefaultMaxBody
 	}
 	if g.probeInterval <= 0 {
 		g.probeInterval = DefaultProbeInterval
@@ -101,12 +93,12 @@ func New(cfg Config) (*Gateway, error) {
 	for i, n := range cfg.Map.Nodes {
 		g.backends = append(g.backends, newBackend(i, n, client))
 	}
-	g.mux.HandleFunc("POST /ingest", g.instrument("/ingest", admit.Bulk, g.handleIngest))
-	g.mux.HandleFunc("GET /topk", g.instrument("/topk", admit.Interactive, g.handleTopK))
-	g.mux.HandleFunc("GET /search", g.instrument("/search", admit.Interactive, g.handleSearch))
-	g.mux.HandleFunc("POST /allocate", g.instrument("/allocate", admit.Interactive, g.handleAllocate))
-	g.mux.HandleFunc("POST /complete", g.instrument("/complete", admit.Interactive, g.handleComplete))
-	g.mux.HandleFunc("POST /expire", g.instrument("/expire", admit.Interactive, g.handleExpire))
+	g.mux.HandleFunc("POST /ingest", g.edge.Route("/ingest", admit.Bulk, g.handleIngest))
+	g.mux.HandleFunc("GET /topk", g.edge.Route("/topk", admit.Interactive, g.handleTopK))
+	g.mux.HandleFunc("GET /search", g.edge.Route("/search", admit.Interactive, g.handleSearch))
+	g.mux.HandleFunc("POST /allocate", g.edge.Route("/allocate", admit.Interactive, g.handleAllocate))
+	g.mux.HandleFunc("POST /complete", g.edge.Route("/complete", admit.Interactive, g.handleComplete))
+	g.mux.HandleFunc("POST /expire", g.edge.Route("/expire", admit.Interactive, g.handleExpire))
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 	g.mux.HandleFunc("GET /metrics/prom", g.handlePromMetrics)
 	g.mux.HandleFunc("GET /info", g.handleInfo)
@@ -133,38 +125,6 @@ func (g *Gateway) Stop() {
 
 // Handler returns the gateway's route table.
 func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// ListenAndServe serves until Shutdown.
-func (g *Gateway) ListenAndServe(addr string) error {
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           g.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       server.DefaultReadTimeout,
-		WriteTimeout:      server.DefaultWriteTimeout,
-		IdleTimeout:       server.DefaultIdleTimeout,
-	}
-	g.mu.Lock()
-	g.hs = hs
-	g.mu.Unlock()
-	err := hs.ListenAndServe()
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
-
-// Shutdown drains in-flight requests and stops the prober.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	hs := g.hs
-	g.mu.Unlock()
-	g.Stop()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}
 
 // MapHash exposes the placement fingerprint (logged at boot, asserted
 // in tests).
@@ -284,54 +244,13 @@ type OwnerResponse struct {
 
 // --- helpers --------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// readJSON mirrors the node-side strict decode (unknown fields and
-// oversized bodies rejected with the same statuses).
-func (g *Gateway) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes; split the batch", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// parseK mirrors the node-side k parameter contract.
-func parseK(w http.ResponseWriter, q url.Values) (int, bool) {
-	k := 10
-	if ks := q.Get("k"); ks != "" {
-		var err error
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 || k > 1000 {
-			writeError(w, http.StatusBadRequest, "k must be in [1,1000]")
-			return 0, false
-		}
-	}
-	return k, true
-}
-
 // relayStatus forwards a backend's non-2xx answer (message, status and
 // — for 429 — Retry-After) to the gateway's client.
 func relayStatus(w http.ResponseWriter, e *statusError) {
 	if e.status == http.StatusTooManyRequests {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterOr(e, 1)))
 	}
-	writeError(w, e.status, "%s", e.msg)
+	server.WriteError(w, e.status, "%s", e.msg)
 }
 
 // upBackends snapshots the currently-live scatter set.
@@ -375,12 +294,12 @@ func mergeTop(lists [][]server.TopKEntry, k int) []server.TopKEntry {
 
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req server.IngestRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	single := len(req.Tags) > 0
 	if single == (len(req.Events) > 0) {
-		writeError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
+		server.WriteError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
 		return
 	}
 	if single {
@@ -396,7 +315,7 @@ func (g *Gateway) ingestOne(w http.ResponseWriter, r *http.Request, req *server.
 	b := g.backends[g.ring.Owner(req.Resource)]
 	if !b.up.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		server.WriteError(w, http.StatusServiceUnavailable,
 			"owner node %q for resource %d is down", b.name, req.Resource)
 		return
 	}
@@ -408,10 +327,10 @@ func (g *Gateway) ingestOne(w http.ResponseWriter, r *http.Request, req *server.
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "owner node %q: %v", b.name, err)
+		server.WriteError(w, http.StatusBadGateway, "owner node %q: %v", b.name, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // ingestBatch splits a batch by owner (per-resource order preserved —
@@ -481,12 +400,12 @@ func (g *Gateway) ingestBatch(w http.ResponseWriter, r *http.Request, events []s
 	}
 	switch {
 	case failed == 0:
-		writeJSON(w, http.StatusOK, server.IngestResponse{Ingested: ingested})
+		server.WriteJSON(w, http.StatusOK, server.IngestResponse{Ingested: ingested})
 	case ingested == 0 && allShed:
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, http.StatusTooManyRequests, "all owner nodes shed the batch: retry later")
+		server.WriteError(w, http.StatusTooManyRequests, "all owner nodes shed the batch: retry later")
 	default:
-		writeError(w, http.StatusBadGateway,
+		server.WriteError(w, http.StatusBadGateway,
 			"partial ingest: %d of %d events ingested, %d sub-batches failed; do not blindly retry (successful shards would double-ingest); first failure: %v",
 			ingested, len(events), failed, firstErr)
 	}
@@ -504,17 +423,11 @@ type scatterLeg struct {
 
 func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	rs := q.Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
+	resource, ok := server.ParseResource(w, q)
+	if !ok {
 		return
 	}
-	resource, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
-		return
-	}
-	k, ok := parseK(w, q)
+	k, ok := server.ParseK(w, q)
 	if !ok {
 		return
 	}
@@ -527,7 +440,7 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	owner := g.backends[g.ring.Owner(resource)]
 	if !owner.up.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
+		server.WriteError(w, http.StatusServiceUnavailable,
 			"resource %d's owner node %q is down; top-k needs the subject vector", resource, owner.name)
 		return
 	}
@@ -541,13 +454,13 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "owner node %q: %v", owner.name, err)
+		server.WriteError(w, http.StatusServiceUnavailable, "owner node %q: %v", owner.name, err)
 		return
 	}
 	query := legs[0].resp.Query
 	if len(query) == 0 {
 		putAnswer(ownerBuf)
-		writeError(w, http.StatusBadGateway, "owner node %q answered without the query for the other nodes", owner.name)
+		server.WriteError(w, http.StatusBadGateway, "owner node %q answered without the query for the other nodes", owner.name)
 		return
 	}
 
@@ -588,7 +501,7 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if len(lists) == len(legs) {
 		putAnswer(ownerBuf)
 	}
-	writeJSON(w, http.StatusOK, TopKResponse{
+	server.WriteJSON(w, http.StatusOK, TopKResponse{
 		Resource: resource,
 		Epoch:    epochSum,
 		Epochs:   epochs,
@@ -601,16 +514,16 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ts := q.Get("tags")
 	if ts == "" {
-		writeError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
+		server.WriteError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := server.ParseK(w, q)
 	if !ok {
 		return
 	}
 	up := g.upBackends()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
 	path := "/cluster/search?tags=" + url.QueryEscape(ts) +
@@ -659,10 +572,10 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 			relayStatus(w, firstStatus)
 			return
 		}
-		writeError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
 		return
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{
+	server.WriteJSON(w, http.StatusOK, SearchResponse{
 		Tags:    tags,
 		Epoch:   epochSum,
 		Epochs:  epochs,
@@ -702,12 +615,12 @@ func (g *Gateway) decodeLease(l uint64) (*backend, uint64, bool) {
 // cursor to the next. ok=false only after every live node declined.
 func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	var req server.AllocateRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	up := g.upBackends()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
 	start := int(g.rr.Add(1))
@@ -733,30 +646,30 @@ func (g *Gateway) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		}
 		lease, fit := encodeLease(b.idx, out.Lease)
 		if !fit {
-			writeError(w, http.StatusInternalServerError,
+			server.WriteError(w, http.StatusInternalServerError,
 				"node %q lease id %d overflows the gateway's routing bits", b.name, out.Lease)
 			return
 		}
 		out.Lease = lease
-		writeJSON(w, http.StatusOK, out)
+		server.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	if allShed && retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		writeError(w, http.StatusTooManyRequests, "all nodes shed the allocation: retry later")
+		server.WriteError(w, http.StatusTooManyRequests, "all nodes shed the allocation: retry later")
 		return
 	}
-	writeJSON(w, http.StatusOK, server.AllocateResponse{OK: false})
+	server.WriteJSON(w, http.StatusOK, server.AllocateResponse{OK: false})
 }
 
 func (g *Gateway) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req server.CompleteRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	b, inner, ok := g.decodeLease(req.Lease)
 	if !ok {
-		writeError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
+		server.WriteError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
 		return
 	}
 	req.Lease = inner
@@ -765,12 +678,12 @@ func (g *Gateway) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleExpire(w http.ResponseWriter, r *http.Request) {
 	var req server.ExpireRequest
-	if !g.readJSON(w, r, &req) {
+	if !g.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	b, inner, ok := g.decodeLease(req.Lease)
 	if !ok {
-		writeError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
+		server.WriteError(w, http.StatusBadRequest, "lease %d does not decode to a cluster node", req.Lease)
 		return
 	}
 	req.Lease = inner
@@ -781,7 +694,7 @@ func (g *Gateway) handleExpire(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) settle(w http.ResponseWriter, r *http.Request, b *backend, path string, req any) {
 	if !b.up.Load() {
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, "node %q holding the lease is down", b.name)
+		server.WriteError(w, http.StatusServiceUnavailable, "node %q holding the lease is down", b.name)
 		return
 	}
 	var out server.OKResponse
@@ -792,10 +705,10 @@ func (g *Gateway) settle(w http.ResponseWriter, r *http.Request, b *backend, pat
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "node %q: %v", b.name, err)
+		server.WriteError(w, http.StatusBadGateway, "node %q: %v", b.name, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- ops ------------------------------------------------------------------
@@ -803,7 +716,7 @@ func (g *Gateway) settle(w http.ResponseWriter, r *http.Request, b *backend, pat
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	up := g.upBackends()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends")
 		return
 	}
 	type leg struct {
@@ -863,7 +776,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		meanSum += m.MeanQuality
 	}
 	if okLegs == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
+		server.WriteError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
 		return
 	}
 	if unlimited {
@@ -871,14 +784,14 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	out.MeanQuality = meanSum / float64(okLegs)
 	out.Partial = okLegs < len(g.backends)
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request) {
 	up := g.upBackends()
 	ci := ClusterInfo{Nodes: len(g.backends), Up: len(up), VNodes: g.m.VNodes, MapHash: g.mapHash}
 	if len(up) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
+		server.WriteJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
 		return
 	}
 	var ni server.InfoResponse
@@ -890,10 +803,10 @@ func (g *Gateway) handleInfo(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if !got {
-		writeJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
+		server.WriteJSON(w, http.StatusServiceUnavailable, InfoResponse{Ready: false, Cluster: ci})
 		return
 	}
-	writeJSON(w, http.StatusOK, InfoResponse{
+	server.WriteJSON(w, http.StatusOK, InfoResponse{
 		N:           ni.N,
 		TagUniverse: ni.TagUniverse,
 		Strategy:    ni.Strategy,
@@ -925,22 +838,16 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if upCount == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	server.WriteJSON(w, status, resp)
 }
 
 func (g *Gateway) handleOwner(w http.ResponseWriter, r *http.Request) {
-	rs := r.URL.Query().Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
-		return
-	}
-	resource, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
+	resource, ok := server.ParseResource(w, r.URL.Query())
+	if !ok {
 		return
 	}
 	b := g.backends[g.ring.Owner(resource)]
-	writeJSON(w, http.StatusOK, OwnerResponse{
+	server.WriteJSON(w, http.StatusOK, OwnerResponse{
 		Resource: resource,
 		Node:     b.name,
 		URL:      b.url,

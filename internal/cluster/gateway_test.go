@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -601,11 +603,31 @@ func promText(t *testing.T, url string) string {
 	return string(raw)
 }
 
+// labelKey matches one label name in a series key.
+var labelKey = regexp.MustCompile(`([a-zA-Z_]+)="`)
+
+// labelNames maps each sample name of an exposition, prefix cut, to the
+// label names its series carry.
+func labelNames(prefix string, samples map[string]float64) map[string]string {
+	out := map[string]string{}
+	for series := range samples {
+		name, labels, _ := strings.Cut(strings.TrimPrefix(series, prefix), "{")
+		var keys []string
+		for _, m := range labelKey.FindAllStringSubmatch(labels, -1) {
+			keys = append(keys, m[1])
+		}
+		out[name] = strings.Join(keys, ",")
+	}
+	return out
+}
+
 // The gateway's exposition parses — every line a sample, no series twice
 // — and so does every node's behind it, where the two methods of
 // /cluster/topk count under one route label: after q gateway /topk
 // queries over n real nodes the nodes have admitted exactly q·n legs on
 // it, and the gateway has proxied as many requests (plus its probes').
+// Both binaries render through one writer, so every family both emit
+// carries the same label names, and the gateway counts its 413s.
 func TestGatewayPromExposition(t *testing.T) {
 	const queries = 12
 	h := newCluster(t, 3, admit.Config{})
@@ -617,6 +639,15 @@ func TestGatewayPromExposition(t *testing.T) {
 		h.call("GET", fmt.Sprintf("/topk?resource=%d&k=5", q), nil, nil, http.StatusOK)
 	}
 	h.call("GET", "/search?tags=1,2&k=5", nil, nil, http.StatusOK)
+	resp, err := h.gts.Client().Post(h.gts.URL+"/ingest", "application/json",
+		bytes.NewReader(bytes.Repeat([]byte(" "), server.DefaultMaxBody+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized gateway ingest = %d, want 413", resp.StatusCode)
+	}
 
 	gw, err := promtest.Parse("taggate_", promText(t, h.gts.URL))
 	if err != nil {
@@ -625,18 +656,33 @@ func TestGatewayPromExposition(t *testing.T) {
 	for series, want := range map[string]float64{
 		`taggate_requests_total{route="/topk",class="interactive",outcome="admitted"}`:   queries,
 		`taggate_requests_total{route="/search",class="interactive",outcome="admitted"}`: 1,
-		`taggate_request_seconds_count{route="/topk"}`:                                   queries,
+		`taggate_request_seconds_count{route="/topk",class="interactive"}`:               queries,
 		`taggate_backend_up{node="node0"}`:                                               1,
+		`taggate_body_too_large_total`:                                                   1,
+		`taggate_queue_limit`:                                                            float64(admit.DefaultQueue),
 	} {
 		if got, ok := gw[series]; !ok || got != want {
 			t.Fatalf("gateway sample %s = %v (present %v), want %v", series, got, ok, want)
 		}
 	}
+	gwLabels := labelNames("taggate_", gw)
 	var legs, proxied float64
 	for _, nd := range h.nodes {
 		node, err := promtest.Parse("tagserved_", promText(t, nd.ts.URL))
 		if err != nil {
 			t.Fatalf("%s exposition: %v", nd.name, err)
+		}
+		shared := 0
+		for name, labels := range labelNames("tagserved_", node) {
+			if gwl, ok := gwLabels[name]; ok {
+				shared++
+				if gwl != labels {
+					t.Fatalf("%s: labels {%s} on the node, {%s} on the gateway", name, labels, gwl)
+				}
+			}
+		}
+		if shared == 0 {
+			t.Fatal("gateway and node expositions share no family")
 		}
 		legs += node[`tagserved_requests_total{route="/cluster/topk",class="interactive",outcome="admitted"}`]
 		proxied += gw[`taggate_backend_requests_total{node="`+nd.name+`"}`]

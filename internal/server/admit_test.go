@@ -83,7 +83,7 @@ func TestOversizedBodyGets413(t *testing.T) {
 	if !strings.Contains(e.Error, "256") {
 		t.Fatalf("413 message %q does not name the limit", e.Error)
 	}
-	if got := srv.bodyTooLarge.Load(); got != 1 {
+	if got := srv.edge.bodyTooLarge.Load(); got != 1 {
 		t.Fatalf("body-too-large counter = %d, want 1", got)
 	}
 	// A normal-sized (but still bad) body keeps its 400.
@@ -144,13 +144,13 @@ func TestHealthzReportsOverload(t *testing.T) {
 		Admission: admit.Config{MaxInFlight: 1, Queue: 1, QueueWait: 5 * time.Second},
 	})
 	// Occupy the only slot, then park a waiter to saturate the queue.
-	if res := srv.ctl.Admit(context.Background(), admit.Interactive); res.Outcome != admit.Admitted {
+	if res := srv.edge.ctl.Admit(context.Background(), admit.Interactive); res.Outcome != admit.Admitted {
 		t.Fatalf("slot admit: %v", res.Outcome)
 	}
 	waiter := make(chan admit.Result, 1)
-	go func() { waiter <- srv.ctl.Admit(context.Background(), admit.Interactive) }()
+	go func() { waiter <- srv.edge.ctl.Admit(context.Background(), admit.Interactive) }()
 	deadline := time.Now().Add(2 * time.Second)
-	for srv.ctl.StatsSnapshot().QueueDepth == 0 {
+	for srv.edge.ctl.StatsSnapshot().QueueDepth == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never queued")
 		}
@@ -168,11 +168,11 @@ func TestHealthzReportsOverload(t *testing.T) {
 		t.Fatalf("saturated healthz = %d %+v, want 503 overloaded with reason", resp.StatusCode, h)
 	}
 
-	srv.ctl.Release(admit.Interactive) // hands the slot to the waiter
+	srv.edge.ctl.Release(admit.Interactive) // hands the slot to the waiter
 	if res := <-waiter; res.Outcome != admit.Admitted {
 		t.Fatalf("waiter outcome: %v", res.Outcome)
 	}
-	srv.ctl.Release(admit.Interactive)
+	srv.edge.ctl.Release(admit.Interactive)
 
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {

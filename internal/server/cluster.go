@@ -249,11 +249,11 @@ func (s *Server) checkMapHash(w http.ResponseWriter, got string) bool {
 		return true
 	}
 	if s.cfg.ShardMapHash == "" {
-		writeError(w, http.StatusConflict,
+		WriteError(w, http.StatusConflict,
 			"node is not cluster-configured (no -cluster-map) but the request carries shard-map hash %q", got)
 		return false
 	}
-	writeError(w, http.StatusConflict,
+	WriteError(w, http.StatusConflict,
 		"shard-map mismatch: node has %q, request carries %q — gateway and node were booted from different maps", s.cfg.ShardMapHash, got)
 	return false
 }
@@ -273,7 +273,7 @@ func (s *Server) handleClusterTopK(w http.ResponseWriter, r *http.Request) {
 		s.clusterTopKQuery(w, r, svc)
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, "%s /cluster/topk: use GET (owner leg) or POST (query leg)", r.Method)
+		WriteError(w, http.StatusMethodNotAllowed, "%s /cluster/topk: use GET (owner leg) or POST (query leg)", r.Method)
 	}
 }
 
@@ -282,11 +282,11 @@ func (s *Server) clusterTopKOwner(w http.ResponseWriter, r *http.Request, svc *i
 	if !s.checkMapHash(w, q.Get("maphash")) {
 		return
 	}
-	resource, ok := parseResource(w, q)
+	resource, ok := ParseResource(w, q)
 	if !ok {
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := ParseK(w, q)
 	if !ok {
 		return
 	}
@@ -297,12 +297,12 @@ func (s *Server) clusterTopKOwner(w http.ResponseWriter, r *http.Request, svc *i
 		// than rank against a stale primed vector as if it were live — and
 		// before that vector is copied out. An id outside the corpus passes
 		// the ownership check and is SubjectTopK's 400.
-		writeError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", resource)
+		WriteError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", resource)
 		return
 	}
 	query, qnorm2, scored, epoch, err := svc.SubjectTopK(resource, k)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	req := &ClusterTopKRequest{MapHash: s.cfg.ShardMapHash, Exclude: resource, QNorm2: qnorm2, K: k,
@@ -310,21 +310,21 @@ func (s *Server) clusterTopKOwner(w http.ResponseWriter, r *http.Request, svc *i
 	for i, e := range query {
 		req.Entries[i] = WeightedEntry{Tag: int32(e.Tag), Count: e.Count}
 	}
-	writeJSON(w, http.StatusOK, ClusterTopKResponse{Epoch: epoch, Top: topEntries(scored), Query: req})
+	WriteJSON(w, http.StatusOK, ClusterTopKResponse{Epoch: epoch, Top: topEntries(scored), Query: req})
 }
 
 // clusterTopKQuery reads the body once and decodes it with the canonical
 // scanner or, when the body is any other JSON, strict encoding/json; both
 // hand the same request to rankClusterTopK.
 func (s *Server) clusterTopKQuery(w http.ResponseWriter, r *http.Request, svc *incentivetag.Service) {
-	buf, err := s.readBody(w, r)
+	buf, err := s.edge.readBody(w, r)
 	defer putBody(buf)
 	if err != nil {
-		s.bodyError(w, err)
+		s.edge.bodyError(w, err)
 		return
 	}
 	req, ok := scanClusterTopK(buf.Bytes())
-	if !ok && !s.decodeJSON(w, bytes.NewReader(buf.Bytes()), &req) {
+	if !ok && !s.edge.decodeJSON(w, bytes.NewReader(buf.Bytes()), &req) {
 		return
 	}
 	s.rankClusterTopK(w, svc, &req)
@@ -342,10 +342,10 @@ func (s *Server) rankClusterTopK(w http.ResponseWriter, svc *incentivetag.Servic
 	}
 	scored, epoch, err := svc.TopKWeighted(query, req.QNorm2, req.Exclude, req.K)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ClusterTopKResponse{Epoch: epoch, Top: topEntries(scored)})
+	WriteJSON(w, http.StatusOK, ClusterTopKResponse{Epoch: epoch, Top: topEntries(scored)})
 }
 
 func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
@@ -359,7 +359,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ts := q.Get("tags")
 	if ts == "" {
-		writeError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
+		WriteError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
 		return
 	}
 	parts := strings.Split(ts, ",")
@@ -368,28 +368,28 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		part = strings.TrimSpace(part)
 		id, err := strconv.Atoi(part)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
+			WriteError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
 			return
 		}
 		ids = append(ids, incentivetag.Tag(id))
 	}
 	query, err := incentivetag.NewPost(ids...)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := ParseK(w, q)
 	if !ok {
 		return
 	}
 	scored, epoch, err := svc.SearchOwned(query, k)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: topEntries(scored)}
 	for i, t := range query {
 		out.Tags[i] = int32(t)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }

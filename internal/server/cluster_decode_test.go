@@ -26,7 +26,7 @@ func clusterVia(srv *Server, method, path string, body []byte) *httptest.Respons
 func clusterTopKGeneral(srv *Server, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
 	var req ClusterTopKRequest
-	if srv.decodeJSON(rec, bytes.NewReader(body), &req) {
+	if srv.edge.decodeJSON(rec, bytes.NewReader(body), &req) {
 		srv.rankClusterTopK(rec, srv.svc.Load(), &req)
 	}
 	return rec
@@ -348,7 +348,7 @@ func TestClusterBodyCapBoundary(t *testing.T) {
 			if rec := clusterVia(srv, "POST", "/cluster/topk", pad(tc.head, tc.tail, limit)); rec.Code != want {
 				t.Fatalf("%d-byte body: %d %s", limit, rec.Code, rec.Body)
 			}
-			if n := srv.bodyTooLarge.Load(); n != 0 {
+			if n := srv.edge.bodyTooLarge.Load(); n != 0 {
 				t.Fatalf("body-too-large counter = %d after an exact-size body", n)
 			}
 			rec := clusterVia(srv, "POST", "/cluster/topk", pad(tc.head, tc.tail, limit+1))
@@ -360,7 +360,7 @@ func TestClusterBodyCapBoundary(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != wantMsg {
 				t.Fatalf("413 body %q (%v), want error %q", rec.Body, err, wantMsg)
 			}
-			if n := srv.bodyTooLarge.Load(); n != 1 {
+			if n := srv.edge.bodyTooLarge.Load(); n != 1 {
 				t.Fatalf("body-too-large counter = %d, want 1", n)
 			}
 		})

@@ -56,10 +56,10 @@ const maxPooledBody = 1 << 20
 // readBody reads the size-capped request body into a pooled buffer. The
 // caller returns the buffer with putBody once nothing references its
 // bytes.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+func (e *Edge) readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.maxBody))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, e.maxBody))
 	return buf, err
 }
 
@@ -152,12 +152,12 @@ func (sc *ingestScanner) event() bool {
 // already written.
 func (s *Server) decodeIngest(w http.ResponseWriter, body []byte) (in ingestBatch, ok bool) {
 	var req IngestRequest
-	if !s.decodeJSON(w, bytes.NewReader(body), &req) {
+	if !s.edge.decodeJSON(w, bytes.NewReader(body), &req) {
 		return in, false
 	}
 	in.single = len(req.Tags) > 0
 	if in.single == (len(req.Events) > 0) {
-		writeError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
+		WriteError(w, http.StatusBadRequest, "provide either resource+tags or events, not both or neither")
 		return in, false
 	}
 	if in.single {

@@ -228,7 +228,7 @@ func TestIngestBodyCapBoundary(t *testing.T) {
 			if rec := ingestVia(srv, pad(tc.head, tc.tail, limit)); rec.Code != http.StatusOK {
 				t.Fatalf("%d-byte body: %d %s", limit, rec.Code, rec.Body)
 			}
-			if n := srv.bodyTooLarge.Load(); n != 0 {
+			if n := srv.edge.bodyTooLarge.Load(); n != 0 {
 				t.Fatalf("body-too-large counter = %d after an exact-size body", n)
 			}
 			rec := ingestVia(srv, pad(tc.head, tc.tail, limit+1))
@@ -240,7 +240,7 @@ func TestIngestBodyCapBoundary(t *testing.T) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != want {
 				t.Fatalf("413 body %q (%v), want error %q", rec.Body, err, want)
 			}
-			if n := srv.bodyTooLarge.Load(); n != 1 {
+			if n := srv.edge.bodyTooLarge.Load(); n != 1 {
 				t.Fatalf("body-too-large counter = %d, want 1", n)
 			}
 			if got := srv.svc.Load().Snapshot().Posts; got != 1 {

@@ -52,14 +52,11 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,10 +67,6 @@ import (
 	"incentivetag/internal/admit"
 	"incentivetag/internal/tags"
 )
-
-// DefaultMaxBody bounds request bodies when Config.MaxBodyBytes is 0;
-// a batch of a few thousand posts fits comfortably.
-const DefaultMaxBody = 8 << 20
 
 // Config assembles a Server.
 type Config struct {
@@ -116,68 +109,20 @@ type Config struct {
 	// silently vanish from every scatter-gather ranking. Empty means the
 	// node is standalone and /cluster/* endpoints answer 409.
 	ShardMapHash string
-
-	// ReadTimeout, WriteTimeout and IdleTimeout bound each connection's
-	// full-request read, response write and keep-alive idle time, so a
-	// slow-reading (or slow-sending) client can never pin a handler
-	// goroutine forever. 0 selects the defaults (DefaultReadTimeout,
-	// DefaultWriteTimeout, DefaultIdleTimeout); a negative value
-	// disables that bound entirely.
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
-}
-
-// Default connection timeouts: generous enough for a slow crowd-worker
-// client on a bad link, tight enough that an abandoned connection frees
-// its goroutine within the minute.
-const (
-	DefaultReadTimeout  = 30 * time.Second
-	DefaultWriteTimeout = 30 * time.Second
-	DefaultIdleTimeout  = 2 * time.Minute
-)
-
-// timeoutOr resolves one configured timeout: 0 → def, negative → 0
-// (net/http's "no timeout").
-func timeoutOr(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// httpServer builds the net/http server with every slow-client bound
-// applied; addr may be empty (Serve path).
-func (s *Server) httpServer(addr string) *http.Server {
-	return &http.Server{
-		Addr:              addr,
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       timeoutOr(s.cfg.ReadTimeout, DefaultReadTimeout),
-		WriteTimeout:      timeoutOr(s.cfg.WriteTimeout, DefaultWriteTimeout),
-		IdleTimeout:       timeoutOr(s.cfg.IdleTimeout, DefaultIdleTimeout),
-	}
 }
 
 // Server is the HTTP front-end. Create with New (service ready up
 // front) or NewDeferred + Install (serve /healthz while recovery runs);
-// serve either through Handler (e.g. httptest) or
-// ListenAndServe/Shutdown.
+// serve either through Handler (e.g. httptest) or Serve/Shutdown.
 type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	// Admission state: the gate every serving route passes through, the
-	// per-route instrumentation behind /metrics/prom, the drain flag that
-	// Shutdown raises before waiting, and the resolved body cap.
-	ctl          *admit.Controller
-	insts        []*routeInst
-	draining     atomic.Bool
-	bodyTooLarge atomic.Uint64
-	maxBody      int64
+	// edge is the admission gate every serving route passes through, with
+	// the body cap and the instrumentation behind /metrics/prom; draining
+	// is the flag Shutdown raises before waiting.
+	edge     *Edge
+	draining atomic.Bool
 
 	// svc is the installed service; nil until Install (or New, which
 	// installs immediately). Handlers load it atomically: a nil load is
@@ -230,35 +175,30 @@ func NewDeferred(cfg Config) (*Server, error) {
 	if cfg.Service != nil {
 		return nil, fmt.Errorf("server: NewDeferred with a Service; use New")
 	}
-	s.ctl = admit.NewController(cfg.Admission)
-	s.maxBody = cfg.MaxBodyBytes
-	if s.maxBody == 0 {
-		s.maxBody = DefaultMaxBody
-	}
+	s.edge = NewEdge("tagserved_", cfg.Admission, cfg.MaxBodyBytes)
 	// Serving routes pass through the admission gate: ingest is the
 	// crowd's bulk class (shed first), the operator loop and queries are
 	// interactive (bounded wait, shed last). Ops endpoints — health,
 	// metrics, info, admin — bypass admission: they must answer precisely
 	// when the server is overloaded.
-	s.mux.HandleFunc("POST /ingest", s.instrument("/ingest", admit.Bulk, s.handleIngest))
-	s.mux.HandleFunc("POST /allocate", s.instrument("/allocate", admit.Interactive, s.handleAllocate))
-	s.mux.HandleFunc("POST /complete", s.instrument("/complete", admit.Interactive, s.handleComplete))
-	s.mux.HandleFunc("POST /expire", s.instrument("/expire", admit.Interactive, s.handleExpire))
+	s.mux.HandleFunc("POST /ingest", s.edge.Route("/ingest", admit.Bulk, s.handleIngest))
+	s.mux.HandleFunc("POST /allocate", s.edge.Route("/allocate", admit.Interactive, s.handleAllocate))
+	s.mux.HandleFunc("POST /complete", s.edge.Route("/complete", admit.Interactive, s.handleComplete))
+	s.mux.HandleFunc("POST /expire", s.edge.Route("/expire", admit.Interactive, s.handleExpire))
 	s.mux.HandleFunc("POST /admin/snapshot", s.handleAdminSnapshot)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics/prom", s.handlePromMetrics)
-	s.mux.HandleFunc("GET /topk", s.instrument("/topk", admit.Interactive, s.handleTopK))
-	s.mux.HandleFunc("GET /search", s.instrument("/search", admit.Interactive, s.handleSearch))
+	s.mux.HandleFunc("GET /topk", s.edge.Route("/topk", admit.Interactive, s.handleTopK))
+	s.mux.HandleFunc("GET /search", s.edge.Route("/search", admit.Interactive, s.handleSearch))
 	s.mux.HandleFunc("GET /info", s.handleInfo)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	// Cluster scatter-gather endpoints (only useful on cluster members;
 	// guarded by the shard-map hash check). Interactive class: they are
 	// the gateway-side query path's building blocks. /cluster/topk takes
-	// GET and POST under one pattern, so one route label: a second
-	// instrument for the same label would repeat every series of it in
-	// /metrics/prom.
-	s.mux.HandleFunc("/cluster/topk", s.instrument("/cluster/topk", admit.Interactive, s.handleClusterTopK))
-	s.mux.HandleFunc("GET /cluster/search", s.instrument("/cluster/search", admit.Interactive, s.handleClusterSearch))
+	// GET and POST under one pattern, so one route label: a second Route
+	// for the same label would repeat every series of it in /metrics/prom.
+	s.mux.HandleFunc("/cluster/topk", s.edge.Route("/cluster/topk", admit.Interactive, s.handleClusterTopK))
+	s.mux.HandleFunc("GET /cluster/search", s.edge.Route("/cluster/search", admit.Interactive, s.handleClusterSearch))
 	return s, nil
 }
 
@@ -286,7 +226,7 @@ func (s *Server) Install(svc *incentivetag.Service, tagUniverse int) error {
 func (s *Server) service(w http.ResponseWriter) *incentivetag.Service {
 	svc := s.svc.Load()
 	if svc == nil {
-		writeError(w, http.StatusServiceUnavailable, "service recovering; poll /healthz")
+		WriteError(w, http.StatusServiceUnavailable, "service recovering; poll /healthz")
 	}
 	return svc
 }
@@ -302,36 +242,23 @@ func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() && r.URL.Path != "/healthz" {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "server draining")
+			WriteError(w, http.StatusServiceUnavailable, "server draining")
 			return
 		}
 		s.mux.ServeHTTP(w, r)
 	})
 }
 
-// ListenAndServe serves on addr until Shutdown (which returns
-// http.ErrServerClosed here) or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	s.mu.Lock()
-	if s.hs != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("server: already serving")
-	}
-	hs := s.httpServer(addr)
-	s.hs = hs
-	s.mu.Unlock()
-	return hs.ListenAndServe()
-}
-
-// Serve is ListenAndServe over an existing listener (lets callers bind
-// port 0 and learn the address before serving).
+// Serve serves on l through NewHTTPServer until Shutdown (which returns
+// http.ErrServerClosed here) or a listener error. Taking a listener lets
+// callers bind port 0 and learn the address before serving.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.hs != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("server: already serving")
 	}
-	hs := s.httpServer("")
+	hs := NewHTTPServer(s.Handler())
 	s.hs = hs
 	s.mu.Unlock()
 	return hs.Serve(l)
@@ -535,47 +462,6 @@ type ErrorResponse struct {
 
 // --- handlers ------------------------------------------------------------
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// readJSON decodes the request body strictly (unknown fields rejected —
-// they are almost always a client schema bug worth failing loudly on).
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decodeJSON(w, http.MaxBytesReader(w, r.Body, s.maxBody), v)
-}
-
-// decodeJSON is readJSON over any reader of the (size-capped) body.
-func (s *Server) decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.bodyError(w, err)
-		return false
-	}
-	return true
-}
-
-// bodyError answers a request whose body could not be read or decoded.
-// Bodies over the configured cap get a distinct 413 so clients can tell
-// "split your batch" apart from "fix your schema".
-func (s *Server) bodyError(w http.ResponseWriter, err error) {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		s.bodyTooLarge.Add(1)
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"request body exceeds %d bytes; split the batch", mbe.Limit)
-		return
-	}
-	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-}
-
 // post builds a validated tags.Post from wire tag ids.
 func post(ts []int32) (incentivetag.Post, error) {
 	ids := make([]incentivetag.Tag, len(ts))
@@ -593,10 +479,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if svc == nil {
 		return
 	}
-	buf, err := s.readBody(w, r)
+	buf, err := s.edge.readBody(w, r)
 	defer putBody(buf)
 	if err != nil {
-		s.bodyError(w, err)
+		s.edge.bodyError(w, err)
 		return
 	}
 	in, ok := scanIngest(buf.Bytes())
@@ -623,13 +509,13 @@ func (s *Server) applyIngest(w http.ResponseWriter, svc *incentivetag.Service, i
 			// A post accepted off-owner would be invisible to every
 			// scatter-gather query (nodes score only owned resources), so a
 			// misrouted ingest is refused loudly rather than lost silently.
-			writeError(w, http.StatusMisdirectedRequest,
+			WriteError(w, http.StatusMisdirectedRequest,
 				"%sresource %d is not owned by this node; route via the gateway", at(k), ev.Resource)
 			return
 		}
 	}
 	if in.bad != nil {
-		writeError(w, http.StatusBadRequest, "%s%v", at(len(in.events)), in.bad)
+		WriteError(w, http.StatusBadRequest, "%s%v", at(len(in.events)), in.bad)
 		return
 	}
 	var err error
@@ -645,10 +531,10 @@ func (s *Server) applyIngest(w http.ResponseWriter, svc *incentivetag.Service, i
 		if errors.Is(err, incentivetag.ErrResourceRange) || errors.Is(err, incentivetag.ErrEmptyPost) {
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, IngestResponse{Ingested: len(in.events)})
+	WriteJSON(w, http.StatusOK, IngestResponse{Ingested: len(in.events)})
 }
 
 func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
@@ -657,7 +543,7 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AllocateRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	// Check, lease and reserve in one critical section: the budget can
@@ -672,19 +558,19 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	}
 	if remaining <= 0 {
 		s.budgetMu.Unlock()
-		writeJSON(w, http.StatusOK, AllocateResponse{OK: false})
+		WriteJSON(w, http.StatusOK, AllocateResponse{OK: false})
 		return
 	}
 	i, lease, ok := svc.Lease(remaining)
 	if !ok {
 		s.budgetMu.Unlock()
-		writeJSON(w, http.StatusOK, AllocateResponse{OK: false})
+		WriteJSON(w, http.StatusOK, AllocateResponse{OK: false})
 		return
 	}
 	cost := svc.CostOf(i)
 	s.reserved += cost
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, AllocateResponse{
+	WriteJSON(w, http.StatusOK, AllocateResponse{
 		OK:       true,
 		Resource: i,
 		Lease:    uint64(lease),
@@ -712,12 +598,12 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CompleteRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	p, err := post(req.Tags)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Read the task's cost while the lease is still alive — it names the
@@ -731,7 +617,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		if strings.Contains(err.Error(), "lease") {
 			// Unknown or already settled: a client protocol error; the
 			// reservation (if any) belongs to whoever settles it.
-			writeError(w, http.StatusConflict, "%v", err)
+			WriteError(w, http.StatusConflict, "%v", err)
 			return
 		}
 		// The lease settled but the ingest failed (ours, e.g. a WAL write
@@ -739,14 +625,14 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		s.budgetMu.Lock()
 		s.reserved -= cost
 		s.budgetMu.Unlock()
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.budgetMu.Lock()
 	s.reserved -= cost
 	s.spent += cost
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+	WriteJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
 func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
@@ -755,7 +641,7 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExpireRequest
-	if !s.readJSON(w, r, &req) {
+	if !s.edge.ReadJSON(w, r, &req) {
 		return
 	}
 	// As in /complete: capture the cost while the lease is alive, and
@@ -765,13 +651,13 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 		cost = svc.CostOf(i)
 	}
 	if err := svc.Expire(incentivetag.LeaseID(req.Lease)); err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	s.budgetMu.Lock()
 	s.reserved -= cost
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, OKResponse{OK: true})
+	WriteJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -789,7 +675,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		rem = s.remainingBudgetLocked()
 	}
 	s.budgetMu.Unlock()
-	writeJSON(w, http.StatusOK, MetricsResponse{
+	WriteJSON(w, http.StatusOK, MetricsResponse{
 		Epoch:             svc.QueryStats().Epoch,
 		Posts:             m.Posts,
 		Spent:             m.Spent,
@@ -814,33 +700,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// parseK reads the optional k parameter (default 10, bounded [1,1000]);
-// ok=false means the error response was already written.
-func parseK(w http.ResponseWriter, q url.Values) (int, bool) {
-	k := 10
-	if ks := q.Get("k"); ks != "" {
-		var err error
-		if k, err = strconv.Atoi(ks); err != nil || k <= 0 || k > 1000 {
-			writeError(w, http.StatusBadRequest, "k must be in [1,1000]")
-			return 0, false
+// handlePromMetrics is GET /metrics/prom: the edge's admission and
+// latency series plus what only a node has, its residency census and
+// drain state. The JSON GET /metrics endpoint is unchanged; this one
+// exists so a stock Prometheus scrape — or a grep in CI — can watch the
+// server shed load.
+func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
+	s.edge.ServeProm(w, func(p *Prom) {
+		// Memory-tiering residency. Counters are partition-clean (cluster
+		// scrapes sum them across nodes); the rehydrate p99 is per node.
+		// Emitted only once the service is installed: scraping a recovering
+		// node must not report a phantom all-cold corpus.
+		if svc := s.svc.Load(); svc != nil {
+			tier := svc.Residency()
+			p.scalar("resident_resources", "gauge", "Resources currently hot (tracker and vector on the heap).", tier.Resident)
+			p.scalar("cold_resources", "gauge", "Resources currently frozen to compact records.", tier.Cold)
+			p.scalar("evictions_total", "counter", "Hot-to-cold transitions since boot.", tier.Evictions)
+			p.scalar("rehydrations_total", "counter", "Cold-to-hot transitions since boot.", tier.Rehydrations)
+			p.scalar("resident_bytes", "gauge", "Estimated heap held by hot resources.", tier.ResidentBytes)
+			p.scalar("rehydrate_p99_seconds", "gauge", "Upper-bound p99 of cold-to-hot rehydration latency.", tier.RehydrateP99)
 		}
-	}
-	return k, true
-}
-
-// parseResource reads the required resource parameter; ok=false means
-// the error response was already written.
-func parseResource(w http.ResponseWriter, q url.Values) (int, bool) {
-	rs := q.Get("resource")
-	if rs == "" {
-		writeError(w, http.StatusBadRequest, "missing resource parameter")
-		return 0, false
-	}
-	resource, err := strconv.Atoi(rs)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "resource %q is not an integer", rs)
-	}
-	return resource, err == nil
+		draining := 0
+		if s.draining.Load() {
+			draining = 1
+		}
+		p.scalar("draining", "gauge", "1 while the server refuses new work during shutdown.", draining)
+	})
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -849,18 +734,18 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	subject, ok := parseResource(w, q)
+	subject, ok := ParseResource(w, q)
 	if !ok {
 		return
 	}
 	if n := svc.N(); n == 0 {
-		writeError(w, http.StatusBadRequest, "corpus is empty: no resources to query")
+		WriteError(w, http.StatusBadRequest, "corpus is empty: no resources to query")
 		return
 	} else if subject < 0 || subject >= n {
-		writeError(w, http.StatusBadRequest, "resource %d out of range [0,%d)", subject, n)
+		WriteError(w, http.StatusBadRequest, "resource %d out of range [0,%d)", subject, n)
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := ParseK(w, q)
 	if !ok {
 		return
 	}
@@ -868,10 +753,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// epoch-versioned consistent read — no snapshot clone, no rebuild.
 	scored, epoch, err := svc.TopK(subject, k)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TopKResponse{Resource: subject, Epoch: epoch, Top: topEntries(scored)})
+	WriteJSON(w, http.StatusOK, TopKResponse{Resource: subject, Epoch: epoch, Top: topEntries(scored)})
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -882,7 +767,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ts := q.Get("tags")
 	if ts == "" {
-		writeError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
+		WriteError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
 		return
 	}
 	parts := strings.Split(ts, ",")
@@ -891,30 +776,30 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		part = strings.TrimSpace(part)
 		id, err := strconv.Atoi(part)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
+			WriteError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
 			return
 		}
 		ids = append(ids, incentivetag.Tag(id))
 	}
 	query, err := incentivetag.NewPost(ids...)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	k, ok := parseK(w, q)
+	k, ok := ParseK(w, q)
 	if !ok {
 		return
 	}
 	scored, epoch, err := svc.Search(query, k)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: topEntries(scored)}
 	for i, t := range query {
 		out.Tags[i] = int32(t)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -922,7 +807,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	if svc == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, InfoResponse{
+	WriteJSON(w, http.StatusOK, InfoResponse{
 		N:           svc.N(),
 		TagUniverse: s.cfg.TagUniverse,
 		Strategy:    s.cfg.Strategy,
@@ -939,20 +824,20 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// restart scripts and load generators wait on. Three 503 states,
 	// each with its reason: recovering, draining, overloaded.
 	if s.svc.Load() == nil {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: false, Reason: "recovering"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: false, Reason: "recovering"})
 		return
 	}
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: true, Reason: "draining"})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Ready: true, Reason: "draining"})
 		return
 	}
-	if s.ctl.Saturated() {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{
+	if s.edge.ctl.Saturated() {
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{
 			Ready: true, Overloaded: true, Reason: "interactive queue saturated",
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{Ready: true})
+	WriteJSON(w, http.StatusOK, HealthResponse{Ready: true})
 }
 
 func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -973,8 +858,8 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// No WAL configured (or the snapshot write failed): an operator
 		// mistake or an I/O fault, not a client schema problem.
-		writeError(w, http.StatusConflict, "%v", err)
+		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }

@@ -1,37 +1,15 @@
 package server
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// The slow-client bounds must land on the built http.Server: defaults
-// when unset, overrides when set, disabled when negative — and the
-// header timeout is always present.
+// The slow-client bounds must land on the http.Server both binaries
+// serve through — and the header timeout is always present.
 func TestHTTPServerTimeouts(t *testing.T) {
-	mk := func(cfg Config) *Server {
-		s, err := NewDeferred(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	hs := mk(Config{}).httpServer(":0")
+	hs := NewHTTPServer(nil)
 	if hs.ReadTimeout != DefaultReadTimeout ||
 		hs.WriteTimeout != DefaultWriteTimeout ||
 		hs.IdleTimeout != DefaultIdleTimeout {
 		t.Fatalf("defaults not applied: read=%v write=%v idle=%v", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
-	}
-	if hs.Addr != ":0" {
-		t.Fatalf("addr not threaded: %q", hs.Addr)
-	}
-	hs = mk(Config{ReadTimeout: time.Second, WriteTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second}).httpServer("")
-	if hs.ReadTimeout != time.Second || hs.WriteTimeout != 2*time.Second || hs.IdleTimeout != 3*time.Second {
-		t.Fatalf("overrides not applied: read=%v write=%v idle=%v", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
-	}
-	hs = mk(Config{ReadTimeout: -1, WriteTimeout: -1, IdleTimeout: -1}).httpServer("")
-	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 || hs.IdleTimeout != 0 {
-		t.Fatalf("negative did not disable: read=%v write=%v idle=%v", hs.ReadTimeout, hs.WriteTimeout, hs.IdleTimeout)
 	}
 	if hs.ReadHeaderTimeout == 0 {
 		t.Fatal("header timeout lost")
