@@ -443,10 +443,11 @@ type ServiceOptions struct {
 	// heap); the rest are frozen into compact varint records and
 	// rehydrated on touch. 0 means unbounded. Setting either residency
 	// budget enables tiering: a background policy loop evicts the
-	// least-recently-touched resources back inside the budget, and the
-	// query index mirrors each eviction by freezing the matching forward
-	// vector (posting lists stay live so pruned queries bound and skip
-	// cold resources without rehydrating them). The budget does NOT
+	// least-recently-touched resources back inside the budget. The query
+	// index holds no copy to evict: it reads a cold resource straight off
+	// the engine's record, and its posting lists stay live, so pruned
+	// queries bound and skip cold resources without rehydrating them and
+	// a cold subject stays cold. The budget does NOT
 	// choose how a durable service boots: recovery always maps the newest
 	// snapshot and starts every resource cold, aliasing its record inside
 	// the mapping. Without a budget nothing is ever evicted, so a
@@ -498,9 +499,10 @@ type Service struct {
 	keep   int
 
 	// idx is the live query index: an incrementally-maintained inverted
-	// index fed by the engine's ingest-delta subscriber hook, seeded from
-	// the (possibly recovered) engine state at construction. TopK and
-	// Search read it without ever rescanning or cloning the corpus.
+	// index fed by the engine's subscriber hook, seeded from the (possibly
+	// recovered) engine state at construction. It reads resource counts
+	// off the engine under its view lock, so TopK and Search never
+	// rescan, clone or copy the corpus.
 	idx *ir.OnlineIndex
 
 	// cache memoizes TopK answers per (subject, k), versioned by the
@@ -674,23 +676,15 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		rehydrateHist:    hist,
 		mapped:           mapped,
 	}
-	// Seed the live query index from the engine state — which, on the
-	// durable path, is the recovered state (snapshot + WAL tail already
-	// replayed), so a post-crash server answers queries identically to
-	// the one that crashed — then attach the delta subscriber before any
-	// traffic can flow. This one-time seed is the only corpus scan the
-	// query path ever performs. A budgeted service seeds frozen: each
-	// resource's support streams straight from the engine (live vector or
-	// frozen record, residency unchanged) into a compressed forward
-	// vector, so boot never materializes the corpus just to answer
-	// queries — subjects thaw as traffic touches them. An unbudgeted one
-	// seeds live forward vectors (SnapshotRFDs decodes cold records
-	// transiently, engine residency unchanged).
-	if tiered {
-		s.idx = ir.NewOnlineIndexFrozen(eng.N(), eng.Shards(), data.TagUniverse, eng.ForEachEntry)
-	} else {
-		s.idx = ir.NewOnlineIndex(eng.SnapshotRFDs(), eng.Shards())
-	}
+	// Build the live query index over the engine — whose state, on the
+	// durable path, is the recovered one (snapshot + WAL tail already
+	// replayed), so a post-crash server answers queries identically to the
+	// one that crashed — then attach it as the engine's subscriber before
+	// any traffic can flow. The index keeps no count vectors: it reads
+	// each resource's counts off the engine (live vector or frozen record,
+	// residency unchanged), so this one-time seed never forces the corpus
+	// hot and is the only corpus scan the query path ever performs.
+	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards())
 	eng.Subscribe(s.idx)
 	s.cache = newResultCache(0)
 	if wal != nil && opts.SnapshotInterval > 0 {
@@ -1138,11 +1132,11 @@ func (s *Service) snapshotter(interval time.Duration, records int) {
 	}
 }
 
-// TierStats is the combined residency census across the engine tier
-// (trackers and count vectors) and the query-index tier (forward
-// vectors; posting lists stay live either way), plus the rehydrate
-// latency profile. Counters are monotone since boot and partition-clean:
-// a cluster's per-node values sum meaningfully.
+// TierStats is the residency census of the engine tier (trackers and
+// count vectors — the only copy, which the query index reads in place;
+// its posting lists stay live either way), plus the rehydrate latency
+// profile. Counters are monotone since boot and partition-clean: a
+// cluster's per-node values sum meaningfully.
 type TierStats struct {
 	// Enabled reports whether a residency budget is configured: TierNow
 	// and the background loop only run when it is. The counters below are
@@ -1164,12 +1158,6 @@ type TierStats struct {
 	Evictions     uint64 `json:"evictions"`
 	Rehydrations  uint64 `json:"rehydrations"`
 	ResidentBytes int64  `json:"resident_bytes"`
-	// Index tier: cold forward vectors and the bytes their frozen blobs
-	// hold, with the matching transition counters.
-	IndexColdVecs     int64  `json:"index_cold_vecs"`
-	IndexFrozenBytes  int64  `json:"index_frozen_bytes"`
-	IndexEvictions    uint64 `json:"index_evictions"`
-	IndexRehydrations uint64 `json:"index_rehydrations"`
 	// Rehydrate latency: sample count and upper-bound p50/p99 in seconds
 	// from the engine's per-rehydration observer (zero before the first
 	// rehydration).
@@ -1183,30 +1171,25 @@ type TierStats struct {
 // and policy inspection, not hot paths.
 func (s *Service) Residency() TierStats {
 	est := s.eng.Residency()
-	qst := s.idx.Stats()
 	return TierStats{
-		Enabled:           s.tiered,
-		MaxResident:       s.maxResident,
-		MaxResidentBytes:  s.maxResidentBytes,
-		Resident:          est.Resident,
-		Cold:              est.Cold,
-		Evictions:         est.Evictions,
-		Rehydrations:      est.Rehydrations,
-		ResidentBytes:     est.ResidentBytes,
-		IndexColdVecs:     qst.ColdVecs,
-		IndexFrozenBytes:  qst.FrozenBytes,
-		IndexEvictions:    qst.VecEvictions,
-		IndexRehydrations: qst.VecRehydrations,
-		RehydrateCount:    s.rehydrateHist.Count(),
-		RehydrateP50:      s.rehydrateHist.Quantile(0.50),
-		RehydrateP99:      s.rehydrateHist.Quantile(0.99),
+		Enabled:          s.tiered,
+		MaxResident:      s.maxResident,
+		MaxResidentBytes: s.maxResidentBytes,
+		Resident:         est.Resident,
+		Cold:             est.Cold,
+		Evictions:        est.Evictions,
+		Rehydrations:     est.Rehydrations,
+		ResidentBytes:    est.ResidentBytes,
+		RehydrateCount:   s.rehydrateHist.Count(),
+		RehydrateP50:     s.rehydrateHist.Quantile(0.50),
+		RehydrateP99:     s.rehydrateHist.Quantile(0.99),
 	}
 }
 
 // TierNow synchronously runs one tiering policy pass: the engine evicts
 // its least-recently-touched hot resources back inside the residency
-// budget, and the query index mirrors each eviction by freezing the
-// matching forward vector. Returns how many resources froze. Eviction
+// budget. The query index reads the engine's counts in place, so there
+// is nothing to mirror. Returns how many resources froze. Eviction
 // never changes observable state — every read and query before and
 // after is bit-identical — so running it concurrently with traffic is
 // safe; a resource touched mid-pass is simply left hot. Errors when no
@@ -1216,9 +1199,6 @@ func (s *Service) TierNow() (evicted int, err error) {
 		return 0, fmt.Errorf("incentivetag: service has no residency budget configured")
 	}
 	ids, err := s.eng.EvictToBudget(s.maxResident, s.maxResidentBytes)
-	if len(ids) > 0 {
-		s.idx.Evict(ids)
-	}
 	return len(ids), err
 }
 

@@ -92,11 +92,10 @@
 // and/or MaxResidentBytes), residence in RAM becomes a per-resource
 // property. A background policy loop (TierInterval; TierNow forces a
 // pass) freezes the least-recently-touched resources into compact
-// varint+delta records (internal/codec — the snapshot encoding) and
-// mirrors each eviction into the query index, which keeps its cold
-// forward vectors compressed while posting lists stay live; any write
-// touching a cold resource rehydrates it on the spot with the same
-// exact-integer recompute. Every restart on a WALDir — with or without
+// varint+delta records (internal/codec — the snapshot encoding); the
+// query index reads those records in place, so its posting lists stay
+// live and nothing is mirrored. Any write touching a cold resource
+// rehydrates it on the spot with the same exact-integer recompute. Every restart on a WALDir — with or without
 // a budget; there is one restore path — boots cold straight off the
 // mmap'd snapshot (tagstore.MapLatestSnapshot → engine.Restore): every
 // frozen record aliases the mapping, and the log-tail replay rehydrates
@@ -108,8 +107,8 @@
 // all-resident. Answers are bit-identical with tiering
 // on or off — metrics, qualities, allocation decisions and top-k
 // rankings are property-tested against a never-evicted twin at the
-// engine, index and Service levels, and cold subjects are served off
-// frozen vectors without rehydrating. Service.Residency (GET /info,
+// engine, index and Service levels, and a cold subject is served off
+// its engine record and stays cold. Service.Residency (GET /info,
 // /metrics, and tagserved_* gauges on /metrics/prom) reports the
 // hot/cold census, eviction/rehydration counters and rehydrate
 // latency quantiles.
@@ -120,8 +119,10 @@
 // operations — top-k similar resources (§V-C.1) and query-by-tag-set
 // search — from a mutable, shard-partitioned inverted index
 // (ir.OnlineIndex) whose posting lists are maintained incrementally
-// from the engine's per-post ingest deltas (engine.Subscriber): no
-// snapshot clone, no index rebuild, no corpus rescan per query.
+// from the engine's per-post ingest stream (engine.Subscriber): no
+// snapshot clone, no index rebuild, no corpus rescan per query. The
+// index keeps no count vectors; it reads the engine's under one lock
+// order (engine shard → index view) and one epoch.
 // Queries are epoch-versioned consistent reads (every shard read lock
 // held for the duration), bit-identical to rebuilding the immutable
 // inverted index over SnapshotRFDs at the returned epoch, and safe

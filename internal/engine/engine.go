@@ -252,21 +252,30 @@ var (
 	ErrEmptyPost     = errors.New("empty post")
 )
 
-// Subscriber consumes per-post ingest deltas — the hook a live query
-// index (ir.OnlineIndex) hangs off so it never has to rescan the
-// corpus. PostApplied is invoked once per applied post, strictly after
-// the post has mutated engine state and while the resource's shard
-// lock is still held, so a subscriber observes every post exactly once
-// and each resource's deltas arrive in apply order. p's tags each
-// carry an implicit count-delta of +1 (a post names a tag at most
-// once); norm2Delta is the exact change the post caused to the
-// resource's squared count-vector norm (an integer-valued float).
+// Subscriber is the hook a live query index (ir.OnlineIndex) hangs off
+// so it never rescans the corpus and never copies a count vector: the
+// engine's vectors and frozen records are the only copy, read through
+// ViewCounts and ViewEntries.
 //
-// Implementations must be fast, must not retain or mutate p, and must
-// never call back into the Engine — they run inside the ingest hot
-// path, and an engine call would self-deadlock on the shard lock.
+// Lock and Unlock are the subscriber's VIEW lock over one resource's
+// counts and residency. The engine takes it inside the resource's shard
+// lock (the order is always shard → view) around exactly two kinds of
+// write: an applied post's tracker update with its PostApplied call, and
+// the pointer swap that ends a freeze or a rehydration. Encoding,
+// decoding and WAL I/O never run under it, and a reader holding the view
+// needs no engine lock to call ViewCounts or ViewEntries.
+//
+// PostApplied is invoked once per applied post, after the counts
+// absorbed it, so each resource's posts arrive exactly once and in apply
+// order. p's tags each carry an implicit count-delta of +1 (a post names
+// a tag at most once); norm2 is the resource's squared norm after the
+// post. Implementations must be fast, must not retain or mutate p, and
+// must never call back into the Engine's locking methods — they run in
+// the ingest hot path under the shard lock.
 type Subscriber interface {
-	PostApplied(resource int, p tags.Post, norm2Delta float64)
+	Lock(resource int)
+	Unlock(resource int)
+	PostApplied(resource int, p tags.Post, norm2 float64)
 }
 
 // Engine is a sharded live tagging engine. All exported methods are
@@ -277,9 +286,10 @@ type Engine struct {
 	n      int
 	shards []*shard
 
-	// sub is the attached ingest-delta subscriber (nil = none). Written
-	// by Subscribe under every shard lock, read under the owning shard's
-	// lock on the apply path — the lock pair orders the publication.
+	// sub is the attached subscriber (nil = none). Written by Subscribe
+	// under every shard lock, read under the owning shard's lock on the
+	// apply, freeze and rehydrate paths — the lock pair orders the
+	// publication.
 	sub Subscriber
 
 	walMu sync.Mutex // serializes WAL appends across shards
@@ -291,13 +301,14 @@ type Engine struct {
 	rehydrations atomic.Uint64
 }
 
-// Subscribe attaches (or, with nil, detaches) the engine's ingest-delta
-// subscriber. It takes every shard lock to publish the pointer, so it
-// is memory-safe to call while traffic flows, but posts applied before
-// the call are not replayed to the subscriber — seed it from current
-// engine state (e.g. SnapshotRFDs) and attach before serving traffic
-// (as NewService does) for a gap-free view. At most one subscriber is
-// held; attaching over an existing one replaces it.
+// Subscribe attaches (or, with nil, detaches) the engine's subscriber.
+// It takes every shard lock to publish the pointer, so it is
+// memory-safe to call while traffic flows, but posts applied before the
+// call are not replayed to the subscriber — build it over the engine
+// (ir.NewOnlineIndexOver reads every resource through ViewEntries) and
+// attach it before serving traffic, as NewService does, for a gap-free
+// view. At most one subscriber is held; attaching over an existing one
+// replaces it, and a detached index must no longer read the engine.
 func (e *Engine) Subscribe(sub Subscriber) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
@@ -642,9 +653,10 @@ func (e *Engine) commitWALBatch(sh *shard) error {
 }
 
 // applyLocked mutates one resource and folds the metric deltas into the
-// shard aggregates, then publishes the post to the subscriber (when one
-// is attached). Caller holds sh.mu — which is what serializes the
-// subscriber's per-resource delta stream into apply order.
+// shard aggregates. With a subscriber attached, the count update and
+// its PostApplied run under the subscriber's view lock. Caller holds
+// sh.mu — which is what serializes the subscriber's per-resource stream
+// into apply order.
 func (e *Engine) applyLocked(sh *shard, r *resource, i int, p tags.Post) {
 	// Waste: the task ran while the resource was already at or past its
 	// stable point (seed semantics: judged BEFORE the post applies).
@@ -654,11 +666,14 @@ func (e *Engine) applyLocked(sh *shard, r *resource, i int, p tags.Post) {
 	if r.refCounts != nil {
 		r.addDot(p)
 	}
-	norm2Before := 0.0
-	if e.sub != nil {
-		norm2Before = r.tracker.Counts().Norm2()
+	if sub := e.sub; sub != nil {
+		sub.Lock(i)
+		r.tracker.Observe(p)
+		sub.PostApplied(i, p, r.tracker.Counts().Norm2())
+		sub.Unlock(i)
+	} else {
+		r.tracker.Observe(p)
 	}
-	r.tracker.Observe(p)
 	r.consumed++
 	r.lastTouch = e.clock.Add(1)
 
@@ -677,9 +692,6 @@ func (e *Engine) applyLocked(sh *shard, r *resource, i int, p tags.Post) {
 	}
 	sh.spent += r.cost
 	sh.posts++
-	if e.sub != nil {
-		e.sub.PostApplied(i, p, r.tracker.Counts().Norm2()-norm2Before)
-	}
 }
 
 // Count returns the number of posts resource i has received (primed +

@@ -17,7 +17,9 @@ import (
 // frozen into a compact varint record — the same per-resource layout the
 // snapshot format uses, so a freshly booted engine can alias records
 // straight out of an mmap'd snapshot). Transitions happen only under the
-// owning shard's lock:
+// owning shard's lock, and each ends with one pointer swap under the
+// subscriber's view lock (swapLocked), which is all a query index reading
+// ViewCounts/ViewEntries has to exclude:
 //
 //	hot → cold  (freezeLocked)    encode tracker state, drop tracker+dot
 //	cold → hot  (rehydrateLocked) decode record, rebuild tracker, then
@@ -129,12 +131,26 @@ func (e *Engine) freezeLocked(r *resource, i int) error {
 	if err != nil {
 		return err
 	}
-	r.frozen = buf
 	r.maSum = rs.Sum
-	r.tracker = nil
 	r.dot = 0
+	e.swapLocked(r, i, nil, buf)
 	e.evictions.Add(1)
 	return nil
+}
+
+// swapLocked installs a resource's residency form — a tracker (hot) or a
+// frozen record (cold) — under the subscriber's view lock, so a query
+// holding the view reads the resource as wholly one or the other. The
+// engine owns the only copy of each resource's counts; this swap is the
+// one residency write the view must see. Caller holds the shard lock.
+func (e *Engine) swapLocked(r *resource, i int, tracker *stability.Tracker, frozen []byte) {
+	if sub := e.sub; sub != nil {
+		sub.Lock(i)
+		r.tracker, r.frozen = tracker, frozen
+		sub.Unlock(i)
+		return
+	}
+	r.tracker, r.frozen = tracker, frozen
 }
 
 // rehydrateLocked transitions a cold resource back to hot: the frozen
@@ -162,15 +178,14 @@ func (e *Engine) rehydrateLocked(r *resource, i int) error {
 	if err != nil {
 		return fmt.Errorf("engine: resource %d: rehydrate: %w", i, err)
 	}
-	r.tracker = tracker
 	r.dot = 0
 	if r.refCounts != nil {
 		for k, t := range rs.Tags {
 			r.dot += rs.Counts[k] * r.refGet(t)
 		}
 	}
+	e.swapLocked(r, i, tracker, nil)
 	r.quality = r.computeQuality()
-	r.frozen = nil
 	r.lastTouch = e.clock.Add(1)
 	e.rehydrations.Add(1)
 	if obs := e.cfg.RehydrateObserver; obs != nil {
@@ -302,8 +317,7 @@ type evictCandidate struct {
 // census and the evictions take each shard lock separately, so a
 // resource touched between the two passes is left hot (its recency
 // changed; the next policy tick reconsiders it). Returns the ids that
-// froze — the caller (the Service tiering loop) mirrors them into the
-// query index.
+// froze.
 func (e *Engine) EvictToBudget(maxResident int, maxBytes int64) ([]int, error) {
 	var cands []evictCandidate
 	var bytes int64
@@ -384,15 +398,28 @@ func (e *Engine) Residency() ResidencyStats {
 	return st
 }
 
-// ForEachEntry streams resource i's non-zero (tag, count) support and
-// returns its post count, without changing residency: hot resources
-// walk their live vector, cold resources their frozen record. Support
-// order is unspecified. Used to seed query indexes without forcing the
-// corpus hot.
-func (e *Engine) ForEachEntry(i int, fn func(t tags.Tag, n int64)) int {
+// ViewCounts returns resource i's live count vector, or nil while it is
+// cold. It takes no engine lock: the caller must hold the subscriber's
+// view lock over i (see Subscriber), or have no ingest, freeze or
+// rehydrate running. The vector is the engine's own — read it, never
+// mutate or retain it past the view.
+func (e *Engine) ViewCounts(i int) *sparse.Counts {
 	sh, l := e.locate(i)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	if t := sh.res[l].tracker; t != nil {
+		return t.Counts()
+	}
+	return nil
+}
+
+// ViewEntries streams resource i's non-zero (tag, count) support and
+// returns its post count, under the same contract as ViewCounts and
+// without changing residency: a hot resource walks its live vector
+// (order unspecified), a cold one its frozen record (ascending tags).
+// The record was produced by a freeze or validated by Restore, so damage
+// here means memory corruption and panics rather than serve wrong
+// numbers.
+func (e *Engine) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
+	sh, l := e.locate(i)
 	r := sh.res[l]
 	if r.tracker != nil {
 		c := r.tracker.Counts()

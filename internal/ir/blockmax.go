@@ -398,10 +398,13 @@ type queryScratch struct {
 	skips    []skipRange
 	suffix   []float64
 	heap     scoredHeap
-	// promote collects cold resources this query had to decode — the
-	// subject and pruning survivors with deferred mass — for
-	// rehydration once the read locks drop (see residency.go).
-	promote []int32
+}
+
+// addWeight appends one (tag, count) of the query subject to the lifted
+// support and weights.
+func (sc *queryScratch) addWeight(t tags.Tag, n int64) {
+	sc.support = append(sc.support, t)
+	sc.weights = append(sc.weights, float64(n))
 }
 
 // getScratch checks a scratch out of the pool and opens a fresh visited
@@ -460,7 +463,6 @@ func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad b
 		panic("ir: owned set does not cover the indexed resources")
 	}
 	sel := topKSelector{k: k, h: sc.heap[:0]}
-	sc.promote = sc.promote[:0]
 	var ps pruneStats
 	qnorm := pq.subjNorm
 	if pq.search {
@@ -735,8 +737,6 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 			gate = q * q * denom2
 		}
 	}
-	shardWidth := len(ix.shards)
-	osh := ix.shards[s]
 	norms := ix.norm2
 	owned := pq.owned
 	for _, id32 := range cands {
@@ -759,19 +759,16 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 		// step for rounding step.
 		dot := a
 		if len(deferred) > 0 {
-			// A cold survivor reads its deferred mass off the frozen
-			// blob and is marked for promotion: it survived pruning, so
-			// it is exactly the kind of resource worth keeping hot.
-			l := id / shardWidth
-			if o := osh.vecs[l]; o != nil {
+			// A cold survivor reads its deferred mass off its record,
+			// transiently: it stays cold.
+			if o := ix.vecs.ViewCounts(id); o != nil {
 				for j := range deferred {
 					if c := o.Get(deferred[j].t); c != 0 {
 						dot += deferred[j].weight * float64(c)
 					}
 				}
 			} else {
-				dot += frozenDeferredDot(osh.frozen[l], id, deferred)
-				sc.promote = append(sc.promote, id32)
+				dot += ix.coldDeferredDot(id, deferred)
 			}
 		}
 		var sv float64
@@ -794,4 +791,24 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 			}
 		}
 	}
+}
+
+// coldDeferredDot is the deferred-tag rescue for a COLD candidate: the
+// deferred tags' contribution streamed off its record in one pass, with
+// no rehydration. Each term is an exact integer product, so the record
+// order sums bit-identically to the hot path's deferred-order Get loop.
+// It is out of line because its callback captures the sum: inside
+// pruneShard, that capture would move the hot path's dot to the heap for
+// every candidate.
+func (ix *OnlineIndex) coldDeferredDot(id int, deferred []deferredTag) float64 {
+	dot := 0.0
+	ix.vecs.ViewEntries(id, func(t tags.Tag, n int64) {
+		for j := range deferred {
+			if deferred[j].t == t {
+				dot += deferred[j].weight * float64(n)
+				return
+			}
+		}
+	})
+	return dot
 }

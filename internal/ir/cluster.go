@@ -78,20 +78,24 @@ func (ix *OnlineIndex) RFDEntries(id int) (entries []WeightedTag, norm2 float64,
 
 // rfdEntriesLocked is RFDEntries under the caller's read view.
 func (ix *OnlineIndex) rfdEntriesLocked(id int) (entries []WeightedTag, norm2 float64, posts int) {
-	sh, l := ix.locate(id)
-	if c := sh.vecs[l]; c != nil {
+	if c := ix.vecs.ViewCounts(id); c != nil {
 		entries = make([]WeightedTag, 0, c.Len())
 		for _, t := range c.Support() {
 			entries = append(entries, WeightedTag{Tag: t, Count: c.Get(t)})
 		}
 		return entries, c.Norm2(), c.Posts()
 	}
-	// Cold resource: stream the frozen blob transiently — exporting a
-	// subject's rfd does not make it hot. The squared norm is re-summed
-	// from the same exact integers Norm2 accumulated, so the wire values
-	// are bit-identical either way.
+	return ix.coldEntries(id)
+}
+
+// coldEntries streams a cold resource's record transiently (ascending
+// tags) — it stays cold. The squared norm is re-summed from the same
+// exact integers Norm2 accumulated, so the wire values are bit-identical
+// either way. It is out of line because its callback captures the
+// results, which would otherwise move to the heap for hot subjects too.
+func (ix *OnlineIndex) coldEntries(id int) (entries []WeightedTag, norm2 float64, posts int) {
 	entries = []WeightedTag{}
-	posts = scanFrozenVec(sh.frozen[l], id, func(t tags.Tag, c int64) {
+	posts = ix.vecs.ViewEntries(id, func(t tags.Tag, c int64) {
 		entries = append(entries, WeightedTag{Tag: t, Count: c})
 		norm2 += float64(c) * float64(c)
 	})

@@ -153,9 +153,10 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 		{seed: 73, n: 64, dim: 12, shards: 1},
 	} {
 		model, rng, z := zipfModel(tc.seed, tc.n, tc.dim, 6)
-		ix := NewOnlineIndex(cloneAll(model), tc.shards)
+		tv := newTieredVecs(cloneAll(model), tc.shards, false)
+		ix := tv.ix
 		for step := 0; step < 3*tc.n; step++ {
-			ix.Apply(rng.Intn(tc.n), zipfPost(rng, z, tc.dim))
+			tv.apply(rng.Intn(tc.n), zipfPost(rng, z, tc.dim))
 		}
 
 		part := func(parts int) [][]bool {
@@ -193,10 +194,9 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 		}
 
 		for round := 0; round < 12; round++ {
-			// Re-freeze each round: queries promote the cold resources they
-			// decode, and both cold candidates and a cold subject vector
-			// must stay in play.
-			evictRandom(rng, ix, tc.n)
+			// Re-freeze each round, so that cold candidates and a cold
+			// subject vector stay in play.
+			evictRandom(rng, tv, tc.n)
 			subject := rng.Intn(tc.n)
 			if round%4 == 3 {
 				subject = 5 * rng.Intn(tc.n/5) // a zero-norm subject (zipfModel leaves i%5 == 0 empty) unless an apply hit it
@@ -246,8 +246,8 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 				assertIdentical(t, ctx+" search", mergeScored(sl, k), want)
 			}
 		}
-		if st := ix.Stats(); tc.n >= 200 && (st.BlocksSkipped == 0 || st.TagsDeferred == 0 || st.VecRehydrations == 0) {
-			t.Fatalf("seed %d: run never pruned or never met a cold resource: %+v", tc.seed, st)
+		if st := ix.Stats(); tc.n >= 200 && (st.BlocksSkipped == 0 || st.TagsDeferred == 0 || tv.coldReads.Load() == 0) {
+			t.Fatalf("seed %d: run never pruned or never met a cold resource: %+v, %d cold reads", tc.seed, st, tv.coldReads.Load())
 		}
 	}
 }
@@ -437,19 +437,18 @@ func TestRFDEntriesShape(t *testing.T) {
 func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 	const n, dim, shards, k = 300, 40, 8, 12
 	model, rng, _ := zipfModel(17, n, dim, 8)
-	one, two := NewOnlineIndex(cloneAll(model), shards), NewOnlineIndex(cloneAll(model), shards)
-	var cold []int
+	tvOne, tvTwo := newTieredVecs(cloneAll(model), shards, false), newTieredVecs(cloneAll(model), shards, false)
+	one, two := tvOne.ix, tvTwo.ix
 	for id := 0; id < n; id++ {
 		if rng.Intn(2) == 0 {
-			cold = append(cold, id)
+			tvOne.evict(id)
+			tvTwo.evict(id)
 		}
 	}
-	one.Evict(cold)
-	two.Evict(cold)
 	owned := ownedSet(n, func(id int) bool { return id%3 != 1 })
 	var zeroNorm, coldSubjects int
 	for subject := 0; subject < n; subject++ {
-		if !one.ResidentVec(subject) {
+		if tvOne.cold[subject] {
 			coldSubjects++
 		}
 		wantEntries, wantNorm2, _, wantEpoch := two.RFDEntries(subject)
@@ -472,9 +471,13 @@ func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 	if zeroNorm == 0 || coldSubjects == 0 || coldSubjects == n {
 		t.Fatalf("corpus exercised %d zero-norm and %d cold subjects of %d", zeroNorm, coldSubjects, n)
 	}
-	if a, b := one.Stats(), two.Stats(); a.ColdVecs != b.ColdVecs || a.VecRehydrations != b.VecRehydrations {
-		t.Fatalf("residency diverged: one view %d cold / %d rehydrations, two calls %d / %d",
-			a.ColdVecs, a.VecRehydrations, b.ColdVecs, b.VecRehydrations)
+	for id := range tvOne.cold {
+		if tvOne.cold[id] != tvTwo.cold[id] {
+			t.Fatalf("residency of %d diverged: one view cold=%v, two calls cold=%v", id, tvOne.cold[id], tvTwo.cold[id])
+		}
+	}
+	if a, b := tvOne.coldReads.Load(), tvTwo.coldReads.Load(); a == 0 || tvOne.rehydrations.Load()+tvTwo.rehydrations.Load() != 0 {
+		t.Fatalf("cold reads: one view %d, two calls %d; queries must read cold subjects and leave them cold", a, b)
 	}
 	if e, _, top, _ := one.SubjectTopK(n, k, owned); e != nil || top != nil {
 		t.Fatal("out-of-range subject returned an answer")
@@ -491,7 +494,8 @@ func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 func TestSubjectTopKOneViewUnderApply(t *testing.T) {
 	const n, dim, shards, subject = 64, 30, 4, 9
 	model, _, _ := zipfModel(23, n, dim, 6)
-	ix := NewOnlineIndex(cloneAll(model), shards)
+	tv := newTieredVecs(cloneAll(model), shards, false)
+	ix := tv.ix
 	owned := ownedSet(n, func(id int) bool { return id%2 == 1 })
 
 	var stop atomic.Bool
@@ -507,9 +511,9 @@ func TestSubjectTopKOneViewUnderApply(t *testing.T) {
 				if i%4 == 3 {
 					target = wrng.Intn(n)
 				}
-				ix.Apply(target, zipfPost(wrng, wz, dim))
+				tv.apply(target, zipfPost(wrng, wz, dim))
 				if i%64 == 0 {
-					ix.Evict([]int{subject}) // cold exports go through the blob
+					tv.evict(subject) // cold exports stream off the record
 				}
 			}
 		}(w)

@@ -184,8 +184,8 @@ func (s *topKSelector) results() []Scored {
 // zero-norm subject (nil or empty dots) skips scoring entirely and
 // pads directly. norm2 resolves a candidate id to its scoring norm,
 // returning 0 for candidates that cannot score (no posts or zero norm)
-// — which lets the online index serve cold resources from its dense
-// norm cache without touching their frozen vectors.
+// — which lets the online index score every candidate from its dense
+// norm cache without reading the candidate's counts.
 func rankTopK(n, subject, k int, subjNorm float64, dots map[int32]float64, norm2 func(int32) float64) []Scored {
 	sel := newTopKSelector(k)
 	if subjNorm > 0 {

@@ -4,9 +4,19 @@
 // from a full SnapshotRFDs clone on every query, making each /topk an
 // O(n·|tags|) scan-and-allocate. OnlineIndex keeps the same posting
 // lists mutable and maintains them incrementally from the engine's
-// per-post ingest deltas, so a query only ever touches the subject's
+// per-post ingest stream, so a query only ever touches the subject's
 // posting lists and the corpus is never rescanned after the one-time
 // seed at construction.
+//
+// The index holds no count vectors. Each resource's counts live in one
+// place — the engine's tracker while the resource is hot, its frozen
+// record while it is cold — and the index reads them through Vectors.
+// The index's shard locks double as the engine's view lock (see
+// engine.Subscriber), so a query reads the counts and the residency of
+// every resource at the same epoch without taking an engine lock. What
+// the index owns is what only queries need: posting lists, block maxima,
+// the dense norm² cache and the epoch. A cold subject, or a cold
+// pruning survivor, is read off its record transiently and stays cold.
 //
 // Since the block-max rework (see blockmax.go) the serving TopK/Search
 // paths additionally prune: posting lists are impact-ordered and
@@ -26,13 +36,39 @@ import (
 	"incentivetag/internal/tags"
 )
 
+// Vectors is where an OnlineIndex reads each resource's counts: the
+// engine (*engine.Engine) on a serving node, or vectors the index owns
+// (NewOnlineIndex). The index calls both methods only while it holds its
+// view lock over resource i (i's shard lock, read or write), and the
+// owner of the counts takes that lock (OnlineIndex.Lock) around every
+// write to i's counts or residency.
+type Vectors interface {
+	// ViewCounts returns i's live count vector, or nil while i is cold.
+	ViewCounts(i int) *sparse.Counts
+	// ViewEntries streams i's non-zero (tag, count) support and returns
+	// its post count. A cold resource streams in ascending tag order.
+	ViewEntries(i int, fn func(t tags.Tag, n int64)) int
+}
+
+// ownedVecs is the Vectors of an index that owns its count vectors
+// (NewOnlineIndex): Apply mutates them, and they are never cold.
+type ownedVecs []*sparse.Counts
+
+func (v ownedVecs) ViewCounts(i int) *sparse.Counts { return v[i] }
+
+func (v ownedVecs) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
+	v[i].ForEach(fn)
+	return v[i].Posts()
+}
+
 // OnlineIndex is a mutable, shard-partitioned inverted index over live
 // rfd state. Resources are partitioned across S shards (resource i
 // lives on shard i mod S, matching the engine's partition so each
 // engine shard's ingest stream lands on exactly one index shard); each
-// shard guards its posting lists and count vectors with its own
-// RWMutex, so concurrent ingest on different shards proceeds in
-// parallel and never contends until a query runs.
+// shard guards its posting lists — and, as the view lock, its
+// resources' counts and residency — with its own RWMutex, so concurrent
+// ingest on different shards proceeds in parallel and never contends
+// until a query runs.
 //
 // # Consistency
 //
@@ -40,12 +76,12 @@ import (
 // every shard's read lock in shard order before touching any state and
 // holds all of them for the duration, so the view it scores against is
 // the state at the instant the last lock landed — no post is ever
-// half-visible across shards. The epoch is the number of posts applied
-// to the index since construction; it is stable while a reader holds
-// the locks and is returned with every query, so callers can order
-// answers and assert freshness. Writers (Apply / the engine subscriber
-// hook) block only for the duration of a query, not for other writers
-// on different shards.
+// half-visible across shards, and no resource is half-frozen. The epoch
+// is the number of posts applied to the index since construction; it is
+// stable while a reader holds the locks and is returned with every
+// query, so callers can order answers and assert freshness. Writers
+// (the engine's subscriber calls, or Apply) block only for the duration
+// of a query, not for other writers on different shards.
 //
 // # Exactness
 //
@@ -59,6 +95,12 @@ import (
 type OnlineIndex struct {
 	n      int
 	shards []*onlineShard
+
+	// vecs is where resource counts are read, under the view lock. own
+	// is the same vectors when the index owns them (NewOnlineIndex) and
+	// nil over an engine.
+	vecs Vectors
+	own  ownedVecs
 
 	// epoch counts applied posts; incremented under the owning shard's
 	// write lock, read by queries while holding every read lock (when no
@@ -77,17 +119,11 @@ type OnlineIndex struct {
 
 	// norm2[id] caches resource id's scoring norm: its squared norm, or
 	// 0 when the resource has no posts (the exhaustive paths skip those
-	// candidates) — one dense read on the selection hot path instead of
-	// two pointer chases into the count vector. Each element is written
-	// only by its owning shard's writer under that shard's lock and read
-	// under the all-shards query view. Cold resources keep their entry:
-	// the cache is how queries score candidates whose forward vector is
-	// frozen (see residency.go).
+	// candidates) — one dense read on the selection hot path, hot or
+	// cold alike, instead of a read of the resource's counts. Each
+	// element is written only under its owning shard's write lock and
+	// read under the all-shards query view.
 	norm2 []float64
-
-	// universe is the tag-universe hint thawed vectors are rebuilt with
-	// (see sparse.FromEntries); set by NewOnlineIndexFrozen, 0 otherwise.
-	universe int
 
 	// scratchPool recycles per-query state (visited set, tag plan, heap
 	// backing) so the serving read path allocates nothing but its result.
@@ -106,65 +142,75 @@ type OnlineIndex struct {
 	blocksSkipped    atomic.Uint64
 	tagsDeferred     atomic.Uint64
 	candidatesScored atomic.Uint64
-
-	// Residency meters (see residency.go): cold forward vectors, their
-	// packed footprint, and the transition counters.
-	coldVecs        atomic.Int64
-	frozenBytes     atomic.Int64
-	vecEvictions    atomic.Uint64
-	vecRehydrations atomic.Uint64
 }
 
-// onlineShard owns the resources with id ≡ shardID (mod S): their count
-// vectors and the posting lists of every tag those resources use.
+// onlineShard owns the posting lists of every tag used by the resources
+// with id ≡ shardID (mod S). Its lock is the view lock over those
+// resources' counts and residency.
 type onlineShard struct {
 	mu sync.RWMutex
 	// postings maps tag → the shard-local block-max posting list.
 	postings map[tags.Tag]*bmList
-	// vecs[l] is the count vector of global resource l*S + shardID; the
-	// index owns these (they are mutated by Apply). A nil slot means the
-	// resource is cold: its vector lives packed in frozen[l].
-	vecs []*sparse.Counts
-	// frozen[l] is resource l*S + shardID's frozen blob when its forward
-	// vector is evicted, nil while it is live (see residency.go).
-	frozen [][]byte
 }
 
-// NewOnlineIndex seeds an online index from the given rfd snapshots,
-// taking ownership of them (pass clones, e.g. Engine.SnapshotRFDs —
-// the index mutates them on Apply). shards ≤ 0 selects 1. This is the
-// only corpus scan the index ever performs; every later change arrives
-// through Apply.
+// NewOnlineIndex seeds an online index over count vectors it takes
+// ownership of (pass clones, e.g. Engine.SnapshotRFDs — Apply mutates
+// them). shards ≤ 0 selects 1. It is NewOnlineIndexOver for an index
+// that is its own vector owner, as the benchmarks and tests drive it.
 func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
+	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards)
+	ix.own = rfds
+	return ix
+}
+
+// NewOnlineIndexOver seeds an online index over n resources whose counts
+// live in vecs; a serving node passes its engine and then attaches the
+// index as the engine's subscriber before any traffic flows. Each
+// resource's support streams once through ViewEntries (a cold resource
+// straight off its record, residency unchanged): this is the only corpus
+// scan the index ever performs, and every later change arrives through
+// PostApplied. The caller must keep writers out until it returns.
+// shards ≤ 0 selects 1.
+func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
 	if shards <= 0 {
 		shards = 1
 	}
 	ix := &OnlineIndex{
-		n:           len(rfds),
+		n:           n,
 		shards:      make([]*onlineShard, shards),
+		vecs:        vecs,
 		dir:         make(map[tags.Tag]*dirRow),
-		norm2:       make([]float64, len(rfds)),
+		norm2:       make([]float64, n),
 		tagPostings: make(map[tags.Tag]int),
 	}
 	for s := range ix.shards {
 		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*bmList)}
 	}
-	for i, c := range rfds {
-		sh := ix.shards[i%shards]
-		sh.vecs = append(sh.vecs, c)
-		sh.frozen = append(sh.frozen, nil)
-		if c.Posts() > 0 {
-			ix.norm2[i] = c.Norm2()
-		}
-		for _, t := range c.Support() {
-			ix.posting(i%shards, t).seedAppend(int32(i), c.Get(t))
-			ix.notePosting(t)
-		}
+	var i, s int
+	var n2 float64
+	seed := func(t tags.Tag, c int64) {
+		ix.posting(s, t).seedAppend(int32(i), c)
+		ix.notePosting(t)
+		n2 += float64(c) * float64(c)
 	}
+	var postless []int
+	for i = 0; i < n; i++ {
+		s, n2 = i%shards, 0
+		if vecs.ViewEntries(i, seed) == 0 {
+			postless = append(postless, i)
+		}
+		ix.norm2[i] = n2
+	}
+	// The bounds are seeded from every resource's true norm²; only then
+	// does the dense cache zero the post-less ones (its zero IS the
+	// "cannot score" marker the selection paths test).
 	for _, sh := range ix.shards {
 		for _, pl := range sh.postings {
-			pl.finalize(func(id int32) float64 { return ix.rfdLocked(id).Norm2() })
+			pl.finalize(ix.norm2At)
 		}
+	}
+	for _, i := range postless {
+		ix.norm2[i] = 0
 	}
 	return ix
 }
@@ -209,33 +255,26 @@ func (ix *OnlineIndex) notePosting(t tags.Tag) {
 // N returns the number of indexed resources.
 func (ix *OnlineIndex) N() int { return ix.n }
 
-// locate maps a global resource id to its shard and local slot.
-func (ix *OnlineIndex) locate(i int) (*onlineShard, int) {
-	return ix.shards[i%len(ix.shards)], i / len(ix.shards)
-}
+// Lock takes the view lock over resource's counts and residency — the
+// write lock of its index shard. The owner of the counts (the engine,
+// through engine.Subscriber) holds it around every write to them, always
+// inside its own lock for that resource.
+func (ix *OnlineIndex) Lock(resource int) { ix.shards[resource%len(ix.shards)].mu.Lock() }
 
-// Apply folds one ingested post into the index: the resource's count
-// vector absorbs the post (each tag's count-delta is +1 — a post names
-// a tag at most once) and the touched posting lists are bumped in
-// place, each bump preserving its list's count-descending block-max
-// order by one swap (see bmList.bumpOne). Safe for concurrent use; posts
-// for resources on different shards proceed in parallel. Callers must
-// apply each resource's posts in ingest order (the engine's subscriber
-// hook runs under the shard lock, which guarantees exactly that).
-func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
-	if resource < 0 || resource >= ix.n || len(p) == 0 {
-		return
-	}
+// Unlock releases the view lock Lock took.
+func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)].mu.Unlock() }
+
+// PostApplied folds one post into the index, under the view lock the
+// caller holds over resource (see Lock): the resource's counts have
+// already absorbed the post, norm2 is their squared norm after it, and
+// the touched posting lists are bumped in place, each bump preserving
+// its list's count-descending block-max order by one swap (see
+// bmList.bumpOne). Each tag's count-delta is +1 — a post names a tag at
+// most once. Callers must deliver each resource's posts in apply order
+// (the engine calls it under its shard lock, which guarantees exactly
+// that).
+func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
 	s := resource % len(ix.shards)
-	sh, l := ix.shards[s], resource/len(ix.shards)
-	sh.mu.Lock()
-	if sh.frozen[l] != nil {
-		// A post makes the resource hot: thaw before the bump so the
-		// live vector and the posting lists never fork.
-		ix.thawLocked(sh, l, resource)
-	}
-	sh.vecs[l].Add(p)
-	norm2 := sh.vecs[l].Norm2()
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
 	for _, t := range p {
 		if ix.posting(s, t).bumpOne(int32(resource), norm2, ix.norm2) {
@@ -243,17 +282,26 @@ func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
 		}
 	}
 	ix.epoch.Add(1)
-	sh.mu.Unlock()
 }
 
-// PostApplied is the engine-subscriber face of Apply: the engine calls
-// it once per applied post, under the owning engine-shard lock, with
-// the post's tags and the exact norm²/post-count deltas it caused. The
-// index re-derives both deltas from its own integer counts (Counts.Add
-// is bit-identical arithmetic), so the delta fields are advisory here;
-// they exist for subscribers that do not mirror count vectors.
-func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2Delta float64) {
-	ix.Apply(resource, p)
+// Apply folds one post into an index that owns its vectors
+// (NewOnlineIndex): the resource's vector absorbs the post and
+// PostApplied runs, both under the view lock — the same sequence the
+// engine runs for an index built over it. Invalid resources and empty
+// posts are ignored. Safe for concurrent use; posts for resources on
+// different shards proceed in parallel.
+func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
+	if ix.own == nil {
+		panic("ir: Apply on an index that does not own its vectors")
+	}
+	if resource < 0 || resource >= ix.n || len(p) == 0 {
+		return
+	}
+	ix.Lock(resource)
+	c := ix.own[resource]
+	c.Add(p)
+	ix.PostApplied(resource, p, c.Norm2())
+	ix.Unlock(resource)
 }
 
 // rlockAll acquires every shard's read lock in shard order. Once the
@@ -272,6 +320,22 @@ func (ix *OnlineIndex) runlockAll() {
 	}
 }
 
+// lift loads the subject's support and weights into the scratch in one
+// pass, under the caller's view. The executor orders tags by bound
+// itself, and the exact-integer dots make every downstream sum
+// order-independent, so the ascending order Support would give buys
+// nothing here.
+func (ix *OnlineIndex) lift(sc *queryScratch, subject int) {
+	sc.support, sc.weights = sc.support[:0], sc.weights[:0]
+	if c := ix.vecs.ViewCounts(subject); c != nil {
+		c.ForEach(sc.addWeight)
+	} else {
+		// A cold subject streams off its owner's record and stays cold;
+		// only this branch pays for a callback escaping through Vectors.
+		ix.vecs.ViewEntries(subject, sc.addWeight)
+	}
+}
+
 // TopK returns the k most similar resources to subject over the live
 // state, bit-identical to BuildInverted(SnapshotRFDs()).TopK (and to
 // TopKExhaustive) at the returned epoch, without cloning or rescanning
@@ -286,7 +350,6 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	}
 	ix.rlockAll()
 	epoch := ix.epoch.Load()
-	sh, l := ix.locate(subject)
 	// The dense norm entry is 0 exactly when the old guard
 	// (zero norm or zero posts) fired — hot or cold alike.
 	n2 := ix.norm2[subject]
@@ -295,50 +358,27 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 		ix.runlockAll()
 		return res, epoch
 	}
-	subjNorm := math.Sqrt(n2)
 	sc := ix.getScratch()
-	// One pass lifts the subject's support and weights together; the
-	// executor orders tags by bound itself, and the exact-integer dots
-	// make every downstream sum order-independent, so the ascending
-	// order Support would give buys nothing here. A cold subject's
-	// support streams off its blob instead (and marks it for promotion
-	// — a queried subject is hot by definition).
-	sc.support, sc.weights = sc.support[:0], sc.weights[:0]
-	lift := func(t tags.Tag, c int64) {
-		sc.support = append(sc.support, t)
-		sc.weights = append(sc.weights, float64(c))
-	}
-	if subj := sh.vecs[l]; subj != nil {
-		subj.ForEach(lift)
-	} else {
-		scanFrozenVec(sh.frozen[l], subject, lift)
-	}
-	pq := prunedQuery{subject: subject, tags: sc.support, weights: sc.weights, subjNorm: subjNorm}
+	ix.lift(sc, subject)
+	pq := prunedQuery{subject: subject, tags: sc.support, weights: sc.weights, subjNorm: math.Sqrt(n2)}
 	res := ix.runPruned(&pq, k, sc, true)
-	if sh.vecs[l] == nil {
-		sc.promote = append(sc.promote, int32(subject))
-	}
 	ix.endQuery(sc)
 	return res, epoch
 }
 
-// endQuery closes a pruned query: the scratch returns to the pool, the
-// read view is released, and only then are the cold resources the query
-// had to decode promoted (queries never upgrade to write locks), so the
-// ids are copied out before the scratch can be reused.
+// endQuery closes a pruned query: the scratch returns to the pool and
+// the read view is released.
 func (ix *OnlineIndex) endQuery(sc *queryScratch) {
-	promote := append([]int32(nil), sc.promote...) // stays nil when there is nothing to promote
 	ix.putScratch(sc)
 	ix.runlockAll()
-	ix.promote(promote)
 }
 
 // norm2At adapts the dense norm cache to the rank finalizers' resolver
 // shape: 0 means "cannot score" for hot and cold resources alike.
 func (ix *OnlineIndex) norm2At(id int32) float64 { return ix.norm2[id] }
 
-// TopKExhaustive is the pre-pruning serving path, preserved verbatim as
-// the pruning oracle: it touches every posting of every subject tag and
+// TopKExhaustive is the pre-pruning serving path, preserved as the
+// pruning oracle: it touches every posting of every subject tag and
 // accumulates dot products in a per-query map.
 // Results are bit-identical to TopK at the same epoch.
 func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
@@ -349,29 +389,17 @@ func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
 	ix.rlockAll()
 	defer ix.runlockAll()
 	epoch := ix.epoch.Load()
-	sh, l := ix.locate(subject)
 	n2 := ix.norm2[subject]
 	if n2 == 0 {
 		return rankTopK(ix.n, subject, k, 0, nil, ix.norm2At), epoch
 	}
 	subjNorm := math.Sqrt(n2)
-	var support []tags.Tag
-	var weights []float64
-	lift := func(t tags.Tag, c int64) {
-		support = append(support, t)
-		weights = append(weights, float64(c))
-	}
-	if subj := sh.vecs[l]; subj != nil {
-		subj.ForEach(lift)
-	} else {
-		// The oracle path reads a cold subject transiently — it never
-		// promotes, so pruned-vs-exhaustive comparisons leave residency
-		// exactly as they found it.
-		scanFrozenVec(sh.frozen[l], subject, lift)
-	}
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	ix.lift(sc, subject)
 	dots := make(map[int32]float64)
-	for i, t := range support {
-		sc := weights[i]
+	for i, t := range sc.support {
+		w := sc.weights[i]
 		for _, osh := range ix.shards {
 			pl := osh.postings[t]
 			if pl == nil {
@@ -381,20 +409,11 @@ func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
 				if int(p.id) == subject {
 					continue
 				}
-				dots[p.id] += sc * float64(p.count)
+				dots[p.id] += w * float64(p.count)
 			}
 		}
 	}
 	return rankTopK(ix.n, subject, k, subjNorm, dots, ix.norm2At), epoch
-}
-
-// rfdLocked resolves a resource id to its LIVE count vector (nil when
-// the resource is cold); caller holds the read locks. Scoring paths do
-// not use this — they read the dense norm cache and, for cold deferred
-// rescues, the frozen blob.
-func (ix *OnlineIndex) rfdLocked(id int32) *sparse.Counts {
-	sh, l := ix.locate(int(id))
-	return sh.vecs[l]
 }
 
 // normalizeQuery enforces the tags.Post invariant (sorted, distinct,
@@ -561,14 +580,6 @@ type OnlineStats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
 	CacheEntries int    `json:"cache_entries"`
-	// ColdVecs counts resources whose forward vector is currently
-	// frozen (their postings stay live); FrozenBytes is the packed
-	// footprint of those blobs. VecEvictions / VecRehydrations count
-	// freeze and thaw transitions since boot (see residency.go).
-	ColdVecs        int64  `json:"cold_vecs"`
-	FrozenBytes     int64  `json:"frozen_bytes"`
-	VecEvictions    uint64 `json:"vec_evictions"`
-	VecRehydrations uint64 `json:"vec_rehydrations"`
 }
 
 // Stats reads the index census in O(1): every field is an atomic or an
@@ -585,10 +596,6 @@ func (ix *OnlineIndex) Stats() OnlineStats {
 		BlocksSkipped:    ix.blocksSkipped.Load(),
 		TagsDeferred:     ix.tagsDeferred.Load(),
 		CandidatesScored: ix.candidatesScored.Load(),
-		ColdVecs:         ix.coldVecs.Load(),
-		FrozenBytes:      ix.frozenBytes.Load(),
-		VecEvictions:     ix.vecEvictions.Load(),
-		VecRehydrations:  ix.vecRehydrations.Load(),
 	}
 	ix.censusMu.Lock()
 	st.Tags = len(ix.tagPostings)

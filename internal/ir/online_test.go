@@ -244,15 +244,9 @@ func TestOnlineConcurrentReadersDuringApply(t *testing.T) {
 	}
 }
 
-// onlineSnapshot clones the index's current vectors (test helper).
-func onlineSnapshot(ix *OnlineIndex) []*sparse.Counts {
-	out := make([]*sparse.Counts, ix.n)
-	for i := 0; i < ix.n; i++ {
-		sh, l := ix.locate(i)
-		out[i] = sh.vecs[l].Clone()
-	}
-	return out
-}
+// onlineSnapshot clones the vectors an index built by NewOnlineIndex
+// owns (test helper).
+func onlineSnapshot(ix *OnlineIndex) []*sparse.Counts { return cloneAll(ix.own) }
 
 func TestOnlineEdgeCases(t *testing.T) {
 	online := NewOnlineIndex(nil, 4)

@@ -6,9 +6,85 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"incentivetag/internal/engine"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
 )
+
+// tieredVecs is the test-only Vectors with a residency tier: the count
+// vectors its index reads, any of which can be marked cold. A cold
+// resource answers nil from ViewCounts and streams its support in
+// ascending tag order, as an engine record does. Every write — a post or
+// a cold mark — is made under the index's view lock, which is the
+// engine's protocol.
+type tieredVecs struct {
+	ix   *OnlineIndex
+	vecs []*sparse.Counts
+	cold []bool
+	// evictions and rehydrations count hot→cold and cold→hot marks;
+	// coldReads counts the index's reads of a cold resource.
+	evictions, rehydrations, coldReads atomic.Uint64
+}
+
+// newTieredVecs builds an index over rfds (which it takes ownership of),
+// every resource cold when cold is set.
+func newTieredVecs(rfds []*sparse.Counts, shards int, cold bool) *tieredVecs {
+	v := &tieredVecs{vecs: rfds, cold: make([]bool, len(rfds))}
+	for i := range v.cold {
+		v.cold[i] = cold
+	}
+	v.ix = NewOnlineIndexOver(v, len(rfds), shards)
+	return v
+}
+
+func (v *tieredVecs) ViewCounts(i int) *sparse.Counts {
+	if v.cold[i] {
+		return nil
+	}
+	return v.vecs[i]
+}
+
+func (v *tieredVecs) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
+	c := v.vecs[i]
+	if !v.cold[i] {
+		c.ForEach(fn)
+		return c.Posts()
+	}
+	v.coldReads.Add(1)
+	for _, t := range c.Support() {
+		fn(t, c.Get(t))
+	}
+	return c.Posts()
+}
+
+// evict marks resource i cold.
+func (v *tieredVecs) evict(i int) {
+	v.ix.Lock(i)
+	if !v.cold[i] {
+		v.cold[i] = true
+		v.evictions.Add(1)
+	}
+	v.ix.Unlock(i)
+}
+
+// apply ingests one post as the engine does: a cold resource is made
+// hot under one view lock, then the post lands and is published under
+// another.
+func (v *tieredVecs) apply(i int, p tags.Post) {
+	if i < 0 || i >= len(v.vecs) || len(p) == 0 {
+		return
+	}
+	v.ix.Lock(i)
+	if v.cold[i] {
+		v.cold[i] = false
+		v.rehydrations.Add(1)
+	}
+	v.ix.Unlock(i)
+	v.ix.Lock(i)
+	v.vecs[i].Add(p)
+	v.ix.PostApplied(i, p, v.vecs[i].Norm2())
+	v.ix.Unlock(i)
+}
 
 func compareScored(t *testing.T, ctx string, got, want []Scored) {
 	t.Helper()
@@ -22,21 +98,19 @@ func compareScored(t *testing.T, ctx string, got, want []Scored) {
 	}
 }
 
-// evictRandom freezes a random subset of the index's resources.
-func evictRandom(rng *rand.Rand, ix *OnlineIndex, n int) {
-	ids := make([]int, 0, n)
+// evictRandom marks a random subset of the resources cold.
+func evictRandom(rng *rand.Rand, v *tieredVecs, n int) {
 	for i := 0; i < n; i++ {
 		if rng.Intn(2) == 0 {
-			ids = append(ids, i)
+			v.evict(i)
 		}
 	}
-	ix.Evict(ids)
 }
 
-// The residency equivalence property: a tiered index under an arbitrary
-// interleaving of applies and evictions answers every query surface —
-// pruned, exhaustive, cluster-scatter — bit-identically to a
-// never-evicted twin over the same state.
+// The residency equivalence property: an index over tiered vectors
+// under an arbitrary interleaving of applies and evictions answers every
+// query surface — pruned, exhaustive, cluster-scatter — bit-identically
+// to a never-evicted twin over the same state.
 func TestResidencyQueriesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		seed   int64
@@ -57,7 +131,8 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		tiered := NewOnlineIndex(cloneAll(model), tc.shards)
+		tv := newTieredVecs(cloneAll(model), tc.shards, false)
+		tiered := tv.ix
 		oracle := NewOnlineIndex(cloneAll(model), tc.shards)
 
 		check := func(step int) {
@@ -103,9 +178,9 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			i := rng.Intn(tc.n)
 			p := randomPost(rng, tc.dim)
-			tiered.Apply(i, p)
+			tv.apply(i, p)
 			oracle.Apply(i, p)
-			evictRandom(rng, tiered, tc.n)
+			evictRandom(rng, tv, tc.n)
 			if step%8 == 7 {
 				// Exhaustive oracles on the tiered index itself: pruned
 				// and exhaustive must agree whatever the residency mix.
@@ -116,12 +191,9 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 				check(step)
 			}
 		}
-		st := tiered.Stats()
-		if st.VecEvictions == 0 || st.VecRehydrations == 0 {
-			t.Fatalf("seed %d: run exercised no transitions: %+v", tc.seed, st)
-		}
-		if ost := oracle.Stats(); ost.ColdVecs != 0 || ost.VecEvictions != 0 {
-			t.Fatalf("seed %d: oracle was evicted: %+v", tc.seed, ost)
+		if tv.evictions.Load() == 0 || tv.rehydrations.Load() == 0 || tv.coldReads.Load() == 0 {
+			t.Fatalf("seed %d: run exercised %d evictions, %d rehydrations, %d cold reads",
+				tc.seed, tv.evictions.Load(), tv.rehydrations.Load(), tv.coldReads.Load())
 		}
 	}
 }
@@ -142,9 +214,10 @@ func itoa(v int) string {
 	return itoa(v/10) + string(rune('0'+v%10))
 }
 
-// The frozen cold-boot constructor must answer every query bit-identically
-// to the hot constructor over the same state, promote what queries touch,
-// and absorb applies by thawing first.
+// Seeding over cold resources (support streamed off records, ascending)
+// must answer every query bit-identically to seeding over hot ones,
+// leave every resource cold however it is queried, and absorb applies
+// exactly as the hot index does.
 func TestFrozenConstructorMatchesHot(t *testing.T) {
 	const n, dim, shards = 36, 20, 4
 	rng := rand.New(rand.NewSource(41))
@@ -158,14 +231,12 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		}
 	}
 	hot := NewOnlineIndex(cloneAll(model), shards)
-	cold := NewOnlineIndexFrozen(n, shards, 0, func(i int, fn func(t tags.Tag, c int64)) int {
-		model[i].ForEach(fn)
-		return model[i].Posts()
-	})
-	if st := cold.Stats(); st.ColdVecs != n || st.FrozenBytes == 0 {
-		t.Fatalf("frozen constructor residency: %+v", st)
+	tv := newTieredVecs(cloneAll(model), shards, true)
+	cold := tv.ix
+	if got := tv.coldReads.Load(); got != n {
+		t.Fatalf("cold seeding read %d cold resources, want %d", got, n)
 	}
-	// Postings are live even though every vector is cold.
+	// Postings are live even though every resource is cold.
 	for _, tg := range hot.Tags() {
 		got, want := cold.PostingEntries(tg), hot.PostingEntries(tg)
 		if len(got) != len(want) {
@@ -188,14 +259,19 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		want, _ := hot.Search(q, 6)
 		compareScored(t, "cold-boot search", got, want)
 	}
-	// Queried subjects were promoted; posts thaw the rest on demand.
-	if st := cold.Stats(); st.VecRehydrations == 0 {
-		t.Fatalf("queries promoted nothing: %+v", st)
+	// Queries read cold subjects off their records and leave them cold.
+	if tv.coldReads.Load() == n || tv.rehydrations.Load() != 0 {
+		t.Fatalf("queries read no cold subject or rehydrated one: %d cold reads, %d rehydrations", tv.coldReads.Load(), tv.rehydrations.Load())
+	}
+	for i, c := range tv.cold {
+		if !c {
+			t.Fatalf("a query made resource %d hot", i)
+		}
 	}
 	for step := 0; step < 200; step++ {
 		i := rng.Intn(n)
 		p := randomPost(rng, dim)
-		cold.Apply(i, p)
+		tv.apply(i, p)
 		hot.Apply(i, p)
 	}
 	for subject := 0; subject < n; subject++ {
@@ -208,36 +284,64 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 	}
 }
 
-// Apply to a cold resource must rehydrate it before the bump — the
-// vector and its postings never fork.
+// engineIndex builds an engine over n resources primed with random posts
+// and attaches an index over it, as a serving node does.
+func engineIndex(t *testing.T, seed int64, n, dim, shards int) (*engine.Engine, *OnlineIndex) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	specs := make([]engine.ResourceSpec, n)
+	for i := range specs {
+		for k := 0; k < 5+rng.Intn(20); k++ {
+			specs[i].Initial = append(specs[i].Initial, randomPost(rng, dim))
+		}
+	}
+	eng, err := engine.New(engine.Config{Omega: 3, Shards: shards, UnderThreshold: -1}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewOnlineIndexOver(eng, eng.N(), eng.Shards())
+	eng.Subscribe(ix)
+	return eng, ix
+}
+
+// A post to a cold engine resource makes it resident, and the index
+// attached to that engine then answers bit-identically to one attached
+// to a never-evicted twin — and to an index rebuilt from the engine's
+// state.
 func TestApplyToColdRehydrates(t *testing.T) {
-	base := randomIndex(43, 20, 15)
-	ix := NewOnlineIndex(cloneAll(base.RFDs()), 4)
-	ix.Evict([]int{7})
-	if ix.ResidentVec(7) {
+	const n, dim = 20, 15
+	eng, ix := engineIndex(t, 43, n, dim, 4)
+	twinEng, twin := engineIndex(t, 43, n, dim, 4)
+	if _, err := eng.Evict(7); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Resident(7) {
 		t.Fatal("resource 7 still resident after Evict")
 	}
 	p := tags.MustPost(3, 9)
-	ix.Apply(7, p)
-	if !ix.ResidentVec(7) {
-		t.Fatal("Apply left resource 7 cold")
+	if err := eng.Ingest(7, p); err != nil {
+		t.Fatal(err)
 	}
-	// The thawed-and-bumped vector matches a never-evicted twin.
-	twin := NewOnlineIndex(cloneAll(base.RFDs()), 4)
-	twin.Apply(7, p)
-	for subject := 0; subject < 20; subject++ {
+	if !eng.Resident(7) {
+		t.Fatal("ingest left resource 7 cold")
+	}
+	if err := twinEng.Ingest(7, p); err != nil {
+		t.Fatal(err)
+	}
+	inv := BuildInverted(eng.SnapshotRFDs())
+	for subject := 0; subject < n; subject++ {
 		got, _ := ix.TopK(subject, 10)
 		want, _ := twin.TopK(subject, 10)
 		compareScored(t, "apply-to-cold topk", got, want)
+		compareScored(t, "apply-to-cold rebuilt", got, inv.TopK(subject, 10))
 	}
-	st := ix.Stats()
-	if st.VecEvictions != 1 || st.VecRehydrations != 1 || st.ColdVecs != 0 || st.FrozenBytes != 0 {
-		t.Fatalf("transition counters: %+v", st)
+	if ix.Epoch() != 1 || twin.Epoch() != 1 {
+		t.Fatalf("epochs %d and %d after one post", ix.Epoch(), twin.Epoch())
 	}
 }
 
 // Concurrent applies, evictions and queries under -race: answers stay
-// well-formed and the quiesced state matches the oracle.
+// well-formed and the quiesced state matches the oracle, cold or hot.
 func TestResidencyConcurrentQueries(t *testing.T) {
 	const n, dim, shards = 48, 24, 8
 	rng := rand.New(rand.NewSource(47))
@@ -246,7 +350,8 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 		rfds[i] = sparse.NewCounts()
 		rfds[i].Add(randomPost(rng, dim))
 	}
-	ix := NewOnlineIndex(cloneAll(rfds), shards)
+	tv := newTieredVecs(cloneAll(rfds), shards, false)
+	ix := tv.ix
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -255,7 +360,7 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			wrng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
-				ix.Apply(wrng.Intn(n), randomPost(wrng, dim))
+				tv.apply(wrng.Intn(n), randomPost(wrng, dim))
 			}
 		}(200 + int64(w))
 	}
@@ -264,7 +369,7 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 		defer wg.Done()
 		erng := rand.New(rand.NewSource(300))
 		for !stop.Load() {
-			evictRandom(erng, ix, n)
+			evictRandom(erng, tv, n)
 		}
 	}()
 	for q := 0; q < 300; q++ {
@@ -283,19 +388,19 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	// Quiesce: thaw everything via queries and compare to the oracle.
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	ix.Evict(all)
+	// Quiesce: compare to the oracle with every resource cold, then again
+	// once a post has made each one hot.
 	for i := 0; i < n; i++ {
-		ix.Apply(i, tags.MustPost(tags.Tag(i%dim)))
+		tv.evict(i)
 	}
-	inv := BuildInverted(onlineSnapshot(ix))
-	for _, subject := range []int{0, n / 2, n - 1} {
-		got, _ := ix.TopK(subject, 10)
-		want := inv.TopK(subject, 10)
-		compareScored(t, "post-quiesce topk", got, want)
+	for pass := 0; pass < 2; pass++ {
+		inv := BuildInverted(cloneAll(tv.vecs))
+		for _, subject := range []int{0, n / 2, n - 1} {
+			got, _ := ix.TopK(subject, 10)
+			compareScored(t, "post-quiesce topk", got, inv.TopK(subject, 10))
+		}
+		for i := 0; i < n; i++ {
+			tv.apply(i, tags.MustPost(tags.Tag(i%dim)))
+		}
 	}
 }

@@ -437,8 +437,8 @@ type InfoResponse struct {
 	// Queries is the live query index census: epoch, posting-list shape,
 	// and queries served since boot.
 	Queries incentivetag.QueryStats `json:"queries"`
-	// Residency is the memory-tiering census: configured budgets,
-	// hot/cold partition across the engine and query-index tiers, and
+	// Residency is the memory-tiering census: configured budgets, the
+	// engine's hot/cold partition (the query index holds no copy), and
 	// the rehydrate latency profile.
 	Residency incentivetag.TierStats `json:"residency"`
 }

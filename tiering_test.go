@@ -5,8 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"incentivetag/internal/ir"
 )
 
 // nextPost returns resource i's next recorded live post, falling back
@@ -165,7 +168,7 @@ func TestServiceTieredBitIdentical(t *testing.T) {
 	if !st.Enabled || st.MaxResident != 10 {
 		t.Fatalf("residency config not surfaced: %+v", st)
 	}
-	if st.Evictions == 0 || st.Rehydrations == 0 || st.IndexEvictions == 0 {
+	if st.Evictions == 0 || st.Rehydrations == 0 {
 		t.Fatalf("run exercised no tier transitions: %+v", st)
 	}
 	if st.RehydrateCount != st.Rehydrations {
@@ -180,7 +183,7 @@ func TestServiceTieredBitIdentical(t *testing.T) {
 }
 
 // A tiered service must boot COLD from an mmap'd snapshot — zero
-// resident resources, zero resident query vectors — and still answer
+// resident resources — and still answer
 // every query and metric read bit-identically to an untiered service
 // recovered from the same directory.
 func TestServiceTieredColdBootFromSnapshot(t *testing.T) {
@@ -218,7 +221,7 @@ func TestServiceTieredColdBootFromSnapshot(t *testing.T) {
 		t.Fatalf("cold-boot recovery stats: %+v", rec)
 	}
 	st := cold.Residency()
-	if st.Resident != 0 || st.Cold != ds.N() || st.IndexColdVecs != int64(ds.N()) {
+	if st.Resident != 0 || st.Cold != ds.N() {
 		t.Fatalf("cold boot is not cold: %+v", st)
 	}
 	// Scalar surfaces answer without waking anything.
@@ -340,5 +343,109 @@ func TestServiceTierLoopBackground(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The view-lock seam under -race: writers ingest into resources a tier
+// pass keeps freezing, one goroutine loops TierNow, and readers query
+// cold and hot subjects through TopK, SubjectTopK and Search while the
+// index reads the engine's counts in place. Every SubjectTopK export
+// must square-sum to its norm² (one view, never a half-applied post or a
+// half-swapped residency), and once traffic stops every TopK equals an
+// index rebuilt from the engine's state, bit for bit.
+func TestServiceTieredViewLockRace(t *testing.T) {
+	ds := testDS(t)
+	svc, err := NewService(ds, ServiceOptions{Strategy: "FP", MaxResidentResources: 4, TierInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(500 + w)))
+			post := func() (int, Post) {
+				i := rng.Intn(ds.N())
+				seq := ds.Resources[i].Seq
+				return i, seq[rng.Intn(len(seq))]
+			}
+			for k := 0; !stop.Load(); k++ {
+				var err error
+				if k%4 == 0 {
+					evs := make([]PostEvent, 3)
+					for j := range evs {
+						evs[j].Resource, evs[j].Post = post()
+					}
+					err = svc.IngestMany(evs)
+				} else {
+					err = svc.Ingest(post())
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if _, err := svc.TierNow(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(600))
+	var cold, hot int
+	for q := 0; q < 400 && !t.Failed(); q++ {
+		subject := rng.Intn(ds.N())
+		if svc.eng.Resident(subject) {
+			hot++
+		} else {
+			cold++
+		}
+		if _, _, err := svc.TopK(subject, 5); err != nil {
+			t.Fatal(err)
+		}
+		entries, norm2, _, epoch, err := svc.SubjectTopK(subject, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, e := range entries {
+			sum += float64(e.Count) * float64(e.Count)
+		}
+		if sum != norm2 {
+			t.Fatalf("query %d, subject %d at epoch %d: counts square-sum to %v, exported norm² %v", q, subject, epoch, sum, norm2)
+		}
+		if _, _, err := svc.Search(ds.Resources[subject].Seq[0], 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if cold == 0 || hot == 0 {
+		t.Fatalf("readers met %d cold and %d hot subjects; the schedule must cross both", cold, hot)
+	}
+	oracle := ir.BuildInverted(svc.SnapshotRFDs())
+	for i := 0; i < ds.N(); i++ {
+		got, _, err := svc.TopK(i, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := oracle.TopK(i, 10)
+		if len(got) != len(want) {
+			t.Fatalf("subject %d: %d results, rebuilt index has %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j].ID != want[j].ID || math.Float64bits(got[j].Score) != math.Float64bits(want[j].Score) {
+				t.Fatalf("subject %d rank %d: %+v, rebuilt index has %+v", i, j, got[j], want[j])
+			}
+		}
 	}
 }
