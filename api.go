@@ -431,8 +431,11 @@ type ServiceOptions struct {
 	// cluster's placement ring. The incentive allocator is masked to
 	// owned resources (a node never hands out a task whose completion
 	// would land a live post on a resource another node owns), and the
-	// cluster query surface (SubjectTopK/TopKWeighted/SearchOwned) scores
-	// only owned resources. Ingest is NOT filtered here — the HTTP layer
+	// query index keeps posting lists for owned resources only, so every
+	// ranking the service answers — TopK, Search, SubjectTopK and
+	// TopKWeighted — scores and pads owned resources only, and
+	// QueryStats' tag and posting counts are this node's share. Ingest
+	// is NOT filtered here — the HTTP layer
 	// rejects misdirected posts loudly instead (421) so a routing bug
 	// can never silently split a resource's live state across nodes.
 	// The shard map is static, so NewService evaluates Owned once per
@@ -514,7 +517,8 @@ type Service struct {
 	// materialised from ServiceOptions.Owned at boot (nil outside a
 	// cluster: every resource is local). Immutable afterwards, so every
 	// reader — the allocator mask, the ingest ownership check, the query
-	// kernels — pays one load instead of a ring hash.
+	// index it is handed to at construction — pays one load instead of a
+	// ring hash.
 	owned []bool
 
 	recovery RecoveryStats // boot-time recovery facts, immutable
@@ -683,8 +687,9 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// any traffic can flow. The index keeps no count vectors: it reads
 	// each resource's counts off the engine (live vector or frozen record,
 	// residency unchanged), so this one-time seed never forces the corpus
-	// hot and is the only corpus scan the query path ever performs.
-	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards())
+	// hot and is the only corpus scan the query path ever performs. A
+	// cluster member's index holds postings for its owned resources only.
+	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards(), owned)
 	eng.Subscribe(s.idx)
 	s.cache = newResultCache(0)
 	if wal != nil && opts.SnapshotInterval > 0 {
@@ -897,7 +902,8 @@ type AdmissionStats = admit.Stats
 // IngestMany and lease fulfillment alike). The result is an
 // epoch-versioned consistent view: bit-identical to rebuilding the
 // inverted index from SnapshotRFDs at the returned epoch. Safe for
-// arbitrary concurrent use alongside ingest.
+// arbitrary concurrent use alongside ingest. A cluster member ranks its
+// owned resources only, and only an owned subject's vector is live.
 //
 // Hot subjects are served from an epoch-keyed result cache: a hit
 // requires the cached entry's epoch to equal the index's current epoch,
@@ -925,6 +931,8 @@ func (s *Service) TopK(subject, k int) ([]Scored, uint64, error) {
 // resources sharing at least one query tag score above zero, so the
 // result holds at most min(k, matches) entries, best first. Like TopK
 // it reads the online index under an epoch-versioned consistent view.
+// A cluster member ranks its owned resources only: this is also the
+// node-side half of a scatter-gather /search.
 func (s *Service) Search(query Post, k int) ([]Scored, uint64, error) {
 	if len(query) == 0 {
 		return nil, 0, fmt.Errorf("incentivetag: empty search query")
@@ -964,7 +972,7 @@ func (s *Service) SubjectTopK(subject, k int) (query []WeightedTag, qNorm2 float
 	if k <= 0 {
 		return nil, 0, nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
 	}
-	query, qNorm2, top, epoch = s.idx.SubjectTopK(subject, k, s.owned)
+	query, qNorm2, top, epoch = s.idx.SubjectTopK(subject, k)
 	return query, qNorm2, top, epoch, nil
 }
 
@@ -990,20 +998,7 @@ func (s *Service) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k i
 			return nil, 0, fmt.Errorf("incentivetag: query tag %d has non-positive count %d", wt.Tag, wt.Count)
 		}
 	}
-	res, epoch := s.idx.TopKWeighted(query, qNorm2, exclude, k, s.owned)
-	return res, epoch, nil
-}
-
-// SearchOwned is Search restricted to this node's owned resources — the
-// node-side half of a scatter-gather /search.
-func (s *Service) SearchOwned(query Post, k int) ([]Scored, uint64, error) {
-	if len(query) == 0 {
-		return nil, 0, fmt.Errorf("incentivetag: empty search query")
-	}
-	if k <= 0 {
-		return nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
-	}
-	res, epoch := s.idx.SearchOwned(query, k, s.owned)
+	res, epoch := s.idx.TopKWeighted(query, qNorm2, exclude, k, nil)
 	return res, epoch, nil
 }
 

@@ -177,8 +177,9 @@
 // smoothed, deterministic — placement is a pure function of the map),
 // every node boots the same primed corpus but ingests only what it
 // owns (ServiceOptions.Owned, evaluated once per resource at boot into
-// a dense owned-set that the ingest check, the allocator mask and the
-// query kernels read), and the gateway proxies ingest to each post's
+// a dense owned-set that the ingest check and the allocator mask read,
+// and over which the query index keeps posting lists for owned
+// resources only), and the gateway proxies ingest to each post's
 // owner while scatter-gathering /topk and /search: the subject's owner
 // answers first — its own partial ranking and, read under the same
 // view, the subject's live count vector as an explicit weighted query —
@@ -186,7 +187,7 @@
 // the per-node partial rankings are merged bit-identically to a
 // single-node engine fed the same posts (integer count sums are
 // order-independent in float64; every node scores with the one pruned
-// executor, filtered to what it owns). Every merged
+// executor over the postings it owns). Every merged
 // response carries per-node epochs and a partial flag: a dead shard
 // degrades reads to 200/partial rather than 5xx, and the shard-map
 // hash rides on every cluster RPC so divergent maps fail with 409

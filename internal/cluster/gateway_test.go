@@ -347,6 +347,20 @@ func (h *clusterHarness) assertAccounting() {
 	}
 }
 
+// assertPostingCensus checks that the members partition the reference
+// node's postings: each member indexes only the resources it owns, so
+// their posting counts sum to the reference's, never to a multiple.
+func (h *clusterHarness) assertPostingCensus() {
+	h.t.Helper()
+	sum := 0
+	for _, nd := range h.nodes {
+		sum += nd.svc.QueryStats().Postings
+	}
+	if want := h.reference.QueryStats().Postings; sum != want {
+		h.t.Fatalf("members hold %d postings between them, the single node %d", sum, want)
+	}
+}
+
 // The tentpole property: arbitrary interleavings of single and batch
 // ingest through the gateway — split by owner across three shards —
 // yield merged /topk and /search responses bit-identical to one engine
@@ -355,12 +369,14 @@ func TestGatewayBitIdenticalToSingleNode(t *testing.T) {
 	h := newCluster(t, 3, admit.Config{})
 	rng := rand.New(rand.NewSource(1))
 	h.assertBitIdentical(rng, 10) // primed state only
+	h.assertPostingCensus()
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 15; i++ {
 			h.ingestVia(rng)
 		}
 		h.assertBitIdentical(rng, 1+rng.Intn(corpusN))
 		h.assertAccounting()
+		h.assertPostingCensus()
 	}
 }
 
@@ -380,6 +396,11 @@ func TestGatewayBitIdenticalAcrossNodeRestart(t *testing.T) {
 	// semantics are TestGatewayPartialDegradation's business).
 	victim := h.nodes[1]
 	h.stopNode(victim)
+	// Wait until the prober has seen the node dead. Probes of one backend
+	// are sequential, so WaitReady below can then return only on a probe
+	// made after the restart; otherwise it could return on the stale "up"
+	// and a probe that failed in the dead window mark the node down later.
+	h.waitDegraded()
 	deadOwned, err := h.m.OwnedBy(victim.name)
 	if err != nil {
 		t.Fatal(err)

@@ -29,9 +29,9 @@
 //  2. Select: each candidate is first tested with a sqrt-free squared
 //     comparison against the kth score (plus the deferred-tag bounds
 //     its accumulator may lack), and only the ones that could still
-//     matter pay for the exact rescore. A query restricted to an owned
-//     set (see cluster.go) drops the candidates outside it here, before
-//     any of that.
+//     matter pay for the exact rescore. An index with an owned set (see
+//     cluster.go) has postings for owned resources only, so every
+//     candidate is owned and selection needs no ownership test.
 //
 // From the second shard on the selector is already hot, so the cuts in
 // phase 1 bite immediately; shard order is what powers the pruning.
@@ -433,11 +433,6 @@ type prunedQuery struct {
 	subjNorm float64   // TopK: ‖subject‖ (hoisted once)
 	qNorm2   float64   // Search: |query| after dedup
 	search   bool
-	// owned, when non-nil, holds one entry per resource and admits only
-	// the true ones to selection and padding (a cluster node ranks the
-	// resources it owns). Candidates are only ever removed, so every
-	// pruning bound stays an upper bound; see cluster.go.
-	owned []bool
 }
 
 // pruneStats accumulates one query's pruning counters locally; they are
@@ -459,9 +454,6 @@ type pruneStats struct {
 // selector, making the final merge free. pad controls the
 // zero-similarity padding of TopK semantics (Search never pads).
 func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad bool) []Scored {
-	if pq.owned != nil && len(pq.owned) != ix.n {
-		panic("ir: owned set does not cover the indexed resources")
-	}
 	sel := topKSelector{k: k, h: sc.heap[:0]}
 	var ps pruneStats
 	qnorm := pq.subjNorm
@@ -524,7 +516,7 @@ func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad b
 		// was ever pruned: every overlapping candidate is in the visited
 		// set, exactly the exclusion set the exhaustive padding uses.
 		for id := 0; id < ix.n && sel.len() < k; id++ {
-			if id == pq.subject || sc.cells[id].gen == sc.gen || (pq.owned != nil && !pq.owned[id]) {
+			if id == pq.subject || sc.cells[id].gen == sc.gen || !ix.owns(id) {
 				continue
 			}
 			sel.push(id, 0)
@@ -738,12 +730,8 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 		}
 	}
 	norms := ix.norm2
-	owned := pq.owned
 	for _, id32 := range cands {
 		id := int(id32)
-		if owned != nil && !owned[id] {
-			continue
-		}
 		n2 := norms[id]
 		if n2 == 0 { // no posts or zero norm: the exhaustive paths skip these too
 			continue

@@ -12,24 +12,29 @@
 // integer-weighted query (TopKWeighted).
 //
 // Ownership reaches the index as data — a dense set with one entry per
-// resource, materialised once at boot from the static shard map — and
-// both queries run the same block-max pruned executor as TopK and
-// Search (blockmax.go), with the set as a filter on which candidates
-// may be selected or padded in.
+// resource, materialised once at boot from the static shard map and
+// handed to NewOnlineIndexOver. The index seeds and bumps posting lists
+// for owned resources only, so each member's lists hold its share of
+// the corpus's postings, and every query it serves (TopK, Search and the
+// two below) runs the block-max pruned executor (blockmax.go) over owned
+// candidates and pads with owned resources only.
 //
-// # Why filtering preserves the pruning bounds
+// # Why owned-only lists keep every bound an upper bound
 //
 // Every bound the executor cuts with (directory row, list, block,
-// suffix sums) is an upper bound on what a posting can contribute to
-// ANY resource's score. Restricting the candidates to a subset removes
-// resources, never adds score, so each bound still dominates every
-// remaining candidate; the kth-score threshold is taken from owned
+// suffix sums) is a ratchet over the entries its lists hold, and an
+// owned-only index holds every entry of every owned resource. So each
+// bound still dominates what any posting can add to any candidate's
+// score, and every candidate is owned; against a full index the bounds
+// can only tighten. The kth-score threshold is taken from owned
 // candidates only, so a cut made against it can only discard candidates
-// that could not have entered the owned top-k. Survivors are rescored
-// by the executor's one exact expression, which is why an owned query
-// is bit-identical to an exhaustive scan of the owned resources
-// (asserted against a test-only oracle) and, with a nil set and the
-// subject's own vector, to TopK.
+// that could not have entered the owned top-k, and the deferred-tag
+// rescue reads a survivor's counts through Vectors, which cover every
+// resource. Survivors are rescored by the executor's one exact
+// expression, which is why an owned index's answer is bit-identical to
+// an exhaustive scan of the owned resources of a full index (asserted
+// against a test-only oracle) and, with the subject's own vector,
+// TopKWeighted is TopK.
 //
 // # Why the merged answer is bit-identical to a single node
 //
@@ -103,34 +108,40 @@ func (ix *OnlineIndex) coldEntries(id int) (entries []WeightedTag, norm2 float64
 }
 
 // TopKWeighted runs a top-k similarity query against an explicit
-// integer-weighted query vector, restricted to the resources owned
-// admits (one entry per resource; nil admits all), excluding resource
-// `exclude` (the subject, which must never rank against itself; pass a
-// negative id to exclude nothing). qNorm2 is the query vector's exact
-// squared norm (the subject's Norm2 on its owner node). Counts must be
-// positive, as an rfd's are: the pruning bounds scale with them.
+// integer-weighted query vector over the resources the index ranks (its
+// owned set, fixed at construction), excluding resource `exclude` (the
+// subject, which must never rank against itself; pass a negative id to
+// exclude nothing). qNorm2 is the query vector's exact squared norm (the
+// subject's Norm2 on its owner node). Counts must be positive, as an
+// rfd's are: the pruning bounds scale with them. owned must be nil — it
+// remains only for callers of the five-argument form — and a non-nil
+// set panics.
 //
-// For owned == nil, query == subject's own rfd and exclude == subject
-// it is bit-identical to TopK at the same epoch, and a cluster's
-// per-node partitions merge into exactly the single-node ranking.
+// For query == subject's own rfd and exclude == subject it is
+// bit-identical to TopK on the same index at the same epoch, and a
+// cluster's per-node partitions merge into exactly the single-node
+// ranking.
 func (ix *OnlineIndex) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k int, owned []bool) ([]Scored, uint64) {
+	if owned != nil {
+		panic("ir: TopKWeighted takes its owned set from the index; pass nil")
+	}
 	ix.topkQueries.Add(1)
 	if k <= 0 {
 		return nil, ix.epoch.Load()
 	}
 	ix.rlockAll()
 	epoch := ix.epoch.Load()
-	return ix.topKWeightedLocked(query, qNorm2, exclude, k, owned), epoch
+	return ix.topKWeightedLocked(query, qNorm2, exclude, k), epoch
 }
 
 // topKWeightedLocked is TopKWeighted's body: it runs under the caller's
 // read view and releases it.
-func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, exclude, k int, owned []bool) []Scored {
+func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, exclude, k int) []Scored {
 	if exclude >= ix.n {
 		exclude = -1 // names no indexed resource; keep it out of the int32 id space
 	}
 	sc := ix.getScratch()
-	pq := prunedQuery{subject: exclude, subjNorm: math.Sqrt(qNorm2), owned: owned}
+	pq := prunedQuery{subject: exclude, subjNorm: math.Sqrt(qNorm2)}
 	if pq.subjNorm > 0 {
 		// A zero-norm query keeps an empty plan and goes straight to
 		// zero-similarity padding, like TopK's zero-norm subject.
@@ -153,7 +164,7 @@ func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, e
 // ranking are of the same epoch. Two calls cannot promise that: a post
 // to the subject may land between them. Invalid subjects or k ≤ 0
 // return nil entries.
-func (ix *OnlineIndex) SubjectTopK(subject, k int, owned []bool) (entries []WeightedTag, norm2 float64, top []Scored, epoch uint64) {
+func (ix *OnlineIndex) SubjectTopK(subject, k int) (entries []WeightedTag, norm2 float64, top []Scored, epoch uint64) {
 	ix.topkQueries.Add(1)
 	if k <= 0 || subject < 0 || subject >= ix.n {
 		return nil, 0, nil, ix.epoch.Load()
@@ -161,29 +172,5 @@ func (ix *OnlineIndex) SubjectTopK(subject, k int, owned []bool) (entries []Weig
 	ix.rlockAll()
 	epoch = ix.epoch.Load()
 	entries, norm2, _ = ix.rfdEntriesLocked(subject)
-	return entries, norm2, ix.topKWeightedLocked(entries, norm2, subject, k, owned), epoch
-}
-
-// SearchOwned is Search restricted to the resources owned admits (nil
-// admits all): the node-side half of a scatter-gather /search. Per-node
-// answers merge into exactly the single-node ranking under the
-// (score desc, id asc) comparator.
-func (ix *OnlineIndex) SearchOwned(query tags.Post, k int, owned []bool) ([]Scored, uint64) {
-	ix.searchQueries.Add(1)
-	query = normalizeQuery(query)
-	if k <= 0 || len(query) == 0 || ix.n == 0 {
-		return nil, ix.epoch.Load()
-	}
-	ix.rlockAll()
-	epoch := ix.epoch.Load()
-	sc := ix.getScratch()
-	// The query vector's squared norm is |query| exactly (unit counts
-	// over distinct tags). The score expression mirrors
-	// sparse.Counts.Cosine term for term (single sqrt of the norm
-	// product, same clamping), so a Search score is bit-identical to
-	// Cosine against a count vector holding the query.
-	pq := prunedQuery{subject: -1, tags: query, qNorm2: float64(len(query)), search: true, owned: owned}
-	res := ix.runPruned(&pq, k, sc, false)
-	ix.endQuery(sc)
-	return res, epoch
+	return entries, norm2, ix.topKWeightedLocked(entries, norm2, subject, k), epoch
 }

@@ -22,6 +22,43 @@ func ownedSet(n int, pred func(int) bool) []bool {
 	return set
 }
 
+// ownedIndex is NewOnlineIndex over vectors it owns, ranking only the
+// resources owned admits — a cluster member that Apply drives.
+func ownedIndex(rfds []*sparse.Counts, shards int, owned []bool) *OnlineIndex {
+	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards, owned)
+	ix.own = rfds
+	return ix
+}
+
+// assertOwnedPostings checks that ix holds exactly full's postings of the
+// resources owned admits (nil admits all): no posting of any other
+// resource, and a census that counts the same entries.
+func assertOwnedPostings(t *testing.T, ctx string, ix, full *OnlineIndex, owned []bool) {
+	t.Helper()
+	total := 0
+	for _, tg := range full.Tags() {
+		var want []Posting
+		for _, p := range full.PostingEntries(tg) {
+			if owned == nil || owned[p.ID] {
+				want = append(want, p)
+			}
+		}
+		got := ix.PostingEntries(tg)
+		if len(got) != len(want) {
+			t.Fatalf("%s: tag %d has %d postings, want the %d owned ones", ctx, tg, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: tag %d posting %d = %+v, want %+v", ctx, tg, i, got[i], want[i])
+			}
+		}
+		total += len(want)
+	}
+	if st := ix.Stats(); st.Postings != total {
+		t.Fatalf("%s: census counts %d postings, the owned lists hold %d", ctx, st.Postings, total)
+	}
+}
+
 // topKWeightedExhaustive is the test-only oracle for TopKWeighted: the
 // exhaustive owned scan the product ran before the pruned executor took
 // over. It touches every posting of every query tag, accumulates dots
@@ -76,8 +113,8 @@ func topKWeightedExhaustive(ix *OnlineIndex, query []WeightedTag, qNorm2 float64
 	return sel.results()
 }
 
-// searchOwnedExhaustive is the test-only oracle for SearchOwned:
-// SearchExhaustive with an ownership filter on the postings.
+// searchOwnedExhaustive is the test-only oracle for an owned index's
+// Search: SearchExhaustive with an ownership filter on the postings.
 func searchOwnedExhaustive(ix *OnlineIndex, query tags.Post, k int, owned []bool) []Scored {
 	query = normalizeQuery(query)
 	if k <= 0 || len(query) == 0 || ix.n == 0 {
@@ -138,11 +175,14 @@ func mergeScored(lists [][]Scored, k int) []Scored {
 
 // The owned kernels' one equivalence property: on Zipf-skewed corpora
 // (long lists, so tag defers and block skips engage) grown by applies
-// and partly frozen, TopKWeighted and SearchOwned equal the exhaustive
-// owned oracle bit for bit under every ownership shape — nil, empty, a
-// single resource, random halves, 3-way partitions — and every query
-// shape the wire can deliver, and 3-way partitions of one index merge
-// into exactly its single-node TopK/Search.
+// and partly frozen, an index built over every ownership shape — nil,
+// empty, a single resource, random halves, 3-way partitions — answers
+// TopKWeighted, TopK and Search bit for bit like the exhaustive owned
+// oracle run over the full index, for every query shape the wire can
+// deliver, and 3-way partitions merge into exactly the full index's
+// TopK/Search. Every index absorbs every post, so each owned index also
+// takes PostApplied on resources it does not own: its epoch and norms
+// move with the full index's, and it holds no posting of them.
 func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 	for _, tc := range []struct {
 		seed           int64
@@ -153,12 +193,6 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 		{seed: 73, n: 64, dim: 12, shards: 1},
 	} {
 		model, rng, z := zipfModel(tc.seed, tc.n, tc.dim, 6)
-		tv := newTieredVecs(cloneAll(model), tc.shards, false)
-		ix := tv.ix
-		for step := 0; step < 3*tc.n; step++ {
-			tv.apply(rng.Intn(tc.n), zipfPost(rng, z, tc.dim))
-		}
-
 		part := func(parts int) [][]bool {
 			salt := rng.Intn(1 << 16)
 			sets := make([][]bool, parts)
@@ -192,85 +226,127 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 			}
 			return c
 		}
+		tvs := make(map[string]*tieredVecs, len(shapes))
+		all := make([]*tieredVecs, 0, len(shapes))
+		for name, owned := range shapes {
+			tvs[name] = newTieredVecs(cloneAll(model), tc.shards, false, owned)
+			all = append(all, tvs[name])
+		}
+		full := tvs["nil"].ix
+		for step := 0; step < 3*tc.n; step++ {
+			id, p := rng.Intn(tc.n), zipfPost(rng, z, tc.dim)
+			for _, tv := range all {
+				tv.apply(id, p)
+			}
+		}
+		for name, owned := range shapes {
+			ix := tvs[name].ix
+			if ix.Epoch() != full.Epoch() {
+				t.Fatalf("seed %d owned=%s: epoch %d, full index %d", tc.seed, name, ix.Epoch(), full.Epoch())
+			}
+			for id := range full.norm2 {
+				if ix.norm2[id] != full.norm2[id] {
+					t.Fatalf("seed %d owned=%s: norm2[%d] = %v, full index %v", tc.seed, name, id, ix.norm2[id], full.norm2[id])
+				}
+			}
+			assertOwnedPostings(t, tSprintf("seed %d owned=%s", tc.seed, name), ix, full, owned)
+		}
 
 		for round := 0; round < 12; round++ {
 			// Re-freeze each round, so that cold candidates and a cold
 			// subject vector stay in play.
-			evictRandom(rng, tv, tc.n)
+			evictRandom(rng, tc.n, all...)
 			subject := rng.Intn(tc.n)
 			if round%4 == 3 {
 				subject = 5 * rng.Intn(tc.n/5) // a zero-norm subject (zipfModel leaves i%5 == 0 empty) unless an apply hit it
 			}
-			entries, norm2, _, _ := ix.RFDEntries(subject)
+			entries, norm2, _, _ := full.RFDEntries(subject)
 			absent := append(append([]WeightedTag(nil), entries...), WeightedTag{Tag: tags.Tag(tc.dim + 100), Count: 3})
 			sq := zipfPost(rng, z, tc.dim)
 			sqAbsent := tags.MustPost(append(append([]tags.Tag(nil), sq...), tags.Tag(tc.dim+100))...)
 
 			for name, owned := range shapes {
+				ix := tvs[name].ix
 				oc := count(owned)
 				for _, k := range []int{1, 10, oc + 5, tc.n + 3} {
 					for _, exclude := range []int{subject, -1, tc.n + 9, (subject + 1) % tc.n} {
 						ctx := tSprintf("seed %d round %d owned=%s subject %d exclude %d k=%d", tc.seed, round, name, subject, exclude, k)
-						got, _ := ix.TopKWeighted(entries, norm2, exclude, k, owned)
-						assertIdentical(t, ctx, got, topKWeightedExhaustive(ix, entries, norm2, exclude, k, owned))
-						if owned == nil && exclude == subject {
-							want, _ := ix.TopK(subject, k)
-							assertIdentical(t, ctx+" vs TopK", got, want)
+						got, _ := ix.TopKWeighted(entries, norm2, exclude, k, nil)
+						want := topKWeightedExhaustive(full, entries, norm2, exclude, k, owned)
+						assertIdentical(t, ctx, got, want)
+						if exclude == subject {
+							got, _ = ix.TopK(subject, k)
+							assertIdentical(t, ctx+" TopK", got, want)
+							got, _ = ix.TopKExhaustive(subject, k)
+							assertIdentical(t, ctx+" TopKExhaustive", got, want)
 						}
 					}
 					ctx := tSprintf("seed %d round %d owned=%s subject %d k=%d", tc.seed, round, name, subject, k)
-					got, _ := ix.TopKWeighted(absent, norm2, subject, k, owned)
-					assertIdentical(t, ctx+" absent tag", got, topKWeightedExhaustive(ix, absent, norm2, subject, k, owned))
-					got, _ = ix.TopKWeighted(entries, 0, subject, k, owned)
-					assertIdentical(t, ctx+" zero-norm query", got, topKWeightedExhaustive(ix, entries, 0, subject, k, owned))
+					got, _ := ix.TopKWeighted(absent, norm2, subject, k, nil)
+					assertIdentical(t, ctx+" absent tag", got, topKWeightedExhaustive(full, absent, norm2, subject, k, owned))
+					got, _ = ix.TopKWeighted(entries, 0, subject, k, nil)
+					assertIdentical(t, ctx+" zero-norm query", got, topKWeightedExhaustive(full, entries, 0, subject, k, owned))
 
 					for _, q := range []tags.Post{sq, sqAbsent, tags.MustPost(tags.Tag(tc.dim + 100))} {
-						gs, _ := ix.SearchOwned(q, k, owned)
-						assertIdentical(t, tSprintf("%s search %v", ctx, q), gs, searchOwnedExhaustive(ix, q, k, owned))
+						gs, _ := ix.Search(q, k)
+						assertIdentical(t, tSprintf("%s search %v", ctx, q), gs, searchOwnedExhaustive(full, q, k, owned))
 					}
 				}
 			}
 
 			for _, k := range []int{1, 10, tc.n + 3} {
 				var tl, sl [][]Scored
-				for _, owned := range three {
-					l, _ := ix.TopKWeighted(entries, norm2, subject, k, owned)
+				for _, name := range []string{"third0", "third1", "third2"} {
+					ix := tvs[name].ix
+					l, _ := ix.TopKWeighted(entries, norm2, subject, k, nil)
 					tl = append(tl, l)
-					l, _ = ix.SearchOwned(sq, k, owned)
+					l, _ = ix.Search(sq, k)
 					sl = append(sl, l)
 				}
 				ctx := tSprintf("seed %d round %d subject %d k=%d 3-way merge", tc.seed, round, subject, k)
-				want, _ := ix.TopK(subject, k)
+				want, _ := full.TopK(subject, k)
 				assertIdentical(t, ctx+" topk", mergeScored(tl, k), want)
-				want, _ = ix.Search(sq, k)
+				want, _ = full.Search(sq, k)
 				assertIdentical(t, ctx+" search", mergeScored(sl, k), want)
 			}
 		}
-		if st := ix.Stats(); tc.n >= 200 && (st.BlocksSkipped == 0 || st.TagsDeferred == 0 || tv.coldReads.Load() == 0) {
-			t.Fatalf("seed %d: run never pruned or never met a cold resource: %+v, %d cold reads", tc.seed, st, tv.coldReads.Load())
+		if st := full.Stats(); tc.n >= 200 && (st.BlocksSkipped == 0 || st.TagsDeferred == 0 || tvs["nil"].coldReads.Load() == 0) {
+			t.Fatalf("seed %d: run never pruned or never met a cold resource: %+v, %d cold reads", tc.seed, st, tvs["nil"].coldReads.Load())
 		}
 	}
 }
 
-// A set that does not cover the corpus is a caller bug, refused loudly
-// rather than indexed out of range halfway through a ranking.
+// An owned set is fixed when the index is built: one that does not
+// cover the corpus is a caller bug, refused loudly rather than indexed
+// out of range halfway through a ranking, and so is a set passed to a
+// query.
 func TestOwnedSetLengthMismatchPanics(t *testing.T) {
-	ix := NewOnlineIndex(cloneAll(randomIndex(81, 10, 6).RFDs()), 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a short owned set was accepted")
-		}
-	}()
-	ix.SearchOwned(tags.MustPost(1), 3, make([]bool, 9))
+	rfds := cloneAll(randomIndex(81, 10, 6).RFDs())
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s was accepted", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("a short owned set", func() { ownedIndex(rfds, 2, make([]bool, len(rfds)-1)) })
+	ix := NewOnlineIndex(rfds, 2)
+	mustPanic("an owned set passed to TopKWeighted", func() { ix.TopKWeighted(nil, 1, -1, 3, make([]bool, len(rfds))) })
 }
 
 // The distributed execution property the whole cluster design rests on:
 // partition resources across three "nodes" (each an OnlineIndex seeded
-// with the same primed state, receiving only its owned posts), run the
-// two-phase scatter — subject rfd from its owner, TopKWeighted with
-// each node's owned set — merge under (score desc, id asc), and the
+// with the same primed state over its owned set, receiving only its
+// owned posts), run the two-phase scatter — subject rfd from its owner,
+// TopKWeighted on every node — merge under (score desc, id asc), and the
 // result must be bit-identical to one index that absorbed every post.
-// Same for SearchOwned.
+// Same for Search. Each node holds exactly the reference's postings of
+// the resources it owns, so together they hold the reference's. A post
+// that reaches a node for a resource it does not own (only the Go API
+// can deliver one) moves that node's epoch and norm² and adds no
+// posting, and the merged rankings do not change.
 func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
 		rng := rand.New(rand.NewSource(seed))
@@ -296,7 +372,7 @@ func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 		reference := NewOnlineIndex(cloneAll(primed), 4)
 		shard := make([]*OnlineIndex, nodes)
 		for j := range shard {
-			shard[j] = NewOnlineIndex(cloneAll(primed), 1+j) // distinct shard widths on purpose
+			shard[j] = ownedIndex(cloneAll(primed), 1+j, owned[j]) // distinct shard widths on purpose
 		}
 
 		// Arbitrary interleaving of live posts, each applied to the
@@ -308,40 +384,62 @@ func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 			shard[owner(id)].Apply(id, p)
 		}
 
-		for subject := 0; subject < n; subject++ {
-			entries, norm2, _, _ := shard[owner(subject)].RFDEntries(subject)
-			for _, k := range []int{1, 7, n} {
+		check := func(stage string) {
+			t.Helper()
+			for j := range shard {
+				assertOwnedPostings(t, tSprintf("seed %d %s node %d", seed, stage, j), shard[j], reference, owned[j])
+			}
+			for subject := 0; subject < n; subject++ {
+				entries, norm2, _, _ := shard[owner(subject)].RFDEntries(subject)
+				for _, k := range []int{1, 7, n} {
+					lists := make([][]Scored, nodes)
+					for j := range shard {
+						lists[j], _ = shard[j].TopKWeighted(entries, norm2, subject, k, nil)
+					}
+					want, _ := reference.TopK(subject, k)
+					assertIdentical(t, tSprintf("seed %d %s subject %d k=%d merged vs single-node", seed, stage, subject, k), mergeScored(lists, k), want)
+				}
+			}
+			for trial := 0; trial < 30; trial++ {
+				q := randomPost(rng, dim)
+				k := 1 + rng.Intn(12)
 				lists := make([][]Scored, nodes)
 				for j := range shard {
-					lists[j], _ = shard[j].TopKWeighted(entries, norm2, subject, k, owned[j])
+					lists[j], _ = shard[j].Search(q, k)
 				}
-				want, _ := reference.TopK(subject, k)
-				assertIdentical(t, tSprintf("seed %d subject %d k=%d merged vs single-node", seed, subject, k), mergeScored(lists, k), want)
+				want, _ := reference.Search(q, k)
+				assertIdentical(t, tSprintf("seed %d %s search trial %d merged vs single-node", seed, stage, trial), mergeScored(lists, k), want)
 			}
 		}
+		check("partitioned")
 
-		for trial := 0; trial < 30; trial++ {
-			q := randomPost(rng, dim)
-			k := 1 + rng.Intn(12)
-			lists := make([][]Scored, nodes)
-			for j := range shard {
-				lists[j], _ = shard[j].SearchOwned(q, k, owned[j])
-			}
-			want, _ := reference.Search(q, k)
-			assertIdentical(t, tSprintf("seed %d search trial %d merged vs single-node", seed, trial), mergeScored(lists, k), want)
+		stray := 0
+		for owned[0][stray] {
+			stray++
 		}
+		node := shard[0]
+		epoch, postings := node.Epoch(), node.Stats().Postings
+		node.Apply(stray, tags.MustPost(0, 1, 2))
+		if node.Epoch() != epoch+1 || node.norm2[stray] != node.own[stray].Norm2() || node.norm2[stray] == reference.norm2[stray] {
+			t.Fatalf("seed %d: a post to non-owned %d left epoch %d→%d and norm2 %v (vector %v, reference %v)",
+				seed, stray, epoch, node.Epoch(), node.norm2[stray], node.own[stray].Norm2(), reference.norm2[stray])
+		}
+		if got := node.Stats().Postings; got != postings {
+			t.Fatalf("seed %d: a post to non-owned %d moved the census %d→%d", seed, stray, postings, got)
+		}
+		check("after a non-owned post")
 	}
 }
 
 // Owned queries racing concurrent ingest, under -race: results stay
 // well-formed (owned ids only, ranking order intact) while writers
 // mutate every shard, and after quiescing the kernels again equal the
-// oracle.
+// oracle over a full index of the same state.
 func TestOwnedQueriesConcurrentApplyRace(t *testing.T) {
 	const n, dim, shards = 256, 30, 8
 	model, rng, z := zipfModel(91, n, dim, 6)
-	ix := NewOnlineIndex(cloneAll(model), shards)
 	owned := ownedSet(n, func(id int) bool { return id%3 == 1 })
+	ix := ownedIndex(cloneAll(model), shards, owned)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -373,24 +471,26 @@ func TestOwnedQueriesConcurrentApplyRace(t *testing.T) {
 	for q := 0; q < 400; q++ {
 		subject := q % n
 		entries, norm2, _, _ := ix.RFDEntries(subject)
-		res, _ := ix.TopKWeighted(entries, norm2, subject, 10, owned)
+		res, _ := ix.TopKWeighted(entries, norm2, subject, 10, nil)
 		if len(res) != 10 {
 			t.Fatalf("query %d: %d results", q, len(res))
 		}
 		wellFormed(tSprintf("topk %d", q), res, 10)
-		sres, _ := ix.SearchOwned(tags.MustPost(tags.Tag(q%dim), tags.Tag((q+1)%dim)), 5, owned)
+		sres, _ := ix.Search(tags.MustPost(tags.Tag(q%dim), tags.Tag((q+1)%dim)), 5)
 		wellFormed(tSprintf("search %d", q), sres, 5)
 	}
 	stop.Store(true)
 	wg.Wait()
 
+	full := NewOnlineIndex(cloneAll(ix.own), shards)
+	assertOwnedPostings(t, "post-quiesce", ix, full, owned)
 	for subject := 0; subject < n; subject += 5 {
 		entries, norm2, _, _ := ix.RFDEntries(subject)
-		got, _ := ix.TopKWeighted(entries, norm2, subject, 10, owned)
-		assertIdentical(t, tSprintf("post-quiesce subject %d", subject), got, topKWeightedExhaustive(ix, entries, norm2, subject, 10, owned))
+		got, _ := ix.TopKWeighted(entries, norm2, subject, 10, nil)
+		assertIdentical(t, tSprintf("post-quiesce subject %d", subject), got, topKWeightedExhaustive(full, entries, norm2, subject, 10, owned))
 		q := zipfPost(rng, z, dim)
-		gs, _ := ix.SearchOwned(q, 10, owned)
-		assertIdentical(t, tSprintf("post-quiesce search %v", q), gs, searchOwnedExhaustive(ix, q, 10, owned))
+		gs, _ := ix.Search(q, 10)
+		assertIdentical(t, tSprintf("post-quiesce search %v", q), gs, searchOwnedExhaustive(full, q, 10, owned))
 	}
 }
 
@@ -437,7 +537,8 @@ func TestRFDEntriesShape(t *testing.T) {
 func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 	const n, dim, shards, k = 300, 40, 8, 12
 	model, rng, _ := zipfModel(17, n, dim, 8)
-	tvOne, tvTwo := newTieredVecs(cloneAll(model), shards, false), newTieredVecs(cloneAll(model), shards, false)
+	owned := ownedSet(n, func(id int) bool { return id%3 != 1 })
+	tvOne, tvTwo := newTieredVecs(cloneAll(model), shards, false, owned), newTieredVecs(cloneAll(model), shards, false, owned)
 	one, two := tvOne.ix, tvTwo.ix
 	for id := 0; id < n; id++ {
 		if rng.Intn(2) == 0 {
@@ -445,15 +546,14 @@ func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 			tvTwo.evict(id)
 		}
 	}
-	owned := ownedSet(n, func(id int) bool { return id%3 != 1 })
 	var zeroNorm, coldSubjects int
 	for subject := 0; subject < n; subject++ {
 		if tvOne.cold[subject] {
 			coldSubjects++
 		}
 		wantEntries, wantNorm2, _, wantEpoch := two.RFDEntries(subject)
-		want, _ := two.TopKWeighted(wantEntries, wantNorm2, subject, k, owned)
-		entries, norm2, got, epoch := one.SubjectTopK(subject, k, owned)
+		want, _ := two.TopKWeighted(wantEntries, wantNorm2, subject, k, nil)
+		entries, norm2, got, epoch := one.SubjectTopK(subject, k)
 		if epoch != wantEpoch || math.Float64bits(norm2) != math.Float64bits(wantNorm2) || len(entries) != len(wantEntries) {
 			t.Fatalf("subject %d: vector (%d entries, norm2 %v, epoch %d), want (%d, %v, %d)",
 				subject, len(entries), norm2, epoch, len(wantEntries), wantNorm2, wantEpoch)
@@ -479,10 +579,10 @@ func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 	if a, b := tvOne.coldReads.Load(), tvTwo.coldReads.Load(); a == 0 || tvOne.rehydrations.Load()+tvTwo.rehydrations.Load() != 0 {
 		t.Fatalf("cold reads: one view %d, two calls %d; queries must read cold subjects and leave them cold", a, b)
 	}
-	if e, _, top, _ := one.SubjectTopK(n, k, owned); e != nil || top != nil {
+	if e, _, top, _ := one.SubjectTopK(n, k); e != nil || top != nil {
 		t.Fatal("out-of-range subject returned an answer")
 	}
-	if e, _, top, _ := one.SubjectTopK(3, 0, owned); e != nil || top != nil {
+	if e, _, top, _ := one.SubjectTopK(3, 0); e != nil || top != nil {
 		t.Fatal("k = 0 returned an answer")
 	}
 }
@@ -494,9 +594,8 @@ func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 func TestSubjectTopKOneViewUnderApply(t *testing.T) {
 	const n, dim, shards, subject = 64, 30, 4, 9
 	model, _, _ := zipfModel(23, n, dim, 6)
-	tv := newTieredVecs(cloneAll(model), shards, false)
+	tv := newTieredVecs(cloneAll(model), shards, false, ownedSet(n, func(id int) bool { return id%2 == 1 }))
 	ix := tv.ix
-	owned := ownedSet(n, func(id int) bool { return id%2 == 1 })
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -520,7 +619,7 @@ func TestSubjectTopKOneViewUnderApply(t *testing.T) {
 	}
 	var last uint64
 	for q := 0; q < 500; q++ {
-		entries, norm2, top, epoch := ix.SubjectTopK(subject, 5, owned)
+		entries, norm2, top, epoch := ix.SubjectTopK(subject, 5)
 		var sum float64
 		for _, e := range entries {
 			sum += float64(e.Count) * float64(e.Count)

@@ -65,7 +65,7 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 		// candidate enumeration entirely and go straight to the
 		// zero-similarity padding (smallest ids first, exactly what the
 		// exhaustive index returns).
-		return rankTopK(len(ix.rfds), subject, k, 0, nil, ix.norm2At)
+		return rankTopK(len(ix.rfds), subject, k, 0, nil, ix.norm2At, nil)
 	}
 	// Accumulate dot products over the subject's postings.
 	dots := make(map[int32]float64)
@@ -78,7 +78,7 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 			dots[p.id] += sc * float64(p.count)
 		}
 	}
-	return rankTopK(len(ix.rfds), subject, k, subjNorm, dots, ix.norm2At)
+	return rankTopK(len(ix.rfds), subject, k, subjNorm, dots, ix.norm2At, nil)
 }
 
 // norm2At resolves a resource's scoring norm for rankTopK: 0 when it
@@ -185,8 +185,9 @@ func (s *topKSelector) results() []Scored {
 // pads directly. norm2 resolves a candidate id to its scoring norm,
 // returning 0 for candidates that cannot score (no posts or zero norm)
 // — which lets the online index score every candidate from its dense
-// norm cache without reading the candidate's counts.
-func rankTopK(n, subject, k int, subjNorm float64, dots map[int32]float64, norm2 func(int32) float64) []Scored {
+// norm cache without reading the candidate's counts. owned, when
+// non-nil, restricts the padding to the resources it admits.
+func rankTopK(n, subject, k int, subjNorm float64, dots map[int32]float64, norm2 func(int32) float64, owned []bool) []Scored {
 	sel := newTopKSelector(k)
 	if subjNorm > 0 {
 		for id, dot := range dots {
@@ -208,7 +209,7 @@ func rankTopK(n, subject, k int, subjNorm float64, dots map[int32]float64, norm2
 			present[s.ID] = true
 		}
 		for id := 0; id < n && sel.len() < k; id++ {
-			if id == subject || present[id] {
+			if id == subject || present[id] || (owned != nil && !owned[id]) {
 				continue
 			}
 			if _, overlapped := dots[int32(id)]; overlapped {

@@ -102,6 +102,13 @@ type OnlineIndex struct {
 	vecs Vectors
 	own  ownedVecs
 
+	// owned, when non-nil, holds one entry per resource: the set a
+	// cluster member ranks. Only its resources have postings, so every
+	// ranking the index serves — candidates and zero-similarity padding
+	// alike — covers it alone; norm2 and the epoch still count every
+	// resource. nil owns every resource.
+	owned []bool
+
 	// epoch counts applied posts; incremented under the owning shard's
 	// write lock, read by queries while holding every read lock (when no
 	// writer can be mid-apply), so a query's reported epoch is exact.
@@ -158,7 +165,7 @@ type onlineShard struct {
 // them). shards ≤ 0 selects 1. It is NewOnlineIndexOver for an index
 // that is its own vector owner, as the benchmarks and tests drive it.
 func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
-	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards)
+	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards, nil)
 	ix.own = rfds
 	return ix
 }
@@ -170,15 +177,21 @@ func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
 // straight off its record, residency unchanged): this is the only corpus
 // scan the index ever performs, and every later change arrives through
 // PostApplied. The caller must keep writers out until it returns.
-// shards ≤ 0 selects 1.
-func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
+// shards ≤ 0 selects 1. owned, when non-nil, is the set of resources
+// the index ranks, one entry per resource (a cluster member passes the
+// resources it owns); nil ranks every resource.
+func NewOnlineIndexOver(vecs Vectors, n, shards int, owned []bool) *OnlineIndex {
 	if shards <= 0 {
 		shards = 1
+	}
+	if owned != nil && len(owned) != n {
+		panic("ir: owned set does not cover the indexed resources")
 	}
 	ix := &OnlineIndex{
 		n:           n,
 		shards:      make([]*onlineShard, shards),
 		vecs:        vecs,
+		owned:       owned,
 		dir:         make(map[tags.Tag]*dirRow),
 		norm2:       make([]float64, n),
 		tagPostings: make(map[tags.Tag]int),
@@ -187,15 +200,18 @@ func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
 		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*bmList)}
 	}
 	var i, s int
+	var own bool
 	var n2 float64
 	seed := func(t tags.Tag, c int64) {
-		ix.posting(s, t).seedAppend(int32(i), c)
-		ix.notePosting(t)
+		if own {
+			ix.posting(s, t).seedAppend(int32(i), c)
+			ix.notePosting(t)
+		}
 		n2 += float64(c) * float64(c)
 	}
 	var postless []int
 	for i = 0; i < n; i++ {
-		s, n2 = i%shards, 0
+		s, own, n2 = i%shards, ix.owns(i), 0
 		if vecs.ViewEntries(i, seed) == 0 {
 			postless = append(postless, i)
 		}
@@ -255,6 +271,9 @@ func (ix *OnlineIndex) notePosting(t tags.Tag) {
 // N returns the number of indexed resources.
 func (ix *OnlineIndex) N() int { return ix.n }
 
+// owns reports whether the index ranks resource id.
+func (ix *OnlineIndex) owns(id int) bool { return ix.owned == nil || ix.owned[id] }
+
 // Lock takes the view lock over resource's counts and residency — the
 // write lock of its index shard. The owner of the counts (the engine,
 // through engine.Subscriber) holds it around every write to them, always
@@ -272,13 +291,16 @@ func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)]
 // bmList.bumpOne). Each tag's count-delta is +1 — a post names a tag at
 // most once. Callers must deliver each resource's posts in apply order
 // (the engine calls it under its shard lock, which guarantees exactly
-// that).
+// that). A resource outside the owned set has no postings: its post
+// moves only its norm2 and the epoch.
 func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
-	s := resource % len(ix.shards)
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
-	for _, t := range p {
-		if ix.posting(s, t).bumpOne(int32(resource), norm2, ix.norm2) {
-			ix.notePosting(t)
+	if ix.owns(resource) {
+		s := resource % len(ix.shards)
+		for _, t := range p {
+			if ix.posting(s, t).bumpOne(int32(resource), norm2, ix.norm2) {
+				ix.notePosting(t)
+			}
 		}
 	}
 	ix.epoch.Add(1)
@@ -341,8 +363,9 @@ func (ix *OnlineIndex) lift(sc *queryScratch, subject int) {
 // TopKExhaustive) at the returned epoch, without cloning or rescanning
 // anything. It runs the block-max pruned executor: subject tags are
 // processed by decreasing score bound and posting blocks that provably
-// cannot reach the current kth score are skipped unscored. Invalid
-// subjects or k ≤ 0 return nil.
+// cannot reach the current kth score are skipped unscored. An index with
+// an owned set ranks and pads only owned resources. Invalid subjects or
+// k ≤ 0 return nil.
 func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	ix.topkQueries.Add(1)
 	if k <= 0 || subject < 0 || subject >= ix.n {
@@ -354,7 +377,7 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	// (zero norm or zero posts) fired — hot or cold alike.
 	n2 := ix.norm2[subject]
 	if n2 == 0 {
-		res := rankTopK(ix.n, subject, k, 0, nil, ix.norm2At)
+		res := rankTopK(ix.n, subject, k, 0, nil, ix.norm2At, ix.owned)
 		ix.runlockAll()
 		return res, epoch
 	}
@@ -391,7 +414,7 @@ func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
 	epoch := ix.epoch.Load()
 	n2 := ix.norm2[subject]
 	if n2 == 0 {
-		return rankTopK(ix.n, subject, k, 0, nil, ix.norm2At), epoch
+		return rankTopK(ix.n, subject, k, 0, nil, ix.norm2At, ix.owned), epoch
 	}
 	subjNorm := math.Sqrt(n2)
 	sc := ix.getScratch()
@@ -413,7 +436,7 @@ func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
 			}
 		}
 	}
-	return rankTopK(ix.n, subject, k, subjNorm, dots, ix.norm2At), epoch
+	return rankTopK(ix.n, subject, k, subjNorm, dots, ix.norm2At, ix.owned), epoch
 }
 
 // normalizeQuery enforces the tags.Post invariant (sorted, distinct,
@@ -448,10 +471,28 @@ func normalizeQuery(q tags.Post) tags.Post {
 // min(k, |candidates|) entries, score-descending with ties broken
 // toward smaller ids; zero-overlap resources are not padded in (an
 // empty result means nothing matched). Like TopK it runs the block-max
-// pruned executor, bit-identical to SearchExhaustive. Returns the
-// epoch-consistent view it scored against.
+// pruned executor, bit-identical to SearchExhaustive, and ranks only the
+// owned set when the index has one: per-node answers then merge into
+// exactly the single-node ranking under the (score desc, id asc)
+// comparator. Returns the epoch-consistent view it scored against.
 func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
-	return ix.SearchOwned(query, k, nil)
+	ix.searchQueries.Add(1)
+	query = normalizeQuery(query)
+	if k <= 0 || len(query) == 0 || ix.n == 0 {
+		return nil, ix.epoch.Load()
+	}
+	ix.rlockAll()
+	epoch := ix.epoch.Load()
+	sc := ix.getScratch()
+	// The query vector's squared norm is |query| exactly (unit counts
+	// over distinct tags). The score expression mirrors
+	// sparse.Counts.Cosine term for term (single sqrt of the norm
+	// product, same clamping), so a Search score is bit-identical to
+	// Cosine against a count vector holding the query.
+	pq := prunedQuery{subject: -1, tags: query, qNorm2: float64(len(query)), search: true}
+	res := ix.runPruned(&pq, k, sc, false)
+	ix.endQuery(sc)
+	return res, epoch
 }
 
 // SearchExhaustive is the pre-pruning Search, preserved as the pruning
@@ -557,7 +598,8 @@ type OnlineStats struct {
 	// Tags and Postings size the inverted structure; MaxPostings is the
 	// longest single posting list (the worst-case candidate fan-out of
 	// one query tag). All three are O(1) reads of incrementally
-	// maintained counters.
+	// maintained counters, and an index with an owned set counts its
+	// owned resources' postings only.
 	Tags        int `json:"tags"`
 	Postings    int `json:"postings"`
 	MaxPostings int `json:"max_postings"`

@@ -26,14 +26,15 @@ type tieredVecs struct {
 	evictions, rehydrations, coldReads atomic.Uint64
 }
 
-// newTieredVecs builds an index over rfds (which it takes ownership of),
-// every resource cold when cold is set.
-func newTieredVecs(rfds []*sparse.Counts, shards int, cold bool) *tieredVecs {
+// newTieredVecs builds an index over rfds (which it takes ownership of)
+// that ranks the resources owned admits (nil: all), every resource cold
+// when cold is set.
+func newTieredVecs(rfds []*sparse.Counts, shards int, cold bool, owned []bool) *tieredVecs {
 	v := &tieredVecs{vecs: rfds, cold: make([]bool, len(rfds))}
 	for i := range v.cold {
 		v.cold[i] = cold
 	}
-	v.ix = NewOnlineIndexOver(v, len(rfds), shards)
+	v.ix = NewOnlineIndexOver(v, len(rfds), shards, owned)
 	return v
 }
 
@@ -98,11 +99,14 @@ func compareScored(t *testing.T, ctx string, got, want []Scored) {
 	}
 }
 
-// evictRandom marks a random subset of the resources cold.
-func evictRandom(rng *rand.Rand, v *tieredVecs, n int) {
+// evictRandom marks a random subset of the n resources cold, the same
+// subset in every vs.
+func evictRandom(rng *rand.Rand, n int, vs ...*tieredVecs) {
 	for i := 0; i < n; i++ {
 		if rng.Intn(2) == 0 {
-			v.evict(i)
+			for _, v := range vs {
+				v.evict(i)
+			}
 		}
 	}
 }
@@ -131,9 +135,11 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		tv := newTieredVecs(cloneAll(model), tc.shards, false)
+		tv := newTieredVecs(cloneAll(model), tc.shards, false, nil)
 		tiered := tv.ix
 		oracle := NewOnlineIndex(cloneAll(model), tc.shards)
+		owned := ownedSet(tc.n, func(id int) bool { return id%2 == 0 })
+		ownedTV := newTieredVecs(cloneAll(model), tc.shards, false, owned)
 
 		check := func(step int) {
 			t.Helper()
@@ -168,19 +174,18 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 			got, _ := tiered.TopKWeighted(entries, norm2, subject, 10, nil)
 			want, _ := oracle.TopKWeighted(wantE, wantN, subject, 10, nil)
 			compareScored(t, tctx(t, tc.seed, step, "weighted", subject, 10), got, want)
-			owned := ownedSet(tc.n, func(id int) bool { return id%2 == 0 })
 			oq := randomPost(rng, tc.dim)
-			gs, _ := tiered.SearchOwned(oq, 5, owned)
-			ws, _ := oracle.SearchOwned(oq, 5, owned)
-			compareScored(t, tctx(t, tc.seed, step, "searchowned", subject, 5), gs, ws)
+			gs, _ := ownedTV.ix.Search(oq, 5)
+			compareScored(t, tctx(t, tc.seed, step, "owned search", subject, 5), gs, searchOwnedExhaustive(oracle, oq, 5, owned))
 		}
 
 		for step := 0; step < 40; step++ {
 			i := rng.Intn(tc.n)
 			p := randomPost(rng, tc.dim)
 			tv.apply(i, p)
+			ownedTV.apply(i, p)
 			oracle.Apply(i, p)
-			evictRandom(rng, tv, tc.n)
+			evictRandom(rng, tc.n, tv, ownedTV)
 			if step%8 == 7 {
 				// Exhaustive oracles on the tiered index itself: pruned
 				// and exhaustive must agree whatever the residency mix.
@@ -231,7 +236,7 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		}
 	}
 	hot := NewOnlineIndex(cloneAll(model), shards)
-	tv := newTieredVecs(cloneAll(model), shards, true)
+	tv := newTieredVecs(cloneAll(model), shards, true, nil)
 	cold := tv.ix
 	if got := tv.coldReads.Load(); got != n {
 		t.Fatalf("cold seeding read %d cold resources, want %d", got, n)
@@ -299,7 +304,7 @@ func engineIndex(t *testing.T, seed int64, n, dim, shards int) (*engine.Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewOnlineIndexOver(eng, eng.N(), eng.Shards())
+	ix := NewOnlineIndexOver(eng, eng.N(), eng.Shards(), nil)
 	eng.Subscribe(ix)
 	return eng, ix
 }
@@ -350,7 +355,7 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 		rfds[i] = sparse.NewCounts()
 		rfds[i].Add(randomPost(rng, dim))
 	}
-	tv := newTieredVecs(cloneAll(rfds), shards, false)
+	tv := newTieredVecs(cloneAll(rfds), shards, false, nil)
 	ix := tv.ix
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -369,7 +374,7 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 		defer wg.Done()
 		erng := rand.New(rand.NewSource(300))
 		for !stop.Load() {
-			evictRandom(erng, tv, n)
+			evictRandom(erng, n, tv)
 		}
 	}()
 	for q := 0; q < 300; q++ {

@@ -43,8 +43,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 
 	incentivetag "incentivetag"
 )
@@ -354,42 +352,7 @@ func (s *Server) handleClusterSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	if !s.checkMapHash(w, q.Get("maphash")) {
-		return
+	if s.checkMapHash(w, q.Get("maphash")) {
+		serveSearch(w, q, svc)
 	}
-	ts := q.Get("tags")
-	if ts == "" {
-		WriteError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
-		return
-	}
-	parts := strings.Split(ts, ",")
-	ids := make([]incentivetag.Tag, 0, len(parts))
-	for _, part := range parts {
-		part = strings.TrimSpace(part)
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			WriteError(w, http.StatusBadRequest, "tag %q is not an integer id", part)
-			return
-		}
-		ids = append(ids, incentivetag.Tag(id))
-	}
-	query, err := incentivetag.NewPost(ids...)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	k, ok := ParseK(w, q)
-	if !ok {
-		return
-	}
-	scored, epoch, err := svc.SearchOwned(query, k)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	out := SearchResponse{Tags: make([]int32, len(query)), Epoch: epoch, Top: topEntries(scored)}
-	for i, t := range query {
-		out.Tags[i] = int32(t)
-	}
-	WriteJSON(w, http.StatusOK, out)
 }

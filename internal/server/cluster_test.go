@@ -182,6 +182,59 @@ func TestClusterTopKScoresOnlyOwned(t *testing.T) {
 	}, &e, http.StatusBadRequest)
 }
 
+// A member's node-local reads answer over what it owns. /topk for a
+// subject it does not own is refused like the owner leg, before the
+// stale primed vector is read; an owned subject ranks owned resources
+// only. /search ranks owned resources only and answers exactly what
+// /cluster/search does, with the same refusals.
+func TestMemberLocalReadsOwnedOnly(t *testing.T) {
+	const hash = "c0de0123c0de0123"
+	h := newClusterNode(t, hash)
+	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 4, Tags: []int32{1, 2}}, nil, http.StatusOK)
+
+	var e server.ErrorResponse
+	h.call(t, "GET", "/topk?resource=3&k=5", nil, &e, http.StatusMisdirectedRequest)
+	if want := "resource 3 is not owned by this node"; e.Error != want {
+		t.Fatalf("non-owned /topk error %q, want %q", e.Error, want)
+	}
+	h.call(t, "GET", "/topk?resource=9999&k=5", nil, &e, http.StatusBadRequest)
+
+	owned := (h.svc.N() + 1) / 2
+	var top server.TopKResponse
+	h.call(t, "GET", "/topk?resource=4&k=1000", nil, &top, http.StatusOK)
+	if len(top.Top) != owned-1 {
+		t.Fatalf("owned /topk ranked %d resources, want the %d other owned ones", len(top.Top), owned-1)
+	}
+	for _, r := range top.Top {
+		if r.Resource%2 != 0 || r.Resource == 4 {
+			t.Fatalf("owned /topk ranked resource %d: not owned, or the subject itself", r.Resource)
+		}
+	}
+
+	var local, scatter server.SearchResponse
+	h.call(t, "GET", "/search?tags=1,2,3&k=1000", nil, &local, http.StatusOK)
+	h.call(t, "GET", "/cluster/search?tags=1,2,3&k=1000&maphash="+hash, nil, &scatter, http.StatusOK)
+	if len(local.Top) == 0 || len(local.Top) != len(scatter.Top) || local.Epoch != scatter.Epoch {
+		t.Fatalf("/search answered %+v, /cluster/search %+v", local, scatter)
+	}
+	for i, r := range local.Top {
+		if r.Resource%2 != 0 {
+			t.Fatalf("/search ranked non-owned resource %d", r.Resource)
+		}
+		if r != scatter.Top[i] {
+			t.Fatalf("rank %d: /search %+v, /cluster/search %+v", i, r, scatter.Top[i])
+		}
+	}
+	for _, q := range []string{"", "tags=", "tags=1,x", "tags=-1", "tags=1&k=0", "tags=1&k=ten"} {
+		var le, ce server.ErrorResponse
+		h.call(t, "GET", "/search?"+q, nil, &le, http.StatusBadRequest)
+		h.call(t, "GET", "/cluster/search?maphash="+hash+"&"+q, nil, &ce, http.StatusBadRequest)
+		if le.Error != ce.Error {
+			t.Fatalf("%q: /search says %q, /cluster/search %q", q, le.Error, ce.Error)
+		}
+	}
+}
+
 // Ownership is data after boot: the predicate is evaluated once per
 // resource by NewService and no request path — ingest checks, the
 // allocator mask, the cluster query kernels — ever calls it again.

@@ -57,6 +57,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -749,6 +750,13 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if !svc.OwnsResource(subject) {
+		// A cluster member's copy of a resource it does not own is its
+		// stale primed state: refuse before reading it, as /cluster/topk
+		// does.
+		WriteError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", subject)
+		return
+	}
 	// Live online index: incrementally maintained from ingest deltas,
 	// epoch-versioned consistent read — no snapshot clone, no rebuild.
 	scored, epoch, err := svc.TopK(subject, k)
@@ -760,11 +768,15 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	svc := s.service(w)
-	if svc == nil {
-		return
+	if svc := s.service(w); svc != nil {
+		serveSearch(w, r.URL.Query(), svc)
 	}
-	q := r.URL.Query()
+}
+
+// serveSearch is the body GET /search and GET /cluster/search share: tag
+// and k parsing, the ranking (owned resources only on a cluster member)
+// and the response.
+func serveSearch(w http.ResponseWriter, q url.Values, svc *incentivetag.Service) {
 	ts := q.Get("tags")
 	if ts == "" {
 		WriteError(w, http.StatusBadRequest, "missing tags parameter (comma-separated tag ids)")
