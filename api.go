@@ -75,9 +75,10 @@ type (
 	// Taxonomy is the category tree ground truth.
 	Taxonomy = taxonomy.Tree
 
-	// SimilarityIndex answers top-k and pair-similarity queries over rfd
-	// snapshots.
-	SimilarityIndex = ir.Index
+	// SimilarityIndex answers top-k, tag-set search and pair-similarity
+	// queries over immutable rfd snapshots; its TopK is bit-identical to
+	// a Service's live TopK over the same counts.
+	SimilarityIndex = ir.InvertedIndex
 	// Scored is a ranked similarity answer.
 	Scored = ir.Scored
 	// Pair is an unordered resource pair.
@@ -280,14 +281,6 @@ func (s *Simulation) SetCosts(costs []int) error {
 	return nil
 }
 
-// InvertedTopK is a tag-postings-accelerated top-k similarity index,
-// exact but touching only resources that share tags with the subject.
-type InvertedTopK = ir.InvertedIndex
-
-// NewInvertedTopK builds the accelerated index over an rfd snapshot set
-// (e.g. SimilarityIndex.RFDs()).
-func NewInvertedTopK(rfds []*Counts) *InvertedTopK { return ir.BuildInverted(rfds) }
-
 // SnapshotAfter runs a strategy and returns the resulting rfd snapshots
 // as a similarity index (the case-study workflow of §V-C).
 func (s *Simulation) SnapshotAfter(name string, budget int) (*SimilarityIndex, error) {
@@ -299,7 +292,7 @@ func (s *Simulation) SnapshotAfter(name string, budget int) (*SimilarityIndex, e
 	if _, err := st.Run(strat, budget, nil); err != nil {
 		return nil, err
 	}
-	return ir.NewIndex(st.SnapshotRFDs()), nil
+	return ir.BuildInverted(st.SnapshotRFDs()), nil
 }
 
 // SnapshotInitial returns the "Jan 31" similarity index (initial posts
@@ -310,7 +303,7 @@ func (s *Simulation) SnapshotInitial() *SimilarityIndex {
 	for i := range rfds {
 		rfds[i] = sparse.FromSeq(s.data.Seqs[i], s.data.Initial[i])
 	}
-	return ir.NewIndex(rfds)
+	return ir.BuildInverted(rfds)
 }
 
 // SnapshotFull returns the ideal index built from complete sequences.
@@ -319,11 +312,12 @@ func (s *Simulation) SnapshotFull() *SimilarityIndex {
 	for i := range rfds {
 		rfds[i] = sparse.FromSeq(s.data.Seqs[i], len(s.data.Seqs[i]))
 	}
-	return ir.NewIndex(rfds)
+	return ir.BuildInverted(rfds)
 }
 
-// NewSimilarityIndex wraps rfd snapshots for top-k and ranking queries.
-func NewSimilarityIndex(rfds []*Counts) *SimilarityIndex { return ir.NewIndex(rfds) }
+// NewSimilarityIndex indexes rfd snapshots for top-k, search and ranking
+// queries; the slice is retained.
+func NewSimilarityIndex(rfds []*Counts) *SimilarityIndex { return ir.BuildInverted(rfds) }
 
 // SamplePairs draws m distinct resource pairs for ranking evaluation.
 func SamplePairs(n, m int, seed int64) []Pair { return ir.SamplePairs(n, m, seed) }

@@ -3,6 +3,7 @@ package incentivetag
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -154,6 +155,11 @@ func TestSnapshotsAndSimilarity(t *testing.T) {
 	if len(top) != 5 {
 		t.Fatalf("TopK returned %d", len(top))
 	}
+	for _, bad := range []int{-1, full.N()} {
+		if got := full.TopK(bad, 5); got != nil {
+			t.Errorf("TopK(%d, 5) = %v, want nil", bad, got)
+		}
+	}
 
 	pairs := SamplePairs(ds.N(), 2000, 9)
 	truth := GroundTruthSimilarities(ds, pairs)
@@ -167,6 +173,34 @@ func TestSnapshotsAndSimilarity(t *testing.T) {
 	}
 	if !(tauFull > tauInitial) {
 		t.Errorf("full-data accuracy %.4f not above initial %.4f", tauFull, tauInitial)
+	}
+}
+
+// The offline index and the serving index rank alike: once a Service
+// has ingested every recorded post, its live TopK equals
+// SnapshotFull().TopK bit for bit.
+func TestSnapshotFullMatchesServiceTopK(t *testing.T) {
+	ds := testDS(t)
+	full := NewSimulation(ds, Options{}).SnapshotFull()
+	svc, err := NewService(ds, ServiceOptions{Strategy: "FP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for i := range ds.Resources {
+		r := &ds.Resources[i]
+		if rest := r.Seq[r.Initial:]; len(rest) > 0 {
+			if err := svc.IngestBatch(i, rest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for subject := 0; subject < full.N(); subject++ {
+		got, _, err := svc.TopK(subject, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertScoredEqual(t, "subject "+strconv.Itoa(subject), got, full.TopK(subject, 10))
 	}
 }
 

@@ -24,8 +24,9 @@
 //     taxonomy ground truth (Generate, DefaultConfig);
 //   - persistence via an embedded crash-safe append-only post store
 //     (SaveDataset, LoadDataset);
-//   - the IR case-study layer: top-k similar resources and Kendall-τ
-//     ranking accuracy (NewSimilarityIndex, RankingAccuracy);
+//   - the IR case-study layer: top-k similar resources, tag-set search
+//     and Kendall-τ ranking accuracy over immutable rfd snapshots
+//     (NewSimilarityIndex, RankingAccuracy);
 //   - every table and figure of the paper's evaluation as runnable
 //     experiments (RunExperiment, Experiments);
 //   - a live serving facade over the concurrent sharded tagging engine
@@ -124,8 +125,8 @@
 // index keeps no count vectors; it reads the engine's under one lock
 // order (engine shard → index view) and one epoch.
 // Queries are epoch-versioned consistent reads (every shard read lock
-// held for the duration), bit-identical to rebuilding the immutable
-// inverted index over SnapshotRFDs at the returned epoch, and safe
+// held for the duration), bit-identical to the offline SimilarityIndex
+// (NewSimilarityIndex) over SnapshotRFDs at the returned epoch, and safe
 // under arbitrary concurrency with ingest. The index is seeded from
 // recovered engine state, so a restarted service answers queries
 // identically to the one that crashed. Service.QueryStats (GET /info)
@@ -139,14 +140,14 @@
 // candidate past the running kth score. Pruning is exact — every
 // comparison carries a slack so float rearrangement can only
 // under-prune, and survivors are rescored with the original float
-// expressions — so answers stay bit-identical to the exhaustive
-// executor (kept in-tree as the oracle). Service.TopK additionally
-// memoizes hot subjects in an epoch-keyed result cache: entries are
-// valid only at the exact index epoch they were computed under, so any
-// ingest silently expires them and a cache hit can never serve stale
-// state. Executor and cache counters (blocks skipped, tags deferred,
-// candidates scored, cache hits/misses/entries) surface through
-// QueryStats and GET /info.
+// expressions — so answers stay bit-identical to the offline index's
+// exhaustive scan, the one oracle the pruned paths are tested against.
+// Service.TopK additionally memoizes hot subjects in an epoch-keyed
+// result cache: entries are valid only at the exact index epoch they
+// were computed under, so any ingest silently expires them and a cache
+// hit can never serve stale state. Executor and cache counters (blocks
+// skipped, tags deferred, candidates scored, cache hits/misses/entries)
+// surface through QueryStats and GET /info.
 //
 // # Operating under load
 //

@@ -35,7 +35,7 @@ func rankingSetup(ctx *Context) ([]ir.Pair, []float64) {
 }
 
 // tauOf computes the ranking accuracy of an rfd snapshot.
-func tauOf(ix *ir.Index, pairs []ir.Pair, truth []float64) (float64, error) {
+func tauOf(ix *ir.InvertedIndex, pairs []ir.Pair, truth []float64) (float64, error) {
 	return ir.RankingAccuracy(ix.PairSimilarities(pairs), truth)
 }
 
@@ -81,7 +81,7 @@ func collectTauPoints(ctx *Context) ([]tauPoint, error) {
 				rfds = st.SnapshotRFDs()
 				qual = st.Quality()
 			}
-			tau, err := tauOf(ir.NewIndex(rfds), pairs, truth)
+			tau, err := tauOf(ir.BuildInverted(rfds), pairs, truth)
 			if err != nil {
 				return nil, err
 			}

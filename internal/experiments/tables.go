@@ -12,22 +12,22 @@ import (
 // caseSnapshots builds the four rfd indexes of the case studies
 // (§V-C.1): the initial "Jan 31" state, FC and FP after the case budget,
 // and the ideal "Dec 31" state with every recorded post applied.
-func caseSnapshots(ctx *Context) (map[string]*ir.Index, error) {
-	out := make(map[string]*ir.Index, 4)
+func caseSnapshots(ctx *Context) (map[string]*ir.InvertedIndex, error) {
+	out := make(map[string]*ir.InvertedIndex, 4)
 
 	// Jan 31: initial counts only.
 	jan := make([]*sparse.Counts, ctx.Data.N())
 	for i := range jan {
 		jan[i] = sparse.FromSeq(ctx.Data.Seqs[i], ctx.Data.Initial[i])
 	}
-	out["Jan 31"] = ir.NewIndex(jan)
+	out["Jan 31"] = ir.BuildInverted(jan)
 
 	// Dec 31: full sequences.
 	dec := make([]*sparse.Counts, ctx.Data.N())
 	for i := range dec {
 		dec[i] = sparse.FromSeq(ctx.Data.Seqs[i], len(ctx.Data.Seqs[i]))
 	}
-	out["Dec 31"] = ir.NewIndex(dec)
+	out["Dec 31"] = ir.BuildInverted(dec)
 
 	for _, name := range []string{"FC", "FP"} {
 		s, err := NewStrategy(name, ctx.Scale.Omega)
@@ -38,7 +38,7 @@ func caseSnapshots(ctx *Context) (map[string]*ir.Index, error) {
 		if _, err := st.Run(s, ctx.Scale.CaseBudget, nil); err != nil {
 			return nil, err
 		}
-		out[name] = ir.NewIndex(st.SnapshotRFDs())
+		out[name] = ir.BuildInverted(st.SnapshotRFDs())
 	}
 	return out, nil
 }

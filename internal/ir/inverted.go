@@ -8,14 +8,15 @@ import (
 	"incentivetag/internal/tags"
 )
 
-// InvertedIndex accelerates top-k similarity queries with tag→resource
-// postings: instead of scoring all n resources against the subject
-// (O(n·s) for support size s), only resources sharing at least one tag
-// with the subject are touched. On topically-clustered corpora — exactly
-// what tagging data is — candidates are a small fraction of n.
+// InvertedIndex is the immutable offline index over a set of rfd
+// snapshots: the paper's case studies (Tables VI–VII, Figure 7) and the
+// public SimilarityIndex run on it, and it is the one exhaustive oracle
+// the pruned serving paths are tested against. Tag→resource postings
+// mean a query touches only resources sharing a tag with it; every
+// posting is scored, nothing is pruned.
 //
-// Scores are exact cosine similarities (Equation 16), identical to
-// Index.TopK; only the candidate enumeration differs. The structure is
+// TopK and Search score with the serving expressions, so OnlineIndex is
+// bit-identical to BuildInverted over the same counts. The structure is
 // immutable after Build.
 type InvertedIndex struct {
 	rfds     []*sparse.Counts
@@ -45,15 +46,30 @@ func BuildInverted(rfds []*sparse.Counts) *InvertedIndex {
 // N returns the number of indexed resources.
 func (ix *InvertedIndex) N() int { return len(ix.rfds) }
 
-// PostingLen returns the posting-list length of tag t (diagnostics).
-func (ix *InvertedIndex) PostingLen(t tags.Tag) int { return len(ix.postings[t]) }
+// RFDs exposes the indexed snapshot slice (shared, do not mutate).
+func (ix *InvertedIndex) RFDs() []*sparse.Counts { return ix.rfds }
 
-// TopK returns the k most similar resources to subject, identical in
-// content to Index.TopK but touching only candidates that share a tag
-// with the subject. Resources with zero overlap have cosine 0 and can
-// never outrank any overlapping candidate unless fewer than k candidates
-// exist, in which case zero-scored resources pad the tail (smallest id
-// first), matching the exhaustive implementation.
+// Similarity returns the cosine similarity of resources a and b
+// (Equation 16).
+func (ix *InvertedIndex) Similarity(a, b int) float64 {
+	return ix.rfds[a].Cosine(ix.rfds[b])
+}
+
+// PairSimilarities evaluates Similarity on each pair.
+func (ix *InvertedIndex) PairSimilarities(pairs []Pair) []float64 {
+	out := make([]float64, len(pairs))
+	for i, p := range pairs {
+		out[i] = ix.Similarity(p.A, p.B)
+	}
+	return out
+}
+
+// TopK returns the k resources most similar to subject (excluding the
+// subject itself), score-descending with ties toward smaller ids — the
+// paper's "Top-10 Similar Resources" query (§V-C.1). Only candidates
+// sharing a tag with the subject are scored. Resources with zero overlap
+// have cosine 0 and pad the tail (smallest id first) when fewer than k
+// candidates exist. Invalid subjects or k ≤ 0 return nil.
 func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 	if k <= 0 || subject < 0 || subject >= len(ix.rfds) {
 		return nil
@@ -62,9 +78,8 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 	subjNorm := math.Sqrt(subj.Norm2())
 	if subjNorm == 0 || subj.Posts() == 0 {
 		// Zero-norm subject: every cosine is 0 by definition, so skip
-		// candidate enumeration entirely and go straight to the
-		// zero-similarity padding (smallest ids first, exactly what the
-		// exhaustive index returns).
+		// candidate enumeration and go straight to the zero-similarity
+		// padding, smallest ids first.
 		return rankTopK(len(ix.rfds), subject, k, 0, nil, ix.norm2At, nil)
 	}
 	// Accumulate dot products over the subject's postings.
@@ -81,6 +96,38 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 	return rankTopK(len(ix.rfds), subject, k, subjNorm, dots, ix.norm2At, nil)
 }
 
+// Search ranks resources by cosine similarity between the query tag set
+// (a unit-count vector over its distinct tags) and every rfd, with the
+// same query dedup and score expression as OnlineIndex.Search. Only
+// resources sharing a query tag are ranked; zero-overlap resources are
+// not padded in.
+func (ix *InvertedIndex) Search(query tags.Post, k int) []Scored {
+	query = normalizeQuery(query)
+	if k <= 0 || len(query) == 0 {
+		return nil
+	}
+	dots := make(map[int32]float64)
+	for _, t := range query {
+		for _, p := range ix.postings[t] {
+			dots[p.id] += float64(p.count)
+		}
+	}
+	qNorm2 := float64(len(query))
+	sel := newTopKSelector(k)
+	for id, dot := range dots {
+		n2 := ix.norm2At(id)
+		if n2 == 0 {
+			continue
+		}
+		s := dot / math.Sqrt(qNorm2*n2)
+		if s > 1 {
+			s = 1
+		}
+		sel.push(int(id), s)
+	}
+	return sel.results()
+}
+
 // norm2At resolves a resource's scoring norm for rankTopK: 0 when it
 // cannot score (the Posts/Norm2 guard folded into one value).
 func (ix *InvertedIndex) norm2At(id int32) float64 {
@@ -95,7 +142,7 @@ func (ix *InvertedIndex) norm2At(id int32) float64 {
 // min-heap whose tiebreak (equal scores prefer the smaller id) makes
 // the kept set deterministic under any push order, finalized into a
 // score-descending, ties-toward-smaller-id ranking. Shared by every
-// top-k query path (exhaustive-candidate, inverted, online, search) so
+// top-k query path (offline, online, weighted, search) so
 // the selection semantics can never drift between them.
 type topKSelector struct {
 	k int
@@ -252,23 +299,4 @@ func (ix *InvertedIndex) Tags() []tags.Tag {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-// Stats summarizes index shape for diagnostics and tests.
-type InvertedStats struct {
-	Tags        int
-	Postings    int
-	MaxPostings int
-}
-
-// Stat computes posting-list statistics.
-func (ix *InvertedIndex) Stat() InvertedStats {
-	st := InvertedStats{Tags: len(ix.postings)}
-	for _, pl := range ix.postings {
-		st.Postings += len(pl)
-		if len(pl) > st.MaxPostings {
-			st.MaxPostings = len(pl)
-		}
-	}
-	return st
 }

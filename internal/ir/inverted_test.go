@@ -8,54 +8,11 @@ import (
 	"incentivetag/internal/tags"
 )
 
-// The inverted index must return exactly what the exhaustive index does.
+// The inverted index must return exactly what the exhaustive full-sort
+// reference does, bit for bit, on random corpora.
 func TestInvertedMatchesExhaustive(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		ix := randomIndex(seed, 80, 30)
-		inv := BuildInverted(ix.RFDs())
-		for _, subject := range []int{0, 40, 79} {
-			for _, k := range []int{1, 10, 79} {
-				a := ix.TopK(subject, k)
-				b := inv.TopK(subject, k)
-				if len(a) != len(b) {
-					t.Fatalf("seed %d subject %d k=%d: %d vs %d results", seed, subject, k, len(a), len(b))
-				}
-				// Scores must match rank-by-rank; within a tie group
-				// (equal scores up to float noise) the two
-				// implementations may order ids differently, so compare
-				// tie groups as sets.
-				const tol = 1e-9
-				for i := range a {
-					if math.Abs(a[i].Score-b[i].Score) > tol {
-						t.Fatalf("seed %d subject %d k=%d rank %d: score %.12f vs %.12f",
-							seed, subject, k, i, a[i].Score, b[i].Score)
-					}
-				}
-				i := 0
-				for i < len(a) {
-					j := i + 1
-					for j < len(a) && a[j].Score > a[i].Score-tol {
-						j++
-					}
-					setA := map[int]bool{}
-					setB := map[int]bool{}
-					for x := i; x < j; x++ {
-						setA[a[x].ID] = true
-						setB[b[x].ID] = true
-					}
-					// Boundary ties can swap members across the k cut;
-					// only require full equality for interior groups.
-					if j < len(a) {
-						for id := range setA {
-							if !setB[id] {
-								t.Fatalf("seed %d subject %d k=%d: tie group [%d,%d) differs", seed, subject, k, i, j)
-							}
-						}
-					}
-					i = j
-				}
-			}
-		}
+		assertMatchesFullSort(t, tSprintf("seed %d", seed), randomIndex(seed, 80, 30).RFDs())
 	}
 }
 
@@ -73,37 +30,21 @@ func TestInvertedZeroPadding(t *testing.T) {
 		}
 		rfds[i] = c
 	}
-	inv := BuildInverted(rfds)
-	ex := NewIndex(rfds)
-	got := inv.TopK(0, 4)
-	want := ex.TopK(0, 4)
-	if len(got) != 4 || len(want) != 4 {
-		t.Fatalf("lengths %d / %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].ID != want[i].ID || math.Abs(got[i].Score-want[i].Score) > 1e-12 {
-			t.Fatalf("rank %d: (%d,%.6f) vs (%d,%.6f)", i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
-		}
-	}
-	if got[0].ID != 1 || got[0].Score <= 0 {
-		t.Errorf("overlapping resource not ranked first: %+v", got[0])
-	}
-	if got[1].Score != 0 {
-		t.Errorf("expected zero-similarity padding from rank 2: %+v", got[1])
-	}
+	got := BuildInverted(rfds).TopK(0, 4)
+	// Only resource 1 overlaps; the padding is the smallest other ids.
+	want := []Scored{{ID: 1, Score: 1 / (math.Sqrt(2) * math.Sqrt(2))}, {ID: 2}, {ID: 3}, {ID: 4}}
+	assertIdentical(t, "zero padding", got, want)
 }
 
 func TestInvertedEdgeCases(t *testing.T) {
-	ix := randomIndex(9, 10, 8)
-	inv := BuildInverted(ix.RFDs())
+	inv := randomIndex(9, 10, 8)
 	if inv.TopK(-1, 3) != nil || inv.TopK(99, 3) != nil || inv.TopK(0, 0) != nil {
 		t.Error("invalid queries returned results")
 	}
+	if inv.Search(nil, 3) != nil || inv.Search(tags.Post{-1}, 3) != nil || inv.Search(tags.MustPost(1), 0) != nil {
+		t.Error("invalid searches returned results")
+	}
 	if inv.N() != 10 {
 		t.Errorf("N = %d", inv.N())
-	}
-	st := inv.Stat()
-	if st.Tags == 0 || st.Postings == 0 || st.MaxPostings == 0 {
-		t.Errorf("Stat = %+v", st)
 	}
 }

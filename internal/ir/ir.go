@@ -3,44 +3,22 @@
 // rfd's, top-k similar-resource queries (Tables VI–VII), and all-pairs
 // similarity rankings whose accuracy against taxonomy ground truth is
 // measured with Kendall's τ (Figure 7).
+//
+// Two indexes serve them. BuildInverted is the immutable offline index:
+// the case studies and the public SimilarityIndex run on it, and it is
+// the exhaustive oracle every pruned path is tested against. OnlineIndex
+// is the mutable serving index, bit-identical to BuildInverted over the
+// same counts.
 package ir
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
 
-	"incentivetag/internal/sparse"
 	"incentivetag/internal/stats"
 	"incentivetag/internal/taxonomy"
 )
-
-// Index is a snapshot of every resource's rfd at some point of a
-// simulation (e.g. "Jan 31", "FC with B=10,000", "Dec 31").
-type Index struct {
-	rfds []*sparse.Counts
-}
-
-// NewIndex wraps the given rfd snapshots; the slice is retained.
-func NewIndex(rfds []*sparse.Counts) *Index {
-	return &Index{rfds: rfds}
-}
-
-// N returns the number of resources.
-func (ix *Index) N() int { return len(ix.rfds) }
-
-// RFD returns resource i's snapshot.
-func (ix *Index) RFD(i int) *sparse.Counts { return ix.rfds[i] }
-
-// RFDs exposes the underlying snapshot slice (shared, do not mutate);
-// used to build accelerated indexes over the same data.
-func (ix *Index) RFDs() []*sparse.Counts { return ix.rfds }
-
-// Similarity returns the cosine similarity of resources a and b.
-func (ix *Index) Similarity(a, b int) float64 {
-	return ix.rfds[a].Cosine(ix.rfds[b])
-}
 
 // Scored is one ranked query answer.
 type Scored struct {
@@ -50,50 +28,14 @@ type Scored struct {
 
 // scoredHeap is a min-heap on Score (ties broken toward larger id so the
 // final sorted output prefers smaller ids), used to keep the best k.
+// topKSelector and the block-max scratch sift it by hand with Less.
 type scoredHeap []Scored
 
-func (h scoredHeap) Len() int { return len(h) }
 func (h scoredHeap) Less(a, b int) bool {
 	if h[a].Score != h[b].Score {
 		return h[a].Score < h[b].Score
 	}
 	return h[a].ID > h[b].ID
-}
-func (h scoredHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *scoredHeap) Push(x interface{}) { *h = append(*h, x.(Scored)) }
-func (h *scoredHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// TopK returns the k resources most similar to subject (excluding the
-// subject itself), in descending similarity order — the paper's "Top-10
-// Similar Resources" query (§V-C.1).
-func (ix *Index) TopK(subject, k int) []Scored {
-	if k <= 0 {
-		return nil
-	}
-	h := make(scoredHeap, 0, k+1)
-	for i := range ix.rfds {
-		if i == subject {
-			continue
-		}
-		s := ix.Similarity(subject, i)
-		if len(h) < k {
-			heap.Push(&h, Scored{ID: i, Score: s})
-		} else if h[0].Score < s || (h[0].Score == s && h[0].ID > i) {
-			heap.Pop(&h)
-			heap.Push(&h, Scored{ID: i, Score: s})
-		}
-	}
-	out := make([]Scored, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Scored)
-	}
-	return out
 }
 
 // Pair is an unordered resource pair (A < B).
@@ -145,15 +87,6 @@ func SamplePairs(n, m int, seed int64) []Pair {
 		}
 		return out[i].B < out[j].B
 	})
-	return out
-}
-
-// PairSimilarities evaluates the index's cosine similarity on each pair.
-func (ix *Index) PairSimilarities(pairs []Pair) []float64 {
-	out := make([]float64, len(pairs))
-	for i, p := range pairs {
-		out[i] = ix.Similarity(p.A, p.B)
-	}
 	return out
 }
 

@@ -11,8 +11,8 @@ import (
 	"incentivetag/internal/taxonomy"
 )
 
-// randomIndex builds n random rfd snapshots over dim tags.
-func randomIndex(seed int64, n, dim int) *Index {
+// randomIndex indexes n random rfd snapshots over dim tags.
+func randomIndex(seed int64, n, dim int) *InvertedIndex {
 	rng := rand.New(rand.NewSource(seed))
 	rfds := make([]*sparse.Counts, n)
 	for i := range rfds {
@@ -31,49 +31,70 @@ func randomIndex(seed int64, n, dim int) *Index {
 		}
 		rfds[i] = c
 	}
-	return NewIndex(rfds)
+	return BuildInverted(rfds)
 }
 
-// TopK must agree with a full sort.
-func TestTopKMatchesFullSort(t *testing.T) {
-	ix := randomIndex(1, 60, 12)
-	for _, subject := range []int{0, 17, 59} {
-		for _, k := range []int{1, 5, 10, 59, 100} {
-			got := ix.TopK(subject, k)
-			// Reference: all similarities sorted descending, id ascending on
-			// ties.
-			type sc struct {
-				id int
-				s  float64
-			}
-			var all []sc
-			for i := 0; i < ix.N(); i++ {
-				if i == subject {
-					continue
-				}
-				all = append(all, sc{i, ix.Similarity(subject, i)})
-			}
-			sort.Slice(all, func(a, b int) bool {
-				if all[a].s != all[b].s {
-					return all[a].s > all[b].s
-				}
-				return all[a].id < all[b].id
-			})
-			want := all
-			if k < len(all) {
-				want = all[:k]
-			}
-			if len(got) != len(want) {
-				t.Fatalf("subject %d k=%d: %d results, want %d", subject, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].id || math.Abs(got[i].Score-want[i].s) > 1e-12 {
-					t.Fatalf("subject %d k=%d rank %d: got (%d,%.6f) want (%d,%.6f)",
-						subject, k, i, got[i].ID, got[i].Score, want[i].id, want[i].s)
-				}
+// fullSortTopK is the brute-force reference for TopK: every other
+// resource scored with Dot and the serving expression dot/(√n₁·√n₂)
+// from Norm2 (0 without posts), fully sorted by (score desc, id asc) and
+// cut at k.
+func fullSortTopK(rfds []*sparse.Counts, subject, k int) []Scored {
+	subj := rfds[subject]
+	var all []Scored
+	for i, c := range rfds {
+		if i == subject {
+			continue
+		}
+		var s float64
+		if subj.Posts() > 0 && c.Posts() > 0 && subj.Norm2() > 0 && c.Norm2() > 0 {
+			s = subj.Dot(c) / (math.Sqrt(subj.Norm2()) * math.Sqrt(c.Norm2()))
+			if s > 1 {
+				s = 1
 			}
 		}
+		all = append(all, Scored{ID: i, Score: s})
 	}
+	sort.Slice(all, func(a, b int) bool {
+		if all[a].Score != all[b].Score {
+			return all[a].Score > all[b].Score
+		}
+		return all[a].ID < all[b].ID
+	})
+	if k < len(all) {
+		all = all[:k]
+	}
+	return all
+}
+
+// assertMatchesFullSort checks BuildInverted(rfds).TopK against
+// fullSortTopK bit for bit, for every subject and k cuts from 1 past n.
+func assertMatchesFullSort(t *testing.T, name string, rfds []*sparse.Counts) {
+	t.Helper()
+	ix := BuildInverted(rfds)
+	for subject := range rfds {
+		for _, k := range []int{1, 5, 10, len(rfds) - 1, 2 * len(rfds)} {
+			assertIdentical(t, tSprintf("%s subject %d k=%d", name, subject, k),
+				ix.TopK(subject, k), fullSortTopK(rfds, subject, k))
+		}
+	}
+}
+
+// TopK must equal the brute-force full sort bit for bit on a corpus
+// where a tie group of identical vectors (and a few empty resources)
+// straddles every k cut.
+func TestTopKMatchesFullSort(t *testing.T) {
+	ties := make([]*sparse.Counts, 30)
+	for i := range ties {
+		ties[i] = sparse.NewCounts()
+		switch {
+		case i%3 == 0: // identical vectors
+			ties[i].Add(tags.MustPost(3, 7, 11))
+		case i%7 == 1: // empty
+		default:
+			ties[i].Add(tags.MustPost(3, tags.Tag(20+i)))
+		}
+	}
+	assertMatchesFullSort(t, "ties", ties)
 }
 
 func TestTopKEdgeCases(t *testing.T) {
@@ -192,7 +213,7 @@ func TestAccuracyPositiveForAlignedIndex(t *testing.T) {
 		}
 		rfds[i] = c
 	}
-	ix := NewIndex(rfds)
+	ix := BuildInverted(rfds)
 	pairs := AllPairs(n)
 	tau, err := RankingAccuracy(ix.PairSimilarities(pairs), GroundTruth(tax, rl, pairs))
 	if err != nil {

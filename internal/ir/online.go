@@ -21,9 +21,8 @@
 // Since the block-max rework (see blockmax.go) the serving TopK/Search
 // paths additionally prune: posting lists are impact-ordered and
 // blocked, and whole blocks/tags whose score upper bound cannot beat
-// the current kth answer are skipped outright — bit-identical to the
-// exhaustive paths, which remain available as TopKExhaustive and
-// SearchExhaustive (the pruning oracle).
+// the current kth answer are skipped outright — bit-identical to
+// BuildInverted over the same counts, the one exhaustive oracle.
 package ir
 
 import (
@@ -125,7 +124,7 @@ type OnlineIndex struct {
 	dir map[tags.Tag]*dirRow
 
 	// norm2[id] caches resource id's scoring norm: its squared norm, or
-	// 0 when the resource has no posts (the exhaustive paths skip those
+	// 0 when the resource has no posts (the selection paths skip those
 	// candidates) — one dense read on the selection hot path, hot or
 	// cold alike, instead of a read of the resource's counts. Each
 	// element is written only under its owning shard's write lock and
@@ -359,8 +358,8 @@ func (ix *OnlineIndex) lift(sc *queryScratch, subject int) {
 }
 
 // TopK returns the k most similar resources to subject over the live
-// state, bit-identical to BuildInverted(SnapshotRFDs()).TopK (and to
-// TopKExhaustive) at the returned epoch, without cloning or rescanning
+// state, bit-identical to BuildInverted(SnapshotRFDs()).TopK at the
+// returned epoch, without cloning or rescanning
 // anything. It runs the block-max pruned executor: subject tags are
 // processed by decreasing score bound and posting blocks that provably
 // cannot reach the current kth score are skipped unscored. An index with
@@ -400,45 +399,6 @@ func (ix *OnlineIndex) endQuery(sc *queryScratch) {
 // shape: 0 means "cannot score" for hot and cold resources alike.
 func (ix *OnlineIndex) norm2At(id int32) float64 { return ix.norm2[id] }
 
-// TopKExhaustive is the pre-pruning serving path, preserved as the
-// pruning oracle: it touches every posting of every subject tag and
-// accumulates dot products in a per-query map.
-// Results are bit-identical to TopK at the same epoch.
-func (ix *OnlineIndex) TopKExhaustive(subject, k int) ([]Scored, uint64) {
-	ix.topkQueries.Add(1)
-	if k <= 0 || subject < 0 || subject >= ix.n {
-		return nil, ix.epoch.Load()
-	}
-	ix.rlockAll()
-	defer ix.runlockAll()
-	epoch := ix.epoch.Load()
-	n2 := ix.norm2[subject]
-	if n2 == 0 {
-		return rankTopK(ix.n, subject, k, 0, nil, ix.norm2At, ix.owned), epoch
-	}
-	subjNorm := math.Sqrt(n2)
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	ix.lift(sc, subject)
-	dots := make(map[int32]float64)
-	for i, t := range sc.support {
-		w := sc.weights[i]
-		for _, osh := range ix.shards {
-			pl := osh.postings[t]
-			if pl == nil {
-				continue
-			}
-			for _, p := range pl.entries {
-				if int(p.id) == subject {
-					continue
-				}
-				dots[p.id] += w * float64(p.count)
-			}
-		}
-	}
-	return rankTopK(ix.n, subject, k, subjNorm, dots, ix.norm2At, ix.owned), epoch
-}
-
 // normalizeQuery enforces the tags.Post invariant (sorted, distinct,
 // non-negative) on a search query, returning the input unchanged when
 // it already holds. Queries that normalize to nothing (or contain
@@ -471,8 +431,8 @@ func normalizeQuery(q tags.Post) tags.Post {
 // min(k, |candidates|) entries, score-descending with ties broken
 // toward smaller ids; zero-overlap resources are not padded in (an
 // empty result means nothing matched). Like TopK it runs the block-max
-// pruned executor, bit-identical to SearchExhaustive, and ranks only the
-// owned set when the index has one: per-node answers then merge into
+// pruned executor, bit-identical to InvertedIndex.Search, and ranks only
+// the owned set when the index has one: per-node answers then merge into
 // exactly the single-node ranking under the (score desc, id asc)
 // comparator. Returns the epoch-consistent view it scored against.
 func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
@@ -493,49 +453,6 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	res := ix.runPruned(&pq, k, sc, false)
 	ix.endQuery(sc)
 	return res, epoch
-}
-
-// SearchExhaustive is the pre-pruning Search, preserved as the pruning
-// oracle (with the same internal query dedup).
-// Results are bit-identical to Search at the same epoch.
-func (ix *OnlineIndex) SearchExhaustive(query tags.Post, k int) ([]Scored, uint64) {
-	ix.searchQueries.Add(1)
-	query = normalizeQuery(query)
-	if k <= 0 || len(query) == 0 || ix.n == 0 {
-		return nil, ix.epoch.Load()
-	}
-	ix.rlockAll()
-	defer ix.runlockAll()
-	epoch := ix.epoch.Load()
-	dots := make(map[int32]float64)
-	for _, t := range query {
-		for _, sh := range ix.shards {
-			pl := sh.postings[t]
-			if pl == nil {
-				continue
-			}
-			for _, p := range pl.entries {
-				dots[p.id] += float64(p.count)
-			}
-		}
-	}
-	qNorm2 := float64(len(query))
-	sel := newTopKSelector(k)
-	for id, dot := range dots {
-		if dot == 0 {
-			continue // a fully-removed posting; cannot score
-		}
-		n2 := ix.norm2[id]
-		if n2 == 0 {
-			continue
-		}
-		s := dot / math.Sqrt(qNorm2*n2)
-		if s > 1 {
-			s = 1
-		}
-		sel.push(int(id), s)
-	}
-	return sel.results(), epoch
 }
 
 // Epoch returns the number of posts applied since construction.

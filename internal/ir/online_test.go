@@ -126,8 +126,9 @@ func TestOnlineMatchesBuildInverted(t *testing.T) {
 	}
 }
 
-// Search must equal the brute-force cosine of the query's unit-count
-// vector against every rfd, restricted to overlapping resources.
+// Search, online and offline, must equal the brute-force cosine of the
+// query's unit-count vector against every rfd, restricted to
+// overlapping resources.
 func TestOnlineSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := randomIndex(11, 50, 20)
@@ -170,15 +171,12 @@ func TestOnlineSearchMatchesBruteForce(t *testing.T) {
 		if len(cands) > k {
 			cands = cands[:k]
 		}
-		if len(got) != len(cands) {
-			t.Fatalf("trial %d: %d results vs %d", trial, len(got), len(cands))
+		want := make([]Scored, len(cands))
+		for i, c := range cands {
+			want[i] = Scored{ID: c.id, Score: c.score}
 		}
-		for i := range cands {
-			if got[i].ID != cands[i].id || got[i].Score != cands[i].score {
-				t.Fatalf("trial %d rank %d: (%d,%v) vs (%d,%v)",
-					trial, i, got[i].ID, got[i].Score, cands[i].id, cands[i].score)
-			}
-		}
+		assertIdentical(t, tSprintf("trial %d online", trial), got, want)
+		assertIdentical(t, tSprintf("trial %d offline", trial), base.Search(query, k), want)
 	}
 }
 
@@ -287,9 +285,9 @@ func TestOnlineEdgeCases(t *testing.T) {
 	}
 }
 
-// The zero-norm-subject early return (read-path bugfix) must keep the
-// inverted index identical to the exhaustive one when the subject has
-// no posts: straight to zero-similarity padding, smallest ids first.
+// The zero-norm-subject early return (read-path bugfix): a subject with
+// no posts goes straight to zero-similarity padding, smallest ids first,
+// on the offline and the online index alike.
 func TestInvertedZeroNormSubject(t *testing.T) {
 	rfds := make([]*sparse.Counts, 8)
 	for i := range rfds {
@@ -299,23 +297,13 @@ func TestInvertedZeroNormSubject(t *testing.T) {
 		}
 	}
 	inv := BuildInverted(rfds)
-	ex := NewIndex(rfds)
 	online := NewOnlineIndex(cloneAll(rfds), 2)
+	others := []Scored{{ID: 0}, {ID: 1}, {ID: 2}, {ID: 4}, {ID: 5}, {ID: 6}, {ID: 7}}
 	for _, k := range []int{1, 4, 7, 20} {
-		want := ex.TopK(3, k)
-		for name, got := range map[string][]Scored{
-			"inverted": inv.TopK(3, k),
-			"online":   func() []Scored { r, _ := online.TopK(3, k); return r }(),
-		} {
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: %d vs %d results", name, k, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s k=%d rank %d: %+v vs %+v", name, k, i, got[i], want[i])
-				}
-			}
-		}
+		want := others[:min(k, len(others))]
+		assertIdentical(t, tSprintf("inverted k=%d", k), inv.TopK(3, k), want)
+		got, _ := online.TopK(3, k)
+		assertIdentical(t, tSprintf("online k=%d", k), got, want)
 	}
 }
 
@@ -326,17 +314,5 @@ func BenchmarkOnlineTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		online.TopK(i%2000, 10)
-	}
-}
-
-func BenchmarkRebuildTopK(b *testing.B) {
-	// The pre-online serving read path: rebuild the inverted index from
-	// a fresh snapshot clone for every query.
-	base := randomIndex(7, 2000, 400)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		inv := BuildInverted(cloneAll(base.RFDs()))
-		inv.TopK(i%2000, 10)
 	}
 }

@@ -33,8 +33,8 @@ func TestQueryEndpoints(t *testing.T) {
 		t.Fatalf("default k gave %d results", len(tk.Top))
 	}
 
-	// The online answer must equal a fresh exhaustive rebuild.
-	oracle := incentivetag.NewInvertedTopK(h.svc.SnapshotRFDs()).TopK(1, 10)
+	// The online answer must equal the offline index over the same counts.
+	oracle := incentivetag.NewSimilarityIndex(h.svc.SnapshotRFDs()).TopK(1, 10)
 	for i, want := range oracle {
 		if tk.Top[i].Resource != want.ID || tk.Top[i].Score != want.Score {
 			t.Fatalf("rank %d: (%d,%v) vs oracle (%d,%v)",

@@ -1,6 +1,7 @@
 package incentivetag
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -18,19 +19,18 @@ func assertScoredEqual(t *testing.T, ctx string, got, want []Scored) {
 		t.Fatalf("%s: %d results, want %d", ctx, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
 			t.Fatalf("%s rank %d: (%d, %v), want (%d, %v)",
 				ctx, i, got[i].ID, got[i].Score, want[i].ID, want[i].Score)
 		}
 	}
 }
 
-// assertQueryOracle checks Service.TopK against a freshly rebuilt
-// inverted index over the service's own rfd snapshot — the per-request
-// path the serving read side used before the online index existed.
+// assertQueryOracle checks Service.TopK against the offline index built
+// over the service's own rfd snapshot.
 func assertQueryOracle(t *testing.T, svc *Service, subjects []int, k int) {
 	t.Helper()
-	oracle := NewInvertedTopK(svc.SnapshotRFDs())
+	oracle := NewSimilarityIndex(svc.SnapshotRFDs())
 	for _, subject := range subjects {
 		got, _, err := svc.TopK(subject, k)
 		if err != nil {

@@ -129,7 +129,7 @@ func TestServiceResultCache(t *testing.T) {
 	if svc.QueryStats().CacheHits != hitsBefore {
 		t.Fatal("query after ingest was served from the stale cache")
 	}
-	oracle := NewInvertedTopK(svc.SnapshotRFDs())
+	oracle := NewSimilarityIndex(svc.SnapshotRFDs())
 	assertScoredEqual(t, "post-ingest", fresh, oracle.TopK(1, 10))
 
 	// And the refilled entry serves again until the next post.
