@@ -394,6 +394,17 @@ type ServiceOptions struct {
 	Strategy string
 	// Seed drives stochastic strategies (default 1).
 	Seed int64
+	// Budget is the total incentive budget in reward units; fulfilled
+	// tasks consume it and Lease refuses once it is gone. 0 means
+	// unlimited; negative is rejected.
+	//
+	// The budget ledger is a PER-PROCESS serving policy, not durable
+	// state: the WAL records posts, not lease lifecycles, so a restarted
+	// service cannot tell recovered allocated posts from organic ones and
+	// starts a fresh ledger. A deployment that must cap spend across
+	// restarts should set Budget to what remains (total minus the spend
+	// it has accounted externally) when relaunching.
+	Budget int
 	// WALDir, when non-empty, opens the durable state directory: a
 	// segmented append-only post log plus engine snapshots. Every
 	// ingested post is group-committed to the log before it mutates
@@ -472,7 +483,8 @@ const DefaultTierInterval = 2 * time.Second
 // LeaseID names one outstanding incentivized post-task assignment.
 type LeaseID = alloc.LeaseID
 
-// AllocatorStats is a census of the allocator's lease lifecycle.
+// AllocatorStats is a census of the allocator's lease lifecycle and
+// budget ledger.
 type AllocatorStats = alloc.Stats
 
 // Service is the live-serving facade over the sharded tagging engine:
@@ -604,6 +616,9 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	if opts.KeepSnapshots == 0 {
 		opts.KeepSnapshots = 2
 	}
+	if opts.Budget < 0 {
+		return nil, fmt.Errorf("incentivetag: negative budget %d", opts.Budget)
+	}
 	if opts.Strategy == "FC" {
 		return nil, fmt.Errorf("incentivetag: FC models organic tagger choice over the recorded replay; a live Service receives organic traffic through Ingest — pick RR, FP, MU or FP-MU for Lease")
 	}
@@ -662,7 +677,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	s := &Service{
 		eng:              eng,
 		wal:              wal,
-		alloc:            alloc.New(strat, env, eng),
+		alloc:            alloc.New(strat, env, eng, opts.Budget),
 		walDir:           opts.WALDir,
 		keep:             opts.KeepSnapshots,
 		recovery:         rec,
@@ -795,6 +810,12 @@ var (
 	ErrEmptyPost     = engine.ErrEmptyPost
 )
 
+// ErrUnknownLease is wrapped by Fulfill and Expire when the lease was
+// never issued or has already settled — the caller's protocol error;
+// any other Fulfill error (a failed ingest) is the service's. Test with
+// errors.Is.
+var ErrUnknownLease = alloc.ErrUnknownLease
+
 // IngestBatch records a batch of posts for one resource under a single
 // shard-lock acquisition and one group-committed WAL write. The
 // resulting state is bit-identical to ingesting the posts one at a time;
@@ -813,45 +834,43 @@ func (s *Service) IngestMany(events []PostEvent) error {
 }
 
 // Lease asks the configured strategy which resource the next
-// incentivized post task should target, given the remaining reward
-// budget, and hands out a lease on it (Algorithm 1's CHOOSE, decoupled
-// from its completion). ok is false when nothing is allocatable. The
-// resource is hidden from further Leases until this one settles via
-// Fulfill or Expire, so any number of workers can hold tasks
-// concurrently without ever being handed the same resource twice.
+// incentivized post task should target and hands out a lease on it
+// (Algorithm 1's CHOOSE, decoupled from its completion), reserving the
+// task's cost against ServiceOptions.Budget. remaining is an extra
+// per-call bound on top of the budget ledger (pass math.MaxInt32 for
+// none); the strategy sees the smaller of the two. ok is false when
+// nothing is allocatable. The resource is hidden from further Leases
+// until this one settles via Fulfill or Expire, so any number of workers
+// can hold tasks concurrently without ever being handed the same
+// resource twice.
 func (s *Service) Lease(remaining int) (resource int, lease LeaseID, ok bool) {
 	return s.alloc.Lease(remaining)
 }
 
 // Fulfill settles a lease with the post its worker produced: the post
-// is ingested (WAL-first when durability is configured) and the
-// strategy runs Algorithm 1's UPDATE. Fulfilling an unknown, already
-// fulfilled, or expired lease returns an error without touching any
-// state. The strategy is notified even when the ingest itself fails
-// (e.g. a WAL write error), so a failed completion re-arms the resource
-// instead of permanently removing it.
+// is ingested (WAL-first when durability is configured), its cost is
+// charged to the budget if the ingest succeeded, and the strategy runs
+// Algorithm 1's UPDATE. Fulfilling an unknown, already fulfilled, or
+// expired lease returns an error wrapping ErrUnknownLease without
+// touching any state. The strategy is notified even when the ingest
+// itself fails (e.g. a WAL write error), so a failed completion re-arms
+// the resource and releases its reservation instead of permanently
+// removing it.
 func (s *Service) Fulfill(lease LeaseID, p Post) error {
 	return s.alloc.Fulfill(lease, p)
 }
 
 // Expire settles a lease without a post — the worker abandoned the
-// task. The resource is re-armed for future allocation; no post is
-// ingested and no budget is consumed.
+// task. The resource is re-armed for future allocation and its
+// reservation released; no post is ingested and no budget is consumed.
+// An unknown or already settled lease returns an error wrapping
+// ErrUnknownLease.
 func (s *Service) Expire(lease LeaseID) error {
 	return s.alloc.Expire(lease)
 }
 
-// OutstandingLeases returns the number of unsettled leases.
-func (s *Service) OutstandingLeases() int { return s.alloc.Outstanding() }
-
-// LeaseResource returns the resource an outstanding lease targets; ok
-// is false for unknown or settled leases.
-func (s *Service) LeaseResource(lease LeaseID) (resource int, ok bool) {
-	return s.alloc.Resource(lease)
-}
-
 // AllocStats reports the lease lifecycle counters (issued, outstanding,
-// fulfilled, expired).
+// fulfilled, expired) and the budget ledger (budget, spent, remaining).
 func (s *Service) AllocStats() AllocatorStats { return s.alloc.StatsSnapshot() }
 
 // Count returns the number of posts a resource has received.

@@ -290,6 +290,9 @@ func TestServiceFacade(t *testing.T) {
 	if _, err := NewService(ds, ServiceOptions{Strategy: "nope"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
+	if _, err := NewService(ds, ServiceOptions{Budget: -1}); err == nil {
+		t.Error("negative budget accepted")
+	}
 	// FC models organic traffic, not incentive allocation; the service
 	// must refuse it rather than let the allocator starve.
 	if _, err := NewService(ds, ServiceOptions{Strategy: "FC"}); err == nil {
@@ -565,7 +568,7 @@ func TestServiceLeaseFacade(t *testing.T) {
 		seen[i] = true
 		leases = append(leases, held{i, lease})
 	}
-	if got := svc.OutstandingLeases(); got != 8 {
+	if got := svc.AllocStats().Outstanding; got != 8 {
 		t.Fatalf("outstanding = %d, want 8", got)
 	}
 

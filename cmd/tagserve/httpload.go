@@ -1,8 +1,7 @@
-// HTTP load-generator mode: instead of driving an in-process Service,
-// tagserve -url http://... drives a running tagserved over its JSON API
-// the way a crowd of networked workers would — concurrent batched
-// ingest, then a concurrent allocate/complete/expire swarm — and
-// reports end-to-end ingest posts/sec and allocations/sec.
+// The load generator drives a running tagserved over its JSON API the
+// way a crowd of networked workers would — concurrent batched ingest,
+// then a concurrent allocate/complete/expire swarm — and reports
+// end-to-end ingest posts/sec and allocations/sec.
 //
 // The client is a well-behaved citizen of an admission-controlled
 // server: a 429 is not an error but back-pressure. It honors the

@@ -134,7 +134,6 @@ func main() {
 	srv, err := server.NewDeferred(server.Config{
 		ShardMapHash: mapHash,
 		Strategy:     *stratName,
-		Budget:       *budget,
 		Admission: incentivetag.AdmissionConfig{
 			Rate:        *rate,
 			Burst:       *burst,
@@ -172,6 +171,7 @@ func main() {
 		Shards:               *shards,
 		Strategy:             *stratName,
 		Seed:                 *seed,
+		Budget:               *budget,
 		WALDir:               *walDir,
 		SnapshotInterval:     *snapInterval,
 		SnapshotEvery:        *snapEvery,

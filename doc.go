@@ -206,19 +206,22 @@
 //
 // # Live serving
 //
-//	svc, _ := incentivetag.NewService(ds, incentivetag.ServiceOptions{})
+//	svc, _ := incentivetag.NewService(ds, incentivetag.ServiceOptions{Budget: 100})
 //	defer svc.Close()
-//	_ = svc.Ingest(42, post)                // concurrent-safe live traffic
-//	if i, lease, ok := svc.Lease(100); ok { // CHOOSE, handed out as a lease
-//		_ = i                               // worker tags resource i ...
-//		_ = svc.Fulfill(lease, taggerPost)  // ... ingest + UPDATE
-//	}                                       // (or svc.Expire(lease))
-//	fmt.Println(svc.Quality())              // O(1), independent of corpus size
+//	_ = svc.Ingest(42, post)                           // concurrent-safe live traffic
+//	if i, lease, ok := svc.Lease(math.MaxInt32); ok { // CHOOSE, cost reserved
+//		_ = i                                          // worker tags resource i ...
+//		_ = svc.Fulfill(lease, taggerPost)             // ... ingest + UPDATE, cost charged
+//	}                                                  // (or svc.Expire(lease))
+//	fmt.Println(svc.Quality())                         // O(1), independent of corpus size
 //
 // Any number of workers may hold leases simultaneously — internal/alloc
-// guarantees concurrently leased resources are distinct and serializes
-// strategy state. internal/server + cmd/tagserved expose the same loop
-// as an HTTP/JSON API with graceful shutdown and WAL-backed durability.
+// guarantees concurrently leased resources are distinct, serializes
+// strategy state and keeps the one budget ledger (reserve on Lease,
+// charge on a successful Fulfill, release on Expire or a failed
+// ingest; AllocStats reports it). internal/server + cmd/tagserved expose
+// the same loop as an HTTP/JSON API with graceful shutdown and
+// WAL-backed durability; cmd/tagserve drives it over HTTP.
 //
 // See examples/ for complete programs, README.md for the architecture
 // map, and DESIGN.md for the system inventory and the paper-to-module

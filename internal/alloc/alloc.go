@@ -16,14 +16,26 @@
 //
 //	err := a.Expire(lease)                    // task re-armed, no post
 //
+// # Budget ledger
+//
+// The allocator owns the incentive budget B of Algorithm 1. Lease
+// reserves the chosen task's reward-unit cost when it hands the lease
+// out, so concurrent workers can never collectively over-commit the
+// budget; Fulfill converts the reservation into spend when the ingest
+// succeeds and releases it when the ingest fails; Expire releases it.
+// The remaining budget a Lease lets the strategy see is the smaller of
+// the caller's bound and B − spent − reserved. A zero budget means
+// unlimited.
+//
 // # Concurrency
 //
 // All methods are safe for arbitrary goroutines. Strategy state (the
 // lazy priority queues of Algorithms 3–5 and their per-resource version
-// counters) is guarded by one allocator mutex: Lease runs Choose under
-// it, Fulfill/Expire run Update under it, and the engine ingest happens
-// outside it, so lease bookkeeping never serializes against the sharded
-// ingest path.
+// counters) and the ledger are guarded by one allocator mutex: Lease
+// clamps, runs Choose and reserves under it, Fulfill/Expire run Update
+// and settle the ledger under it, and the engine ingest happens outside
+// it, so lease bookkeeping never serializes against the sharded ingest
+// path.
 //
 // N workers can hold outstanding leases simultaneously. The heap
 // strategies (FP, MU, FP-MU) support that natively — Choose pops the
@@ -46,6 +58,7 @@
 package alloc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -63,31 +76,49 @@ type Sink interface {
 // expired) lease can be detected as such forever.
 type LeaseID uint64
 
+// ErrUnknownLease is wrapped by Fulfill and Expire when the lease was
+// never issued or has already settled. Test with errors.Is.
+var ErrUnknownLease = errors.New("unknown or already settled")
+
+// held is one outstanding lease: its resource and the reward units
+// reserved for it.
+type held struct {
+	resource, cost int
+}
+
 // Allocator is a concurrent lease-based task allocator over one
 // allocation strategy. Create with New; the zero value is not usable.
 type Allocator struct {
-	sink  Sink
-	strat strategy.Strategy
+	sink   Sink
+	strat  strategy.Strategy
+	env    strategy.Env
+	budget int // 0 = unlimited
 
 	mu       sync.Mutex
-	inflight []int           // outstanding leases per resource
-	leases   map[LeaseID]int // lease → resource
+	inflight []int // outstanding leases per resource
+	leases   map[LeaseID]held
 	nextID   LeaseID
 	settled  uint64 // fulfilled + expired, for Stats
 	expired  uint64
+	spent    int // cost of fulfilled leases whose ingest succeeded
+	// reserved is the cost of every lease not yet charged or released:
+	// outstanding ones and fulfilled ones whose ingest is still running.
+	reserved int
 }
 
-// New builds an allocator that drives strat over env and ingests
-// fulfilled posts into sink. It installs the in-flight mask into the
-// environment and runs the strategy's Init under it, so strat must be
-// fresh (not yet initialized) and must not be driven by anyone else
-// afterwards.
-func New(strat strategy.Strategy, env strategy.Env, sink Sink) *Allocator {
+// New builds an allocator that drives strat over env, ingests fulfilled
+// posts into sink and spends at most budget reward units (0 means
+// unlimited). It installs the in-flight mask into the environment and
+// runs the strategy's Init under it, so strat must be fresh (not yet
+// initialized) and must not be driven by anyone else afterwards.
+func New(strat strategy.Strategy, env strategy.Env, sink Sink, budget int) *Allocator {
 	a := &Allocator{
 		sink:     sink,
 		strat:    strat,
+		env:      env,
+		budget:   budget,
 		inflight: make([]int, env.N()),
-		leases:   make(map[LeaseID]int),
+		leases:   make(map[LeaseID]held),
 	}
 	// The mask closure reads inflight only while a.mu is held: Init runs
 	// before the allocator is published, and Choose/Update only ever run
@@ -97,105 +128,100 @@ func New(strat strategy.Strategy, env strategy.Env, sink Sink) *Allocator {
 }
 
 // Lease asks the strategy which resource the next post task should
-// target (Algorithm 1's CHOOSE) and hands out a lease on it. ok is false
-// when nothing is allocatable — every candidate is exhausted, leased, or
-// costs more than remaining. The resource stays hidden from further
-// Leases until the lease settles via Fulfill or Expire.
+// target (Algorithm 1's CHOOSE) and hands out a lease on it, reserving
+// its cost. remaining bounds the cost on top of the ledger; the strategy
+// sees the smaller of the two. ok is false when nothing is allocatable —
+// the budget is spent or reserved, or every candidate is exhausted,
+// leased, or costs more than remains. The resource stays hidden from
+// further Leases until the lease settles via Fulfill or Expire.
 func (a *Allocator) Lease(remaining int) (resource int, lease LeaseID, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.budget > 0 {
+		remaining = min(remaining, a.budget-a.spent-a.reserved)
+	}
+	if remaining <= 0 {
+		return -1, 0, false
+	}
 	i, ok := a.strat.Choose(remaining)
 	if !ok {
 		return -1, 0, false
 	}
+	cost := a.env.Cost(i)
 	a.nextID++
-	id := a.nextID
-	a.leases[id] = i
+	a.leases[a.nextID] = held{resource: i, cost: cost}
 	a.inflight[i]++
-	return i, id, true
+	a.reserved += cost
+	return i, a.nextID, true
 }
 
-// settleLocked removes the lease from all bookkeeping, returning its
-// resource. Caller holds a.mu.
-func (a *Allocator) settleLocked(lease LeaseID) (int, error) {
-	i, ok := a.leases[lease]
+// settleLocked removes the lease from the lease bookkeeping; its
+// reservation stays for the caller to charge or release. Caller holds
+// a.mu.
+func (a *Allocator) settleLocked(lease LeaseID) (held, error) {
+	h, ok := a.leases[lease]
 	if !ok {
-		return -1, fmt.Errorf("alloc: lease %d unknown or already settled", lease)
+		return held{}, fmt.Errorf("alloc: lease %d: %w", lease, ErrUnknownLease)
 	}
 	delete(a.leases, lease)
-	a.inflight[i]--
+	a.inflight[h.resource]--
 	a.settled++
-	return i, nil
+	return h, nil
 }
 
 // Fulfill settles a lease with the post its worker produced: the post is
-// ingested into the sink and the strategy runs Algorithm 1's UPDATE.
-// Fulfilling a lease that was never issued, was already fulfilled, or
-// was expired returns an error without touching engine or strategy
-// state. The strategy is notified even when the ingest itself fails
-// (e.g. a WAL write error), so a failed completion re-arms the resource
-// instead of permanently removing it; the ingest error is returned.
+// ingested into the sink, the lease's cost is charged if the ingest
+// succeeded (released if it failed), and the strategy runs Algorithm 1's
+// UPDATE. Fulfilling a lease that was never issued, was already
+// fulfilled, or was expired returns an error wrapping ErrUnknownLease
+// without touching engine, ledger or strategy state. The strategy is
+// notified even when the ingest itself fails (e.g. a WAL write error),
+// so a failed completion re-arms the resource instead of permanently
+// removing it; the ingest error is returned.
 func (a *Allocator) Fulfill(lease LeaseID, p tags.Post) error {
 	a.mu.Lock()
-	i, err := a.settleLocked(lease)
+	h, err := a.settleLocked(lease)
 	a.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	// Ingest outside the allocator mutex (the engine's shard locks
-	// provide safety), then UPDATE under it. The order matters — MU's
-	// priority key is the post-ingest MA score.
-	err = a.sink.Ingest(i, p)
+	// provide safety), then settle the ledger and UPDATE under it. The
+	// reservation is held across the ingest, so a concurrent Lease can
+	// never count these units as free. The order matters — MU's priority
+	// key is the post-ingest MA score.
+	err = a.sink.Ingest(h.resource, p)
 	a.mu.Lock()
-	a.strat.Update(i)
+	a.reserved -= h.cost
+	if err == nil {
+		a.spent += h.cost
+	}
+	a.strat.Update(h.resource)
 	a.mu.Unlock()
 	return err
 }
 
 // Expire settles a lease without a post — the worker abandoned the task.
-// The strategy's UPDATE runs so the resource is re-armed for future
-// Leases (the same re-arm contract a failed completion has); no post is
-// ingested and no budget is consumed. Expiring an unknown or already
-// settled lease returns an error.
+// Its reservation is released and the strategy's UPDATE runs so the
+// resource is re-armed for future Leases (the same re-arm contract a
+// failed completion has); no post is ingested and no budget is consumed.
+// Expiring an unknown or already settled lease returns an error wrapping
+// ErrUnknownLease.
 func (a *Allocator) Expire(lease LeaseID) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	i, err := a.settleLocked(lease)
+	h, err := a.settleLocked(lease)
 	if err != nil {
 		return err
 	}
 	a.expired++
-	a.strat.Update(i)
+	a.reserved -= h.cost
+	a.strat.Update(h.resource)
 	return nil
 }
 
-// Resource returns the resource an outstanding lease targets; ok is
-// false for unknown or settled leases.
-func (a *Allocator) Resource(lease LeaseID) (int, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	i, ok := a.leases[lease]
-	return i, ok
-}
-
-// Outstanding returns the number of unsettled leases.
-func (a *Allocator) Outstanding() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.leases)
-}
-
-// InFlight returns the number of unsettled leases on one resource.
-func (a *Allocator) InFlight(resource int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if resource < 0 || resource >= len(a.inflight) {
-		return 0
-	}
-	return a.inflight[resource]
-}
-
-// Stats is a point-in-time census of the allocator's lease lifecycle.
+// Stats is a point-in-time census of the allocator's lease lifecycle
+// and budget ledger.
 type Stats struct {
 	// Issued counts every lease ever handed out.
 	Issued uint64
@@ -205,16 +231,33 @@ type Stats struct {
 	Fulfilled uint64
 	// Expired counts leases settled by abandonment.
 	Expired uint64
+	// Budget is the total budget the allocator was built with (0 =
+	// unlimited).
+	Budget int
+	// Spent is the reward units charged by fulfilled leases whose ingest
+	// succeeded.
+	Spent int
+	// Remaining is Budget − Spent − the cost reserved by unsettled
+	// leases: what the next Lease may still commit. -1 when the budget is
+	// unlimited.
+	Remaining int
 }
 
-// StatsSnapshot reports the lease lifecycle counters.
+// StatsSnapshot reports the lease lifecycle counters and the ledger.
 func (a *Allocator) StatsSnapshot() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	rem := -1
+	if a.budget > 0 {
+		rem = a.budget - a.spent - a.reserved
+	}
 	return Stats{
 		Issued:      uint64(a.nextID),
 		Outstanding: len(a.leases),
 		Fulfilled:   a.settled - a.expired,
 		Expired:     a.expired,
+		Budget:      a.budget,
+		Spent:       a.spent,
+		Remaining:   rem,
 	}
 }

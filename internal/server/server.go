@@ -42,12 +42,10 @@
 // depth and in-flight gauges — in Prometheus text format with no
 // external dependencies.
 //
-// The server tracks the incentive budget: /allocate reserves the
-// task's reward-unit cost when the lease is handed out (so concurrent
-// clients can never collectively over-commit the budget), /complete
-// converts the reservation into spend, /expire releases it, and
-// clients may also pass an explicit remaining bound per request (the
-// min of the two applies). A zero configured budget means unlimited.
+// The incentive budget is the Service's (ServiceOptions.Budget), kept
+// by its lease allocator (internal/alloc): /allocate, /complete and
+// /expire only lease and settle, and /metrics and /info report the
+// allocator's ledger.
 package server
 
 import (
@@ -79,17 +77,6 @@ type Config struct {
 	// TagUniverse is |T| (Vocab.Size()), advertised via /info so load
 	// generators can synthesize plausible posts.
 	TagUniverse int
-	// Budget is the total incentive budget in reward units; fulfilled
-	// tasks consume it and /allocate refuses once it is gone. 0 means
-	// unlimited.
-	//
-	// The budget ledger is a PER-PROCESS serving policy, not durable
-	// state: the WAL records posts, not lease lifecycles, so a restarted
-	// server cannot tell recovered allocated posts from organic ones and
-	// starts a fresh ledger. A deployment that must cap spend across
-	// restarts should set Budget to what remains (total minus the spend
-	// it has accounted externally) when relaunching.
-	Budget int
 
 	// Admission configures overload control: the bulk token bucket, the
 	// shared concurrency limit and the bounded interactive wait queue.
@@ -130,15 +117,6 @@ type Server struct {
 	// the not-ready state and answers 503.
 	svc atomic.Pointer[incentivetag.Service]
 
-	// Budget accounting. reserved holds the cost of outstanding leases:
-	// /allocate reserves under budgetMu before leasing (check and
-	// reservation are one critical section, so concurrent clients cannot
-	// collectively overshoot the budget), /complete converts the
-	// reservation into spend, /expire releases it.
-	budgetMu sync.Mutex
-	spent    int
-	reserved int
-
 	mu sync.Mutex
 	hs *http.Server
 }
@@ -166,9 +144,6 @@ func New(cfg Config) (*Server, error) {
 // restart path — the listener binds (and health probes get truthful
 // not-ready answers) while the service recovers its durable state.
 func NewDeferred(cfg Config) (*Server, error) {
-	if cfg.Budget < 0 {
-		return nil, fmt.Errorf("server: negative budget %d", cfg.Budget)
-	}
 	if cfg.MaxBodyBytes < 0 {
 		return nil, fmt.Errorf("server: negative max body bytes %d", cfg.MaxBodyBytes)
 	}
@@ -286,13 +261,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// AllocatedSpent returns the reward units consumed by fulfilled tasks.
-func (s *Server) AllocatedSpent() int {
-	s.budgetMu.Lock()
-	defer s.budgetMu.Unlock()
-	return s.spent
-}
-
 // --- wire schema ---------------------------------------------------------
 
 // IngestEvent is one post in an ingest batch.
@@ -317,7 +285,8 @@ type IngestResponse struct {
 }
 
 // AllocateRequest optionally bounds the remaining budget the strategy
-// sees; the server's own budget accounting always applies on top.
+// sees (0 = no bound); the service's budget ledger always applies on
+// top.
 type AllocateRequest struct {
 	Remaining int `json:"remaining,omitempty"`
 }
@@ -349,8 +318,7 @@ type OKResponse struct {
 }
 
 // MetricsResponse is the /metrics payload: the engine's O(1) aggregate
-// snapshot plus the allocator's lease census and the server's budget
-// accounting.
+// snapshot plus the allocator's lease census and budget ledger.
 type MetricsResponse struct {
 	// Epoch is the query-index version (posts absorbed since boot), the
 	// same value /topk and /search responses carry. Exposed here so a
@@ -547,50 +515,21 @@ func (s *Server) handleAllocate(w http.ResponseWriter, r *http.Request) {
 	if !s.edge.ReadJSON(w, r, &req) {
 		return
 	}
-	// Check, lease and reserve in one critical section: the budget can
-	// never be over-committed by concurrent /allocate calls, because a
-	// lease's cost is reserved before the next check runs. Lease itself
-	// is a fast heap operation; lock order budgetMu → allocator mutex,
-	// never inverted.
-	s.budgetMu.Lock()
-	remaining := s.remainingBudgetLocked()
-	if req.Remaining > 0 && req.Remaining < remaining {
-		remaining = req.Remaining
-	}
+	remaining := req.Remaining
 	if remaining <= 0 {
-		s.budgetMu.Unlock()
-		WriteJSON(w, http.StatusOK, AllocateResponse{OK: false})
-		return
+		remaining = math.MaxInt32
 	}
 	i, lease, ok := svc.Lease(remaining)
 	if !ok {
-		s.budgetMu.Unlock()
 		WriteJSON(w, http.StatusOK, AllocateResponse{OK: false})
 		return
 	}
-	cost := svc.CostOf(i)
-	s.reserved += cost
-	s.budgetMu.Unlock()
 	WriteJSON(w, http.StatusOK, AllocateResponse{
 		OK:       true,
 		Resource: i,
 		Lease:    uint64(lease),
-		Cost:     cost,
+		Cost:     svc.CostOf(i),
 	})
-}
-
-// remainingBudgetLocked is the server-side remaining incentive budget
-// net of outstanding-lease reservations; math.MaxInt32 when unlimited.
-// Caller holds budgetMu.
-func (s *Server) remainingBudgetLocked() int {
-	if s.cfg.Budget == 0 {
-		return math.MaxInt32
-	}
-	rem := s.cfg.Budget - s.spent - s.reserved
-	if rem < 0 {
-		return 0
-	}
-	return rem
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -607,32 +546,17 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// Read the task's cost while the lease is still alive — it names the
-	// resource; after Fulfill the lease is gone. If a racing settle wins,
-	// Fulfill errors and nothing is charged or released.
-	cost := 1
-	if i, ok := svc.LeaseResource(incentivetag.LeaseID(req.Lease)); ok {
-		cost = svc.CostOf(i)
-	}
 	if err := svc.Fulfill(incentivetag.LeaseID(req.Lease), p); err != nil {
-		if strings.Contains(err.Error(), "lease") {
-			// Unknown or already settled: a client protocol error; the
-			// reservation (if any) belongs to whoever settles it.
-			WriteError(w, http.StatusConflict, "%v", err)
-			return
+		// Unknown or already settled is the client's protocol error (409);
+		// anything else (e.g. a WAL write failure) is ours (500), and the
+		// allocator has already released the lease's reservation.
+		status := http.StatusInternalServerError
+		if errors.Is(err, incentivetag.ErrUnknownLease) {
+			status = http.StatusConflict
 		}
-		// The lease settled but the ingest failed (ours, e.g. a WAL write
-		// error): no budget was consumed, so release the reservation.
-		s.budgetMu.Lock()
-		s.reserved -= cost
-		s.budgetMu.Unlock()
-		WriteError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
-	s.budgetMu.Lock()
-	s.reserved -= cost
-	s.spent += cost
-	s.budgetMu.Unlock()
 	WriteJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
@@ -645,19 +569,10 @@ func (s *Server) handleExpire(w http.ResponseWriter, r *http.Request) {
 	if !s.edge.ReadJSON(w, r, &req) {
 		return
 	}
-	// As in /complete: capture the cost while the lease is alive, and
-	// release its reservation only if this call is the one that settles.
-	cost := 1
-	if i, ok := svc.LeaseResource(incentivetag.LeaseID(req.Lease)); ok {
-		cost = svc.CostOf(i)
-	}
 	if err := svc.Expire(incentivetag.LeaseID(req.Lease)); err != nil {
 		WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	s.budgetMu.Lock()
-	s.reserved -= cost
-	s.budgetMu.Unlock()
 	WriteJSON(w, http.StatusOK, OKResponse{OK: true})
 }
 
@@ -669,13 +584,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := svc.Snapshot()
 	st := svc.AllocStats()
 	tier := svc.Residency()
-	s.budgetMu.Lock()
-	spent := s.spent
-	rem := -1
-	if s.cfg.Budget > 0 {
-		rem = s.remainingBudgetLocked()
-	}
-	s.budgetMu.Unlock()
 	WriteJSON(w, http.StatusOK, MetricsResponse{
 		Epoch:             svc.QueryStats().Epoch,
 		Posts:             m.Posts,
@@ -690,8 +598,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		LeasesOutstanding: st.Outstanding,
 		LeasesFulfilled:   st.Fulfilled,
 		LeasesExpired:     st.Expired,
-		AllocatedSpent:    spent,
-		RemainingBudget:   rem,
+		AllocatedSpent:    st.Spent,
+		RemainingBudget:   st.Remaining,
 		ResidentResources: tier.Resident,
 		ColdResources:     tier.Cold,
 		Evictions:         tier.Evictions,
@@ -823,7 +731,7 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		N:           svc.N(),
 		TagUniverse: s.cfg.TagUniverse,
 		Strategy:    s.cfg.Strategy,
-		Budget:      s.cfg.Budget,
+		Budget:      svc.AllocStats().Budget,
 		Ready:       true,
 		Recovery:    svc.RecoveryStats(),
 		Queries:     svc.QueryStats(),

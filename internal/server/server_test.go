@@ -32,7 +32,7 @@ func newHarness(t *testing.T, budget int) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := incentivetag.NewService(ds, incentivetag.ServiceOptions{Strategy: "FP-MU"})
+	svc, err := incentivetag.NewService(ds, incentivetag.ServiceOptions{Strategy: "FP-MU", Budget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,6 @@ func newHarness(t *testing.T, budget int) *harness {
 		Service:     svc,
 		Strategy:    "FP-MU",
 		TagUniverse: ds.Vocab.Size(),
-		Budget:      budget,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,14 +88,14 @@ func (h *harness) call(t *testing.T, method, path string, body, out any, wantSta
 	}
 }
 
-// walFailure returns a durable harness whose next WAL append must fail
-// with an error naming a path that contains "out of range": the log
-// directory is called that, its active segment is already full (so the
-// next append rotates), and the directory is gone (so the rotation's
-// create fails).
-func walFailure(t *testing.T) *harness {
+// walFailure returns a durable harness with a budget of 5 whose next
+// WAL append must fail with an error naming a path that contains name:
+// the log directory is called that, its active segment is already full
+// (so the next append rotates), and the directory is gone (so the
+// rotation's create fails).
+func walFailure(t *testing.T, name string) *harness {
 	t.Helper()
-	dir := filepath.Join(t.TempDir(), "out of range")
+	dir := filepath.Join(t.TempDir(), name)
 	st, err := tagstore.Open(dir, tagstore.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +121,7 @@ func walFailure(t *testing.T) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := incentivetag.NewService(ds, incentivetag.ServiceOptions{Strategy: "FP-MU", WALDir: dir})
+	svc, err := incentivetag.NewService(ds, incentivetag.ServiceOptions{Strategy: "FP-MU", WALDir: dir, Budget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +333,25 @@ func TestProtocolErrors(t *testing.T) {
 	// failure is the server's (500) even when the path in its message
 	// happens to read like a client fault.
 	var e server.ErrorResponse
-	walFailure(t).call(t, "POST", "/ingest", server.IngestRequest{Resource: 0, Tags: []int32{1}}, &e, http.StatusInternalServerError)
+	walFailure(t, "out of range").call(t, "POST", "/ingest", server.IngestRequest{Resource: 0, Tags: []int32{1}}, &e, http.StatusInternalServerError)
 	if !strings.Contains(e.Error, "wal") || !strings.Contains(e.Error, "out of range") {
 		t.Fatalf("WAL failure reported as %q: not the case this test is about", e.Error)
+	}
+	// The same holds on /complete, where a path reading "lease" must not
+	// pass for a settle conflict, and the failed ingest's reservation must
+	// return to the budget.
+	wf := walFailure(t, "lease")
+	var wal server.AllocateResponse
+	wf.call(t, "POST", "/allocate", server.AllocateRequest{}, &wal, http.StatusOK)
+	wf.call(t, "POST", "/complete", server.CompleteRequest{Lease: wal.Lease, Tags: []int32{1}}, &e, http.StatusInternalServerError)
+	if !strings.Contains(e.Error, "wal") || !strings.Contains(e.Error, "lease") {
+		t.Fatalf("WAL failure reported as %q: not the case this test is about", e.Error)
+	}
+	var wm server.MetricsResponse
+	wf.call(t, "GET", "/metrics", nil, &wm, http.StatusOK)
+	if wm.RemainingBudget != 5 || wm.AllocatedSpent != 0 || wm.LeasesOutstanding != 0 {
+		t.Fatalf("books after a failed completion: remaining=%d spent=%d outstanding=%d",
+			wm.RemainingBudget, wm.AllocatedSpent, wm.LeasesOutstanding)
 	}
 
 	// Settle protocol errors: unknown lease, double settle.
