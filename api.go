@@ -511,13 +511,8 @@ type Service struct {
 	// index fed by the engine's subscriber hook, seeded from the (possibly
 	// recovered) engine state at construction. It reads resource counts
 	// off the engine under its view lock, so TopK and Search never
-	// rescan, clone or copy the corpus.
+	// rescan, clone or copy the corpus. It holds the one TopK result cache.
 	idx *ir.OnlineIndex
-
-	// cache memoizes TopK answers per (subject, k), versioned by the
-	// index epoch: any ingest bumps the epoch and expires every entry,
-	// so a hit is always bit-identical to re-running the query.
-	cache *resultCache
 
 	// owned is the cluster-membership set, one entry per resource,
 	// materialised from ServiceOptions.Owned at boot (nil outside a
@@ -700,7 +695,6 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// cluster member's index holds postings for its owned resources only.
 	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards(), owned)
 	eng.Subscribe(s.idx)
-	s.cache = newResultCache(0)
 	if wal != nil && opts.SnapshotInterval > 0 {
 		s.stopSnap = make(chan struct{})
 		s.snapWG.Add(1)
@@ -918,11 +912,11 @@ type AdmissionStats = admit.Stats
 // arbitrary concurrent use alongside ingest. A cluster member ranks its
 // owned resources only, and only an owned subject's vector is live.
 //
-// Hot subjects are served from an epoch-keyed result cache: a hit
-// requires the cached entry's epoch to equal the index's current epoch,
-// so any intervening post expires it and a cached answer is always
-// bit-identical to re-running the query. Hit/miss counters surface in
-// QueryStats and GET /info.
+// A repeated subject is answered from the index's result cache, which
+// serves a stored answer while no post could have changed it and reranks
+// a hot subject's dot row, folded from the index's write log, when one
+// could — bit-identical to re-running the query either way. Serve,
+// rerank and rebuild counters surface in QueryStats and GET /info.
 func (s *Service) TopK(subject, k int) ([]Scored, uint64, error) {
 	if n := s.eng.N(); subject < 0 || subject >= n {
 		return nil, 0, fmt.Errorf("incentivetag: resource index %d out of range [0,%d)", subject, n)
@@ -930,12 +924,7 @@ func (s *Service) TopK(subject, k int) ([]Scored, uint64, error) {
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
 	}
-	cur := s.idx.Epoch()
-	if res, ok := s.cache.get(subject, k, cur); ok {
-		return res, cur, nil
-	}
 	res, epoch := s.idx.TopK(subject, k)
-	s.cache.put(subject, k, epoch, res)
 	return res, epoch, nil
 }
 
@@ -1015,13 +1004,9 @@ func (s *Service) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k i
 	return res, epoch, nil
 }
 
-// QueryStats reports the live query index census plus the Service
-// result-cache counters.
-func (s *Service) QueryStats() QueryStats {
-	st := s.idx.Stats()
-	st.CacheHits, st.CacheMisses, st.CacheEntries = s.cache.stats()
-	return st
-}
+// QueryStats reports the live query index census, its result cache
+// included.
+func (s *Service) QueryStats() QueryStats { return s.idx.Stats() }
 
 // RecoveryStats reports the boot-time recovery facts plus the live
 // snapshotter counters.

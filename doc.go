@@ -142,12 +142,17 @@
 // under-prune, and survivors are rescored with the original float
 // expressions — so answers stay bit-identical to the offline index's
 // exhaustive scan, the one oracle the pruned paths are tested against.
-// Service.TopK additionally memoizes hot subjects in an epoch-keyed
-// result cache: entries are valid only at the exact index epoch they
-// were computed under, so any ingest silently expires them and a cache
-// hit can never serve stale state. Executor and cache counters (blocks
-// skipped, tags deferred, candidates scored, cache hits/misses/entries)
-// surface through QueryStats and GET /info.
+// The index also keeps the one TopK result cache, and its answers
+// outlive every post that cannot change them: a post to resource r
+// moves only r's score against any other subject, so a stored answer
+// stands until a touched resource is in it or ranks at or above its kth
+// entry. A subject queried again within the index's write log (the last
+// 1 024 posts) keeps an exact integer dot row that later posts fold
+// into, so a changed answer is reranked without running the executor,
+// bit-identical to it; a post to the subject itself rebuilds the row.
+// Executor and cache counters (blocks skipped, tags deferred, candidates
+// scored, cache hits/misses/entries and serves/reranks/rebuilds) surface
+// through QueryStats and GET /info.
 //
 // # Operating under load
 //

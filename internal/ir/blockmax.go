@@ -515,12 +515,7 @@ func (ix *OnlineIndex) runPruned(pq *prunedQuery, k int, sc *queryScratch, pad b
 		// Short of k candidates means the heap never filled, so nothing
 		// was ever pruned: every overlapping candidate is in the visited
 		// set, exactly the exclusion set the exhaustive padding uses.
-		for id := 0; id < ix.n && sel.len() < k; id++ {
-			if id == pq.subject || sc.cells[id].gen == sc.gen || !ix.owns(id) {
-				continue
-			}
-			sel.push(id, 0)
-		}
+		padTopK(&sel, ix.n, pq.subject, ix.owned, func(id int) bool { return sc.cells[id].gen == sc.gen })
 	}
 	ix.blocksSkipped.Add(ps.blocksSkipped)
 	ix.tagsDeferred.Add(ps.tagsDeferred)
@@ -718,16 +713,9 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 	if !pq.search {
 		denom2 = pq.subjNorm * pq.subjNorm
 	}
-	// Fast reject without a sqrt: a candidate's score is at most
-	// acc/(qnorm·√n2) + deferBound, so with q := th/boundSlack −
-	// deferBound it cannot reach the heap when acc² < q²·qnorm²·n2
-	// (compared with slack; borderline candidates fall through to the
-	// exact path, so ties at the threshold are never lost).
 	gate := 0.0
 	if full {
-		if q := thDiv - deferBound; q > 0 {
-			gate = q * q * denom2
-		}
+		gate = rejectGate(th, deferBound, denom2)
 	}
 	norms := ix.norm2
 	for _, id32 := range cands {
@@ -761,24 +749,31 @@ func (ix *OnlineIndex) pruneShard(s int, pq *prunedQuery, qnorm float64, sel *to
 		}
 		var sv float64
 		if pq.search {
-			sv = dot / math.Sqrt(pq.qNorm2*n2)
+			if sv = dot / math.Sqrt(pq.qNorm2*n2); sv > 1 {
+				sv = 1
+			}
 		} else {
-			sv = dot / (pq.subjNorm * math.Sqrt(n2))
-		}
-		if sv > 1 {
-			sv = 1
+			sv = topkScore(dot, pq.subjNorm, n2)
 		}
 		sel.push(id, sv)
 		ps.scored++
 		if nth, nfull := sel.threshold(); nfull && (!full || nth != th) {
 			th, full = nth, nfull
-			thDiv = th / boundSlack
-			gate = 0
-			if q := thDiv - deferBound; q > 0 {
-				gate = q * q * denom2
-			}
+			gate = rejectGate(th, deferBound, denom2)
 		}
 	}
+}
+
+// rejectGate is the sqrt-free fast reject of the executor and the cache's
+// rerank: a score is at most acc/(qnorm·√n2) + missing, so with q :=
+// th/boundSlack − missing a candidate cannot reach the heap when
+// acc²·impactSlack < gate·n2, gate = q²·qnorm² (0 rejects nothing). Ties
+// at the threshold fall through to the exact score and are never lost.
+func rejectGate(th, missing, denom2 float64) float64 {
+	if q := th/boundSlack - missing; q > 0 {
+		return q * q * denom2
+	}
+	return 0
 }
 
 // coldDeferredDot is the deferred-tag rescue for a COLD candidate: the

@@ -242,8 +242,8 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 		}
 		for name, owned := range shapes {
 			ix := tvs[name].ix
-			if ix.Epoch() != full.Epoch() {
-				t.Fatalf("seed %d owned=%s: epoch %d, full index %d", tc.seed, name, ix.Epoch(), full.Epoch())
+			if ix.Stats().Epoch != full.Stats().Epoch {
+				t.Fatalf("seed %d owned=%s: epoch %d, full index %d", tc.seed, name, ix.Stats().Epoch, full.Stats().Epoch)
 			}
 			for id := range full.norm2 {
 				if ix.norm2[id] != full.norm2[id] {
@@ -417,11 +417,11 @@ func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 			stray++
 		}
 		node := shard[0]
-		epoch, postings := node.Epoch(), node.Stats().Postings
+		epoch, postings := node.Stats().Epoch, node.Stats().Postings
 		node.Apply(stray, tags.MustPost(0, 1, 2))
-		if node.Epoch() != epoch+1 || node.norm2[stray] != node.own[stray].Norm2() || node.norm2[stray] == reference.norm2[stray] {
+		if node.Stats().Epoch != epoch+1 || node.norm2[stray] != node.own[stray].Norm2() || node.norm2[stray] == reference.norm2[stray] {
 			t.Fatalf("seed %d: a post to non-owned %d left epoch %d→%d and norm2 %v (vector %v, reference %v)",
-				seed, stray, epoch, node.Epoch(), node.norm2[stray], node.own[stray].Norm2(), reference.norm2[stray])
+				seed, stray, epoch, node.Stats().Epoch, node.norm2[stray], node.own[stray].Norm2(), reference.norm2[stray])
 		}
 		if got := node.Stats().Postings; got != postings {
 			t.Fatalf("seed %d: a post to non-owned %d moved the census %d→%d", seed, stray, postings, got)

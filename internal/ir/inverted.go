@@ -76,24 +76,28 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 	}
 	subj := ix.rfds[subject]
 	subjNorm := math.Sqrt(subj.Norm2())
-	if subjNorm == 0 || subj.Posts() == 0 {
-		// Zero-norm subject: every cosine is 0 by definition, so skip
-		// candidate enumeration and go straight to the zero-similarity
-		// padding, smallest ids first.
-		return rankTopK(len(ix.rfds), subject, k, 0, nil, ix.norm2At, nil)
-	}
-	// Accumulate dot products over the subject's postings.
+	// Accumulate dot products over the subject's postings; a zero-norm
+	// subject has none, and every resource pads in at cosine 0.
 	dots := make(map[int32]float64)
 	for _, t := range subj.Support() {
 		sc := float64(subj.Get(t))
 		for _, p := range ix.postings[t] {
-			if int(p.id) == subject {
-				continue
+			if int(p.id) != subject {
+				dots[p.id] += sc * float64(p.count)
 			}
-			dots[p.id] += sc * float64(p.count)
 		}
 	}
-	return rankTopK(len(ix.rfds), subject, k, subjNorm, dots, ix.norm2At, nil)
+	sel := newTopKSelector(k)
+	for id, dot := range dots {
+		if n2 := ix.norm2At(id); n2 != 0 {
+			sel.push(int(id), topkScore(dot, subjNorm, n2))
+		}
+	}
+	padTopK(sel, len(ix.rfds), subject, nil, func(id int) bool {
+		_, overlapped := dots[int32(id)]
+		return overlapped
+	})
+	return sel.results()
 }
 
 // Search ranks resources by cosine similarity between the query tag set
@@ -128,8 +132,8 @@ func (ix *InvertedIndex) Search(query tags.Post, k int) []Scored {
 	return sel.results()
 }
 
-// norm2At resolves a resource's scoring norm for rankTopK: 0 when it
-// cannot score (the Posts/Norm2 guard folded into one value).
+// norm2At resolves a resource's scoring norm: 0 when it cannot score
+// (the Posts/Norm2 guard folded into one value).
 func (ix *InvertedIndex) norm2At(id int32) float64 {
 	c := ix.rfds[id]
 	if c.Posts() == 0 {
@@ -223,49 +227,27 @@ func (s *topKSelector) results() []Scored {
 	return out
 }
 
-// rankTopK finalizes a top-k similarity query shared by the immutable
-// and online inverted indexes: it turns accumulated dot products into
-// clamped cosine scores, pads with zero-similarity resources when the
-// candidate set runs short of k (smallest id first), and returns the
-// selector's ranking. The subject's norm is hoisted here once — a
-// zero-norm subject (nil or empty dots) skips scoring entirely and
-// pads directly. norm2 resolves a candidate id to its scoring norm,
-// returning 0 for candidates that cannot score (no posts or zero norm)
-// — which lets the online index score every candidate from its dense
-// norm cache without reading the candidate's counts. owned, when
-// non-nil, restricts the padding to the resources it admits.
-func rankTopK(n, subject, k int, subjNorm float64, dots map[int32]float64, norm2 func(int32) float64, owned []bool) []Scored {
-	sel := newTopKSelector(k)
-	if subjNorm > 0 {
-		for id, dot := range dots {
-			n2 := norm2(id)
-			if n2 == 0 {
-				continue
-			}
-			s := dot / (subjNorm * math.Sqrt(n2))
-			if s > 1 {
-				s = 1
-			}
-			sel.push(int(id), s)
-		}
+// topkScore is the one TopK score expression, shared by every ranking
+// against a subject: the cosine, clamped to 1, of a candidate with dot
+// product dot and squared norm n2 > 0 against a subject of norm subjNorm.
+func topkScore(dot, subjNorm, n2 float64) float64 {
+	s := dot / (subjNorm * math.Sqrt(n2))
+	if s > 1 {
+		s = 1
 	}
-	// Pad with zero-similarity resources if the candidate set was small.
-	if sel.len() < k {
-		present := make(map[int]bool, sel.len())
-		for _, s := range sel.h {
-			present[s.ID] = true
-		}
-		for id := 0; id < n && sel.len() < k; id++ {
-			if id == subject || present[id] || (owned != nil && !owned[id]) {
-				continue
-			}
-			if _, overlapped := dots[int32(id)]; overlapped {
-				continue
-			}
+	return s
+}
+
+// padTopK is TopK's zero-similarity padding, shared likewise: while the
+// selector is short of k it admits, at score 0 and smallest id first,
+// every resource but the subject that overlaps nothing (and is in owned,
+// when that is non-nil).
+func padTopK(sel *topKSelector, n, subject int, owned []bool, overlaps func(id int) bool) {
+	for id := 0; id < n && sel.len() < sel.k; id++ {
+		if id != subject && (owned == nil || owned[id]) && !overlaps(id) {
 			sel.push(id, 0)
 		}
 	}
-	return sel.results()
 }
 
 // Posting is one (resource, count) pair of a posting list, exposed for

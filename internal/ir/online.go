@@ -27,6 +27,7 @@ package ir
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -135,6 +136,8 @@ type OnlineIndex struct {
 	// backing) so the serving read path allocates nothing but its result.
 	scratchPool sync.Pool
 
+	cache topkCache // the TopK result cache and write log (topkcache.go)
+
 	// census counters, maintained incrementally on first-touch posting
 	// creation so Stats is O(1) instead of a full posting-list walk.
 	// censusMu nests inside a shard write lock (never the reverse).
@@ -194,6 +197,7 @@ func NewOnlineIndexOver(vecs Vectors, n, shards int, owned []bool) *OnlineIndex 
 		dir:         make(map[tags.Tag]*dirRow),
 		norm2:       make([]float64, n),
 		tagPostings: make(map[tags.Tag]int),
+		cache:       topkCache{entries: make(map[int]*topkEntry), maxRows: rowBytes / (8 * max(n, 1))},
 	}
 	for s := range ix.shards {
 		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*bmList)}
@@ -291,7 +295,7 @@ func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)]
 // most once. Callers must deliver each resource's posts in apply order
 // (the engine calls it under its shard lock, which guarantees exactly
 // that). A resource outside the owned set has no postings: its post
-// moves only its norm2 and the epoch.
+// moves only its norm2 and the epoch. Every post lands in the write log.
 func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
 	if ix.owns(resource) {
@@ -302,7 +306,7 @@ func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
 			}
 		}
 	}
-	ix.epoch.Add(1)
+	ix.cache.logPost(ix.epoch.Add(1), resource, p)
 }
 
 // Apply folds one post into an index that owns its vectors
@@ -359,10 +363,9 @@ func (ix *OnlineIndex) lift(sc *queryScratch, subject int) {
 
 // TopK returns the k most similar resources to subject over the live
 // state, bit-identical to BuildInverted(SnapshotRFDs()).TopK at the
-// returned epoch, without cloning or rescanning
-// anything. It runs the block-max pruned executor: subject tags are
-// processed by decreasing score bound and posting blocks that provably
-// cannot reach the current kth score are skipped unscored. An index with
+// returned epoch. The result cache (topkcache.go) answers a repeated
+// subject; otherwise the block-max pruned executor runs, skipping posting
+// blocks that provably cannot reach the current kth score. An index with
 // an owned set ranks and pads only owned resources. Invalid subjects or
 // k ≤ 0 return nil.
 func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
@@ -372,19 +375,24 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	}
 	ix.rlockAll()
 	epoch := ix.epoch.Load()
-	// The dense norm entry is 0 exactly when the old guard
-	// (zero norm or zero posts) fired — hot or cold alike.
-	n2 := ix.norm2[subject]
-	if n2 == 0 {
-		res := rankTopK(ix.n, subject, k, 0, nil, ix.norm2At, ix.owned)
-		ix.runlockAll()
-		return res, epoch
+	e := ix.cache.entry(subject)
+	e.mu.Lock()
+	res := ix.cachedTopK(e, k, epoch)
+	if res == nil {
+		// A zero-norm subject (no posts, hot or cold alike) lifts nothing:
+		// its empty plan goes straight to the zero-similarity padding.
+		ix.cache.executed.Add(1)
+		sc := ix.getScratch()
+		ix.lift(sc, subject)
+		pq := prunedQuery{subject: subject, tags: sc.support, weights: sc.weights, subjNorm: math.Sqrt(ix.norm2[subject])}
+		res = ix.runPruned(&pq, k, sc, true)
+		ix.putScratch(sc)
+		e.k, e.res = k, res
 	}
-	sc := ix.getScratch()
-	ix.lift(sc, subject)
-	pq := prunedQuery{subject: subject, tags: sc.support, weights: sc.weights, subjNorm: math.Sqrt(n2)}
-	res := ix.runPruned(&pq, k, sc, true)
-	ix.endQuery(sc)
+	e.epoch = epoch
+	res = slices.Clone(res)
+	e.mu.Unlock()
+	ix.runlockAll()
 	return res, epoch
 }
 
@@ -455,9 +463,6 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	return res, epoch
 }
 
-// Epoch returns the number of posts applied since construction.
-func (ix *OnlineIndex) Epoch() uint64 { return ix.epoch.Load() }
-
 // PostingEntries returns tag t's live postings in ascending resource-id
 // order — the posting-for-posting equivalence surface against
 // BuildInverted. Zero-count entries (possible only if a count was fully
@@ -520,9 +525,8 @@ type OnlineStats struct {
 	Tags        int `json:"tags"`
 	Postings    int `json:"postings"`
 	MaxPostings int `json:"max_postings"`
-	// TopKQueries / SearchQueries count queries executed by the index
-	// since boot (Service-level cache hits never reach the index; see
-	// CacheHits).
+	// TopKQueries / SearchQueries count queries the index answered since
+	// boot, cached answers included (see CacheHits).
 	TopKQueries   uint64 `json:"topk_queries"`
 	SearchQueries uint64 `json:"search_queries"`
 	// BlocksSkipped / TagsDeferred / CandidatesScored meter the pruned
@@ -534,11 +538,17 @@ type OnlineStats struct {
 	BlocksSkipped    uint64 `json:"blocks_skipped"`
 	TagsDeferred     uint64 `json:"tags_deferred"`
 	CandidatesScored uint64 `json:"candidates_scored"`
-	// CacheHits / CacheMisses / CacheEntries describe the Service-level
-	// epoch-keyed result cache (zero when the index is driven directly).
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	CacheEntries int    `json:"cache_entries"`
+	// CacheHits counts TopK answers given without running the executor:
+	// CacheServes (a stored answer still stood) plus CacheReranks (a hot
+	// subject's dot row, folded from the write log, was ranked again).
+	// CacheMisses counts executor runs plus CacheRebuilds (a row built from
+	// the posting lists). CacheEntries counts subjects with an answer.
+	CacheHits     uint64 `json:"cache_hits"`
+	CacheMisses   uint64 `json:"cache_misses"`
+	CacheEntries  int    `json:"cache_entries"`
+	CacheServes   uint64 `json:"cache_serves"`
+	CacheReranks  uint64 `json:"cache_reranks"`
+	CacheRebuilds uint64 `json:"cache_rebuilds"`
 }
 
 // Stats reads the index census in O(1): every field is an atomic or an
@@ -555,7 +565,15 @@ func (ix *OnlineIndex) Stats() OnlineStats {
 		BlocksSkipped:    ix.blocksSkipped.Load(),
 		TagsDeferred:     ix.tagsDeferred.Load(),
 		CandidatesScored: ix.candidatesScored.Load(),
+		CacheServes:      ix.cache.serves.Load(),
+		CacheReranks:     ix.cache.reranks.Load(),
+		CacheRebuilds:    ix.cache.rebuilds.Load(),
 	}
+	st.CacheHits = st.CacheServes + st.CacheReranks
+	st.CacheMisses = ix.cache.executed.Load() + st.CacheRebuilds
+	ix.cache.mu.Lock()
+	st.CacheEntries = len(ix.cache.entries)
+	ix.cache.mu.Unlock()
 	ix.censusMu.Lock()
 	st.Tags = len(ix.tagPostings)
 	st.Postings = ix.postingCount

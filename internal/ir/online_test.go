@@ -120,7 +120,7 @@ func TestOnlineMatchesBuildInverted(t *testing.T) {
 			}
 		}
 		check(60)
-		if online.Epoch() == 0 {
+		if online.Stats().Epoch == 0 {
 			t.Fatalf("seed %d: epoch never advanced", tc.seed)
 		}
 	}
@@ -273,8 +273,8 @@ func TestOnlineEdgeCases(t *testing.T) {
 	online.Apply(-1, tags.MustPost(1))
 	online.Apply(99, tags.MustPost(1))
 	online.Apply(0, nil)
-	if online.Epoch() != 0 {
-		t.Errorf("invalid applies advanced the epoch to %d", online.Epoch())
+	if online.Stats().Epoch != 0 {
+		t.Errorf("invalid applies advanced the epoch to %d", online.Stats().Epoch)
 	}
 	st := online.Stats()
 	if st.Resources != 10 || st.Shards != 3 || st.Tags == 0 || st.Postings == 0 || st.MaxPostings == 0 {

@@ -284,8 +284,8 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		want, _ := hot.TopK(subject, 10)
 		compareScored(t, "post-traffic topk", got, want)
 	}
-	if cold.Epoch() != hot.Epoch() {
-		t.Fatalf("epochs diverged: %d vs %d", cold.Epoch(), hot.Epoch())
+	if cold.Stats().Epoch != hot.Stats().Epoch {
+		t.Fatalf("epochs diverged: %d vs %d", cold.Stats().Epoch, hot.Stats().Epoch)
 	}
 }
 
@@ -340,8 +340,8 @@ func TestApplyToColdRehydrates(t *testing.T) {
 		compareScored(t, "apply-to-cold topk", got, want)
 		compareScored(t, "apply-to-cold rebuilt", got, inv.TopK(subject, 10))
 	}
-	if ix.Epoch() != 1 || twin.Epoch() != 1 {
-		t.Fatalf("epochs %d and %d after one post", ix.Epoch(), twin.Epoch())
+	if ix.Stats().Epoch != 1 || twin.Stats().Epoch != 1 {
+		t.Fatalf("epochs %d and %d after one post", ix.Stats().Epoch, twin.Stats().Epoch)
 	}
 }
 

@@ -140,8 +140,8 @@ func TestQueryEndpointsDeferred(t *testing.T) {
 func TestInfoQueryExecutorCounters(t *testing.T) {
 	h := newHarness(t, 0)
 
-	// First /topk fills the epoch-keyed result cache; the repeat must be
-	// served from it bit-identically.
+	// First /topk runs the executor into the result cache; the repeat
+	// must be served from it bit-identically.
 	var first, second server.TopKResponse
 	h.call(t, "GET", "/topk?resource=0&k=5", nil, &first, http.StatusOK)
 	h.call(t, "GET", "/topk?resource=0&k=5", nil, &second, http.StatusOK)
@@ -160,11 +160,12 @@ func TestInfoQueryExecutorCounters(t *testing.T) {
 	if q.CandidatesScored == 0 {
 		t.Fatalf("executor counters dead: %+v", q)
 	}
-	if q.CacheMisses == 0 || q.CacheHits == 0 || q.CacheEntries == 0 {
+	if q.CacheMisses == 0 || q.CacheHits == 0 || q.CacheServes == 0 || q.CacheEntries == 0 {
 		t.Fatalf("result-cache counters dead: %+v", q)
 	}
 
-	// Ingest expires the cache: the same query misses again.
+	// A post before the repeat makes the subject hot: its dot row is
+	// built from the posting lists, which counts as a miss.
 	h.call(t, "POST", "/ingest", server.IngestRequest{Resource: 1, Tags: []int32{3}}, nil, http.StatusOK)
 	var after server.TopKResponse
 	h.call(t, "GET", "/topk?resource=0&k=5", nil, &after, http.StatusOK)
@@ -173,8 +174,8 @@ func TestInfoQueryExecutorCounters(t *testing.T) {
 	}
 	var info2 server.InfoResponse
 	h.call(t, "GET", "/info", nil, &info2, http.StatusOK)
-	if info2.Queries.CacheMisses <= q.CacheMisses {
-		t.Fatalf("post-ingest query did not miss: %+v vs %+v", info2.Queries, q)
+	if info2.Queries.CacheMisses <= q.CacheMisses || info2.Queries.CacheRebuilds != q.CacheRebuilds+1 {
+		t.Fatalf("post-ingest query did not build a row: %+v vs %+v", info2.Queries, q)
 	}
 
 	// Wire names: the raw /info JSON must carry every counter under its
@@ -196,6 +197,7 @@ func TestInfoQueryExecutorCounters(t *testing.T) {
 		"epoch", "topk_queries", "search_queries",
 		"blocks_skipped", "tags_deferred", "candidates_scored",
 		"cache_hits", "cache_misses", "cache_entries",
+		"cache_serves", "cache_reranks", "cache_rebuilds",
 	} {
 		if _, ok := queries[key]; !ok {
 			t.Errorf("/info queries missing %q: %v", key, queries)
