@@ -153,7 +153,8 @@ func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, e
 		pq.tags, pq.weights = sc.support, sc.weights
 	}
 	res := ix.runPruned(&pq, k, sc, true)
-	ix.endQuery(sc)
+	ix.putScratch(sc)
+	ix.runlockAll()
 	return res
 }
 

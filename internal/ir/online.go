@@ -110,8 +110,8 @@ type OnlineIndex struct {
 	owned []bool
 
 	// epoch counts applied posts; incremented under the owning shard's
-	// write lock, read by queries while holding every read lock (when no
-	// writer can be mid-apply), so a query's reported epoch is exact.
+	// write lock and read under every read lock (no writer mid-apply), so a
+	// query's epoch is exact; a TopK answer exact at it is served without.
 	epoch atomic.Uint64
 
 	// dir is the tag directory: tag → its posting list in every shard
@@ -373,10 +373,20 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	if k <= 0 || subject < 0 || subject >= ix.n {
 		return nil, ix.epoch.Load()
 	}
-	ix.rlockAll()
-	epoch := ix.epoch.Load()
+	// An answer exact at the current epoch is served without the view (no
+	// post landed since); else the entry is retaken under it, as elsewhere.
 	e := ix.cache.entry(subject)
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	if epoch := ix.epoch.Load(); e.res != nil && e.k == k && e.epoch == epoch {
+		ix.cache.serves.Add(1)
+		return slices.Clone(e.res), epoch
+	}
+	e.mu.Unlock()
+	ix.rlockAll()
+	defer ix.runlockAll()
+	e.mu.Lock()
+	epoch := ix.epoch.Load()
 	res := ix.cachedTopK(e, k, epoch)
 	if res == nil {
 		// A zero-norm subject (no posts, hot or cold alike) lifts nothing:
@@ -390,17 +400,7 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 		e.k, e.res = k, res
 	}
 	e.epoch = epoch
-	res = slices.Clone(res)
-	e.mu.Unlock()
-	ix.runlockAll()
-	return res, epoch
-}
-
-// endQuery closes a pruned query: the scratch returns to the pool and
-// the read view is released.
-func (ix *OnlineIndex) endQuery(sc *queryScratch) {
-	ix.putScratch(sc)
-	ix.runlockAll()
+	return slices.Clone(res), epoch
 }
 
 // norm2At adapts the dense norm cache to the rank finalizers' resolver
@@ -459,7 +459,8 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	// Cosine against a count vector holding the query.
 	pq := prunedQuery{subject: -1, tags: query, qNorm2: float64(len(query)), search: true}
 	res := ix.runPruned(&pq, k, sc, false)
-	ix.endQuery(sc)
+	ix.putScratch(sc)
+	ix.runlockAll()
 	return res, epoch
 }
 

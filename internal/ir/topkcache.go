@@ -23,13 +23,17 @@
 // with its epoch so an overwritten one is detected; per queried subject,
 // its last answer, k and epoch; and, once it is queried again within
 // logSlots posts, a dot row over the owned resources plus its (tag,
-// weight) support, lifted once so a cold subject stays cold. A query
+// weight) support, lifted once so a cold subject stays cold. A repeat at
+// an unchanged epoch is served before the view is taken; any other query
 // folds the logged posts into the row, then serves, reranks, or rebuilds
 // the row when the subject itself was posted to or the log fell short.
 package ir
 
 import (
+	"maps"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,7 +67,9 @@ func (c *topkCache) logPost(epoch uint64, resource int, p tags.Post) {
 }
 
 // topkEntry is one subject's cached state, guarded by mu: res answers k
-// at epoch, and a hot entry's dot and weights are exact at epoch too.
+// at epoch, and a hot entry's dot and weights are exact at epoch too. dot
+// changes hands only in grant, under mu and the cache's mu, so either
+// lock reads whether the entry holds a row.
 type topkEntry struct {
 	mu      sync.Mutex
 	subject int
@@ -83,19 +89,10 @@ type weightTable struct {
 	shift uint32
 }
 
-// reset empties the table, sized at most half full for size tags.
+// reset gives the table empty storage, at most half full for size tags.
 func (h *weightTable) reset(size int) {
-	bits := uint32(3)
-	for 1<<bits < 2*size {
-		bits++
-	}
-	n := 1 << bits
-	if cap(h.keys) < n {
-		h.keys, h.w = make([]tags.Tag, n), make([]float64, n)
-	}
-	h.keys, h.w, h.shift = h.keys[:n], h.w[:n], 32-bits
-	clear(h.keys)
-	clear(h.w)
+	b := max(bits.Len(uint(2*size)), 3)
+	h.keys, h.w, h.shift = make([]tags.Tag, 1<<b), make([]float64, 1<<b), uint32(32-b)
 }
 
 // slot probes for t: its slot, or the empty one it would take.
@@ -108,7 +105,8 @@ func (h *weightTable) slot(t tags.Tag) int {
 }
 
 // topkCache is the index's one result cache and its write log. mu guards
-// entries and rows, and takes an entry's mu only with TryLock.
+// entries and rows, and takes an entry's mu only with TryLock. An entry
+// holding a row is never evicted, so a row lives as long as its entry.
 type topkCache struct {
 	log     [logSlots]logSlot
 	mu      sync.Mutex
@@ -119,18 +117,15 @@ type topkCache struct {
 	serves, reranks, rebuilds, executed atomic.Uint64
 }
 
-// entry returns subject's entry, creating it; a full table drops an
-// arbitrary entry (a row it holds stays in rows until passed on).
+// entry returns subject's entry, creating it; a full table forgets every
+// entry without a row (rows are far fewer than maxEntries).
 func (c *topkCache) entry(subject int) *topkEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[subject]
 	if e == nil {
 		if len(c.entries) >= maxEntries {
-			for id := range c.entries {
-				delete(c.entries, id)
-				break
-			}
+			maps.DeleteFunc(c.entries, func(_ int, v *topkEntry) bool { return v.dot == nil })
 		}
 		e = &topkEntry{subject: subject}
 		c.entries[subject] = e
@@ -139,10 +134,14 @@ func (c *topkCache) entry(subject int) *topkEntry {
 }
 
 // grant gives e a row of n cells: a new one while the budget lasts, else
-// one whose owner the log no longer reaches at epoch. Caller holds e.mu.
+// one whose owner the log no longer reaches at epoch. An entry evicted
+// since its query found it gets none. Caller holds e.mu.
 func (c *topkCache) grant(e *topkEntry, n int, epoch uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.entries[e.subject] != e {
+		return false
+	}
 	if len(c.rows) < c.maxRows {
 		e.dot = make([]float64, n)
 		c.rows = append(c.rows, e)
@@ -166,9 +165,6 @@ func (c *topkCache) grant(e *topkEntry, n int, epoch uint64) bool {
 func (ix *OnlineIndex) cachedTopK(e *topkEntry, k int, epoch uint64) []Scored {
 	c := &ix.cache
 	switch {
-	case e.res != nil && e.epoch == epoch && e.k == k:
-		c.serves.Add(1)
-		return e.res
 	case e.dot != nil:
 		if stands, ok := ix.fold(e, epoch); ok {
 			if stands && e.k == k {
@@ -216,13 +212,8 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 		if d := e.dot[r]; d != 0 {
 			score = topkScore(d, subjNorm, ix.norm2[r])
 		}
-		if score > kth.Score || (score == kth.Score && r < kth.ID) {
+		if score > kth.Score || (score == kth.Score && r < kth.ID) || slices.ContainsFunc(e.res, func(s Scored) bool { return s.ID == r }) {
 			return false, true
-		}
-		for _, s := range e.res {
-			if s.ID == r {
-				return false, true
-			}
 		}
 	}
 	return true, true

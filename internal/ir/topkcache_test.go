@@ -58,3 +58,38 @@ func TestTopKCacheLogEdgesAndRowBudget(t *testing.T) {
 	query("b folds", b, folded)
 	query("a without its row", a, executed)
 }
+
+// The cache's two bounds, white-box: rows never exceed the budget, the
+// entry table never exceeds maxEntries however many distinct subjects
+// arrive, and eviction never drops an entry holding a row.
+func TestTopKCacheBounds(t *testing.T) {
+	const n = 60
+	model, rng, z := zipfModel(7, n, 20, 6)
+	online := NewOnlineIndex(cloneAll(model), 4)
+	c := &online.cache
+	c.maxRows = 2
+	for round := 0; round < 3; round++ {
+		for s := 0; s < 5; s++ {
+			r := 10 + rng.Intn(n-10) // never a queried subject
+			online.Apply(r, zipfPost(rng, z, 20))
+			online.TopK(s, 10)
+			if len(c.rows) > c.maxRows {
+				t.Fatalf("round %d subject %d: %d rows, budget %d", round, s, len(c.rows), c.maxRows)
+			}
+		}
+	}
+	if len(c.rows) != c.maxRows {
+		t.Fatalf("%d rows granted, want the budget %d", len(c.rows), c.maxRows)
+	}
+	for i := 0; i < 4*maxEntries; i++ { // several full tables
+		c.entry(n + i) // entry does no range check
+		if len(c.entries) > maxEntries {
+			t.Fatalf("after %d distinct subjects: %d entries, cap %d", i+1, len(c.entries), maxEntries)
+		}
+	}
+	for _, e := range c.rows {
+		if c.entries[e.subject] != e {
+			t.Fatalf("subject %d's entry was evicted while it held a row", e.subject)
+		}
+	}
+}

@@ -360,6 +360,11 @@ func TestServiceTieredViewLockRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	// One pass up front, so readers meet cold subjects even if the tier
+	// goroutine is slow to be scheduled.
+	if _, err := svc.TierNow(); err != nil {
+		t.Fatal(err)
+	}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
