@@ -10,7 +10,6 @@ import (
 	"incentivetag/internal/admit"
 	"incentivetag/internal/alloc"
 	"incentivetag/internal/core"
-	"incentivetag/internal/crowd"
 	"incentivetag/internal/engine"
 	"incentivetag/internal/experiments"
 	"incentivetag/internal/ir"
@@ -48,32 +47,17 @@ type (
 
 	// Reference is a stable rfd used as the quality yardstick.
 	Reference = quality.Reference
-	// Curve is a replayed quality curve x ↦ q(c+x).
-	Curve = quality.Curve
 
-	// Problem is the incentive-based tagging optimization problem P(B,R).
-	Problem = core.Problem
 	// Assignment is a post-task allocation x.
 	Assignment = core.Assignment
 
 	// Strategy is an online incentive allocation policy.
 	Strategy = strategy.Strategy
-	// Env is the observable tagging-system state a Strategy sees.
-	Env = strategy.Env
 
 	// Config controls synthetic corpus generation.
 	Config = synth.Config
 	// Dataset is a generated (or loaded) corpus.
 	Dataset = synth.Dataset
-	// Resource is one corpus resource.
-	Resource = synth.Resource
-	// DriftSpec declares a case-study resource with early-topic drift.
-	DriftSpec = synth.DriftSpec
-	// DatasetStats is the corpus census of §I / §V-A.
-	DatasetStats = synth.DatasetStats
-
-	// Taxonomy is the category tree ground truth.
-	Taxonomy = taxonomy.Tree
 
 	// SimilarityIndex answers top-k, tag-set search and pair-similarity
 	// queries over immutable rfd snapshots; its TopK is bit-identical to
@@ -216,26 +200,6 @@ func (s *Simulation) RunCheckpoints(name string, budget int, checkpoints []int) 
 	}, nil
 }
 
-// RunCustom executes a caller-supplied Strategy implementation — the
-// extension point for new allocation policies.
-func (s *Simulation) RunCustom(strat Strategy, budget int) (*Result, error) {
-	st := sim.NewState(s.data, s.opts.Omega, s.opts.Seed)
-	initial := st.Quality()
-	cps, err := st.Run(strat, budget, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Strategy:       strat.Name(),
-		Budget:         budget,
-		Spent:          st.Spent(),
-		InitialQuality: initial,
-		FinalQuality:   st.Quality(),
-		Assignment:     st.Assignment(),
-		Checkpoints:    cps,
-	}, nil
-}
-
 // SolveOptimal runs the offline DP (Section III-D) for the budget and
 // returns the optimal assignment with its mean quality. The DP costs
 // O(n·B²); keep instances moderate.
@@ -367,16 +331,6 @@ func RunExperiment(id string, sc Scale, w io.Writer) error {
 		return err
 	}
 	return e.Run(ctx, w)
-}
-
-// RunAllExperiments reproduces every registered artifact at the given
-// scale against one shared corpus.
-func RunAllExperiments(sc Scale, w io.Writer) error {
-	ctx, err := experiments.NewContext(sc)
-	if err != nil {
-		return err
-	}
-	return experiments.RunAll(ctx, w)
 }
 
 // ServiceOptions configure a live tagging Service.
@@ -898,11 +852,6 @@ type QueryStats = ir.OnlineStats
 // load balancer multiplies them by the replica count.
 type AdmissionConfig = admit.Config
 
-// AdmissionStats is the admission controller's census: per-class
-// outcome counters (admitted/shed/timed-out) plus the live in-flight
-// and queue-depth gauges, as also exported via GET /metrics/prom.
-type AdmissionStats = admit.Stats
-
 // TopK answers the top-k similar-resource query (§V-C.1) from the live
 // online index: no snapshot clone, no index rebuild — the posting lists
 // are maintained incrementally by the ingest paths (Ingest/IngestBatch/
@@ -1247,34 +1196,6 @@ func (s *Service) Close() error {
 	}
 	return err
 }
-
-// Worker is one simulated crowd participant (Figure 2's "Internet
-// crowds"), optionally restricted to top-level interest categories — the
-// paper's user-preference future-work extension.
-type Worker = crowd.Worker
-
-// UniformWorkers builds a deterministic worker pool over the dataset's
-// taxonomy; pInterest is the fraction of category-specialist workers.
-func UniformWorkers(ds *Dataset, n int, pInterest float64, seed int64) []Worker {
-	return crowd.UniformWorkers(n, ds.Tax, pInterest, seed)
-}
-
-// NewPreferenceFC returns a Free Choice strategy whose tagger model is a
-// preference-constrained worker pool instead of pure popularity: workers
-// only accept resources in their interest categories.
-func NewPreferenceFC(ds *Dataset, workers []Worker) Strategy {
-	leaves := make([]taxonomy.NodeID, len(ds.Resources))
-	for i := range ds.Resources {
-		leaves[i] = ds.Resources[i].Leaf
-	}
-	return strategy.NewFC(&crowd.PreferencePicker{Workers: workers, Leaves: leaves, Tax: ds.Tax})
-}
-
-// Ledger tracks reward payouts per worker (step 4 of Figure 2).
-type Ledger = crowd.Ledger
-
-// NewLedger returns an empty reward ledger.
-func NewLedger() *Ledger { return crowd.NewLedger() }
 
 // Validate sanity-checks a dataset for simulation use.
 func Validate(ds *Dataset) error {

@@ -309,27 +309,6 @@ func TestStatsFacade(t *testing.T) {
 	}
 }
 
-func TestPreferenceCrowdFacade(t *testing.T) {
-	ds := testDS(t)
-	workers := UniformWorkers(ds, 20, 0.5, 1)
-	if len(workers) != 20 {
-		t.Fatal("pool size wrong")
-	}
-	s := NewSimulation(ds, Options{Seed: 6})
-	res, err := s.RunCustom(NewPreferenceFC(ds, workers), 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spent == 0 {
-		t.Error("preference crowd completed no tasks")
-	}
-	l := NewLedger()
-	l.Pay(0, 2)
-	if l.Total != 2 {
-		t.Error("ledger facade broken")
-	}
-}
-
 // SetCosts between two runs of one Simulation takes effect on the next
 // run exactly as on a Simulation that never ran before it (the primed
 // state a Simulation caches stores no costs), and nil restores unit costs.

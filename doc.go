@@ -172,8 +172,7 @@
 // draining from serving; shutdown stops admitting before it waits for
 // in-flight work. Limits are per-process — behind a load balancer,
 // size the rate per replica. The zero AdmissionConfig disables
-// limiting entirely. AdmissionStats exposes the same counters
-// programmatically.
+// limiting entirely.
 //
 // # Scaling out
 //

@@ -70,7 +70,6 @@ type point struct {
 // Map.Ring; read-only and safe for concurrent use after construction.
 type Ring struct {
 	points []point
-	nodes  int
 }
 
 // newRing places vnodes points per node. Points are sorted by (hash,
@@ -78,7 +77,7 @@ type Ring struct {
 // astronomically unlikely event of a 64-bit hash collision between two
 // nodes' virtual points.
 func newRing(names []string, vnodes int) *Ring {
-	r := &Ring{points: make([]point, 0, len(names)*vnodes), nodes: len(names)}
+	r := &Ring{points: make([]point, 0, len(names)*vnodes)}
 	for i, name := range names {
 		// "name#v": the vnode label is hashed as a suffix of the name so
 		// each (node, vnode) pair lands at an independent position.
@@ -114,6 +113,3 @@ func (r *Ring) Owner(resource int) int {
 	}
 	return r.points[i].node
 }
-
-// Nodes reports how many nodes the ring places over.
-func (r *Ring) Nodes() int { return r.nodes }

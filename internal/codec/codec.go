@@ -98,9 +98,6 @@ func (d *Delta) Absorb(gap uint64) int64 {
 	return d.prev
 }
 
-// Value returns the current previous value.
-func (d *Delta) Value() int64 { return d.prev }
-
 // Reader decodes a buffer of codec primitives with positioned errors:
 // the first structural failure latches into err (with the byte offset
 // where it happened), every later read returns zero, and callers check

@@ -223,6 +223,20 @@ func TestMetricTransitions(t *testing.T) {
 	}
 }
 
+// walPosts reads a log through ScanFrom, grouped by resource in append
+// order.
+func walPosts(t *testing.T, wal *tagstore.Store, n int) []tags.Seq {
+	t.Helper()
+	out := make([]tags.Seq, n)
+	if _, err := wal.ScanFrom(1, func(_ uint64, rid uint32, p tags.Post) error {
+		out[rid] = append(out[rid], p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // The WAL must record every ingested post (and none of the primed
 // prefix), recoverable after reopening.
 func TestWALRecordsIngest(t *testing.T) {
@@ -256,11 +270,7 @@ func TestWALRecordsIngest(t *testing.T) {
 	if int(re.Records()) != want {
 		t.Fatalf("wal has %d records, want %d", re.Records(), want)
 	}
-	for i := 0; i < e.N(); i++ {
-		got, err := re.Posts(uint32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, got := range walPosts(t, re, e.N()) {
 		futures := seqs[i][len(specs[i].Initial):]
 		if len(got) != len(futures) {
 			t.Fatalf("resource %d: wal has %d posts, want %d", i, len(got), len(futures))
@@ -552,11 +562,7 @@ func TestWALGroupCommitRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < recovered.N(); i++ {
-		posts, err := re.Posts(uint32(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, posts := range walPosts(t, re, recovered.N()) {
 		if err := recovered.IngestBatch(i, posts); err != nil {
 			t.Fatal(err)
 		}

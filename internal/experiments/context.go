@@ -53,7 +53,7 @@ func NewContext(sc Scale) (*Context, error) {
 func NewStrategy(name string, omega int) (strategy.Strategy, error) {
 	switch name {
 	case "FC":
-		return strategy.NewFC(nil), nil
+		return strategy.NewFC(), nil
 	case "RR":
 		return strategy.NewRR(), nil
 	case "FP":

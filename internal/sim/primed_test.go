@@ -16,7 +16,7 @@ import (
 func mkStrategy(name string, omega int) strategy.Strategy {
 	switch name {
 	case "FC":
-		return strategy.NewFC(nil)
+		return strategy.NewFC()
 	case "RR":
 		return strategy.NewRR()
 	case "FP":

@@ -102,9 +102,6 @@ func (tr *Tracker) ExportRing() (ring []float64, head, fill int, sum float64) {
 	return ring, tr.head, tr.fill, tr.sum
 }
 
-// Omega returns the window parameter ω.
-func (tr *Tracker) Omega() int { return tr.omega }
-
 // Posts returns k, the number of posts observed.
 func (tr *Tracker) Posts() int { return tr.counts.Posts() }
 

@@ -5,56 +5,17 @@ import (
 )
 
 // FC is the Free Choice strategy (§IV-A): taggers pick resources
-// themselves, so CHOOSE simply reproduces organic tagger behaviour. The
-// choice model is injected as a Picker; the default PopularityPicker draws
-// resources proportionally to their remaining organic post volume, which
-// is exactly how the replay data distributes posts made after the January
-// cut. FC is the baseline that "follows the practice of existing
-// collaborative tagging systems".
+// themselves, so CHOOSE simply reproduces organic tagger behaviour. FC
+// draws resources with probability proportional to their popularity,
+// which decays by one post per completed task. Popularity is the
+// remaining organic post volume, queried through the OrganicWeighter
+// interface if the Env provides it (exactly how the replay data
+// distributes posts made after the January cut), else uniform over
+// available resources. FC is the baseline that "follows the practice of
+// existing collaborative tagging systems".
 type FC struct {
-	picker Picker
-	env    Env
-}
-
-// Picker models tagger free will: it returns the resource the next tagger
-// decided to tag. ok=false means no tagger is willing/able to tag anything.
-type Picker interface {
-	Pick(env Env, remaining int) (int, bool)
-	// Picked informs the model a post task on i completed.
-	Picked(i int)
-}
-
-// NewFC returns the Free Choice strategy with the given choice model; a
-// nil picker defaults to popularity-proportional choice.
-func NewFC(p Picker) *FC {
-	if p == nil {
-		p = &PopularityPicker{}
-	}
-	return &FC{picker: p}
-}
-
-func (s *FC) Name() string { return "FC" }
-
-func (s *FC) Init(env Env) {
-	validateEnv(env)
-	s.env = env
-	if init, ok := s.picker.(interface{ Init(Env) }); ok {
-		init.Init(env)
-	}
-}
-
-func (s *FC) Choose(remaining int) (int, bool) { return s.picker.Pick(s.env, remaining) }
-
-func (s *FC) Update(i int) { s.picker.Picked(i) }
-
-// PopularityPicker draws resources with probability proportional to an
-// externally supplied popularity weight that decays by one per completed
-// task. When no weights are supplied it falls back to "remaining posts",
-// queried through the OrganicWeighter interface if the Env provides it,
-// else uniform over available resources.
-type PopularityPicker struct {
-	tree *fenwick.Tree
 	env  Env
+	tree *fenwick.Tree
 }
 
 // OrganicWeighter is an optional Env capability: the organic popularity of
@@ -64,9 +25,15 @@ type OrganicWeighter interface {
 	OrganicWeight(i int) float64
 }
 
-// Init builds the sampling structure.
-func (p *PopularityPicker) Init(env Env) {
-	p.env = env
+// NewFC returns the Free Choice strategy.
+func NewFC() *FC { return &FC{} }
+
+func (s *FC) Name() string { return "FC" }
+
+// Init builds the popularity sampling structure.
+func (s *FC) Init(env Env) {
+	validateEnv(env)
+	s.env = env
 	ws := make([]float64, env.N())
 	if ow, ok := env.(OrganicWeighter); ok {
 		for i := range ws {
@@ -79,31 +46,31 @@ func (p *PopularityPicker) Init(env Env) {
 			}
 		}
 	}
-	p.tree = fenwick.FromWeights(ws)
+	s.tree = fenwick.FromWeights(ws)
 }
 
-// Pick samples one resource; unavailable or unaffordable draws are
+// Choose samples one resource; unavailable or unaffordable draws are
 // zeroed out and redrawn.
-func (p *PopularityPicker) Pick(env Env, remaining int) (int, bool) {
+func (s *FC) Choose(remaining int) (int, bool) {
 	for {
-		total := p.tree.Total()
+		total := s.tree.Total()
 		if total <= 0 {
 			return -1, false
 		}
-		i := p.tree.Search(env.Rand().Float64() * total)
+		i := s.tree.Search(s.env.Rand().Float64() * total)
 		if i < 0 {
 			return -1, false
 		}
-		if !env.Available(i) || env.Cost(i) > remaining {
-			p.tree.Set(i, 0)
+		if !s.env.Available(i) || s.env.Cost(i) > remaining {
+			s.tree.Set(i, 0)
 			continue
 		}
 		return i, true
 	}
 }
 
-// Picked decays the chosen resource's popularity by one post.
-func (p *PopularityPicker) Picked(i int) { p.tree.Add(i, -1) }
+// Update decays the chosen resource's popularity by one post.
+func (s *FC) Update(i int) { s.tree.Add(i, -1) }
 
 // RR is the Round Robin strategy (Algorithm 2): resources are cycled in
 // id order regardless of their state. Exhausted resources are skipped.

@@ -147,7 +147,7 @@ func (q *lazyPQ) invalidate(id int) { q.version[id]++ }
 //
 // The wrapper intentionally exposes only the Env method set: optional
 // capabilities of the underlying environment (e.g. OrganicWeighter) are
-// not forwarded, so FC's popularity picker falls back to uniform choice
+// not forwarded, so FC's popularity falls back to uniform choice
 // behind a mask — lease-based allocators serve incentive strategies, not
 // organic-traffic models.
 func Masked(env Env, ok func(i int) bool) Env {

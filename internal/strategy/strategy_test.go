@@ -218,7 +218,7 @@ func TestFPMUWarmupThenSwitch(t *testing.T) {
 func TestFCFollowsPicker(t *testing.T) {
 	e := newFakeEnv([]int{0, 0, 0})
 	e.weights = []float64{0, 100, 0}
-	s := NewFC(nil) // default popularity picker reads OrganicWeight
+	s := NewFC() // popularity comes from OrganicWeight
 	s.Init(e)
 	for k := 0; k < 5; k++ {
 		if i := step(t, s, e, 100); i != 1 {
@@ -230,7 +230,7 @@ func TestFCFollowsPicker(t *testing.T) {
 func TestFCExhaustsGracefully(t *testing.T) {
 	e := newFakeEnv([]int{0})
 	e.weights = []float64{3}
-	s := NewFC(nil)
+	s := NewFC()
 	s.Init(e)
 	for k := 0; k < 3; k++ {
 		step(t, s, e, 100)
@@ -294,7 +294,7 @@ func TestStrategyNames(t *testing.T) {
 		s    Strategy
 		want string
 	}{
-		{NewFC(nil), "FC"}, {NewRR(), "RR"}, {NewFP(), "FP"},
+		{NewFC(), "FC"}, {NewRR(), "RR"}, {NewFP(), "FP"},
 		{NewMU(), "MU"}, {NewFPMU(5), "FP-MU"},
 	} {
 		if tc.s.Name() != tc.want {

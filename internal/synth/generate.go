@@ -54,15 +54,6 @@ func (d *Dataset) ByName(name string) (int, bool) {
 	return i, ok
 }
 
-// InitialCounts returns a fresh copy of the c vector.
-func (d *Dataset) InitialCounts() []int {
-	c := make([]int, len(d.Resources))
-	for i, r := range d.Resources {
-		c[i] = r.Initial
-	}
-	return c
-}
-
 // Generate builds a dataset from cfg. Generation is deterministic in
 // cfg.Seed and independent of GOMAXPROCS: every resource derives its own
 // RNG stream from (Seed, ID).

@@ -1,11 +1,16 @@
 package synth
 
 import (
+	"fmt"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/stability"
+	"incentivetag/internal/tags"
+	"incentivetag/internal/tagstore"
 )
 
 func smallConfig(n int, seed int64) Config {
@@ -257,6 +262,34 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// ByName map rebuilt.
 	if _, ok := got.ByName(ds.Resources[3].Name); !ok {
 		t.Error("ByName lost after reload")
+	}
+}
+
+// A post logged for a resource the metadata does not list is a corrupt
+// corpus, not something Load may drop.
+func TestLoadRefusesStrayRecord(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := Generate(smallConfig(25, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	stray := uint32(ds.N()) // the first id past the listed resources
+	store, err := tagstore.Open(filepath.Join(dir, "posts"), tagstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(stray, tags.MustPost(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Load(dir)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("resource %d", stray)) {
+		t.Fatalf("Load with a post for unlisted resource %d: err = %v", stray, err)
 	}
 }
 

@@ -109,12 +109,25 @@ func Load(dir string) (*Dataset, error) {
 	}
 	defer store.Close()
 
+	// One pass in append order (the paper's replay order within each
+	// resource) fills every resource's sequence.
+	seqs := make([]tags.Seq, len(meta.Resources))
+	for i, rm := range meta.Resources {
+		seqs[i] = make(tags.Seq, 0, rm.SeqLen)
+	}
+	if _, err := store.ScanFrom(1, func(_ uint64, rid uint32, p tags.Post) error {
+		if int(rid) >= len(seqs) {
+			return fmt.Errorf("synth: stored post for resource %d, meta lists %d resources", rid, len(seqs))
+		}
+		seqs[rid] = append(seqs[rid], p)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
 	ds.Resources = make([]Resource, len(meta.Resources))
 	for i, rm := range meta.Resources {
-		seq, err := store.Posts(uint32(i))
-		if err != nil {
-			return nil, err
-		}
+		seq := seqs[i]
 		if len(seq) != rm.SeqLen {
 			return nil, fmt.Errorf("synth: resource %d has %d stored posts, meta says %d", i, len(seq), rm.SeqLen)
 		}

@@ -118,15 +118,3 @@ func (d *Dataset) TopTagTrajectories(i, topN, upTo int) []TagTrajectory {
 	}
 	return out
 }
-
-// LeafMembers returns the indices of all resources attached to the given
-// taxonomy leaf.
-func (d *Dataset) LeafMembers(leaf int32) []int {
-	var out []int
-	for i := range d.Resources {
-		if int32(d.Resources[i].Leaf) == leaf {
-			out = append(out, i)
-		}
-	}
-	return out
-}

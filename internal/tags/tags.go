@@ -16,11 +16,8 @@ import (
 )
 
 // Tag is an interned tag identifier. The zero value is a valid tag id (the
-// first interned string); use NoTag for "absent".
+// first interned string).
 type Tag int32
-
-// NoTag is a sentinel meaning "no tag".
-const NoTag Tag = -1
 
 // Vocab interns tag strings to dense Tag ids. It is safe for concurrent use.
 //
@@ -220,15 +217,6 @@ func (p Post) Format(v *Vocab) string {
 // Seq is the post sequence of a resource (Definition 2): Seq[k-1] is the
 // k-th post the resource received.
 type Seq []Post
-
-// Clone returns a deep copy of the sequence.
-func (s Seq) Clone() Seq {
-	out := make(Seq, len(s))
-	for i, p := range s {
-		out[i] = p.Clone()
-	}
-	return out
-}
 
 // TotalTags returns the number of tag occurrences across all posts
 // (duplicates across posts counted), i.e. the denominator of Definition 4

@@ -195,9 +195,9 @@ func TestAppendOrderAndRejectedPost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Posts(9)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("readback: %v %v", got, err)
+	got := postsByResource(t, s)[9]
+	if len(got) != 3 {
+		t.Fatalf("readback: %v", got)
 	}
 	for i := range seq {
 		if !got[i].Equal(seq[i]) {
@@ -210,7 +210,7 @@ func TestAppendOrderAndRejectedPost(t *testing.T) {
 	if err := s.Append(10, tags.Post{}); err == nil {
 		t.Fatal("empty post accepted")
 	}
-	if s.Count(10) != 1 {
-		t.Errorf("record before the rejected post lost: count=%d", s.Count(10))
+	if n := len(postsByResource(t, s)[10]); n != 1 {
+		t.Errorf("record before the rejected post lost: count=%d", n)
 	}
 }

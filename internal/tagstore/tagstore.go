@@ -1,6 +1,6 @@
-// Package tagstore is an embedded, append-only post store: the storage
-// substrate a production incentive-tagging service would persist its
-// tagging stream into (the paper's "system prototype" future-work item).
+// Package tagstore is an embedded, append-only post log: the serving
+// write-ahead log a tagging service persists its post stream into, and
+// the on-disk form of a saved corpus.
 //
 // Layout: a directory of segment files seg-NNNNNN.log, each a sequence of
 // CRC-framed records, described by a MANIFEST file. One record is one
@@ -19,27 +19,29 @@
 // to the exact pre-crash state, and DropThrough(S) reclaims the sealed
 // segments a snapshot has made redundant.
 //
+// The log has one reader and one compactor. Every reader streams it in
+// append order: recovery replays the tail past a snapshot, and a corpus
+// load wants every resource's whole sequence, both through ScanFrom.
+// DropThrough is the compactor.
+//
 // Properties:
 //
 //   - appends go to the active (last) segment through a buffered writer;
 //     Flush makes them durable (optionally fsync);
 //   - opening a store reads the MANIFEST (or derives one for legacy
-//     directories) and scans the listed segments, rebuilding an
-//     in-memory index of (segment, offset, length) per resource for
-//     random access;
+//     directories) and validates every frame of the listed segments
+//     (length, CRC, payload), counting the records each segment holds;
 //   - a torn write at the tail of the last segment (crash mid-append) is
-//     detected by length/CRC validation and truncated away — recovery is
-//     automatic and lossless up to the last complete record;
+//     detected by that validation and truncated away — recovery is
+//     automatic and lossless up to the last complete record. ScanFrom
+//     reads no further than the records Open counted, so a read-only
+//     open, which leaves the tear on disk, never reads it;
 //   - the MANIFEST is replaced atomically (write-temp + rename), so a
-//     crash during rotation or compaction leaves either the old or the
+//     crash during rotation or DropThrough leaves either the old or the
 //     new manifest, never a torn one; segment files orphaned by such a
-//     crash are adopted (rotation) or removed (compaction) on open;
+//     crash are adopted (rotation) or removed (DropThrough) on open;
 //   - DropThrough drops sealed segments fully covered by a snapshot
-//     sequence number, bounding on-disk log size under sustained ingest;
-//   - Compact rewrites the log grouped by resource id for locality and
-//     atomically swaps segment files (dataset storage only — it restarts
-//     sequence numbering, so it refuses to run on snapshot-covered
-//     stores).
+//     sequence number, bounding on-disk log size under sustained ingest.
 package tagstore
 
 import (
@@ -50,6 +52,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,9 +78,9 @@ type Options struct {
 	// ReadOnly opens the store for reading only: the directory lock is
 	// shared (any number of concurrent readers, but no writer), nothing
 	// on disk is created or mutated — no manifest rewrite, no torn-tail
-	// truncation, no lock file on read-only mounts — and Append/rotate/
-	// compaction refuse. The dataset-load path (synth.Load) uses this so
-	// corpus directories can be read concurrently and from read-only
+	// truncation, no lock file on read-only mounts — and Append, rotation
+	// and DropThrough refuse. The dataset-load path (synth.Load) uses this
+	// so corpus directories can be read concurrently and from read-only
 	// media.
 	ReadOnly bool
 }
@@ -89,13 +92,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// recordRef locates one record.
-type recordRef struct {
-	seg int32
-	off int64 // offset of the frame start
-	n   int32 // payload length
-}
-
 // Store is an open post store. It is not safe for concurrent use; wrap it
 // with external synchronization if shared (matching typical embedded-log
 // designs where a single writer owns the log).
@@ -103,24 +99,19 @@ type Store struct {
 	dir  string
 	opts Options
 
-	lock    *os.File   // exclusive directory lock (nil where unsupported)
-	segs    []string   // segment file names in order
-	base    []uint64   // first sequence number of each segment, parallel to segs
-	files   []*os.File // read handles per segment
-	active  *os.File   // write handle on last segment
+	lock    *os.File // exclusive directory lock (nil where unsupported)
+	segs    []string // segment file names in order
+	base    []uint64 // first sequence number of each segment, parallel to segs
+	active  *os.File // write handle on last segment
 	w       *bufio.Writer
 	written int64  // current size of active segment
 	nextSeq uint64 // sequence number the next appended record receives
-
-	index   map[uint32][]recordRef
-	records int64
-	order   []uint32 // resource ids in first-seen order
 
 	encBuf []byte // reusable scratch for single-record Append encoding
 }
 
 // Open opens (or creates) a store directory, reconciling the MANIFEST
-// with the segment files on disk, scanning the live segments and
+// with the segment files on disk, validating the live segments and
 // recovering from torn tails. Legacy directories without a manifest are
 // adopted (sequence numbers start at 1) and gain one.
 func Open(dir string, opts Options) (*Store, error) {
@@ -132,7 +123,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts, lock: lock, index: make(map[uint32][]recordRef)}
+	s := &Store{dir: dir, opts: opts, lock: lock}
 	names, err := listSegments(dir)
 	if err != nil {
 		s.Close()
@@ -168,13 +159,12 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.Close()
 			return nil, fmt.Errorf("tagstore: segment %s starts at seq %d but manifest says %d", name, seq, base[si])
 		}
-		path := filepath.Join(dir, name)
-		before := s.records
-		if err := s.scanSegment(si, path, si == len(names)-1); err != nil {
+		n, err := s.scanSegment(filepath.Join(dir, name), si == len(names)-1)
+		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		seq += uint64(s.records - before)
+		seq += n
 	}
 	s.nextSeq = seq
 	if rewrite && !opts.ReadOnly {
@@ -182,15 +172,6 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.Close()
 			return nil, err
 		}
-	}
-	// Open read handles and (unless read-only) the active writer.
-	for _, name := range s.segs {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("tagstore: open segment: %w", err)
-		}
-		s.files = append(s.files, f)
 	}
 	if opts.ReadOnly {
 		return s, nil
@@ -247,71 +228,73 @@ func listSegments(dir string) ([]string, error) {
 	return names, nil
 }
 
-// scanSegment indexes one segment. For the last segment, a torn or
-// corrupt tail is truncated; anywhere else it is a hard error.
-func (s *Store) scanSegment(si int, path string, isLast bool) error {
+// scanSegment validates one segment and returns its record count. For
+// the last segment a damaged tail is truncated away — or, on a read-only
+// store, left on disk and not counted; anywhere else it is a hard error.
+func (s *Store) scanSegment(path string, isLast bool) (uint64, error) {
+	n, off, damage, err := walkSegment(path, -1, nil)
+	if err != nil || damage == "" {
+		return uint64(n), err
+	}
+	if !isLast {
+		return 0, fmt.Errorf("tagstore: segment %s corrupt at offset %d: %s", path, off, damage)
+	}
+	if !s.opts.ReadOnly {
+		if err := os.Truncate(path, off); err != nil {
+			return 0, fmt.Errorf("tagstore: truncating torn tail of %s: %w", path, err)
+		}
+	}
+	return uint64(n), nil
+}
+
+// walkSegment reads the segment at path in order, validating each frame's
+// length, CRC and payload, and hands each record to fn (nil validates
+// only). It stops after limit records (limit < 0: at the end of the file)
+// and returns how many valid records it read and the offset just past the
+// last of them. damage names the first bad frame, which sits at that
+// offset; it is "" when the walk reached the limit or a clean end of
+// file. err reports a file that would not open or an error fn returned.
+func walkSegment(path string, limit int64, fn func(rid uint32, p tags.Post) error) (n, off int64, damage string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("tagstore: open %s: %w", path, err)
+		return 0, 0, "", fmt.Errorf("tagstore: open %s: %w", path, err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<16)
-	var off int64
-	var hdr [4]byte
-	payload := make([]byte, 0, 512)
-	for {
-		_, err := io.ReadFull(br, hdr[:])
-		if err == io.EOF {
-			return nil
+	var hdr, crc [4]byte
+	var payload []byte
+	for ; n != limit; n++ {
+		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
+			return n, off, "", nil
+		} else if err != nil {
+			return n, off, "torn frame header", nil
 		}
-		if err != nil {
-			return s.handleTail(path, off, isLast, fmt.Errorf("short header: %w", err))
+		size := binary.LittleEndian.Uint32(hdr[:])
+		if size == 0 || size > maxRecordBytes {
+			return n, off, fmt.Sprintf("implausible record length %d", size), nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > maxRecordBytes {
-			return s.handleTail(path, off, isLast, fmt.Errorf("implausible record length %d", n))
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
+		payload = slices.Grow(payload[:0], int(size))[:size]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return s.handleTail(path, off, isLast, fmt.Errorf("short payload: %w", err))
+			return n, off, "torn payload", nil
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return s.handleTail(path, off, isLast, fmt.Errorf("short crc: %w", err))
+		if _, err := io.ReadFull(br, crc[:]); err != nil {
+			return n, off, "torn crc", nil
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return s.handleTail(path, off, isLast, fmt.Errorf("crc mismatch"))
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crc[:]) {
+			return n, off, "crc mismatch", nil
 		}
-		rid, _, err := decodePost(payload)
+		rid, p, err := decodePost(payload)
 		if err != nil {
-			return s.handleTail(path, off, isLast, err)
+			return n, off, "undecodable payload", nil
 		}
-		if _, seen := s.index[rid]; !seen {
-			s.order = append(s.order, rid)
+		if fn != nil {
+			if err := fn(rid, p); err != nil {
+				return n, off, "", err
+			}
 		}
-		s.index[rid] = append(s.index[rid], recordRef{seg: int32(si), off: off, n: int32(n)})
-		s.records++
-		off += int64(4 + len(payload) + 4)
+		off += 4 + int64(size) + 4
 	}
-}
-
-// handleTail truncates a damaged tail on the last segment, or fails.
-// A read-only open leaves the tear on disk and simply stops indexing at
-// it — same recovered contents, no mutation.
-func (s *Store) handleTail(path string, goodOff int64, isLast bool, cause error) error {
-	if !isLast {
-		return fmt.Errorf("tagstore: segment %s corrupt at offset %d: %v", path, goodOff, cause)
-	}
-	if s.opts.ReadOnly {
-		return nil
-	}
-	if err := os.Truncate(path, goodOff); err != nil {
-		return fmt.Errorf("tagstore: truncating torn tail of %s: %w", path, err)
-	}
-	return nil
+	return n, off, "", nil
 }
 
 // writable guards every mutating operation on a read-only store.
@@ -372,8 +355,7 @@ func decodePost(payload []byte) (uint32, tags.Post, error) {
 
 // Append writes one post for resource rid. The data is buffered; call
 // Flush (or Close) to make it durable. The encode scratch is reused
-// across calls, so steady-state appends are allocation-free (beyond the
-// index entry).
+// across calls, so steady-state appends are allocation-free.
 func (s *Store) Append(rid uint32, p tags.Post) error {
 	if err := s.writable(); err != nil {
 		return err
@@ -404,12 +386,6 @@ func (s *Store) Append(rid uint32, p tags.Post) error {
 	if _, err := s.w.Write(crcBuf[:]); err != nil {
 		return fmt.Errorf("tagstore: append: %w", err)
 	}
-	si := int32(len(s.segs) - 1)
-	if _, seen := s.index[rid]; !seen {
-		s.order = append(s.order, rid)
-	}
-	s.index[rid] = append(s.index[rid], recordRef{seg: si, off: s.written, n: int32(len(payload))})
-	s.records++
 	s.nextSeq++
 	s.written += int64(4 + len(payload) + 4)
 	return nil
@@ -420,9 +396,8 @@ func (s *Store) Append(rid uint32, p tags.Post) error {
 // then Reset it for the next group. A Batch belongs to one writer at a
 // time (the engine keeps one per shard behind the shard lock).
 type Batch struct {
-	buf  []byte
-	rids []uint32
-	lens []int32 // payload length per record, parallel to rids
+	buf []byte
+	n   int // records framed in buf
 }
 
 // Add frames one post into the batch (header + payload + CRC), exactly
@@ -443,28 +418,26 @@ func (b *Batch) Add(rid uint32, p tags.Post) error {
 	var crcBuf [4]byte
 	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(b.buf[start+4:]))
 	b.buf = append(b.buf, crcBuf[:]...)
-	b.rids = append(b.rids, rid)
-	b.lens = append(b.lens, int32(n))
+	b.n++
 	return nil
 }
 
 // Records returns the number of records currently framed in the batch.
-func (b *Batch) Records() int { return len(b.rids) }
+func (b *Batch) Records() int { return b.n }
 
 // Bytes returns the framed size of the batch.
 func (b *Batch) Bytes() int { return len(b.buf) }
 
-// Reset empties the batch, retaining its buffers for reuse.
+// Reset empties the batch, retaining its buffer for reuse.
 func (b *Batch) Reset() {
 	b.buf = b.buf[:0]
-	b.rids = b.rids[:0]
-	b.lens = b.lens[:0]
+	b.n = 0
 }
 
 // AppendBatch group-commits every record framed in b with a single
-// buffered write, updating the index as Append would. Record order within
-// the batch is preserved; durability still requires Flush (or Close), as
-// with Append. The batch is not consumed — call Reset to reuse it.
+// buffered write. Record order within the batch is preserved; durability
+// still requires Flush (or Close), as with Append. The batch is not
+// consumed — call Reset to reuse it.
 //
 // Segment rotation is checked once per batch, so a large batch may
 // overshoot MaxSegmentBytes by its own size (the same soft bound a single
@@ -484,18 +457,8 @@ func (s *Store) AppendBatch(b *Batch) error {
 	if _, err := s.w.Write(b.buf); err != nil {
 		return fmt.Errorf("tagstore: append batch: %w", err)
 	}
-	si := int32(len(s.segs) - 1)
-	off := s.written
-	for k, rid := range b.rids {
-		if _, seen := s.index[rid]; !seen {
-			s.order = append(s.order, rid)
-		}
-		s.index[rid] = append(s.index[rid], recordRef{seg: si, off: off, n: b.lens[k]})
-		off += int64(4+b.lens[k]) + 4
-	}
-	s.records += int64(len(b.rids))
-	s.nextSeq += uint64(len(b.rids))
-	s.written = off
+	s.nextSeq += uint64(b.n)
+	s.written += int64(len(b.buf))
 	return nil
 }
 
@@ -511,19 +474,12 @@ func (s *Store) rotate() error {
 		return fmt.Errorf("tagstore: close active: %w", err)
 	}
 	name := segName(segNumber(s.segs[len(s.segs)-1]) + 1)
-	path := filepath.Join(s.dir, name)
-	af, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	af, err := os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("tagstore: rotate: %w", err)
 	}
-	rf, err := os.Open(path)
-	if err != nil {
-		af.Close()
-		return fmt.Errorf("tagstore: rotate read handle: %w", err)
-	}
 	s.segs = append(s.segs, name)
 	s.base = append(s.base, s.nextSeq)
-	s.files = append(s.files, rf)
 	s.active = af
 	s.w = bufio.NewWriterSize(af, 1<<16)
 	s.written = 0
@@ -560,15 +516,6 @@ func (s *Store) Close() error {
 		}
 		s.active = nil
 	}
-	for _, f := range s.files {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.files = nil
 	s.w = nil
 	if s.lock != nil {
 		// Closing the handle releases the flock; the LOCK file itself
@@ -581,109 +528,13 @@ func (s *Store) Close() error {
 	return first
 }
 
-// Count returns the number of stored posts for rid.
-func (s *Store) Count(rid uint32) int { return len(s.index[rid]) }
-
-// Records returns the total number of stored posts.
-func (s *Store) Records() int64 { return s.records }
-
-// Resources returns all resource ids in first-seen order.
-func (s *Store) Resources() []uint32 {
-	out := make([]uint32, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// readRecord fetches and decodes one record.
-func (s *Store) readRecord(ref recordRef) (uint32, tags.Post, error) {
-	if err := s.Flush(); err != nil {
-		return 0, nil, err
-	}
-	buf := make([]byte, ref.n)
-	if _, err := s.files[ref.seg].ReadAt(buf, ref.off+4); err != nil {
-		return 0, nil, fmt.Errorf("tagstore: read record: %w", err)
-	}
-	return decodePost(buf)
-}
-
-// Posts returns rid's posts in append order.
-func (s *Store) Posts(rid uint32) (tags.Seq, error) {
-	refs := s.index[rid]
-	out := make(tags.Seq, 0, len(refs))
-	for _, ref := range refs {
-		id, p, err := s.readRecord(ref)
-		if err != nil {
-			return nil, err
-		}
-		if id != rid {
-			return nil, fmt.Errorf("tagstore: index corruption: wanted rid %d, found %d", rid, id)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// Scan iterates every record in global append order. The callback may
-// return an error to stop early.
-func (s *Store) Scan(fn func(rid uint32, p tags.Post) error) error {
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	for si := range s.segs {
-		path := filepath.Join(s.dir, s.segs[si])
-		f, err := os.Open(path)
-		if err != nil {
-			return fmt.Errorf("tagstore: scan open: %w", err)
-		}
-		br := bufio.NewReaderSize(f, 1<<16)
-		err = scanRecords(br, func(rid uint32, p tags.Post) error { return fn(rid, p) })
-		f.Close()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// scanRecords decodes frames until EOF; malformed data is an error here
-// (recovery happens only at Open).
-func scanRecords(br *bufio.Reader, fn func(uint32, tags.Post) error) error {
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("tagstore: scan header: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		if n == 0 || n > maxRecordBytes {
-			return fmt.Errorf("tagstore: scan: implausible record length %d", n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("tagstore: scan payload: %w", err)
-		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return fmt.Errorf("tagstore: scan crc: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(crcBuf[:]) {
-			return fmt.Errorf("tagstore: scan: crc mismatch")
-		}
-		rid, p, err := decodePost(payload)
-		if err != nil {
-			return err
-		}
-		if err := fn(rid, p); err != nil {
-			return err
-		}
-	}
-}
+// Records returns the number of records the store holds, FirstSeq
+// through LastSeq.
+func (s *Store) Records() int64 { return int64(s.nextSeq - s.FirstSeq()) }
 
 // LastSeq returns the sequence number of the most recently appended
 // record (0 when the store has never held a record). Sequence numbers
-// are assigned contiguously from 1 and survive reopen; only Compact
-// restarts them.
+// are assigned contiguously from 1 and survive reopen.
 func (s *Store) LastSeq() uint64 { return s.nextSeq - 1 }
 
 // FirstSeq returns the sequence number of the oldest record still on
@@ -700,14 +551,16 @@ func (s *Store) FirstSeq() uint64 {
 // append order, passing each record's seq to the callback. Segments
 // entirely below from are skipped without reading; the segment
 // containing from is read from its start (records below from are decoded
-// but not delivered). It returns the number of log bytes read — the
+// but not delivered). Each segment is read no further than the records
+// Open validated in it, so a torn tail a read-only open left on disk is
+// never reached. It returns the number of log bytes read — the
 // replay-cost figure a recovery benchmark wants. The callback may return
 // an error to stop early.
 func (s *Store) ScanFrom(from uint64, fn func(seq uint64, rid uint32, p tags.Post) error) (bytesRead int64, err error) {
 	if err := s.Flush(); err != nil {
 		return 0, err
 	}
-	for si := range s.segs {
+	for si, name := range s.segs {
 		end := s.nextSeq // first seq beyond this segment
 		if si+1 < len(s.segs) {
 			end = s.base[si+1]
@@ -715,20 +568,9 @@ func (s *Store) ScanFrom(from uint64, fn func(seq uint64, rid uint32, p tags.Pos
 		if end <= from {
 			continue
 		}
-		path := filepath.Join(s.dir, s.segs[si])
-		f, err := os.Open(path)
-		if err != nil {
-			return bytesRead, fmt.Errorf("tagstore: scan open: %w", err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return bytesRead, fmt.Errorf("tagstore: scan stat: %w", err)
-		}
-		bytesRead += fi.Size()
-		br := bufio.NewReaderSize(f, 1<<16)
 		seq := s.base[si]
-		err = scanRecords(br, func(rid uint32, p tags.Post) error {
+		want := int64(end - seq)
+		n, off, damage, err := walkSegment(filepath.Join(s.dir, name), want, func(rid uint32, p tags.Post) error {
 			cur := seq
 			seq++
 			if cur < from {
@@ -736,9 +578,15 @@ func (s *Store) ScanFrom(from uint64, fn func(seq uint64, rid uint32, p tags.Pos
 			}
 			return fn(cur, rid, p)
 		})
-		f.Close()
+		bytesRead += off
 		if err != nil {
 			return bytesRead, err
+		}
+		if n != want {
+			if damage == "" {
+				damage = "end of file"
+			}
+			return bytesRead, fmt.Errorf("tagstore: scan %s: %s at offset %d after %d of %d records", name, damage, off, n, want)
 		}
 	}
 	return bytesRead, nil
@@ -773,133 +621,27 @@ func (s *Store) DropThrough(seq uint64) (int, error) {
 	// leave memory disagreeing with the manifest — the leftover files
 	// are exactly what reconcileManifest cleans up on the next open.
 	dead := s.segs[:k]
-	for i := 0; i < k; i++ {
-		if s.files[i] != nil {
-			s.files[i].Close()
-		}
-	}
-	droppedRecords := int64(s.base[k] - s.base[0])
 	s.segs = s.segs[k:]
 	s.base = s.base[k:]
-	s.files = s.files[k:]
-	s.records -= droppedRecords
 	var removeErr error
 	for _, name := range dead {
 		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && removeErr == nil {
 			removeErr = fmt.Errorf("tagstore: drop segment %s: %w", name, err)
 		}
 	}
-	// Rewrite the index: refs into dropped segments disappear, surviving
-	// refs shift down by k segments. Resources left with no records drop
-	// out of the order (their original first-seen rank is retained for
-	// the survivors).
-	for rid, refs := range s.index {
-		kept := refs[:0]
-		for _, ref := range refs {
-			if int(ref.seg) < k {
-				continue
-			}
-			ref.seg -= int32(k)
-			kept = append(kept, ref)
-		}
-		if len(kept) == 0 {
-			delete(s.index, rid)
-		} else {
-			s.index[rid] = kept
-		}
-	}
-	order := s.order[:0]
-	for _, rid := range s.order {
-		if _, ok := s.index[rid]; ok {
-			order = append(order, rid)
-		}
-	}
-	s.order = order
 	return k, removeErr
-}
-
-// Compact rewrites the store grouped by resource id (ascending, posts in
-// append order within a resource) and atomically replaces the segments.
-// Compaction improves the locality of Posts() after a workload of
-// interleaved appends. It is the dataset-storage compactor: sequence
-// numbering restarts at 1, so it refuses to run while snapshots cover
-// the directory (WAL deployments bound log size with DropThrough
-// instead).
-func (s *Store) Compact() error {
-	if err := s.writable(); err != nil {
-		return err
-	}
-	if err := s.Flush(); err != nil {
-		return err
-	}
-	if infos, err := ListSnapshots(s.dir); err != nil {
-		return err
-	} else if len(infos) > 0 {
-		return fmt.Errorf("tagstore: refusing to compact a snapshot-covered store (%d snapshots; use DropThrough)", len(infos))
-	}
-	tmp := s.dir + ".compact"
-	if err := os.RemoveAll(tmp); err != nil {
-		return fmt.Errorf("tagstore: compact cleanup: %w", err)
-	}
-	out, err := Open(tmp, s.opts)
-	if err != nil {
-		return fmt.Errorf("tagstore: compact open: %w", err)
-	}
-	rids := make([]uint32, len(s.order))
-	copy(rids, s.order)
-	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
-	for _, rid := range rids {
-		seq, err := s.Posts(rid)
-		if err != nil {
-			out.Close()
-			return err
-		}
-		for _, p := range seq {
-			if err := out.Append(rid, p); err != nil {
-				out.Close()
-				return err
-			}
-		}
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	// Swap: close self, move new segments in, reopen.
-	if err := s.Close(); err != nil {
-		return err
-	}
-	old := s.dir + ".old"
-	if err := os.RemoveAll(old); err != nil {
-		return fmt.Errorf("tagstore: compact swap: %w", err)
-	}
-	if err := os.Rename(s.dir, old); err != nil {
-		return fmt.Errorf("tagstore: compact swap: %w", err)
-	}
-	if err := os.Rename(tmp, s.dir); err != nil {
-		return fmt.Errorf("tagstore: compact swap: %w", err)
-	}
-	if err := os.RemoveAll(old); err != nil {
-		return fmt.Errorf("tagstore: compact cleanup: %w", err)
-	}
-	reopened, err := Open(s.dir, s.opts)
-	if err != nil {
-		return fmt.Errorf("tagstore: compact reopen: %w", err)
-	}
-	*s = *reopened
-	return nil
 }
 
 // Stats summarizes the store.
 type Stats struct {
-	Segments  int
-	Records   int64
-	Resources int
-	Bytes     int64
+	Segments int
+	Records  int64
+	Bytes    int64
 }
 
 // Stat computes store statistics from the filesystem.
 func (s *Store) Stat() (Stats, error) {
-	st := Stats{Segments: len(s.segs), Records: s.records, Resources: len(s.order)}
+	st := Stats{Segments: len(s.segs), Records: s.Records()}
 	for _, name := range s.segs {
 		fi, err := os.Stat(filepath.Join(s.dir, name))
 		if err != nil {

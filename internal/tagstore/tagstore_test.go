@@ -31,6 +31,20 @@ func randPost(rng *rand.Rand) tags.Post {
 	return p
 }
 
+// postsByResource reads the whole log through ScanFrom and groups it by
+// resource, each resource's posts in append order.
+func postsByResource(t *testing.T, s *Store) map[uint32]tags.Seq {
+	t.Helper()
+	out := map[uint32]tags.Seq{}
+	if _, err := s.ScanFrom(1, func(_ uint64, rid uint32, p tags.Post) error {
+		out[rid] = append(out[rid], p)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestAppendReadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
@@ -44,11 +58,12 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		}
 		want[rid] = append(want[rid], p)
 	}
+	all := postsByResource(t, s)
+	if len(all) != len(want) {
+		t.Fatalf("log holds %d resources, want %d", len(all), len(want))
+	}
 	for rid, seq := range want {
-		got, err := s.Posts(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := all[rid]
 		if len(got) != len(seq) {
 			t.Fatalf("rid %d: %d posts, want %d", rid, len(got), len(seq))
 		}
@@ -56,9 +71,6 @@ func TestAppendReadRoundTrip(t *testing.T) {
 			if !got[k].Equal(seq[k]) {
 				t.Fatalf("rid %d post %d: %v != %v", rid, k, got[k], seq[k])
 			}
-		}
-		if s.Count(rid) != len(seq) {
-			t.Fatalf("Count(%d) = %d", rid, s.Count(rid))
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -84,10 +96,7 @@ func TestReopenPreservesData(t *testing.T) {
 
 	s2 := open(t, dir, Options{})
 	defer s2.Close()
-	got, err := s2.Posts(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := postsByResource(t, s2)[7]
 	if len(got) != 100 {
 		t.Fatalf("reopened store has %d posts, want 100", len(got))
 	}
@@ -103,8 +112,8 @@ func TestReopenPreservesData(t *testing.T) {
 	if err := s2.Append(7, posts[0]); err != nil {
 		t.Fatal(err)
 	}
-	if s2.Count(7) != 101 {
-		t.Errorf("Count after append = %d", s2.Count(7))
+	if s2.Records() != 101 || len(postsByResource(t, s2)[7]) != 101 {
+		t.Errorf("Records after append = %d", s2.Records())
 	}
 }
 
@@ -157,12 +166,8 @@ func TestTornTailRecovery(t *testing.T) {
 			t.Fatalf("cut %d: %d records, want %d", cut, recs, want)
 		}
 		// All surviving records decode.
-		n := 0
-		if err := s2.Scan(func(rid uint32, p tags.Post) error { n++; return nil }); err != nil {
-			t.Fatalf("cut %d: scan: %v", cut, err)
-		}
-		if int64(n) != recs {
-			t.Fatalf("cut %d: scan saw %d, index says %d", cut, n, recs)
+		if _, posts := collectFrom(t, s2, 1); int64(len(posts)) != recs {
+			t.Fatalf("cut %d: scan saw %d, Records says %d", cut, len(posts), recs)
 		}
 		s2.Close()
 		// Restore for the next iteration.
@@ -195,6 +200,64 @@ func TestCorruptTailCRC(t *testing.T) {
 	defer s2.Close()
 	if s2.Records() != 9 {
 		t.Errorf("Records = %d, want 9 (corrupt tail dropped)", s2.Records())
+	}
+}
+
+// A read-only open leaves a torn tail on disk; ScanFrom must stop at the
+// records Open validated instead of reading into the tear, wherever in
+// the last frame the tear falls.
+func TestReadOnlyScanStopsAtTornTail(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	rng := rand.New(rand.NewSource(8))
+	var posts []tags.Post
+	for i := 0; i < 10; i++ {
+		p := randPost(rng)
+		if err := s.Append(uint32(i%3), p); err != nil {
+			t.Fatal(err)
+		}
+		posts = append(posts, p)
+	}
+	last := s.written - int64(4+len(encodePost(nil, 0, posts[9]))+4)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName(1))
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		keep int64 // bytes of the last frame left on disk
+	}{
+		{"header", 2},
+		{"payload", 5},
+		{"crc", int64(len(full)) - last - 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			torn := full[:last+tc.keep]
+			if err := os.WriteFile(seg, torn, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ro := open(t, dir, Options{ReadOnly: true})
+			defer ro.Close()
+			if ro.Records() != 9 {
+				t.Fatalf("read-only open counts %d records, want 9", ro.Records())
+			}
+			_, got := collectFrom(t, ro, 1)
+			if len(got) != 9 {
+				t.Fatalf("scan delivered %d records, want 9", len(got))
+			}
+			for k := range got {
+				if !got[k].Equal(posts[k]) {
+					t.Fatalf("record %d differs", k)
+				}
+			}
+			if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(len(torn)) {
+				t.Fatalf("read-only open changed the torn segment: %v %v", fi, err)
+			}
+		})
 	}
 }
 
@@ -238,66 +301,15 @@ func TestSegmentRotation(t *testing.T) {
 	if st.Segments < 2 {
 		t.Errorf("no rotation happened: %d segments", st.Segments)
 	}
-	if st.Records != 100 || st.Resources != 100 {
+	if st.Records != 100 {
 		t.Errorf("Stat = %+v", st)
 	}
 	// Everything still readable across segments.
+	all := postsByResource(t, s)
 	for i := 0; i < 100; i++ {
-		seq, err := s.Posts(uint32(i))
-		if err != nil || len(seq) != 1 {
-			t.Fatalf("rid %d unreadable after rotation: %v", i, err)
+		if len(all[uint32(i)]) != 1 {
+			t.Fatalf("rid %d unreadable after rotation", i)
 		}
-	}
-	s.Close()
-}
-
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{MaxSegmentBytes: 256})
-	rng := rand.New(rand.NewSource(7))
-	want := map[uint32]tags.Seq{}
-	for i := 0; i < 300; i++ {
-		rid := uint32(rng.Intn(10))
-		p := randPost(rng)
-		want[rid] = append(want[rid], p)
-		if err := s.Append(rid, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	// After compaction records are grouped by rid in ascending order.
-	var order []uint32
-	if err := s.Scan(func(rid uint32, p tags.Post) error {
-		order = append(order, rid)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(order); i++ {
-		if order[i] < order[i-1] {
-			t.Fatal("compacted store not grouped by resource id")
-		}
-	}
-	// Content preserved, per-resource order intact.
-	for rid, seq := range want {
-		got, err := s.Posts(rid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(seq) {
-			t.Fatalf("rid %d: %d posts after compact, want %d", rid, len(got), len(seq))
-		}
-		for k := range seq {
-			if !got[k].Equal(seq[k]) {
-				t.Fatalf("rid %d post %d differs after compact", rid, k)
-			}
-		}
-	}
-	// Store still appendable after compaction.
-	if err := s.Append(99, randPost(rng)); err != nil {
-		t.Fatal(err)
 	}
 	s.Close()
 }
@@ -320,15 +332,12 @@ func TestScanOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var seen []tags.Tag
-	if err := s.Scan(func(rid uint32, p tags.Post) error {
-		seen = append(seen, p[0])
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	_, seen := collectFrom(t, s, 1)
+	if len(seen) != len(posts) {
+		t.Fatalf("scanned %d records, want %d", len(seen), len(posts))
 	}
-	for i, tg := range seen {
-		if tg != tags.Tag(i+1) {
+	for i, p := range seen {
+		if p[0] != tags.Tag(i+1) {
 			t.Fatalf("scan order wrong: %v", seen)
 		}
 	}
@@ -354,25 +363,9 @@ func TestDeltaEncodingLargeTagIDs(t *testing.T) {
 	if err := s.Append(3, p); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Posts(3)
-	if err != nil || len(got) != 1 || !got[0].Equal(p) {
-		t.Fatalf("large-id round trip failed: %v %v", got, err)
-	}
-	s.Close()
-}
-
-func TestResourcesFirstSeenOrder(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	for _, rid := range []uint32{5, 2, 5, 9, 2} {
-		if err := s.Append(rid, tags.MustPost(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rids := s.Resources()
-	want := []uint32{5, 2, 9}
-	if len(rids) != 3 || rids[0] != want[0] || rids[1] != want[1] || rids[2] != want[2] {
-		t.Errorf("Resources = %v, want %v", rids, want)
+	got := postsByResource(t, s)[3]
+	if len(got) != 1 || !got[0].Equal(p) {
+		t.Fatalf("large-id round trip failed: %v", got)
 	}
 	s.Close()
 }
@@ -419,11 +412,9 @@ func TestAppendBatchRoundTrip(t *testing.T) {
 		if int(s.Records()) != len(global) {
 			t.Fatalf("store has %d records, want %d", s.Records(), len(global))
 		}
+		all := postsByResource(t, s)
 		for rid, seq := range want {
-			got, err := s.Posts(rid)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := all[rid]
 			if len(got) != len(seq) {
 				t.Fatalf("rid %d: %d posts, want %d", rid, len(got), len(seq))
 			}
@@ -463,7 +454,7 @@ func TestAppendBatchScanOrder(t *testing.T) {
 	}
 	var gotRids []uint32
 	var gotTags []tags.Tag
-	if err := s.Scan(func(rid uint32, p tags.Post) error {
+	if _, err := s.ScanFrom(1, func(_ uint64, rid uint32, p tags.Post) error {
 		gotRids = append(gotRids, rid)
 		gotTags = append(gotTags, p[0])
 		return nil
