@@ -172,7 +172,7 @@ type resource struct {
 	cost      int
 	// dot is Σ_t h(t)·φ̂(t): the exact integer inner product between the
 	// current count vector and the reference counts, maintained in
-	// O(|post|) per ingest.
+	// O(|post|) per ingest and retained while cold.
 	dot int64
 	// quality is the current q_i, kept in lockstep with dot.
 	quality float64
@@ -332,6 +332,9 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 	if cfg.WAL != nil && !walCapacityOK(n) {
 		return nil, fmt.Errorf("engine: %d resources overflow the WAL's 32-bit record ids", n)
 	}
+	if err := checkSpecs(specs); err != nil {
+		return nil, err
+	}
 	e := &Engine{cfg: cfg, n: n, shards: make([]*shard, cfg.Shards)}
 	for s := range e.shards {
 		e.shards[s] = &shard{}
@@ -340,12 +343,6 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 	// index and, for Shards=1, makes the initial quality sum's order
 	// match the seed's left-to-right scan.
 	for i, spec := range specs {
-		if spec.StableK < 0 {
-			return nil, fmt.Errorf("engine: resource %d: negative stable point %d", i, spec.StableK)
-		}
-		if spec.Cost < 0 {
-			return nil, fmt.Errorf("engine: resource %d: negative cost %d", i, spec.Cost)
-		}
 		r := newResource(spec)
 		r.tracker = newTracker(cfg)
 		for _, p := range spec.Initial {
@@ -358,16 +355,24 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 		r.quality = r.computeQuality()
 
 		sh := e.shards[i%cfg.Shards]
-		sh.res = append(sh.res, r)
+		sh.index(r, cfg.UnderThreshold)
 		sh.add(r.quality)
-		if r.stableK > 0 && r.consumed >= r.stableK {
-			sh.over++
-		}
-		if cfg.UnderThreshold >= 0 && r.consumed <= cfg.UnderThreshold {
-			sh.under++
-		}
 	}
 	return e, nil
+}
+
+// checkSpecs refuses what no resource may declare: a negative stable
+// point or cost. New, Restore and Fork all run it before building.
+func checkSpecs(specs []ResourceSpec) error {
+	for i, spec := range specs {
+		if spec.StableK < 0 {
+			return fmt.Errorf("engine: resource %d: negative stable point %d", i, spec.StableK)
+		}
+		if spec.Cost < 0 {
+			return fmt.Errorf("engine: resource %d: negative cost %d", i, spec.Cost)
+		}
+	}
+	return nil
 }
 
 // newResource builds the spec-derived part of a resource — what no
@@ -375,10 +380,7 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 // pre-extracted from the reference. The caller supplies the tagging
 // state (a tracker in New, a frozen record in Restore).
 func newResource(spec ResourceSpec) *resource {
-	r := &resource{stableK: spec.StableK, cost: spec.Cost}
-	if r.cost == 0 {
-		r.cost = 1
-	}
+	r := &resource{stableK: spec.StableK, cost: max(spec.Cost, 1)}
 	if spec.Ref != nil {
 		rc := spec.Ref.Counts()
 		r.refCounts = rc

@@ -13,18 +13,19 @@ import (
 )
 
 // This file is the per-resource residency state machine: each resource
-// is either HOT (tracker materialized, dot maintained) or COLD (state
-// frozen into a compact varint record — the same per-resource layout the
-// snapshot format uses, so a freshly booted engine can alias records
-// straight out of an mmap'd snapshot). Transitions happen only under the
-// owning shard's lock, and each ends with one pointer swap under the
-// subscriber's view lock (swapLocked), which is all a query index reading
-// ViewCounts/ViewEntries has to exclude:
+// is either HOT (tracker materialized) or COLD (state frozen into a
+// compact varint record — the same per-resource layout the snapshot
+// format uses, so a freshly booted engine can alias records straight out
+// of an mmap'd snapshot). Transitions happen only under the owning
+// shard's lock, and each ends with one pointer swap under the
+// subscriber's view lock (swapLocked), which is all a query index
+// reading ViewCounts/ViewEntries has to exclude:
 //
-//	hot → cold  (freezeLocked)    encode tracker state, drop tracker+dot
-//	cold → hot  (rehydrateLocked) decode record, rebuild tracker, then
-//	                              recompute dot/quality from the exact
-//	                              integer counts
+//	hot → cold  (freezeLocked)    encode tracker state, drop tracker;
+//	                              keep the exact dot
+//	cold → hot  (rehydrateLocked) decode record, rebuild tracker; the
+//	                              retained dot is still exact, since
+//	                              nothing writes to a cold resource
 //
 // Every mutating path (Ingest, IngestBatch, IngestMany, Replay)
 // rehydrates on touch before applying; reads that only need scalars —
@@ -119,9 +120,9 @@ func (r *resource) ma(omega int) (float64, bool) {
 }
 
 // freezeLocked transitions a hot resource to cold: its tracker state is
-// encoded into the shared per-resource record layout and the tracker,
-// dot and quality inputs are dropped (quality itself is retained as a
-// scalar). Caller holds the owning shard's lock.
+// encoded into the shared per-resource record layout and the tracker is
+// dropped (dot and quality are retained as scalars). Caller holds the
+// owning shard's lock.
 func (e *Engine) freezeLocked(r *resource, i int) error {
 	var rs ResourceState
 	rs.Posts = r.tracker.Posts()
@@ -132,7 +133,6 @@ func (e *Engine) freezeLocked(r *resource, i int) error {
 		return err
 	}
 	r.maSum = rs.Sum
-	r.dot = 0
 	e.swapLocked(r, i, nil, buf)
 	e.evictions.Add(1)
 	return nil
@@ -154,11 +154,11 @@ func (e *Engine) swapLocked(r *resource, i int, tracker *stability.Tracker, froz
 }
 
 // rehydrateLocked transitions a cold resource back to hot: the frozen
-// record is decoded, the tracker restored (ring bits verbatim), and the
-// reference dot product and quality recomputed as exact integer sums
-// over the stored support, so the rebuilt resource is bit-identical to
-// one that was never evicted (or never restarted). Caller holds the
-// owning shard's lock.
+// record is decoded and the tracker restored (ring bits verbatim). The
+// retained dot is still exact — nothing writes to a cold resource — so
+// quality is recomputed from it and the rebuilt norm, and the resource
+// is bit-identical to one that was never evicted (or never restarted).
+// Caller holds the owning shard's lock.
 func (e *Engine) rehydrateLocked(r *resource, i int) error {
 	start := time.Now()
 	var rs ResourceState
@@ -177,12 +177,6 @@ func (e *Engine) rehydrateLocked(r *resource, i int) error {
 	tracker, err := stability.RestoreTracker(e.cfg.Omega, counts, rs.Ring, rs.Head, rs.Fill, rs.Sum)
 	if err != nil {
 		return fmt.Errorf("engine: resource %d: rehydrate: %w", i, err)
-	}
-	r.dot = 0
-	if r.refCounts != nil {
-		for k, t := range rs.Tags {
-			r.dot += rs.Counts[k] * r.refGet(t)
-		}
 	}
 	e.swapLocked(r, i, tracker, nil)
 	r.quality = r.computeQuality()

@@ -20,95 +20,121 @@ func marshaled(t *testing.T, e *Engine) []byte {
 	return payload
 }
 
-// TestResidencyPropertyBitIdentical drives a tiered engine and a
+// TestResidencyPropertyBitIdentical drives tiered engines and a
 // never-evicted twin through a random interleaving of every mutating
 // and residency operation and demands bit-identical observables
 // throughout — the tentpole guarantee: eviction and rehydration are
-// invisible to every read.
+// invisible to every read. The tiered side is an engine built hot, one
+// booted cold by Restore and a Fork of another such boot, so the dot a
+// cold resource retains — computed by Restore, copied by Fork, kept by
+// every freeze — is held to the twin's on every post that follows.
 func TestResidencyPropertyBitIdentical(t *testing.T) {
 	for _, universe := range []int{0, 512} {
 		const n = 48
 		specs := stateSpecs(n, 11)
 		cfg := Config{Omega: 5, Shards: 4, UnderThreshold: 10, TagUniverse: universe}
-		tiered, err := New(cfg, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
 		oracle, err := New(cfg, specs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tiered, err := New(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		booted, _, err := Restore(cfg, specs, marshaled(t, oracle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		template, _, err := Restore(cfg, specs, marshaled(t, oracle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := template.Fork(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []*Engine{tiered, booted, forked}
+		all := append([]*Engine{oracle}, engines...)
 		rng := rand.New(rand.NewSource(23))
 		for step := 0; step < 4000; step++ {
 			i := rng.Intn(n)
 			switch op := rng.Intn(10); {
 			case op < 4: // single ingest
 				p := testPost(rng)
-				if err := tiered.Ingest(i, p); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.Ingest(i, p); err != nil {
-					t.Fatal(err)
+				for _, e := range all {
+					if err := e.Ingest(i, p); err != nil {
+						t.Fatal(err)
+					}
 				}
 			case op < 5: // same-resource batch
 				posts := make([]tags.Post, 1+rng.Intn(3))
 				for k := range posts {
 					posts[k] = testPost(rng)
 				}
-				if err := tiered.IngestBatch(i, posts); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.IngestBatch(i, posts); err != nil {
-					t.Fatal(err)
+				for _, e := range all {
+					if err := e.IngestBatch(i, posts); err != nil {
+						t.Fatal(err)
+					}
 				}
 			case op < 6: // cross-resource batch
 				evs := make([]PostEvent, 1+rng.Intn(5))
 				for k := range evs {
 					evs[k] = PostEvent{Resource: rng.Intn(n), Post: testPost(rng)}
 				}
-				if err := tiered.IngestMany(evs); err != nil {
-					t.Fatal(err)
-				}
-				if err := oracle.IngestMany(evs); err != nil {
-					t.Fatal(err)
-				}
-			case op < 8: // evict: one resource, or everything colder than now
-				if rng.Intn(2) == 0 {
-					if _, err := tiered.Evict(i); err != nil {
+				for _, e := range all {
+					if err := e.IngestMany(evs); err != nil {
 						t.Fatal(err)
 					}
-				} else if _, err := tiered.EvictColder(tiered.AccessClock() + 1); err != nil {
-					t.Fatal(err)
+				}
+			case op < 8: // evict: one resource, or everything colder than now
+				one := rng.Intn(2) == 0
+				for _, e := range engines {
+					if one {
+						if _, err := e.Evict(i); err != nil {
+							t.Fatal(err)
+						}
+					} else if _, err := e.EvictColder(e.AccessClock() + 1); err != nil {
+						t.Fatal(err)
+					}
 				}
 			case op < 9: // explicit rehydrate-on-touch
-				if err := tiered.EnsureResident(i); err != nil {
-					t.Fatal(err)
+				for _, e := range engines {
+					if err := e.EnsureResident(i); err != nil {
+						t.Fatal(err)
+					}
 				}
 			default: // LRU budget eviction
-				if _, err := tiered.EvictToBudget(1+rng.Intn(n), 0); err != nil {
-					t.Fatal(err)
+				budget := 1 + rng.Intn(n)
+				for _, e := range engines {
+					if _, err := e.EvictToBudget(budget, 0); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			// Reads must agree at every step, whatever the residency mix.
-			if qa, qb := tiered.QualityOf(i), oracle.QualityOf(i); qa != qb {
-				t.Fatalf("step %d: quality %v != %v", step, qa, qb)
-			}
-			maA, okA := tiered.MA(i)
-			maB, okB := oracle.MA(i)
-			if okA != okB || maA != maB {
-				t.Fatalf("step %d: MA (%v,%v) != (%v,%v)", step, maA, okA, maB, okB)
-			}
-			if step%500 == 0 {
-				assertEnginesBitIdentical(t, tiered, oracle)
+			for k, e := range engines {
+				if qa, qb := e.QualityOf(i), oracle.QualityOf(i); qa != qb {
+					t.Fatalf("engine %d step %d: quality %v != %v", k, step, qa, qb)
+				}
+				maA, okA := e.MA(i)
+				maB, okB := oracle.MA(i)
+				if okA != okB || maA != maB {
+					t.Fatalf("engine %d step %d: MA (%v,%v) != (%v,%v)", k, step, maA, okA, maB, okB)
+				}
+				if step%500 == 0 {
+					assertEnginesBitIdentical(t, e, oracle)
+				}
 			}
 		}
-		st := tiered.Residency()
-		if st.Evictions == 0 || st.Rehydrations == 0 {
-			t.Fatalf("universe %d: property run exercised no transitions: %+v", universe, st)
-		}
-		assertEnginesBitIdentical(t, tiered, oracle)
-		if !bytes.Equal(marshaled(t, tiered), marshaled(t, oracle)) {
-			t.Fatalf("universe %d: marshalled states differ after evict/rehydrate interleaving", universe)
+		for k, e := range engines {
+			st := e.Residency()
+			if st.Evictions == 0 || st.Rehydrations == 0 {
+				t.Fatalf("universe %d engine %d: property run exercised no transitions: %+v", universe, k, st)
+			}
+			assertEnginesBitIdentical(t, e, oracle)
+			if !bytes.Equal(marshaled(t, e), marshaled(t, oracle)) {
+				t.Fatalf("universe %d engine %d: marshalled states differ after evict/rehydrate interleaving", universe, k)
+			}
 		}
 	}
 }

@@ -132,8 +132,9 @@ func (e *Engine) ExportState() *State {
 // way durable state enters an engine. Every resource starts COLD: the
 // payload is indexed, not decoded — each resource keeps a frozen record
 // that aliases its byte span inside payload, and only the scalars the
-// engine answers reads from (post count, quality, MA window sum) are
-// computed during a single streaming pass. When payload is an mmap'd
+// engine answers reads from (post count, quality, MA window sum) and
+// the reference dot a later rehydration keeps are computed during a
+// single streaming pass. When payload is an mmap'd
 // snapshot (tagstore.MapSnapshot), boot cost is one sequential
 // page-cache walk and the resident heap holds no per-resource vectors or
 // trackers at all; resources rehydrate lazily as traffic touches them,
@@ -176,6 +177,9 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 	if cfg.WAL != nil && !walCapacityOK(n) {
 		return nil, 0, fmt.Errorf("engine: %d resources overflow the WAL's 32-bit record ids", n)
 	}
+	if err := checkSpecs(specs); err != nil {
+		return nil, 0, err
+	}
 	e = &Engine{cfg: cfg, n: n, shards: make([]*shard, cfg.Shards)}
 	for s := range e.shards {
 		e.shards[s] = &shard{}
@@ -205,16 +209,10 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 		res.frozen = payload[start:r.Offset()]
 		res.consumed = posts
 		res.maSum = sum
+		res.dot = dot
 		res.quality = qualityFrom(res, dot, norm2, posts)
 
-		sh := e.shards[i%cfg.Shards]
-		sh.res = append(sh.res, res)
-		if res.stableK > 0 && res.consumed >= res.stableK {
-			sh.over++
-		}
-		if cfg.UnderThreshold >= 0 && res.consumed <= cfg.UnderThreshold {
-			sh.under++
-		}
+		e.shards[i%cfg.Shards].index(res, cfg.UnderThreshold)
 		ingested += posts - len(spec.Initial)
 	}
 	na := r.Length("aggregate count", maxStateSlice)
@@ -241,6 +239,61 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 		return nil, 0, fmt.Errorf("engine: state aggregates record %d ingested posts but resource counts imply %d — snapshot belongs to a different corpus", posts, ingested)
 	}
 	return e, lastSeq, nil
+}
+
+// index appends a resource to the shard and counts it over- or
+// under-tagged.
+func (sh *shard) index(r *resource, under int) {
+	sh.res = append(sh.res, r)
+	if r.stableK > 0 && r.consumed >= r.stableK {
+		sh.over++
+	}
+	if under >= 0 && r.consumed <= under {
+		sh.under++
+	}
+}
+
+// Fork returns an independent engine equal to Restore(cfg, specs, p) for
+// the payload p this engine was restored from, at the cost of a copy: the
+// resource structs are copied into one slab and the shard aggregates
+// carried over, while the frozen records and reference vectors — never
+// written in place — are shared. specs supply the stable points and task
+// costs, which may differ from call to call, and over-tagged resources
+// are recounted under them; initial prefixes and references must be the
+// ones the engine was restored over. Only a quiescent template can fork:
+// an engine with a WAL, a subscriber or a hot resource is refused.
+func (e *Engine) Fork(specs []ResourceSpec) (*Engine, error) {
+	if len(specs) != e.n {
+		return nil, fmt.Errorf("engine: fork of %d resources over %d specs", e.n, len(specs))
+	}
+	if err := checkSpecs(specs); err != nil {
+		return nil, err
+	}
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	if e.cfg.WAL != nil || e.sub != nil {
+		return nil, fmt.Errorf("engine: cannot fork an engine with a WAL or a subscriber")
+	}
+	f := &Engine{cfg: e.cfg, n: e.n, shards: make([]*shard, len(e.shards))}
+	slab := make([]resource, e.n)
+	for s, sh := range e.shards {
+		fs := &shard{qsum: sh.qsum, qcomp: sh.qcomp, spent: sh.spent, posts: sh.posts, wasted: sh.wasted,
+			res: make([]*resource, 0, len(sh.res))}
+		for l, r := range sh.res {
+			i := l*len(e.shards) + s
+			if r.tracker != nil {
+				return nil, fmt.Errorf("engine: cannot fork: resource %d is resident", i)
+			}
+			fr := &slab[i]
+			*fr = *r
+			fr.stableK, fr.cost, fr.lastTouch = specs[i].StableK, max(specs[i].Cost, 1), 0
+			fs.index(fr, e.cfg.UnderThreshold)
+		}
+		f.shards[s] = fs
+	}
+	return f, nil
 }
 
 // Replay applies one recovered post to resource i without writing the

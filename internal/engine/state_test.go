@@ -10,6 +10,7 @@ import (
 	"incentivetag/internal/quality"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
+	"incentivetag/internal/tagstore"
 )
 
 // stateSpecs builds a small synthetic corpus of engine specs with
@@ -199,6 +200,11 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	// The version is the payload's first varint.
 	future := append([]byte{stateVersion + 1}, payload[1:]...)
+	// Spec values New refuses.
+	negK := append([]ResourceSpec(nil), specs...)
+	negK[3].StableK = -1
+	negCost := append([]ResourceSpec(nil), specs...)
+	negCost[3].Cost = -3
 
 	cases := []struct {
 		name    string
@@ -218,10 +224,94 @@ func TestRestoreRejects(t *testing.T) {
 		{"truncated mid-resource", cfg, specs, payload[:len(payload)/2]},
 		{"truncated by one byte", cfg, specs, payload[:len(payload)-1]},
 		{"trailing byte", cfg, specs, append(append([]byte{}, payload...), 0)},
+		{"negative stable point", cfg, negK, payload},
+		{"negative cost", cfg, negCost, payload},
 	}
 	for _, tc := range cases {
 		if _, _, err := Restore(tc.cfg, tc.sp, tc.payload); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// A fork equals a restore of the same payload under the fork's own
+// stable points and costs, and only a quiescent template forks: one with
+// a WAL, a subscriber or a resident resource is refused, as are specs
+// Restore would refuse.
+func TestFork(t *testing.T) {
+	specs := stateSpecs(16, 11)
+	cfg := Config{Omega: 5, Shards: 2, UnderThreshold: 10}
+	eng, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := marshaled(t, eng)
+	restore := func(cfg Config, specs []ResourceSpec) *Engine {
+		t.Helper()
+		e, _, err := Restore(cfg, specs, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	moved := append([]ResourceSpec(nil), specs...)
+	for i := range moved {
+		moved[i].StableK, moved[i].Cost = 1+i%5, 1+i%3
+	}
+	template := restore(cfg, specs)
+	fork, err := template.Fork(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := restore(cfg, moved)
+	assertEnginesBitIdentical(t, fork, want)
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 200; k++ {
+		i, p := rng.Intn(16), testPost(rng)
+		if fork.CostOf(i) != want.CostOf(i) {
+			t.Fatalf("resource %d costs %d, restored %d", i, fork.CostOf(i), want.CostOf(i))
+		}
+		if err := fork.Ingest(i, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Ingest(i, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertEnginesBitIdentical(t, fork, want)
+	if !bytes.Equal(marshaled(t, template), payload) {
+		t.Fatal("traffic on a fork reached its template")
+	}
+
+	negCost := append([]ResourceSpec(nil), specs...)
+	negCost[3].Cost = -3
+	hot := restore(cfg, specs)
+	if err := hot.EnsureResident(5); err != nil {
+		t.Fatal(err)
+	}
+	subscribed := restore(cfg, specs)
+	subscribed.Subscribe(newRecordingSub(subscribed))
+	wal, err := tagstore.Open(t.TempDir(), tagstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	walCfg := cfg
+	walCfg.WAL = wal
+	cases := []struct {
+		name     string
+		template *Engine
+		sp       []ResourceSpec
+	}{
+		{"resident resource", hot, specs},
+		{"subscriber", subscribed, specs},
+		{"WAL", restore(walCfg, specs), specs},
+		{"negative cost", template, negCost},
+		{"resource count mismatch", template, specs[:8]},
+	}
+	for _, tc := range cases {
+		if _, err := tc.template.Fork(tc.sp); err == nil {
+			t.Errorf("%s: forked", tc.name)
 		}
 	}
 }

@@ -208,6 +208,35 @@ func TestCostsAndStablePointsBypassTemplate(t *testing.T) {
 	}
 }
 
+// A negative cost or stable point reaches the engine through the specs
+// of the day, after the template was primed over valid data, and is
+// refused there as engine.New refuses it.
+func TestNewStateRefusesNegativeSpecs(t *testing.T) {
+	mutations := map[string]func(d *Data){
+		"cost": func(d *Data) {
+			d.Costs = make([]int, d.N())
+			for i := range d.Costs {
+				d.Costs[i] = 1
+			}
+			d.Costs[0] = -3
+		},
+		"stable point": func(d *Data) { d.StableK[0] = -1 },
+	}
+	for name, mutate := range mutations {
+		d := testData(t, 30, 8)
+		NewState(d, 5, 1)
+		mutate(d)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("negative %s accepted", name)
+				}
+			}()
+			NewState(d, 5, 1)
+		}()
+	}
+}
+
 // RunReference scans live vectors only: it leaves every resource resident.
 func TestRunReferenceRunsHot(t *testing.T) {
 	d := testData(t, 20, 4)
@@ -224,7 +253,9 @@ func TestRunReferenceRunsHot(t *testing.T) {
 
 // Goroutines sharing one Data — the first of them priming the template
 // while the others wait on it — each reproduce the sequential series,
-// and rehydrating out of the shared payload never writes to it.
+// and forking the template or rehydrating out of the payload its forks
+// share never writes to either: the template stays all-cold and exports
+// the directly primed state byte for byte.
 func TestNewStateConcurrent(t *testing.T) {
 	checkpoints := []int{0, 100, 200, 300}
 	names := []string{"RR", "FP", "MU", "FP-MU", "FC", "RR", "FP", "MU"}
@@ -256,7 +287,17 @@ func TestNewStateConcurrent(t *testing.T) {
 		}(g, name)
 	}
 	wg.Wait()
-	if payload := d.primed[5].payload; !bytes.Equal(payload, seq.primed[5].payload) {
-		t.Fatal("shared payload changed under concurrent runs")
+	template := d.primed[5].template
+	for i := 0; i < d.N(); i++ {
+		if template.Resident(i) {
+			t.Fatalf("template resource %d went resident under concurrent runs", i)
+		}
+	}
+	b, err := template.ExportState().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, exported(t, primedDirect(t, seq, 5, 3))) {
+		t.Fatal("template state changed under concurrent runs")
 	}
 }

@@ -21,9 +21,10 @@
 // seed's full-scan snapshot path as the equivalence oracle.
 //
 // The January state is primed once per (Data, ω) — engine.New over the
-// initial prefixes, marshalled and cached on the Data — and every
-// NewState is an engine.Restore of that payload: all resources start
-// cold, and a run rehydrates exactly the resources its strategy pays.
+// initial prefixes, marshalled and restored cold into a template engine
+// cached on the Data — and every NewState is a Fork of that template:
+// all resources start cold, and a run rehydrates exactly the resources
+// its strategy pays.
 package sim
 
 import (
@@ -62,20 +63,20 @@ type Data struct {
 	// declares it (see NewState for the measurement behind that).
 	TagUniverse int
 
-	// primed caches, per ω, the January state NewState restores from.
+	// primed caches, per ω, the January state NewState forks.
 	mu     sync.Mutex
 	primed map[int]*primedState
 }
 
-// primedState is one primed engine in marshalled form — the immutable
-// template every State of the same (Data, ω) aliases — with the inputs
-// it was primed over, so a Data mutated since is never replayed stale.
-// StableK and Costs need no entry: no payload stores them, every Restore
-// takes them from the specs of the day.
+// primedState is one primed engine restored cold from its marshalled
+// form — the immutable template every State of the same (Data, ω) forks —
+// with the inputs it was primed over, so a Data mutated since is never
+// replayed stale. StableK and Costs need no entry: no payload stores
+// them, every Fork takes them from the specs of the day.
 type primedState struct {
-	payload []byte
-	under   int
-	specs   []engine.ResourceSpec
+	template *engine.Engine
+	under    int
+	specs    []engine.ResourceSpec
 }
 
 // primedOver reports whether the template was primed over these inputs:
@@ -94,14 +95,15 @@ func (t *primedState) primedOver(under int, specs []engine.ResourceSpec) bool {
 	return true
 }
 
-// primedPayload returns the marshalled January state for cfg, priming it
-// with engine.New — the only code that primes — on the first call for
-// cfg.Omega and again whenever the Data has changed underneath the cache.
-func (d *Data) primedPayload(cfg engine.Config, specs []engine.ResourceSpec) ([]byte, error) {
+// primedTemplate returns the cold January template for cfg, priming it
+// with engine.New — the only code that primes — and restoring it through
+// engine.Restore on the first call for cfg.Omega and again whenever the
+// Data has changed underneath the cache.
+func (d *Data) primedTemplate(cfg engine.Config, specs []engine.ResourceSpec) (*engine.Engine, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if t := d.primed[cfg.Omega]; t != nil && t.primedOver(cfg.UnderThreshold, specs) {
-		return t.payload, nil
+		return t.template, nil
 	}
 	eng, err := engine.New(cfg, specs)
 	if err != nil {
@@ -111,11 +113,15 @@ func (d *Data) primedPayload(cfg engine.Config, specs []engine.ResourceSpec) ([]
 	if err != nil {
 		return nil, err
 	}
+	template, _, err := engine.Restore(cfg, specs, payload)
+	if err != nil {
+		return nil, err
+	}
 	if d.primed == nil {
 		d.primed = make(map[int]*primedState)
 	}
-	d.primed[cfg.Omega] = &primedState{payload: payload, under: cfg.UnderThreshold, specs: specs}
-	return payload, nil
+	d.primed[cfg.Omega] = &primedState{template: template, under: cfg.UnderThreshold, specs: specs}
+	return template, nil
 }
 
 // FromDataset adapts a synthetic dataset (optionally restricted to the
@@ -220,15 +226,17 @@ func (d *Data) EngineSpecs() []engine.ResourceSpec {
 }
 
 // NewState starts a fresh run from the January state. That state is
-// primed once per (Data, ω) and cached in marshalled form (226 KB at
-// Figure-6 scale); each call is an engine.Restore of it — the cold
-// restore a serving node boots through, every validation included. All
-// resources start COLD, aliasing the shared read-only payload: Count,
-// MA, QualityOf and Snapshot answer from the scalars a cold resource
-// retains, so MU's MA sweep and FP's count heap rehydrate nothing, and
-// Step rehydrates exactly the resources a strategy pays. On replay-fig6
-// (n = 2 005, B = 10 000) NewState costs 1.7 ms, where replaying every
-// initial post per run cost 17.7 ms, 2–4× the run it preceded.
+// primed once per (Data, ω), marshalled (226 KB at Figure-6 scale) and
+// restored cold into a template engine — the restore a serving node
+// boots through, every validation included — and each call forks the
+// template with the day's stable points and costs. All resources start
+// COLD, aliasing the shared read-only payload: Count, MA, QualityOf and
+// Snapshot answer from the scalars a cold resource retains, so MU's MA
+// sweep and FP's count heap rehydrate nothing, and Step rehydrates
+// exactly the resources a strategy pays. A fork copies the resource
+// structs and shares the frozen records: on replay-fig6 (n = 2 005,
+// B = 10 000, 2 vCPU) it costs 0.14–0.20 ms, under 2.5 % of the run
+// that follows.
 //
 // The engine has a single shard, so aggregate summation order (and thus
 // every reported float) is reproducible across machines, and map-form
@@ -242,10 +250,9 @@ func NewState(data *Data, omega int, seed int64) *State {
 		UnderThreshold: data.UnderThreshold,
 	}
 	specs := data.EngineSpecs()
-	payload, err := data.primedPayload(cfg, specs)
-	var eng *engine.Engine
+	eng, err := data.primedTemplate(cfg, specs)
 	if err == nil {
-		eng, _, err = engine.Restore(cfg, specs, payload)
+		eng, err = eng.Fork(specs)
 	}
 	if err != nil {
 		// Data.Validate catches every bad input; reaching here means the
@@ -269,14 +276,14 @@ func (st *State) Engine() *engine.Engine { return st.eng }
 // N returns the number of resources.
 func (st *State) N() int { return st.data.N() }
 
-// Count returns c_i + x_i.
-func (st *State) Count(i int) int { return st.eng.Count(i) }
+// Count returns c_i + x_i, read from the run's own assignment.
+func (st *State) Count(i int) int { return st.data.Initial[i] + st.x[i] }
 
 // MA returns the resource's current MA score.
 func (st *State) MA(i int) (float64, bool) { return st.eng.MA(i) }
 
 // Available reports whether recorded future posts remain for i.
-func (st *State) Available(i int) bool { return st.eng.Count(i) < len(st.data.Seqs[i]) }
+func (st *State) Available(i int) bool { return st.Count(i) < len(st.data.Seqs[i]) }
 
 // Cost returns the reward units of one post task on i, captured from
 // Data.Costs at NewState (costs must be positive; Data.Validate
@@ -361,7 +368,7 @@ func (st *State) Step(i int) error {
 	if !st.Available(i) {
 		return fmt.Errorf("sim: resource %d has no replayable posts left", i)
 	}
-	if err := st.eng.Ingest(i, st.data.Seqs[i][st.eng.Count(i)]); err != nil {
+	if err := st.eng.Ingest(i, st.data.Seqs[i][st.Count(i)]); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	st.x[i]++

@@ -99,13 +99,28 @@ func TestStepExhaustion(t *testing.T) {
 	}
 }
 
+// countChecked holds the State's count, read from its own assignment, to
+// the engine's after every Step of the run it drives.
+type countChecked struct {
+	strategy.Strategy
+	t  *testing.T
+	st *State
+}
+
+func (c countChecked) Update(i int) {
+	if got, want := c.st.Count(i), c.st.Engine().Count(i); got != want {
+		c.t.Fatalf("%s: resource %d counts %d, engine %d", c.Name(), i, got, want)
+	}
+	c.Strategy.Update(i)
+}
+
 // Two runs with the same seed are identical; FC included.
 func TestRunDeterminism(t *testing.T) {
 	d := testData(t, 30, 5)
 	for _, name := range []string{"FC", "RR", "FP", "MU", "FP-MU"} {
 		mk := func() strategy.Strategy { return mkStrategy(name, 5) }
 		st1 := NewState(d, 5, 99)
-		if _, err := st1.Run(mk(), 150, nil); err != nil {
+		if _, err := st1.Run(countChecked{mk(), t, st1}, 150, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		st2 := NewState(d, 5, 99)

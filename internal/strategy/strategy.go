@@ -18,7 +18,6 @@
 package strategy
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -86,27 +85,20 @@ type item struct {
 // tiebreak keeps runs deterministic).
 type minHeap []item
 
-func (h minHeap) Len() int { return len(h) }
-func (h minHeap) Less(a, b int) bool {
+func (h minHeap) less(a, b int) bool {
 	if h[a].key != h[b].key {
 		return h[a].key < h[b].key
 	}
 	return h[a].id < h[b].id
 }
-func (h minHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
 
 // lazyPQ is a priority queue with decrease/increase-key by lazy deletion:
 // each push records the resource's current version; pops discard entries
 // whose version is stale. This is the "priority queue" of Algorithms 3–4
-// adapted to keys that change on every update.
+// adapted to keys that change on every update. It sifts its typed slice
+// with exactly container/heap's comparisons and swaps, so the pop order —
+// ties between a stale and a fresh entry of one id included — is
+// container/heap's, without its interface dispatch or per-push boxing.
 type lazyPQ struct {
 	h       minHeap
 	version []uint32
@@ -118,13 +110,40 @@ func newLazyPQ(n int) *lazyPQ {
 
 func (q *lazyPQ) push(id int, key float64) {
 	q.version[id]++
-	heap.Push(&q.h, item{key: key, id: id, version: q.version[id]})
+	h := append(q.h, item{key: key, id: id, version: q.version[id]})
+	for j := len(h) - 1; j > 0; { // heap.up
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	q.h = h
 }
 
 // pop returns the smallest-key fresh entry, discarding stale ones.
 func (q *lazyPQ) pop() (int, bool) {
-	for q.h.Len() > 0 {
-		it := heap.Pop(&q.h).(item)
+	for len(q.h) > 0 {
+		h := q.h
+		n := len(h) - 1
+		h[0], h[n] = h[n], h[0]
+		for i := 0; ; { // heap.down over h[:n]
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if j2 := j + 1; j2 < n && h.less(j2, j) {
+				j = j2
+			}
+			if !h.less(j, i) {
+				break
+			}
+			h[i], h[j] = h[j], h[i]
+			i = j
+		}
+		it := h[n]
+		q.h = h[:n]
 		if it.version == q.version[it.id] {
 			return it.id, true
 		}

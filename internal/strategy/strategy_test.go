@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
@@ -284,8 +285,70 @@ func TestLazyPQ(t *testing.T) {
 	if _, ok := q.pop(); ok {
 		t.Error("pop from drained queue succeeded")
 	}
-	if q.h.Len() != 0 {
+	if len(q.h) != 0 {
 		t.Error("queue not empty after drain")
+	}
+	// Into spare capacity, a push boxes nothing and allocates nothing.
+	if a := testing.AllocsPerRun(100, func() { q.push(1, 2); q.pop() }); a != 0 {
+		t.Errorf("push+pop allocates %v times", a)
+	}
+}
+
+// refHeap adapts minHeap to container/heap — the oracle lazyPQ's typed
+// sifts are held to.
+type refHeap struct{ minHeap }
+
+func (h refHeap) Len() int           { return len(h.minHeap) }
+func (h refHeap) Less(a, b int) bool { return h.less(a, b) }
+func (h refHeap) Swap(a, b int)      { h.minHeap[a], h.minHeap[b] = h.minHeap[b], h.minHeap[a] }
+func (h *refHeap) Push(x any)        { h.minHeap = append(h.minHeap, x.(item)) }
+func (h *refHeap) Pop() any {
+	it := h.minHeap[len(h.minHeap)-1]
+	h.minHeap = h.minHeap[:len(h.minHeap)-1]
+	return it
+}
+
+// Over random push, pop and invalidate sequences with tied keys and
+// re-pushed ids, lazyPQ holds the same array as container/heap after
+// every operation and pops the same ids.
+func TestLazyPQMatchesContainerHeap(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const n = 8
+		q, ref, refVersion := newLazyPQ(n), &refHeap{}, make([]uint32, n)
+		for step := 0; step < 2000; step++ {
+			id := rng.Intn(n)
+			switch op := rng.Intn(20); {
+			case op < 10:
+				key := float64(rng.Intn(4))
+				q.push(id, key)
+				refVersion[id]++
+				heap.Push(ref, item{key: key, id: id, version: refVersion[id]})
+			case op < 17:
+				got, gotOK := q.pop()
+				want, wantOK := -1, false
+				for ref.Len() > 0 {
+					if it := heap.Pop(ref).(item); it.version == refVersion[it.id] {
+						want, wantOK = it.id, true
+						break
+					}
+				}
+				if got != want || gotOK != wantOK {
+					t.Fatalf("seed %d step %d: pop %d,%v; container/heap %d,%v", seed, step, got, gotOK, want, wantOK)
+				}
+			default:
+				q.invalidate(id)
+				refVersion[id]++
+			}
+			if len(q.h) != ref.Len() {
+				t.Fatalf("seed %d step %d: %d entries, container/heap %d", seed, step, len(q.h), ref.Len())
+			}
+			for k := range q.h {
+				if q.h[k] != ref.minHeap[k] {
+					t.Fatalf("seed %d step %d: slot %d holds %+v, container/heap %+v", seed, step, k, q.h[k], ref.minHeap[k])
+				}
+			}
+		}
 	}
 }
 
