@@ -407,9 +407,9 @@ type ServiceOptions struct {
 	// budget enables tiering: a background policy loop evicts the
 	// least-recently-touched resources back inside the budget. The query
 	// index holds no copy to evict: it reads a cold resource straight off
-	// the engine's record, and its posting lists stay live, so pruned
-	// queries bound and skip cold resources without rehydrating them and
-	// a cold subject stays cold. The budget does NOT
+	// the engine's record, and its posting lists stay live, so queries
+	// score cold candidates from postings without rehydrating them and a
+	// cold subject stays cold. The budget does NOT
 	// choose how a durable service boots: recovery always maps the newest
 	// snapshot and starts every resource cold, aliasing its record inside
 	// the mapping. Without a budget nothing is ever evicted, so a
@@ -942,9 +942,9 @@ func (s *Service) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k i
 		return nil, 0, fmt.Errorf("incentivetag: negative query norm %g", qNorm2)
 	}
 	for _, wt := range query {
-		// An rfd holds positive counts only, and the pruned executor's
-		// score bounds scale with the weights: a non-positive one from
-		// the wire would turn an upper bound into a lower one.
+		// An rfd holds positive counts only, and the ranking's padding
+		// takes a zero dot for "no overlap": a non-positive weight from
+		// the wire could cancel a real overlap to zero.
 		if wt.Count <= 0 {
 			return nil, 0, fmt.Errorf("incentivetag: query tag %d has non-positive count %d", wt.Tag, wt.Count)
 		}

@@ -16,25 +16,13 @@
 // handed to NewOnlineIndexOver. The index seeds and bumps posting lists
 // for owned resources only, so each member's lists hold its share of
 // the corpus's postings, and every query it serves (TopK, Search and the
-// two below) runs the block-max pruned executor (blockmax.go) over owned
-// candidates and pads with owned resources only.
-//
-// # Why owned-only lists keep every bound an upper bound
-//
-// Every bound the executor cuts with (directory row, list, block,
-// suffix sums) is a ratchet over the entries its lists hold, and an
-// owned-only index holds every entry of every owned resource. So each
-// bound still dominates what any posting can add to any candidate's
-// score, and every candidate is owned; against a full index the bounds
-// can only tighten. The kth-score threshold is taken from owned
-// candidates only, so a cut made against it can only discard candidates
-// that could not have entered the owned top-k, and the deferred-tag
-// rescue reads a survivor's counts through Vectors, which cover every
-// resource. Survivors are rescored by the executor's one exact
-// expression, which is why an owned index's answer is bit-identical to
-// an exhaustive scan of the owned resources of a full index (asserted
-// against a test-only oracle) and, with the subject's own vector,
-// TopKWeighted is TopK.
+// two below) runs the one kernel (kernel.go): a row over owned
+// candidates, padded with owned resources only. An owned index holds
+// every posting of every owned resource, so each owned cell of its row
+// holds the exact dot a full index would, which is why its answer is
+// bit-identical to an exhaustive scan of the owned resources of a full
+// index (asserted against a test-only oracle) and, with the subject's
+// own vector, TopKWeighted is TopK.
 //
 // # Why the merged answer is bit-identical to a single node
 //
@@ -53,11 +41,7 @@
 // chosen.
 package ir
 
-import (
-	"math"
-
-	"incentivetag/internal/tags"
-)
+import "incentivetag/internal/tags"
 
 // WeightedTag is one (tag, count) component of an externally-supplied
 // integer-weighted query vector — the wire form of a resource's rfd
@@ -113,9 +97,9 @@ func (ix *OnlineIndex) coldEntries(id int) (entries []WeightedTag, norm2 float64
 // subject, which must never rank against itself; pass a negative id to
 // exclude nothing). qNorm2 is the query vector's exact squared norm (the
 // subject's Norm2 on its owner node). Counts must be positive, as an
-// rfd's are: the pruning bounds scale with them. owned must be nil — it
-// remains only for callers of the five-argument form — and a non-nil
-// set panics.
+// rfd's are: the padding takes a zero dot for "no overlap", which a
+// non-positive weight could fake. owned must be nil — it remains only
+// for callers of the five-argument form — and a non-nil set panics.
 //
 // For query == subject's own rfd and exclude == subject it is
 // bit-identical to TopK on the same index at the same epoch, and a
@@ -141,18 +125,7 @@ func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, e
 		exclude = -1 // names no indexed resource; keep it out of the int32 id space
 	}
 	sc := ix.getScratch()
-	pq := prunedQuery{subject: exclude, subjNorm: math.Sqrt(qNorm2)}
-	if pq.subjNorm > 0 {
-		// A zero-norm query keeps an empty plan and goes straight to
-		// zero-similarity padding, like TopK's zero-norm subject.
-		sc.support, sc.weights = sc.support[:0], sc.weights[:0]
-		for _, wt := range query {
-			sc.support = append(sc.support, wt.Tag)
-			sc.weights = append(sc.weights, float64(wt.Count))
-		}
-		pq.tags, pq.weights = sc.support, sc.weights
-	}
-	res := ix.runPruned(&pq, k, sc, true)
+	res := ix.execute(sc, query, exclude, qNorm2, false, k)
 	ix.putScratch(sc)
 	ix.runlockAll()
 	return res

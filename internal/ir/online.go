@@ -14,19 +14,18 @@
 // The index's shard locks double as the engine's view lock (see
 // engine.Subscriber), so a query reads the counts and the residency of
 // every resource at the same epoch without taking an engine lock. What
-// the index owns is what only queries need: posting lists, block maxima,
-// the dense norm² cache and the epoch. A cold subject, or a cold
-// pruning survivor, is read off its record transiently and stays cold.
+// the index owns is what only queries need: plain posting lists, the
+// dense norm² cache and the epoch. Candidates are scored from postings
+// alone, so only a cold subject is read off its record, transiently, and
+// it stays cold.
 //
-// Since the block-max rework (see blockmax.go) the serving TopK/Search
-// paths additionally prune: posting lists are impact-ordered and
-// blocked, and whole blocks/tags whose score upper bound cannot beat
-// the current kth answer are skipped outright — bit-identical to
-// BuildInverted over the same counts, the one exhaustive oracle.
+// Every ranking runs the one scoring kernel (kernel.go): accumulate the
+// query into a dense dot row, rank the row. No pruning: at the served
+// corpus size the plain scan is the faster one, and it is bit-identical
+// to BuildInverted over the same counts, the one exhaustive oracle.
 package ir
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -89,9 +88,7 @@ func (v ownedVecs) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
 // exactly representable in float64, so TopK is bit-identical to
 // BuildInverted(SnapshotRFDs()).TopK over the same state regardless of
 // the order posts arrived — asserted posting-for-posting by the
-// randomized equivalence tests. The pruned serving paths preserve this
-// bit-identity: see the blockmax.go header for why every skip decision
-// is provably safe.
+// randomized equivalence tests (see the kernel.go header).
 type OnlineIndex struct {
 	n      int
 	shards []*onlineShard
@@ -114,15 +111,13 @@ type OnlineIndex struct {
 	// query's epoch is exact; a TopK answer exact at it is served without.
 	epoch atomic.Uint64
 
-	// dir is the tag directory: tag → its posting list in every shard
-	// (nil where the shard has none) plus the tag's index-wide impact
-	// bound, so a query plans with ONE map lookup and ONE atomic load
-	// per tag instead of a walk over every shard. Row-slot writes happen
-	// only at list creation, under the owning shard's write lock plus
-	// censusMu (serializing creators on different shards); queries read
-	// the rows lock-free because they hold every shard's read lock,
-	// which excludes all writers.
-	dir map[tags.Tag]*dirRow
+	// dir is the tag directory: tag → its posting lists, one per shard
+	// that has one, so a query finds a tag's postings with ONE map lookup
+	// instead of one per shard. It grows only at list creation, under the
+	// owning shard's write lock plus censusMu (serializing creators on
+	// different shards); queries read it lock-free because they hold
+	// every shard's read lock, which excludes all writers.
+	dir map[tags.Tag][]*postingList
 
 	// norm2[id] caches resource id's scoring norm: its squared norm, or
 	// 0 when the resource has no posts (the selection paths skip those
@@ -132,7 +127,7 @@ type OnlineIndex struct {
 	// read under the all-shards query view.
 	norm2 []float64
 
-	// scratchPool recycles per-query state (visited set, tag plan, heap
+	// scratchPool recycles per-query state (dot row, lifted query, heap
 	// backing) so the serving read path allocates nothing but its result.
 	scratchPool sync.Pool
 
@@ -148,8 +143,6 @@ type OnlineIndex struct {
 
 	topkQueries      atomic.Uint64
 	searchQueries    atomic.Uint64
-	blocksSkipped    atomic.Uint64
-	tagsDeferred     atomic.Uint64
 	candidatesScored atomic.Uint64
 }
 
@@ -158,8 +151,8 @@ type OnlineIndex struct {
 // resources' counts and residency.
 type onlineShard struct {
 	mu sync.RWMutex
-	// postings maps tag → the shard-local block-max posting list.
-	postings map[tags.Tag]*bmList
+	// postings maps tag → the shard-local posting list.
+	postings map[tags.Tag]*postingList
 }
 
 // NewOnlineIndex seeds an online index over count vectors it takes
@@ -194,64 +187,47 @@ func NewOnlineIndexOver(vecs Vectors, n, shards int, owned []bool) *OnlineIndex 
 		shards:      make([]*onlineShard, shards),
 		vecs:        vecs,
 		owned:       owned,
-		dir:         make(map[tags.Tag]*dirRow),
+		dir:         make(map[tags.Tag][]*postingList),
 		norm2:       make([]float64, n),
 		tagPostings: make(map[tags.Tag]int),
 		cache:       topkCache{entries: make(map[int]*topkEntry), maxRows: rowBytes / (8 * max(n, 1))},
 	}
 	for s := range ix.shards {
-		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*bmList)}
+		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*postingList)}
 	}
 	var i, s int
 	var own bool
 	var n2 float64
 	seed := func(t tags.Tag, c int64) {
 		if own {
-			ix.posting(s, t).seedAppend(int32(i), c)
+			ix.posting(s, t).add(int32(i), c)
 			ix.notePosting(t)
 		}
 		n2 += float64(c) * float64(c)
 	}
-	var postless []int
 	for i = 0; i < n; i++ {
 		s, own, n2 = i%shards, ix.owns(i), 0
-		if vecs.ViewEntries(i, seed) == 0 {
-			postless = append(postless, i)
+		// A post-less resource keeps norm² 0: the "cannot score" marker
+		// the ranking tests.
+		if vecs.ViewEntries(i, seed) != 0 {
+			ix.norm2[i] = n2
 		}
-		ix.norm2[i] = n2
-	}
-	// The bounds are seeded from every resource's true norm²; only then
-	// does the dense cache zero the post-less ones (its zero IS the
-	// "cannot score" marker the selection paths test).
-	for _, sh := range ix.shards {
-		for _, pl := range sh.postings {
-			pl.finalize(ix.norm2At)
-		}
-	}
-	for _, i := range postless {
-		ix.norm2[i] = 0
 	}
 	return ix
 }
 
 // posting returns shard s's posting list for t, creating it — and its
-// tag-directory row — on first use. Caller holds shard s's write lock
+// tag-directory entry — on first use. Caller holds shard s's write lock
 // (or is the constructor); censusMu serializes directory writers racing
 // from different shards.
-func (ix *OnlineIndex) posting(s int, t tags.Tag) *bmList {
+func (ix *OnlineIndex) posting(s int, t tags.Tag) *postingList {
 	sh := ix.shards[s]
 	pl := sh.postings[t]
 	if pl == nil {
-		pl = &bmList{shard: int32(s)}
+		pl = &postingList{}
 		ix.censusMu.Lock()
-		row := ix.dir[t]
-		if row == nil {
-			row = &dirRow{slots: make([]rowSlot, len(ix.shards))}
-			ix.dir[t] = row
-		}
-		row.slots[s].pl = pl
+		ix.dir[t] = append(ix.dir[t], pl)
 		ix.censusMu.Unlock()
-		pl.row = row
 		sh.postings[t] = pl
 	}
 	return pl
@@ -289,19 +265,19 @@ func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)]
 // PostApplied folds one post into the index, under the view lock the
 // caller holds over resource (see Lock): the resource's counts have
 // already absorbed the post, norm2 is their squared norm after it, and
-// the touched posting lists are bumped in place, each bump preserving
-// its list's count-descending block-max order by one swap (see
-// bmList.bumpOne). Each tag's count-delta is +1 — a post names a tag at
-// most once. Callers must deliver each resource's posts in apply order
-// (the engine calls it under its shard lock, which guarantees exactly
-// that). A resource outside the owned set has no postings: its post
-// moves only its norm2 and the epoch. Every post lands in the write log.
+// each touched posting list gains one on the resource's entry, or the
+// entry on the resource's first use of the tag. Each tag's count-delta
+// is +1 — a post names a tag at most once. Callers must deliver each
+// resource's posts in apply order (the engine calls it under its shard
+// lock, which guarantees exactly that). A resource outside the owned set
+// has no postings: its post moves only its norm2 and the epoch. Every
+// post lands in the write log.
 func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
 	if ix.owns(resource) {
 		s := resource % len(ix.shards)
 		for _, t := range p {
-			if ix.posting(s, t).bumpOne(int32(resource), norm2, ix.norm2) {
+			if ix.posting(s, t).bump(int32(resource)) {
 				ix.notePosting(t)
 			}
 		}
@@ -345,29 +321,12 @@ func (ix *OnlineIndex) runlockAll() {
 	}
 }
 
-// lift loads the subject's support and weights into the scratch in one
-// pass, under the caller's view. The executor orders tags by bound
-// itself, and the exact-integer dots make every downstream sum
-// order-independent, so the ascending order Support would give buys
-// nothing here.
-func (ix *OnlineIndex) lift(sc *queryScratch, subject int) {
-	sc.support, sc.weights = sc.support[:0], sc.weights[:0]
-	if c := ix.vecs.ViewCounts(subject); c != nil {
-		c.ForEach(sc.addWeight)
-	} else {
-		// A cold subject streams off its owner's record and stays cold;
-		// only this branch pays for a callback escaping through Vectors.
-		ix.vecs.ViewEntries(subject, sc.addWeight)
-	}
-}
-
 // TopK returns the k most similar resources to subject over the live
 // state, bit-identical to BuildInverted(SnapshotRFDs()).TopK at the
 // returned epoch. The result cache (topkcache.go) answers a repeated
-// subject; otherwise the block-max pruned executor runs, skipping posting
-// blocks that provably cannot reach the current kth score. An index with
-// an owned set ranks and pads only owned resources. Invalid subjects or
-// k ≤ 0 return nil.
+// subject; otherwise the subject's row is built in a pooled scratch row
+// and ranked (kernel.go). An index with an owned set ranks and pads only
+// owned resources. Invalid subjects or k ≤ 0 return nil.
 func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	ix.topkQueries.Add(1)
 	if k <= 0 || subject < 0 || subject >= ix.n {
@@ -389,23 +348,16 @@ func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	epoch := ix.epoch.Load()
 	res := ix.cachedTopK(e, k, epoch)
 	if res == nil {
-		// A zero-norm subject (no posts, hot or cold alike) lifts nothing:
-		// its empty plan goes straight to the zero-similarity padding.
 		ix.cache.executed.Add(1)
 		sc := ix.getScratch()
 		ix.lift(sc, subject)
-		pq := prunedQuery{subject: subject, tags: sc.support, weights: sc.weights, subjNorm: math.Sqrt(ix.norm2[subject])}
-		res = ix.runPruned(&pq, k, sc, true)
+		res = ix.execute(sc, sc.query, subject, ix.norm2[subject], false, k)
 		ix.putScratch(sc)
 		e.k, e.res = k, res
 	}
 	e.epoch = epoch
 	return slices.Clone(res), epoch
 }
-
-// norm2At adapts the dense norm cache to the rank finalizers' resolver
-// shape: 0 means "cannot score" for hot and cold resources alike.
-func (ix *OnlineIndex) norm2At(id int32) float64 { return ix.norm2[id] }
 
 // normalizeQuery enforces the tags.Post invariant (sorted, distinct,
 // non-negative) on a search query, returning the input unchanged when
@@ -438,11 +390,11 @@ func normalizeQuery(q tags.Post) tags.Post {
 // least one query tag can score above zero, so the result holds at most
 // min(k, |candidates|) entries, score-descending with ties broken
 // toward smaller ids; zero-overlap resources are not padded in (an
-// empty result means nothing matched). Like TopK it runs the block-max
-// pruned executor, bit-identical to InvertedIndex.Search, and ranks only
-// the owned set when the index has one: per-node answers then merge into
-// exactly the single-node ranking under the (score desc, id asc)
-// comparator. Returns the epoch-consistent view it scored against.
+// empty result means nothing matched). Like TopK it runs the one
+// kernel, bit-identical to InvertedIndex.Search, and ranks only the owned
+// set when the index has one: per-node answers then merge into exactly
+// the single-node ranking under the (score desc, id asc) comparator.
+// Returns the epoch-consistent view it scored against.
 func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	ix.searchQueries.Add(1)
 	query = normalizeQuery(query)
@@ -452,13 +404,15 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	ix.rlockAll()
 	epoch := ix.epoch.Load()
 	sc := ix.getScratch()
+	for _, t := range query {
+		sc.query = append(sc.query, WeightedTag{Tag: t, Count: 1})
+	}
 	// The query vector's squared norm is |query| exactly (unit counts
 	// over distinct tags). The score expression mirrors
 	// sparse.Counts.Cosine term for term (single sqrt of the norm
 	// product, same clamping), so a Search score is bit-identical to
 	// Cosine against a count vector holding the query.
-	pq := prunedQuery{subject: -1, tags: query, qNorm2: float64(len(query)), search: true}
-	res := ix.runPruned(&pq, k, sc, false)
+	res := ix.execute(sc, sc.query, -1, float64(len(query)), true, k)
 	ix.putScratch(sc)
 	ix.runlockAll()
 	return res, epoch
@@ -466,8 +420,7 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 
 // PostingEntries returns tag t's live postings in ascending resource-id
 // order — the posting-for-posting equivalence surface against
-// BuildInverted. Zero-count entries (possible only if a count was fully
-// removed) are elided.
+// BuildInverted.
 func (ix *OnlineIndex) PostingEntries(t tags.Tag) []Posting {
 	ix.rlockAll()
 	defer ix.runlockAll()
@@ -478,9 +431,7 @@ func (ix *OnlineIndex) PostingEntries(t tags.Tag) []Posting {
 			continue
 		}
 		for _, p := range pl.entries {
-			if p.count != 0 {
-				out = append(out, Posting{ID: p.id, Count: int64(p.count)})
-			}
+			out = append(out, Posting{ID: p.id, Count: int64(p.count)})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
@@ -530,20 +481,20 @@ type OnlineStats struct {
 	// boot, cached answers included (see CacheHits).
 	TopKQueries   uint64 `json:"topk_queries"`
 	SearchQueries uint64 `json:"search_queries"`
-	// BlocksSkipped / TagsDeferred / CandidatesScored meter the pruned
-	// executor: posting blocks whose upper bound could not beat the
-	// running kth score (skipped unscored), whole posting lists the
-	// MaxScore condition ruled out of the scan (survivors re-add their
-	// contribution with one lookup each), and candidates that survived
-	// to an exact rescore.
-	BlocksSkipped    uint64 `json:"blocks_skipped"`
-	TagsDeferred     uint64 `json:"tags_deferred"`
+	// CandidatesScored counts candidates the kernel scored exactly: the
+	// ones its fast reject let through to the score expression.
 	CandidatesScored uint64 `json:"candidates_scored"`
-	// CacheHits counts TopK answers given without running the executor:
+	// BlocksSkipped always reads 0 and is not on the wire: posting lists
+	// have no blocks since the block-max executor went. The field stays
+	// only because the benchmark's ir.blocks_skipped_per_topk reads it,
+	// until a benchmark change drops that metric.
+	BlocksSkipped uint64 `json:"-"`
+	// CacheHits counts TopK answers given without building a row:
 	// CacheServes (a stored answer still stood) plus CacheReranks (a hot
 	// subject's dot row, folded from the write log, was ranked again).
-	// CacheMisses counts executor runs plus CacheRebuilds (a row built from
-	// the posting lists). CacheEntries counts subjects with an answer.
+	// CacheMisses counts scratch-row builds plus CacheRebuilds (a kept row
+	// built from the posting lists). CacheEntries counts subjects with an
+	// answer.
 	CacheHits     uint64 `json:"cache_hits"`
 	CacheMisses   uint64 `json:"cache_misses"`
 	CacheEntries  int    `json:"cache_entries"`
@@ -563,8 +514,6 @@ func (ix *OnlineIndex) Stats() OnlineStats {
 		Shards:           len(ix.shards),
 		TopKQueries:      ix.topkQueries.Load(),
 		SearchQueries:    ix.searchQueries.Load(),
-		BlocksSkipped:    ix.blocksSkipped.Load(),
-		TagsDeferred:     ix.tagsDeferred.Load(),
 		CandidatesScored: ix.candidatesScored.Load(),
 		CacheServes:      ix.cache.serves.Load(),
 		CacheReranks:     ix.cache.reranks.Load(),

@@ -13,9 +13,8 @@ import (
 )
 
 // zipfPost draws a 1–4 tag post whose tag ids follow a Zipf law over
-// dim tags: a few tags dominate every posting list (forcing multi-block
-// lists and block skips) while the tail stays sparse — the shape real
-// tagging corpora have and the shape block-max pruning exists for.
+// dim tags: a few tags dominate every posting list while the tail stays
+// sparse — the shape real tagging corpora have.
 func zipfPost(rng *rand.Rand, z *rand.Zipf, dim int) tags.Post {
 	m := 1 + rng.Intn(4)
 	ts := make([]tags.Tag, 0, m)
@@ -62,11 +61,10 @@ func assertIdentical(t *testing.T, ctx string, got, want []Scored) {
 	}
 }
 
-// The central pruning property: on a Zipf-skewed corpus grown by
-// incremental applies, the pruned executor must stay bit-identical to a
+// The central serving property: on a Zipf-skewed corpus grown by
+// incremental applies, the online index must stay bit-identical to a
 // cold BuildInverted rebuild — the exhaustive oracle — for every subject
-// at every k, including k past the corpus size, and for tag-set search. The skew guarantees the pruning machinery
-// actually engages (asserted via the executor counters at the end).
+// at every k, including k past the corpus size, and for tag-set search.
 func TestPrunedZipfBitIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		seed           int64
@@ -85,7 +83,7 @@ func TestPrunedZipfBitIdentity(t *testing.T) {
 			for subject := 0; subject < tc.n; subject++ {
 				for _, k := range []int{1, 5, 10, tc.n, 2 * tc.n} {
 					got, _ := online.TopK(subject, k)
-					assertIdentical(t, tSprintf("seed %d step %d subject %d k=%d pruned-vs-rebuild", tc.seed, step, subject, k), got, oracle.TopK(subject, k))
+					assertIdentical(t, tSprintf("seed %d step %d subject %d k=%d online-vs-rebuild", tc.seed, step, subject, k), got, oracle.TopK(subject, k))
 				}
 			}
 			for trial := 0; trial < 10; trial++ {
@@ -114,10 +112,10 @@ func tSprintf(format string, args ...any) string {
 	return fmt.Sprintf(format, args...)
 }
 
-// The pruned path must stay exact when scores tie exactly at the heap
+// The ranking must stay exact when scores tie exactly at the heap
 // threshold: a tie group of bit-identical vectors larger than k means
-// the kth score equals the (k+1)th, and the boundSlack margin on every
-// pruning comparison must keep those boundary candidates alive for the
+// the kth score equals the (k+1)th, and the rejectSlack margin on the
+// fast reject must keep those boundary candidates alive for the
 // deterministic id tiebreak. Identical resources are spread across all
 // shards so the tie crosses the per-shard merge too.
 func TestPrunedTiesAtThreshold(t *testing.T) {
@@ -137,7 +135,7 @@ func TestPrunedTiesAtThreshold(t *testing.T) {
 	for subject := 0; subject < n; subject++ {
 		for _, kk := range []int{1, k, 19, 21, n} {
 			got, _ := online.TopK(subject, kk)
-			assertIdentical(t, tSprintf("ties subject %d k=%d pruned-vs-rebuild", subject, kk), got, oracle.TopK(subject, kk))
+			assertIdentical(t, tSprintf("ties subject %d k=%d online-vs-rebuild", subject, kk), got, oracle.TopK(subject, kk))
 		}
 	}
 	// The even subjects see 19 other perfect-similarity resources; with
@@ -151,11 +149,11 @@ func TestPrunedTiesAtThreshold(t *testing.T) {
 	}
 }
 
-// Degenerate shapes the pruning bounds must not mangle: single-tag
-// subjects (one-entry plans), zero-norm subjects (no plan at all), and
-// k at or past the corpus size (the heap never fills, so pruning must
-// stay disabled and every resource — including zero-norm padding —
-// must appear).
+// Degenerate shapes the ranking must not mangle: single-tag subjects
+// (one-tag queries), zero-norm subjects (nothing to accumulate), and k
+// at or past the corpus size (the heap never fills, so the fast reject
+// never engages and every resource — including zero-norm padding — must
+// appear).
 func TestPrunedDegenerateShapes(t *testing.T) {
 	const n, shards = 23, 4
 	model := make([]*sparse.Counts, n)
@@ -174,7 +172,7 @@ func TestPrunedDegenerateShapes(t *testing.T) {
 	for subject := 0; subject < n; subject++ {
 		for _, k := range []int{1, n - 1, n, n + 1, 3 * n} {
 			got, _ := online.TopK(subject, k)
-			assertIdentical(t, tSprintf("degenerate subject %d k=%d pruned-vs-rebuild", subject, k), got, oracle.TopK(subject, k))
+			assertIdentical(t, tSprintf("degenerate subject %d k=%d online-vs-rebuild", subject, k), got, oracle.TopK(subject, k))
 			if k >= n && len(got) != n-1 {
 				t.Fatalf("subject %d k=%d: %d results, want all %d others", subject, k, len(got), n-1)
 			}
@@ -184,7 +182,7 @@ func TestPrunedDegenerateShapes(t *testing.T) {
 
 // Regression for the duplicate-tag Search mis-scoring: a raw client
 // query with repeated, unsorted tags must score exactly like its
-// deduplicated form (the executor normalizes internally — previously
+// deduplicated form (the index normalizes internally — previously
 // qNorm2 counted duplicates, deflating every cosine), and no cosine may
 // exceed 1.
 func TestSearchDuplicateTagsRegression(t *testing.T) {
@@ -211,59 +209,6 @@ func TestSearchDuplicateTagsRegression(t *testing.T) {
 	got, _ := online2.Search(raw, 1)
 	if len(got) != 1 || got[0].Score != 1 || got[0].ID != len(probe)-1 {
 		t.Fatalf("perfect match: got %+v, want (id=%d, score=1)", got, len(probe)-1)
-	}
-}
-
-// White-box invariants of the block-max posting layout, checked after
-// heavy incremental ingest: every list stays count-descending (id order
-// inside an equal-count run is arbitrary — the run-swap bump moves
-// entries to run heads), every block bound dominates the
-// current impact of each entry it covers (bounds are ratcheted with
-// historical norms, and norms only grow, so recomputing with today's
-// norm can only shrink the true impact), list maxes dominate block
-// maxes, and the directory row max dominates every shard's list max.
-func TestBlockMaxLayoutInvariants(t *testing.T) {
-	// Posting lists are per shard, so multi-block lists (> blockSize
-	// entries) need a popular tag covering well over blockSize resources
-	// of a single shard: 1200 resources over 2 shards with Zipf skew puts
-	// the head tags in several hundred resources per shard.
-	model, rng, z := zipfModel(91, 1200, 25, 8)
-	online := NewOnlineIndex(cloneAll(model), 2)
-	for step := 0; step < 800; step++ {
-		online.Apply(rng.Intn(1200), zipfPost(rng, z, 25))
-	}
-	online.rlockAll()
-	defer online.runlockAll()
-	multiBlock := 0
-	for s, sh := range online.shards {
-		for tg, pl := range sh.postings {
-			if len(pl.entries) > blockSize {
-				multiBlock++
-			}
-			rowMax := pl.row.maxImpact()
-			for i, e := range pl.entries {
-				if i > 0 && e.count > pl.entries[i-1].count {
-					t.Fatalf("shard %d tag %d: count order broken at %d: %+v after %+v", s, tg, i, e, pl.entries[i-1])
-				}
-				imp := impactBound(int64(e.count), online.norm2[e.id])
-				blk := pl.maxImpact
-				if len(pl.entries) > blockSize {
-					blk = pl.blockImpact[i/blockSize]
-				}
-				if blk < imp {
-					t.Fatalf("shard %d tag %d entry %d: block bound %v < current impact %v", s, tg, i, blk, imp)
-				}
-				if pl.maxImpact < blk {
-					t.Fatalf("shard %d tag %d: list max %v < block bound %v", s, tg, pl.maxImpact, blk)
-				}
-				if rowMax < pl.maxImpact {
-					t.Fatalf("shard %d tag %d: row max %v < list max %v", s, tg, rowMax, pl.maxImpact)
-				}
-			}
-		}
-	}
-	if multiBlock == 0 {
-		t.Fatal("corpus produced no multi-block posting lists — invariants untested at depth")
 	}
 }
 
@@ -299,38 +244,8 @@ func TestStatsCensusMatchesRecount(t *testing.T) {
 	recount("final")
 }
 
-// On a corpus with genuinely long posting lists the executor counters
-// must show the pruning machinery working: blocks skipped, whole tags
-// deferred, and far fewer candidates scored than an exhaustive scan
-// would touch.
-func TestPruningCountersEngage(t *testing.T) {
-	const n, dim = 800, 50
-	model, _, _ := zipfModel(53, n, dim, 10)
-	online := NewOnlineIndex(cloneAll(model), 8)
-	oracle := BuildInverted(model)
-	queries := 0
-	for subject := 0; subject < n; subject += 3 {
-		got, _ := online.TopK(subject, 10)
-		assertIdentical(t, tSprintf("counters subject %d", subject), got, oracle.TopK(subject, 10))
-		queries++
-	}
-	st := online.Stats()
-	if st.BlocksSkipped == 0 {
-		t.Errorf("no posting blocks skipped over %d queries: %+v", queries, st)
-	}
-	if st.TagsDeferred == 0 {
-		t.Errorf("no tags deferred over %d queries: %+v", queries, st)
-	}
-	exhaustiveTouch := uint64(queries) * uint64(n)
-	if st.CandidatesScored >= exhaustiveTouch/4 {
-		t.Errorf("scored %d candidates over %d queries — pruning ineffective (exhaustive would rescore ≤ %d)",
-			st.CandidatesScored, queries, exhaustiveTouch)
-	}
-}
-
-// Pruned queries racing concurrent ingest, under -race: long Zipf
-// posting lists keep the block-skip and defer paths hot while writers
-// mutate every shard. Results must stay well-formed throughout, and
+// Queries racing concurrent ingest, under -race: writers bump and
+// append to long Zipf posting lists on every shard while readers rank. Results must stay well-formed throughout, and
 // after quiescing the index must again be bit-identical to a cold
 // rebuild of its own state.
 func TestPrunedConcurrentIngestRace(t *testing.T) {
@@ -375,6 +290,6 @@ func TestPrunedConcurrentIngestRace(t *testing.T) {
 	oracle := BuildInverted(onlineSnapshot(online))
 	for subject := 0; subject < n; subject += 5 {
 		got, _ := online.TopK(subject, 10)
-		assertIdentical(t, tSprintf("post-quiesce subject %d pruned-vs-rebuild", subject), got, oracle.TopK(subject, 10))
+		assertIdentical(t, tSprintf("post-quiesce subject %d online-vs-rebuild", subject), got, oracle.TopK(subject, 10))
 	}
 }

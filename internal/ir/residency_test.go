@@ -113,7 +113,7 @@ func evictRandom(rng *rand.Rand, n int, vs ...*tieredVecs) {
 
 // The residency equivalence property: an index over tiered vectors
 // under an arbitrary interleaving of applies and evictions answers every
-// query surface — pruned, cluster-scatter — bit-identically to a
+// query surface — TopK, Search, cluster-scatter — bit-identically to a
 // never-evicted twin over the same state, and to BuildInverted over it.
 func TestResidencyQueriesBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
@@ -188,7 +188,7 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 			evictRandom(rng, tc.n, tv, ownedTV)
 			if step%8 == 7 {
 				// The exhaustive oracle over the tiered index's own counts:
-				// pruned and exhaustive must agree whatever the residency mix.
+				// online and exhaustive must agree whatever the residency mix.
 				subject := rng.Intn(tc.n)
 				got, _ := tiered.TopK(subject, 10)
 				want := BuildInverted(cloneAll(tv.vecs)).TopK(subject, 10)

@@ -11,13 +11,12 @@
 // s iff no touched r is in it and no touched r now ranks at or above its
 // kth entry, padding included: everyone else kept score and place.
 //
-// Why a rerank is bit-identical to the executor: every dot is a sum of
-// products of integers far below 2^53, exact in float64 in any order, so a
-// row accumulated from the posting lists and folded post by post (a post
-// adds the subject's weight on each of its tags) holds the bits the
-// executor's accumulator would; the rerank ranks it with the executor's
-// score expression (topkScore), selector, fast reject (rejectGate) and
-// padding (padTopK).
+// Why a rerank is bit-identical to a miss: every dot is a sum of products
+// of integers far below 2^53, exact in float64 in any order, so a row
+// accumulated from the posting lists and folded post by post (a post adds
+// the subject's weight on each of its tags) holds the bits a miss's
+// scratch row would; both are built by the one accumulate and ranked by
+// the one rank (kernel.go).
 //
 // What is kept: a write log of the last logSlots posts, each slot stamped
 // with its epoch so an overwritten one is detected; per queried subject,
@@ -43,7 +42,7 @@ import (
 const (
 	logSlots   = 1024    // posts the write log remembers
 	slotTags   = 15      // tags a slot holds; a longer post forces a rebuild
-	rowBytes   = 2 << 20 // dot rows per index, in bytes
+	rowBytes   = 2 << 20 // dot cells per index, in bytes (id lists add ≤ half)
 	maxEntries = 4096    // subjects with a stored answer
 )
 
@@ -67,16 +66,16 @@ func (c *topkCache) logPost(epoch uint64, resource int, p tags.Post) {
 }
 
 // topkEntry is one subject's cached state, guarded by mu: res answers k
-// at epoch, and a hot entry's dot and weights are exact at epoch too. dot
+// at epoch, and a hot entry's row and weights are exact at epoch too. row
 // changes hands only in grant, under mu and the cache's mu, so either
-// lock reads whether the entry holds a row.
+// lock reads whether the entry holds one (row.dot != nil).
 type topkEntry struct {
 	mu      sync.Mutex
 	subject int
 	k       int
 	epoch   uint64
 	res     []Scored
-	dot     []float64
+	row     dotRow
 	weights weightTable
 	heap    scoredHeap
 }
@@ -125,7 +124,7 @@ func (c *topkCache) entry(subject int) *topkEntry {
 	e := c.entries[subject]
 	if e == nil {
 		if len(c.entries) >= maxEntries {
-			maps.DeleteFunc(c.entries, func(_ int, v *topkEntry) bool { return v.dot == nil })
+			maps.DeleteFunc(c.entries, func(_ int, v *topkEntry) bool { return v.row.dot == nil })
 		}
 		e = &topkEntry{subject: subject}
 		c.entries[subject] = e
@@ -143,14 +142,14 @@ func (c *topkCache) grant(e *topkEntry, n int, epoch uint64) bool {
 		return false
 	}
 	if len(c.rows) < c.maxRows {
-		e.dot = make([]float64, n)
+		e.row = dotRow{dot: make([]float64, n)}
 		c.rows = append(c.rows, e)
 		return true
 	}
 	for i, v := range c.rows {
 		if v.mu.TryLock() {
 			if v.epoch+logSlots < epoch {
-				e.dot, v.dot, c.rows[i] = v.dot, nil, e
+				e.row, v.row, c.rows[i] = v.row, dotRow{}, e
 				v.mu.Unlock()
 				return true
 			}
@@ -161,11 +160,11 @@ func (c *topkCache) grant(e *topkEntry, n int, epoch uint64) bool {
 }
 
 // cachedTopK serves, reranks or (re)builds e's answer at epoch, or returns
-// nil when only the executor can. Caller holds e.mu under the full view.
+// nil when only a scratch row can. Caller holds e.mu under the full view.
 func (ix *OnlineIndex) cachedTopK(e *topkEntry, k int, epoch uint64) []Scored {
 	c := &ix.cache
 	switch {
-	case e.dot != nil:
+	case e.row.dot != nil:
 		if stands, ok := ix.fold(e, epoch); ok {
 			if stands && e.k == k {
 				c.serves.Add(1)
@@ -195,7 +194,9 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 		}
 		if ix.owns(r) {
 			for _, t := range sl.tags[:sl.n] {
-				e.dot[r] += e.weights.w[e.weights.slot(t)]
+				if w := e.weights.w[e.weights.slot(t)]; w != 0 {
+					e.row.add(int32(r), w)
+				}
 			}
 		}
 	}
@@ -209,7 +210,7 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 			continue
 		}
 		score := 0.0
-		if d := e.dot[r]; d != 0 {
+		if d := e.row.dot[r]; d != 0 {
 			score = topkScore(d, subjNorm, ix.norm2[r])
 		}
 		if score > kth.Score || (score == kth.Score && r < kth.ID) || slices.ContainsFunc(e.res, func(s Scored) bool { return s.ID == r }) {
@@ -219,48 +220,23 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 	return true, true
 }
 
-// rebuild lifts the subject's support, as the executor does, and
-// recomputes its row by an unpruned accumulation over its posting lists.
+// rebuild lifts the subject's support, as a miss does, into its weight
+// table and recomputes its row from the posting lists.
 func (ix *OnlineIndex) rebuild(e *topkEntry) {
 	sc := ix.getScratch()
 	ix.lift(sc, e.subject)
-	e.weights.reset(len(sc.support))
-	clear(e.dot)
-	for i, t := range sc.support {
-		w := sc.weights[i]
-		j := e.weights.slot(t)
-		e.weights.keys[j], e.weights.w[j] = t+1, w
-		if row := ix.dir[t]; row != nil {
-			for _, sl := range row.slots {
-				if sl.n != 0 {
-					for _, en := range sl.pl.entries {
-						e.dot[en.id] += w * float64(en.count)
-					}
-				}
-			}
-		}
+	e.weights.reset(len(sc.query))
+	for _, wt := range sc.query {
+		j := e.weights.slot(wt.Tag)
+		e.weights.keys[j], e.weights.w[j] = wt.Tag+1, float64(wt.Count)
 	}
+	e.row.reset()
+	ix.accumulate(&e.row, sc.query)
 	ix.putScratch(sc)
 }
 
 // rerank ranks e's row for k and stores the answer.
 func (ix *OnlineIndex) rerank(e *topkEntry, k int) []Scored {
-	sel := topKSelector{k: k, h: e.heap[:0]}
-	subjNorm := math.Sqrt(ix.norm2[e.subject])
-	gate := 0.0
-	for id, d := range e.dot {
-		if d == 0 || id == e.subject {
-			continue
-		}
-		if n2 := ix.norm2[id]; gate == 0 || d*d*impactSlack >= gate*n2 {
-			sel.push(id, topkScore(d, subjNorm, n2))
-			if th, full := sel.threshold(); full {
-				gate = rejectGate(th, 0, subjNorm*subjNorm)
-			}
-		}
-	}
-	padTopK(&sel, ix.n, e.subject, ix.owned, func(id int) bool { return e.dot[id] != 0 })
-	e.res, e.k = sel.results(), k
-	e.heap = sel.h
+	e.res, e.k = ix.rank(&e.row, e.subject, ix.norm2[e.subject], false, k, &e.heap), k
 	return e.res
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // The write log's edges and the row budget, white-box: a row folds across
 // exactly logSlots posts and is rebuilt past them; with a budget of one
-// row, a second hot subject runs the executor while the first row can
+// row, a second hot subject builds a scratch row while the first row can
 // still fold, and takes the row over once that row's window has outrun
 // the log. Every answer equals a cold rebuild.
 func TestTopKCacheLogEdgesAndRowBudget(t *testing.T) {

@@ -133,14 +133,14 @@ func TestQueryEndpointsDeferred(t *testing.T) {
 	}
 }
 
-// The /info query census must surface the pruned-executor and
-// result-cache counters introduced with the block-max engine — as typed
-// fields and under their stable wire names, since dashboards consume
-// the raw JSON.
+// The /info query census must surface the scoring kernel's and the
+// result cache's counters — as typed fields and under their stable wire
+// names, since dashboards consume the raw JSON. The block-max executor's
+// blocks_skipped and tags_deferred left the wire with it.
 func TestInfoQueryExecutorCounters(t *testing.T) {
 	h := newHarness(t, 0)
 
-	// First /topk runs the executor into the result cache; the repeat
+	// First /topk builds a scratch row into the result cache; the repeat
 	// must be served from it bit-identically.
 	var first, second server.TopKResponse
 	h.call(t, "GET", "/topk?resource=0&k=5", nil, &first, http.StatusOK)
@@ -158,7 +158,7 @@ func TestInfoQueryExecutorCounters(t *testing.T) {
 	h.call(t, "GET", "/info", nil, &info, http.StatusOK)
 	q := info.Queries
 	if q.CandidatesScored == 0 {
-		t.Fatalf("executor counters dead: %+v", q)
+		t.Fatalf("kernel counters dead: %+v", q)
 	}
 	if q.CacheMisses == 0 || q.CacheHits == 0 || q.CacheServes == 0 || q.CacheEntries == 0 {
 		t.Fatalf("result-cache counters dead: %+v", q)
@@ -194,13 +194,17 @@ func TestInfoQueryExecutorCounters(t *testing.T) {
 		t.Fatalf("/info lacks queries object: %v", raw)
 	}
 	for _, key := range []string{
-		"epoch", "topk_queries", "search_queries",
-		"blocks_skipped", "tags_deferred", "candidates_scored",
+		"epoch", "topk_queries", "search_queries", "candidates_scored",
 		"cache_hits", "cache_misses", "cache_entries",
 		"cache_serves", "cache_reranks", "cache_rebuilds",
 	} {
 		if _, ok := queries[key]; !ok {
 			t.Errorf("/info queries missing %q: %v", key, queries)
+		}
+	}
+	for _, key := range []string{"blocks_skipped", "tags_deferred"} {
+		if _, ok := queries[key]; ok {
+			t.Errorf("/info queries still carries %q: %v", key, queries)
 		}
 	}
 }
