@@ -3,6 +3,7 @@ package incentivetag
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -385,20 +386,24 @@ type ServiceOptions struct {
 	// Resources restricts the service to the first n corpus resources
 	// (0 = all).
 	Resources int
-	// Owned, when non-nil, marks this service as one node of a sharded
-	// cluster: it admits exactly the resources this node owns under the
-	// cluster's placement ring. The incentive allocator is masked to
-	// owned resources (a node never hands out a task whose completion
-	// would land a live post on a resource another node owns), and the
-	// query index keeps posting lists for owned resources only, so every
-	// ranking the service answers — TopK, Search, SubjectTopK and
-	// TopKWeighted — scores and pads owned resources only, and
-	// QueryStats' tag and posting counts are this node's share. Ingest
-	// is NOT filtered here — the HTTP layer
-	// rejects misdirected posts loudly instead (421) so a routing bug
-	// can never silently split a resource's live state across nodes.
-	// The shard map is static, so NewService evaluates Owned once per
-	// resource and never calls it again.
+	// Owned, when non-nil, marks this service as one member of a sharded
+	// cluster that holds exactly the resources it owns under the
+	// cluster's placement ring. NewService evaluates it once per resource
+	// (the shard map is static) and builds engine, allocator and query
+	// index over the owned resources only, each under a dense local slot
+	// given in ascending global id order. Every method still speaks
+	// global ids: the Service maps them to slots on the way in and back
+	// on the way out, and since slots are monotone in id every ranking
+	// and every strategy tiebreak orders exactly as on a single node. So
+	// the allocator only leases owned resources, every ranking scores
+	// and pads owned resources only, and Snapshot, Residency and
+	// QueryStats count this member's share. Ingest of a resource another
+	// member owns is refused with ErrResourceRange, never applied. A
+	// durable WALDir is bound to the owned set: the log records global
+	// ids and snapshots carry a fingerprint of the set, so a restart
+	// under a different shard map refuses the directory loudly. N stays
+	// the corpus size. An Owned that admits every resource runs as a
+	// single node.
 	Owned func(resource int) bool
 	// MaxResidentResources caps how many resources the memory-tiering
 	// policy keeps hot (tracker and count vector materialized on the
@@ -468,13 +473,13 @@ type Service struct {
 	// rescan, clone or copy the corpus. It holds the one TopK result cache.
 	idx *ir.OnlineIndex
 
-	// owned is the cluster-membership set, one entry per resource,
-	// materialised from ServiceOptions.Owned at boot (nil outside a
-	// cluster: every resource is local). Immutable afterwards, so every
-	// reader — the allocator mask, the ingest ownership check, the query
-	// index it is handed to at construction — pays one load instead of a
-	// ring hash.
-	owned []bool
+	// ids and slot translate between global resource ids and the
+	// engine's local slots on a cluster member (both nil on a single
+	// node, where the two coincide): ids[l] is slot l's global id,
+	// ascending, and slot[g] is g's slot, or -1 where another member owns
+	// g. Materialised from ServiceOptions.Owned at boot, immutable after.
+	ids  []uint32
+	slot []int32
 
 	recovery RecoveryStats // boot-time recovery facts, immutable
 
@@ -575,11 +580,21 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	if err := data.Validate(); err != nil {
 		return nil, err
 	}
+	specs := data.EngineSpecs()
+	var ids []uint32
+	var slot []int32
+	if opts.Owned != nil {
+		if len(specs) > math.MaxInt32 {
+			return nil, fmt.Errorf("incentivetag: %d resources overflow a cluster member's 32-bit slots", len(specs))
+		}
+		ids, slot, specs = ownedSlots(specs, opts.Owned)
+	}
 	engCfg := engine.Config{
 		Omega:          opts.Omega,
 		Shards:         opts.Shards,
 		UnderThreshold: data.UnderThreshold,
 		TagUniverse:    data.TagUniverse,
+		IDs:            ids,
 	}
 	tiered := opts.MaxResidentResources > 0 || opts.MaxResidentBytes > 0
 	// Any restarted durable service rehydrates (recovery indexes the
@@ -595,7 +610,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		}
 		engCfg.WAL = wal
 	}
-	eng, rec, mapped, err := buildEngine(engCfg, data, wal, opts.WALDir)
+	eng, rec, mapped, err := buildEngine(engCfg, specs, slot, wal, opts.WALDir)
 	if err != nil {
 		if wal != nil {
 			wal.Close()
@@ -610,28 +625,16 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		}
 		return nil, err
 	}
-	// In a cluster, the allocator must only ever CHOOSE owned resources:
-	// completing a lease ingests the worker's post on THIS node, and the
-	// partition invariant — every live post lives on its resource's
-	// owner — is what makes scatter-gather queries exact.
-	env := strategy.Env(engine.NewView(eng, opts.Seed))
-	var owned []bool
-	if opts.Owned != nil {
-		owned = make([]bool, eng.N())
-		for i := range owned {
-			owned[i] = opts.Owned(i)
-		}
-		env = strategy.Masked(env, func(i int) bool { return owned[i] })
-	}
 	s := &Service{
 		eng:              eng,
 		wal:              wal,
-		alloc:            alloc.New(strat, env, eng, opts.Budget),
+		alloc:            alloc.New(strat, engine.NewView(eng, opts.Seed), eng, opts.Budget),
 		walDir:           opts.WALDir,
 		keep:             opts.KeepSnapshots,
 		recovery:         rec,
 		lastSnapSeq:      rec.SnapshotSeq,
-		owned:            owned,
+		ids:              ids,
+		slot:             slot,
 		tiered:           tiered,
 		maxResident:      opts.MaxResidentResources,
 		maxResidentBytes: opts.MaxResidentBytes,
@@ -645,9 +648,8 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// any traffic can flow. The index keeps no count vectors: it reads
 	// each resource's counts off the engine (live vector or frozen record,
 	// residency unchanged), so this one-time seed never forces the corpus
-	// hot and is the only corpus scan the query path ever performs. A
-	// cluster member's index holds postings for its owned resources only.
-	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards(), owned)
+	// hot and is the only corpus scan the query path ever performs.
+	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards())
 	eng.Subscribe(s.idx)
 	if wal != nil && opts.SnapshotInterval > 0 {
 		s.stopSnap = make(chan struct{})
@@ -666,6 +668,27 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	return s, nil
 }
 
+// ownedSlots gives each resource owned admits a local slot, in
+// ascending global id order, and keeps only those resources' specs; ids
+// is non-nil even when nothing is owned, so the engine still
+// fingerprints its part. An owned set that covers the corpus returns nil
+// maps: such a member runs as a single node.
+func ownedSlots(specs []engine.ResourceSpec, owned func(int) bool) (ids []uint32, slot []int32, kept []engine.ResourceSpec) {
+	ids, slot = []uint32{}, make([]int32, len(specs))
+	for g, spec := range specs {
+		slot[g] = -1
+		if owned(g) {
+			slot[g] = int32(len(ids))
+			ids = append(ids, uint32(g))
+			kept = append(kept, spec)
+		}
+	}
+	if len(ids) == len(specs) {
+		return nil, nil, specs
+	}
+	return ids, slot, kept
+}
+
 // buildEngine constructs the serving engine, recovering durable state
 // when the WAL directory already holds any. Every divergence between
 // the directory and the corpus/options is a loud error: recovery either
@@ -678,10 +701,15 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 // replayed on top, rehydrating exactly the resources it touches. The
 // returned mapping (nil when no snapshot was loaded) must stay open as
 // long as the engine lives; Service.Close releases it.
-func buildEngine(cfg engine.Config, data *sim.Data, wal *tagstore.Store, walDir string) (*engine.Engine, RecoveryStats, *tagstore.MappedSnapshot, error) {
+//
+// On a cluster member (slot non-nil) the directory is bound to the owned
+// set: engine.Restore refuses a snapshot whose id fingerprint differs,
+// and the log, which records global ids, is replayed through slot, so a
+// record for a resource this member does not own is refused too.
+func buildEngine(cfg engine.Config, specs []engine.ResourceSpec, slot []int32, wal *tagstore.Store, walDir string) (*engine.Engine, RecoveryStats, *tagstore.MappedSnapshot, error) {
 	var rec RecoveryStats
 	if wal == nil {
-		eng, err := engine.New(cfg, data.EngineSpecs())
+		eng, err := engine.New(cfg, specs)
 		return eng, rec, nil, err
 	}
 	start := time.Now()
@@ -693,7 +721,7 @@ func buildEngine(cfg engine.Config, data *sim.Data, wal *tagstore.Store, walDir 
 	var eng *engine.Engine
 	if ok {
 		var stateSeq uint64
-		eng, stateSeq, err = engine.Restore(cfg, data.EngineSpecs(), mapped.Payload)
+		eng, stateSeq, err = engine.Restore(cfg, specs, mapped.Payload)
 		if err == nil && stateSeq != mapped.LastSeq {
 			err = fmt.Errorf("snapshot file covers seq %d but its state says %d", mapped.LastSeq, stateSeq)
 		}
@@ -713,17 +741,26 @@ func buildEngine(cfg engine.Config, data *sim.Data, wal *tagstore.Store, walDir 
 		if wal.LastSeq() > 0 && wal.FirstSeq() > 1 {
 			return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: log starts at seq %d with no usable snapshot — compacted records are unrecoverable", walDir, wal.FirstSeq())
 		}
-		if eng, err = engine.New(cfg, data.EngineSpecs()); err != nil {
+		if eng, err = engine.New(cfg, specs); err != nil {
 			return nil, rec, nil, err
 		}
 	}
 	n := eng.N()
+	if slot != nil {
+		n = len(slot)
+	}
 	bytes, err := wal.ScanFrom(rec.SnapshotSeq+1, func(seq uint64, rid uint32, p Post) error {
 		if int64(rid) >= int64(n) {
 			return fmt.Errorf("incentivetag: recovering %s: log record seq %d targets resource %d outside the corpus (n=%d) — the directory belongs to a different dataset", walDir, seq, rid, n)
 		}
+		i := int(rid)
+		if slot != nil {
+			if i = int(slot[rid]); i < 0 {
+				return fmt.Errorf("incentivetag: recovering %s: log record seq %d targets resource %d, which this member does not own — the directory was written under a different shard map", walDir, seq, rid)
+			}
+		}
 		rec.ReplayedRecords++
-		return eng.Replay(int(rid), p)
+		return eng.Replay(i, p)
 	})
 	if err != nil {
 		mapped.Close()
@@ -736,22 +773,71 @@ func buildEngine(cfg engine.Config, data *sim.Data, wal *tagstore.Store, walDir 
 	return eng, rec, mapped, nil
 }
 
-// N returns the number of resources served.
-func (s *Service) N() int { return s.eng.N() }
+// N returns the corpus size: the range of resource ids every method
+// takes, on a cluster member too.
+func (s *Service) N() int {
+	if s.slot != nil {
+		return len(s.slot)
+	}
+	return s.eng.N()
+}
+
+// local maps a global resource id to its engine slot; on a single node
+// the two coincide and the engine range-checks. On a member an id
+// outside the corpus or owned by another member is the caller's
+// mistake, reported without a package prefix so callers can add
+// context.
+func (s *Service) local(resource int) (int, error) {
+	if s.slot == nil {
+		return resource, nil
+	}
+	if resource < 0 || resource >= len(s.slot) {
+		return 0, fmt.Errorf("resource index %d %w [0,%d)", resource, ErrResourceRange, len(s.slot))
+	}
+	if l := s.slot[resource]; l >= 0 {
+		return int(l), nil
+	}
+	return 0, fmt.Errorf("resource index %d is %w of this cluster member's owned set", resource, ErrResourceRange)
+}
+
+// mustLocal is local for the accessors that return no error: a bad id
+// panics, as an out-of-range one does on a single node.
+func (s *Service) mustLocal(resource int) int {
+	l, err := s.local(resource)
+	if err != nil {
+		panic("incentivetag: " + err.Error())
+	}
+	return l
+}
+
+// global rewrites an answer's local slots as global ids, in place.
+func (s *Service) global(res []Scored) []Scored {
+	if s.ids != nil {
+		for i := range res {
+			res[i].ID = int(s.ids[res[i].ID])
+		}
+	}
+	return res
+}
 
 // Ingest records one live post for a resource, updating its rfd, MA
 // score and every aggregate metric in O(|post|). Safe for concurrent
 // use; posts for resources on different shards proceed in parallel.
 func (s *Service) Ingest(resource int, p Post) error {
-	return s.eng.Ingest(resource, p)
+	l, err := s.local(resource)
+	if err != nil {
+		return fmt.Errorf("incentivetag: %w", err)
+	}
+	return s.eng.Ingest(l, p)
 }
 
 // PostEvent is one element of a cross-resource ingest batch.
 type PostEvent = engine.PostEvent
 
 // ErrResourceRange and ErrEmptyPost are wrapped by every ingest error
-// that is the caller's mistake — a resource index outside [0, N) or a
-// post with no tags; any other ingest error (a WAL write failure, a
+// that is the caller's mistake — a resource index outside [0, N), or
+// owned by another member of a cluster, or a post with no tags; any
+// other ingest error (a WAL write failure, a
 // failed rehydration) is the service's. Test with errors.Is.
 var (
 	ErrResourceRange = engine.ErrResourceRange
@@ -769,16 +855,32 @@ var ErrUnknownLease = alloc.ErrUnknownLease
 // resulting state is bit-identical to ingesting the posts one at a time;
 // throughput is substantially higher (see bench/README.md).
 func (s *Service) IngestBatch(resource int, posts []Post) error {
-	return s.eng.IngestBatch(resource, posts)
+	l, err := s.local(resource)
+	if err != nil {
+		return fmt.Errorf("incentivetag: %w", err)
+	}
+	return s.eng.IngestBatch(l, posts)
 }
 
 // IngestMany records a batch of posts spanning arbitrary resources,
 // taking each involved shard's lock once and group-committing each
 // shard's WAL records with one write. Per resource, events apply in
 // slice order. Safe for concurrent use alongside Ingest and the
-// allocation loop.
+// allocation loop. A cluster member checks every event's ownership
+// before any applies, mapping the batch into a copy.
 func (s *Service) IngestMany(events []PostEvent) error {
-	return s.eng.IngestMany(events)
+	if s.slot == nil {
+		return s.eng.IngestMany(events)
+	}
+	local := make([]PostEvent, len(events))
+	for k, ev := range events {
+		l, err := s.local(ev.Resource)
+		if err != nil {
+			return fmt.Errorf("incentivetag: event %d: %w", k, err)
+		}
+		local[k] = PostEvent{Resource: l, Post: ev.Post}
+	}
+	return s.eng.IngestMany(local)
 }
 
 // Lease asks the configured strategy which resource the next
@@ -792,7 +894,11 @@ func (s *Service) IngestMany(events []PostEvent) error {
 // can hold tasks concurrently without ever being handed the same
 // resource twice.
 func (s *Service) Lease(remaining int) (resource int, lease LeaseID, ok bool) {
-	return s.alloc.Lease(remaining)
+	resource, lease, ok = s.alloc.Lease(remaining)
+	if ok && s.ids != nil {
+		resource = int(s.ids[resource])
+	}
+	return resource, lease, ok
 }
 
 // Fulfill settles a lease with the post its worker produced: the post
@@ -821,23 +927,46 @@ func (s *Service) Expire(lease LeaseID) error {
 // fulfilled, expired) and the budget ledger (budget, spent, remaining).
 func (s *Service) AllocStats() AllocatorStats { return s.alloc.StatsSnapshot() }
 
-// Count returns the number of posts a resource has received.
-func (s *Service) Count(resource int) int { return s.eng.Count(resource) }
+// Count returns the number of posts a resource has received. A cluster
+// member panics on a resource it does not own, as on one outside the
+// corpus.
+func (s *Service) Count(resource int) int { return s.eng.Count(s.mustLocal(resource)) }
 
 // CostOf returns the reward units one post task on the resource
-// consumes (1 unless the variable-cost extension is active).
-func (s *Service) CostOf(resource int) int { return s.eng.CostOf(resource) }
+// consumes (1 unless the variable-cost extension is active). A cluster
+// member panics on a resource it does not own, as Count does.
+func (s *Service) CostOf(resource int) int { return s.eng.CostOf(s.mustLocal(resource)) }
 
 // Quality returns the current mean tagging quality q(R, ·) — an O(1)
-// read of the engine's incremental aggregates.
+// read of the engine's incremental aggregates. A cluster member's R is
+// its owned resources.
 func (s *Service) Quality() float64 { return s.eng.Snapshot().MeanQuality }
 
-// Snapshot returns the full aggregate metric snapshot in O(shards).
+// Snapshot returns the full aggregate metric snapshot in O(shards),
+// over the owned resources on a cluster member: the members' quality
+// sums and resource counts add up to the corpus's.
 func (s *Service) Snapshot() Metrics { return s.eng.Snapshot() }
 
 // SnapshotRFDs clones every resource's current rfd counts for the
-// similarity case-study layer (NewSimilarityIndex).
-func (s *Service) SnapshotRFDs() []*Counts { return s.eng.SnapshotRFDs() }
+// similarity case-study layer (NewSimilarityIndex), indexed by global
+// id. A cluster member holds no counts for resources it does not own:
+// their entries are empty vectors, so an index over the slice ranks
+// them as a post-less resource and the owned ones as the member does.
+func (s *Service) SnapshotRFDs() []*Counts {
+	rfds := s.eng.SnapshotRFDs()
+	if s.ids == nil {
+		return rfds
+	}
+	out := make([]*Counts, len(s.slot))
+	for g, l := range s.slot {
+		if l >= 0 {
+			out[g] = rfds[l]
+		} else {
+			out[g] = sparse.NewCounts()
+		}
+	}
+	return out
+}
 
 // QueryStats is a census of the live query index (epoch, posting-list
 // shape, queries served).
@@ -859,7 +988,8 @@ type AdmissionConfig = admit.Config
 // epoch-versioned consistent view: bit-identical to rebuilding the
 // inverted index from SnapshotRFDs at the returned epoch. Safe for
 // arbitrary concurrent use alongside ingest. A cluster member ranks its
-// owned resources only, and only an owned subject's vector is live.
+// owned resources only and refuses a subject it does not own with
+// ErrResourceRange.
 //
 // A repeated subject is answered from the index's result cache, which
 // serves a stored answer while no post could have changed it and reranks
@@ -867,14 +997,28 @@ type AdmissionConfig = admit.Config
 // could — bit-identical to re-running the query either way. Serve,
 // rerank and rebuild counters surface in QueryStats and GET /info.
 func (s *Service) TopK(subject, k int) ([]Scored, uint64, error) {
-	if n := s.eng.N(); subject < 0 || subject >= n {
-		return nil, 0, fmt.Errorf("incentivetag: resource index %d out of range [0,%d)", subject, n)
+	l, err := s.subject(subject, k)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, epoch := s.idx.TopK(l, k)
+	return s.global(res), epoch, nil
+}
+
+// subject validates a query's subject and k and maps the subject to its
+// slot.
+func (s *Service) subject(subject, k int) (int, error) {
+	if n := s.N(); subject < 0 || subject >= n {
+		return 0, fmt.Errorf("incentivetag: resource index %d out of range [0,%d)", subject, n)
 	}
 	if k <= 0 {
-		return nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
+		return 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
 	}
-	res, epoch := s.idx.TopK(subject, k)
-	return res, epoch, nil
+	l, err := s.local(subject)
+	if err != nil {
+		return 0, fmt.Errorf("incentivetag: %w", err)
+	}
+	return l, nil
 }
 
 // Search ranks resources by cosine similarity between the query tag set
@@ -892,7 +1036,7 @@ func (s *Service) Search(query Post, k int) ([]Scored, uint64, error) {
 		return nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
 	}
 	res, epoch := s.idx.Search(query, k)
-	return res, epoch, nil
+	return s.global(res), epoch, nil
 }
 
 // WeightedTag is one (tag, count) component of an integer-weighted
@@ -906,31 +1050,30 @@ type WeightedTag = ir.WeightedTag
 // the range check of whatever operation follows — a bad id is a 400 on
 // every node, never a misdirection.
 func (s *Service) OwnsResource(resource int) bool {
-	return s.owned == nil || resource < 0 || resource >= len(s.owned) || s.owned[resource]
+	return s.slot == nil || resource < 0 || resource >= len(s.slot) || s.slot[resource] >= 0
 }
 
 // SubjectTopK is the owner node's leg of a cluster /topk. Under one
 // epoch-consistent view it exports the subject's live count vector
 // (ascending tag order) with its exact squared norm — the query a
 // gateway ships to every other node as a TopKWeighted call — and ranks
-// this node's OWNED resources against it, subject excluded. Integer
+// this node's OWNED resources against it, subject excluded; a subject
+// the node does not own is refused with ErrResourceRange. Integer
 // counts and norms transfer exactly through JSON float64s, which is
 // what keeps the distributed scores bit-identical.
 func (s *Service) SubjectTopK(subject, k int) (query []WeightedTag, qNorm2 float64, top []Scored, epoch uint64, err error) {
-	if n := s.eng.N(); subject < 0 || subject >= n {
-		return nil, 0, nil, 0, fmt.Errorf("incentivetag: resource index %d out of range [0,%d)", subject, n)
+	l, err := s.subject(subject, k)
+	if err != nil {
+		return nil, 0, nil, 0, err
 	}
-	if k <= 0 {
-		return nil, 0, nil, 0, fmt.Errorf("incentivetag: k must be positive, got %d", k)
-	}
-	query, qNorm2, top, epoch = s.idx.SubjectTopK(subject, k)
-	return query, qNorm2, top, epoch, nil
+	query, qNorm2, top, epoch = s.idx.SubjectTopK(l, k)
+	return query, qNorm2, s.global(top), epoch, nil
 }
 
 // TopKWeighted ranks this node's OWNED resources against an explicit
 // integer-weighted query vector (a subject's counts as its owner node's
-// SubjectTopK exported them), excluding resource `exclude` (negative =
-// none).
+// SubjectTopK exported them), excluding resource `exclude` (negative,
+// or any id the node does not hold, excludes none).
 // Per-node answers merged under the (score desc, id asc) comparator are
 // bit-identical to a single-node TopK over the union state — see
 // internal/ir/cluster.go for the exactness argument.
@@ -949,8 +1092,15 @@ func (s *Service) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k i
 			return nil, 0, fmt.Errorf("incentivetag: query tag %d has non-positive count %d", wt.Tag, wt.Count)
 		}
 	}
+	if s.slot != nil {
+		if exclude >= 0 && exclude < len(s.slot) {
+			exclude = int(s.slot[exclude])
+		} else {
+			exclude = -1
+		}
+	}
 	res, epoch := s.idx.TopKWeighted(query, qNorm2, exclude, k, nil)
-	return res, epoch, nil
+	return s.global(res), epoch, nil
 }
 
 // QueryStats reports the live query index census, its result cache
@@ -1077,8 +1227,9 @@ func (s *Service) snapshotter(interval time.Duration, records int) {
 // TierStats is the residency census of the engine tier (trackers and
 // count vectors — the only copy, which the query index reads in place;
 // its posting lists stay live either way), plus the rehydrate latency
-// profile. Counters are monotone since boot and partition-clean: a
-// cluster's per-node values sum meaningfully.
+// profile, over the resources this service holds — its owned ones on a
+// cluster member. Counters are monotone since boot and partition-clean:
+// a cluster's per-node values sum to the corpus's.
 type TierStats struct {
 	// Enabled reports whether a residency budget is configured: TierNow
 	// and the background loop only run when it is. The counters below are
@@ -1092,9 +1243,9 @@ type TierStats struct {
 	// (0 = unbounded).
 	MaxResident      int   `json:"max_resident"`
 	MaxResidentBytes int64 `json:"max_resident_bytes"`
-	// Engine tier: Resident and Cold partition the corpus; Evictions and
-	// Rehydrations count hot→cold / cold→hot transitions; ResidentBytes
-	// estimates the heap hot resources hold.
+	// Engine tier: Resident and Cold partition the resources held;
+	// Evictions and Rehydrations count hot→cold / cold→hot transitions;
+	// ResidentBytes estimates the heap hot resources hold.
 	Resident      int    `json:"resident_resources"`
 	Cold          int    `json:"cold_resources"`
 	Evictions     uint64 `json:"evictions"`

@@ -15,9 +15,12 @@
 //
 // With -cluster-map/-cluster-self the process joins a sharded cluster
 // as the named member of the shard-map file (see internal/cluster and
-// cmd/taggate): its allocator and cluster query surface are masked to
-// the resources the consistent-hash ring assigns it, /ingest refuses
-// non-owned resources with 421 Misdirected Request, and the /cluster/*
+// cmd/taggate): it primes, indexes, tiers and snapshots only the
+// resources the consistent-hash ring assigns it, each under a local
+// slot in ascending id order while every endpoint keeps speaking global
+// ids, /ingest and /topk refuse non-owned resources with 421
+// Misdirected Request, a -wal directory written under a different map
+// (another owned set) is refused at boot, and the /cluster/*
 // scatter-gather endpoints require the map's hash on every call:
 // GET /cluster/topk on a subject's owner answers its owned-only ranking
 // plus, as "query", the request every other node takes verbatim as its
@@ -109,9 +112,9 @@ func main() {
 	clusterSelf := flag.String("cluster-self", "", "this node's name in the shard map")
 	flag.Parse()
 
-	// Cluster membership: the shard map masks the allocator and query
-	// surface to owned resources, and the map hash gates /cluster/* RPCs
-	// and misdirected ingest (see internal/cluster).
+	// Cluster membership: the shard map picks the resources this node
+	// holds, and the map hash gates /cluster/* RPCs (see
+	// internal/cluster).
 	var owned func(int) bool
 	var mapHash string
 	if *clusterMap != "" || *clusterSelf != "" {
@@ -191,8 +194,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tagserved: recovered %d posts (snapshot seq %d, %d records replayed, %d KiB read) in %d ms\n",
 			rec.RecoveredPosts, rec.SnapshotSeq, rec.ReplayedRecords, rec.ReplayBytes>>10, rec.ReplayMillis)
 	}
-	fmt.Fprintf(os.Stderr, "tagserved: serving %d resources (|T|=%d, strategy %s) on %s\n",
-		ds.N(), ds.Vocab.Size(), *stratName, l.Addr())
+	fmt.Fprintf(os.Stderr, "tagserved: serving %d of %d resources (|T|=%d, strategy %s) on %s\n",
+		svc.Snapshot().Resources, ds.N(), ds.Vocab.Size(), *stratName, l.Addr())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -178,20 +178,25 @@
 // Past one process, internal/cluster + cmd/taggate shard the corpus
 // across N tagserved nodes behind a gateway. A static JSON shard map
 // places resources by consistent hashing on resource id (vnode-
-// smoothed, deterministic — placement is a pure function of the map),
-// every node boots the same primed corpus but ingests only what it
-// owns (ServiceOptions.Owned, evaluated once per resource at boot into
-// a dense owned-set that the ingest check and the allocator mask read,
-// and over which the query index keeps posting lists for owned
-// resources only), and the gateway proxies ingest to each post's
-// owner while scatter-gathering /topk and /search: the subject's owner
-// answers first — its own partial ranking and, read under the same
-// view, the subject's live count vector as an explicit weighted query —
-// the gateway forwards those bytes verbatim to every other node, and
-// the per-node partial rankings are merged bit-identically to a
-// single-node engine fed the same posts (integer count sums are
-// order-independent in float64; every node scores with the one kernel
-// over the postings it owns). Every merged
+// smoothed, deterministic — placement is a pure function of the map).
+// Each node derives its owned set at boot (ServiceOptions.Owned) and
+// builds engine, allocator and query index over those resources only,
+// each under a dense local slot in ascending global id order; the
+// Service maps ids in and out at its edge, and because slots are
+// monotone in id every ranking and strategy tiebreak orders as on one
+// node. A durable member's directory is bound to its owned set — the
+// log records global ids, snapshots carry the set's fingerprint — so a
+// restart under another map refuses it loudly. The gateway proxies
+// ingest to each post's owner while scatter-gathering /topk and
+// /search: the subject's owner answers first — its own partial ranking
+// and, read under the same view, the subject's live count vector as an
+// explicit weighted query — the gateway forwards those bytes verbatim
+// to every other node, and the per-node partial rankings are merged
+// bit-identically to a single-node engine fed the same posts (integer
+// count sums are order-independent in float64; every node scores with
+// the one kernel over the postings it holds). Quality aggregates
+// partition too: the gateway's mean quality is Σ quality_sum / Σ
+// resources over the nodes. Every merged
 // response carries per-node epochs and a partial flag: a dead shard
 // degrades reads to 200/partial rather than 5xx, and the shard-map
 // hash rides on every cluster RPC so divergent maps fail with 409

@@ -157,14 +157,13 @@ type SearchResponse struct {
 	Top     []server.TopKEntry `json:"top"`
 }
 
-// MetricsResponse is the gateway's merged /metrics. Counters that
-// partition cleanly across owners — posts, spent, wasted posts, the
-// lease census, budget accounting — are exact cluster-wide sums.
-// Quality aggregates (mean_quality, quality_sum, over/under-tagged) do
-// NOT partition: every node computes them over the full corpus with
-// non-owned resources at their primed baseline, so the gateway reports
-// the mean across live nodes (a baseline-damped view) and the exact
-// per-node values under Nodes.
+// MetricsResponse is the gateway's merged /metrics. Every member holds
+// its owned resources only, so every aggregate partitions across owners:
+// posts, spent, wasted posts, over- and under-tagged counts, the lease
+// census and budget accounting are exact cluster-wide sums, and
+// mean_quality is Σ quality_sum / Σ resources over the answering nodes —
+// the single-node mean up to float reassociation when none is down. The
+// per-node values are under Nodes.
 type MetricsResponse struct {
 	Epoch   uint64            `json:"epoch"`
 	Epochs  map[string]uint64 `json:"epochs"`
@@ -174,6 +173,8 @@ type MetricsResponse struct {
 	Spent       int     `json:"spent"`
 	WastedPosts int     `json:"wasted_posts"`
 	MeanQuality float64 `json:"mean_quality"`
+	OverTagged  int     `json:"over_tagged"`
+	UnderTagged int     `json:"under_tagged"`
 
 	LeasesIssued      uint64 `json:"leases_issued"`
 	LeasesOutstanding int    `json:"leases_outstanding"`
@@ -609,7 +610,7 @@ func (g *Gateway) decodeLease(l uint64) (*backend, uint64, bool) {
 }
 
 // handleAllocate leases a task from one shard, round-robin across live
-// nodes. Each node's allocator is masked to the resources it owns, so
+// nodes. Each node's allocator holds only the resources it owns, so
 // any node's answer is a valid cluster-wide allocation; a node with
 // nothing allocatable (ok=false) or shedding (429) just moves the
 // cursor to the next. ok=false only after every live node declined.
@@ -740,9 +741,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Epochs: make(map[string]uint64),
 		Nodes:  make(map[string]server.MetricsResponse),
 	}
-	okLegs := 0
+	okLegs, resources := 0, 0
 	unlimited := false
-	var meanSum float64
+	var qualitySum float64
 	for _, l := range legs {
 		if l.err != nil {
 			continue
@@ -755,6 +756,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		out.Posts += m.Posts
 		out.Spent += m.Spent
 		out.WastedPosts += m.WastedPosts
+		out.OverTagged += m.OverTagged
+		out.UnderTagged += m.UnderTagged
 		out.LeasesIssued += m.LeasesIssued
 		out.LeasesOutstanding += m.LeasesOutstanding
 		out.LeasesFulfilled += m.LeasesFulfilled
@@ -773,7 +776,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		} else {
 			out.RemainingBudget += m.RemainingBudget
 		}
-		meanSum += m.MeanQuality
+		qualitySum += m.QualitySum
+		resources += m.Resources
 	}
 	if okLegs == 0 {
 		server.WriteError(w, http.StatusServiceUnavailable, "no live backends answered the scatter")
@@ -782,7 +786,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if unlimited {
 		out.RemainingBudget = -1
 	}
-	out.MeanQuality = meanSum / float64(okLegs)
+	if resources > 0 {
+		out.MeanQuality = qualitySum / float64(resources)
+	}
 	out.Partial = okLegs < len(g.backends)
 	server.WriteJSON(w, http.StatusOK, out)
 }

@@ -361,15 +361,34 @@ func (h *clusterHarness) assertPostingCensus() {
 	}
 }
 
+// assertQuality checks the gateway's quality aggregates against the
+// single-node reference: members hold disjoint owned sets, so the merged
+// mean quality is the reference's up to float reassociation and the
+// over- and under-tagged counts are its exactly.
+func (h *clusterHarness) assertQuality() {
+	h.t.Helper()
+	var m cluster.MetricsResponse
+	h.call("GET", "/metrics", nil, &m, http.StatusOK)
+	ref := h.reference.Snapshot()
+	if math.Abs(m.MeanQuality-ref.MeanQuality) > 1e-12 {
+		h.t.Fatalf("gateway mean quality %v, single node %v", m.MeanQuality, ref.MeanQuality)
+	}
+	if m.OverTagged != ref.OverTagged || m.UnderTagged != ref.UnderTagged {
+		h.t.Fatalf("gateway over/under-tagged %d/%d, single node %d/%d", m.OverTagged, m.UnderTagged, ref.OverTagged, ref.UnderTagged)
+	}
+}
+
 // The tentpole property: arbitrary interleavings of single and batch
 // ingest through the gateway — split by owner across three shards —
 // yield merged /topk and /search responses bit-identical to one engine
-// ingesting the same sequence, with exact post accounting throughout.
+// ingesting the same sequence, with exact post accounting and quality
+// aggregates throughout.
 func TestGatewayBitIdenticalToSingleNode(t *testing.T) {
 	h := newCluster(t, 3, admit.Config{})
 	rng := rand.New(rand.NewSource(1))
 	h.assertBitIdentical(rng, 10) // primed state only
 	h.assertPostingCensus()
+	h.assertQuality()
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 15; i++ {
 			h.ingestVia(rng)
@@ -377,7 +396,53 @@ func TestGatewayBitIdenticalToSingleNode(t *testing.T) {
 		h.assertBitIdentical(rng, 1+rng.Intn(corpusN))
 		h.assertAccounting()
 		h.assertPostingCensus()
+		h.assertQuality()
 	}
+}
+
+// Per-node state is the node's share: each member's residency census —
+// hot plus cold — counts exactly the resources it owns, and the members'
+// censuses sum to the corpus, on first boot and after a member restarts
+// from its WAL (cold off its snapshot).
+func TestGatewayResidencyPartitions(t *testing.T) {
+	h := newCluster(t, 3, admit.Config{})
+	rng := rand.New(rand.NewSource(4))
+	n := h.reference.N() // the corpus: DefaultConfig adds drift resources to corpusN
+	check := func(stage string) {
+		t.Helper()
+		total := 0
+		for _, nd := range h.nodes {
+			owned, err := h.m.OwnedBy(nd.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			for r := 0; r < n; r++ {
+				if owned(r) {
+					want++
+				}
+			}
+			tier := nd.svc.Residency()
+			if got := tier.Resident + tier.Cold; got != want {
+				t.Fatalf("%s: %s holds %d resources (%d hot, %d cold), owns %d", stage, nd.name, got, tier.Resident, tier.Cold, want)
+			}
+			total += tier.Resident + tier.Cold
+		}
+		if total != n {
+			t.Fatalf("%s: members hold %d resources between them, the corpus has %d", stage, total, n)
+		}
+	}
+	check("boot")
+	for i := 0; i < 30; i++ {
+		h.ingestVia(rng)
+	}
+	victim := h.nodes[0]
+	h.stopNode(victim)
+	h.startNode(victim)
+	if cold := victim.svc.Residency().Cold; cold == 0 {
+		t.Fatalf("restarted %s holds no cold resources", victim.name)
+	}
+	check("restart")
 }
 
 // Same property across a mid-stream node kill and WAL-backed restart:

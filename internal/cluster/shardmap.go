@@ -133,9 +133,9 @@ func (m *Map) NodeIndex(name string) (int, error) {
 }
 
 // OwnedBy builds the ownership predicate for one named member: the
-// function a node passes as ServiceOptions.Owned so its allocator and
-// cluster query surface are masked to exactly the resources the
-// gateway's ring routes to it.
+// function a node passes as ServiceOptions.Owned so it holds — primes,
+// indexes, allocates and persists — exactly the resources the gateway's
+// ring routes to it.
 func (m *Map) OwnedBy(name string) (func(int) bool, error) {
 	idx, err := m.NodeIndex(name)
 	if err != nil {

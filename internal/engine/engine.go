@@ -100,6 +100,13 @@ type Config struct {
 	// (the Service wires an atomic histogram here for the rehydrate-p99
 	// gauge).
 	RehydrateObserver func(nanos int64)
+	// IDs, when non-nil, holds the id each resource has in a larger
+	// corpus the engine serves a part of (a cluster member's owned
+	// resources, ascending), one per resource. The WAL records these ids
+	// instead of the engine's own indexes, and a snapshot carries their
+	// fingerprint, so a durable directory can be neither restored nor
+	// replayed into an engine over another part.
+	IDs []uint32
 }
 
 func (c Config) withDefaults() Config {
@@ -139,6 +146,8 @@ type Metrics struct {
 	Spent int
 	// Posts is the number of ingested (non-primed) posts.
 	Posts int
+	// Resources is n, the number of resources the aggregates cover.
+	Resources int
 	// QualitySum is Σ_i q_i over all resources.
 	QualitySum float64
 	// MeanQuality is QualitySum / n (Definition 10).
@@ -332,7 +341,7 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 	if cfg.WAL != nil && !walCapacityOK(n) {
 		return nil, fmt.Errorf("engine: %d resources overflow the WAL's 32-bit record ids", n)
 	}
-	if err := checkSpecs(specs); err != nil {
+	if err := checkSpecs(specs, cfg.IDs); err != nil {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, n: n, shards: make([]*shard, cfg.Shards)}
@@ -362,8 +371,12 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 }
 
 // checkSpecs refuses what no resource may declare: a negative stable
-// point or cost. New, Restore and Fork all run it before building.
-func checkSpecs(specs []ResourceSpec) error {
+// point or cost, or an id list of another length. New, Restore and Fork
+// all run it before building.
+func checkSpecs(specs []ResourceSpec, ids []uint32) error {
+	if ids != nil && len(ids) != len(specs) {
+		return fmt.Errorf("engine: %d ids for %d resources", len(ids), len(specs))
+	}
 	for i, spec := range specs {
 		if spec.StableK < 0 {
 			return fmt.Errorf("engine: resource %d: negative stable point %d", i, spec.StableK)
@@ -428,6 +441,15 @@ func walCapacityOK(n int) bool {
 // N returns the number of resources.
 func (e *Engine) N() int { return e.n }
 
+// id is resource i's id in the WAL and in caller-facing errors: its
+// Config.IDs entry, or i itself.
+func (e *Engine) id(i int) int {
+	if e.cfg.IDs != nil {
+		return int(e.cfg.IDs[i])
+	}
+	return i
+}
+
 // Shards returns the configured shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
@@ -448,7 +470,7 @@ func (e *Engine) Ingest(i int, p tags.Post) error {
 		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	if len(p) == 0 {
-		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, i)
+		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, e.id(i))
 	}
 	sh, l := e.locate(i)
 	sh.mu.Lock()
@@ -460,7 +482,7 @@ func (e *Engine) Ingest(i int, p tags.Post) error {
 	}
 	if e.cfg.WAL != nil {
 		e.walMu.Lock()
-		err := e.cfg.WAL.Append(uint32(i), p) // cast safe: New enforces walCapacityOK
+		err := e.cfg.WAL.Append(uint32(e.id(i)), p) // cast safe: New enforces walCapacityOK
 		if err == nil {
 			// Commit visibility: the record reaches the OS before the
 			// ingest is acknowledged, so a killed process never loses an
@@ -488,7 +510,7 @@ func (e *Engine) IngestBatch(i int, posts []tags.Post) error {
 	}
 	for k, p := range posts {
 		if len(p) == 0 {
-			return fmt.Errorf("engine: %w %d for resource %d", ErrEmptyPost, k, i)
+			return fmt.Errorf("engine: %w %d for resource %d", ErrEmptyPost, k, e.id(i))
 		}
 	}
 	if len(posts) == 0 {
@@ -502,7 +524,7 @@ func (e *Engine) IngestBatch(i int, posts []tags.Post) error {
 	}
 	if e.cfg.WAL != nil {
 		for _, p := range posts {
-			if err := sh.walBatch.Add(uint32(i), p); err != nil {
+			if err := sh.walBatch.Add(uint32(e.id(i)), p); err != nil {
 				sh.walBatch.Reset()
 				return fmt.Errorf("engine: wal: %w", err)
 			}
@@ -543,7 +565,7 @@ func (e *Engine) IngestMany(events []PostEvent) error {
 			return fmt.Errorf("engine: event %d: resource index %d %w [0,%d)", k, ev.Resource, ErrResourceRange, e.n)
 		}
 		if len(ev.Post) == 0 {
-			return fmt.Errorf("engine: event %d: %w for resource %d", k, ErrEmptyPost, ev.Resource)
+			return fmt.Errorf("engine: event %d: %w for resource %d", k, ErrEmptyPost, e.id(ev.Resource))
 		}
 	}
 	// One unlocked pre-pass counts each shard's events, so untouched
@@ -606,7 +628,7 @@ func (e *Engine) ingestShardBatch(s int, sh *shard, events []PostEvent, have int
 			if ev.Resource%nshards != s {
 				continue
 			}
-			if err := sh.walBatch.Add(uint32(ev.Resource), ev.Post); err != nil {
+			if err := sh.walBatch.Add(uint32(e.id(ev.Resource)), ev.Post); err != nil {
 				sh.walBatch.Reset()
 				return fmt.Errorf("engine: wal: %w", err)
 			}
@@ -763,6 +785,7 @@ func (e *Engine) Snapshot() Metrics {
 		m.Posts += sh.posts
 		sh.mu.Unlock()
 	}
+	m.Resources = e.n
 	m.QualitySum = qsum + qcomp
 	if e.n > 0 {
 		m.MeanQuality = m.QualitySum / float64(e.n)
@@ -805,6 +828,7 @@ func (e *Engine) VerifyMetrics() Metrics {
 		m.Posts += sh.posts
 		sh.mu.Unlock()
 	}
+	m.Resources = e.n
 	m.QualitySum = qsum
 	if e.n > 0 {
 		m.MeanQuality = qsum / float64(e.n)

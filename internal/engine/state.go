@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"incentivetag/internal/codec"
@@ -9,9 +11,10 @@ import (
 	"incentivetag/internal/tagstore"
 )
 
-// stateVersion is bumped on incompatible State encoding changes;
-// Restore rejects unknown versions loudly instead of misreading.
-const stateVersion = 1
+// stateVersion is bumped on State encoding changes; Restore rejects
+// unknown versions loudly instead of misreading. Version 2 added the id
+// fingerprint; a version-1 payload reads as one with no Config.IDs.
+const stateVersion = 2
 
 // statePrefix namespaces the codec reader's positioned decode errors.
 const statePrefix = "engine: state"
@@ -42,6 +45,9 @@ type State struct {
 	// LastSeq is the WAL sequence number this state covers: every record
 	// with seq ≤ LastSeq is reflected in it (0 when no WAL is attached).
 	LastSeq uint64
+	// IDsFingerprint is idsFingerprint(Config.IDs) of the exporting
+	// engine (0 without IDs); restore demands the same.
+	IDsFingerprint uint64
 	// Resources holds per-resource state in global index order.
 	Resources []ResourceState
 	// Aggregates holds per-shard metric accumulators in shard order.
@@ -94,6 +100,7 @@ func (e *Engine) ExportState() *State {
 		Shards:         len(e.shards),
 		UnderThreshold: e.cfg.UnderThreshold,
 		TagUniverse:    e.cfg.TagUniverse,
+		IDsFingerprint: idsFingerprint(e.cfg.IDs),
 		Resources:      make([]ResourceState, e.n),
 		Aggregates:     make([]ShardAggregate, 0, len(e.shards)),
 	}
@@ -154,7 +161,8 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 		return nil, 0, fmt.Errorf("engine: omega must be ≥ 2, got %d", cfg.Omega)
 	}
 	r := codec.NewReader(payload, statePrefix)
-	if v := r.Uvarint("version"); r.Err() == nil && v != stateVersion {
+	v := r.Uvarint("version")
+	if r.Err() == nil && v != 1 && v != stateVersion {
 		return nil, 0, fmt.Errorf("engine: state version %d not supported (want %d)", v, stateVersion)
 	}
 	omega := int(r.Uvarint("omega"))
@@ -162,6 +170,10 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 	under := int(r.Varint("under threshold"))
 	universe := int(r.Uvarint("tag universe"))
 	lastSeq = r.Uvarint("last seq")
+	var fingerprint uint64
+	if v == stateVersion {
+		fingerprint = r.Uvarint("ids fingerprint")
+	}
 	n := r.Length("resource count", maxStateSlice)
 	if err := r.Err(); err != nil {
 		return nil, 0, err
@@ -171,13 +183,16 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 			omega, nshards, under, universe,
 			cfg.Omega, cfg.Shards, cfg.UnderThreshold, cfg.TagUniverse)
 	}
+	if want := idsFingerprint(cfg.IDs); fingerprint != want {
+		return nil, 0, fmt.Errorf("engine: state was exported over resource ids with fingerprint %016x, this engine's ids have %016x — another part of the corpus (a different shard map)", fingerprint, want)
+	}
 	if n != len(specs) {
 		return nil, 0, fmt.Errorf("engine: state has %d resources, corpus has %d", n, len(specs))
 	}
 	if cfg.WAL != nil && !walCapacityOK(n) {
 		return nil, 0, fmt.Errorf("engine: %d resources overflow the WAL's 32-bit record ids", n)
 	}
-	if err := checkSpecs(specs); err != nil {
+	if err := checkSpecs(specs, cfg.IDs); err != nil {
 		return nil, 0, err
 	}
 	e = &Engine{cfg: cfg, n: n, shards: make([]*shard, cfg.Shards)}
@@ -266,7 +281,7 @@ func (e *Engine) Fork(specs []ResourceSpec) (*Engine, error) {
 	if len(specs) != e.n {
 		return nil, fmt.Errorf("engine: fork of %d resources over %d specs", e.n, len(specs))
 	}
-	if err := checkSpecs(specs); err != nil {
+	if err := checkSpecs(specs, e.cfg.IDs); err != nil {
 		return nil, err
 	}
 	for _, sh := range e.shards {
@@ -306,7 +321,7 @@ func (e *Engine) Replay(i int, p tags.Post) error {
 		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}
 	if len(p) == 0 {
-		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, i)
+		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, e.id(i))
 	}
 	sh, l := e.locate(i)
 	sh.mu.Lock()
@@ -332,6 +347,17 @@ func (e *Engine) WithWAL(fn func(w *tagstore.Store) error) error {
 }
 
 // --- binary encoding -----------------------------------------------------
+
+// idsFingerprint is FNV-1a over the id list's little-endian words: two
+// lists collide only by accident, and nil (the whole corpus) is 0.
+func idsFingerprint(ids []uint32) uint64 {
+	if ids == nil {
+		return 0
+	}
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, ids) // a hash's Write never fails
+	return h.Sum64()
+}
 
 // maxStateSlice bounds decoded slice lengths against a corrupt varint
 // allocating unbounded memory.
@@ -452,6 +478,7 @@ func (st *State) MarshalBinary() ([]byte, error) {
 	buf = codec.AppendVarint(buf, int64(st.UnderThreshold))
 	buf = codec.AppendUvarint(buf, uint64(st.TagUniverse))
 	buf = codec.AppendUvarint(buf, st.LastSeq)
+	buf = codec.AppendUvarint(buf, st.IDsFingerprint)
 	buf = codec.AppendUvarint(buf, uint64(len(st.Resources)))
 	var err error
 	for i := range st.Resources {

@@ -200,6 +200,17 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	// The version is the payload's first varint.
 	future := append([]byte{stateVersion + 1}, payload[1:]...)
+	// A part of a larger corpus: the same state exported over ids 0, 2,
+	// 4, …, restored over 1, 3, 5, ….
+	partCfg := withIDs(cfg, 16, 0)
+	part, err := New(partCfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idsPayload := marshaled(t, part)
+	if _, _, err := Restore(partCfg, specs, idsPayload); err != nil {
+		t.Fatalf("intact payload over ids rejected: %v", err)
+	}
 	// Spec values New refuses.
 	negK := append([]ResourceSpec(nil), specs...)
 	negK[3].StableK = -1
@@ -226,12 +237,24 @@ func TestRestoreRejects(t *testing.T) {
 		{"trailing byte", cfg, specs, append(append([]byte{}, payload...), 0)},
 		{"negative stable point", cfg, negK, payload},
 		{"negative cost", cfg, negCost, payload},
+		{"ids over an unfingerprinted state", withIDs(cfg, 16, 0), specs, payload},
+		{"ids of another set", withIDs(cfg, 16, 1), specs, idsPayload},
+		{"ids of another length", withIDs(cfg, 15, 0), specs, payload},
 	}
 	for _, tc := range cases {
 		if _, _, err := Restore(tc.cfg, tc.sp, tc.payload); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+}
+
+// withIDs is cfg declaring n resources with ids 2i+offset.
+func withIDs(cfg Config, n int, offset uint32) Config {
+	cfg.IDs = make([]uint32, n)
+	for i := range cfg.IDs {
+		cfg.IDs[i] = 2*uint32(i) + offset
+	}
+	return cfg
 }
 
 // A fork equals a restore of the same payload under the fork's own

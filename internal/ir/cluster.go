@@ -1,28 +1,23 @@
 // Cluster query surface: the node-side half of scatter-gather queries.
 //
 // A sharded cluster partitions resources across nodes by ownership (the
-// gateway's consistent-hash ring). Each node holds full live state only
-// for the resources it OWNS — every other resource sits at its primed
-// boot state, because the gateway routed all of its live posts to its
-// owner. A node answering a cluster query therefore must (a) score only
-// owned resources and (b) accept the query vector from outside: for a
-// gateway /topk the subject's count vector lives on the subject's owner
-// node, which exports it beside its own partial ranking (SubjectTopK);
-// the gateway ships it to every other node as an explicit
-// integer-weighted query (TopKWeighted).
+// gateway's consistent-hash ring). Each member's engine, and so its
+// index, holds its OWNED resources only, under dense local slots given
+// in ascending global id order; the public Service translates ids at
+// its edge and nothing here knows the global ones. A node answering a
+// cluster query ranks what it holds and must accept the query vector
+// from outside: for a gateway /topk the subject's count vector lives on
+// the subject's owner node, which exports it beside its own partial
+// ranking (SubjectTopK); the gateway ships it to every other node as an
+// explicit integer-weighted query (TopKWeighted).
 //
-// Ownership reaches the index as data — a dense set with one entry per
-// resource, materialised once at boot from the static shard map and
-// handed to NewOnlineIndexOver. The index seeds and bumps posting lists
-// for owned resources only, so each member's lists hold its share of
-// the corpus's postings, and every query it serves (TopK, Search and the
-// two below) runs the one kernel (kernel.go): a row over owned
-// candidates, padded with owned resources only. An owned index holds
-// every posting of every owned resource, so each owned cell of its row
-// holds the exact dot a full index would, which is why its answer is
-// bit-identical to an exhaustive scan of the owned resources of a full
-// index (asserted against a test-only oracle) and, with the subject's
-// own vector, TopKWeighted is TopK.
+// Every query a member serves (TopK, Search and the two below) runs the
+// one kernel (kernel.go) over its own postings, padded with its own
+// resources. Its index holds every posting of every resource it owns,
+// so each cell of its row holds the exact dot a full index would; with
+// the subject's own vector, TopKWeighted is TopK. Slots are monotone in
+// global id, so the (score desc, id asc) order of a member's answer is
+// the same in either id space.
 //
 // # Why the merged answer is bit-identical to a single node
 //
@@ -35,7 +30,7 @@
 // strict total order (score desc, id asc; ids unique), so merging
 // per-node top-k lists under the same comparator and truncating to k
 // reproduces the global top-k exactly. Zero-padding composes the same
-// way: each node pads its own owned, non-overlapping resources
+// way: each node pads its own non-overlapping resources
 // smallest-id-first, so the union of per-node lists always contains the
 // k globally smallest padding candidates a single node would have
 // chosen.
@@ -92,14 +87,15 @@ func (ix *OnlineIndex) coldEntries(id int) (entries []WeightedTag, norm2 float64
 }
 
 // TopKWeighted runs a top-k similarity query against an explicit
-// integer-weighted query vector over the resources the index ranks (its
-// owned set, fixed at construction), excluding resource `exclude` (the
+// integer-weighted query vector over every resource the index holds,
+// excluding resource `exclude` (the
 // subject, which must never rank against itself; pass a negative id to
 // exclude nothing). qNorm2 is the query vector's exact squared norm (the
 // subject's Norm2 on its owner node). Counts must be positive, as an
 // rfd's are: the padding takes a zero dot for "no overlap", which a
 // non-positive weight could fake. owned must be nil — it remains only
-// for callers of the five-argument form — and a non-nil set panics.
+// for callers of the five-argument form, since an index ranks what it
+// holds — and a non-nil set panics.
 //
 // For query == subject's own rfd and exclude == subject it is
 // bit-identical to TopK on the same index at the same epoch, and a
@@ -107,7 +103,7 @@ func (ix *OnlineIndex) coldEntries(id int) (entries []WeightedTag, norm2 float64
 // ranking.
 func (ix *OnlineIndex) TopKWeighted(query []WeightedTag, qNorm2 float64, exclude, k int, owned []bool) ([]Scored, uint64) {
 	if owned != nil {
-		panic("ir: TopKWeighted takes its owned set from the index; pass nil")
+		panic("ir: TopKWeighted ranks what the index holds; pass a nil owned set")
 	}
 	ix.topkQueries.Add(1)
 	if k <= 0 {
@@ -133,7 +129,7 @@ func (ix *OnlineIndex) topKWeightedLocked(query []WeightedTag, qNorm2 float64, e
 
 // SubjectTopK is the owner's leg of a scatter-gather /topk: under ONE
 // read view it exports the subject's rfd (as RFDEntries does) and ranks
-// the owned resources against it (as TopKWeighted does), so the vector
+// the index's resources against it (as TopKWeighted does), so the vector
 // every other node will rank against and the owner's own partial
 // ranking are of the same epoch. Two calls cannot promise that: a post
 // to the subject may land between them. Invalid subjects or k ≤ 0

@@ -22,18 +22,84 @@ func ownedSet(n int, pred func(int) bool) []bool {
 	return set
 }
 
-// ownedIndex is NewOnlineIndex over vectors it owns, ranking only the
-// resources owned admits — a cluster member that Apply drives.
-func ownedIndex(rfds []*sparse.Counts, shards int, owned []bool) *OnlineIndex {
-	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards, owned)
-	ix.own = rfds
-	return ix
+// member is a cluster member's index as a Service builds it: over the
+// vectors of the resources it owns only, each under a local slot given
+// in ascending global id order. Its methods take and return global ids,
+// translating as Service does.
+type member struct {
+	tv   *tieredVecs
+	ix   *OnlineIndex
+	ids  []int // slot → global id, ascending
+	slot []int // global id → slot, -1 where another member owns it
 }
 
-// assertOwnedPostings checks that ix holds exactly full's postings of the
-// resources owned admits (nil admits all): no posting of any other
-// resource, and a census that counts the same entries.
-func assertOwnedPostings(t *testing.T, ctx string, ix, full *OnlineIndex, owned []bool) {
+// newMember builds the member owning what owned admits (nil: every
+// resource) over clones of model's vectors.
+func newMember(model []*sparse.Counts, shards int, owned []bool) *member {
+	m := &member{slot: make([]int, len(model))}
+	var rfds []*sparse.Counts
+	for g, c := range model {
+		m.slot[g] = -1
+		if owned == nil || owned[g] {
+			m.slot[g] = len(m.ids)
+			m.ids = append(m.ids, g)
+			rfds = append(rfds, c.Clone())
+		}
+	}
+	m.tv = newTieredVecs(rfds, shards, false)
+	m.ix = m.tv.ix
+	return m
+}
+
+// local is g's slot, or -1 when the member does not hold g.
+func (m *member) local(g int) int {
+	if g < 0 || g >= len(m.slot) {
+		return -1
+	}
+	return m.slot[g]
+}
+
+// apply posts p to g when the member owns g: the gateway routes every
+// post to its owner only.
+func (m *member) apply(g int, p tags.Post) {
+	if l := m.local(g); l >= 0 {
+		m.tv.apply(l, p)
+	}
+}
+
+// evict marks g cold when the member owns it.
+func (m *member) evict(g int) {
+	if l := m.local(g); l >= 0 {
+		m.tv.evict(l)
+	}
+}
+
+// global maps an answer's slots back to global ids.
+func (m *member) global(res []Scored) []Scored {
+	out := make([]Scored, len(res))
+	for i, r := range res {
+		out[i] = Scored{ID: m.ids[r.ID], Score: r.Score}
+	}
+	return out
+}
+
+// topKWeighted is TopKWeighted as the Service calls it: a global exclude
+// the member does not hold excludes nothing.
+func (m *member) topKWeighted(query []WeightedTag, qNorm2 float64, exclude, k int) []Scored {
+	res, _ := m.ix.TopKWeighted(query, qNorm2, m.local(exclude), k, nil)
+	return m.global(res)
+}
+
+// search is Search with the answer in global ids.
+func (m *member) search(q tags.Post, k int) []Scored {
+	res, _ := m.ix.Search(q, k)
+	return m.global(res)
+}
+
+// assertOwnedPostings checks that the member holds exactly full's
+// postings of the resources owned admits (nil admits all), under their
+// slots, and a census that counts the same entries.
+func assertOwnedPostings(t *testing.T, ctx string, m *member, full *OnlineIndex, owned []bool) {
 	t.Helper()
 	total := 0
 	for _, tg := range full.Tags() {
@@ -43,18 +109,18 @@ func assertOwnedPostings(t *testing.T, ctx string, ix, full *OnlineIndex, owned 
 				want = append(want, p)
 			}
 		}
-		got := ix.PostingEntries(tg)
+		got := m.ix.PostingEntries(tg)
 		if len(got) != len(want) {
 			t.Fatalf("%s: tag %d has %d postings, want the %d owned ones", ctx, tg, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: tag %d posting %d = %+v, want %+v", ctx, tg, i, got[i], want[i])
+			if g := (Posting{ID: int32(m.ids[got[i].ID]), Count: got[i].Count}); g != want[i] {
+				t.Fatalf("%s: tag %d posting %d = %+v, want %+v", ctx, tg, i, g, want[i])
 			}
 		}
 		total += len(want)
 	}
-	if st := ix.Stats(); st.Postings != total {
+	if st := m.ix.Stats(); st.Postings != total {
 		t.Fatalf("%s: census counts %d postings, the owned lists hold %d", ctx, st.Postings, total)
 	}
 }
@@ -174,15 +240,15 @@ func mergeScored(lists [][]Scored, k int) []Scored {
 }
 
 // The owned kernels' one equivalence property: on Zipf-skewed corpora
-// (long lists, so tag defers and block skips engage) grown by applies
-// and partly frozen, an index built over every ownership shape — nil,
-// empty, a single resource, random halves, 3-way partitions — answers
-// TopKWeighted, TopK and Search bit for bit like the exhaustive owned
-// oracle run over the full index, for every query shape the wire can
+// grown by applies and partly frozen, a member index built over every
+// ownership shape — all, empty, a single resource, random halves, 3-way
+// partitions — from its own resources' vectors answers TopKWeighted,
+// TopK and Search, in global ids, bit for bit like the exhaustive owned
+// oracle run over a full index, for every query shape the wire can
 // deliver, and 3-way partitions merge into exactly the full index's
-// TopK/Search. Every index absorbs every post, so each owned index also
-// takes PostApplied on resources it does not own: its epoch and norms
-// move with the full index's, and it holds no posting of them.
+// TopK/Search. Each member receives the posts of the resources it owns
+// only, so its norms are the full index's and the partitions' epochs sum
+// to the full index's.
 func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 	for _, tc := range []struct {
 		seed           int64
@@ -206,7 +272,7 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 		single[rng.Intn(tc.n)] = true
 		three := part(3)
 		shapes := map[string][]bool{
-			"nil":    nil,
+			"all":    nil,
 			"empty":  make([]bool, tc.n),
 			"single": single,
 			"half":   part(2)[0],
@@ -214,80 +280,68 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 			"third1": three[1],
 			"third2": three[2],
 		}
-		count := func(set []bool) int {
-			if set == nil {
-				return tc.n
-			}
-			c := 0
-			for _, o := range set {
-				if o {
-					c++
-				}
-			}
-			return c
-		}
-		tvs := make(map[string]*tieredVecs, len(shapes))
-		all := make([]*tieredVecs, 0, len(shapes))
+		full := newTieredVecs(cloneAll(model), tc.shards, false)
+		members := make(map[string]*member, len(shapes))
+		evicts := []func(int){full.evict}
 		for name, owned := range shapes {
-			tvs[name] = newTieredVecs(cloneAll(model), tc.shards, false, owned)
-			all = append(all, tvs[name])
+			members[name] = newMember(model, tc.shards, owned)
+			evicts = append(evicts, members[name].evict)
 		}
-		full := tvs["nil"].ix
 		for step := 0; step < 3*tc.n; step++ {
 			id, p := rng.Intn(tc.n), zipfPost(rng, z, tc.dim)
-			for _, tv := range all {
-				tv.apply(id, p)
+			full.apply(id, p)
+			for _, m := range members {
+				m.apply(id, p)
 			}
 		}
+		var partEpochs uint64
 		for name, owned := range shapes {
-			ix := tvs[name].ix
-			if ix.Stats().Epoch != full.Stats().Epoch {
-				t.Fatalf("seed %d owned=%s: epoch %d, full index %d", tc.seed, name, ix.Stats().Epoch, full.Stats().Epoch)
-			}
-			for id := range full.norm2 {
-				if ix.norm2[id] != full.norm2[id] {
-					t.Fatalf("seed %d owned=%s: norm2[%d] = %v, full index %v", tc.seed, name, id, ix.norm2[id], full.norm2[id])
+			m := members[name]
+			for l, g := range m.ids {
+				if m.ix.norm2[l] != full.ix.norm2[g] {
+					t.Fatalf("seed %d owned=%s: norm2[%d] = %v, full index %v", tc.seed, name, g, m.ix.norm2[l], full.ix.norm2[g])
 				}
 			}
-			assertOwnedPostings(t, tSprintf("seed %d owned=%s", tc.seed, name), ix, full, owned)
+			assertOwnedPostings(t, tSprintf("seed %d owned=%s", tc.seed, name), m, full.ix, owned)
+			if name[:len(name)-1] == "third" {
+				partEpochs += m.ix.Stats().Epoch
+			}
+		}
+		if e := full.ix.Stats().Epoch; partEpochs != e || members["all"].ix.Stats().Epoch != e {
+			t.Fatalf("seed %d: partition epochs sum to %d, all-owning member at %d, full index at %d", tc.seed, partEpochs, members["all"].ix.Stats().Epoch, e)
 		}
 
 		for round := 0; round < 12; round++ {
 			// Re-freeze each round, so that cold candidates and a cold
 			// subject vector stay in play.
-			evictRandom(rng, tc.n, all...)
+			evictRandom(rng, tc.n, evicts...)
 			subject := rng.Intn(tc.n)
 			if round%4 == 3 {
 				subject = 5 * rng.Intn(tc.n/5) // a zero-norm subject (zipfModel leaves i%5 == 0 empty) unless an apply hit it
 			}
-			entries, norm2, _, _ := full.RFDEntries(subject)
+			entries, norm2, _, _ := full.ix.RFDEntries(subject)
 			absent := append(append([]WeightedTag(nil), entries...), WeightedTag{Tag: tags.Tag(tc.dim + 100), Count: 3})
 			sq := zipfPost(rng, z, tc.dim)
 			sqAbsent := tags.MustPost(append(append([]tags.Tag(nil), sq...), tags.Tag(tc.dim+100))...)
 
 			for name, owned := range shapes {
-				ix := tvs[name].ix
-				oc := count(owned)
-				for _, k := range []int{1, 10, oc + 5, tc.n + 3} {
+				m := members[name]
+				for _, k := range []int{1, 10, len(m.ids) + 5, tc.n + 3} {
 					for _, exclude := range []int{subject, -1, tc.n + 9, (subject + 1) % tc.n} {
 						ctx := tSprintf("seed %d round %d owned=%s subject %d exclude %d k=%d", tc.seed, round, name, subject, exclude, k)
-						got, _ := ix.TopKWeighted(entries, norm2, exclude, k, nil)
-						want := topKWeightedExhaustive(full, entries, norm2, exclude, k, owned)
-						assertIdentical(t, ctx, got, want)
-						if exclude == subject {
-							got, _ = ix.TopK(subject, k)
-							assertIdentical(t, ctx+" TopK", got, want)
+						want := topKWeightedExhaustive(full.ix, entries, norm2, exclude, k, owned)
+						assertIdentical(t, ctx, m.topKWeighted(entries, norm2, exclude, k), want)
+						if l := m.local(subject); exclude == subject && l >= 0 {
+							got, _ := m.ix.TopK(l, k)
+							assertIdentical(t, ctx+" TopK", m.global(got), want)
 						}
 					}
 					ctx := tSprintf("seed %d round %d owned=%s subject %d k=%d", tc.seed, round, name, subject, k)
-					got, _ := ix.TopKWeighted(absent, norm2, subject, k, nil)
-					assertIdentical(t, ctx+" absent tag", got, topKWeightedExhaustive(full, absent, norm2, subject, k, owned))
-					got, _ = ix.TopKWeighted(entries, 0, subject, k, nil)
-					assertIdentical(t, ctx+" zero-norm query", got, topKWeightedExhaustive(full, entries, 0, subject, k, owned))
+					assertIdentical(t, ctx+" absent tag", m.topKWeighted(absent, norm2, subject, k), topKWeightedExhaustive(full.ix, absent, norm2, subject, k, owned))
+					assertIdentical(t, ctx+" zero-norm query", m.topKWeighted(entries, 0, subject, k), topKWeightedExhaustive(full.ix, entries, 0, subject, k, owned))
 
 					for _, q := range []tags.Post{sq, sqAbsent, tags.MustPost(tags.Tag(tc.dim + 100))} {
-						gs, _ := ix.Search(q, k)
-						assertIdentical(t, tSprintf("%s search %v", ctx, q), gs, searchOwnedExhaustive(full, q, k, owned))
+						assertIdentical(t, tSprintf("%s search %v", ctx, q), m.search(q, k), searchOwnedExhaustive(full.ix, q, k, owned))
 					}
 				}
 			}
@@ -295,56 +349,44 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 			for _, k := range []int{1, 10, tc.n + 3} {
 				var tl, sl [][]Scored
 				for _, name := range []string{"third0", "third1", "third2"} {
-					ix := tvs[name].ix
-					l, _ := ix.TopKWeighted(entries, norm2, subject, k, nil)
-					tl = append(tl, l)
-					l, _ = ix.Search(sq, k)
-					sl = append(sl, l)
+					tl = append(tl, members[name].topKWeighted(entries, norm2, subject, k))
+					sl = append(sl, members[name].search(sq, k))
 				}
 				ctx := tSprintf("seed %d round %d subject %d k=%d 3-way merge", tc.seed, round, subject, k)
-				want, _ := full.TopK(subject, k)
+				want, _ := full.ix.TopK(subject, k)
 				assertIdentical(t, ctx+" topk", mergeScored(tl, k), want)
-				want, _ = full.Search(sq, k)
+				want, _ = full.ix.Search(sq, k)
 				assertIdentical(t, ctx+" search", mergeScored(sl, k), want)
 			}
 		}
-		if tc.n >= 200 && tvs["nil"].coldReads.Load() == 0 {
+		if tc.n >= 200 && full.coldReads.Load() == 0 {
 			t.Fatalf("seed %d: run never met a cold resource", tc.seed)
 		}
 	}
 }
 
-// An owned set is fixed when the index is built: one that does not
-// cover the corpus is a caller bug, refused loudly rather than indexed
-// out of range halfway through a ranking, and so is a set passed to a
-// query.
-func TestOwnedSetLengthMismatchPanics(t *testing.T) {
+// An index ranks what it holds: the owned set the five-argument
+// TopKWeighted still takes must be nil, and any other is refused loudly.
+func TestTopKWeightedRefusesOwnedSet(t *testing.T) {
 	rfds := cloneAll(randomIndex(81, 10, 6).RFDs())
-	mustPanic := func(what string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s was accepted", what)
-			}
-		}()
-		f()
-	}
-	mustPanic("a short owned set", func() { ownedIndex(rfds, 2, make([]bool, len(rfds)-1)) })
 	ix := NewOnlineIndex(rfds, 2)
-	mustPanic("an owned set passed to TopKWeighted", func() { ix.TopKWeighted(nil, 1, -1, 3, make([]bool, len(rfds))) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an owned set passed to TopKWeighted was accepted")
+		}
+	}()
+	ix.TopKWeighted(nil, 1, -1, 3, make([]bool, len(rfds)))
 }
 
 // The distributed execution property the whole cluster design rests on:
-// partition resources across three "nodes" (each an OnlineIndex seeded
-// with the same primed state over its owned set, receiving only its
-// owned posts), run the two-phase scatter — subject rfd from its owner,
+// partition resources across three member indexes (each seeded with the
+// same primed state of the resources it owns, receiving only its owned
+// posts), run the two-phase scatter — subject rfd from its owner,
 // TopKWeighted on every node — merge under (score desc, id asc), and the
-// result must be bit-identical to one index that absorbed every post.
-// Same for Search. Each node holds exactly the reference's postings of
-// the resources it owns, so together they hold the reference's. A post
-// that reaches a node for a resource it does not own (only the Go API
-// can deliver one) moves that node's epoch and norm² and adds no
-// posting, and the merged rankings do not change.
+// result in global ids must be bit-identical to one index that absorbed
+// every post. Same for Search. Each node holds exactly the reference's
+// postings of the resources it owns, so together they hold the
+// reference's.
 func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
 		rng := rand.New(rand.NewSource(seed))
@@ -368,9 +410,9 @@ func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 			}
 		}
 		reference := NewOnlineIndex(cloneAll(primed), 4)
-		shard := make([]*OnlineIndex, nodes)
+		shard := make([]*member, nodes)
 		for j := range shard {
-			shard[j] = ownedIndex(cloneAll(primed), 1+j, owned[j]) // distinct shard widths on purpose
+			shard[j] = newMember(primed, 1+j, owned[j]) // distinct shard widths on purpose
 		}
 
 		// Arbitrary interleaving of live posts, each applied to the
@@ -379,65 +421,46 @@ func TestClusterPartitionMergesBitIdentical(t *testing.T) {
 			id := rng.Intn(n)
 			p := randomPost(rng, dim)
 			reference.Apply(id, p)
-			shard[owner(id)].Apply(id, p)
+			shard[owner(id)].apply(id, p)
 		}
 
-		check := func(stage string) {
-			t.Helper()
-			for j := range shard {
-				assertOwnedPostings(t, tSprintf("seed %d %s node %d", seed, stage, j), shard[j], reference, owned[j])
-			}
-			for subject := 0; subject < n; subject++ {
-				entries, norm2, _, _ := shard[owner(subject)].RFDEntries(subject)
-				for _, k := range []int{1, 7, n} {
-					lists := make([][]Scored, nodes)
-					for j := range shard {
-						lists[j], _ = shard[j].TopKWeighted(entries, norm2, subject, k, nil)
-					}
-					want, _ := reference.TopK(subject, k)
-					assertIdentical(t, tSprintf("seed %d %s subject %d k=%d merged vs single-node", seed, stage, subject, k), mergeScored(lists, k), want)
-				}
-			}
-			for trial := 0; trial < 30; trial++ {
-				q := randomPost(rng, dim)
-				k := 1 + rng.Intn(12)
+		for j := range shard {
+			assertOwnedPostings(t, tSprintf("seed %d node %d", seed, j), shard[j], reference, owned[j])
+		}
+		for subject := 0; subject < n; subject++ {
+			o := shard[owner(subject)]
+			entries, norm2, _, _ := o.ix.RFDEntries(o.local(subject))
+			for _, k := range []int{1, 7, n} {
 				lists := make([][]Scored, nodes)
 				for j := range shard {
-					lists[j], _ = shard[j].Search(q, k)
+					lists[j] = shard[j].topKWeighted(entries, norm2, subject, k)
 				}
-				want, _ := reference.Search(q, k)
-				assertIdentical(t, tSprintf("seed %d %s search trial %d merged vs single-node", seed, stage, trial), mergeScored(lists, k), want)
+				want, _ := reference.TopK(subject, k)
+				assertIdentical(t, tSprintf("seed %d subject %d k=%d merged vs single-node", seed, subject, k), mergeScored(lists, k), want)
 			}
 		}
-		check("partitioned")
-
-		stray := 0
-		for owned[0][stray] {
-			stray++
+		for trial := 0; trial < 30; trial++ {
+			q := randomPost(rng, dim)
+			k := 1 + rng.Intn(12)
+			lists := make([][]Scored, nodes)
+			for j := range shard {
+				lists[j] = shard[j].search(q, k)
+			}
+			want, _ := reference.Search(q, k)
+			assertIdentical(t, tSprintf("seed %d search trial %d merged vs single-node", seed, trial), mergeScored(lists, k), want)
 		}
-		node := shard[0]
-		epoch, postings := node.Stats().Epoch, node.Stats().Postings
-		node.Apply(stray, tags.MustPost(0, 1, 2))
-		if node.Stats().Epoch != epoch+1 || node.norm2[stray] != node.own[stray].Norm2() || node.norm2[stray] == reference.norm2[stray] {
-			t.Fatalf("seed %d: a post to non-owned %d left epoch %d→%d and norm2 %v (vector %v, reference %v)",
-				seed, stray, epoch, node.Stats().Epoch, node.norm2[stray], node.own[stray].Norm2(), reference.norm2[stray])
-		}
-		if got := node.Stats().Postings; got != postings {
-			t.Fatalf("seed %d: a post to non-owned %d moved the census %d→%d", seed, stray, postings, got)
-		}
-		check("after a non-owned post")
 	}
 }
 
-// Owned queries racing concurrent ingest, under -race: results stay
-// well-formed (owned ids only, ranking order intact) while writers
-// mutate every shard, and after quiescing the kernels again equal the
-// oracle over a full index of the same state.
+// Owned queries racing concurrent ingest, under -race: a member's
+// answers stay well-formed (owned ids only, ranking order intact) while
+// writers mutate every shard, and after quiescing its kernels again
+// equal the oracle over a full index of the same state.
 func TestOwnedQueriesConcurrentApplyRace(t *testing.T) {
 	const n, dim, shards = 256, 30, 8
 	model, rng, z := zipfModel(91, n, dim, 6)
 	owned := ownedSet(n, func(id int) bool { return id%3 == 1 })
-	ix := ownedIndex(cloneAll(model), shards, owned)
+	m := newMember(model, shards, owned)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -448,7 +471,7 @@ func TestOwnedQueriesConcurrentApplyRace(t *testing.T) {
 			wrng := rand.New(rand.NewSource(900 + int64(w)))
 			wz := rand.NewZipf(wrng, 1.3, 1.0, dim-1)
 			for !stop.Load() {
-				ix.Apply(wrng.Intn(n), zipfPost(wrng, wz, dim))
+				m.tv.apply(wrng.Intn(len(m.ids)), zipfPost(wrng, wz, dim))
 			}
 		}(w)
 	}
@@ -467,28 +490,29 @@ func TestOwnedQueriesConcurrentApplyRace(t *testing.T) {
 		}
 	}
 	for q := 0; q < 400; q++ {
-		subject := q % n
-		entries, norm2, _, _ := ix.RFDEntries(subject)
-		res, _ := ix.TopKWeighted(entries, norm2, subject, 10, nil)
+		subject := q % len(m.ids)
+		entries, norm2, _, _ := m.ix.RFDEntries(subject)
+		res := m.topKWeighted(entries, norm2, m.ids[subject], 10)
 		if len(res) != 10 {
 			t.Fatalf("query %d: %d results", q, len(res))
 		}
 		wellFormed(tSprintf("topk %d", q), res, 10)
-		sres, _ := ix.Search(tags.MustPost(tags.Tag(q%dim), tags.Tag((q+1)%dim)), 5)
-		wellFormed(tSprintf("search %d", q), sres, 5)
+		wellFormed(tSprintf("search %d", q), m.search(tags.MustPost(tags.Tag(q%dim), tags.Tag((q+1)%dim)), 5), 5)
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	full := NewOnlineIndex(cloneAll(ix.own), shards)
-	assertOwnedPostings(t, "post-quiesce", ix, full, owned)
+	state := cloneAll(model)
+	for l, g := range m.ids {
+		state[g] = m.tv.vecs[l].Clone()
+	}
+	full := NewOnlineIndex(state, shards)
+	assertOwnedPostings(t, "post-quiesce", m, full, owned)
 	for subject := 0; subject < n; subject += 5 {
-		entries, norm2, _, _ := ix.RFDEntries(subject)
-		got, _ := ix.TopKWeighted(entries, norm2, subject, 10, nil)
-		assertIdentical(t, tSprintf("post-quiesce subject %d", subject), got, topKWeightedExhaustive(full, entries, norm2, subject, 10, owned))
+		entries, norm2, _, _ := full.RFDEntries(subject)
+		assertIdentical(t, tSprintf("post-quiesce subject %d", subject), m.topKWeighted(entries, norm2, subject, 10), topKWeightedExhaustive(full, entries, norm2, subject, 10, owned))
 		q := zipfPost(rng, z, dim)
-		gs, _ := ix.Search(q, 10)
-		assertIdentical(t, tSprintf("post-quiesce search %v", q), gs, searchOwnedExhaustive(full, q, 10, owned))
+		assertIdentical(t, tSprintf("post-quiesce search %v", q), m.search(q, 10), searchOwnedExhaustive(full, q, 10, owned))
 	}
 }
 
@@ -530,13 +554,12 @@ func TestRFDEntriesShape(t *testing.T) {
 // SubjectTopK is RFDEntries + TopKWeighted under one read view. On a
 // quiesced index that is not observable: for every subject of the zipf
 // corpus — hot, cold and zero-norm alike — the exported vector and the
-// owned ranking are bit-identical to the two calls, and a twin index
-// driven by the two calls ends with the same residency.
+// ranking are bit-identical to the two calls, and a twin index driven by
+// the two calls ends with the same residency.
 func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 	const n, dim, shards, k = 300, 40, 8, 12
 	model, rng, _ := zipfModel(17, n, dim, 8)
-	owned := ownedSet(n, func(id int) bool { return id%3 != 1 })
-	tvOne, tvTwo := newTieredVecs(cloneAll(model), shards, false, owned), newTieredVecs(cloneAll(model), shards, false, owned)
+	tvOne, tvTwo := newTieredVecs(cloneAll(model), shards, false), newTieredVecs(cloneAll(model), shards, false)
 	one, two := tvOne.ix, tvTwo.ix
 	for id := 0; id < n; id++ {
 		if rng.Intn(2) == 0 {
@@ -592,7 +615,7 @@ func TestSubjectTopKMatchesTwoCalls(t *testing.T) {
 func TestSubjectTopKOneViewUnderApply(t *testing.T) {
 	const n, dim, shards, subject = 64, 30, 4, 9
 	model, _, _ := zipfModel(23, n, dim, 6)
-	tv := newTieredVecs(cloneAll(model), shards, false, ownedSet(n, func(id int) bool { return id%2 == 1 }))
+	tv := newTieredVecs(cloneAll(model), shards, false)
 	ix := tv.ix
 
 	var stop atomic.Bool

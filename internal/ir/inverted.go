@@ -94,7 +94,7 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 			sel.push(int(id), topkScore(dot, subjNorm, n2))
 		}
 	}
-	padTopK(sel, len(ix.rfds), subject, nil, func(id int) bool {
+	padTopK(sel, len(ix.rfds), subject, func(id int) bool {
 		_, overlapped := dots[int32(id)]
 		return overlapped
 	})
@@ -241,11 +241,10 @@ func topkScore(dot, subjNorm, n2 float64) float64 {
 
 // padTopK is TopK's zero-similarity padding, shared likewise: while the
 // selector is short of k it admits, at score 0 and smallest id first,
-// every resource but the subject that overlaps nothing (and is in owned,
-// when that is non-nil).
-func padTopK(sel *topKSelector, n, subject int, owned []bool, overlaps func(id int) bool) {
+// every resource but the subject that overlaps nothing.
+func padTopK(sel *topKSelector, n, subject int, overlaps func(id int) bool) {
 	for id := 0; id < n && sel.len() < sel.k; id++ {
-		if id != subject && (owned == nil || owned[id]) && !overlaps(id) {
+		if id != subject && !overlaps(id) {
 			sel.push(id, 0)
 		}
 	}

@@ -207,7 +207,7 @@ func (ix *OnlineIndex) accumulate(r *dotRow, q []WeightedTag) {
 // every resource but exclude with a non-zero dot and a non-zero norm is
 // a candidate, scored by topkScore, or by Search's dot/√(q·n2) when
 // search is set. A TopK ranking (search unset) is padded at score 0 with
-// the owned resources the row does not overlap. h lends the selector its
+// the resources the row does not overlap. h lends the selector its
 // heap backing and gets it back.
 func (ix *OnlineIndex) rank(r *dotRow, exclude int, qNorm2 float64, search bool, k int, h *scoredHeap) []Scored {
 	sel := topKSelector{k: k, h: (*h)[:0]}
@@ -237,7 +237,7 @@ func (ix *OnlineIndex) rank(r *dotRow, exclude int, qNorm2 float64, search bool,
 		}
 	}
 	if !search {
-		padTopK(&sel, ix.n, exclude, ix.owned, func(id int) bool { return r.dot[id] != 0 })
+		padTopK(&sel, ix.n, exclude, func(id int) bool { return r.dot[id] != 0 })
 	}
 	ix.candidatesScored.Add(scored)
 	res := sel.results()

@@ -99,13 +99,6 @@ type OnlineIndex struct {
 	vecs Vectors
 	own  ownedVecs
 
-	// owned, when non-nil, holds one entry per resource: the set a
-	// cluster member ranks. Only its resources have postings, so every
-	// ranking the index serves — candidates and zero-similarity padding
-	// alike — covers it alone; norm2 and the epoch still count every
-	// resource. nil owns every resource.
-	owned []bool
-
 	// epoch counts applied posts; incremented under the owning shard's
 	// write lock and read under every read lock (no writer mid-apply), so a
 	// query's epoch is exact; a TopK answer exact at it is served without.
@@ -160,7 +153,7 @@ type onlineShard struct {
 // them). shards ≤ 0 selects 1. It is NewOnlineIndexOver for an index
 // that is its own vector owner, as the benchmarks and tests drive it.
 func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
-	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards, nil)
+	ix := NewOnlineIndexOver(ownedVecs(rfds), len(rfds), shards)
 	ix.own = rfds
 	return ix
 }
@@ -172,21 +165,16 @@ func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
 // straight off its record, residency unchanged): this is the only corpus
 // scan the index ever performs, and every later change arrives through
 // PostApplied. The caller must keep writers out until it returns.
-// shards ≤ 0 selects 1. owned, when non-nil, is the set of resources
-// the index ranks, one entry per resource (a cluster member passes the
-// resources it owns); nil ranks every resource.
-func NewOnlineIndexOver(vecs Vectors, n, shards int, owned []bool) *OnlineIndex {
+// shards ≤ 0 selects 1. A cluster member's engine holds its owned
+// resources only, so its index needs no ownership set of its own.
+func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
 	if shards <= 0 {
 		shards = 1
-	}
-	if owned != nil && len(owned) != n {
-		panic("ir: owned set does not cover the indexed resources")
 	}
 	ix := &OnlineIndex{
 		n:           n,
 		shards:      make([]*onlineShard, shards),
 		vecs:        vecs,
-		owned:       owned,
 		dir:         make(map[tags.Tag][]*postingList),
 		norm2:       make([]float64, n),
 		tagPostings: make(map[tags.Tag]int),
@@ -196,17 +184,14 @@ func NewOnlineIndexOver(vecs Vectors, n, shards int, owned []bool) *OnlineIndex 
 		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*postingList)}
 	}
 	var i, s int
-	var own bool
 	var n2 float64
 	seed := func(t tags.Tag, c int64) {
-		if own {
-			ix.posting(s, t).add(int32(i), c)
-			ix.notePosting(t)
-		}
+		ix.posting(s, t).add(int32(i), c)
+		ix.notePosting(t)
 		n2 += float64(c) * float64(c)
 	}
 	for i = 0; i < n; i++ {
-		s, own, n2 = i%shards, ix.owns(i), 0
+		s, n2 = i%shards, 0
 		// A post-less resource keeps norm² 0: the "cannot score" marker
 		// the ranking tests.
 		if vecs.ViewEntries(i, seed) != 0 {
@@ -250,9 +235,6 @@ func (ix *OnlineIndex) notePosting(t tags.Tag) {
 // N returns the number of indexed resources.
 func (ix *OnlineIndex) N() int { return ix.n }
 
-// owns reports whether the index ranks resource id.
-func (ix *OnlineIndex) owns(id int) bool { return ix.owned == nil || ix.owned[id] }
-
 // Lock takes the view lock over resource's counts and residency — the
 // write lock of its index shard. The owner of the counts (the engine,
 // through engine.Subscriber) holds it around every write to them, always
@@ -269,17 +251,14 @@ func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)]
 // entry on the resource's first use of the tag. Each tag's count-delta
 // is +1 — a post names a tag at most once. Callers must deliver each
 // resource's posts in apply order (the engine calls it under its shard
-// lock, which guarantees exactly that). A resource outside the owned set
-// has no postings: its post moves only its norm2 and the epoch. Every
-// post lands in the write log.
+// lock, which guarantees exactly that). Every post lands in the write
+// log.
 func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
-	if ix.owns(resource) {
-		s := resource % len(ix.shards)
-		for _, t := range p {
-			if ix.posting(s, t).bump(int32(resource)) {
-				ix.notePosting(t)
-			}
+	s := resource % len(ix.shards)
+	for _, t := range p {
+		if ix.posting(s, t).bump(int32(resource)) {
+			ix.notePosting(t)
 		}
 	}
 	ix.cache.logPost(ix.epoch.Add(1), resource, p)
@@ -325,8 +304,7 @@ func (ix *OnlineIndex) runlockAll() {
 // state, bit-identical to BuildInverted(SnapshotRFDs()).TopK at the
 // returned epoch. The result cache (topkcache.go) answers a repeated
 // subject; otherwise the subject's row is built in a pooled scratch row
-// and ranked (kernel.go). An index with an owned set ranks and pads only
-// owned resources. Invalid subjects or k ≤ 0 return nil.
+// and ranked (kernel.go). Invalid subjects or k ≤ 0 return nil.
 func (ix *OnlineIndex) TopK(subject, k int) ([]Scored, uint64) {
 	ix.topkQueries.Add(1)
 	if k <= 0 || subject < 0 || subject >= ix.n {
@@ -391,10 +369,10 @@ func normalizeQuery(q tags.Post) tags.Post {
 // min(k, |candidates|) entries, score-descending with ties broken
 // toward smaller ids; zero-overlap resources are not padded in (an
 // empty result means nothing matched). Like TopK it runs the one
-// kernel, bit-identical to InvertedIndex.Search, and ranks only the owned
-// set when the index has one: per-node answers then merge into exactly
-// the single-node ranking under the (score desc, id asc) comparator.
-// Returns the epoch-consistent view it scored against.
+// kernel, bit-identical to InvertedIndex.Search; on cluster members,
+// whose indexes hold disjoint parts of the corpus, per-node answers merge
+// into exactly the single-node ranking under the (score desc, id asc)
+// comparator. Returns the epoch-consistent view it scored against.
 func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	ix.searchQueries.Add(1)
 	query = normalizeQuery(query)
@@ -472,8 +450,7 @@ type OnlineStats struct {
 	// Tags and Postings size the inverted structure; MaxPostings is the
 	// longest single posting list (the worst-case candidate fan-out of
 	// one query tag). All three are O(1) reads of incrementally
-	// maintained counters, and an index with an owned set counts its
-	// owned resources' postings only.
+	// maintained counters.
 	Tags        int `json:"tags"`
 	Postings    int `json:"postings"`
 	MaxPostings int `json:"max_postings"`

@@ -26,15 +26,14 @@ type tieredVecs struct {
 	evictions, rehydrations, coldReads atomic.Uint64
 }
 
-// newTieredVecs builds an index over rfds (which it takes ownership of)
-// that ranks the resources owned admits (nil: all), every resource cold
-// when cold is set.
-func newTieredVecs(rfds []*sparse.Counts, shards int, cold bool, owned []bool) *tieredVecs {
+// newTieredVecs builds an index over rfds (which it takes ownership of),
+// every resource cold when cold is set.
+func newTieredVecs(rfds []*sparse.Counts, shards int, cold bool) *tieredVecs {
 	v := &tieredVecs{vecs: rfds, cold: make([]bool, len(rfds))}
 	for i := range v.cold {
 		v.cold[i] = cold
 	}
-	v.ix = NewOnlineIndexOver(v, len(rfds), shards, owned)
+	v.ix = NewOnlineIndexOver(v, len(rfds), shards)
 	return v
 }
 
@@ -100,12 +99,12 @@ func compareScored(t *testing.T, ctx string, got, want []Scored) {
 }
 
 // evictRandom marks a random subset of the n resources cold, the same
-// subset in every vs.
-func evictRandom(rng *rand.Rand, n int, vs ...*tieredVecs) {
+// subset through every evict.
+func evictRandom(rng *rand.Rand, n int, evicts ...func(int)) {
 	for i := 0; i < n; i++ {
 		if rng.Intn(2) == 0 {
-			for _, v := range vs {
-				v.evict(i)
+			for _, evict := range evicts {
+				evict(i)
 			}
 		}
 	}
@@ -135,11 +134,11 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		tv := newTieredVecs(cloneAll(model), tc.shards, false, nil)
+		tv := newTieredVecs(cloneAll(model), tc.shards, false)
 		tiered := tv.ix
 		oracle := NewOnlineIndex(cloneAll(model), tc.shards)
 		owned := ownedSet(tc.n, func(id int) bool { return id%2 == 0 })
-		ownedTV := newTieredVecs(cloneAll(model), tc.shards, false, owned)
+		ownedM := newMember(model, tc.shards, owned)
 
 		check := func(step int) {
 			t.Helper()
@@ -175,17 +174,16 @@ func TestResidencyQueriesBitIdentical(t *testing.T) {
 			want, _ := oracle.TopKWeighted(wantE, wantN, subject, 10, nil)
 			compareScored(t, tctx(t, tc.seed, step, "weighted", subject, 10), got, want)
 			oq := randomPost(rng, tc.dim)
-			gs, _ := ownedTV.ix.Search(oq, 5)
-			compareScored(t, tctx(t, tc.seed, step, "owned search", subject, 5), gs, searchOwnedExhaustive(oracle, oq, 5, owned))
+			compareScored(t, tctx(t, tc.seed, step, "owned search", subject, 5), ownedM.search(oq, 5), searchOwnedExhaustive(oracle, oq, 5, owned))
 		}
 
 		for step := 0; step < 40; step++ {
 			i := rng.Intn(tc.n)
 			p := randomPost(rng, tc.dim)
 			tv.apply(i, p)
-			ownedTV.apply(i, p)
+			ownedM.apply(i, p)
 			oracle.Apply(i, p)
-			evictRandom(rng, tc.n, tv, ownedTV)
+			evictRandom(rng, tc.n, tv.evict, ownedM.evict)
 			if step%8 == 7 {
 				// The exhaustive oracle over the tiered index's own counts:
 				// online and exhaustive must agree whatever the residency mix.
@@ -236,7 +234,7 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		}
 	}
 	hot := NewOnlineIndex(cloneAll(model), shards)
-	tv := newTieredVecs(cloneAll(model), shards, true, nil)
+	tv := newTieredVecs(cloneAll(model), shards, true)
 	cold := tv.ix
 	if got := tv.coldReads.Load(); got != n {
 		t.Fatalf("cold seeding read %d cold resources, want %d", got, n)
@@ -304,7 +302,7 @@ func engineIndex(t *testing.T, seed int64, n, dim, shards int) (*engine.Engine, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := NewOnlineIndexOver(eng, eng.N(), eng.Shards(), nil)
+	ix := NewOnlineIndexOver(eng, eng.N(), eng.Shards())
 	eng.Subscribe(ix)
 	return eng, ix
 }
@@ -355,7 +353,7 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 		rfds[i] = sparse.NewCounts()
 		rfds[i].Add(randomPost(rng, dim))
 	}
-	tv := newTieredVecs(cloneAll(rfds), shards, false, nil)
+	tv := newTieredVecs(cloneAll(rfds), shards, false)
 	ix := tv.ix
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -374,7 +372,7 @@ func TestResidencyConcurrentQueries(t *testing.T) {
 		defer wg.Done()
 		erng := rand.New(rand.NewSource(300))
 		for !stop.Load() {
-			evictRandom(erng, n, tv)
+			evictRandom(erng, n, tv.evict)
 		}
 	}()
 	for q := 0; q < 300; q++ {

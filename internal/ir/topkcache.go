@@ -21,7 +21,7 @@
 // What is kept: a write log of the last logSlots posts, each slot stamped
 // with its epoch so an overwritten one is detected; per queried subject,
 // its last answer, k and epoch; and, once it is queried again within
-// logSlots posts, a dot row over the owned resources plus its (tag,
+// logSlots posts, a dot row over the corpus plus its (tag,
 // weight) support, lifted once so a cold subject stays cold. A repeat at
 // an unchanged epoch is served before the view is taken; any other query
 // folds the logged posts into the row, then serves, reranks, or rebuilds
@@ -192,23 +192,18 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 		if sl.epoch != x || sl.n > slotTags || r == e.subject {
 			return false, false
 		}
-		if ix.owns(r) {
-			for _, t := range sl.tags[:sl.n] {
-				if w := e.weights.w[e.weights.slot(t)]; w != 0 {
-					e.row.add(int32(r), w)
-				}
+		for _, t := range sl.tags[:sl.n] {
+			if w := e.weights.w[e.weights.slot(t)]; w != 0 {
+				e.row.add(int32(r), w)
 			}
 		}
 	}
 	if len(e.res) < e.k {
-		return false, true // the answer holds every other owned resource
+		return false, true // the answer holds every other resource
 	}
 	kth, subjNorm := e.res[len(e.res)-1], math.Sqrt(ix.norm2[e.subject])
 	for x := e.epoch + 1; x <= epoch; x++ {
 		r := int(ix.cache.log[x%logSlots].resource)
-		if !ix.owns(r) {
-			continue
-		}
 		score := 0.0
 		if d := e.row.dot[r]; d != 0 {
 			score = topkScore(d, subjNorm, ix.norm2[r])

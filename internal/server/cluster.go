@@ -291,10 +291,10 @@ func (s *Server) clusterTopKOwner(w http.ResponseWriter, r *http.Request, svc *i
 	if !svc.OwnsResource(resource) {
 		// The gateway asked the wrong node for the subject: its ring
 		// disagrees with ours despite the matching hash (should be
-		// impossible) or the caller bypassed the gateway. Refuse rather
-		// than rank against a stale primed vector as if it were live — and
-		// before that vector is copied out. An id outside the corpus passes
-		// the ownership check and is SubjectTopK's 400.
+		// impossible) or the caller bypassed the gateway. This node holds
+		// no vector for it, so the answer is a 421 naming the
+		// misdirection. An id outside the corpus passes the ownership
+		// check and is SubjectTopK's 400.
 		WriteError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", resource)
 		return
 	}

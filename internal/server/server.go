@@ -325,6 +325,11 @@ type MetricsResponse struct {
 	// cluster gateway can epoch-tag merged metrics without extra calls.
 	Epoch uint64 `json:"epoch"`
 
+	// Resources is how many resources the quality and tagging
+	// aggregates cover: the corpus on a single node, the owned resources
+	// on a cluster member — so a gateway's Σ quality_sum / Σ resources
+	// is the cluster's exact mean quality.
+	Resources      int     `json:"resources"`
 	Posts          int     `json:"posts"`
 	Spent          int     `json:"spent"`
 	MeanQuality    float64 `json:"mean_quality"`
@@ -475,9 +480,9 @@ func (s *Server) applyIngest(w http.ResponseWriter, svc *incentivetag.Service, i
 	}
 	for k, ev := range in.events {
 		if !svc.OwnsResource(ev.Resource) {
-			// A post accepted off-owner would be invisible to every
-			// scatter-gather query (nodes score only owned resources), so a
-			// misrouted ingest is refused loudly rather than lost silently.
+			// A member holds only its owned resources, so a misrouted post
+			// has nowhere to land: refused loudly as a misdirection (the
+			// Service would refuse it too, as a 400), never lost silently.
 			WriteError(w, http.StatusMisdirectedRequest,
 				"%sresource %d is not owned by this node; route via the gateway", at(k), ev.Resource)
 			return
@@ -586,6 +591,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	tier := svc.Residency()
 	WriteJSON(w, http.StatusOK, MetricsResponse{
 		Epoch:             svc.QueryStats().Epoch,
+		Resources:         m.Resources,
 		Posts:             m.Posts,
 		Spent:             m.Spent,
 		MeanQuality:       m.MeanQuality,
@@ -659,9 +665,8 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !svc.OwnsResource(subject) {
-		// A cluster member's copy of a resource it does not own is its
-		// stale primed state: refuse before reading it, as /cluster/topk
-		// does.
+		// A cluster member holds nothing of a resource it does not own:
+		// a misdirection, as /cluster/topk answers it.
 		WriteError(w, http.StatusMisdirectedRequest, "resource %d is not owned by this node", subject)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"incentivetag/internal/tagstore"
@@ -322,6 +323,62 @@ func TestServiceRecoveryRejectsForeignState(t *testing.T) {
 	opts.Omega = 7
 	if _, err := NewService(ds, opts); err == nil {
 		t.Fatal("snapshot restored under a different omega")
+	}
+}
+
+// A cluster member's durable directory is bound to its owned set. A
+// restart under a shard map that hands the member another set of the
+// same size refuses the directory, naming the mismatch, whether a
+// snapshot carries the state or, after a crash before the first
+// snapshot, only the log does; under its own set it reopens with every
+// post.
+func TestServiceRecoveryRejectsOtherOwnedSet(t *testing.T) {
+	ds := testDS(t)
+	mine := func(i int) bool { return i%2 == 0 }
+	other := func(i int) bool { return (i%2 == 0 && i != 0) || i == 1 } // 0 traded for 1: same size
+	member := func(dir string, owned func(int) bool) ServiceOptions {
+		opts := durableOpts(dir)
+		opts.Owned = owned
+		return opts
+	}
+	dir := t.TempDir()
+	svc, err := NewService(ds, member(dir, mine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Ingest(0, ds.Resources[0].Seq[0]); err != nil {
+		t.Fatal(err)
+	}
+	posts := 1
+	for _, ev := range liveEvents(ds, 80) {
+		if mine(ev.Resource) {
+			if err := svc.Ingest(ev.Resource, ev.Post); err != nil {
+				t.Fatal(err)
+			}
+			posts++
+		}
+	}
+	logOnly := copyDir(t, dir)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, dir, want string }{
+		{"snapshot", dir, "different shard map"},
+		{"log only", logOnly, "which this member does not own — the directory was written under a different shard map"},
+	} {
+		if _, err := NewService(ds, member(tc.dir, other)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: reopened under another owned set: %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		re, err := NewService(ds, member(tc.dir, mine))
+		if err != nil {
+			t.Fatalf("%s: reopen under the same owned set: %v", tc.name, err)
+		}
+		if got := re.Snapshot().Posts; got != posts {
+			t.Fatalf("%s: reopened with %d posts, want %d", tc.name, got, posts)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package incentivetag
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -337,10 +338,12 @@ func tieUp(t *testing.T, svc *Service, owned func(int) bool, s, m, r int) (k int
 // of its answer, to outsiders, posts longer than a log slot, and bursts
 // longer than the write log — on a plain node, a tiered one whose policy
 // pass leaves subjects and touched resources cold (and queries must not
-// rehydrate them), and a cluster member with an owned set. Each node also
-// has an outsider rise to an exact tie with the kth entry, once from
-// below it by id (the answer changes: rerank) and once from above (it
-// stands: serve).
+// rehydrate them), and a cluster member with an owned set, whose posts
+// all go to resources it owns, as the gateway routes them, and which
+// refuses the one post to a resource it does not own. Each node also has
+// an outsider rise to an exact tie with the kth entry, once from below
+// it by id (the answer changes: rerank) and once from above (it stands:
+// serve).
 func TestTopKCacheMatchesRebuild(t *testing.T) {
 	ds := testDS(t)
 	for _, tc := range []struct {
@@ -383,6 +386,25 @@ func TestTopKCacheMatchesRebuild(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			// outsider draws a resource the node holds: any on a plain
+			// node, an owned one on a member.
+			outsider := func() int {
+				for {
+					if r := rng.Intn(n); tc.owned == nil || tc.owned(r) {
+						return r
+					}
+				}
+			}
+			if tc.owned != nil {
+				stray := 1 // i%3 == 1: another member's
+				before := svc.QueryStats().Epoch
+				if err := svc.Ingest(stray, post(2)); !errors.Is(err, ErrResourceRange) {
+					t.Fatalf("ingest to non-owned %d: %v, want ErrResourceRange", stray, err)
+				}
+				if after := svc.QueryStats().Epoch; after != before || svc.Snapshot().Posts != 0 {
+					t.Fatalf("a refused post moved the node: epoch %d→%d, %d posts", before, after, svc.Snapshot().Posts)
+				}
+			}
 			last := map[int][]Scored{}
 			query := func(ctx string, s, k int) []Scored {
 				t.Helper()
@@ -404,9 +426,9 @@ func TestTopKCacheMatchesRebuild(t *testing.T) {
 				case op == 6 && len(last[s]) > 0:
 					ingest(last[s][rng.Intn(len(last[s]))].ID, post(1+rng.Intn(3)))
 				case op == 7 || op == 8:
-					ingest(rng.Intn(n), post(1+rng.Intn(3)))
+					ingest(outsider(), post(1+rng.Intn(3)))
 				case op == 9:
-					ingest(rng.Intn(n), post(16+rng.Intn(8)))
+					ingest(outsider(), post(16+rng.Intn(8)))
 				case op == 10 && tc.opts.MaxResidentResources > 0:
 					if _, err := svc.TierNow(); err != nil {
 						t.Fatal(err)
@@ -422,7 +444,7 @@ func TestTopKCacheMatchesRebuild(t *testing.T) {
 				if step%100 == 99 { // a window longer than the write log
 					burst := make([]PostEvent, 1500)
 					for i := range burst {
-						burst[i] = PostEvent{Resource: rng.Intn(n), Post: post(1)}
+						burst[i] = PostEvent{Resource: outsider(), Post: post(1)}
 					}
 					if err := svc.IngestMany(burst); err != nil {
 						t.Fatal(err)
