@@ -42,14 +42,11 @@
 //
 // The serving ingest pipeline is allocation-free and batch-friendly:
 //
-//   - count vectors use a hybrid dense/map representation — tag ids
-//     below sparse.DenseTagCap live in a dense array (pure indexing,
-//     zero map traffic), the rare large ids (typo tails) spill to a
-//     map; the map form remains the reference implementation and both
-//     are bit-identical in every derived metric;
-//   - each resource's stable reference rfd is pre-extracted once into a
-//     shared dense lookup (quality.RefVector), so the incremental
-//     quality dot product is array indexing too;
+//   - every count vector — a resource's live counts and its stable
+//     reference rfd alike — is one compact open-addressed table of
+//     (tag, count) slots (sparse.Counts), 8 bytes a slot whatever the
+//     tag ids, so a post's count update and its incremental quality
+//     dot product are |post| short probes each;
 //   - Service.IngestBatch and Service.IngestMany apply whole batches
 //     under one shard-lock acquisition per shard, group-committing each
 //     shard's WAL records with a single store write while preserving

@@ -18,11 +18,11 @@
 //
 // # Hot path
 //
-// The per-post ingest pipeline is allocation-free in steady state: with
-// Config.TagUniverse declared, count vectors use the hybrid dense/map
-// representation (sparse.NewHybridCounts) and each resource's reference
-// rfd is pre-extracted into a shared dense lookup (quality.RefVector),
-// so the inner loop is array indexing with no map traffic. IngestBatch
+// The per-post ingest pipeline is allocation-free in steady state: a
+// resource's counts and its reference rfd are each one compact
+// open-addressed sparse.Counts table, so a post costs |post| probes into
+// each (the count update and the reference dot), and a table grows only
+// when its support does. IngestBatch
 // and IngestMany amortize the shard lock over whole batches and
 // group-commit each shard's WAL records with a single store write
 // (tagstore.Batch), framed under the shard lock so the log's
@@ -76,16 +76,10 @@ type Config struct {
 	// the paper uses 10). Resources with Count ≤ UnderThreshold are
 	// counted as under-tagged; a negative value disables the metric.
 	UnderThreshold int
-	// TagUniverse, when > 0, is the tag-universe bound |T| (typically
-	// Vocab.Size()). It switches every resource's count vector to the
-	// hybrid dense/map representation (sparse.NewHybridCounts), making
-	// the per-post count update an array index with zero map traffic and
-	// zero steady-state allocation. 0 keeps the map-backed reference
-	// representation (bit-identical metrics, minimal memory) — what the
-	// replay simulator runs on, dense bases having been measured to buy it
-	// no speed (see sim.NewState). Each hybrid vector's dense base costs
-	// up to 4·DenseTagCap bytes per resource, the deliberate
-	// space-for-time trade of the serving path.
+	// TagUniverse is the tag-universe bound |T| (typically
+	// Vocab.Size()), or 0 when undeclared. It selects nothing: it is
+	// recorded in snapshots and checked on restore, so a snapshot cannot
+	// be restored into an engine configured for another vocabulary.
 	TagUniverse int
 	// WAL, when non-nil, is an append-only post log every ingested post
 	// is written to before it mutates engine state (the durable
@@ -167,14 +161,9 @@ type Metrics struct {
 type resource struct {
 	tracker *stability.Tracker
 	// ref fields are pre-extracted from the spec's Reference so the hot
-	// path never chases the wrapper. refDense/refSpill come from the
-	// Reference's cached RefVector (shared across engine instances):
-	// refDense[t] is the reference count for small tag ids, refSpill the
-	// rare large-id fallback, so the per-post dot update is pure array
-	// indexing for pool tags.
+	// path never chases the wrapper; refCounts is shared with every
+	// engine measuring against the same Reference.
 	refCounts *sparse.Counts
-	refDense  []int32
-	refSpill  map[tags.Tag]int64
 	refNorm2  float64
 	refPosts  int
 	stableK   int
@@ -353,7 +342,7 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 	// match the seed's left-to-right scan.
 	for i, spec := range specs {
 		r := newResource(spec)
-		r.tracker = newTracker(cfg)
+		r.tracker = stability.NewTracker(cfg.Omega)
 		for _, p := range spec.Initial {
 			if r.refCounts != nil {
 				r.addDot(p)
@@ -399,34 +388,15 @@ func newResource(spec ResourceSpec) *resource {
 		r.refCounts = rc
 		r.refNorm2 = rc.Norm2()
 		r.refPosts = rc.Posts()
-		v := spec.Ref.Vector()
-		r.refDense, r.refSpill = v.Dense, v.Spill
 	}
 	return r
 }
 
-// newTracker builds a resource tracker: hybrid dense/map counts when the
-// tag universe is declared, map-backed reference counts otherwise.
-func newTracker(cfg Config) *stability.Tracker {
-	if cfg.TagUniverse > 0 {
-		return stability.NewTrackerSized(cfg.Omega, cfg.TagUniverse)
-	}
-	return stability.NewTracker(cfg.Omega)
-}
-
-// addDot folds one post into the maintained reference dot product. Tag
-// ids below the dense bound are array lookups; ids outside it (the rare
-// typo tail, or malformed negative ids) hit the spill map, which is a
-// safe lookup for any key. Bit-identical to refCounts.Get term by term —
-// every term is an integer.
+// addDot folds one post into the maintained reference dot product.
+// Every term is an integer, so the sum is exact in any order.
 func (r *resource) addDot(p tags.Post) {
-	rd := r.refDense
 	for _, t := range p {
-		if ti := int(t); ti >= 0 && ti < len(rd) {
-			r.dot += int64(rd[ti])
-		} else if r.refSpill != nil {
-			r.dot += r.refSpill[t]
-		}
+		r.dot += r.refCounts.Get(t)
 	}
 }
 

@@ -63,18 +63,6 @@ type ResidencyStats struct {
 	ResidentBytes int64 `json:"resident_bytes"`
 }
 
-// refGet is the reference count of tag t — the resource-local mirror of
-// quality.RefVector.Get (same dense/spill split, bit-identical terms).
-func (r *resource) refGet(t tags.Tag) int64 {
-	if ti := int(t); ti >= 0 && ti < len(r.refDense) {
-		return int64(r.refDense[ti])
-	}
-	if r.refSpill == nil {
-		return 0
-	}
-	return r.refSpill[t]
-}
-
 // qualityFrom is computeQuality over explicit operands — shared by the
 // hot path (tracker-backed) and the cold paths (scanned from a frozen
 // record), guard for guard and clamp for clamp with Counts.Cosine.
@@ -170,7 +158,7 @@ func (e *Engine) rehydrateLocked(r *resource, i int) error {
 	if rs.Posts != r.consumed {
 		return fmt.Errorf("engine: resource %d: rehydrate: frozen record has %d posts, resource consumed %d", i, rs.Posts, r.consumed)
 	}
-	counts, err := sparse.FromEntries(e.cfg.TagUniverse, rs.Tags, rs.Counts, rs.Posts)
+	counts, err := sparse.FromEntries(rs.Tags, rs.Counts, rs.Posts)
 	if err != nil {
 		return fmt.Errorf("engine: resource %d: rehydrate: %w", i, err)
 	}
@@ -209,7 +197,7 @@ func (e *Engine) frozenCounts(r *resource, i int) *sparse.Counts {
 	var c *sparse.Counts
 	err := rd.Finish()
 	if err == nil {
-		c, err = sparse.FromEntries(e.cfg.TagUniverse, rs.Tags, rs.Counts, rs.Posts)
+		c, err = sparse.FromEntries(rs.Tags, rs.Counts, rs.Posts)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("engine: resource %d frozen record corrupt: %v", i, err))

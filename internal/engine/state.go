@@ -212,7 +212,7 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 		posts, sum := scanResourceState(r, func(t tags.Tag, cnt int64) {
 			norm2 += float64(cnt) * float64(cnt)
 			if res.refCounts != nil {
-				dot += cnt * res.refGet(t)
+				dot += cnt * res.refCounts.Get(t)
 			}
 		})
 		if err := r.Err(); err != nil {

@@ -6,79 +6,15 @@ package quality
 
 import (
 	"fmt"
-	"sync"
 
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
 )
 
 // Reference is the practically-stable rfd φ̂_i of a resource, against
-// which tagging quality is measured. It pre-extracts the norm so repeated
-// quality evaluations share work.
+// which tagging quality is measured: a reference is its counts.
 type Reference struct {
 	counts *sparse.Counts
-
-	vecOnce sync.Once
-	vec     *RefVector
-}
-
-// RefVector is an immutable dense/spill view of a reference's counts,
-// built once per Reference and shared by every engine instance measuring
-// against it. Get is an array index for tag ids below the dense bound and
-// a (rare) map lookup above it — the zero-allocation hot-path form of the
-// reference dot product.
-type RefVector struct {
-	// Dense[t] is the reference count of tag id t for t < len(Dense).
-	// Counts fit in int32 (a tag's count is bounded by the reference's
-	// post count, far below 2³¹).
-	Dense []int32
-	// Spill holds the counts of tag ids ≥ len(Dense) (nil when none).
-	Spill map[tags.Tag]int64
-	// Norm2 and PostCount mirror the reference counts' invariants.
-	Norm2     float64
-	PostCount int
-}
-
-// Get returns the reference count of tag t.
-func (v *RefVector) Get(t tags.Tag) int64 {
-	if ti := int(t); ti >= 0 && ti < len(v.Dense) {
-		return int64(v.Dense[ti])
-	}
-	if v.Spill == nil {
-		return 0
-	}
-	return v.Spill[t]
-}
-
-// Vector returns the cached dense/spill view of the reference counts,
-// building it on first use. Safe for concurrent use.
-func (r *Reference) Vector() *RefVector {
-	r.vecOnce.Do(func() {
-		v := &RefVector{Norm2: r.counts.Norm2(), PostCount: r.counts.Posts()}
-		maxDense := -1
-		for _, t := range r.counts.Support() {
-			if int(t) < sparse.DenseTagCap {
-				if int(t) > maxDense {
-					maxDense = int(t)
-				}
-			} else {
-				if v.Spill == nil {
-					v.Spill = make(map[tags.Tag]int64)
-				}
-				v.Spill[t] = r.counts.Get(t)
-			}
-		}
-		if maxDense >= 0 {
-			v.Dense = make([]int32, maxDense+1)
-			for _, t := range r.counts.Support() {
-				if int(t) <= maxDense {
-					v.Dense[t] = int32(r.counts.Get(t))
-				}
-			}
-		}
-		r.vec = v
-	})
-	return r.vec
 }
 
 // NewReference wraps a stable rfd. The counts are cloned, so later

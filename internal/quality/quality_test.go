@@ -174,42 +174,3 @@ func TestNewReferenceNilPanics(t *testing.T) {
 	}()
 	NewReference(nil)
 }
-
-// Vector must agree with the reference counts tag for tag, routing small
-// ids through the dense base and large ids through the spill map.
-func TestRefVectorMatchesCounts(t *testing.T) {
-	c := sparse.NewCounts()
-	c.Add(tags.MustPost(1, 3, sparse.DenseTagCap+7))
-	c.Add(tags.MustPost(3, sparse.DenseTagCap+7))
-	c.Add(tags.MustPost(2))
-	r := NewReference(c)
-	v := r.Vector()
-	for _, tg := range []tags.Tag{0, 1, 2, 3, 4, sparse.DenseTagCap + 7, sparse.DenseTagCap + 8} {
-		if v.Get(tg) != c.Get(tg) {
-			t.Fatalf("tag %d: vector %d vs counts %d", tg, v.Get(tg), c.Get(tg))
-		}
-	}
-	if v.Norm2 != c.Norm2() || v.PostCount != c.Posts() {
-		t.Fatal("norm/posts not mirrored")
-	}
-	if len(v.Dense) != 4 {
-		t.Fatalf("dense sized %d, want 4 (max small id 3 + 1)", len(v.Dense))
-	}
-	if r.Vector() != v {
-		t.Fatal("vector not cached")
-	}
-}
-
-// A reference whose support is entirely above the dense cap has no dense
-// base at all.
-func TestRefVectorSpillOnly(t *testing.T) {
-	c := sparse.NewCounts()
-	c.Add(tags.MustPost(sparse.DenseTagCap, sparse.DenseTagCap+1))
-	v := NewReference(c).Vector()
-	if v.Dense != nil {
-		t.Fatalf("unexpected dense base of %d entries", len(v.Dense))
-	}
-	if v.Get(sparse.DenseTagCap) != 1 || v.Get(0) != 0 {
-		t.Fatal("spill-only lookups wrong")
-	}
-}

@@ -58,9 +58,8 @@ type Data struct {
 	// UnderThreshold is the under-tagged post-count threshold (paper: 10).
 	UnderThreshold int
 	// TagUniverse is the tag-universe bound |T| (Vocab.Size() when built
-	// from a dataset; 0 = unknown). Serving engines use it to enable the
-	// hybrid dense count representation; the replay simulator never
-	// declares it (see NewState for the measurement behind that).
+	// from a dataset; 0 = unknown). Serving engines record it in their
+	// snapshots; it selects no count representation.
 	TagUniverse int
 
 	// primed caches, per ω, the January state NewState forks.
@@ -239,10 +238,9 @@ func (d *Data) EngineSpecs() []engine.ResourceSpec {
 // that follows.
 //
 // The engine has a single shard, so aggregate summation order (and thus
-// every reported float) is reproducible across machines, and map-form
-// counts (TagUniverse 0): declaring the universe was measured and buys
-// nothing here (278 k against 302 k ops/s) for 45 MB more live heap.
-// Serving deployments (the public Service) declare it instead.
+// every reported float) is reproducible across machines. It leaves
+// TagUniverse undeclared: the universe only labels snapshots, and the
+// template's payload never leaves the process.
 func NewState(data *Data, omega int, seed int64) *State {
 	cfg := engine.Config{
 		Omega:          omega,
@@ -491,7 +489,7 @@ func ApplyAssignment(data *Data, x core.Assignment) (Checkpoint, error) {
 	// fresh map per resource; the counts — and hence every cosine — are
 	// bit-identical to a fresh replay.
 	var qsum float64
-	scratch := sparse.NewHybridCounts(data.TagUniverse)
+	scratch := sparse.NewCounts()
 	for i := 0; i < n; i++ {
 		scratch.Reset()
 		for k := 0; k < data.Initial[i]+x[i]; k++ {

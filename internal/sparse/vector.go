@@ -9,101 +9,133 @@
 // enables the O(|post|) incremental adjacent-similarity update used by the
 // MU strategy (Appendix C.4): adding one post perturbs only |post| entries.
 //
-// # Hybrid representation
+// # Representation
 //
-// Counts has two backing representations with identical observable
-// behaviour:
+// Counts is one open-addressed table of (tag int32, count int32) slots:
+// a power-of-two length, at most ¾ full, probed linearly from a
+// Fibonacci hash of the tag mixed with a per-process seed (tag ids come
+// from clients, and a fixed hash would let them build long probe
+// chains). A count of 0 marks an empty slot, and Remove deletes by
+// backward shift, so no tombstones accumulate. A vector costs 8 bytes
+// per slot whatever its tag ids are: a reference of 44 tags is a
+// 64-slot table (512 B), where a dense base indexed by tag id would
+// spend tens of kilobytes on zeros. The replay simulator, the serving
+// engine and every stable reference share this one form.
 //
-//   - the map form (NewCounts) — the reference implementation, compact for
-//     arbitrary tag universes;
-//   - the hybrid form (NewHybridCounts) — a dense []int32 indexed directly
-//     by tag id for ids below DenseTagCap, with a spill map above it. Real
-//     tag streams concentrate on a small active vocabulary (topical pool
-//     tags get small, early-interned ids), so the dense base turns the hot
-//     Add/Get path into array indexing with zero map traffic and zero
-//     steady-state allocation, while the spill map keeps rare large ids
-//     (never-repeating typo tags) correct without an O(|T|) array.
-//
-// Both forms maintain norm², mass and the Add overlap with the exact same
-// integer arithmetic, so every derived quantity (cosine, adjacent
-// similarity, quality) is bit-identical between them; tests assert this.
+// norm², mass and the Add overlap are sums and products of integers far
+// below 2⁵³, so every derived quantity (cosine, adjacent similarity,
+// quality) is exact and independent of the table's slot order — which
+// the seed makes differ from process to process.
 package sparse
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
+	"unsafe"
 
 	"incentivetag/internal/tags"
 )
 
-// DenseTagCap is the hybrid form's dense-base bound: tag ids below it are
-// stored in the dense array, ids at or above it fall back to the spill
-// map. 4096 comfortably covers the early-interned topical pools of the
-// synthetic corpora (≈3k ids) while bounding the dense base at 16 KiB per
-// vector; the heavy tail of never-repeating typo ids spills to the map.
-const DenseTagCap = 4096
+// hashSeed is mixed into every slot's home position, once per process.
+var hashSeed = rand.Uint64()
+
+// slot is one table entry; n == 0 marks it empty.
+type slot struct {
+	t tags.Tag
+	n int32
+}
 
 // Counts is a sparse non-negative integer vector over tag ids. It tracks
 // the squared Euclidean norm and the L1 mass incrementally so cosine
 // similarity and relative frequencies never require a full scan beyond the
-// non-zero support.
-//
-// The zero value is NOT ready to use; call NewCounts or NewHybridCounts.
+// non-zero support. The zero value is an empty vector (k = 0).
 type Counts struct {
-	// m holds every entry in map form; in hybrid form it is the lazily
-	// allocated spill for tag ids ≥ len(d) that exceed DenseTagCap.
-	m map[tags.Tag]int64
-	// d is the hybrid dense base (nil in map form): d[t] is the count of
-	// tag id t. It grows geometrically on demand, never past DenseTagCap.
-	d []int32
-	// dn is the number of non-zero entries in d.
-	dn     int
-	hybrid bool
+	slots []slot // nil, or a power-of-two table at most ¾ full
+	n     int    // occupied slots: the support size
+	shift uint8  // 64 − log₂ len(slots)
 
 	norm2 float64 // sum of squares of entries
 	mass  int64   // sum of entries (duplicate-counted tag occurrences)
 	posts int     // number of posts accumulated (k in the paper)
 }
 
-// NewCounts returns an empty map-form count vector (k = 0 posts) — the
-// reference implementation.
-func NewCounts() *Counts {
-	return &Counts{m: make(map[tags.Tag]int64)}
+// NewCounts returns an empty count vector (k = 0 posts).
+func NewCounts() *Counts { return &Counts{} }
+
+// tableLen is the table length that holds size entries at most ¾ full.
+func tableLen(size int) int {
+	l := 8
+	for 3*l < 4*size {
+		l *= 2
+	}
+	return l
 }
 
-// NewHybridCounts returns an empty hybrid count vector. universe is a
-// sizing hint (|T| when known): a universe within DenseTagCap pre-sizes
-// the dense base so the vector never allocates again; a larger (or zero)
-// universe lets the base grow on demand up to DenseTagCap, with larger
-// ids spilling to a map.
-func NewHybridCounts(universe int) *Counts {
-	c := &Counts{hybrid: true}
-	if universe > 0 && universe <= DenseTagCap {
-		c.d = make([]int32, universe)
-	}
-	return c
+// home is t's first probe position.
+func (c *Counts) home(t tags.Tag) int {
+	return int((uint64(uint32(t)) ^ hashSeed) * 0x9E3779B97F4A7C15 >> c.shift)
 }
 
-// Hybrid reports whether c uses the dense/map hybrid representation.
-func (c *Counts) Hybrid() bool { return c.hybrid }
+// find probes for t: its slot, or the empty one it would take. The table
+// must be non-empty; the ¾ bound guarantees an empty slot ends the probe.
+func (c *Counts) find(t tags.Tag) int {
+	mask := len(c.slots) - 1
+	i := c.home(t)
+	for c.slots[i].n != 0 && c.slots[i].t != t {
+		i = (i + 1) & mask
+	}
+	return i
+}
 
-// grow extends the dense base to cover tag id t (caller guarantees
-// t < DenseTagCap). Geometric growth keeps the amortized cost O(1).
-func (c *Counts) grow(t int) {
-	n := 2 * len(c.d)
-	if n < t+1 {
-		n = t + 1
+// resize rebuilds the table at length l (a power of two ≥ 8).
+func (c *Counts) resize(l int) {
+	old := c.slots
+	c.slots = make([]slot, l)
+	c.shift = uint8(64 - bits.TrailingZeros(uint(l)))
+	for _, s := range old {
+		if s.n != 0 {
+			c.slots[c.find(s.t)] = s
+		}
 	}
-	if n < 64 {
-		n = 64
+}
+
+// claim returns t's slot, taking an empty one for it (count still 0)
+// when t is absent and growing the table first if that would pass ¾.
+func (c *Counts) claim(t tags.Tag) int {
+	if len(c.slots) > 0 {
+		i := c.find(t)
+		if c.slots[i].n != 0 {
+			return i
+		}
+		if 4*(c.n+1) <= 3*len(c.slots) {
+			c.slots[i].t = t
+			c.n++
+			return i
+		}
 	}
-	if n > DenseTagCap {
-		n = DenseTagCap
+	c.resize(tableLen(c.n + 1))
+	i := c.find(t)
+	c.slots[i].t = t
+	c.n++
+	return i
+}
+
+// del empties slot i by backward shift: each later entry of the probe
+// run moves back into the hole unless its home lies cyclically in
+// (hole, entry], so every probe still reaches its entry.
+func (c *Counts) del(i int) {
+	mask := len(c.slots) - 1
+	for j := (i + 1) & mask; c.slots[j].n != 0; j = (j + 1) & mask {
+		if (j-c.home(c.slots[j].t))&mask >= (j-i)&mask {
+			c.slots[i] = c.slots[j]
+			i = j
+		}
 	}
-	nd := make([]int32, n)
-	copy(nd, c.d)
-	c.d = nd
+	c.slots[i] = slot{}
+	c.n--
 }
 
 // Posts returns k, the number of posts accumulated so far.
@@ -117,30 +149,23 @@ func (c *Counts) Mass() int64 { return c.mass }
 func (c *Counts) Norm2() float64 { return c.norm2 }
 
 // Len returns the number of distinct tags with non-zero count.
-func (c *Counts) Len() int { return c.dn + len(c.m) }
+func (c *Counts) Len() int { return c.n }
 
-// MemBytes estimates the retained heap of the vector: the dense base
-// (4 bytes per slot, allocated whether or not occupied — the
-// space-for-time trade of the hybrid form), the spill map at a measured
-// ~48 bytes per entry, and the struct plus headers. It is the sizing
-// input of the residency tier's resident-bytes budget — an estimate for
-// relative pressure, not an accounting.
+// MemBytes is the retained heap of the vector: the Counts struct plus 8
+// bytes per table slot. Both are power-of-two allocations that the
+// runtime's size classes hold exactly. It sizes the residency tier's
+// resident-bytes budget.
 func (c *Counts) MemBytes() int {
-	b := 96 // struct, slice header, map header
-	b += 4 * cap(c.d)
-	b += 48 * len(c.m)
-	return b
+	return int(unsafe.Sizeof(*c) + uintptr(len(c.slots))*unsafe.Sizeof(slot{}))
 }
 
 // Get returns h(t, k): the number of accumulated posts containing t
 // (Definition 3; each post contains a tag at most once).
 func (c *Counts) Get(t tags.Tag) int64 {
-	if c.hybrid {
-		if ti := int(t); ti >= 0 && ti < len(c.d) {
-			return int64(c.d[ti])
-		}
+	if c.n == 0 {
+		return 0
 	}
-	return c.m[t]
+	return int64(c.slots[c.find(t)].n)
 }
 
 // RelFreq returns f(t, k) (Definition 4): the count of t divided by total
@@ -157,44 +182,16 @@ func (c *Counts) RelFreq(t tags.Tag) float64 {
 // measured BEFORE the increment, which is exactly the quantity needed by
 // AdjacentCosine.
 func (c *Counts) Add(p tags.Post) (overlap int64) {
-	if c.hybrid {
-		for _, t := range p {
-			var old int64
-			// Out-of-range ids (negative, or ≥ the cap) take the spill
-			// map, mirroring what the map form does with any id.
-			if ti := int(t); ti >= 0 && ti < DenseTagCap {
-				if ti >= len(c.d) {
-					c.grow(ti)
-				}
-				o := c.d[ti]
-				if o == math.MaxInt32 {
-					panic(fmt.Sprintf("sparse: count overflow for tag %d", t))
-				}
-				if o == 0 {
-					c.dn++
-				}
-				c.d[ti] = o + 1
-				old = int64(o)
-			} else {
-				if c.m == nil {
-					c.m = make(map[tags.Tag]int64)
-				}
-				old = c.m[t]
-				c.m[t] = old + 1
-			}
-			overlap += old
-			// norm² gains (old+1)² − old² = 2·old + 1.
-			c.norm2 += float64(2*old + 1)
-		}
-		c.mass += int64(len(p))
-		c.posts++
-		return overlap
-	}
 	for _, t := range p {
-		old := c.m[t]
-		overlap += old
-		c.m[t] = old + 1
-		c.norm2 += float64(2*old + 1)
+		i := c.claim(t)
+		old := c.slots[i].n
+		if old == math.MaxInt32 {
+			panic(fmt.Sprintf("sparse: count overflow for tag %d", t))
+		}
+		c.slots[i].n = old + 1
+		overlap += int64(old)
+		// norm² gains (old+1)² − old² = 2·old + 1.
+		c.norm2 += float64(2*int64(old) + 1)
 	}
 	c.mass += int64(len(p))
 	c.posts++
@@ -206,88 +203,51 @@ func (c *Counts) Add(p tags.Post) (overlap int64) {
 // post was never added). Used by rollback-style simulations and tests.
 func (c *Counts) Remove(p tags.Post) {
 	for _, t := range p {
-		var old int64
-		if ti := int(t); c.hybrid && ti >= 0 && ti < len(c.d) {
-			old = int64(c.d[ti])
-			if old <= 0 {
-				panic(fmt.Sprintf("sparse: Remove of tag %d with count %d", t, old))
-			}
-			c.d[ti] = int32(old - 1)
-			if old == 1 {
-				c.dn--
-			}
-		} else {
-			old = c.m[t]
-			if old <= 0 {
-				panic(fmt.Sprintf("sparse: Remove of tag %d with count %d", t, old))
-			}
-			if old == 1 {
-				delete(c.m, t)
-			} else {
-				c.m[t] = old - 1
-			}
+		i, old := 0, int32(0)
+		if c.n > 0 {
+			i = c.find(t)
+			old = c.slots[i].n
 		}
-		c.norm2 -= float64(2*old - 1)
+		if old == 0 {
+			panic(fmt.Sprintf("sparse: Remove of tag %d with count 0", t))
+		}
+		if old == 1 {
+			c.del(i)
+		} else {
+			c.slots[i].n = old - 1
+		}
+		c.norm2 -= float64(2*int64(old) - 1)
 	}
 	c.mass -= int64(len(p))
 	c.posts--
 }
 
 // Reset returns the vector to its empty state (k = 0) while retaining its
-// backing storage, so a scratch vector can be reused across replays
-// without reallocating.
+// table, so a scratch vector can be reused across replays without
+// reallocating.
 func (c *Counts) Reset() {
-	if c.hybrid {
-		clear(c.d)
-		c.dn = 0
-		clear(c.m)
-	} else {
-		clear(c.m)
-	}
-	c.norm2, c.mass, c.posts = 0, 0, 0
+	clear(c.slots)
+	c.n, c.norm2, c.mass, c.posts = 0, 0, 0, 0
 }
 
-// Clone returns an independent deep copy (same representation).
+// Clone returns an independent deep copy.
 func (c *Counts) Clone() *Counts {
-	out := &Counts{
-		hybrid: c.hybrid,
-		dn:     c.dn,
-		norm2:  c.norm2,
-		mass:   c.mass,
-		posts:  c.posts,
-	}
-	if c.d != nil {
-		out.d = make([]int32, len(c.d))
-		copy(out.d, c.d)
-	}
-	if c.m != nil {
-		out.m = make(map[tags.Tag]int64, len(c.m))
-		for t, n := range c.m {
-			out.m[t] = n
-		}
-	} else if !c.hybrid {
-		out.m = make(map[tags.Tag]int64)
-	}
-	return out
-}
-
-// forEach visits every non-zero entry.
-func (c *Counts) forEach(fn func(t tags.Tag, n int64)) {
-	for ti, n := range c.d {
-		if n != 0 {
-			fn(tags.Tag(ti), int64(n))
-		}
-	}
-	for t, n := range c.m {
-		fn(t, n)
-	}
+	out := *c
+	out.slots = slices.Clone(c.slots)
+	return &out
 }
 
 // ForEach visits every non-zero (tag, count) entry in unspecified
 // order, without allocating. The query engine uses it to lift a
 // subject's support and weights in one pass; callers needing ascending
 // order should use AppendSupport instead.
-func (c *Counts) ForEach(fn func(t tags.Tag, n int64)) { c.forEach(fn) }
+func (c *Counts) ForEach(fn func(t tags.Tag, n int64)) {
+	for _, s := range c.slots {
+		if s.n != 0 {
+			fn(s.t, int64(s.n))
+		}
+	}
+}
 
 // Support returns the non-zero tag ids in ascending order.
 func (c *Counts) Support() []tags.Tag {
@@ -297,42 +257,33 @@ func (c *Counts) Support() []tags.Tag {
 // AppendSupport appends the non-zero tag ids to dst in ascending order
 // and returns the extended slice. It is the allocation-free counterpart
 // of Support for callers that pool their scratch (the query engine's
-// per-query tag plan): when dst has capacity and the vector is dense-only
-// the call performs no allocation at all.
+// per-query tag plan): when dst has capacity the call allocates nothing.
 func (c *Counts) AppendSupport(dst []tags.Tag) []tags.Tag {
 	start := len(dst)
-	c.forEach(func(t tags.Tag, _ int64) { dst = append(dst, t) })
-	// The dense base is visited in ascending id order already; only map
-	// entries (map form, or the hybrid spill) arrive unordered.
-	if len(c.m) > 0 {
-		sort.Sort(tagSlice(dst[start:]))
+	for _, s := range c.slots {
+		if s.n != 0 {
+			dst = append(dst, s.t)
+		}
 	}
+	slices.Sort(dst[start:])
 	return dst
 }
-
-// tagSlice orders tag ids ascending without the closure allocation of
-// sort.Slice.
-type tagSlice []tags.Tag
-
-func (s tagSlice) Len() int           { return len(s) }
-func (s tagSlice) Less(i, j int) bool { return s[i] < s[j] }
-func (s tagSlice) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 
 // Dot returns the inner product of two count vectors, iterating over the
 // smaller support. Every term is a product of integers and the sum stays
 // far below 2^53, so the result is exact (and order-independent) in
-// float64 regardless of representation.
+// float64.
 func (c *Counts) Dot(o *Counts) float64 {
 	a, b := c, o
 	if b.Len() < a.Len() {
 		a, b = b, a
 	}
 	var dot float64
-	a.forEach(func(t tags.Tag, n int64) {
-		if m := b.Get(t); m != 0 {
-			dot += float64(n) * float64(m)
+	for _, s := range a.slots {
+		if s.n != 0 {
+			dot += float64(s.n) * float64(b.Get(s.t))
 		}
-	})
+	}
 	return dot
 }
 
@@ -398,57 +349,32 @@ func (c *Counts) AddWithAdjacent(p tags.Post) float64 {
 
 // FromEntries rebuilds a count vector from its non-zero support — the
 // snapshot-restore path. ts/ns are parallel (tag, count) pairs; posts is
-// the accumulated post count k. universe > 0 selects the hybrid
-// representation sized as NewHybridCounts would (the serving engine's
-// choice); 0 selects the map form. The derived invariants (norm², mass,
-// dense/spill placement) are sums and products of integers far below
-// 2⁵³, so the rebuilt vector is bit-identical to the one that was
-// exported, regardless of entry order.
-func FromEntries(universe int, ts []tags.Tag, ns []int64, posts int) (*Counts, error) {
+// the accumulated post count k. The table is sized once for len(ts)
+// entries. The derived invariants (norm², mass) are sums and products of
+// integers far below 2⁵³, so the rebuilt vector is bit-identical to the
+// one that was exported, regardless of entry order.
+func FromEntries(ts []tags.Tag, ns []int64, posts int) (*Counts, error) {
 	if len(ts) != len(ns) {
 		return nil, fmt.Errorf("sparse: %d tags for %d counts", len(ts), len(ns))
 	}
-	var c *Counts
-	if universe > 0 {
-		c = NewHybridCounts(universe)
-	} else {
-		// Pre-sized: the support is known, so the map never grows or
-		// rehashes while it is filled.
-		c = &Counts{m: make(map[tags.Tag]int64, len(ts))}
+	c := &Counts{}
+	if len(ts) > 0 {
+		c.resize(tableLen(len(ts)))
 	}
 	for i, t := range ts {
 		n := ns[i]
 		if n <= 0 || n > int64(posts) {
 			return nil, fmt.Errorf("sparse: tag %d count %d outside (0,%d]", t, n, posts)
 		}
-		if c.hybrid {
-			if ti := int(t); ti >= 0 && ti < DenseTagCap {
-				if n > math.MaxInt32 {
-					return nil, fmt.Errorf("sparse: tag %d count %d overflows the dense base", t, n)
-				}
-				if ti >= len(c.d) {
-					c.grow(ti)
-				}
-				if c.d[ti] != 0 {
-					return nil, fmt.Errorf("sparse: duplicate entry for tag %d", t)
-				}
-				c.d[ti] = int32(n)
-				c.dn++
-			} else {
-				if c.m == nil {
-					c.m = make(map[tags.Tag]int64)
-				}
-				if _, dup := c.m[t]; dup {
-					return nil, fmt.Errorf("sparse: duplicate entry for tag %d", t)
-				}
-				c.m[t] = n
-			}
-		} else {
-			if _, dup := c.m[t]; dup {
-				return nil, fmt.Errorf("sparse: duplicate entry for tag %d", t)
-			}
-			c.m[t] = n
+		if n > math.MaxInt32 {
+			return nil, fmt.Errorf("sparse: tag %d count %d overflows int32", t, n)
 		}
+		j := c.find(t)
+		if c.slots[j].n != 0 {
+			return nil, fmt.Errorf("sparse: duplicate entry for tag %d", t)
+		}
+		c.slots[j] = slot{t: t, n: int32(n)}
+		c.n++
 		c.norm2 += float64(n) * float64(n)
 		c.mass += n
 	}
@@ -460,26 +386,11 @@ func FromEntries(universe int, ts []tags.Tag, ns []int64, posts int) (*Counts, e
 // in ascending tag order — the export counterpart of FromEntries.
 func (c *Counts) Entries(ts []tags.Tag, ns []int64) ([]tags.Tag, []int64) {
 	start := len(ts)
-	c.forEach(func(t tags.Tag, n int64) {
-		ts = append(ts, t)
-		ns = append(ns, n)
-	})
-	added := ts[start:]
-	addedNs := ns[start:]
-	sort.Sort(&entrySorter{ts: added, ns: addedNs})
+	ts = c.AppendSupport(ts)
+	for _, t := range ts[start:] {
+		ns = append(ns, c.Get(t))
+	}
 	return ts, ns
-}
-
-type entrySorter struct {
-	ts []tags.Tag
-	ns []int64
-}
-
-func (e *entrySorter) Len() int           { return len(e.ts) }
-func (e *entrySorter) Less(i, j int) bool { return e.ts[i] < e.ts[j] }
-func (e *entrySorter) Swap(i, j int) {
-	e.ts[i], e.ts[j] = e.ts[j], e.ts[i]
-	e.ns[i], e.ns[j] = e.ns[j], e.ns[i]
 }
 
 // FromSeq builds counts by accumulating the first k posts of seq.
@@ -501,11 +412,11 @@ func (c *Counts) Dense(dim int) []float64 {
 	if c.mass == 0 {
 		return out
 	}
-	c.forEach(func(t tags.Tag, n int64) {
-		if int(t) < dim {
-			out[t] = float64(n) / float64(c.mass)
+	for _, s := range c.slots {
+		if s.n != 0 && s.t >= 0 && int(s.t) < dim {
+			out[s.t] = float64(s.n) / float64(c.mass)
 		}
-	})
+	}
 	return out
 }
 

@@ -241,155 +241,259 @@ func TestPaperExample2GoogleEarth(t *testing.T) {
 	}
 }
 
-// --- hybrid dense/map equivalence ---------------------------------------
+// --- the table against a map model -------------------------------------
 
-// randomPost draws a post whose tags mix small "pool" ids (dense base)
-// and large "typo" ids (spill map), exercising both hybrid paths.
-func randomPost(t *testing.T, rng *rand.Rand) tags.Post {
-	t.Helper()
-	n := 1 + rng.Intn(4)
-	ts := make([]tags.Tag, n)
-	for j := range ts {
-		if rng.Intn(10) == 0 {
-			ts[j] = tags.Tag(DenseTagCap + rng.Intn(100000)) // spill id
-		} else {
-			ts[j] = tags.Tag(rng.Intn(3000)) // pool id
-		}
-	}
-	p, err := tags.NewPost(ts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// model is the plain reference a Counts table is held to: a map from tag
+// to count, plus the post count.
+type model struct {
+	m     map[tags.Tag]int64
+	posts int
 }
 
-// requireSame asserts the two vectors are observably identical, bit for
-// bit where floats are involved.
-func requireSame(t *testing.T, hybrid, ref *Counts) {
-	t.Helper()
-	if hybrid.Posts() != ref.Posts() || hybrid.Mass() != ref.Mass() || hybrid.Len() != ref.Len() {
-		t.Fatalf("posts/mass/len: %d/%d/%d vs %d/%d/%d",
-			hybrid.Posts(), hybrid.Mass(), hybrid.Len(), ref.Posts(), ref.Mass(), ref.Len())
+func (m *model) add(p tags.Post) {
+	for _, t := range p {
+		m.m[t]++
 	}
-	if hybrid.Norm2() != ref.Norm2() {
-		t.Fatalf("norm2 %.17g vs %.17g", hybrid.Norm2(), ref.Norm2())
-	}
-	hs, rs := hybrid.Support(), ref.Support()
-	if len(hs) != len(rs) {
-		t.Fatalf("support sizes %d vs %d", len(hs), len(rs))
-	}
-	for i := range hs {
-		if hs[i] != rs[i] {
-			t.Fatalf("support[%d]: %d vs %d", i, hs[i], rs[i])
+	m.posts++
+}
+
+func (m *model) remove(p tags.Post) {
+	for _, t := range p {
+		if m.m[t]--; m.m[t] == 0 {
+			delete(m.m, t)
 		}
-		if hybrid.Get(hs[i]) != ref.Get(rs[i]) {
-			t.Fatalf("count of tag %d: %d vs %d", hs[i], hybrid.Get(hs[i]), ref.Get(rs[i]))
+	}
+	m.posts--
+}
+
+// requireModel checks every observable of c against m: Get on the
+// support and on absent ids, Len, norm², mass, posts, the ForEach set,
+// and the ascending Entries and AppendSupport.
+func requireModel(t testing.TB, c *Counts, m *model) {
+	t.Helper()
+	var norm2 float64
+	var mass int64
+	for tg, n := range m.m {
+		if got := c.Get(tg); got != n {
+			t.Fatalf("Get(%d) = %d, model %d", tg, got, n)
+		}
+		norm2 += float64(n) * float64(n)
+		mass += n
+	}
+	for _, tg := range []tags.Tag{math.MinInt32, -1, 0, 1, math.MaxInt32, 1 << 20} {
+		if _, ok := m.m[tg]; !ok && c.Get(tg) != 0 {
+			t.Fatalf("absent tag %d reads %d", tg, c.Get(tg))
+		}
+	}
+	if c.Len() != len(m.m) || c.Posts() != m.posts || c.Mass() != mass || c.Norm2() != norm2 {
+		t.Fatalf("len/posts/mass/norm2 %d/%d/%d/%g, model %d/%d/%d/%g",
+			c.Len(), c.Posts(), c.Mass(), c.Norm2(), len(m.m), m.posts, mass, norm2)
+	}
+	if 4*c.Len() > 3*len(c.slots) && c.Len() > 0 {
+		t.Fatalf("%d entries in %d slots: over ¾ full", c.Len(), len(c.slots))
+	}
+	seen := 0
+	c.ForEach(func(tg tags.Tag, n int64) {
+		if m.m[tg] != n {
+			t.Fatalf("ForEach visits (%d, %d), model has %d", tg, n, m.m[tg])
+		}
+		seen++
+	})
+	if seen != len(m.m) {
+		t.Fatalf("ForEach visited %d entries, model has %d", seen, len(m.m))
+	}
+	ts, ns := c.Entries([]tags.Tag{7}, []int64{7})
+	sup := c.AppendSupport([]tags.Tag{7})
+	if len(ts) != len(m.m)+1 || len(ns) != len(ts) || len(sup) != len(ts) {
+		t.Fatalf("Entries/AppendSupport lengths %d/%d/%d, want %d", len(ts), len(ns), len(sup), len(m.m)+1)
+	}
+	for i := 1; i < len(ts); i++ {
+		if i > 1 && ts[i] <= ts[i-1] {
+			t.Fatalf("Entries not ascending at %d: %d after %d", i, ts[i], ts[i-1])
+		}
+		if ns[i] != m.m[ts[i]] || sup[i] != ts[i] {
+			t.Fatalf("entry %d: (%d, %d) support %d, model count %d", i, ts[i], ns[i], sup[i], m.m[ts[i]])
 		}
 	}
 }
 
-// The hybrid representation must be bit-identical to the map reference
-// under every operation: Add overlap, adjacent similarity, norms, cosine
-// against both representations, Remove, Clone, Reset.
-func TestHybridMatchesMapReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	h := NewHybridCounts(0)
-	m := NewCounts()
-	if !h.Hybrid() || m.Hybrid() {
-		t.Fatal("representation flags wrong")
-	}
-	probe := NewCounts()
-	for i := 0; i < 40; i++ {
-		probe.Add(randomPost(t, rng))
-	}
+// runModel interprets prog as a sequence of operations on one Counts and
+// its model, checking them against each other after every operation.
+// Tags come from a small pool with negative and extreme ids, so probe
+// runs collide; a burst adds hundreds of fresh ids, so the table grows
+// through every resize.
+func runModel(t testing.TB, prog []byte) {
+	c, m := NewCounts(), &model{m: map[tags.Tag]int64{}}
 	var added []tags.Post
-	for i := 0; i < 400; i++ {
-		p := randomPost(t, rng)
-		added = append(added, p)
-		ho, mo := h.Add(p), m.Add(p)
-		if ho != mo {
-			t.Fatalf("step %d: overlap %d vs %d", i, ho, mo)
+	fresh := tags.Tag(1000)
+	next := func() byte {
+		if len(prog) == 0 {
+			return 0
 		}
-		// AddWithAdjacent path: clones advanced by one more post.
-		hc, mc := h.Clone(), m.Clone()
-		q := randomPost(t, rng)
-		if ha, ma := hc.AddWithAdjacent(q), mc.AddWithAdjacent(q); ha != ma {
-			t.Fatalf("step %d: adjacent %.17g vs %.17g", i, ha, ma)
+		b := prog[0]
+		prog = prog[1:]
+		return b
+	}
+	tag := func(b byte) tags.Tag {
+		switch b % 16 {
+		case 0:
+			return math.MaxInt32
+		case 1:
+			return math.MinInt32
+		case 2:
+			return -tags.Tag(b)
 		}
-		if hq, mq := h.Cosine(probe), m.Cosine(probe); hq != mq {
-			t.Fatalf("step %d: cosine vs map probe %.17g vs %.17g", i, hq, mq)
+		return tags.Tag(b) - 100
+	}
+	post := func(n int, tag func(int) tags.Tag) tags.Post {
+		seen := map[tags.Tag]bool{}
+		var p tags.Post
+		for j := 0; j < n; j++ {
+			if tg := tag(j); !seen[tg] {
+				seen[tg] = true
+				p = append(p, tg)
+			}
 		}
-		if hq, mq := probe.Cosine(h), probe.Cosine(m); hq != mq {
-			t.Fatalf("step %d: reversed cosine %.17g vs %.17g", i, hq, mq)
-		}
+		return p
 	}
-	requireSame(t, h, m)
-	// Hybrid-vs-hybrid cosine equals map-vs-map.
-	h2, m2 := h.Clone(), m.Clone()
-	if h2.Cosine(h) != m2.Cosine(m) {
-		t.Fatal("hybrid/hybrid cosine diverges from map/map")
-	}
-	// Remove is the exact inverse in both representations.
-	for i := len(added) - 1; i >= 200; i-- {
-		h.Remove(added[i])
-		m.Remove(added[i])
-	}
-	requireSame(t, h, m)
-	// Reset empties but keeps the vector usable.
-	h.Reset()
-	m.Reset()
-	requireSame(t, h, m)
-	if h.Posts() != 0 || h.Norm2() != 0 || h.Mass() != 0 || h.Len() != 0 {
-		t.Fatal("reset hybrid not empty")
-	}
-	p := tags.MustPost(1, DenseTagCap+5)
-	if ho, mo := h.Add(p), m.Add(p); ho != mo || h.Get(1) != 1 || h.Get(DenseTagCap+5) != 1 {
-		t.Fatal("post-reset add broken")
-	}
-}
-
-// A presized universe within DenseTagCap never grows the dense base.
-func TestHybridPresizedUniverse(t *testing.T) {
-	c := NewHybridCounts(100)
-	for i := 0; i < 50; i++ {
-		c.Add(tags.MustPost(tags.Tag(i), tags.Tag(99)))
-	}
-	if c.Get(99) != 50 || c.Get(7) != 1 {
-		t.Fatal("presized counts wrong")
-	}
-	// Ids beyond the hint but below the cap still work (base grows).
-	c.Add(tags.MustPost(200))
-	if c.Get(200) != 1 {
-		t.Fatal("growth beyond hint broken")
-	}
-	// Ids beyond the cap spill to the map.
-	c.Add(tags.MustPost(DenseTagCap + 1))
-	if c.Get(DenseTagCap+1) != 1 {
-		t.Fatal("spill broken")
-	}
-}
-
-// Reset must also be an identity for the map form used as a scratch
-// vector (the ApplyAssignment oracle path).
-func TestResetScratchReuse(t *testing.T) {
-	scratch := NewHybridCounts(0)
-	fresh := func(posts []tags.Post) *Counts {
-		c := NewCounts()
-		for _, p := range posts {
+	for len(prog) > 0 {
+		switch next() % 8 {
+		case 0, 1, 2: // add a post of 1–4 pool tags
+			p := post(1+int(next()%4), func(int) tags.Tag { return tag(next()) })
 			c.Add(p)
+			m.add(p)
+			added = append(added, p)
+		case 3: // remove a post added earlier
+			if len(added) == 0 {
+				continue
+			}
+			j := int(next()) % len(added)
+			c.Remove(added[j])
+			m.remove(added[j])
+			added = append(added[:j], added[j+1:]...)
+		case 4: // a burst of fresh ids
+			p := post(1+int(next())*2, func(j int) tags.Tag { return fresh + tags.Tag(j) })
+			fresh += tags.Tag(len(p))
+			c.Add(p)
+			m.add(p)
+			added = append(added, p)
+		case 5:
+			c.Reset()
+			m, added = &model{m: map[tags.Tag]int64{}}, nil
+		case 6: // continue on a clone; the original must not move
+			d := c.Clone()
+			p := tags.Post{tag(next())}
+			d.Add(p)
+			requireModel(t, c, m)
+			d.Remove(p)
+			c = d
+		case 7: // round-trip through the snapshot form
+			ts, ns := c.Entries(nil, nil)
+			d, err := FromEntries(ts, ns, c.Posts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = d
 		}
-		return c
+		requireModel(t, c, m)
 	}
+}
+
+// The table is held to a plain map under random operation sequences.
+func TestCountsModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for round := 0; round < 200; round++ {
+		prog := make([]byte, 50+rng.Intn(400))
+		rng.Read(prog)
+		runModel(t, prog)
+	}
+
+	// Growth through every resize up to 2¹⁴ slots, then back to empty.
+	c, m := NewCounts(), &model{m: map[tags.Tag]int64{}}
+	var posts []tags.Post
+	for i := 0; i < 12000; i += 3 {
+		p := tags.Post{tags.Tag(i), tags.Tag(-i - 1), tags.Tag(math.MaxInt32 - i)}
+		c.Add(p)
+		m.add(p)
+		posts = append(posts, p)
+	}
+	requireModel(t, c, m)
+	if len(c.slots) != 1<<14 {
+		t.Fatalf("12 000 entries in %d slots, want 16 384", len(c.slots))
+	}
+	for _, p := range posts {
+		c.Remove(p)
+		m.remove(p)
+	}
+	requireModel(t, c, m)
+
+	// Deletion across the wrap-around: every entry homes on the last
+	// slot, so the probe run continues at slot 0.
+	c, m = NewCounts(), &model{m: map[tags.Tag]int64{}}
+	c.Add(tags.Post{0})
+	m.add(tags.Post{0})
+	last := len(c.slots) - 1
+	var wrap []tags.Tag
+	for tg := tags.Tag(1); len(wrap) < 4; tg++ {
+		if c.home(tg) == last {
+			wrap = append(wrap, tg)
+		}
+	}
+	for _, tg := range wrap {
+		c.Add(tags.Post{tg})
+		m.add(tags.Post{tg})
+	}
+	if len(c.slots) != 8 {
+		t.Fatalf("table grew to %d slots", len(c.slots))
+	}
+	for _, j := range []int{0, 2, 3, 1} {
+		c.Remove(tags.Post{wrap[j]})
+		m.remove(tags.Post{wrap[j]})
+		requireModel(t, c, m)
+	}
+
+	// FromEntries rejects malformed snapshots.
+	for _, tc := range []struct {
+		name  string
+		ts    []tags.Tag
+		ns    []int64
+		posts int
+	}{
+		{"length mismatch", []tags.Tag{1, 2}, []int64{1}, 1},
+		{"duplicate", []tags.Tag{5, 5}, []int64{1, 1}, 1},
+		{"zero count", []tags.Tag{1}, []int64{0}, 1},
+		{"count above posts", []tags.Tag{1}, []int64{3}, 2},
+		{"count above MaxInt32", []tags.Tag{1}, []int64{math.MaxInt32 + 1}, math.MaxInt32 + 1},
+	} {
+		if _, err := FromEntries(tc.ts, tc.ns, tc.posts); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// FuzzCountsModel runs arbitrary operation sequences against the model.
+func FuzzCountsModel(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 9, 3, 0, 4, 30, 6, 2, 7, 5, 0, 2, 16, 17})
+	f.Add([]byte{4, 255, 4, 255, 3, 0, 3, 0, 7})
+	f.Fuzz(func(t *testing.T, prog []byte) { runModel(t, prog) })
+}
+
+// Reset must be an identity for a scratch vector reused across replays
+// (the RunReference oracle path).
+func TestResetScratchReuse(t *testing.T) {
+	scratch := NewCounts()
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 10; round++ {
 		var posts []tags.Post
 		for i := 0; i < 30; i++ {
-			posts = append(posts, randomPost(t, rng))
+			posts = append(posts, randPost(rng, 3000))
 		}
 		scratch.Reset()
+		m := &model{m: map[tags.Tag]int64{}}
 		for _, p := range posts {
 			scratch.Add(p)
+			m.add(p)
 		}
-		requireSame(t, scratch, fresh(posts))
+		requireModel(t, scratch, m)
 	}
 }

@@ -51,15 +51,10 @@ func NewTracker(omega int) *Tracker {
 	}
 }
 
-// NewTrackerSized is NewTracker with the count vector in the hybrid
-// dense/map representation sized for a tag universe of the given bound —
-// the allocation-free ingest form used by the serving engine. All
-// observable behaviour is bit-identical to NewTracker.
-func NewTrackerSized(omega, universe int) *Tracker {
-	tr := NewTracker(omega)
-	tr.counts = sparse.NewHybridCounts(universe)
-	return tr
-}
+// NewTrackerSized returns NewTracker(omega): a tracker's count vector
+// is a sparse table that grows with its support, so a tag-universe bound
+// has nothing to size.
+func NewTrackerSized(omega, universe int) *Tracker { return NewTracker(omega) }
 
 // RestoreTracker rebuilds a tracker from exported state: the count
 // vector plus the MA window internals (ring of the last ω−1 adjacent
@@ -149,8 +144,7 @@ func (tr *Tracker) MA() (float64, bool) {
 func (tr *Tracker) Snapshot() *sparse.Counts { return tr.counts.Clone() }
 
 // Reset returns the tracker to its initial empty state, retaining ω and
-// the count vector's representation and backing storage (a sized tracker
-// stays hybrid).
+// the count vector's backing storage.
 func (tr *Tracker) Reset() {
 	tr.counts.Reset()
 	for i := range tr.ring {

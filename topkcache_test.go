@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"incentivetag/internal/ir"
 	"incentivetag/internal/tags"
@@ -509,6 +510,15 @@ func TestTopKCacheRowsContended(t *testing.T) {
 	for _, s := range hot {
 		pool = append(pool, svc.SnapshotRFDs()[s].Support()...)
 	}
+	// Both sides keep going past their quota until a row has been folded
+	// and one rebuilt (or a deadline passes): when the writers outran
+	// the readers, every query after the last write found nothing left
+	// to fold.
+	deadline := time.Now().Add(10 * time.Second)
+	settled := func() bool {
+		st := svc.QueryStats()
+		return (st.CacheReranks > 0 && st.CacheRebuilds > 0) || time.Now().After(deadline)
+	}
 	var stop atomic.Bool
 	var writers sync.WaitGroup
 	for sh := 0; sh < shards; sh++ {
@@ -516,7 +526,7 @@ func TestTopKCacheRowsContended(t *testing.T) {
 		go func(sh int) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(int64(sh)))
-			for i := 0; i < 3000 && !stop.Load(); i++ {
+			for i := 0; (i < 3000 || !settled()) && !stop.Load(); i++ {
 				r := sh + shards*rng.Intn((n-sh+shards-1)/shards)
 				if err := svc.Ingest(r, tags.MustPost(pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))])); err != nil {
 					t.Error(err)
@@ -531,7 +541,7 @@ func TestTopKCacheRowsContended(t *testing.T) {
 		go func(w int) {
 			defer readers.Done()
 			var lastEpoch uint64
-			for q := 0; q < 300; q++ {
+			for q := 0; q < 300 || !settled(); q++ {
 				res, epoch, err := svc.TopK(hot[(w+q)%len(hot)], 10)
 				if err != nil || len(res) != 10 || epoch < lastEpoch {
 					t.Errorf("reader %d query %d: %d results at epoch %d after %d: %v", w, q, len(res), epoch, lastEpoch, err)
