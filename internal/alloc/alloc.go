@@ -61,6 +61,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"incentivetag/internal/strategy"
 	"incentivetag/internal/tags"
@@ -74,7 +76,22 @@ type Sink interface {
 // LeaseID names one outstanding post-task assignment. IDs are unique for
 // the allocator's lifetime and never reused, so a settled (fulfilled or
 // expired) lease can be detected as such forever.
+//
+// Leases are not durable, yet an id from before a restart must not name
+// a lease issued after it. So a boot's ids count up from its epoch
+// shifted left by leaseSeqBits: the milliseconds from leaseEpochStart to
+// New, plus the number of allocators the process has built. Two boots'
+// ids meet only if the earlier one issued 2^leaseSeqBits leases per
+// millisecond it lived. Ids stay below 2^48, above which a cluster
+// gateway packs a node index, until 2058.
 type LeaseID uint64
+
+const leaseSeqBits = 8
+
+var (
+	leaseEpochStart = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	allocators      atomic.Uint64
+)
 
 // ErrUnknownLease is wrapped by Fulfill and Expire when the lease was
 // never issued or has already settled. Test with errors.Is.
@@ -97,7 +114,8 @@ type Allocator struct {
 	mu       sync.Mutex
 	inflight []int // outstanding leases per resource
 	leases   map[LeaseID]held
-	nextID   LeaseID
+	firstID  LeaseID // this boot's epoch, shifted
+	issued   uint64
 	settled  uint64 // fulfilled + expired, for Stats
 	expired  uint64
 	spent    int // cost of fulfilled leases whose ingest succeeded
@@ -112,6 +130,7 @@ type Allocator struct {
 // runs the strategy's Init under it, so strat must be fresh (not yet
 // initialized) and must not be driven by anyone else afterwards.
 func New(strat strategy.Strategy, env strategy.Env, sink Sink, budget int) *Allocator {
+	epoch := uint64(max(time.Since(leaseEpochStart).Milliseconds(), 0)) + allocators.Add(1)
 	a := &Allocator{
 		sink:     sink,
 		strat:    strat,
@@ -119,6 +138,7 @@ func New(strat strategy.Strategy, env strategy.Env, sink Sink, budget int) *Allo
 		budget:   budget,
 		inflight: make([]int, env.N()),
 		leases:   make(map[LeaseID]held),
+		firstID:  LeaseID(epoch << leaseSeqBits),
 	}
 	// The mask closure reads inflight only while a.mu is held: Init runs
 	// before the allocator is published, and Choose/Update only ever run
@@ -148,11 +168,12 @@ func (a *Allocator) Lease(remaining int) (resource int, lease LeaseID, ok bool) 
 		return -1, 0, false
 	}
 	cost := a.env.Cost(i)
-	a.nextID++
-	a.leases[a.nextID] = held{resource: i, cost: cost}
+	a.issued++
+	id := a.firstID + LeaseID(a.issued)
+	a.leases[id] = held{resource: i, cost: cost}
 	a.inflight[i]++
 	a.reserved += cost
-	return i, a.nextID, true
+	return i, id, true
 }
 
 // settleLocked removes the lease from the lease bookkeeping; its
@@ -252,7 +273,7 @@ func (a *Allocator) StatsSnapshot() Stats {
 		rem = a.budget - a.spent - a.reserved
 	}
 	return Stats{
-		Issued:      uint64(a.nextID),
+		Issued:      a.issued,
 		Outstanding: len(a.leases),
 		Fulfilled:   a.settled - a.expired,
 		Expired:     a.expired,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/url"
 	"sort"
@@ -31,10 +32,9 @@ type Config struct {
 	// ProbeInterval is the per-backend /healthz cadence
 	// (0 = DefaultProbeInterval).
 	ProbeInterval time.Duration
-	// Transport overrides the backend HTTP transport (tests). Nil builds
-	// the gateway's own, with a per-backend keep-alive pool sized for
-	// concurrent scatter legs.
-	Transport http.RoundTripper
+	// Dial opens a connection to a node's host:port; tests hand in
+	// in-memory ones. Nil dials TCP.
+	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
 // Gateway is the cluster front-end: it owns the ring, the per-backend
@@ -85,13 +85,12 @@ func New(cfg Config) (*Gateway, error) {
 	if g.probeInterval <= 0 {
 		g.probeInterval = DefaultProbeInterval
 	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = newTransport()
-	}
-	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
 	for i, n := range cfg.Map.Nodes {
-		g.backends = append(g.backends, newBackend(i, n, client))
+		b, err := newBackend(i, n, cfg.Dial)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+		g.backends = append(g.backends, b)
 	}
 	g.mux.HandleFunc("POST /ingest", g.edge.Route("/ingest", admit.Bulk, g.handleIngest))
 	g.mux.HandleFunc("GET /topk", g.edge.Route("/topk", admit.Interactive, g.handleTopK))
@@ -495,13 +494,9 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 		epochs[l.b.name] = l.resp.Epoch
 		epochSum += l.resp.Epoch
 	}
-	// query aliases the owner's buffer, so the buffer goes back only now,
-	// and only when every leg got its 2xx: a node answers one after it has
-	// read the whole body, whereas after a refusal or a transport error
-	// the transport's write loop may still be reading it.
-	if len(lists) == len(legs) {
-		putAnswer(ownerBuf)
-	}
+	// query aliases the owner's buffer, so the buffer goes back only now:
+	// a leg copies its body into its request before it returns.
+	putAnswer(ownerBuf)
 	server.WriteJSON(w, http.StatusOK, TopKResponse{
 		Resource: resource,
 		Epoch:    epochSum,
@@ -588,10 +583,9 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 // --- lease loop -----------------------------------------------------------
 
 // leaseNodeShift packs the owning backend's index into the high bits of
-// a gateway lease id: node lease counters are small monotonic integers,
-// so 48 bits of headroom is beyond any plausible lifetime, and the
-// gateway stays stateless — /complete and /expire decode the node from
-// the id itself.
+// a gateway lease id: a node's ids (its boot epoch, then a count) stay
+// below bit 48, and the gateway stays stateless — /complete and /expire
+// decode the node from the id itself.
 const leaseNodeShift = 48
 
 func encodeLease(node int, lease uint64) (uint64, bool) {

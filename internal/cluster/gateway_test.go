@@ -49,8 +49,11 @@ type clusterHarness struct {
 	gts   *httptest.Server
 	// reference is a single-node service fed the identical post stream.
 	reference *incentivetag.Service
-	vocab     int
-	posted    int
+	// pipes, when set, carries every gateway leg in memory instead of
+	// over TCP.
+	pipes  *pipeNet
+	vocab  int
+	posted int
 }
 
 func dataset(t *testing.T) *incentivetag.Dataset {
@@ -91,8 +94,10 @@ func (h *clusterHarness) startNode(nd *node) {
 		h.t.Fatal(err)
 	}
 	ts := httptest.NewUnstartedServer(srv.Handler())
-	l, err := net.Listen("tcp", nd.addr)
-	if err != nil {
+	var l net.Listener
+	if h.pipes != nil {
+		l = h.pipes.listen(nd.addr)
+	} else if l, err = net.Listen("tcp", nd.addr); err != nil {
 		h.t.Fatalf("rebinding %s: %v", nd.addr, err)
 	}
 	ts.Listener.Close()
@@ -112,7 +117,14 @@ func (h *clusterHarness) stopNode(nd *node) {
 
 func newCluster(t *testing.T, nNodes int, admission admit.Config) *clusterHarness {
 	t.Helper()
-	h := &clusterHarness{t: t}
+	return newClusterOn(t, nNodes, admission, nil)
+}
+
+// newClusterOn is newCluster with the nodes reached through pipes, or
+// over TCP when pipes is nil.
+func newClusterOn(t *testing.T, nNodes int, admission admit.Config, pipes *pipeNet) *clusterHarness {
+	t.Helper()
+	h := &clusterHarness{t: t, pipes: pipes}
 	h.m = &cluster.Map{VNodes: 64}
 	for i := 0; i < nNodes; i++ {
 		h.m.Nodes = append(h.m.Nodes, cluster.Node{
@@ -123,6 +135,12 @@ func newCluster(t *testing.T, nNodes int, admission admit.Config) *clusterHarnes
 	}
 	for i := 0; i < nNodes; i++ {
 		nd := &node{name: h.m.Nodes[i].Name, walDir: filepath.Join(t.TempDir(), "wal")}
+		if pipes != nil {
+			nd.addr = nd.name + ".pipe:80"
+			h.nodes = append(h.nodes, nd)
+			h.m.Nodes[i].URL = "http://" + nd.addr
+			continue
+		}
 		// First boot on an ephemeral port; the address then stays fixed
 		// for the node's lifetime so restarts land where the map points.
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -146,11 +164,15 @@ func newCluster(t *testing.T, nNodes int, admission admit.Config) *clusterHarnes
 	}
 	h.reference = ref
 
-	gw, err := cluster.New(cluster.Config{
+	cfg := cluster.Config{
 		Map:           h.m,
 		Admission:     admission,
 		ProbeInterval: 20 * time.Millisecond,
-	})
+	}
+	if pipes != nil {
+		cfg.Dial = pipes.dial
+	}
+	gw, err := cluster.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,6 +518,99 @@ func TestGatewayBitIdenticalAcrossNodeRestart(t *testing.T) {
 		h.ingestVia(rng)
 	}
 	h.assertBitIdentical(rng, 12)
+	h.assertAccounting()
+}
+
+// pipeNet is an in-memory network: a dial hands one net.Pipe half to the
+// listener at the address and returns the other.
+type pipeNet struct {
+	mu        sync.Mutex
+	listeners map[string]*pipeListener
+}
+
+// listen (re)binds addr.
+func (p *pipeNet) listen(addr string) *pipeListener {
+	l := &pipeListener{addr: addr, conns: make(chan net.Conn), done: make(chan struct{})}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.listeners == nil {
+		p.listeners = map[string]*pipeListener{}
+	}
+	p.listeners[addr] = l
+	return l
+}
+
+func (p *pipeNet) dial(ctx context.Context, addr string) (net.Conn, error) {
+	p.mu.Lock()
+	l := p.listeners[addr]
+	p.mu.Unlock()
+	if l != nil {
+		client, server := net.Pipe()
+		select {
+		case l.conns <- server:
+			return client, nil
+		case <-l.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return nil, fmt.Errorf("dial %s: connection refused", addr)
+}
+
+// pipeListener accepts the server halves of a pipeNet's dials.
+type pipeListener struct {
+	addr  string
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr(l.addr) }
+
+type pipeAddr string
+
+func (a pipeAddr) Network() string { return "pipe" }
+func (a pipeAddr) String() string  { return string(a) }
+
+// The gateway's legs ride on whatever its dialer returns: with every node
+// reached over net.Pipe halves served through in-memory listeners — no
+// socket under any leg — merged /topk and /search are bit-identical to
+// the single-node reference, across a node restart too.
+func TestGatewayBitIdenticalInMemory(t *testing.T) {
+	h := newClusterOn(t, 3, admit.Config{}, &pipeNet{})
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 30; i++ {
+		h.ingestVia(rng)
+	}
+	h.assertBitIdentical(rng, 10)
+	h.assertAccounting()
+	victim := h.nodes[2]
+	h.stopNode(victim)
+	h.waitDegraded()
+	h.startNode(victim)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.gw.WaitReady(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 15; i++ {
+		h.ingestVia(rng)
+	}
+	h.assertBitIdentical(rng, 7)
 	h.assertAccounting()
 }
 

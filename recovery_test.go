@@ -1,6 +1,7 @@
 package incentivetag
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -78,6 +79,56 @@ func copyDir(t *testing.T, src string) string {
 // exactly when snapshots exist.
 func durableOpts(dir string) ServiceOptions {
 	return ServiceOptions{Strategy: "FP", WALDir: dir, SnapshotInterval: -1}
+}
+
+// A lease handed out before a restart names nothing after it. Leases are
+// not durable, so a worker who completes one across a restart must be
+// refused — not settle whichever lease the rebooted allocator numbered
+// the same and land the worker's tags on that lease's resource.
+func TestLeaseIDsSurviveRestart(t *testing.T) {
+	ds := testDS(t)
+	dir := t.TempDir()
+	svc, err := NewService(ds, durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stale, ok := svc.Lease(math.MaxInt32)
+	if !ok {
+		t.Fatal("nothing to lease")
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewService(ds, durableOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	issued := map[LeaseID]int{}
+	for i := 0; i < 8; i++ {
+		r, l, ok := re.Lease(math.MaxInt32)
+		if !ok {
+			t.Fatal("nothing to lease after the restart")
+		}
+		issued[l] = r
+	}
+	if r, ok := issued[stale]; ok {
+		t.Fatalf("lease %d was issued before the restart and again, on resource %d, after it", stale, r)
+	}
+	post, err := NewPost(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := re.Snapshot().Posts
+	if err := re.Fulfill(stale, post); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("completing pre-restart lease %d: %v, want ErrUnknownLease", stale, err)
+	}
+	if got := re.Snapshot().Posts; got != before {
+		t.Fatalf("a pre-restart lease put a post on the rebooted service (%d -> %d posts)", before, got)
+	}
+	if st := re.AllocStats(); st.Issued != 8 || st.Outstanding != 8 {
+		t.Fatalf("alloc stats %+v, want 8 issued and outstanding", st)
+	}
 }
 
 // TestServiceReopenRecovers is the regression test for the pre-durability
