@@ -141,7 +141,7 @@ func topKWeightedExhaustive(ix *OnlineIndex, query []WeightedTag, qNorm2 float64
 		for _, wt := range query {
 			sc := float64(wt.Count)
 			for _, sh := range ix.shards {
-				pl := sh.postings[wt.Tag]
+				pl := sh.postings.get(wt.Tag)
 				if pl == nil {
 					continue
 				}
@@ -191,7 +191,7 @@ func searchOwnedExhaustive(ix *OnlineIndex, query tags.Post, k int, owned []bool
 	dots := make(map[int32]float64)
 	for _, t := range query {
 		for _, sh := range ix.shards {
-			pl := sh.postings[t]
+			pl := sh.postings.get(t)
 			if pl == nil {
 				continue
 			}

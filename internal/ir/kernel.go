@@ -53,7 +53,9 @@ import (
 // scanMax is the longest posting list whose id lookup is a scan; a
 // longer list keeps an id→slot index. At Figure-6 scale (110 763 lists,
 // p50 1 / p99 5 / max 79 entries) no list reaches it, and a scan inside
-// a cache line or two beats a map probe.
+// a cache line or two beats a map probe. On ingest-http's steady state
+// a bump scans ~5 entries on average, 0.9 % of bumps append, and no
+// shard list passes scanMax.
 const scanMax = 128
 
 // rejectSlack pads the fast reject's squared comparison, whose operands
@@ -195,7 +197,7 @@ func (ix *OnlineIndex) lift(sc *queryScratch, subject int) {
 func (ix *OnlineIndex) accumulate(r *dotRow, q []WeightedTag) {
 	for _, wt := range q {
 		w := float64(wt.Count)
-		for _, pl := range ix.dir[wt.Tag] {
+		for _, pl := range ix.dir.get(wt.Tag).lists {
 			for _, e := range pl.entries {
 				r.add(e.id, w*float64(e.count))
 			}

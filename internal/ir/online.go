@@ -104,13 +104,15 @@ type OnlineIndex struct {
 	// query's epoch is exact; a TopK answer exact at it is served without.
 	epoch atomic.Uint64
 
-	// dir is the tag directory: tag → its posting lists, one per shard
-	// that has one, so a query finds a tag's postings with ONE map lookup
-	// instead of one per shard. It grows only at list creation, under the
-	// owning shard's write lock plus censusMu (serializing creators on
-	// different shards); queries read it lock-free because they hold
-	// every shard's read lock, which excludes all writers.
-	dir map[tags.Tag][]*postingList
+	// dir is the query directory: one row per tag, holding its posting
+	// lists (one per shard that has one) and its census count, so a query
+	// finds a tag's postings in one probe instead of one per shard, and
+	// Stats().Tags is the table's size. It changes only when a list or a
+	// posting is created, under the owning shard's write lock plus
+	// censusMu (serializing creators on different shards); queries read
+	// it lock-free because they hold every shard's read lock, which
+	// excludes all writers.
+	dir tagTable[dirRow]
 
 	// norm2[id] caches resource id's scoring norm: its squared norm, or
 	// 0 when the resource has no posts (the selection paths skip those
@@ -128,9 +130,9 @@ type OnlineIndex struct {
 
 	// census counters, maintained incrementally on first-touch posting
 	// creation so Stats is O(1) instead of a full posting-list walk.
-	// censusMu nests inside a shard write lock (never the reverse).
+	// censusMu guards them and dir's writers, and nests inside a shard
+	// write lock (never the reverse).
 	censusMu     sync.Mutex
-	tagPostings  map[tags.Tag]int
 	postingCount int
 	maxPostings  int
 
@@ -139,13 +141,23 @@ type OnlineIndex struct {
 	candidatesScored atomic.Uint64
 }
 
+// dirRow is one tag's query-directory row: its posting lists, one per
+// shard that has one, and its posting count across them.
+type dirRow struct {
+	lists    []*postingList
+	postings int
+}
+
 // onlineShard owns the posting lists of every tag used by the resources
 // with id ≡ shardID (mod S). Its lock is the view lock over those
 // resources' counts and residency.
+//
+// A bump's cost is finding its list, not scanning it (see scanMax), so
+// postings is a flat tag table, probed once per tag.
 type onlineShard struct {
 	mu sync.RWMutex
 	// postings maps tag → the shard-local posting list.
-	postings map[tags.Tag]*postingList
+	postings tagTable[*postingList]
 }
 
 // NewOnlineIndex seeds an online index over count vectors it takes
@@ -172,16 +184,14 @@ func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
 		shards = 1
 	}
 	ix := &OnlineIndex{
-		n:           n,
-		shards:      make([]*onlineShard, shards),
-		vecs:        vecs,
-		dir:         make(map[tags.Tag][]*postingList),
-		norm2:       make([]float64, n),
-		tagPostings: make(map[tags.Tag]int),
-		cache:       topkCache{entries: make(map[int]*topkEntry), maxRows: rowBytes / (8 * max(n, 1))},
+		n:      n,
+		shards: make([]*onlineShard, shards),
+		vecs:   vecs,
+		norm2:  make([]float64, n),
+		cache:  topkCache{entries: make(map[int]*topkEntry), maxRows: rowBytes / (8 * max(n, 1))},
 	}
 	for s := range ix.shards {
-		ix.shards[s] = &onlineShard{postings: make(map[tags.Tag]*postingList)}
+		ix.shards[s] = &onlineShard{}
 	}
 	var i, s int
 	var n2 float64
@@ -206,16 +216,15 @@ func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
 // (or is the constructor); censusMu serializes directory writers racing
 // from different shards.
 func (ix *OnlineIndex) posting(s int, t tags.Tag) *postingList {
-	sh := ix.shards[s]
-	pl := sh.postings[t]
-	if pl == nil {
-		pl = &postingList{}
+	slot := ix.shards[s].postings.put(t)
+	if *slot == nil {
+		*slot = &postingList{}
 		ix.censusMu.Lock()
-		ix.dir[t] = append(ix.dir[t], pl)
+		row := ix.dir.put(t)
+		row.lists = append(row.lists, *slot)
 		ix.censusMu.Unlock()
-		sh.postings[t] = pl
 	}
-	return pl
+	return *slot
 }
 
 // notePosting records a newly created posting entry in the census. Safe
@@ -224,11 +233,9 @@ func (ix *OnlineIndex) posting(s int, t tags.Tag) *postingList {
 func (ix *OnlineIndex) notePosting(t tags.Tag) {
 	ix.censusMu.Lock()
 	ix.postingCount++
-	n := ix.tagPostings[t] + 1
-	ix.tagPostings[t] = n
-	if n > ix.maxPostings {
-		ix.maxPostings = n
-	}
+	row := ix.dir.put(t)
+	row.postings++
+	ix.maxPostings = max(ix.maxPostings, row.postings)
 	ix.censusMu.Unlock()
 }
 
@@ -256,8 +263,13 @@ func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)]
 func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
 	ix.norm2[resource] = norm2 // a post landed, so the resource scores
 	s := resource % len(ix.shards)
+	lists := &ix.shards[s].postings
 	for _, t := range p {
-		if ix.posting(s, t).bump(int32(resource)) {
+		pl := lists.get(t) // inlined: the common case, an existing list
+		if pl == nil {
+			pl = ix.posting(s, t)
+		}
+		if pl.bump(int32(resource)) {
 			ix.notePosting(t)
 		}
 	}
@@ -403,11 +415,7 @@ func (ix *OnlineIndex) PostingEntries(t tags.Tag) []Posting {
 	ix.rlockAll()
 	defer ix.runlockAll()
 	var out []Posting
-	for _, sh := range ix.shards {
-		pl := sh.postings[t]
-		if pl == nil {
-			continue
-		}
+	for _, pl := range ix.dir.get(t).lists {
 		for _, p := range pl.entries {
 			out = append(out, Posting{ID: p.id, Count: int64(p.count)})
 		}
@@ -421,19 +429,9 @@ func (ix *OnlineIndex) PostingEntries(t tags.Tag) []Posting {
 func (ix *OnlineIndex) Tags() []tags.Tag {
 	ix.rlockAll()
 	defer ix.runlockAll()
-	seen := make(map[tags.Tag]bool)
-	for _, sh := range ix.shards {
-		for t, pl := range sh.postings {
-			if len(pl.entries) > 0 {
-				seen[t] = true
-			}
-		}
-	}
-	out := make([]tags.Tag, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	out := make([]tags.Tag, 0, ix.dir.n)
+	ix.dir.each(func(t tags.Tag, _ dirRow) { out = append(out, t) })
+	slices.Sort(out)
 	return out
 }
 
@@ -502,7 +500,7 @@ func (ix *OnlineIndex) Stats() OnlineStats {
 	st.CacheEntries = len(ix.cache.entries)
 	ix.cache.mu.Unlock()
 	ix.censusMu.Lock()
-	st.Tags = len(ix.tagPostings)
+	st.Tags = ix.dir.n
 	st.Postings = ix.postingCount
 	st.MaxPostings = ix.maxPostings
 	ix.censusMu.Unlock()

@@ -1,12 +1,17 @@
 package ir
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"incentivetag/internal/engine"
+	"incentivetag/internal/sim"
 	"incentivetag/internal/sparse"
+	"incentivetag/internal/synth"
 	"incentivetag/internal/tags"
 )
 
@@ -314,5 +319,104 @@ func BenchmarkOnlineTopK(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		online.TopK(i%2000, 10)
+	}
+}
+
+// Tags 0 and math.MaxInt32, the extremes the /ingest scanner accepts,
+// through an engine-attached index: posting for posting against
+// BuildInverted, and a hot subject's answer, folded from the write log
+// across posts that carry both tags, against a rebuild.
+func TestBoundaryTagIDsEndToEnd(t *testing.T) {
+	const n, dim, k, subject = 24, 12, 5, 3
+	eng, ix := engineIndex(t, 53, n, dim, 4)
+	lo, hi := tags.Tag(0), tags.Tag(math.MaxInt32)
+	ingest := func(i int, ts ...tags.Tag) {
+		t.Helper()
+		if err := eng.Ingest(i, tags.MustPost(ts...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(ctx string) {
+		t.Helper()
+		inv := BuildInverted(eng.SnapshotRFDs())
+		if got, want := ix.Tags(), inv.Tags(); !slices.Equal(got, want) {
+			t.Fatalf("%s: tags %v, rebuild %v", ctx, got, want)
+		}
+		for _, tg := range inv.Tags() {
+			if got, want := ix.PostingEntries(tg), inv.PostingEntries(tg); !slices.Equal(got, want) {
+				t.Fatalf("%s: tag %d postings %+v, rebuild %+v", ctx, tg, got, want)
+			}
+		}
+		got, _ := ix.TopK(subject, k)
+		compareScored(t, ctx, got, inv.TopK(subject, k))
+	}
+	ingest(subject, lo, hi)
+	ingest(subject, hi)
+	check("first query")
+	ingest(7, hi)
+	check("hot subject")
+	for r := 0; r < n; r++ {
+		if r != subject {
+			ingest(r, lo, hi)
+			ingest(r, tags.Tag(r%dim), hi)
+		}
+	}
+	before := ix.Stats()
+	check("folded")
+	after := ix.Stats()
+	if after.CacheHits != before.CacheHits+1 || after.CacheMisses != before.CacheMisses {
+		t.Fatalf("the last query was not folded: hits %d → %d, misses %d → %d",
+			before.CacheHits, after.CacheHits, before.CacheMisses, after.CacheMisses)
+	}
+	if st := ix.Stats(); st.Tags != len(ix.Tags()) {
+		t.Fatalf("census counts %d tags, the directory lists %d", st.Tags, len(ix.Tags()))
+	}
+}
+
+// BenchmarkPostApplied is the serving write path's index rung: an index
+// attached to an engine as NewService attaches it, over the n = 2 000
+// corpus, fed the corpus's recorded future posts round-robin (wrapping
+// once they are spent). An op is one post through the engine's apply and
+// the index's PostApplied, no WAL or HTTP, so ns/op and allocs/op are
+// per post.
+func BenchmarkPostApplied(b *testing.B) {
+	cfg := synth.DefaultConfig(2000, 1)
+	ds, err := synth.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := sim.FromDataset(ds, 0)
+	eng, err := engine.New(engine.Config{
+		Omega:          5,
+		UnderThreshold: data.UnderThreshold,
+		TagUniverse:    data.TagUniverse,
+	}, data.EngineSpecs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Subscribe(NewOnlineIndexOver(eng, eng.N(), eng.Shards()))
+	type post struct {
+		resource int
+		p        tags.Post
+	}
+	var future []post
+	for k := 0; ; k++ {
+		added := false
+		for i, seq := range data.Seqs {
+			if at := data.Initial[i] + k; at < len(seq) {
+				future, added = append(future, post{i, seq[at]}), true
+			}
+		}
+		if !added {
+			break
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fp := future[i%len(future)]
+		if err := eng.Ingest(fp.resource, fp.p); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

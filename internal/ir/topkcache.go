@@ -31,7 +31,6 @@ package ir
 import (
 	"maps"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -76,31 +75,8 @@ type topkEntry struct {
 	epoch   uint64
 	res     []Scored
 	row     dotRow
-	weights weightTable
+	weights tagTable[float64] // the subject's (tag, weight) support; a miss reads 0
 	heap    scoredHeap
-}
-
-// weightTable is a subject's (tag, weight) support, open-addressed so a
-// fold looks a tag up in O(1). Keys hold tag+1: a miss reads weight 0.
-type weightTable struct {
-	keys  []tags.Tag
-	w     []float64
-	shift uint32
-}
-
-// reset gives the table empty storage, at most half full for size tags.
-func (h *weightTable) reset(size int) {
-	b := max(bits.Len(uint(2*size)), 3)
-	h.keys, h.w, h.shift = make([]tags.Tag, 1<<b), make([]float64, 1<<b), uint32(32-b)
-}
-
-// slot probes for t: its slot, or the empty one it would take.
-func (h *weightTable) slot(t tags.Tag) int {
-	i := int(uint32(t) * 0x9E3779B1 >> h.shift)
-	for h.keys[i] != t+1 && h.keys[i] != 0 {
-		i = (i + 1) & (len(h.keys) - 1)
-	}
-	return i
 }
 
 // topkCache is the index's one result cache and its write log. mu guards
@@ -193,7 +169,7 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 			return false, false
 		}
 		for _, t := range sl.tags[:sl.n] {
-			if w := e.weights.w[e.weights.slot(t)]; w != 0 {
+			if w := e.weights.get(t); w != 0 {
 				e.row.add(int32(r), w)
 			}
 		}
@@ -220,10 +196,10 @@ func (ix *OnlineIndex) fold(e *topkEntry, epoch uint64) (stands, ok bool) {
 func (ix *OnlineIndex) rebuild(e *topkEntry) {
 	sc := ix.getScratch()
 	ix.lift(sc, e.subject)
-	e.weights.reset(len(sc.query))
+	e.weights = tagTable[float64]{}
+	e.weights.resize(len(sc.query))
 	for _, wt := range sc.query {
-		j := e.weights.slot(wt.Tag)
-		e.weights.keys[j], e.weights.w[j] = wt.Tag+1, float64(wt.Count)
+		*e.weights.put(wt.Tag) = float64(wt.Count)
 	}
 	e.row.reset()
 	ix.accumulate(&e.row, sc.query)
