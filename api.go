@@ -650,7 +650,13 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// residency unchanged), so this one-time seed never forces the corpus
 	// hot and is the only corpus scan the query path ever performs.
 	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards())
-	eng.Subscribe(s.idx)
+	if err := eng.Subscribe(s.idx); err != nil {
+		mapped.Close()
+		if wal != nil {
+			wal.Close()
+		}
+		return nil, err
+	}
 	if wal != nil && opts.SnapshotInterval > 0 {
 		s.stopSnap = make(chan struct{})
 		s.snapWG.Add(1)

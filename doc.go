@@ -117,12 +117,15 @@
 // operations — top-k similar resources (§V-C.1) and query-by-tag-set
 // search — from a mutable, shard-partitioned inverted index
 // (ir.OnlineIndex) whose posting lists are maintained incrementally
-// from the engine's per-post ingest stream (engine.Subscriber): no
-// snapshot clone, no index rebuild, no corpus rescan per query. The
-// index keeps no count vectors; it reads the engine's under one lock
-// order (engine shard → index view) and one epoch.
+// from the engine's stream of shard batches (engine.Subscriber: one
+// engine shard's share of one ingest call, absorbed in one pass under
+// one view lock): no snapshot clone, no index rebuild, no corpus rescan
+// per query. The index keeps no count vectors; it reads the engine's
+// under one lock order (engine shard → index view) and one epoch.
 // Queries are epoch-versioned consistent reads (every shard read lock
-// held for the duration), bit-identical to the offline SimilarityIndex
+// held for the duration) that see each shard batch whole or not at
+// all, though one IngestMany's shards may straddle a read; they are
+// bit-identical to the offline SimilarityIndex
 // (NewSimilarityIndex) over SnapshotRFDs at the returned epoch, and safe
 // under arbitrary concurrency with ingest. The index is seeded from
 // recovered engine state, so a restarted service answers queries

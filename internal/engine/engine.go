@@ -22,10 +22,12 @@
 // resource's counts and its reference rfd are each one compact
 // open-addressed sparse.Counts table, so a post costs |post| probes into
 // each (the count update and the reference dot), and a table grows only
-// when its support does. IngestBatch
-// and IngestMany amortize the shard lock over whole batches and
-// group-commit each shard's WAL records with a single store write
-// (tagstore.Batch), framed under the shard lock so the log's
+// when its support does. Every ingest path runs one apply path
+// (applyShard) over a shard batch — one shard's share of one call, a
+// single Ingest being a batch of one — so IngestBatch and IngestMany
+// amortize the shard lock, the subscriber's view lock and the clock over
+// whole batches, and group-commit each shard's WAL records with a single
+// store write (tagstore.Batch), framed under the shard lock so the log's
 // per-resource order always matches apply order — batched ingestion is
 // bit-identical to per-post ingestion, including crash recovery.
 //
@@ -218,6 +220,14 @@ type shard struct {
 	// WAL mutex.
 	walBatch tagstore.Batch
 
+	// batch is the shard batch being applied — the shard's share of one
+	// ingest call, in apply order — targets its events' resources, and
+	// norm2 its posts' squared norms for the subscriber. All three are
+	// reused under the shard lock.
+	batch   []PostEvent
+	targets []*resource
+	norm2   []float64
+
 	// Aggregates, maintained as deltas on every ingest.
 	qsum, qcomp float64 // Neumaier-compensated Σ q_i over local resources
 	over        int
@@ -225,6 +235,21 @@ type shard struct {
 	wasted      int
 	spent       int
 	posts       int
+}
+
+// push appends an event for the resource in local slot l to the shard
+// batch. Caller holds the shard lock.
+func (sh *shard) push(ev PostEvent, l int) {
+	sh.batch = append(sh.batch, ev)
+	sh.targets = append(sh.targets, sh.res[l])
+}
+
+// resetBatch empties the shard batch. It truncates without clearing:
+// clearing would cost every Ingest a runtime call, and the stale events
+// past the length pin at most the largest shard batch's posts until
+// later batches overwrite them.
+func (sh *shard) resetBatch() {
+	sh.batch, sh.targets = sh.batch[:0], sh.targets[:0]
 }
 
 // add accumulates x into the shard's compensated quality sum
@@ -255,25 +280,33 @@ var (
 // engine's vectors and frozen records are the only copy, read through
 // ViewCounts and ViewEntries.
 //
-// Lock and Unlock are the subscriber's VIEW lock over one resource's
-// counts and residency. The engine takes it inside the resource's shard
-// lock (the order is always shard → view) around exactly two kinds of
-// write: an applied post's tracker update with its PostApplied call, and
-// the pointer swap that ends a freeze or a rehydration. Encoding,
-// decoding and WAL I/O never run under it, and a reader holding the view
-// needs no engine lock to call ViewCounts or ViewEntries.
+// ViewLock(s) is the subscriber's VIEW lock over engine shard s's
+// resources — their counts and residency. Shards reports how many view
+// locks there are; Subscribe refuses a subscriber whose count differs
+// from the engine's, so one view lock covers every resource of one
+// engine shard. The engine takes the view inside the shard lock (the
+// order is always shard → view) around exactly two kinds of write: one
+// shard batch — the tracker updates of every post the batch applies,
+// then its PostsApplied call — and the pointer swap that ends a freeze
+// or a rehydration. Encoding, decoding and WAL I/O never run under it,
+// and a reader holding the view needs no engine lock to call ViewCounts
+// or ViewEntries. A reader therefore sees a whole shard batch (one
+// shard's share of one Ingest, IngestBatch, IngestMany or Replay call)
+// or none of it; it may still land between two shards of one
+// IngestMany.
 //
-// PostApplied is invoked once per applied post, after the counts
-// absorbed it, so each resource's posts arrive exactly once and in apply
-// order. p's tags each carry an implicit count-delta of +1 (a post names
-// a tag at most once); norm2 is the resource's squared norm after the
-// post. Implementations must be fast, must not retain or mutate p, and
-// must never call back into the Engine's locking methods — they run in
-// the ingest hot path under the shard lock.
+// PostsApplied is invoked once per shard batch, after the counts
+// absorbed every post of it, with the batch's posts in apply order, so
+// each resource's posts arrive exactly once and in apply order. Each
+// post's tags carry an implicit count-delta of +1 (a post names a tag at
+// most once); norm2[k] is batch[k].Resource's squared norm right after
+// batch[k]. Implementations must be fast, must not retain or mutate the
+// batch, and must never call back into the Engine's locking methods —
+// they run in the ingest hot path under the shard lock.
 type Subscriber interface {
-	Lock(resource int)
-	Unlock(resource int)
-	PostApplied(resource int, p tags.Post, norm2 float64)
+	Shards() int
+	ViewLock(shard int) sync.Locker
+	PostsApplied(shard int, batch []PostEvent, norm2 []float64)
 }
 
 // Engine is a sharded live tagging engine. All exported methods are
@@ -299,15 +332,19 @@ type Engine struct {
 	rehydrations atomic.Uint64
 }
 
-// Subscribe attaches (or, with nil, detaches) the engine's subscriber.
-// It takes every shard lock to publish the pointer, so it is
+// Subscribe attaches (or, with nil, detaches) the engine's subscriber,
+// refusing one whose view-lock count differs from the engine's shard
+// count. It takes every shard lock to publish the pointer, so it is
 // memory-safe to call while traffic flows, but posts applied before the
 // call are not replayed to the subscriber — build it over the engine
 // (ir.NewOnlineIndexOver reads every resource through ViewEntries) and
 // attach it before serving traffic, as NewService does, for a gap-free
 // view. At most one subscriber is held; attaching over an existing one
 // replaces it, and a detached index must no longer read the engine.
-func (e *Engine) Subscribe(sub Subscriber) {
+func (e *Engine) Subscribe(sub Subscriber) error {
+	if sub != nil && sub.Shards() != len(e.shards) {
+		return fmt.Errorf("engine: subscriber has %d view shards, engine has %d", sub.Shards(), len(e.shards))
+	}
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
@@ -315,6 +352,7 @@ func (e *Engine) Subscribe(sub Subscriber) {
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
+	return nil
 }
 
 // New builds an engine over the given resources, replaying each spec's
@@ -434,7 +472,8 @@ func (e *Engine) locate(i int) (*shard, int) {
 // resource are serialized by its shard lock. The WAL append happens
 // under that lock (lock order: shard → wal), so the log's per-resource
 // record order always matches the order the engine applied — crash
-// recovery replays exactly the live history.
+// recovery replays exactly the live history. It is a shard batch of one
+// (see applyShard).
 func (e *Engine) Ingest(i int, p tags.Post) error {
 	if i < 0 || i >= e.n {
 		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
@@ -442,38 +481,20 @@ func (e *Engine) Ingest(i int, p tags.Post) error {
 	if len(p) == 0 {
 		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, e.id(i))
 	}
-	sh, l := e.locate(i)
+	s, l := i%len(e.shards), i/len(e.shards)
+	sh := e.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// Rehydrate-on-touch before the WAL append: a failed rehydration must
-	// not leave a logged record with no applied post.
-	if err := e.ensureResidentLocked(sh.res[l], i); err != nil {
-		return err
-	}
-	if e.cfg.WAL != nil {
-		e.walMu.Lock()
-		err := e.cfg.WAL.Append(uint32(e.id(i)), p) // cast safe: New enforces walCapacityOK
-		if err == nil {
-			// Commit visibility: the record reaches the OS before the
-			// ingest is acknowledged, so a killed process never loses an
-			// acknowledged post (fsync for OS-crash durability is the
-			// store's SyncOnFlush option).
-			err = e.cfg.WAL.Flush()
-		}
-		e.walMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("engine: wal: %w", err)
-		}
-	}
-	e.applyLocked(sh, sh.res[l], i, p)
-	return nil
+	sh.push(PostEvent{Resource: i, Post: p}, l)
+	return e.applyShard(s, sh, e.cfg.WAL != nil)
 }
 
-// IngestBatch applies a batch of posts to resource i, taking the shard
-// lock once and group-committing the batch's WAL records with a single
-// store write. Record order in the WAL matches apply order, so recovery
-// semantics are identical to per-post Ingest; the resulting engine state
-// is bit-identical to ingesting the posts one at a time.
+// IngestBatch applies a batch of posts to resource i as one shard batch:
+// the shard lock is taken once and the batch's WAL records are
+// group-committed with a single store write. Record order in the WAL
+// matches apply order, so recovery semantics are identical to per-post
+// Ingest; the resulting engine state is bit-identical to ingesting the
+// posts one at a time.
 func (e *Engine) IngestBatch(i int, posts []tags.Post) error {
 	if i < 0 || i >= e.n {
 		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
@@ -486,28 +507,14 @@ func (e *Engine) IngestBatch(i int, posts []tags.Post) error {
 	if len(posts) == 0 {
 		return nil
 	}
-	sh, l := e.locate(i)
+	s, l := i%len(e.shards), i/len(e.shards)
+	sh := e.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := e.ensureResidentLocked(sh.res[l], i); err != nil {
-		return err
-	}
-	if e.cfg.WAL != nil {
-		for _, p := range posts {
-			if err := sh.walBatch.Add(uint32(e.id(i)), p); err != nil {
-				sh.walBatch.Reset()
-				return fmt.Errorf("engine: wal: %w", err)
-			}
-		}
-		if err := e.commitWALBatch(sh); err != nil {
-			return err
-		}
-	}
-	r := sh.res[l]
 	for _, p := range posts {
-		e.applyLocked(sh, r, i, p)
+		sh.push(PostEvent{Resource: i, Post: p}, l)
 	}
-	return nil
+	return e.applyShard(s, sh, e.cfg.WAL != nil)
 }
 
 // PostEvent is one element of a cross-resource ingest batch.
@@ -518,17 +525,21 @@ type PostEvent struct {
 	Post tags.Post
 }
 
-// IngestMany applies a batch of posts spanning arbitrary resources. The
-// events are partitioned by shard; each shard's lock is taken exactly
-// once, its WAL records are group-committed with one store write, and
-// its events are applied in slice order — so for any fixed resource (and
-// any fixed shard) the outcome is bit-identical to calling Ingest per
-// event in slice order.
+// IngestMany applies a batch of posts spanning arbitrary resources. One
+// counting-sort pass buckets the events by shard, keeping slice order
+// within each bucket, so the whole call is O(batch + shards) and a
+// shard walks only its own events. Each touched shard then applies its
+// bucket as one shard batch: its lock is taken once, its WAL records are
+// group-committed with one store write, and its events are applied in
+// slice order — so for any fixed resource (and any fixed shard) the
+// outcome is bit-identical to calling Ingest per event in slice order.
+// Shards go in ascending order, and a concurrent reader may see some
+// shards' batches and not yet others'.
 //
-// All events are validated before anything is applied. A WAL error
-// mid-way aborts with the remaining shards unapplied (the same
-// prefix-durability contract as a sequence of Ingest calls); state is
-// never mutated ahead of its WAL record.
+// All events are validated before anything is applied. A rehydration or
+// WAL error aborts with that shard and every later one unapplied (the
+// same prefix-durability contract as a sequence of Ingest calls); state
+// is never mutated ahead of its WAL record.
 func (e *Engine) IngestMany(events []PostEvent) error {
 	for k, ev := range events {
 		if ev.Resource < 0 || ev.Resource >= e.n {
@@ -538,87 +549,128 @@ func (e *Engine) IngestMany(events []PostEvent) error {
 			return fmt.Errorf("engine: event %d: %w for resource %d", k, ErrEmptyPost, e.id(ev.Resource))
 		}
 	}
-	// One unlocked pre-pass counts each shard's events, so untouched
-	// shards are never locked or scanned and a touched shard's scan can
-	// stop at its last event — a batch that lands on one shard (the
-	// common case under resource-striped workers) costs O(batch), not
-	// O(shards·batch).
+	// Counting sort: ends[s] counts shard s's events, then (as a prefix
+	// sum) is the cursor placing them, after which it marks where shard
+	// s's bucket of order ends. keys[k] is event k's shard.
 	nshards := len(e.shards)
-	var countsBuf [64]int
-	counts := countsBuf[:]
-	if nshards > len(countsBuf) {
-		counts = make([]int, nshards)
-	} else {
-		counts = counts[:nshards]
+	var endsBuf [64]int
+	var keysBuf, orderBuf [256]int32
+	ends, keys, order := endsBuf[:], keysBuf[:], orderBuf[:]
+	if nshards > len(ends) {
+		ends = make([]int, nshards)
 	}
-	for _, ev := range events {
-		counts[ev.Resource%nshards]++
+	if len(events) > len(order) {
+		keys, order = make([]int32, len(events)), make([]int32, len(events))
 	}
-	for s, sh := range e.shards {
-		if counts[s] == 0 {
+	ends, keys, order = ends[:nshards], keys[:len(events)], order[:len(events)]
+	for k, ev := range events {
+		s := ev.Resource % nshards
+		keys[k] = int32(s)
+		ends[s]++
+	}
+	at := 0
+	for s, c := range ends {
+		ends[s] = at
+		at += c
+	}
+	for k, s := range keys {
+		order[ends[s]] = int32(k)
+		ends[s]++
+	}
+	from := 0
+	for s, to := range ends {
+		if from == to {
 			continue
 		}
-		if err := e.ingestShardBatch(s, sh, events, counts[s]); err != nil {
+		sh := e.shards[s]
+		sh.mu.Lock()
+		for _, k := range order[from:to] {
+			sh.push(events[k], events[k].Resource/nshards)
+		}
+		err := e.applyShard(s, sh, e.cfg.WAL != nil)
+		sh.mu.Unlock()
+		if err != nil {
 			return err
 		}
+		from = to
 	}
 	return nil
 }
 
-// ingestShardBatch applies the shard's slice of an event batch: WAL
-// group commit first (under the shard lock, preserving event order),
-// then the state mutations. have is the shard's event count from the
-// caller's pre-pass; each scan stops once that many events have been
-// handled.
-func (e *Engine) ingestShardBatch(s int, sh *shard, events []PostEvent, have int) error {
-	nshards := len(e.shards)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Rehydrate every cold target before any WAL record is framed: a
-	// failed rehydration aborts with nothing logged and nothing applied.
-	{
-		left := have
-		for _, ev := range events {
-			if ev.Resource%nshards != s {
-				continue
-			}
-			if r := sh.res[ev.Resource/nshards]; r.tracker == nil {
-				if err := e.ensureResidentLocked(r, ev.Resource); err != nil {
-					return err
-				}
-			}
-			if left--; left == 0 {
-				break
-			}
+// applyShard is the one apply path: every ingest call, and Replay, pushes
+// its share of shard s onto the shard batch in apply order and calls it
+// under the shard lock. It rehydrates every cold target, then (when logged)
+// group-commits the batch's WAL records, then applies every post —
+// tracker, reference dot, quality and aggregate deltas — under one view
+// lock, and hands the subscriber the whole batch before releasing the
+// view. A failed rehydration or WAL write returns with nothing of the
+// batch logged or applied. The shard batch is left empty either way.
+func (e *Engine) applyShard(s int, sh *shard, logged bool) error {
+	defer sh.resetBatch()
+	batch := sh.batch
+	for k, r := range sh.targets {
+		if err := e.ensureResidentLocked(r, batch[k].Resource); err != nil {
+			return err
 		}
 	}
-	if e.cfg.WAL != nil {
-		left := have
-		for _, ev := range events {
-			if ev.Resource%nshards != s {
-				continue
-			}
-			if err := sh.walBatch.Add(uint32(e.id(ev.Resource)), ev.Post); err != nil {
+	if logged {
+		for _, ev := range batch {
+			if err := sh.walBatch.Add(uint32(e.id(ev.Resource)), ev.Post); err != nil { // cast safe: New enforces walCapacityOK
 				sh.walBatch.Reset()
 				return fmt.Errorf("engine: wal: %w", err)
-			}
-			if left--; left == 0 {
-				break
 			}
 		}
 		if err := e.commitWALBatch(sh); err != nil {
 			return err
 		}
 	}
-	left := have
-	for _, ev := range events {
-		if ev.Resource%nshards != s {
-			continue
+	var view sync.Locker
+	sub := e.sub
+	if sub != nil {
+		view = sub.ViewLock(s)
+		view.Lock()
+	}
+	// The batch's access-clock ticks are reserved at once; its posts take
+	// them in apply order.
+	tick := e.clock.Add(uint64(len(batch))) - uint64(len(batch))
+	for k, ev := range batch {
+		r := sh.targets[k]
+		// Waste: the task ran while the resource was already at or past
+		// its stable point (seed semantics: judged BEFORE the post applies).
+		if r.stableK > 0 && r.consumed >= r.stableK {
+			sh.wasted++
 		}
-		e.applyLocked(sh, sh.res[ev.Resource/nshards], ev.Resource, ev.Post)
-		if left--; left == 0 {
-			break
+		if r.refCounts != nil {
+			r.addDot(ev.Post)
 		}
+		r.tracker.Observe(ev.Post)
+		if sub != nil {
+			sh.norm2 = append(sh.norm2, r.tracker.Counts().Norm2())
+		}
+		r.consumed++
+		tick++
+		r.lastTouch = tick
+
+		oldQ := r.quality
+		r.quality = r.computeQuality()
+		sh.add(r.quality - oldQ)
+
+		// Over-tagged can only flip false→true (counts are monotone).
+		if r.stableK > 0 && r.consumed == r.stableK {
+			sh.over++
+		}
+		// Under-tagged can only flip true→false, exactly when the count
+		// leaves the threshold.
+		if e.cfg.UnderThreshold >= 0 && r.consumed == e.cfg.UnderThreshold+1 {
+			sh.under--
+		}
+		sh.spent += r.cost
+		sh.posts++
+	}
+	if sub != nil {
+		sub.PostsApplied(s, batch, sh.norm2)
+		view.Unlock()
+		sh.norm2 = sh.norm2[:0]
 	}
 	return nil
 }
@@ -626,16 +678,16 @@ func (e *Engine) ingestShardBatch(s int, sh *shard, events []PostEvent, have int
 // commitWALBatch writes the shard's framed WAL batch under the engine's
 // WAL mutex and resets the buffer for reuse. Caller holds sh.mu, so the
 // log's per-shard record order always matches apply order (lock order:
-// shard → wal, as in Ingest).
+// shard → wal).
 func (e *Engine) commitWALBatch(sh *shard) error {
-	if sh.walBatch.Records() == 0 {
-		return nil
-	}
 	e.walMu.Lock()
 	err := e.cfg.WAL.AppendBatch(&sh.walBatch)
 	if err == nil {
-		// One group-commit flush per shard batch: every record of the
-		// batch reaches the OS before any of its posts is acknowledged.
+		// Commit visibility: one group-commit flush per shard batch, so
+		// every record of the batch reaches the OS before any of its
+		// posts is acknowledged and a killed process never loses an
+		// acknowledged post (fsync for OS-crash durability is the store's
+		// SyncOnFlush option).
 		err = e.cfg.WAL.Flush()
 	}
 	e.walMu.Unlock()
@@ -644,48 +696,6 @@ func (e *Engine) commitWALBatch(sh *shard) error {
 		return fmt.Errorf("engine: wal: %w", err)
 	}
 	return nil
-}
-
-// applyLocked mutates one resource and folds the metric deltas into the
-// shard aggregates. With a subscriber attached, the count update and
-// its PostApplied run under the subscriber's view lock. Caller holds
-// sh.mu — which is what serializes the subscriber's per-resource stream
-// into apply order.
-func (e *Engine) applyLocked(sh *shard, r *resource, i int, p tags.Post) {
-	// Waste: the task ran while the resource was already at or past its
-	// stable point (seed semantics: judged BEFORE the post applies).
-	if r.stableK > 0 && r.consumed >= r.stableK {
-		sh.wasted++
-	}
-	if r.refCounts != nil {
-		r.addDot(p)
-	}
-	if sub := e.sub; sub != nil {
-		sub.Lock(i)
-		r.tracker.Observe(p)
-		sub.PostApplied(i, p, r.tracker.Counts().Norm2())
-		sub.Unlock(i)
-	} else {
-		r.tracker.Observe(p)
-	}
-	r.consumed++
-	r.lastTouch = e.clock.Add(1)
-
-	oldQ := r.quality
-	r.quality = r.computeQuality()
-	sh.add(r.quality - oldQ)
-
-	// Over-tagged can only flip false→true (counts are monotone).
-	if r.stableK > 0 && r.consumed == r.stableK {
-		sh.over++
-	}
-	// Under-tagged can only flip true→false, exactly when the count
-	// leaves the threshold.
-	if e.cfg.UnderThreshold >= 0 && r.consumed == e.cfg.UnderThreshold+1 {
-		sh.under--
-	}
-	sh.spent += r.cost
-	sh.posts++
 }
 
 // Count returns the number of posts resource i has received (primed +

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -683,5 +687,153 @@ func TestBatchValidation(t *testing.T) {
 	// Validation happens before any mutation.
 	if got := e.Snapshot().Posts; got != 0 {
 		t.Errorf("validation mutated state: %d posts", got)
+	}
+}
+
+// walBytes closes the store and returns its segments' bytes in order.
+func walBytes(t *testing.T, wal *tagstore.Store, dir string) []byte {
+	t.Helper()
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.log"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segments in %s (%v)", dir, err)
+	}
+	var out []byte
+	for _, seg := range segs {
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+	}
+	return out
+}
+
+// IngestMany buckets its events by shard in one counting-sort pass and
+// must stay bit-identical to per-event Ingest: the exported state byte
+// for byte against Ingest in slice order, and the state and the WAL byte
+// for byte against Ingest in the order IngestMany commits (shard by
+// shard ascending, slice order within a shard) — at shard counts past the
+// bucketing's stack buffer (100) and batch sizes past its index buffer
+// (2 000).
+func TestIngestManyBucketingMatchesIngest(t *testing.T) {
+	specs, seqs := testSpecs(t, 240, 29)
+	events := eventStream(specs, seqs)
+	rand.New(rand.NewSource(30)).Shuffle(len(events), func(a, b int) { events[a], events[b] = events[b], events[a] })
+	for _, shards := range []int{1, 3, 8, 100} {
+		for _, size := range []int{1, 7, 256, 2000} {
+			stream := events[:min(len(events), max(3*size+size/2, 40))]
+			open := func() (*Engine, *tagstore.Store, string) {
+				dir := t.TempDir()
+				wal, err := tagstore.Open(dir, tagstore.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(Config{Omega: 5, Shards: shards, UnderThreshold: 10, WAL: wal}, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e, wal, dir
+			}
+			many, manyWAL, manyDir := open()
+			committed, committedWAL, committedDir := open()
+			inOrder, inOrderWAL, _ := open()
+			defer inOrderWAL.Close()
+			for k := 0; k < len(stream); k += size {
+				batch := stream[k:min(k+size, len(stream))]
+				if err := many.IngestMany(batch); err != nil {
+					t.Fatal(err)
+				}
+				order := slices.Clone(batch)
+				slices.SortStableFunc(order, func(a, b PostEvent) int { return a.Resource%shards - b.Resource%shards })
+				for _, ev := range order {
+					if err := committed.Ingest(ev.Resource, ev.Post); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, ev := range batch {
+					if err := inOrder.Ingest(ev.Resource, ev.Post); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			state := marshaled(t, many)
+			if !bytes.Equal(state, marshaled(t, inOrder)) || !bytes.Equal(state, marshaled(t, committed)) {
+				t.Fatalf("shards %d, batches of %d: IngestMany's state differs from per-event Ingest", shards, size)
+			}
+			if !bytes.Equal(walBytes(t, manyWAL, manyDir), walBytes(t, committedWAL, committedDir)) {
+				t.Fatalf("shards %d, batches of %d: IngestMany's WAL differs from per-event Ingest in commit order", shards, size)
+			}
+		}
+	}
+}
+
+// The prefix contract: when a cold resource's rehydration fails in the
+// middle of its shard's share of an IngestMany, the shards before it
+// stay applied and logged, while that shard and every later one log
+// nothing and apply nothing — not even the shard's events ahead of the
+// failing one — and the subscriber sees only the applied shards.
+func TestIngestManyRehydrateFailureKeepsPrefix(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := tagstore.Open(dir, tagstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	specs, _ := testSpecs(t, 12, 31)
+	eng, err := New(Config{Omega: 5, Shards: 3, UnderThreshold: 10, WAL: wal}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := newRecordingSub(eng)
+	if err := eng.Subscribe(sub); err != nil {
+		t.Fatal(err)
+	}
+	const broken = 7 // shard 1
+	if _, err := eng.Evict(broken); err != nil {
+		t.Fatal(err)
+	}
+	sh, l := eng.locate(broken)
+	sh.res[l].frozen = sh.res[l].frozen[:len(sh.res[l].frozen)/2]
+	counts := make([]int, eng.N())
+	for i := range counts {
+		counts[i] = eng.Count(i)
+	}
+	events := []PostEvent{
+		{Resource: 4, Post: tags.MustPost(1)},      // shard 1, ahead of the failure
+		{Resource: 0, Post: tags.MustPost(2)},      // shard 0
+		{Resource: broken, Post: tags.MustPost(3)}, // shard 1, fails to rehydrate
+		{Resource: 5, Post: tags.MustPost(4)},      // shard 2
+		{Resource: 3, Post: tags.MustPost(5, 6)},   // shard 0
+	}
+	if err := eng.IngestMany(events); err == nil {
+		t.Fatal("IngestMany into a corrupt cold resource succeeded")
+	}
+	for i, c := range counts {
+		want := c
+		if i == 0 || i == 3 { // shard 0's events
+			want++
+		}
+		if got := eng.Count(i); got != want {
+			t.Fatalf("resource %d: %d posts after the failed batch, want %d", i, got, want)
+		}
+	}
+	if m := eng.Snapshot(); m.Posts != 2 {
+		t.Fatalf("%d posts applied, want shard 0's 2", m.Posts)
+	}
+	if err := wal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	logged := walPosts(t, wal, eng.N())
+	for i, ps := range logged {
+		if want := map[int]int{0: 1, 3: 1}[i]; len(ps) != want {
+			t.Fatalf("resource %d: %d WAL records, want %d", i, len(ps), want)
+		}
+	}
+	sub.check(t)
+	if len(sub.batches) != 1 || sub.deltas != 2 {
+		t.Fatalf("subscriber saw %d batches of %d posts, want shard 0's one batch of 2", len(sub.batches), sub.deltas)
 	}
 }

@@ -133,9 +133,10 @@ func (e *Engine) freezeLocked(r *resource, i int) error {
 // one residency write the view must see. Caller holds the shard lock.
 func (e *Engine) swapLocked(r *resource, i int, tracker *stability.Tracker, frozen []byte) {
 	if sub := e.sub; sub != nil {
-		sub.Lock(i)
+		view := sub.ViewLock(i % len(e.shards))
+		view.Lock()
 		r.tracker, r.frozen = tracker, frozen
-		sub.Unlock(i)
+		view.Unlock()
 		return
 	}
 	r.tracker, r.frozen = tracker, frozen

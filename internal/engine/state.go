@@ -316,6 +316,7 @@ func (e *Engine) Fork(specs []ResourceSpec) (*Engine, error) {
 // Ingest: same validation, same metric deltas, no append. Replaying a
 // record that was already reflected in a restored snapshot would double
 // apply it; callers must feed only the WAL tail past State.LastSeq.
+// Like Ingest, it is a shard batch of one.
 func (e *Engine) Replay(i int, p tags.Post) error {
 	if i < 0 || i >= e.n {
 		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
@@ -323,14 +324,12 @@ func (e *Engine) Replay(i int, p tags.Post) error {
 	if len(p) == 0 {
 		return fmt.Errorf("engine: %w for resource %d", ErrEmptyPost, e.id(i))
 	}
-	sh, l := e.locate(i)
+	s, l := i%len(e.shards), i/len(e.shards)
+	sh := e.shards[s]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := e.ensureResidentLocked(sh.res[l], i); err != nil {
-		return err
-	}
-	e.applyLocked(sh, sh.res[l], i, p)
-	return nil
+	sh.push(PostEvent{Resource: i, Post: p}, l)
+	return e.applyShard(s, sh, false)
 }
 
 // WithWAL runs fn with exclusive access to the engine's WAL store: no

@@ -313,7 +313,9 @@ func TestFork(t *testing.T) {
 		t.Fatal(err)
 	}
 	subscribed := restore(cfg, specs)
-	subscribed.Subscribe(newRecordingSub(subscribed))
+	if err := subscribed.Subscribe(newRecordingSub(subscribed)); err != nil {
+		t.Fatal(err)
+	}
 	wal, err := tagstore.Open(t.TempDir(), tagstore.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -4,16 +4,18 @@
 // from a full SnapshotRFDs clone on every query, making each /topk an
 // O(n·|tags|) scan-and-allocate. OnlineIndex keeps the same posting
 // lists mutable and maintains them incrementally from the engine's
-// per-post ingest stream, so a query only ever touches the subject's
+// stream of shard batches (one engine shard's share of one ingest call,
+// absorbed in one pass), so a query only ever touches the subject's
 // posting lists and the corpus is never rescanned after the one-time
 // seed at construction.
 //
 // The index holds no count vectors. Each resource's counts live in one
 // place — the engine's tracker while the resource is hot, its frozen
 // record while it is cold — and the index reads them through Vectors.
-// The index's shard locks double as the engine's view lock (see
-// engine.Subscriber), so a query reads the counts and the residency of
-// every resource at the same epoch without taking an engine lock. What
+// The index's shard locks double as the engine's view locks, one per
+// engine shard (see engine.Subscriber), so a query reads the counts and
+// the residency of every resource at the same epoch without taking an
+// engine lock, and sees each shard batch whole or not at all. What
 // the index owns is what only queries need: plain posting lists, the
 // dense norm² cache and the epoch. Candidates are scored from postings
 // alone, so only a cold subject is read off its record, transiently, and
@@ -31,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"incentivetag/internal/engine"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
 )
@@ -39,7 +42,7 @@ import (
 // engine (*engine.Engine) on a serving node, or vectors the index owns
 // (NewOnlineIndex). The index calls both methods only while it holds its
 // view lock over resource i (i's shard lock, read or write), and the
-// owner of the counts takes that lock (OnlineIndex.Lock) around every
+// owner of the counts takes that lock (OnlineIndex.ViewLock) around every
 // write to i's counts or residency.
 type Vectors interface {
 	// ViewCounts returns i's live count vector, or nil while i is cold.
@@ -75,12 +78,16 @@ func (v ownedVecs) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
 // every shard's read lock in shard order before touching any state and
 // holds all of them for the duration, so the view it scores against is
 // the state at the instant the last lock landed — no post is ever
-// half-visible across shards, and no resource is half-frozen. The epoch
-// is the number of posts applied to the index since construction; it is
-// stable while a reader holds the locks and is returned with every
-// query, so callers can order answers and assert freshness. Writers
-// (the engine's subscriber calls, or Apply) block only for the duration
-// of a query, not for other writers on different shards.
+// half-visible across shards, and no resource is half-frozen. A writer
+// holds a shard's lock across a whole shard batch, so a reader sees
+// every post of a batch or none; two shards of one engine IngestMany
+// are two batches, and a reader may land between them. The epoch is the
+// number of posts applied to the index since construction; it is stable
+// while a reader holds the locks and is returned with every query, so
+// callers can order answers and assert freshness, and it never falls
+// inside a batch. Writers (the engine's subscriber calls, or Apply)
+// block only for the duration of a query, not for other writers on
+// different shards.
 //
 // # Exactness
 //
@@ -99,9 +106,10 @@ type OnlineIndex struct {
 	vecs Vectors
 	own  ownedVecs
 
-	// epoch counts applied posts; incremented under the owning shard's
-	// write lock and read under every read lock (no writer mid-apply), so a
-	// query's epoch is exact; a TopK answer exact at it is served without.
+	// epoch counts applied posts; a batch reserves its posts' epochs with
+	// one add under the owning shard's write lock, and readers read it
+	// under every read lock (no writer mid-batch), so a query's epoch is
+	// exact; a TopK answer exact at it is served without.
 	epoch atomic.Uint64
 
 	// dir is the query directory: one row per tag, holding its posting
@@ -176,7 +184,7 @@ func NewOnlineIndex(rfds []*sparse.Counts, shards int) *OnlineIndex {
 // resource's support streams once through ViewEntries (a cold resource
 // straight off its record, residency unchanged): this is the only corpus
 // scan the index ever performs, and every later change arrives through
-// PostApplied. The caller must keep writers out until it returns.
+// PostsApplied. The caller must keep writers out until it returns.
 // shards ≤ 0 selects 1. A cluster member's engine holds its owned
 // resources only, so its index needs no ownership set of its own.
 func NewOnlineIndexOver(vecs Vectors, n, shards int) *OnlineIndex {
@@ -242,46 +250,54 @@ func (ix *OnlineIndex) notePosting(t tags.Tag) {
 // N returns the number of indexed resources.
 func (ix *OnlineIndex) N() int { return ix.n }
 
-// Lock takes the view lock over resource's counts and residency — the
-// write lock of its index shard. The owner of the counts (the engine,
-// through engine.Subscriber) holds it around every write to them, always
-// inside its own lock for that resource.
-func (ix *OnlineIndex) Lock(resource int) { ix.shards[resource%len(ix.shards)].mu.Lock() }
+// Shards returns the number of index shards — of view locks.
+func (ix *OnlineIndex) Shards() int { return len(ix.shards) }
 
-// Unlock releases the view lock Lock took.
-func (ix *OnlineIndex) Unlock(resource int) { ix.shards[resource%len(ix.shards)].mu.Unlock() }
+// ViewLock returns the view lock over the resources of shard (those
+// with id ≡ shard mod Shards): the write side of that index shard's lock.
+// The owner of the counts (the engine, through engine.Subscriber) holds
+// it around every write to those resources' counts or residency, always
+// inside its own lock for them.
+func (ix *OnlineIndex) ViewLock(shard int) sync.Locker { return &ix.shards[shard].mu }
 
-// PostApplied folds one post into the index, under the view lock the
-// caller holds over resource (see Lock): the resource's counts have
-// already absorbed the post, norm2 is their squared norm after it, and
-// each touched posting list gains one on the resource's entry, or the
-// entry on the resource's first use of the tag. Each tag's count-delta
-// is +1 — a post names a tag at most once. Callers must deliver each
+// PostsApplied folds a shard batch into the index, under the view lock
+// the caller holds over shard (see ViewLock): every batch resource's
+// counts have already absorbed its posts, and norm2[k] is
+// batch[k].Resource's squared norm right after batch[k]. Each tag of
+// each post bumps the resource's entry in that tag's posting list, or
+// creates it on the resource's first use of the tag: a post names a tag
+// at most once, so each count-delta is +1. Callers must deliver each
 // resource's posts in apply order (the engine calls it under its shard
-// lock, which guarantees exactly that). Every post lands in the write
-// log.
-func (ix *OnlineIndex) PostApplied(resource int, p tags.Post, norm2 float64) {
-	ix.norm2[resource] = norm2 // a post landed, so the resource scores
-	s := resource % len(ix.shards)
-	lists := &ix.shards[s].postings
-	for _, t := range p {
-		pl := lists.get(t) // inlined: the common case, an existing list
-		if pl == nil {
-			pl = ix.posting(s, t)
-		}
-		if pl.bump(int32(resource)) {
-			ix.notePosting(t)
+// lock, which guarantees exactly that). Once the lists have absorbed the
+// batch, one add reserves its epochs, and each post lands in the write
+// log under its own.
+func (ix *OnlineIndex) PostsApplied(shard int, batch []engine.PostEvent, norm2 []float64) {
+	lists := &ix.shards[shard].postings
+	for k, ev := range batch {
+		ix.norm2[ev.Resource] = norm2[k] // a post landed, so the resource scores
+		for _, t := range ev.Post {
+			pl := lists.get(t) // inlined: the common case, an existing list
+			if pl == nil {
+				pl = ix.posting(shard, t)
+			}
+			if pl.bump(int32(ev.Resource)) {
+				ix.notePosting(t)
+			}
 		}
 	}
-	ix.cache.logPost(ix.epoch.Add(1), resource, p)
+	epoch := ix.epoch.Add(uint64(len(batch))) - uint64(len(batch))
+	for _, ev := range batch {
+		epoch++
+		ix.cache.logPost(epoch, ev.Resource, ev.Post)
+	}
 }
 
 // Apply folds one post into an index that owns its vectors
 // (NewOnlineIndex): the resource's vector absorbs the post and
-// PostApplied runs, both under the view lock — the same sequence the
-// engine runs for an index built over it. Invalid resources and empty
-// posts are ignored. Safe for concurrent use; posts for resources on
-// different shards proceed in parallel.
+// PostsApplied takes it as a batch of one, both under the view lock — the same
+// sequence the engine runs for an index built over it. Invalid resources
+// and empty posts are ignored. Safe for concurrent use; posts for
+// resources on different shards proceed in parallel.
 func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
 	if ix.own == nil {
 		panic("ir: Apply on an index that does not own its vectors")
@@ -289,11 +305,13 @@ func (ix *OnlineIndex) Apply(resource int, p tags.Post) {
 	if resource < 0 || resource >= ix.n || len(p) == 0 {
 		return
 	}
-	ix.Lock(resource)
+	s := resource % len(ix.shards)
+	sh := ix.shards[s]
+	sh.mu.Lock()
 	c := ix.own[resource]
 	c.Add(p)
-	ix.PostApplied(resource, p, c.Norm2())
-	ix.Unlock(resource)
+	ix.PostsApplied(s, []engine.PostEvent{{Resource: resource, Post: p}}, []float64{c.Norm2()})
+	sh.mu.Unlock()
 }
 
 // rlockAll acquires every shard's read lock in shard order. Once the

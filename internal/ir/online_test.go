@@ -3,6 +3,7 @@ package ir
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -247,6 +248,107 @@ func TestOnlineConcurrentReadersDuringApply(t *testing.T) {
 	}
 }
 
+// A reader sees a whole shard batch or none of it. One writer feeds an
+// engine-attached index through IngestMany while TopK readers (on a few
+// hot subjects, so answers are also served and folded from the cache)
+// and Search readers run. The engine applies a call shard by shard in
+// ascending order, each shard's events in slice order, so the epochs at
+// which a shard batch ends are known up front: every reported epoch must
+// be one of them, and every answer must equal BuildInverted over the
+// state at its epoch.
+func TestReadersSeeWholeShardBatches(t *testing.T) {
+	const n, dim, shards, calls, k = 48, 20, 4, 80, 5
+	eng, ix := engineIndex(t, 31, n, dim, shards)
+	base := eng.SnapshotRFDs()
+	rng := rand.New(rand.NewSource(32))
+	batches := make([][]engine.PostEvent, calls)
+	var applied []engine.PostEvent // every post in apply order
+	ends := map[uint64]bool{0: true}
+	for c := range batches {
+		for range 40 + rng.Intn(400) {
+			batches[c] = append(batches[c], engine.PostEvent{Resource: rng.Intn(n), Post: randomPost(rng, dim)})
+		}
+		for s := 0; s < shards; s++ {
+			for _, ev := range batches[c] {
+				if ev.Resource%shards == s {
+					applied = append(applied, ev)
+				}
+			}
+			ends[uint64(len(applied))] = true
+		}
+	}
+
+	type answer struct {
+		epoch   uint64
+		subject int // -1 for a Search
+		query   tags.Post
+		res     []Scored
+	}
+	// Each reader stops at maxAnswers; the writer lets each answer at
+	// least once between two calls, so answers spread over the run.
+	const maxAnswers = 3000
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	answers := make([][]answer, 2)
+	var answered [2]atomic.Int64
+	for r := range answers {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rrng := rand.New(rand.NewSource(40 + int64(r)))
+			for !stop.Load() && len(answers[r]) < maxAnswers {
+				a := answer{subject: -1}
+				if r == 0 {
+					a.subject = rrng.Intn(3)
+					a.res, a.epoch = ix.TopK(a.subject, k)
+				} else {
+					a.query = randomPost(rrng, dim)
+					a.res, a.epoch = ix.Search(a.query, k)
+				}
+				answers[r] = append(answers[r], a)
+				answered[r].Add(1)
+			}
+		}(r)
+	}
+	for _, b := range batches {
+		seen := [2]int64{answered[0].Load(), answered[1].Load()}
+		if err := eng.IngestMany(b); err != nil {
+			t.Fatal(err)
+		}
+		for r := range answered {
+			for answered[r].Load() == seen[r] && seen[r] < maxAnswers {
+				runtime.Gosched()
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	all := slices.Concat(answers...)
+	slices.SortStableFunc(all, func(a, b answer) int { return int(a.epoch) - int(b.epoch) })
+	state, at := cloneAll(base), 0
+	var inv *InvertedIndex
+	for q, a := range all {
+		if !ends[a.epoch] {
+			t.Fatalf("answer %d reports epoch %d, inside a shard batch", q, a.epoch)
+		}
+		if inv == nil || at < int(a.epoch) {
+			for ; at < int(a.epoch); at++ {
+				state[applied[at].Resource].Add(applied[at].Post)
+			}
+			inv = BuildInverted(cloneAll(state))
+		}
+		if a.subject >= 0 {
+			assertIdentical(t, tSprintf("topk %d at epoch %d", a.subject, a.epoch), a.res, inv.TopK(a.subject, k))
+		} else {
+			assertIdentical(t, tSprintf("search %v at epoch %d", a.query, a.epoch), a.res, inv.Search(a.query, k))
+		}
+	}
+	if got := ix.Stats().Epoch; got != uint64(len(applied)) {
+		t.Fatalf("final epoch %d, want %d", got, len(applied))
+	}
+}
+
 // onlineSnapshot clones the vectors an index built by NewOnlineIndex
 // owns (test helper).
 func onlineSnapshot(ix *OnlineIndex) []*sparse.Counts { return cloneAll(ix.own) }
@@ -373,13 +475,11 @@ func TestBoundaryTagIDsEndToEnd(t *testing.T) {
 	}
 }
 
-// BenchmarkPostApplied is the serving write path's index rung: an index
-// attached to an engine as NewService attaches it, over the n = 2 000
-// corpus, fed the corpus's recorded future posts round-robin (wrapping
-// once they are spent). An op is one post through the engine's apply and
-// the index's PostApplied, no WAL or HTTP, so ns/op and allocs/op are
-// per post.
-func BenchmarkPostApplied(b *testing.B) {
+// benchEngineIndex is the serving write path's index rung set-up: an
+// index attached to an engine as NewService attaches it, over the
+// n = 2 000 corpus, and the corpus's recorded future posts, interleaved
+// across resources round-robin.
+func benchEngineIndex(b *testing.B) (*engine.Engine, []engine.PostEvent) {
 	cfg := synth.DefaultConfig(2000, 1)
 	ds, err := synth.Generate(cfg)
 	if err != nil {
@@ -394,29 +494,56 @@ func BenchmarkPostApplied(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.Subscribe(NewOnlineIndexOver(eng, eng.N(), eng.Shards()))
-	type post struct {
-		resource int
-		p        tags.Post
+	if err := eng.Subscribe(NewOnlineIndexOver(eng, eng.N(), eng.Shards())); err != nil {
+		b.Fatal(err)
 	}
-	var future []post
+	var future []engine.PostEvent
 	for k := 0; ; k++ {
 		added := false
 		for i, seq := range data.Seqs {
 			if at := data.Initial[i] + k; at < len(seq) {
-				future, added = append(future, post{i, seq[at]}), true
+				future, added = append(future, engine.PostEvent{Resource: i, Post: seq[at]}), true
 			}
 		}
 		if !added {
-			break
+			return eng, future
 		}
 	}
+}
+
+// BenchmarkPostApplied feeds the rung one post per Ingest (wrapping once
+// the futures are spent): an op is one post through the engine's apply
+// and the index's PostsApplied as a shard batch of one, no WAL or HTTP,
+// so ns/op and allocs/op are per post.
+func BenchmarkPostApplied(b *testing.B) {
+	eng, future := benchEngineIndex(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fp := future[i%len(future)]
-		if err := eng.Ingest(fp.resource, fp.p); err != nil {
+		if err := eng.Ingest(fp.Resource, fp.Post); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIngestMany feeds the same rung 256-post IngestMany batches of
+// consecutive futures, each across 256 resources and so across every
+// shard, as ingest-http's /ingest batches arrive. An op is still one
+// post, so ns/op compares with BenchmarkPostApplied's.
+func BenchmarkIngestMany(b *testing.B) {
+	const batch = 256
+	eng, future := benchEngineIndex(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, at := 0, 0; i < b.N; i += batch {
+		m := min(batch, b.N-i)
+		if at+m > len(future) {
+			at = 0
+		}
+		if err := eng.IngestMany(future[at : at+m]); err != nil {
+			b.Fatal(err)
+		}
+		at += m
 	}
 }

@@ -59,12 +59,13 @@ func (v *tieredVecs) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
 
 // evict marks resource i cold.
 func (v *tieredVecs) evict(i int) {
-	v.ix.Lock(i)
+	view := v.ix.ViewLock(i % v.ix.Shards())
+	view.Lock()
 	if !v.cold[i] {
 		v.cold[i] = true
 		v.evictions.Add(1)
 	}
-	v.ix.Unlock(i)
+	view.Unlock()
 }
 
 // apply ingests one post as the engine does: a cold resource is made
@@ -74,16 +75,18 @@ func (v *tieredVecs) apply(i int, p tags.Post) {
 	if i < 0 || i >= len(v.vecs) || len(p) == 0 {
 		return
 	}
-	v.ix.Lock(i)
+	s := i % v.ix.Shards()
+	view := v.ix.ViewLock(s)
+	view.Lock()
 	if v.cold[i] {
 		v.cold[i] = false
 		v.rehydrations.Add(1)
 	}
-	v.ix.Unlock(i)
-	v.ix.Lock(i)
+	view.Unlock()
+	view.Lock()
 	v.vecs[i].Add(p)
-	v.ix.PostApplied(i, p, v.vecs[i].Norm2())
-	v.ix.Unlock(i)
+	v.ix.PostsApplied(s, []engine.PostEvent{{Resource: i, Post: p}}, []float64{v.vecs[i].Norm2()})
+	view.Unlock()
 }
 
 func compareScored(t *testing.T, ctx string, got, want []Scored) {
@@ -303,7 +306,9 @@ func engineIndex(t *testing.T, seed int64, n, dim, shards int) (*engine.Engine, 
 		t.Fatal(err)
 	}
 	ix := NewOnlineIndexOver(eng, eng.N(), eng.Shards())
-	eng.Subscribe(ix)
+	if err := eng.Subscribe(ix); err != nil {
+		t.Fatal(err)
+	}
 	return eng, ix
 }
 

@@ -336,8 +336,10 @@ func tieUp(t *testing.T, svc *Service, owned func(int) bool, s, m, r int) (k int
 // Every Service.TopK answer equals a cold rebuild of the service's own
 // counts, bit for bit, across random interleavings of queries on a few
 // hot subjects at k ∈ {1, 3, 10, n+2} with posts to a subject, to members
-// of its answer, to outsiders, posts longer than a log slot, and bursts
-// longer than the write log — on a plain node, a tiered one whose policy
+// of its answer, to outsiders, posts longer than a log slot, IngestMany
+// batches mixing all three (each shard's share reserves its epochs at
+// once, and folds read them back post by post), and bursts longer than
+// the write log — on a plain node, a tiered one whose policy
 // pass leaves subjects and touched resources cold (and queries must not
 // rehydrate them), and a cluster member with an owned set, whose posts
 // all go to resources it owns, as the gateway routes them, and which
@@ -430,6 +432,20 @@ func TestTopKCacheMatchesRebuild(t *testing.T) {
 					ingest(outsider(), post(1+rng.Intn(3)))
 				case op == 9:
 					ingest(outsider(), post(16+rng.Intn(8)))
+				case op == 11: // one IngestMany across shards: the subject, its answer, outsiders
+					batch := make([]PostEvent, 2+rng.Intn(12))
+					for i := range batch {
+						r := outsider()
+						if x := rng.Intn(4); x == 0 {
+							r = s
+						} else if x == 1 && len(last[s]) > 0 {
+							r = last[s][rng.Intn(len(last[s]))].ID
+						}
+						batch[i] = PostEvent{Resource: r, Post: post(1 + rng.Intn(3))}
+					}
+					if err := svc.IngestMany(batch); err != nil {
+						t.Fatal(err)
+					}
 				case op == 10 && tc.opts.MaxResidentResources > 0:
 					if _, err := svc.TierNow(); err != nil {
 						t.Fatal(err)
