@@ -786,12 +786,11 @@ func (e *Engine) VerifyMetrics() Metrics {
 		sh.mu.Lock()
 		r := sh.res[l]
 		if r.refCounts != nil {
-			c := r.tracker
-			if c != nil {
-				qsum += c.Counts().Cosine(r.refCounts)
-			} else {
-				qsum += e.frozenCounts(r, i).Cosine(r.refCounts)
+			tr := r.tracker
+			if tr == nil {
+				tr = e.frozenTracker(r, i)
 			}
+			qsum += tr.Counts().Cosine(r.refCounts)
 		}
 		if r.stableK > 0 && r.consumed >= r.stableK {
 			m.OverTagged++
@@ -828,7 +827,7 @@ func (e *Engine) SnapshotRFDs() []*sparse.Counts {
 			out[i] = r.tracker.Snapshot()
 		} else {
 			// Cold: the transient decode IS an independent copy.
-			out[i] = e.frozenCounts(r, i)
+			out[i] = e.frozenTracker(r, i).Counts()
 		}
 		sh.mu.Unlock()
 	}

@@ -23,9 +23,10 @@ import (
 //
 //	hot → cold  (freezeLocked)    encode tracker state, drop tracker;
 //	                              keep the exact dot
-//	cold → hot  (rehydrateLocked) decode record, rebuild tracker; the
-//	                              retained dot is still exact, since
-//	                              nothing writes to a cold resource
+//	cold → hot  (rehydrateLocked) decode the record in one pass into a
+//	                              tracker (decodeTracker); the retained
+//	                              dot is still exact, since nothing
+//	                              writes to a cold resource
 //
 // Every mutating path (Ingest, IngestBatch, IngestMany, Replay)
 // rehydrates on touch before applying; reads that only need scalars —
@@ -33,7 +34,8 @@ import (
 // resource retains (consumed, maSum, quality), so allocation strategies
 // like MU that sweep MA over the whole corpus never force residency.
 // Reads that need the full vector (VerifyMetrics, SnapshotRFDs,
-// ExportState) decode transiently without changing residency.
+// ExportState) decode transiently, through the same decodeTracker,
+// without changing residency.
 //
 // Bit-identity across a freeze/rehydrate cycle — and across a restart,
 // which is Restore indexing every resource cold and this same rehydrate
@@ -44,9 +46,11 @@ import (
 // recomputed.
 
 // residentOverheadBytes is the fixed per-resource heap estimate beyond
-// the count vector while hot: the resource and Tracker structs plus
-// slice/map headers. An estimate, not an accounting — the tiering
-// policy only needs relative pressure.
+// the count table and the ring while hot: the Tracker struct, which
+// holds the count vector's header by value (120 B, in the runtime's
+// 128 B size class), plus 64 B of slack for what the estimate does not
+// itemize. An estimate, not an accounting — the tiering policy only
+// needs relative pressure.
 const residentOverheadBytes = 192
 
 // ResidencyStats is the census of the residency tier.
@@ -142,28 +146,25 @@ func (e *Engine) swapLocked(r *resource, i int, tracker *stability.Tracker, froz
 	r.tracker, r.frozen = tracker, frozen
 }
 
-// rehydrateLocked transitions a cold resource back to hot: the frozen
-// record is decoded and the tracker restored (ring bits verbatim). The
-// retained dot is still exact — nothing writes to a cold resource — so
-// quality is recomputed from it and the rebuilt norm, and the resource
-// is bit-identical to one that was never evicted (or never restarted).
-// Caller holds the owning shard's lock.
+// rehydrateLocked transitions a cold resource back to hot: decodeTracker
+// reads the frozen record once, straight into the new tracker (ring bits
+// verbatim), and its post count must be the one the resource consumed.
+// The retained dot is still exact — nothing writes to a cold resource —
+// so quality is recomputed from it and the rebuilt norm, and the
+// resource is bit-identical to one that was never evicted (or never
+// restarted). A failed rehydration leaves the resource cold and
+// unchanged. The clock is read only for a RehydrateObserver. Caller
+// holds the owning shard's lock.
 func (e *Engine) rehydrateLocked(r *resource, i int) error {
-	start := time.Now()
-	var rs ResourceState
-	rd := codec.NewReader(r.frozen, statePrefix)
-	readResourceState(rd, &rs)
-	if err := rd.Finish(); err != nil {
-		return fmt.Errorf("engine: resource %d: rehydrate: %w", i, err)
+	obs := e.cfg.RehydrateObserver
+	var start time.Time
+	if obs != nil {
+		start = time.Now()
 	}
-	if rs.Posts != r.consumed {
-		return fmt.Errorf("engine: resource %d: rehydrate: frozen record has %d posts, resource consumed %d", i, rs.Posts, r.consumed)
+	tracker, err := decodeTracker(r.frozen, e.cfg.Omega)
+	if err == nil && tracker.Posts() != r.consumed {
+		err = fmt.Errorf("frozen record has %d posts, resource consumed %d", tracker.Posts(), r.consumed)
 	}
-	counts, err := sparse.FromEntries(rs.Tags, rs.Counts, rs.Posts)
-	if err != nil {
-		return fmt.Errorf("engine: resource %d: rehydrate: %w", i, err)
-	}
-	tracker, err := stability.RestoreTracker(e.cfg.Omega, counts, rs.Ring, rs.Head, rs.Fill, rs.Sum)
 	if err != nil {
 		return fmt.Errorf("engine: resource %d: rehydrate: %w", i, err)
 	}
@@ -171,7 +172,7 @@ func (e *Engine) rehydrateLocked(r *resource, i int) error {
 	r.quality = r.computeQuality()
 	r.lastTouch = e.clock.Add(1)
 	e.rehydrations.Add(1)
-	if obs := e.cfg.RehydrateObserver; obs != nil {
+	if obs != nil {
 		obs(time.Since(start).Nanoseconds())
 	}
 	return nil
@@ -186,24 +187,18 @@ func (e *Engine) ensureResidentLocked(r *resource, i int) error {
 	return e.rehydrateLocked(r, i)
 }
 
-// frozenCounts decodes a cold resource's count vector transiently —
-// residency is unchanged and the result is freshly allocated. The
-// frozen record was either produced by freezeLocked or validated by
-// Restore, so damage here means memory corruption: panic loudly
-// rather than serve wrong numbers. Caller holds the shard lock.
-func (e *Engine) frozenCounts(r *resource, i int) *sparse.Counts {
-	var rs ResourceState
-	rd := codec.NewReader(r.frozen, statePrefix)
-	readResourceState(rd, &rs)
-	var c *sparse.Counts
-	err := rd.Finish()
-	if err == nil {
-		c, err = sparse.FromEntries(rs.Tags, rs.Counts, rs.Posts)
-	}
+// frozenTracker decodes a cold resource's record transiently —
+// residency is unchanged and the tracker is freshly allocated. The
+// frozen record was either produced by freezeLocked or framed by
+// Restore, so damage here means memory corruption or a corrupt
+// snapshot: panic loudly rather than serve wrong numbers. Caller holds
+// the shard lock.
+func (e *Engine) frozenTracker(r *resource, i int) *stability.Tracker {
+	tr, err := decodeTracker(r.frozen, e.cfg.Omega)
 	if err != nil {
 		panic(fmt.Sprintf("engine: resource %d frozen record corrupt: %v", i, err))
 	}
-	return c
+	return tr
 }
 
 // residentBytesLocked estimates the heap a hot resource holds beyond

@@ -7,6 +7,8 @@ import (
 	"math"
 
 	"incentivetag/internal/codec"
+	"incentivetag/internal/sparse"
+	"incentivetag/internal/stability"
 	"incentivetag/internal/tags"
 	"incentivetag/internal/tagstore"
 )
@@ -84,8 +86,8 @@ type ShardAggregate struct {
 // are held for the duration, so no post is ever half-reflected, and the
 // recorded LastSeq is exactly the set of WAL records the state covers
 // (WAL appends happen under a shard lock, so a lock-stopped engine has
-// applied every record it logged). Cold resources are exported from
-// their frozen records without being rehydrated.
+// applied every record it logged). Cold resources are exported through
+// a transient decode of their frozen records, without being rehydrated.
 func (e *Engine) ExportState() *State {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
@@ -112,19 +114,14 @@ func (e *Engine) ExportState() *State {
 	for i := 0; i < e.n; i++ {
 		sh, l := e.locate(i)
 		r := sh.res[l]
-		rs := &st.Resources[i]
-		if r.tracker == nil {
-			// Cold: the frozen record IS the resource's exported state.
-			rd := codec.NewReader(r.frozen, statePrefix)
-			readResourceState(rd, rs)
-			if err := rd.Finish(); err != nil {
-				panic(fmt.Sprintf("engine: resource %d frozen record corrupt: %v", i, err))
-			}
-			continue
+		tr := r.tracker
+		if tr == nil {
+			tr = e.frozenTracker(r, i)
 		}
-		rs.Posts = r.tracker.Posts()
-		rs.Tags, rs.Counts = r.tracker.Counts().Entries(nil, nil)
-		rs.Ring, rs.Head, rs.Fill, rs.Sum = r.tracker.ExportRing()
+		rs := &st.Resources[i]
+		rs.Posts = tr.Posts()
+		rs.Tags, rs.Counts = tr.Counts().Entries(nil, nil)
+		rs.Ring, rs.Head, rs.Fill, rs.Sum = tr.ExportRing()
 	}
 	for _, sh := range e.shards {
 		st.Aggregates = append(st.Aggregates, ShardAggregate{
@@ -203,9 +200,9 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 	for i, spec := range specs {
 		res := newResource(spec)
 		// One streaming pass per record: accumulate the exact-integer dot
-		// and squared norm (term for term as FromEntries would) without
-		// materializing the support, and remember the record's byte span
-		// as the resource's frozen state.
+		// and squared norm (term for term as sparse.Counts.Insert would)
+		// without materializing the support, and remember the record's
+		// byte span as the resource's frozen state.
 		start := r.Offset()
 		var dot int64
 		var norm2 float64
@@ -367,8 +364,9 @@ const maxStateSlice = 1 << 28
 // (tag, count) pairs ascending from a −1 base, then the MA window (ring
 // length, bit-exact ring floats, head, fill, sum). This layout is the
 // unit shared by full snapshots (MarshalBinary), the residency tier's
-// frozen records, and Restore's cold index (scanResourceState) — one
-// encoder, three consumers. i names the resource in errors.
+// frozen records, and Restore's cold index — one encoder, read whole by
+// decodeTracker and streamed by scanResourceState. i names the resource
+// in errors.
 func appendResourceState(buf []byte, i int, rs *ResourceState) ([]byte, error) {
 	if len(rs.Tags) != len(rs.Counts) {
 		return nil, fmt.Errorf("engine: resource %d has %d tags for %d counts", i, len(rs.Tags), len(rs.Counts))
@@ -394,44 +392,81 @@ func appendResourceState(buf []byte, i int, rs *ResourceState) ([]byte, error) {
 	return buf, nil
 }
 
-// readResourceState decodes one appendResourceState record at the
-// reader's position into rs.
-func readResourceState(r *codec.Reader, rs *ResourceState) {
-	rs.Posts = int(r.Uvarint("posts"))
-	nt := r.Length("support size", maxStateSlice)
-	if r.Err() != nil {
-		return
+// readEntry decodes one support pair of a record: the tag's gap from
+// the previous tag, then its count. A tag past int32 fails the reader.
+func readEntry(r *codec.Reader, d *codec.Delta) (tags.Tag, int64) {
+	t := d.Absorb(r.Uvarint("tag delta"))
+	if t > int64(math.MaxInt32) {
+		r.Fail("tag id %d overflows", t)
+		return 0, 0
 	}
-	rs.Tags = make([]tags.Tag, nt)
-	rs.Counts = make([]int64, nt)
+	return tags.Tag(t), int64(r.Uvarint("count"))
+}
+
+// decodeTracker is the one record decoder: it reads an
+// appendResourceState record in one pass into a restored tracker. The
+// post count and support size come first, so every (tag, count) goes
+// straight into a table presized for the support, and the ring is read
+// into the one slice the tracker keeps — three allocations (table,
+// ring, tracker). It makes every check the layout implies: framing
+// (Finish), tag overflow, each count in (0, posts] and within int32, no
+// duplicate tag, the ring's length and range, and a ring position that
+// agrees with the post count — k posts leave head at k mod (ω−1) and
+// fill at min(k, ω−1).
+func decodeTracker(rec []byte, omega int) (*stability.Tracker, error) {
+	r := codec.NewReader(rec, statePrefix)
+	posts := int(r.Uvarint("posts"))
+	// An entry takes at least two bytes, so a support size past half the
+	// bytes left is truncation, refused before its table is allocated.
+	nt := r.Length("support size", min(maxStateSlice, r.Remaining()/2))
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	var counts sparse.Counts
+	counts.Presize(posts, nt)
 	d := codec.NewDelta(-1)
-	for k := 0; k < nt && r.Err() == nil; k++ {
-		t := d.Absorb(r.Uvarint("tag delta"))
-		if t > int64(math.MaxInt32) {
-			r.Fail("tag id %d overflows", t)
-			return
+	for k := 0; k < nt; k++ {
+		t, n := readEntry(r, &d)
+		if err := r.Err(); err != nil {
+			return nil, err
 		}
-		rs.Tags[k] = tags.Tag(t)
-		rs.Counts[k] = int64(r.Uvarint("count"))
+		if err := counts.Insert(t, n); err != nil {
+			return nil, err
+		}
 	}
 	nr := r.Length("ring size", maxStateSlice)
-	if r.Err() != nil {
-		return
+	if r.Err() == nil && nr != omega-1 {
+		r.Fail("ring has %d entries for omega %d", nr, omega)
 	}
-	rs.Ring = make([]float64, nr)
-	for k := 0; k < nr && r.Err() == nil; k++ {
-		rs.Ring[k] = r.Float64("ring entry")
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	rs.Head = int(r.Uvarint("ring head"))
-	rs.Fill = int(r.Uvarint("ring fill"))
-	rs.Sum = r.Float64("ring sum")
+	ring := make([]float64, nr)
+	for k := range ring {
+		ring[k] = r.Float64("ring entry")
+	}
+	head := int(r.Uvarint("ring head"))
+	fill := int(r.Uvarint("ring fill"))
+	sum := r.Float64("ring sum")
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	tr, err := stability.RestoreTracker(omega, &counts, ring, head, fill, sum)
+	if err == nil && (head != posts%nr || fill != min(posts, nr)) {
+		err = fmt.Errorf("%s: ring head %d / fill %d contradict %d posts", statePrefix, head, fill, posts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // scanResourceState structurally walks one record without materializing
 // slices: entry (when non-nil) sees each (tag, count) support pair, the
 // ring is skipped, and the scalars a cold resource retains — the post
-// count and the MA window's running sum — are returned. It is the
-// allocation-free twin of readResourceState used by Restore.
+// count and the MA window's running sum — are returned. It checks the
+// framing only; decodeTracker makes the rest of the checks when the
+// resource rehydrates. Restore and ViewEntries stream records with it.
 func scanResourceState(r *codec.Reader, entry func(t tags.Tag, n int64)) (posts int, sum float64) {
 	posts = int(r.Uvarint("posts"))
 	nt := r.Length("support size", maxStateSlice)
@@ -440,14 +475,9 @@ func scanResourceState(r *codec.Reader, entry func(t tags.Tag, n int64)) (posts 
 	}
 	d := codec.NewDelta(-1)
 	for k := 0; k < nt && r.Err() == nil; k++ {
-		t := d.Absorb(r.Uvarint("tag delta"))
-		if t > int64(math.MaxInt32) {
-			r.Fail("tag id %d overflows", t)
-			return 0, 0
-		}
-		n := int64(r.Uvarint("count"))
+		t, n := readEntry(r, &d)
 		if r.Err() == nil && entry != nil {
-			entry(tags.Tag(t), n)
+			entry(t, n)
 		}
 	}
 	nr := r.Length("ring size", maxStateSlice)

@@ -232,7 +232,9 @@ func (d *Data) EngineSpecs() []engine.ResourceSpec {
 // COLD, aliasing the shared read-only payload: Count, MA, QualityOf and
 // Snapshot answer from the scalars a cold resource retains, so MU's MA
 // sweep and FP's count heap rehydrate nothing, and Step rehydrates
-// exactly the resources a strategy pays. A fork copies the resource
+// exactly the resources a strategy pays — each first touch decodes its
+// record in one pass into a presized tracker, three allocations (the
+// engine's BenchmarkRehydrate times it). A fork copies the resource
 // structs and shares the frozen records: on replay-fig6 (n = 2 005,
 // B = 10 000, 2 vCPU) it costs 0.14–0.20 ms, under 2.5 % of the run
 // that follows.

@@ -347,43 +347,41 @@ func (c *Counts) AddWithAdjacent(p tags.Post) float64 {
 	return AdjacentCosine(norm2Before, overlap, len(p))
 }
 
-// FromEntries rebuilds a count vector from its non-zero support — the
-// snapshot-restore path. ts/ns are parallel (tag, count) pairs; posts is
-// the accumulated post count k. The table is sized once for len(ts)
-// entries. The derived invariants (norm², mass) are sums and products of
-// integers far below 2⁵³, so the rebuilt vector is bit-identical to the
-// one that was exported, regardless of entry order.
-func FromEntries(ts []tags.Tag, ns []int64, posts int) (*Counts, error) {
-	if len(ts) != len(ns) {
-		return nil, fmt.Errorf("sparse: %d tags for %d counts", len(ts), len(ns))
+// Presize empties c for a rebuild from a snapshot's support — posts
+// accumulated posts over size distinct tags — with a table that holds
+// size entries without growing. Insert then adds the entries, in any
+// order: norm² and mass are sums and products of integers far below
+// 2⁵³, so the rebuilt vector is bit-identical to the one exported.
+func (c *Counts) Presize(posts, size int) {
+	*c = Counts{posts: posts}
+	if size > 0 {
+		c.resize(tableLen(size))
 	}
-	c := &Counts{}
-	if len(ts) > 0 {
-		c.resize(tableLen(len(ts)))
+}
+
+// Insert adds the entry (t, n) to a vector being rebuilt (see Presize),
+// refusing a count outside (0, posts], one past int32 and a tag already
+// present. A refused entry leaves c as it was.
+func (c *Counts) Insert(t tags.Tag, n int64) error {
+	if n <= 0 || n > int64(c.posts) {
+		return fmt.Errorf("sparse: tag %d count %d outside (0,%d]", t, n, c.posts)
 	}
-	for i, t := range ts {
-		n := ns[i]
-		if n <= 0 || n > int64(posts) {
-			return nil, fmt.Errorf("sparse: tag %d count %d outside (0,%d]", t, n, posts)
-		}
-		if n > math.MaxInt32 {
-			return nil, fmt.Errorf("sparse: tag %d count %d overflows int32", t, n)
-		}
-		j := c.find(t)
-		if c.slots[j].n != 0 {
-			return nil, fmt.Errorf("sparse: duplicate entry for tag %d", t)
-		}
-		c.slots[j] = slot{t: t, n: int32(n)}
-		c.n++
-		c.norm2 += float64(n) * float64(n)
-		c.mass += n
+	if n > math.MaxInt32 {
+		return fmt.Errorf("sparse: tag %d count %d overflows int32", t, n)
 	}
-	c.posts = posts
-	return c, nil
+	i := c.claim(t)
+	if c.slots[i].n != 0 {
+		return fmt.Errorf("sparse: duplicate entry for tag %d", t)
+	}
+	c.slots[i].n = int32(n)
+	c.norm2 += float64(n) * float64(n)
+	c.mass += n
+	return nil
 }
 
 // Entries appends the non-zero (tag, count) support to the given slices
-// in ascending tag order — the export counterpart of FromEntries.
+// in ascending tag order — the export counterpart of Presize and
+// Insert.
 func (c *Counts) Entries(ts []tags.Tag, ns []int64) ([]tags.Tag, []int64) {
 	start := len(ts)
 	ts = c.AppendSupport(ts)

@@ -389,9 +389,15 @@ func runModel(t testing.TB, prog []byte) {
 			c = d
 		case 7: // round-trip through the snapshot form
 			ts, ns := c.Entries(nil, nil)
-			d, err := FromEntries(ts, ns, c.Posts())
-			if err != nil {
-				t.Fatal(err)
+			d := NewCounts()
+			d.Presize(c.Posts(), len(ts))
+			for k := len(ts) - 1; k >= 0; k-- {
+				if err := d.Insert(ts[k], ns[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(ts) > 0 && len(d.slots) != tableLen(len(ts)) { // presized: no growth
+				t.Fatalf("%d entries presized to %d slots", len(ts), len(d.slots))
 			}
 			c = d
 		}
@@ -452,21 +458,34 @@ func TestCountsModel(t *testing.T) {
 		requireModel(t, c, m)
 	}
 
-	// FromEntries rejects malformed snapshots.
+	// Insert refuses malformed snapshot entries and leaves the vector
+	// as it was.
 	for _, tc := range []struct {
 		name  string
 		ts    []tags.Tag
 		ns    []int64
 		posts int
 	}{
-		{"length mismatch", []tags.Tag{1, 2}, []int64{1}, 1},
 		{"duplicate", []tags.Tag{5, 5}, []int64{1, 1}, 1},
 		{"zero count", []tags.Tag{1}, []int64{0}, 1},
+		{"negative count", []tags.Tag{1}, []int64{-1}, 1},
 		{"count above posts", []tags.Tag{1}, []int64{3}, 2},
 		{"count above MaxInt32", []tags.Tag{1}, []int64{math.MaxInt32 + 1}, math.MaxInt32 + 1},
 	} {
-		if _, err := FromEntries(tc.ts, tc.ns, tc.posts); err == nil {
+		c := NewCounts()
+		c.Presize(tc.posts, len(tc.ts))
+		last := len(tc.ts) - 1
+		for k, tg := range tc.ts[:last] {
+			if err := c.Insert(tg, tc.ns[k]); err != nil {
+				t.Fatalf("%s: entry %d refused: %v", tc.name, k, err)
+			}
+		}
+		before := *c.Clone()
+		if err := c.Insert(tc.ts[last], tc.ns[last]); err == nil {
 			t.Errorf("%s accepted", tc.name)
+		}
+		if c.Len() != before.Len() || c.Norm2() != before.Norm2() || c.Mass() != before.Mass() || c.Posts() != before.Posts() {
+			t.Errorf("%s: refused entry moved the vector", tc.name)
 		}
 	}
 }

@@ -26,10 +26,12 @@ const DefaultUnderTaggedThreshold = 10
 //     using the sliding-window recurrence of Appendix C.4:
 //     (ω−1)·m(k,ω) = (ω−1)·m(k−1,ω) + s(F(k−1),F(k)) − s(F(k−ω),F(k−ω+1)).
 //
-// A Tracker with ω < 2 is invalid (Definition 7 requires ω ≥ 2).
+// A Tracker with ω < 2 is invalid (Definition 7 requires ω ≥ 2). It
+// holds its count vector by value, so a tracker is two allocations
+// beyond its table: the struct and the ring.
 type Tracker struct {
 	omega  int
-	counts *sparse.Counts
+	counts sparse.Counts
 
 	// ring holds the most recent ω−1 adjacent similarities
 	// s(F(j−1), F(j)) for j = k−ω+2 .. k; sum is their running total.
@@ -44,11 +46,7 @@ func NewTracker(omega int) *Tracker {
 	if omega < 2 {
 		panic(fmt.Sprintf("stability: omega must be ≥ 2, got %d", omega))
 	}
-	return &Tracker{
-		omega:  omega,
-		counts: sparse.NewCounts(),
-		ring:   make([]float64, omega-1),
-	}
+	return &Tracker{omega: omega, ring: make([]float64, omega-1)}
 }
 
 // NewTrackerSized returns NewTracker(omega): a tracker's count vector
@@ -62,8 +60,9 @@ func NewTrackerSized(omega, universe int) *Tracker { return NewTracker(omega) }
 // maintained running sum). The sum must be the exported value, not a
 // fresh Σring — the sliding-window recurrence accumulates its own
 // rounding history, and restoring anything else would break bit-exact
-// equivalence with the tracker that was exported. The ring slice is
-// copied; counts are adopted as-is.
+// equivalence with the tracker that was exported. Both counts and ring
+// are adopted, not copied: the tracker takes over counts' table and the
+// ring slice, and the caller must use neither afterwards.
 func RestoreTracker(omega int, counts *sparse.Counts, ring []float64, head, fill int, sum float64) (*Tracker, error) {
 	if omega < 2 {
 		return nil, fmt.Errorf("stability: omega must be ≥ 2, got %d", omega)
@@ -77,16 +76,7 @@ func RestoreTracker(omega int, counts *sparse.Counts, ring []float64, head, fill
 	if head < 0 || head >= len(ring) || fill < 0 || fill > len(ring) {
 		return nil, fmt.Errorf("stability: ring head %d / fill %d out of range for omega %d", head, fill, omega)
 	}
-	tr := &Tracker{
-		omega:  omega,
-		counts: counts,
-		ring:   make([]float64, omega-1),
-		head:   head,
-		fill:   fill,
-		sum:    sum,
-	}
-	copy(tr.ring, ring)
-	return tr, nil
+	return &Tracker{omega: omega, counts: *counts, ring: ring, head: head, fill: fill, sum: sum}, nil
 }
 
 // ExportRing copies the MA window internals out of the tracker — the
@@ -100,9 +90,9 @@ func (tr *Tracker) ExportRing() (ring []float64, head, fill int, sum float64) {
 // Posts returns k, the number of posts observed.
 func (tr *Tracker) Posts() int { return tr.counts.Posts() }
 
-// Counts exposes the underlying count vector (the un-normalized rfd).
-// Callers must not mutate it.
-func (tr *Tracker) Counts() *sparse.Counts { return tr.counts }
+// Counts exposes the underlying count vector (the un-normalized rfd),
+// which lives inside the tracker. Callers must not mutate it.
+func (tr *Tracker) Counts() *sparse.Counts { return &tr.counts }
 
 // Observe consumes the next post of the sequence and returns the adjacent
 // similarity s(F(k−1), F(k)) at the new k.
