@@ -229,7 +229,7 @@
 // charge on a successful Fulfill, release on Expire or a failed
 // ingest; AllocStats reports it). internal/server + cmd/tagserved expose
 // the same loop as an HTTP/JSON API with graceful shutdown and
-// WAL-backed durability; cmd/tagserve drives it over HTTP.
+// WAL-backed durability; TestE2E drives the built binaries over HTTP.
 //
 // See examples/ for complete programs, README.md for the architecture
 // map, and DESIGN.md for the system inventory and the paper-to-module

@@ -53,13 +53,7 @@ func readResourceState(r *codec.Reader, rs *ResourceState) {
 	rs.Counts = make([]int64, nt)
 	d := codec.NewDelta(-1)
 	for k := 0; k < nt && r.Err() == nil; k++ {
-		t := d.Absorb(r.Uvarint("tag delta"))
-		if t > int64(math.MaxInt32) {
-			r.Fail("tag id %d overflows", t)
-			return
-		}
-		rs.Tags[k] = tags.Tag(t)
-		rs.Counts[k] = int64(r.Uvarint("count"))
+		rs.Tags[k], rs.Counts[k] = readEntry(r, &d)
 	}
 	nr := r.Length("ring size", r.Remaining()/8)
 	if r.Err() != nil {
@@ -121,6 +115,7 @@ func damagedRecords() []struct {
 		ringOff bool
 	}{
 		{"duplicate tag", rawRecord(12, []uint64{4, 0, 2}, []uint64{12, 5, 1}, ring, 0, 4), false},
+		{"descending gap", rawRecord(12, []uint64{6, math.MaxUint64 - 1, 7}, []uint64{12, 5, 1}, ring, 0, 4), false},
 		{"count 0", rawRecord(12, []uint64{4, 4, 2}, []uint64{12, 0, 1}, ring, 0, 4), false},
 		{"count above posts", rawRecord(12, []uint64{4, 4, 2}, []uint64{13, 5, 1}, ring, 0, 4), false},
 		{"count above MaxInt32", rawRecord(big, []uint64{4, 4, 2}, []uint64{big - 2, 5, 1}, ring, 1, 4), false},

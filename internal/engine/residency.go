@@ -405,7 +405,7 @@ func (e *Engine) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
 		return c.Posts()
 	}
 	rd := codec.NewReader(r.frozen, statePrefix)
-	posts, _ := scanResourceState(rd, fn)
+	posts, _ := scanResourceState(rd, e.cfg.Omega, fn)
 	if err := rd.Err(); err != nil {
 		panic(fmt.Sprintf("engine: resource %d frozen record corrupt: %v", i, err))
 	}

@@ -206,7 +206,7 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 		start := r.Offset()
 		var dot int64
 		var norm2 float64
-		posts, sum := scanResourceState(r, func(t tags.Tag, cnt int64) {
+		posts, sum := scanResourceState(r, cfg.Omega, func(t tags.Tag, cnt int64) {
 			norm2 += float64(cnt) * float64(cnt)
 			if res.refCounts != nil {
 				dot += cnt * res.refCounts.Get(t)
@@ -393,9 +393,16 @@ func appendResourceState(buf []byte, i int, rs *ResourceState) ([]byte, error) {
 }
 
 // readEntry decodes one support pair of a record: the tag's gap from
-// the previous tag, then its count. A tag past int32 fails the reader.
+// the previous tag, then its count. Tags strictly ascend within int32:
+// a gap of 0 (a repeated tag), a gap past 2³¹ (which Absorb would wrap
+// backwards) or a tag past int32 fails the reader.
 func readEntry(r *codec.Reader, d *codec.Delta) (tags.Tag, int64) {
-	t := d.Absorb(r.Uvarint("tag delta"))
+	gap := r.Uvarint("tag delta")
+	if gap == 0 || gap > math.MaxInt32+1 {
+		r.Fail("tag delta %d outside [1, 2³¹]", gap)
+		return 0, 0
+	}
+	t := d.Absorb(gap)
 	if t > int64(math.MaxInt32) {
 		r.Fail("tag id %d overflows", t)
 		return 0, 0
@@ -409,10 +416,10 @@ func readEntry(r *codec.Reader, d *codec.Delta) (tags.Tag, int64) {
 // straight into a table presized for the support, and the ring is read
 // into the one slice the tracker keeps — three allocations (table,
 // ring, tracker). It makes every check the layout implies: framing
-// (Finish), tag overflow, each count in (0, posts] and within int32, no
-// duplicate tag, the ring's length and range, and a ring position that
-// agrees with the post count — k posts leave head at k mod (ω−1) and
-// fill at min(k, ω−1).
+// (Finish), tags strictly ascending within int32, each count in
+// (0, posts] and within int32, the ring's length and range, and a ring
+// position that agrees with the post count — k posts leave head at
+// k mod (ω−1) and fill at min(k, ω−1).
 func decodeTracker(rec []byte, omega int) (*stability.Tracker, error) {
 	r := codec.NewReader(rec, statePrefix)
 	posts := int(r.Uvarint("posts"))
@@ -434,10 +441,7 @@ func decodeTracker(rec []byte, omega int) (*stability.Tracker, error) {
 			return nil, err
 		}
 	}
-	nr := r.Length("ring size", maxStateSlice)
-	if r.Err() == nil && nr != omega-1 {
-		r.Fail("ring has %d entries for omega %d", nr, omega)
-	}
+	nr := readRingSize(r, omega)
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -448,26 +452,39 @@ func decodeTracker(rec []byte, omega int) (*stability.Tracker, error) {
 	head := int(r.Uvarint("ring head"))
 	fill := int(r.Uvarint("ring fill"))
 	sum := r.Float64("ring sum")
+	checkRingPosition(r, posts, nr, head, fill)
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	tr, err := stability.RestoreTracker(omega, &counts, ring, head, fill, sum)
-	if err == nil && (head != posts%nr || fill != min(posts, nr)) {
-		err = fmt.Errorf("%s: ring head %d / fill %d contradict %d posts", statePrefix, head, fill, posts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tr, nil
+	return stability.RestoreTracker(omega, &counts, ring, head, fill, sum)
 }
 
-// scanResourceState structurally walks one record without materializing
-// slices: entry (when non-nil) sees each (tag, count) support pair, the
-// ring is skipped, and the scalars a cold resource retains — the post
-// count and the MA window's running sum — are returned. It checks the
-// framing only; decodeTracker makes the rest of the checks when the
-// resource rehydrates. Restore and ViewEntries stream records with it.
-func scanResourceState(r *codec.Reader, entry func(t tags.Tag, n int64)) (posts int, sum float64) {
+// readRingSize reads a record's ring length, which must be ω−1.
+func readRingSize(r *codec.Reader, omega int) int {
+	nr := r.Length("ring size", maxStateSlice)
+	if r.Err() == nil && nr != omega-1 {
+		r.Fail("ring has %d entries for omega %d", nr, omega)
+	}
+	return nr
+}
+
+// checkRingPosition fails the reader when a ring position contradicts
+// the post count: k posts leave head at k mod nr and fill at min(k, nr).
+func checkRingPosition(r *codec.Reader, posts, nr, head, fill int) {
+	if r.Err() == nil && (head != posts%nr || fill != min(posts, nr)) {
+		r.Fail("ring head %d / fill %d contradict %d posts", head, fill, posts)
+	}
+}
+
+// scanResourceState walks one record without materializing slices:
+// entry (when non-nil) sees each (tag, count) support pair, the ring is
+// skipped, and the scalars a cold resource retains — the post count and
+// the MA window's running sum — are returned. Besides the framing it
+// checks what it reads, so Restore refuses at boot what a rehydration
+// would refuse later: strictly ascending tags, each count in (0, posts],
+// a ring of ω−1 entries and a ring position that agrees with the post
+// count. Restore and ViewEntries stream records with it.
+func scanResourceState(r *codec.Reader, omega int, entry func(t tags.Tag, n int64)) (posts int, sum float64) {
 	posts = int(r.Uvarint("posts"))
 	nt := r.Length("support size", maxStateSlice)
 	if r.Err() != nil {
@@ -476,20 +493,24 @@ func scanResourceState(r *codec.Reader, entry func(t tags.Tag, n int64)) (posts 
 	d := codec.NewDelta(-1)
 	for k := 0; k < nt && r.Err() == nil; k++ {
 		t, n := readEntry(r, &d)
+		if r.Err() == nil && (n <= 0 || n > int64(posts)) {
+			r.Fail("tag %d count %d outside (0, %d]", t, n, posts)
+		}
 		if r.Err() == nil && entry != nil {
 			entry(t, n)
 		}
 	}
-	nr := r.Length("ring size", maxStateSlice)
+	nr := readRingSize(r, omega)
 	if r.Err() != nil {
 		return 0, 0
 	}
 	for k := 0; k < nr && r.Err() == nil; k++ {
 		r.Float64("ring entry")
 	}
-	r.Uvarint("ring head")
-	r.Uvarint("ring fill")
+	head := int(r.Uvarint("ring head"))
+	fill := int(r.Uvarint("ring fill"))
 	sum = r.Float64("ring sum")
+	checkRingPosition(r, posts, nr, head, fill)
 	return posts, sum
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -244,6 +245,77 @@ func TestRestoreRejects(t *testing.T) {
 	for _, tc := range cases {
 		if _, _, err := Restore(tc.cfg, tc.sp, tc.payload); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// Restore refuses at boot a record that rehydration would refuse later:
+// 24 posts under ω = 5 leave the ring at head 0, fill 4, so a head moved
+// by one, a fill short of full, a count of 0 or above the post count,
+// and tags that walk backwards (gaps 6 and 2⁶⁴−2 read as tags 5, 3) or
+// repeat (a gap of 0) each fail Restore — before, such a snapshot booted,
+// failed its first write, and every ExportState panicked on it.
+func TestRestoreRefusesRingOffPosts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	initial := make(tags.Seq, 24)
+	for k := range initial {
+		initial[k] = testPost(rng)
+	}
+	specs := []ResourceSpec{{Initial: initial, Ref: quality.NewReference(sparse.FromSeq(initial, 24))}}
+	cfg := Config{Omega: 5, Shards: 1}
+	eng, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := eng.ExportState()
+	payload, err := st.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Restore(cfg, specs, payload); err != nil {
+		t.Fatalf("intact payload rejected: %v", err)
+	}
+	rs := st.Resources[0]
+	if rs.Head != 0 || rs.Fill != 4 || len(rs.Tags) < 2 {
+		t.Fatalf("24 posts froze at head %d fill %d over %d tags, want 0, 4 and two or more", rs.Head, rs.Fill, len(rs.Tags))
+	}
+	rec, err := appendResourceState(nil, 0, &rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(payload, rec)
+	if at < 0 {
+		t.Fatal("resource record not found in its payload")
+	}
+	encode := func(edit func(bad *ResourceState)) []byte {
+		bad := rs
+		bad.Counts = slices.Clone(rs.Counts)
+		edit(&bad)
+		b, err := appendResourceState(nil, 0, &bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	gaps := func(gs ...uint64) []byte {
+		counts := make([]uint64, len(gs))
+		for k := range counts {
+			counts[k] = 1
+		}
+		return rawRecord(24, gs, counts, rs.Ring, 0, 4)
+	}
+	for name, bad := range map[string][]byte{
+		"head moved by one":    encode(func(b *ResourceState) { b.Head = 1 }),
+		"fill short of full":   encode(func(b *ResourceState) { b.Fill = 3 }),
+		"count above posts":    encode(func(b *ResourceState) { b.Counts[0] = 25 }),
+		"count 0":              encode(func(b *ResourceState) { b.Counts[1] = 0 }),
+		"descending gap":       gaps(6, math.MaxUint64-1),
+		"repeated tag":         gaps(6, 0),
+		"gap past int32 range": gaps(math.MaxInt32+2, 1),
+	} {
+		tampered := slices.Concat(payload[:at], bad, payload[at+len(rec):])
+		if _, _, err := Restore(cfg, specs, tampered); err == nil {
+			t.Errorf("%s: restored", name)
 		}
 	}
 }
