@@ -2,7 +2,6 @@ package incentivetag
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -19,12 +18,10 @@ import (
 	"incentivetag/internal/sim"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/stability"
-	"incentivetag/internal/stats"
 	"incentivetag/internal/strategy"
 	"incentivetag/internal/synth"
 	"incentivetag/internal/tags"
 	"incentivetag/internal/tagstore"
-	"incentivetag/internal/taxonomy"
 )
 
 // Re-exported core types. The implementation lives in internal packages;
@@ -32,19 +29,13 @@ import (
 type (
 	// Tag is an interned tag identifier.
 	Tag = tags.Tag
-	// Vocab interns tag names.
-	Vocab = tags.Vocab
 	// Post is a set of tags assigned in one tagging operation.
 	Post = tags.Post
-	// Seq is a resource's time-ordered post sequence.
-	Seq = tags.Seq
 
 	// Counts is a sparse tag-count vector whose normalization is an rfd.
 	Counts = sparse.Counts
 	// Tracker maintains a resource's rfd and MA stability score online.
 	Tracker = stability.Tracker
-	// StablePointResult reports a practically-stable rfd search.
-	StablePointResult = stability.StablePointResult
 
 	// Reference is a stable rfd used as the quality yardstick.
 	Reference = quality.Reference
@@ -66,8 +57,6 @@ type (
 	SimilarityIndex = ir.InvertedIndex
 	// Scored is a ranked similarity answer.
 	Scored = ir.Scored
-	// Pair is an unordered resource pair.
-	Pair = ir.Pair
 
 	// Checkpoint is a metric snapshot of a simulation run.
 	Checkpoint = sim.Checkpoint
@@ -77,33 +66,16 @@ type (
 
 	// Scale sizes an experiment suite run.
 	Scale = experiments.Scale
-	// Experiment is one registered paper artifact reproduction.
-	Experiment = experiments.Experiment
 )
-
-// NewVocab returns an empty tag vocabulary.
-func NewVocab() *Vocab { return tags.NewVocab() }
 
 // NewPost builds a post from tag ids, deduplicating and sorting.
 func NewPost(ts ...Tag) (Post, error) { return tags.NewPost(ts...) }
 
-// ParsePost interns names into v and builds a post.
-func ParsePost(v *Vocab, names ...string) (Post, error) { return tags.ParsePost(v, names...) }
-
 // NewTracker returns an MA-score tracker with window ω ≥ 2 (Definition 7).
 func NewTracker(omega int) *Tracker { return stability.NewTracker(omega) }
 
-// StablePoint scans a post sequence for its practically-stable rfd
-// φ̂(ω, τ) (Definition 8).
-func StablePoint(seq Seq, omega int, tau float64) StablePointResult {
-	return stability.StablePoint(seq, omega, tau)
-}
-
 // NewReference wraps a stable rfd as a quality yardstick (Definition 9).
 func NewReference(stable *Counts) *Reference { return quality.NewReference(stable) }
-
-// SetQuality averages per-resource qualities (Definition 10).
-func SetQuality(perResource []float64) float64 { return quality.SetQuality(perResource) }
 
 // DefaultConfig returns the calibrated generator configuration for n
 // resources under the given seed.
@@ -117,9 +89,6 @@ func SaveDataset(ds *Dataset, dir string) error { return ds.Save(dir) }
 
 // LoadDataset reads a corpus persisted by SaveDataset.
 func LoadDataset(dir string) (*Dataset, error) { return synth.Load(dir) }
-
-// StrategyNames lists the implemented online strategies plus "DP".
-func StrategyNames() []string { return append([]string(nil), experiments.StrategyNames...) }
 
 // NewStrategy instantiates an online strategy by its paper name: "FC",
 // "RR", "FP", "MU" or "FP-MU" (omega is the MA window for MU/FP-MU).
@@ -156,9 +125,6 @@ func NewSimulation(ds *Dataset, opts Options) *Simulation {
 	}
 	return &Simulation{ds: ds, data: sim.FromDataset(ds, opts.Resources), opts: opts}
 }
-
-// MaxBudget returns the largest spendable budget (total replayable posts).
-func (s *Simulation) MaxBudget() int { return s.data.MaxBudget() }
 
 // Result summarizes one strategy run.
 type Result struct {
@@ -209,7 +175,7 @@ func (s *Simulation) SolveOptimal(budget int) (Assignment, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := optimal.Solve(curves, budget, optimal.Options{Bounded: true})
+	res, err := optimal.Solve(curves, budget, optimal.Options{Bounded: true, Costs: s.data.Costs})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -237,12 +203,16 @@ func (s *Simulation) SolveGreedy(budget int) (Assignment, float64, error) {
 }
 
 // SetCosts installs a per-resource task cost vector (the paper's
-// variable-cost future-work extension). nil restores unit costs.
+// variable-cost future-work extension). nil restores unit costs. A
+// vector of the wrong length or with a non-positive cost is refused and
+// leaves the previous costs installed.
 func (s *Simulation) SetCosts(costs []int) error {
-	if costs != nil && len(costs) != s.data.N() {
-		return fmt.Errorf("incentivetag: %d costs for %d resources", len(costs), s.data.N())
-	}
+	prev := s.data.Costs
 	s.data.Costs = costs
+	if err := s.data.Validate(); err != nil {
+		s.data.Costs = prev
+		return fmt.Errorf("incentivetag: %w", err)
+	}
 	return nil
 }
 
@@ -280,59 +250,8 @@ func (s *Simulation) SnapshotFull() *SimilarityIndex {
 	return ir.BuildInverted(rfds)
 }
 
-// NewSimilarityIndex indexes rfd snapshots for top-k, search and ranking
-// queries; the slice is retained.
-func NewSimilarityIndex(rfds []*Counts) *SimilarityIndex { return ir.BuildInverted(rfds) }
-
-// SamplePairs draws m distinct resource pairs for ranking evaluation.
-func SamplePairs(n, m int, seed int64) []Pair { return ir.SamplePairs(n, m, seed) }
-
-// GroundTruthSimilarities evaluates taxonomy ground truth on pairs.
-func GroundTruthSimilarities(ds *Dataset, pairs []Pair) []float64 {
-	leaves := make([]taxonomy.NodeID, len(ds.Resources))
-	for i := range ds.Resources {
-		leaves[i] = ds.Resources[i].Leaf
-	}
-	return ir.GroundTruth(ds.Tax, leaves, pairs)
-}
-
-// RankingAccuracy is Kendall's τ between tag-derived and ground-truth
-// pair similarities (Figure 7's accuracy measure).
-func RankingAccuracy(simVals, truthVals []float64) (float64, error) {
-	return ir.RankingAccuracy(simVals, truthVals)
-}
-
-// Pearson computes the correlation of Equation 15.
-func Pearson(xs, ys []float64) (float64, error) { return stats.Pearson(xs, ys) }
-
-// KendallTau computes Kendall's τ-b rank correlation in O(n log n).
-func KendallTau(xs, ys []float64) (float64, error) { return stats.KendallTau(xs, ys) }
-
-// QuickScale and PaperScale size the experiment suite.
-func QuickScale() Scale { return experiments.Quick() }
-
-// PaperScale returns the paper's n=5000 / B=10000 configuration.
-func PaperScale() Scale { return experiments.Paper() }
-
 // TinyScale returns a minimal configuration for smoke tests.
 func TinyScale() Scale { return experiments.Tiny() }
-
-// Experiments lists every registered paper artifact.
-func Experiments() []Experiment { return experiments.All() }
-
-// RunExperiment reproduces one paper artifact by id (e.g. "fig6a",
-// "table6") at the given scale, writing its table to w.
-func RunExperiment(id string, sc Scale, w io.Writer) error {
-	e, err := experiments.Lookup(id)
-	if err != nil {
-		return err
-	}
-	ctx, err := experiments.NewContext(sc)
-	if err != nil {
-		return err
-	}
-	return e.Run(ctx, w)
-}
 
 // ServiceOptions configure a live tagging Service.
 type ServiceOptions struct {
@@ -373,16 +292,13 @@ type ServiceOptions struct {
 	// SnapshotInterval is the background snapshotter's time policy: with
 	// a WALDir configured, a snapshot is written (and the covered log
 	// segments compacted away) whenever this much time has passed since
-	// the last one. 0 means DefaultSnapshotInterval; negative disables
+	// the last one. 0 means one minute; negative disables
 	// the background snapshotter (Close still writes a final snapshot).
 	SnapshotInterval time.Duration
 	// SnapshotEvery additionally triggers a snapshot once this many log
 	// records have accumulated since the last one (0 disables the
 	// record-count policy).
 	SnapshotEvery int
-	// KeepSnapshots is how many snapshot files to retain after a new one
-	// lands (default 2: the newest plus one fallback).
-	KeepSnapshots int
 	// Resources restricts the service to the first n corpus resources
 	// (0 = all).
 	Resources int
@@ -427,17 +343,21 @@ type ServiceOptions struct {
 	// (count vectors, MA rings, trackers). 0 means unbounded.
 	MaxResidentBytes int64
 	// TierInterval is the background tiering loop's cadence (default
-	// DefaultTierInterval). Negative disables the background loop;
+	// defaultTierInterval). Negative disables the background loop;
 	// TierNow still runs the policy on demand.
 	TierInterval time.Duration
 }
 
-// DefaultSnapshotInterval is the background snapshotter's default time
+// defaultSnapshotInterval is the background snapshotter's default time
 // policy.
-const DefaultSnapshotInterval = time.Minute
+const defaultSnapshotInterval = time.Minute
 
-// DefaultTierInterval is the background tiering loop's default cadence.
-const DefaultTierInterval = 2 * time.Second
+// keepSnapshots is how many snapshot files a cycle retains after a new
+// one lands: the newest plus one fallback.
+const keepSnapshots = 2
+
+// defaultTierInterval is the background tiering loop's default cadence.
+const defaultTierInterval = 2 * time.Second
 
 // LeaseID names one outstanding incentivized post-task assignment.
 type LeaseID = alloc.LeaseID
@@ -464,7 +384,6 @@ type Service struct {
 	wal    *tagstore.Store
 	alloc  *alloc.Allocator
 	walDir string
-	keep   int
 
 	// idx is the live query index: an incrementally-maintained inverted
 	// index fed by the engine's subscriber hook, seeded from the (possibly
@@ -565,10 +484,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		opts.Seed = 1
 	}
 	if opts.SnapshotInterval == 0 {
-		opts.SnapshotInterval = DefaultSnapshotInterval
-	}
-	if opts.KeepSnapshots == 0 {
-		opts.KeepSnapshots = 2
+		opts.SnapshotInterval = defaultSnapshotInterval
 	}
 	if opts.Budget < 0 {
 		return nil, fmt.Errorf("incentivetag: negative budget %d", opts.Budget)
@@ -630,7 +546,6 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		wal:              wal,
 		alloc:            alloc.New(strat, engine.NewView(eng, opts.Seed), eng, opts.Budget),
 		walDir:           opts.WALDir,
-		keep:             opts.KeepSnapshots,
 		recovery:         rec,
 		lastSnapSeq:      rec.SnapshotSeq,
 		ids:              ids,
@@ -665,7 +580,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	if tiered && opts.TierInterval >= 0 {
 		interval := opts.TierInterval
 		if interval == 0 {
-			interval = DefaultTierInterval
+			interval = defaultTierInterval
 		}
 		s.stopTier = make(chan struct{})
 		s.tierWG.Add(1)
@@ -856,18 +771,6 @@ var (
 // errors.Is.
 var ErrUnknownLease = alloc.ErrUnknownLease
 
-// IngestBatch records a batch of posts for one resource under a single
-// shard-lock acquisition and one group-committed WAL write. The
-// resulting state is bit-identical to ingesting the posts one at a time;
-// throughput is substantially higher (see bench/README.md).
-func (s *Service) IngestBatch(resource int, posts []Post) error {
-	l, err := s.local(resource)
-	if err != nil {
-		return fmt.Errorf("incentivetag: %w", err)
-	}
-	return s.eng.IngestBatch(l, posts)
-}
-
 // IngestMany records a batch of posts spanning arbitrary resources,
 // taking each involved shard's lock once and group-committing each
 // shard's WAL records with one write. Per resource, events apply in
@@ -943,11 +846,6 @@ func (s *Service) Count(resource int) int { return s.eng.Count(s.mustLocal(resou
 // member panics on a resource it does not own, as Count does.
 func (s *Service) CostOf(resource int) int { return s.eng.CostOf(s.mustLocal(resource)) }
 
-// Quality returns the current mean tagging quality q(R, ·) — an O(1)
-// read of the engine's incremental aggregates. A cluster member's R is
-// its owned resources.
-func (s *Service) Quality() float64 { return s.eng.Snapshot().MeanQuality }
-
 // Snapshot returns the full aggregate metric snapshot in O(shards),
 // over the owned resources on a cluster member: the members' quality
 // sums and resource counts add up to the corpus's.
@@ -989,8 +887,8 @@ type AdmissionConfig = admit.Config
 
 // TopK answers the top-k similar-resource query (§V-C.1) from the live
 // online index: no snapshot clone, no index rebuild — the posting lists
-// are maintained incrementally by the ingest paths (Ingest/IngestBatch/
-// IngestMany and lease fulfillment alike). The result is an
+// are maintained incrementally by the ingest paths (Ingest, IngestMany
+// and lease fulfillment alike). The result is an
 // epoch-versioned consistent view: bit-identical to rebuilding the
 // inverted index from SnapshotRFDs at the returned epoch. Safe for
 // arbitrary concurrent use alongside ingest. A cluster member ranks its
@@ -1166,8 +1064,8 @@ func (s *Service) SnapshotNow() (SnapshotResult, error) {
 	// count, then compact only through the OLDEST retained VALID
 	// snapshot — not the one just written: the segments between retained
 	// snapshots are what make the fallback usable if the newest file is
-	// ever damaged. (With KeepSnapshots 1 the two sequences coincide.)
-	_, compactSeq, ok, err := tagstore.PruneSnapshots(s.walDir, s.keep)
+	// ever damaged.
+	_, compactSeq, ok, err := tagstore.PruneSnapshots(s.walDir, keepSnapshots)
 	if err != nil {
 		return SnapshotResult{}, err
 	}
@@ -1352,12 +1250,4 @@ func (s *Service) Close() error {
 		s.mapped = nil
 	}
 	return err
-}
-
-// Validate sanity-checks a dataset for simulation use.
-func Validate(ds *Dataset) error {
-	if ds == nil || ds.N() == 0 {
-		return fmt.Errorf("incentivetag: empty dataset")
-	}
-	return sim.FromDataset(ds, 0).Validate()
 }

@@ -9,7 +9,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"incentivetag/internal/experiments"
+	"incentivetag/internal/ir"
+	"incentivetag/internal/sim"
+	"incentivetag/internal/stability"
 	"incentivetag/internal/tagstore"
+	"incentivetag/internal/taxonomy"
 )
 
 // sharedDS memoizes a small corpus across facade tests.
@@ -29,11 +34,8 @@ func testDS(t *testing.T) *Dataset {
 
 func TestGenerateAndValidate(t *testing.T) {
 	ds := testDS(t)
-	if err := Validate(ds); err != nil {
+	if err := sim.FromDataset(ds, 0).Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if err := Validate(nil); err == nil {
-		t.Error("nil dataset accepted")
 	}
 	st := ds.Stats()
 	if st.NResources != 125 { // 120 + 5 case-study resources
@@ -42,17 +44,12 @@ func TestGenerateAndValidate(t *testing.T) {
 }
 
 func TestPostAndVocabFacade(t *testing.T) {
-	v := NewVocab()
-	p, err := ParsePost(v, "maps", "navigation")
-	if err != nil {
-		t.Fatal(err)
+	p, err := NewPost(7, 3, 7)
+	if err != nil || len(p) != 2 || p[0] != 3 || p[1] != 7 {
+		t.Errorf("NewPost dedup failed: %v %v", p, err)
 	}
-	if len(p) != 2 {
-		t.Errorf("post = %v", p)
-	}
-	p2, err := NewPost(p[0], p[1], p[0])
-	if err != nil || len(p2) != 2 {
-		t.Errorf("NewPost dedup failed: %v %v", p2, err)
+	if _, err := NewPost(); err == nil {
+		t.Error("empty post accepted")
 	}
 }
 
@@ -66,7 +63,7 @@ func TestTrackerAndStablePointFacade(t *testing.T) {
 	if _, ok := tr.MA(); !ok {
 		t.Fatal("MA undefined after full sequence")
 	}
-	res := StablePoint(r.Seq, ds.Cfg.PrepOmega, ds.Cfg.PrepTau)
+	res := stability.StablePoint(r.Seq, ds.Cfg.PrepOmega, ds.Cfg.PrepTau)
 	if !res.Found || res.K != r.StableK {
 		t.Errorf("StablePoint = %d/%v, dataset says %d", res.K, res.Found, r.StableK)
 	}
@@ -74,17 +71,11 @@ func TestTrackerAndStablePointFacade(t *testing.T) {
 	if q := ref.Of(tr.Counts()); q < 0.9 {
 		t.Errorf("full-sequence quality %g, want high", q)
 	}
-	if got := SetQuality([]float64{0.5, 1.0}); got != 0.75 {
-		t.Errorf("SetQuality = %g", got)
-	}
 }
 
 func TestSimulationRunAndOptimal(t *testing.T) {
 	ds := testDS(t)
 	s := NewSimulation(ds, Options{Seed: 2})
-	if s.MaxBudget() <= 0 {
-		t.Fatal("MaxBudget not positive")
-	}
 	res, err := s.Run("FP", 300)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +96,7 @@ func TestSimulationRunAndOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range StrategyNames() {
+	for _, name := range experiments.StrategyNames {
 		if name == "DP" {
 			continue
 		}
@@ -161,13 +152,17 @@ func TestSnapshotsAndSimilarity(t *testing.T) {
 		}
 	}
 
-	pairs := SamplePairs(ds.N(), 2000, 9)
-	truth := GroundTruthSimilarities(ds, pairs)
-	tauInitial, err := RankingAccuracy(initial.PairSimilarities(pairs), truth)
+	pairs := ir.SamplePairs(ds.N(), 2000, 9)
+	leaves := make([]taxonomy.NodeID, ds.N())
+	for i := range ds.Resources {
+		leaves[i] = ds.Resources[i].Leaf
+	}
+	truth := ir.GroundTruth(ds.Tax, leaves, pairs)
+	tauInitial, err := ir.RankingAccuracy(initial.PairSimilarities(pairs), truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tauFull, err := RankingAccuracy(full.PairSimilarities(pairs), truth)
+	tauFull, err := ir.RankingAccuracy(full.PairSimilarities(pairs), truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +182,15 @@ func TestSnapshotFullMatchesServiceTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	var events []PostEvent
 	for i := range ds.Resources {
 		r := &ds.Resources[i]
-		if rest := r.Seq[r.Initial:]; len(rest) > 0 {
-			if err := svc.IngestBatch(i, rest); err != nil {
-				t.Fatal(err)
-			}
+		for _, p := range r.Seq[r.Initial:] {
+			events = append(events, PostEvent{Resource: i, Post: p})
 		}
+	}
+	if err := svc.IngestMany(events); err != nil {
+		t.Fatal(err)
 	}
 	for subject := 0; subject < full.N(); subject++ {
 		got, _, err := svc.TopK(subject, 10)
@@ -248,7 +245,7 @@ func TestServiceFacade(t *testing.T) {
 	if m.Posts <= before.Posts {
 		t.Fatal("ingest did not advance metrics")
 	}
-	if q := svc.Quality(); q <= 0 || q > 1 {
+	if q := m.MeanQuality; q <= 0 || q > 1 {
 		t.Fatalf("quality out of range: %g", q)
 	}
 
@@ -297,15 +294,6 @@ func TestServiceFacade(t *testing.T) {
 	// must refuse it rather than let the allocator starve.
 	if _, err := NewService(ds, ServiceOptions{Strategy: "FC"}); err == nil {
 		t.Error("FC accepted as a live allocation strategy")
-	}
-}
-
-func TestStatsFacade(t *testing.T) {
-	if r, err := Pearson([]float64{1, 2, 3}, []float64{2, 4, 6}); err != nil || r < 0.999 {
-		t.Errorf("Pearson = %g, %v", r, err)
-	}
-	if tau, err := KendallTau([]float64{1, 2, 3}, []float64{3, 2, 1}); err != nil || tau > -0.999 {
-		t.Errorf("KendallTau = %g, %v", tau, err)
 	}
 }
 
@@ -370,6 +358,71 @@ func TestSetCostsBetweenRuns(t *testing.T) {
 	}
 }
 
+// SetCosts refuses a non-positive cost, as the simulation's own data
+// check does, and leaves the previous costs installed: a zero cost would
+// divide by zero in the greedy oracle, a negative one fail a run midway.
+func TestSetCostsRejectsNonPositive(t *testing.T) {
+	ds, err := Generate(DefaultConfig(40, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{0, -1} {
+		s := NewSimulation(ds, Options{})
+		costs := make([]int, ds.N())
+		for i := range costs {
+			costs[i] = 1
+		}
+		costs[0] = bad
+		if err := s.SetCosts(costs); err == nil {
+			t.Fatalf("cost %d accepted", bad)
+		}
+		x, _, err := s.SolveGreedy(50)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spent := 0
+		for _, xi := range x {
+			spent += xi
+		}
+		if spent != 50 {
+			t.Fatalf("after refusing cost %d the greedy answer spends %d of 50 at unit cost", bad, spent)
+		}
+	}
+}
+
+// SolveOptimal solves the problem the installed costs define: its
+// assignment spends Σ xᵢ·cᵢ ≤ B, and as the exact optimum it reaches at
+// least the quality of the greedy oracle's feasible answer.
+func TestSolveOptimalWeightedCosts(t *testing.T) {
+	s := NewSimulation(testDS(t), Options{Resources: 30})
+	costs := make([]int, 30)
+	for i := range costs {
+		costs[i] = 1 + i%3
+	}
+	if err := s.SetCosts(costs); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 40
+	x, q, err := s.SolveOptimal(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent := 0
+	for i, xi := range x {
+		spent += xi * costs[i]
+	}
+	if spent > budget {
+		t.Fatalf("optimal assignment spends %d of budget %d", spent, budget)
+	}
+	_, greedyQ, err := s.SolveGreedy(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q < greedyQ-1e-12 {
+		t.Fatalf("optimal quality %.6f below greedy %.6f", q, greedyQ)
+	}
+}
+
 func TestSaveLoadFacade(t *testing.T) {
 	ds := testDS(t)
 	dir := t.TempDir()
@@ -385,29 +438,39 @@ func TestSaveLoadFacade(t *testing.T) {
 	}
 }
 
+// TinyScale drives the experiment registry: a paper artifact runs at
+// it end to end.
 func TestExperimentFacade(t *testing.T) {
-	if len(Experiments()) < 17 {
-		t.Errorf("only %d experiments registered", len(Experiments()))
+	if n := len(experiments.All()); n < 17 {
+		t.Errorf("only %d experiments registered", n)
 	}
-	sc := QuickScale()
-	if sc.N <= 0 || PaperScale().N != 5000 {
-		t.Error("scales wrong")
+	if experiments.Paper().N != 5000 {
+		t.Error("paper scale wrong")
+	}
+	e, err := experiments.Lookup("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := experiments.NewContext(TinyScale())
+	if err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	tiny := TinyScale()
-	if err := RunExperiment("fig5", tiny, &buf); err != nil {
+	if err := e.Run(ctx, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Figure 5") {
 		t.Error("experiment output missing title")
 	}
-	if err := RunExperiment("nope", tiny, &buf); err == nil {
+	if _, err := experiments.Lookup("nope"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
+// NewStrategy builds every online strategy the experiments name, and
+// refuses DP (an offline solver) and unknown names.
 func TestStrategyNamesFacade(t *testing.T) {
-	names := StrategyNames()
+	names := experiments.StrategyNames
 	want := map[string]bool{"DP": true, "FC": true, "RR": true, "FP": true, "MU": true, "FP-MU": true}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
@@ -416,6 +479,12 @@ func TestStrategyNamesFacade(t *testing.T) {
 		if !want[n] {
 			t.Errorf("unexpected strategy %q", n)
 		}
+		if _, err := NewStrategy(n, 5); (err == nil) != (n != "DP") {
+			t.Errorf("NewStrategy(%q): %v", n, err)
+		}
+	}
+	if _, err := NewStrategy("nope", 5); err == nil {
+		t.Error("unknown strategy accepted")
 	}
 }
 
@@ -487,20 +556,20 @@ func TestServiceBatchIngest(t *testing.T) {
 		t.Fatalf("mean quality %.17g vs %.17g", mb.MeanQuality, ms.MeanQuality)
 	}
 
-	// One IngestBatch on a single resource.
+	// One IngestMany on a single resource.
 	i := 0
 	r := &ds.Resources[i]
-	var posts []Post
+	var posts []PostEvent
 	for k := batched.Count(i); k < len(r.Seq) && len(posts) < 3; k++ {
-		posts = append(posts, r.Seq[k])
+		posts = append(posts, PostEvent{Resource: i, Post: r.Seq[k]})
 	}
 	if len(posts) > 0 {
 		before := batched.Count(i)
-		if err := batched.IngestBatch(i, posts); err != nil {
+		if err := batched.IngestMany(posts); err != nil {
 			t.Fatal(err)
 		}
 		if batched.Count(i) != before+len(posts) {
-			t.Fatal("IngestBatch count wrong")
+			t.Fatal("single-resource IngestMany count wrong")
 		}
 	}
 

@@ -12,9 +12,9 @@
 //   - the tagging-stability machinery: relative tag frequency
 //     distributions (rfd's), adjacent cosine similarity, Moving-Average
 //     stability scores, practically-stable rfd's and stable points
-//     (Tracker, StablePoint);
-//   - the tagging-quality metric against a stable reference (Reference,
-//     SetQuality);
+//     (Tracker);
+//   - the tagging-quality metric against a stable reference
+//     (Reference);
 //   - the incentive allocation strategies FC, RR, FP, MU and FP-MU
 //     (NewStrategy) and the theoretically optimal offline DP
 //     (SolveOptimal);
@@ -24,15 +24,15 @@
 //     taxonomy ground truth (Generate, DefaultConfig);
 //   - persistence via an embedded crash-safe append-only post store
 //     (SaveDataset, LoadDataset);
-//   - the IR case-study layer: top-k similar resources, tag-set search
-//     and Kendall-τ ranking accuracy over immutable rfd snapshots
-//     (NewSimilarityIndex, RankingAccuracy);
+//   - the IR case-study layer: top-k similar resources and tag-set
+//     search over immutable rfd snapshots (SimilarityIndex, built by
+//     Simulation.SnapshotAfter, SnapshotInitial and SnapshotFull);
 //   - every table and figure of the paper's evaluation as runnable
-//     experiments (RunExperiment, Experiments);
+//     experiments (cmd/tagsim);
 //   - a live serving facade over the concurrent sharded tagging engine
 //     (Service): lock-striped Ingest from any number of goroutines, the
 //     Lease/Fulfill/Expire incentive loop of Algorithm 1 against live
-//     state, and O(1) aggregate metric reads (Quality, Snapshot) backed
+//     state, and O(1) aggregate metric reads (Snapshot) backed
 //     by incrementally maintained quality sums — with optional full
 //     durability (ServiceOptions.WALDir): a segmented write-ahead post
 //     log plus engine snapshots, background compaction, and crash
@@ -47,10 +47,10 @@
 //     (tag, count) slots (sparse.Counts), 8 bytes a slot whatever the
 //     tag ids, so a post's count update and its incremental quality
 //     dot product are |post| short probes each;
-//   - Service.IngestBatch and Service.IngestMany apply whole batches
-//     under one shard-lock acquisition per shard, group-committing each
-//     shard's WAL records with a single store write while preserving
-//     the per-resource record order per-post Ingest would produce —
+//   - Service.IngestMany applies a whole batch under one shard-lock
+//     acquisition per shard, group-committing each shard's WAL records
+//     with a single store write while preserving the per-resource
+//     record order per-post Ingest would produce —
 //     recovery semantics are unchanged, and the resulting state is
 //     bit-identical to one-at-a-time ingestion.
 //
@@ -125,8 +125,8 @@
 // Queries are epoch-versioned consistent reads (every shard read lock
 // held for the duration) that see each shard batch whole or not at
 // all, though one IngestMany's shards may straddle a read; they are
-// bit-identical to the offline SimilarityIndex
-// (NewSimilarityIndex) over SnapshotRFDs at the returned epoch, and safe
+// bit-identical to the offline SimilarityIndex over SnapshotRFDs at the
+// returned epoch, and safe
 // under arbitrary concurrency with ingest. The index is seeded from
 // recovered engine state, so a restarted service answers queries
 // identically to the one that crashed. Service.QueryStats (GET /info)
@@ -221,7 +221,7 @@
 //		_ = i                                          // worker tags resource i ...
 //		_ = svc.Fulfill(lease, taggerPost)             // ... ingest + UPDATE, cost charged
 //	}                                                  // (or svc.Expire(lease))
-//	fmt.Println(svc.Quality())                         // O(1), independent of corpus size
+//	fmt.Println(svc.Snapshot().MeanQuality)            // O(1), independent of corpus size
 //
 // Any number of workers may hold leases simultaneously — internal/alloc
 // guarantees concurrently leased resources are distinct, serializes
@@ -231,7 +231,7 @@
 // the same loop as an HTTP/JSON API with graceful shutdown and
 // WAL-backed durability; TestE2E drives the built binaries over HTTP.
 //
-// See examples/ for complete programs, README.md for the architecture
-// map, and DESIGN.md for the system inventory and the paper-to-module
-// map.
+// The package's Example functions are complete programs whose output
+// go test checks; README.md maps the architecture and the paper to the
+// modules.
 package incentivetag

@@ -30,7 +30,7 @@ import (
 )
 
 // TokenBucket is a standard token-bucket rate limiter: capacity Burst
-// tokens, refilled continuously at Rate tokens/second. Take consumes
+// tokens, refilled continuously at Rate tokens/second. take consumes
 // one token or reports exactly how long until one accrues — that
 // duration is the Retry-After a shed client should honor.
 type TokenBucket struct {
@@ -42,15 +42,15 @@ type TokenBucket struct {
 	now    func() time.Time // injectable for tests
 }
 
-// NewTokenBucket builds a bucket refilling at rate tokens/second with
+// newTokenBucket builds a bucket refilling at rate tokens/second with
 // the given burst capacity (burst <= 0 selects one second's worth of
 // tokens, minimum 1). A rate <= 0 means "unlimited" and returns nil;
 // a nil *TokenBucket admits everything.
-func NewTokenBucket(rate float64, burst int) *TokenBucket {
+func newTokenBucket(rate float64, burst int) *TokenBucket {
 	return newTokenBucketClock(rate, burst, time.Now)
 }
 
-// newTokenBucketClock is NewTokenBucket with an injectable clock, the
+// newTokenBucketClock is newTokenBucket with an injectable clock, the
 // seam the refill-math tests drive.
 func newTokenBucketClock(rate float64, burst int, now func() time.Time) *TokenBucket {
 	if rate <= 0 {
@@ -79,10 +79,10 @@ func (b *TokenBucket) refill() {
 	b.last = now
 }
 
-// Take consumes one token if available. When the bucket is empty it
+// take consumes one token if available. When the bucket is empty it
 // reports ok=false and the exact duration until one token will have
 // accrued — the Retry-After contract.
-func (b *TokenBucket) Take() (ok bool, retryAfter time.Duration) {
+func (b *TokenBucket) take() (ok bool, retryAfter time.Duration) {
 	if b == nil {
 		return true, 0
 	}
@@ -96,11 +96,11 @@ func (b *TokenBucket) Take() (ok bool, retryAfter time.Duration) {
 	return false, b.untilTokensLocked(1)
 }
 
-// NextToken reports how long until a full token is available without
+// nextToken reports how long until a full token is available without
 // consuming anything — the retry hint for rejections that are not the
 // bucket's own (e.g. a full queue), still derived from the refill rate
 // so all Retry-After values a client sees share one clock.
-func (b *TokenBucket) NextToken() time.Duration {
+func (b *TokenBucket) nextToken() time.Duration {
 	if b == nil {
 		return 0
 	}
@@ -118,16 +118,4 @@ func (b *TokenBucket) NextToken() time.Duration {
 func (b *TokenBucket) untilTokensLocked(want float64) time.Duration {
 	need := want - b.tokens
 	return time.Duration(need / b.rate * float64(time.Second))
-}
-
-// Tokens reports the current token count (after refill); test and
-// gauge surface.
-func (b *TokenBucket) Tokens() float64 {
-	if b == nil {
-		return math.Inf(1)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.refill()
-	return b.tokens
 }

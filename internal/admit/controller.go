@@ -82,14 +82,14 @@ type Config struct {
 	// when MaxInFlight is set; negative = no queue, shed immediately).
 	Queue int
 	// QueueWait bounds how long a queued interactive request waits for
-	// a slot before timing out (0 = DefaultQueueWait).
+	// a slot before timing out (0 = defaultQueueWait).
 	QueueWait time.Duration
 }
 
 // Defaults for the bounded interactive wait.
 const (
 	DefaultQueue     = 64
-	DefaultQueueWait = 250 * time.Millisecond
+	defaultQueueWait = 250 * time.Millisecond
 )
 
 // waiter is one queued interactive request. grant is buffered so
@@ -134,10 +134,10 @@ func NewController(cfg Config) *Controller {
 	}
 	wait := cfg.QueueWait
 	if wait <= 0 {
-		wait = DefaultQueueWait
+		wait = defaultQueueWait
 	}
 	return &Controller{
-		bucket:    NewTokenBucket(cfg.Rate, cfg.Burst),
+		bucket:    newTokenBucket(cfg.Rate, cfg.Burst),
 		max:       cfg.MaxInFlight,
 		queueCap:  queueCap,
 		queueWait: wait,
@@ -151,7 +151,7 @@ func NewController(cfg Config) *Controller {
 // server is genuinely saturated and the client should stay away.
 func (c *Controller) retryHint() time.Duration {
 	if c.bucket != nil {
-		if d := c.bucket.NextToken(); d > 0 {
+		if d := c.bucket.nextToken(); d > 0 {
 			return d
 		}
 	}
@@ -164,7 +164,7 @@ func (c *Controller) retryHint() time.Duration {
 // a slot.
 func (c *Controller) Admit(ctx context.Context, class Class) Result {
 	if class == Bulk {
-		if ok, retry := c.bucket.Take(); !ok {
+		if ok, retry := c.bucket.take(); !ok {
 			c.mu.Lock()
 			c.counts[Bulk][Shed]++
 			c.mu.Unlock()

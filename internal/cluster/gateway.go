@@ -76,7 +76,7 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		m:             cfg.Map,
-		ring:          cfg.Map.Ring(),
+		ring:          cfg.Map.ring(),
 		mapHash:       cfg.Map.Hash(),
 		edge:          server.NewEdge("taggate_", cfg.Admission, cfg.MaxBodyBytes),
 		probeInterval: cfg.ProbeInterval,
@@ -312,7 +312,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 // ingestOne proxies a single post to its owner, relaying the node's
 // status verbatim — the gateway adds routing, not new semantics.
 func (g *Gateway) ingestOne(w http.ResponseWriter, r *http.Request, req *server.IngestRequest) {
-	b := g.backends[g.ring.Owner(req.Resource)]
+	b := g.backends[g.ring.owner(req.Resource)]
 	if !b.up.Load() {
 		w.Header().Set("Retry-After", "1")
 		server.WriteError(w, http.StatusServiceUnavailable,
@@ -343,7 +343,7 @@ func (g *Gateway) ingestOne(w http.ResponseWriter, r *http.Request, req *server.
 func (g *Gateway) ingestBatch(w http.ResponseWriter, r *http.Request, events []server.IngestEvent) {
 	byOwner := make(map[int][]server.IngestEvent)
 	for _, ev := range events {
-		o := g.ring.Owner(ev.Resource)
+		o := g.ring.owner(ev.Resource)
 		byOwner[o] = append(byOwner[o], ev)
 	}
 	type result struct {
@@ -437,7 +437,7 @@ func (g *Gateway) handleTopK(w http.ResponseWriter, r *http.Request) {
 	// node — beside its own partial ranking, both from one read view.
 	// Without it there is no query to scatter, so a down owner is the one
 	// case /topk answers 503 instead of degrading to partial.
-	owner := g.backends[g.ring.Owner(resource)]
+	owner := g.backends[g.ring.owner(resource)]
 	if !owner.up.Load() {
 		w.Header().Set("Retry-After", "1")
 		server.WriteError(w, http.StatusServiceUnavailable,
@@ -846,7 +846,7 @@ func (g *Gateway) handleOwner(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	b := g.backends[g.ring.Owner(resource)]
+	b := g.backends[g.ring.owner(resource)]
 	server.WriteJSON(w, http.StatusOK, OwnerResponse{
 		Resource: resource,
 		Node:     b.name,

@@ -67,7 +67,7 @@ type point struct {
 }
 
 // Ring is a consistent-hash ring over the shard map's nodes. Build with
-// Map.Ring; read-only and safe for concurrent use after construction.
+// Map.ring; read-only and safe for concurrent use after construction.
 type Ring struct {
 	points []point
 }
@@ -98,13 +98,13 @@ func newRing(names []string, vnodes int) *Ring {
 	return r
 }
 
-// Owner maps a resource id to the index of its owning node: the first
+// owner maps a resource id to the index of its owning node: the first
 // ring point at or clockwise from the resource's hash, wrapping past
 // the top of the hash space to the first point. The decimal key is
 // formatted into a stack buffer (an int64 needs at most 20 bytes), so
 // placement allocates nothing: the gateway calls this per ingested
 // event and per query.
-func (r *Ring) Owner(resource int) int {
+func (r *Ring) owner(resource int) int {
 	var buf [20]byte
 	h := mix64(fnv1a64(strconv.AppendInt(buf[:0], int64(resource), 10)))
 	i := sort.Search(len(r.points), func(j int) bool { return r.points[j].hash >= h })

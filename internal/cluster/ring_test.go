@@ -22,11 +22,11 @@ func testMap(t *testing.T, names ...string) *Map {
 // Placement is a pure function of the map: two rings built from the
 // same names and vnode count agree on every resource.
 func TestRingDeterministic(t *testing.T) {
-	a := testMap(t, "n0", "n1", "n2").Ring()
-	b := testMap(t, "n0", "n1", "n2").Ring()
+	a := testMap(t, "n0", "n1", "n2").ring()
+	b := testMap(t, "n0", "n1", "n2").ring()
 	for id := 0; id < 10000; id++ {
-		if a.Owner(id) != b.Owner(id) {
-			t.Fatalf("resource %d: %d vs %d", id, a.Owner(id), b.Owner(id))
+		if a.owner(id) != b.owner(id) {
+			t.Fatalf("resource %d: %d vs %d", id, a.owner(id), b.owner(id))
 		}
 	}
 }
@@ -37,22 +37,22 @@ func TestRingDeterministic(t *testing.T) {
 // meaning — fails here. Negative and large ids pin the key formatting.
 func TestRingPlacementGolden(t *testing.T) {
 	m := testMap(t, "n0", "n1", "n2")
-	r := m.Ring()
+	r := m.ring()
 	owners := make([]byte, 10000)
 	for id := range owners {
-		owners[id] = byte(r.Owner(id))
+		owners[id] = byte(r.owner(id))
 	}
 	const want = "e157044d7fad326de9d6893fe50e28302e2271c28e2f16edf367e9dbb9ec081b"
 	if got := fmt.Sprintf("%x", sha256.Sum256(owners)); got != want {
 		t.Fatalf("placement of ids 0..9999 moved: digest %s, want %s", got, want)
 	}
-	if r.Owner(-7) != 2 {
-		t.Fatalf("placement of -7 moved: %d, want 2", r.Owner(-7))
+	if r.owner(-7) != 2 {
+		t.Fatalf("placement of -7 moved: %d, want 2", r.owner(-7))
 	}
 	// 2^40 is an id only where int is 64 bits wide; as a constant it
 	// would not compile for GOARCH=386.
-	if big := int64(1) << 40; int64(int(big)) == big && r.Owner(int(big)) != 1 {
-		t.Fatalf("placement of 2^40 moved: %d, want 1", r.Owner(int(big)))
+	if big := int64(1) << 40; int64(int(big)) == big && r.owner(int(big)) != 1 {
+		t.Fatalf("placement of 2^40 moved: %d, want 1", r.owner(int(big)))
 	}
 	if m.Hash() != "48e561dc5c0125c8" {
 		t.Fatalf("map hash moved: %s", m.Hash())
@@ -62,11 +62,11 @@ func TestRingPlacementGolden(t *testing.T) {
 // Placement sits on the gateway's per-event and per-query path; it must
 // not allocate.
 func TestRingOwnerAllocFree(t *testing.T) {
-	r := testMap(t, "n0", "n1", "n2").Ring()
+	r := testMap(t, "n0", "n1", "n2").ring()
 	id := 0
 	if a := testing.AllocsPerRun(1000, func() {
-		r.Owner(id)
-		r.Owner(-id)
+		r.owner(id)
+		r.owner(-id)
 		id += 7919
 	}); a != 0 {
 		t.Fatalf("Ring.Owner allocates %.1f times per call pair", a)
@@ -76,11 +76,11 @@ func TestRingOwnerAllocFree(t *testing.T) {
 // Every resource lands on exactly one node, and with 64 vnodes the
 // split over 3 nodes is not pathologically skewed.
 func TestRingCoverageAndBalance(t *testing.T) {
-	r := testMap(t, "n0", "n1", "n2").Ring()
+	r := testMap(t, "n0", "n1", "n2").ring()
 	counts := make([]int, 3)
 	const n = 30000
 	for id := 0; id < n; id++ {
-		o := r.Owner(id)
+		o := r.owner(id)
 		if o < 0 || o >= 3 {
 			t.Fatalf("resource %d: owner %d out of range", id, o)
 		}
@@ -99,7 +99,7 @@ func TestRingCoverageAndBalance(t *testing.T) {
 	small := make([]int, 3)
 	const w = 300
 	for id := 0; id < w; id++ {
-		small[r.Owner(id)]++
+		small[r.owner(id)]++
 	}
 	for i, c := range small {
 		if c < w/10 {
@@ -113,15 +113,15 @@ func TestRingCoverageAndBalance(t *testing.T) {
 func TestRingConsistencyUnderRemoval(t *testing.T) {
 	full := testMap(t, "n0", "n1", "n2")
 	reduced := testMap(t, "n0", "n1") // n2 removed
-	rf, rr := full.Ring(), reduced.Ring()
+	rf, rr := full.ring(), reduced.ring()
 	moved := 0
 	for id := 0; id < 10000; id++ {
-		of := rf.Owner(id)
+		of := rf.owner(id)
 		if of == 2 {
 			moved++
 			continue // n2's resources must move somewhere
 		}
-		if or := rr.Owner(id); or != of {
+		if or := rr.owner(id); or != of {
 			t.Fatalf("resource %d owned by surviving node %d moved to %d", id, of, or)
 		}
 	}
@@ -134,7 +134,7 @@ func TestRingConsistencyUnderRemoval(t *testing.T) {
 // every resource, and the predicate agrees with the ring.
 func TestOwnedByPartition(t *testing.T) {
 	m := testMap(t, "n0", "n1", "n2")
-	ring := m.Ring()
+	ring := m.ring()
 	preds := make([]func(int) bool, 3)
 	for i, n := range m.Nodes {
 		p, err := m.OwnedBy(n.Name)
@@ -151,8 +151,8 @@ func TestOwnedByPartition(t *testing.T) {
 		for i, p := range preds {
 			if p(id) {
 				owners++
-				if ring.Owner(id) != i {
-					t.Fatalf("resource %d: predicate says node %d, ring says %d", id, i, ring.Owner(id))
+				if ring.owner(id) != i {
+					t.Fatalf("resource %d: predicate says node %d, ring says %d", id, i, ring.owner(id))
 				}
 			}
 		}
@@ -193,14 +193,14 @@ func TestMapHash(t *testing.T) {
 
 func TestParseMapValidation(t *testing.T) {
 	good := `{"vnodes": 8, "nodes": [{"name":"a","url":"http://h:1"},{"name":"b","url":"http://h:2"}]}`
-	m, err := ParseMap([]byte(good))
+	m, err := parseMap([]byte(good))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.VNodes != 8 || len(m.Nodes) != 2 {
 		t.Fatalf("parsed %+v", m)
 	}
-	if m, err := ParseMap([]byte(`{"nodes": [{"name":"a","url":"http://h:1"}]}`)); err != nil || m.VNodes != DefaultVNodes {
+	if m, err := parseMap([]byte(`{"nodes": [{"name":"a","url":"http://h:1"}]}`)); err != nil || m.VNodes != DefaultVNodes {
 		t.Fatalf("vnodes default: %+v, %v", m, err)
 	}
 	for name, bad := range map[string]string{
@@ -212,7 +212,7 @@ func TestParseMapValidation(t *testing.T) {
 		"negative vnode": `{"vnodes":-1,"nodes":[{"name":"a","url":"http://h:1"}]}`,
 		"not json":       `nope`,
 	} {
-		if _, err := ParseMap([]byte(bad)); err == nil {
+		if _, err := parseMap([]byte(bad)); err == nil {
 			t.Errorf("%s: accepted %s", name, bad)
 		}
 	}

@@ -38,17 +38,17 @@ func LoadMap(path string) (*Map, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: reading shard map: %w", err)
 	}
-	m, err := ParseMap(data)
+	m, err := parseMap(data)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard map %s: %w", path, err)
 	}
 	return m, nil
 }
 
-// ParseMap decodes and validates shard-map JSON. Unknown fields are
+// parseMap decodes and validates shard-map JSON. Unknown fields are
 // rejected — a typoed key in a placement file must not be silently
 // ignored.
-func ParseMap(data []byte) (*Map, error) {
+func parseMap(data []byte) (*Map, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var m Map
@@ -93,7 +93,7 @@ func (m *Map) validate() error {
 
 // Hash is the deterministic placement fingerprint: FNV-1a over the
 // virtual-node count and the ordered node names — exactly the inputs
-// Owner depends on, and nothing else (a node may change its URL without
+// Ring.owner depends on, and nothing else (a node may change its URL without
 // remapping anything). Rendered as 16 hex digits; exchanged on every
 // cluster RPC and refused with 409 on mismatch.
 func (m *Map) Hash() string {
@@ -113,8 +113,8 @@ func (m *Map) Hash() string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// Ring builds the consistent-hash ring for this map.
-func (m *Map) Ring() *Ring {
+// ring builds the consistent-hash ring for this map.
+func (m *Map) ring() *Ring {
 	names := make([]string, len(m.Nodes))
 	for i, n := range m.Nodes {
 		names[i] = n.Name
@@ -122,8 +122,8 @@ func (m *Map) Ring() *Ring {
 	return newRing(names, m.VNodes)
 }
 
-// NodeIndex resolves a node name to its index, for -cluster-self.
-func (m *Map) NodeIndex(name string) (int, error) {
+// nodeIndex resolves a node name to its index, for -cluster-self.
+func (m *Map) nodeIndex(name string) (int, error) {
 	for i, n := range m.Nodes {
 		if n.Name == name {
 			return i, nil
@@ -137,10 +137,10 @@ func (m *Map) NodeIndex(name string) (int, error) {
 // indexes, allocates and persists — exactly the resources the gateway's
 // ring routes to it.
 func (m *Map) OwnedBy(name string) (func(int) bool, error) {
-	idx, err := m.NodeIndex(name)
+	idx, err := m.nodeIndex(name)
 	if err != nil {
 		return nil, err
 	}
-	ring := m.Ring()
-	return func(resource int) bool { return ring.Owner(resource) == idx }, nil
+	ring := m.ring()
+	return func(resource int) bool { return ring.owner(resource) == idx }, nil
 }

@@ -80,18 +80,6 @@ func (d *Delta) Gap(v int64) (gap uint64, ok bool) {
 	return gap, true
 }
 
-// GapOrZero is Gap for bases where the first element may equal the base
-// (the tagstore convention, base 0): v == prev yields gap 0 exactly once
-// — callers must only permit it for the first element.
-func (d *Delta) GapOrZero(v int64) (gap uint64, ok bool) {
-	if v < d.prev {
-		return 0, false
-	}
-	gap = uint64(v - d.prev)
-	d.prev = v
-	return gap, true
-}
-
 // Absorb advances prev by gap and returns the decoded value.
 func (d *Delta) Absorb(gap uint64) int64 {
 	d.prev += int64(gap)

@@ -78,18 +78,6 @@ func TestDeltaConventions(t *testing.T) {
 	if _, ok := d.Gap(5); ok {
 		t.Fatal("engine base: Gap(5) twice must fail (not strictly ascending)")
 	}
-
-	// Tagstore convention: base 0, first tag raw (gap may be 0 once).
-	d = NewDelta(0)
-	if gap, ok := d.GapOrZero(0); !ok || gap != 0 {
-		t.Fatalf("store base: GapOrZero(0) = %d,%v want 0,true", gap, ok)
-	}
-	if gap, ok := d.Gap(7); !ok || gap != 7 {
-		t.Fatalf("store base: Gap(7) = %d,%v want 7,true", gap, ok)
-	}
-	if _, ok := d.GapOrZero(3); ok {
-		t.Fatal("store base: descending GapOrZero must fail")
-	}
 }
 
 func TestDeltaRoundTripRandom(t *testing.T) {

@@ -1,129 +1,15 @@
-// Package core defines the incentive-based tagging optimization problem
-// P(B, R) of Definition 11 (Equations 9–13): given n resources with
-// initial post counts c and a budget of B reward units, find the post-task
-// assignment x (Σx_i = B, x_i ∈ ℤ*) maximizing the tagging quality
-// q(R, c+x) after all tasks complete.
+// Package core names the decision variable of the incentive-based
+// tagging problem P(B, R) (Definition 11, Equations 9–13): given n
+// resources with initial post counts c and a budget of B reward units,
+// the assignment x (Σ x_i·cost_i ≤ B, x_i ∈ ℤ*) maximizing the tagging
+// quality q(R, c+x) after all tasks complete. The strategies, the
+// replay simulator and the offline solvers all report their answer as
+// an Assignment.
 package core
-
-import (
-	"fmt"
-
-	"incentivetag/internal/quality"
-)
-
-// Problem is one instance of P(B, R).
-type Problem struct {
-	// Budget is B, the number of reward units (Equation 11). With unit
-	// task costs, one reward unit buys one post task.
-	Budget int
-	// Initial is c: Initial[i] is the number of posts resource i has
-	// already received when the strategy starts.
-	Initial []int
-	// Curves, when non-nil, holds the replayed quality curves q_i(c_i+x)
-	// used by offline evaluation and the DP algorithm. Online strategies
-	// never read Curves (they cannot know future posts); the simulator
-	// fills them in for scoring only.
-	Curves []quality.Curve
-	// Costs, when non-nil, gives the per-task cost of each resource
-	// (the paper's future-work extension "post tasks with different
-	// costs"). nil means every task costs one unit.
-	Costs []int
-}
-
-// N returns the number of resources n.
-func (p *Problem) N() int { return len(p.Initial) }
-
-// CostOf returns the per-task cost for resource i (1 when Costs is nil).
-func (p *Problem) CostOf(i int) int {
-	if p.Costs == nil {
-		return 1
-	}
-	return p.Costs[i]
-}
-
-// Validate checks structural invariants of the problem instance.
-func (p *Problem) Validate() error {
-	if p.Budget < 0 {
-		return fmt.Errorf("core: negative budget %d", p.Budget)
-	}
-	for i, c := range p.Initial {
-		if c < 0 {
-			return fmt.Errorf("core: resource %d has negative initial count %d", i, c)
-		}
-	}
-	if p.Curves != nil && len(p.Curves) != len(p.Initial) {
-		return fmt.Errorf("core: %d curves for %d resources", len(p.Curves), len(p.Initial))
-	}
-	if p.Costs != nil {
-		if len(p.Costs) != len(p.Initial) {
-			return fmt.Errorf("core: %d costs for %d resources", len(p.Costs), len(p.Initial))
-		}
-		for i, w := range p.Costs {
-			if w <= 0 {
-				return fmt.Errorf("core: resource %d has non-positive task cost %d", i, w)
-			}
-		}
-	}
-	return nil
-}
 
 // Assignment is x = (x_1, ..., x_n): the number of post tasks allocated to
 // each resource.
 type Assignment []int
-
-// Spent returns the total budget consumed: Σ x_i · cost_i.
-func (a Assignment) Spent(p *Problem) int {
-	total := 0
-	for i, x := range a {
-		total += x * p.CostOf(i)
-	}
-	return total
-}
-
-// Validate checks the feasibility constraints of Equations 11–12 against
-// problem p. exact controls whether the budget must be spent in full
-// (Equation 11 demands Σx_i = B; strategies that run out of replayable
-// posts may legitimately under-spend, and pass exact=false).
-func (a Assignment) Validate(p *Problem, exact bool) error {
-	if len(a) != p.N() {
-		return fmt.Errorf("core: assignment length %d != n %d", len(a), p.N())
-	}
-	for i, x := range a {
-		if x < 0 {
-			return fmt.Errorf("core: x_%d = %d violates x_i ∈ ℤ*", i, x)
-		}
-	}
-	spent := a.Spent(p)
-	if spent > p.Budget {
-		return fmt.Errorf("core: assignment spends %d > budget %d", spent, p.Budget)
-	}
-	if exact && spent != p.Budget {
-		return fmt.Errorf("core: assignment spends %d, budget is %d (Equation 11 requires equality)", spent, p.Budget)
-	}
-	return nil
-}
-
-// Objective evaluates Equation 13, Σ_i q_i(c_i + x_i), using the problem's
-// replayed quality curves. It panics if the curves are absent.
-func (a Assignment) Objective(p *Problem) float64 {
-	if p.Curves == nil {
-		panic("core: Objective requires quality curves")
-	}
-	var total float64
-	for i, x := range a {
-		total += p.Curves[i].At(x)
-	}
-	return total
-}
-
-// MeanQuality evaluates Equation 10, q(R, c+x) = Objective / n.
-func (a Assignment) MeanQuality(p *Problem) float64 {
-	n := p.N()
-	if n == 0 {
-		return 0
-	}
-	return a.Objective(p) / float64(n)
-}
 
 // Clone returns an independent copy of the assignment.
 func (a Assignment) Clone() Assignment {

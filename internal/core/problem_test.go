@@ -1,125 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-
-	"incentivetag/internal/quality"
-)
-
-func twoResourceProblem() *Problem {
-	// Quality curves loosely shaped like Table IV: concave-ish gains.
-	return &Problem{
-		Budget:  2,
-		Initial: []int{3, 2},
-		Curves: []quality.Curve{
-			{0.953, 0.990, 0.943},
-			{0.894, 0.990, 0.992},
-		},
-	}
-}
-
-func TestProblemValidate(t *testing.T) {
-	p := twoResourceProblem()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("valid problem rejected: %v", err)
-	}
-	bad := &Problem{Budget: -1, Initial: []int{1}}
-	if err := bad.Validate(); err == nil {
-		t.Error("negative budget accepted")
-	}
-	bad2 := &Problem{Budget: 1, Initial: []int{-2}}
-	if err := bad2.Validate(); err == nil {
-		t.Error("negative initial count accepted")
-	}
-	bad3 := &Problem{Budget: 1, Initial: []int{1, 2}, Costs: []int{1}}
-	if err := bad3.Validate(); err == nil {
-		t.Error("cost length mismatch accepted")
-	}
-	bad4 := &Problem{Budget: 1, Initial: []int{1}, Costs: []int{0}}
-	if err := bad4.Validate(); err == nil {
-		t.Error("zero cost accepted")
-	}
-	bad5 := &Problem{Budget: 1, Initial: []int{1, 2}, Curves: []quality.Curve{{0.5}}}
-	if err := bad5.Validate(); err == nil {
-		t.Error("curve length mismatch accepted")
-	}
-}
-
-func TestAssignmentValidate(t *testing.T) {
-	p := twoResourceProblem()
-	if err := (Assignment{1, 1}).Validate(p, true); err != nil {
-		t.Errorf("exact assignment rejected: %v", err)
-	}
-	if err := (Assignment{1, 0}).Validate(p, true); err == nil {
-		t.Error("under-spend accepted with exact=true")
-	}
-	if err := (Assignment{1, 0}).Validate(p, false); err != nil {
-		t.Errorf("under-spend rejected with exact=false: %v", err)
-	}
-	if err := (Assignment{2, 1}).Validate(p, false); err == nil {
-		t.Error("over-spend accepted")
-	}
-	if err := (Assignment{-1, 3}).Validate(p, false); err == nil {
-		t.Error("negative allocation accepted (Equation 12)")
-	}
-	if err := (Assignment{1}).Validate(p, false); err == nil {
-		t.Error("wrong-length assignment accepted")
-	}
-}
-
-func TestObjectiveAndMeanQuality(t *testing.T) {
-	p := twoResourceProblem()
-	x := Assignment{1, 1}
-	want := 0.990 + 0.990
-	if got := x.Objective(p); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Objective = %g, want %g", got, want)
-	}
-	if got := x.MeanQuality(p); math.Abs(got-want/2) > 1e-12 {
-		t.Errorf("MeanQuality = %g, want %g", got, want/2)
-	}
-}
-
-// Table IV: (1,1) dominates (0,2) and (2,0).
-func TestTableIVOrdering(t *testing.T) {
-	p := twoResourceProblem()
-	q11 := Assignment{1, 1}.MeanQuality(p)
-	q02 := Assignment{0, 2}.MeanQuality(p)
-	q20 := Assignment{2, 0}.MeanQuality(p)
-	if !(q11 > q02 && q11 > q20) {
-		t.Errorf("ordering wrong: q(1,1)=%g q(0,2)=%g q(2,0)=%g", q11, q02, q20)
-	}
-}
-
-func TestWeightedCosts(t *testing.T) {
-	p := twoResourceProblem()
-	p.Costs = []int{2, 1}
-	p.Budget = 4
-	x := Assignment{1, 2}
-	if got := x.Spent(p); got != 4 {
-		t.Errorf("Spent = %d, want 4", got)
-	}
-	if err := x.Validate(p, true); err != nil {
-		t.Errorf("weighted exact spend rejected: %v", err)
-	}
-	if p.CostOf(0) != 2 || p.CostOf(1) != 1 {
-		t.Error("CostOf wrong")
-	}
-	p.Costs = nil
-	if p.CostOf(0) != 1 {
-		t.Error("unit cost default wrong")
-	}
-}
-
-func TestObjectivePanicsWithoutCurves(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Objective without curves did not panic")
-		}
-	}()
-	p := &Problem{Budget: 1, Initial: []int{0}}
-	_ = Assignment{1}.Objective(p)
-}
+import "testing"
 
 func TestAssignmentClone(t *testing.T) {
 	x := Assignment{1, 2}

@@ -24,9 +24,9 @@
 // each (the count update and the reference dot), and a table grows only
 // when its support does. Every ingest path runs one apply path
 // (applyShard) over a shard batch — one shard's share of one call, a
-// single Ingest being a batch of one — so IngestBatch and IngestMany
-// amortize the shard lock, the subscriber's view lock and the clock over
-// whole batches, and group-commit each shard's WAL records with a single
+// single Ingest being a batch of one — so IngestMany amortizes the
+// shard lock, the subscriber's view lock and the clock over whole
+// batches, and group-commits each shard's WAL records with a single
 // store write (tagstore.Batch), framed under the shard lock so the log's
 // per-resource order always matches apply order — batched ingestion is
 // bit-identical to per-post ingestion, including crash recovery.
@@ -291,7 +291,7 @@ var (
 // or a rehydration. Encoding, decoding and WAL I/O never run under it,
 // and a reader holding the view needs no engine lock to call ViewCounts
 // or ViewEntries. A reader therefore sees a whole shard batch (one
-// shard's share of one Ingest, IngestBatch, IngestMany or Replay call)
+// shard's share of one Ingest, IngestMany or Replay call)
 // or none of it; it may still land between two shards of one
 // IngestMany.
 //
@@ -486,34 +486,6 @@ func (e *Engine) Ingest(i int, p tags.Post) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.push(PostEvent{Resource: i, Post: p}, l)
-	return e.applyShard(s, sh, e.cfg.WAL != nil)
-}
-
-// IngestBatch applies a batch of posts to resource i as one shard batch:
-// the shard lock is taken once and the batch's WAL records are
-// group-committed with a single store write. Record order in the WAL
-// matches apply order, so recovery semantics are identical to per-post
-// Ingest; the resulting engine state is bit-identical to ingesting the
-// posts one at a time.
-func (e *Engine) IngestBatch(i int, posts []tags.Post) error {
-	if i < 0 || i >= e.n {
-		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
-	}
-	for k, p := range posts {
-		if len(p) == 0 {
-			return fmt.Errorf("engine: %w %d for resource %d", ErrEmptyPost, k, e.id(i))
-		}
-	}
-	if len(posts) == 0 {
-		return nil
-	}
-	s, l := i%len(e.shards), i/len(e.shards)
-	sh := e.shards[s]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, p := range posts {
-		sh.push(PostEvent{Resource: i, Post: p}, l)
-	}
 	return e.applyShard(s, sh, e.cfg.WAL != nil)
 }
 

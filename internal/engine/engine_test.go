@@ -384,8 +384,9 @@ func eventStream(specs []ResourceSpec, seqs []tags.Seq) []PostEvent {
 	}
 }
 
-// IngestBatch and IngestMany must be bit-identical to one-at-a-time
-// Ingest, with and without a declared tag universe.
+// IngestMany, over single-resource runs and over cross-resource chunks,
+// must be bit-identical to one-at-a-time Ingest, with and without a
+// declared tag universe.
 func TestBatchMatchesSequential(t *testing.T) {
 	for _, universe := range []int{0, 4096} {
 		specs, seqs := testSpecs(t, 30, 11)
@@ -408,18 +409,14 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Per-resource IngestBatch in the same global order: feed each
+		// Single-resource batches in the same global order: feed each
 		// event as a singleton batch interleaved with occasional runs.
 		for k := 0; k < len(events); {
 			run := 1
 			for k+run < len(events) && run < 7 && events[k+run].Resource == events[k].Resource {
 				run++
 			}
-			posts := make([]tags.Post, 0, run)
-			for j := 0; j < run; j++ {
-				posts = append(posts, events[k+j].Post)
-			}
-			if err := batched.IngestBatch(events[k].Resource, posts); err != nil {
+			if err := batched.IngestMany(events[k : k+run]); err != nil {
 				t.Fatal(err)
 			}
 			k += run
@@ -566,7 +563,11 @@ func TestWALGroupCommitRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, posts := range walPosts(t, re, recovered.N()) {
-		if err := recovered.IngestBatch(i, posts); err != nil {
+		batch := make([]PostEvent, len(posts))
+		for k, p := range posts {
+			batch[k] = PostEvent{Resource: i, Post: p}
+		}
+		if err := recovered.IngestMany(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -638,21 +639,12 @@ func TestNegativeTagIDsSafe(t *testing.T) {
 	requireMetricsMatch(t, e.Snapshot(), e.VerifyMetrics())
 }
 
-// Batch entry points validate like Ingest.
+// The batch entry point validates like Ingest.
 func TestBatchValidation(t *testing.T) {
 	specs, _ := testSpecs(t, 4, 23)
 	e, err := New(Config{Omega: 5, Shards: 2, UnderThreshold: 10}, specs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := e.IngestBatch(9, []tags.Post{{1}}); err == nil {
-		t.Error("out-of-range batch accepted")
-	}
-	if err := e.IngestBatch(0, []tags.Post{{1}, {}}); err == nil {
-		t.Error("empty post in batch accepted")
-	}
-	if err := e.IngestBatch(0, nil); err != nil {
-		t.Errorf("empty batch rejected: %v", err)
 	}
 	if err := e.IngestMany([]PostEvent{{Resource: -1, Post: tags.Post{1}}}); err == nil {
 		t.Error("negative index event accepted")
@@ -672,8 +664,6 @@ func TestBatchValidation(t *testing.T) {
 	}{
 		{e.Ingest(9, tags.Post{1}), ErrResourceRange, "engine: resource index 9 out of range [0,4)"},
 		{e.Ingest(0, nil), ErrEmptyPost, "engine: empty post for resource 0"},
-		{e.IngestBatch(-2, nil), ErrResourceRange, "engine: resource index -2 out of range [0,4)"},
-		{e.IngestBatch(0, []tags.Post{{1}, {}}), ErrEmptyPost, "engine: empty post 1 for resource 0"},
 		{e.IngestMany([]PostEvent{{0, tags.Post{1}}, {4, tags.Post{1}}}), ErrResourceRange, "engine: event 1: resource index 4 out of range [0,4)"},
 		{e.IngestMany([]PostEvent{{3, nil}}), ErrEmptyPost, "engine: event 0: empty post for resource 3"},
 		{e.Replay(4, tags.Post{1}), ErrResourceRange, "engine: resource index 4 out of range [0,4)"},

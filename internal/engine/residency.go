@@ -28,7 +28,7 @@ import (
 //	                              dot is still exact, since nothing
 //	                              writes to a cold resource
 //
-// Every mutating path (Ingest, IngestBatch, IngestMany, Replay)
+// Every mutating path (Ingest, IngestMany, Replay)
 // rehydrates on touch before applying; reads that only need scalars —
 // Count, MA, QualityOf, CostOf, Snapshot — answer from values a cold
 // resource retains (consumed, maSum, quality), so allocation strategies

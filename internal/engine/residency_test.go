@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"incentivetag/internal/tags"
 )
 
 // marshaled is the strongest bit-identity probe: every count, every
@@ -67,12 +65,12 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 					}
 				}
 			case op < 5: // same-resource batch
-				posts := make([]tags.Post, 1+rng.Intn(3))
+				posts := make([]PostEvent, 1+rng.Intn(3))
 				for k := range posts {
-					posts[k] = testPost(rng)
+					posts[k] = PostEvent{Resource: i, Post: testPost(rng)}
 				}
 				for _, e := range all {
-					if err := e.IngestBatch(i, posts); err != nil {
+					if err := e.IngestMany(posts); err != nil {
 						t.Fatal(err)
 					}
 				}

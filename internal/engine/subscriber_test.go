@@ -144,7 +144,7 @@ func TestSubscriberSeesEveryPost(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, []PostEvent{{1, tags.MustPost(1, 2)}})
-	if err := eng.IngestBatch(2, []tags.Post{tags.MustPost(3), tags.MustPost(3, 4)}); err != nil {
+	if err := eng.IngestMany([]PostEvent{{2, tags.MustPost(3)}, {2, tags.MustPost(3, 4)}}); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, []PostEvent{{2, tags.MustPost(3)}, {2, tags.MustPost(3, 4)}})
@@ -278,7 +278,7 @@ func TestSubscriberViewLockPerTransition(t *testing.T) {
 	step("ingest hot", 1, 1, func() error { return eng.Ingest(i, tags.MustPost(3)) })
 	step("evict hot again", 1, 0, evict)
 	step("batch into cold", 1+1, 3, func() error {
-		return eng.IngestBatch(i, []tags.Post{tags.MustPost(2), tags.MustPost(2, 4), tags.MustPost(7)})
+		return eng.IngestMany([]PostEvent{{i, tags.MustPost(2)}, {i, tags.MustPost(2, 4)}, {i, tags.MustPost(7)}})
 	})
 	step("evict before many", 1, 0, evict)
 	// Shard 1 (resources 5 and 7) and shard 0 (resource 2): one

@@ -16,10 +16,10 @@ import (
 // StrategyNames is the fixed presentation order of the paper's figures.
 var StrategyNames = []string{"DP", "FP-MU", "FP", "RR", "MU", "FC"}
 
-// ErrDPCapped marks instances too large for the DP under the scale's caps
+// errDPCapped marks instances too large for the DP under the scale's caps
 // (the paper's DP needs >3,000 s at its full setting); consumers render
 // such cells as "capped" instead of failing.
-var ErrDPCapped = errors.New("DP instance exceeds scale caps")
+var errDPCapped = errors.New("DP instance exceeds scale caps")
 
 // Context owns the generated corpus and memoizes the expensive shared
 // computations (budget-sweep runs, DP solves) across experiments so that
@@ -93,9 +93,9 @@ func uniqueInts(xs []int) int {
 	return w
 }
 
-// Sweep runs (and memoizes) one strategy's budget sweep on the main
+// sweep runs (and memoizes) one strategy's budget sweep on the main
 // corpus with the scale's default ω.
-func (ctx *Context) Sweep(name string) ([]sim.Checkpoint, error) {
+func (ctx *Context) sweep(name string) ([]sim.Checkpoint, error) {
 	if cps, ok := ctx.sweeps[name]; ok {
 		return cps, nil
 	}
@@ -137,8 +137,8 @@ func (ctx *Context) Curves() ([]quality.Curve, error) {
 	return curves, nil
 }
 
-// DP solves (once) the dynamic program at the DP budget cap.
-func (ctx *Context) DP() (*optimal.Result, int, error) {
+// solveDP solves (once) the dynamic program at the DP budget cap.
+func (ctx *Context) solveDP() (*optimal.Result, int, error) {
 	if ctx.dp != nil {
 		return ctx.dp, ctx.dpBudget, nil
 	}
@@ -151,7 +151,7 @@ func (ctx *Context) DP() (*optimal.Result, int, error) {
 		b = ctx.Scale.DPMaxBudget
 	}
 	if ctx.Data.N() > ctx.Scale.DPMaxN {
-		return nil, 0, fmt.Errorf("experiments: DP needs n ≤ %d, corpus has %d: %w", ctx.Scale.DPMaxN, ctx.Data.N(), ErrDPCapped)
+		return nil, 0, fmt.Errorf("experiments: DP needs n ≤ %d, corpus has %d: %w", ctx.Scale.DPMaxN, ctx.Data.N(), errDPCapped)
 	}
 	res, err := optimal.Solve(curves, b, optimal.Options{Bounded: true})
 	if err != nil {
@@ -166,7 +166,7 @@ func (ctx *Context) DP() (*optimal.Result, int, error) {
 // strategy sweeps: quality from the DP value table, structural metrics by
 // replaying the per-budget optimal assignment.
 func (ctx *Context) dpSweep() ([]sim.Checkpoint, error) {
-	res, bcap, err := ctx.DP()
+	res, bcap, err := ctx.solveDP()
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func (ctx *Context) dpSweep() ([]sim.Checkpoint, error) {
 	return cps, nil
 }
 
-// SubsetData returns replay data restricted to the first n resources.
-func (ctx *Context) SubsetData(n int) *sim.Data {
+// subsetData returns replay data restricted to the first n resources.
+func (ctx *Context) subsetData(n int) *sim.Data {
 	return sim.FromDataset(ctx.DS, n)
 }

@@ -51,11 +51,11 @@ func TestBudgetCheckpoints(t *testing.T) {
 // every checkpoint.
 func TestDPSweepConsistency(t *testing.T) {
 	ctx := tinyCtx(t)
-	dp, err := ctx.Sweep("DP")
+	dp, err := ctx.sweep("DP")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, bcap, err := ctx.DP()
+	res, bcap, err := ctx.solveDP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDPSweepConsistency(t *testing.T) {
 	}
 	// Dominance at matching checkpoints.
 	for _, name := range []string{"FP", "FC", "RR", "MU", "FP-MU"} {
-		cps, err := ctx.Sweep(name)
+		cps, err := ctx.sweep(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestGreedyOracleGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, bcap, err := ctx.DP()
+	res, bcap, err := ctx.solveDP()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestTableRendering(t *testing.T) {
 		Title:   "Demo",
 		Headers: []string{"a", "bb"},
 	}
-	tb.AddRow("1", "x")
-	tb.AddRow("1234", "y")
-	tb.Note("n=%d", 2)
+	tb.addRow("1", "x")
+	tb.addRow("1234", "y")
+	tb.note("n=%d", 2)
 	var buf bytes.Buffer
-	if err := tb.Fprint(&buf); err != nil {
+	if err := tb.fprint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -160,7 +160,7 @@ func TestNewStrategyUnknown(t *testing.T) {
 
 func TestSubsetData(t *testing.T) {
 	ctx := tinyCtx(t)
-	d := ctx.SubsetData(10)
+	d := ctx.subsetData(10)
 	if d.N() != 10 {
 		t.Errorf("subset N = %d", d.N())
 	}

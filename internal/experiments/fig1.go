@@ -34,11 +34,11 @@ func pickShowcase(ctx *Context) int {
 	return best
 }
 
-// Fig1a prints the relative frequencies of the five leading tags of a
+// fig1a prints the relative frequencies of the five leading tags of a
 // heavily-tagged resource as its post count grows — the convergence
 // picture of Figure 1(a): strong movement below the unstable point,
 // convergence in the middle, stability past the stable point.
-func Fig1a(ctx *Context, w io.Writer) error {
+func fig1a(ctx *Context, w io.Writer) error {
 	i := pickShowcase(ctx)
 	r := &ctx.DS.Resources[i]
 	upTo := ctx.Scale.Fig1aPosts
@@ -57,11 +57,11 @@ func Fig1a(ctx *Context, w io.Writer) error {
 		for _, tr := range trajs {
 			row = append(row, f4(tr.Series[k-1]))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.Note("stable point k*=%d (ω=%d, τ=%.4f); unstable point ≈ %d posts",
+	t.note("stable point k*=%d (ω=%d, τ=%.4f); unstable point ≈ %d posts",
 		r.StableK, ctx.DS.Cfg.PrepOmega, ctx.DS.Cfg.PrepTau, ctx.DS.Cfg.UnderTaggedThreshold)
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
 // sampleKs picks readable row positions for a series of length n.
@@ -79,10 +79,10 @@ func sampleKs(n int) []int {
 	return out
 }
 
-// Fig1b prints the log-binned posts-per-resource histogram of a simulated
+// fig1b prints the log-binned posts-per-resource histogram of a simulated
 // full crawl (Figure 1(b)): a heavy tail spanning from single-post
 // resources to resources with thousands of posts.
-func Fig1b(ctx *Context, w io.Writer) error {
+func fig1b(ctx *Context, w io.Writer) error {
 	lengths := synth.FullCrawlLengths(ctx.Scale.Fig1bResources, ctx.Scale.Seed, 2.0, 20000)
 	bins := stats.LogHistogram(lengths, 10)
 	t := &Table{
@@ -90,16 +90,16 @@ func Fig1b(ctx *Context, w io.Writer) error {
 		Headers: []string{"posts in", "resources"},
 	}
 	for _, b := range bins {
-		t.AddRow(fmt.Sprintf("[%d, %d)", b.Lo, b.Hi), d(b.Count))
+		t.addRow(fmt.Sprintf("[%d, %d)", b.Lo, b.Hi), d(b.Count))
 	}
-	t.Note("log-log shape: each decade of posts loses roughly a factor ~10 of resources")
-	return t.Fprint(w)
+	t.note("log-log shape: each decade of posts loses roughly a factor ~10 of resources")
+	return t.fprint(w)
 }
 
-// Fig3 prints the adjacent-similarity and MA-score series of the showcase
+// fig3 prints the adjacent-similarity and MA-score series of the showcase
 // resource with ω = 20 (Figure 3), reporting the smallest k whose MA score
 // exceeds τ = 0.99 — the practically-stable rfd position.
-func Fig3(ctx *Context, w io.Writer) error {
+func fig3(ctx *Context, w io.Writer) error {
 	const omega, tau = 20, 0.99
 	i := pickShowcase(ctx)
 	r := &ctx.DS.Resources[i]
@@ -117,20 +117,20 @@ func Fig3(ctx *Context, w io.Writer) error {
 		if series.Defined[k-1] {
 			ma = f4(series.MA[k-1])
 		}
-		t.AddRow(d(k), f4(series.Adjacent[k-1]), ma)
+		t.addRow(d(k), f4(series.Adjacent[k-1]), ma)
 	}
 	if sp := stability.StablePoint(r.Seq[:upTo], omega, tau); sp.Found {
-		t.Note("practically-stable rfd φ̂ = F(%d): smallest k with m(k,%d) > %.2f", sp.K, omega, tau)
+		t.note("practically-stable rfd φ̂ = F(%d): smallest k with m(k,%d) > %.2f", sp.K, omega, tau)
 	} else {
-		t.Note("MA score did not exceed %.2f within %d posts", tau, upTo)
+		t.note("MA score did not exceed %.2f within %d posts", tau, upTo)
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
-// Fig5 contrasts the quality improvement of 10 extra posts on an
+// fig5 contrasts the quality improvement of 10 extra posts on an
 // under-tagged resource vs an already well-tagged one (Figure 5: "large
 // improvement" vs "small improvement").
-func Fig5(ctx *Context, w io.Writer) error {
+func fig5(ctx *Context, w io.Writer) error {
 	// Pick the under-tagged resource with the lowest initial quality (the
 	// paper's r_i, where 10 extra posts buy a large improvement) and a
 	// nearly-stable one (r_j, where the same tasks buy almost nothing).
@@ -167,32 +167,32 @@ func Fig5(ctx *Context, w io.Writer) error {
 		return err
 	}
 	for x := 0; x <= 40; x += 5 {
-		t.AddRow(d(x), f4(ci.At(x)), f4(cj.At(x)))
+		t.addRow(d(x), f4(ci.At(x)), f4(cj.At(x)))
 	}
-	t.Note("r_i = %s (c=%d, k*=%d); r_j = %s (c=%d, k*=%d)",
+	t.note("r_i = %s (c=%d, k*=%d); r_j = %s (c=%d, k*=%d)",
 		ri.Name, ri.Initial, ri.StableK, rj.Name, rj.Initial, rj.StableK)
-	t.Note("gain over 10 tasks: r_i %+0.4f vs r_j %+0.4f",
+	t.note("gain over 10 tasks: r_i %+0.4f vs r_j %+0.4f",
 		ci.At(10)-ci.At(0), cj.At(10)-cj.At(0))
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
-// StatsCensus prints the §I dataset statistics (experiment id S1).
-func StatsCensus(ctx *Context, w io.Writer) error {
+// statsCensus prints the §I dataset statistics (experiment id S1).
+func statsCensus(ctx *Context, w io.Writer) error {
 	st := ctx.DS.Stats()
 	t := &Table{
 		Title:   "Dataset census (§I / §V-A statistics)",
 		Headers: []string{"metric", "value", "paper"},
 	}
-	t.AddRow("resources", d(st.NResources), "5000")
-	t.AddRow("total posts", d(st.TotalPosts), "562048")
-	t.AddRow("initial (January) posts", d(st.JanuaryPosts), "148471")
-	t.AddRow("January share", pct(st.JanuaryShare), "26.4%")
-	t.AddRow("mean posts/resource", f3(st.MeanPosts), "112")
-	t.AddRow("mean initial posts", f3(st.MeanInitial), "29.7")
-	t.AddRow("stable point mean", f3(st.StablePoints.Mean), "112")
-	t.AddRow("stable point p25..p75", fmt.Sprintf("%.0f..%.0f", st.StablePoints.P25, st.StablePoints.P75), "50..200 (most)")
-	t.AddRow("under-tagged at cut (≤10 posts)", pct(float64(st.UnderTagged)/float64(st.NResources)), "~25%")
-	t.AddRow("over-tagged at cut", pct(float64(st.OverTagged)/float64(st.NResources)), "~7%")
-	t.AddRow("wasted share of year's posts", pct(st.WastedShare), "~48%")
-	return t.Fprint(w)
+	t.addRow("resources", d(st.NResources), "5000")
+	t.addRow("total posts", d(st.TotalPosts), "562048")
+	t.addRow("initial (January) posts", d(st.JanuaryPosts), "148471")
+	t.addRow("January share", pct(st.JanuaryShare), "26.4%")
+	t.addRow("mean posts/resource", f3(st.MeanPosts), "112")
+	t.addRow("mean initial posts", f3(st.MeanInitial), "29.7")
+	t.addRow("stable point mean", f3(st.StablePoints.Mean), "112")
+	t.addRow("stable point p25..p75", fmt.Sprintf("%.0f..%.0f", st.StablePoints.P25, st.StablePoints.P75), "50..200 (most)")
+	t.addRow("under-tagged at cut (≤10 posts)", pct(float64(st.UnderTagged)/float64(st.NResources)), "~25%")
+	t.addRow("over-tagged at cut", pct(float64(st.OverTagged)/float64(st.NResources)), "~7%")
+	t.addRow("wasted share of year's posts", pct(st.WastedShare), "~48%")
+	return t.fprint(w)
 }

@@ -18,9 +18,9 @@ func sweepTable(ctx *Context, title string, metric func(sim.Checkpoint) string) 
 	budgets := budgetCheckpoints(ctx.Scale.Budget, ctx.Scale.Steps)
 	series := make(map[string][]sim.Checkpoint)
 	for _, name := range StrategyNames {
-		cps, err := ctx.Sweep(name)
-		if errors.Is(err, ErrDPCapped) {
-			t.Note("DP omitted: %v", err)
+		cps, err := ctx.sweep(name)
+		if errors.Is(err, errDPCapped) {
+			t.note("DP omitted: %v", err)
 			continue
 		}
 		if err != nil {
@@ -45,22 +45,22 @@ func sweepTable(ctx *Context, title string, metric func(sim.Checkpoint) string) 
 			}
 			row = append(row, cell)
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return t, nil
 }
 
-// Fig6a prints tagging quality vs budget for all six strategies
+// fig6a prints tagging quality vs budget for all six strategies
 // (Figure 6(a)). The expected shape: DP on top, FP-MU ≈ FP just below,
 // RR intermediate, MU limited (it ignores <ω-post resources), FC flat.
-func Fig6a(ctx *Context, w io.Writer) error {
+func fig6a(ctx *Context, w io.Writer) error {
 	t, err := sweepTable(ctx, "Figure 6(a): quality vs budget",
 		func(cp sim.Checkpoint) string { return f4(cp.MeanQuality) })
 	if err != nil {
 		return err
 	}
 	addGainNote(ctx, t)
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
 // addGainNote annotates the FC-vs-DP improvement the paper calls out
@@ -68,80 +68,80 @@ func Fig6a(ctx *Context, w io.Writer) error {
 // 9.1%").
 func addGainNote(ctx *Context, t *Table) {
 	base := 0.0
-	if cps, err := ctx.Sweep("FC"); err == nil && len(cps) > 0 {
+	if cps, err := ctx.sweep("FC"); err == nil && len(cps) > 0 {
 		base = cps[0].MeanQuality
 		final := cps[len(cps)-1].MeanQuality
-		t.Note("FC quality gain at max budget: %+.2f%%", 100*(final-base)/base)
+		t.note("FC quality gain at max budget: %+.2f%%", 100*(final-base)/base)
 	}
-	if cps, err := ctx.Sweep("DP"); err == nil && len(cps) > 0 && base > 0 {
+	if cps, err := ctx.sweep("DP"); err == nil && len(cps) > 0 && base > 0 {
 		final := cps[len(cps)-1].MeanQuality
-		t.Note("DP quality gain at its max solved budget: %+.2f%%", 100*(final-base)/base)
+		t.note("DP quality gain at its max solved budget: %+.2f%%", 100*(final-base)/base)
 	}
 	for _, name := range []string{"FP", "FP-MU"} {
-		if cps, err := ctx.Sweep(name); err == nil && len(cps) > 0 && base > 0 {
+		if cps, err := ctx.sweep(name); err == nil && len(cps) > 0 && base > 0 {
 			final := cps[len(cps)-1].MeanQuality
-			t.Note("%s quality gain at max budget: %+.2f%%", name, 100*(final-base)/base)
+			t.note("%s quality gain at max budget: %+.2f%%", name, 100*(final-base)/base)
 		}
 	}
 }
 
-// Fig6b prints the number of over-tagged resources vs budget
+// fig6b prints the number of over-tagged resources vs budget
 // (Figure 6(b)): FC and RR push resources past their stable points, the
 // targeted strategies do not.
-func Fig6b(ctx *Context, w io.Writer) error {
+func fig6b(ctx *Context, w io.Writer) error {
 	t, err := sweepTable(ctx, "Figure 6(b): over-tagged resources vs budget",
 		func(cp sim.Checkpoint) string { return d(cp.OverTagged) })
 	if err != nil {
 		return err
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
-// Fig6c prints wasted post tasks vs budget (Figure 6(c)): FC wastes
+// fig6c prints wasted post tasks vs budget (Figure 6(c)): FC wastes
 // roughly half its tasks on already-stable resources.
-func Fig6c(ctx *Context, w io.Writer) error {
+func fig6c(ctx *Context, w io.Writer) error {
 	t, err := sweepTable(ctx, "Figure 6(c): wasted post tasks vs budget",
 		func(cp sim.Checkpoint) string { return d(cp.WastedPosts) })
 	if err != nil {
 		return err
 	}
-	if cps, err2 := ctx.Sweep("FC"); err2 == nil && len(cps) > 0 {
+	if cps, err2 := ctx.sweep("FC"); err2 == nil && len(cps) > 0 {
 		last := cps[len(cps)-1]
 		if last.Budget > 0 {
-			t.Note("FC wasted share at max budget: %s (paper: ~48%%)",
+			t.note("FC wasted share at max budget: %s (paper: ~48%%)",
 				pct(float64(last.WastedPosts)/float64(last.Budget)))
 		}
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
-// Fig6d prints the percentage of under-tagged resources vs budget
+// fig6d prints the percentage of under-tagged resources vs budget
 // (Figure 6(d)): MU and FP drive it down fastest; FP shows its
 // characteristic cliff once every poorest resource crosses the threshold.
-func Fig6d(ctx *Context, w io.Writer) error {
+func fig6d(ctx *Context, w io.Writer) error {
 	t, err := sweepTable(ctx, "Figure 6(d): under-tagged resource percentage vs budget",
 		func(cp sim.Checkpoint) string { return pct(cp.UnderTaggedPct) })
 	if err != nil {
 		return err
 	}
-	t.Note("under-tagged: at most %d posts", ctx.Data.UnderThreshold)
-	return t.Fprint(w)
+	t.note("under-tagged: at most %d posts", ctx.Data.UnderThreshold)
+	return t.fprint(w)
 }
 
-// Fig6e prints quality vs number of resources at fixed budget
+// fig6e prints quality vs number of resources at fixed budget
 // (Figure 6(e)): more resources share the same budget, so quality falls;
 // FP/FP-MU stay closest to DP throughout.
-func Fig6e(ctx *Context, w io.Writer) error {
+func fig6e(ctx *Context, w io.Writer) error {
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 6(e): quality vs number of resources (B=%d)", ctx.Scale.FixedBudgetE),
 		Headers: append([]string{"n"}, StrategyNames...),
 	}
 	for _, n := range ctx.Scale.NSeries {
-		data := ctx.SubsetData(n)
+		data := ctx.subsetData(n)
 		row := []string{d(n)}
 		for _, name := range StrategyNames {
 			q, err := runOnce(ctx, data, name, ctx.Scale.FixedBudgetE)
-			if errors.Is(err, ErrDPCapped) {
+			if errors.Is(err, errDPCapped) {
 				row = append(row, "capped")
 				continue
 			}
@@ -150,9 +150,9 @@ func Fig6e(ctx *Context, w io.Writer) error {
 			}
 			row = append(row, f4(q))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
 // runOnce runs one strategy (or DP) on the given data and returns final
@@ -161,7 +161,7 @@ func runOnce(ctx *Context, data *sim.Data, name string, budget int) (float64, er
 	if name == "DP" {
 		if data.N() > ctx.Scale.DPMaxN || budget > ctx.Scale.DPMaxBudget {
 			return 0, fmt.Errorf("experiments: DP instance (n=%d, B=%d) exceeds caps (n≤%d, B≤%d): %w",
-				data.N(), budget, ctx.Scale.DPMaxN, ctx.Scale.DPMaxBudget, ErrDPCapped)
+				data.N(), budget, ctx.Scale.DPMaxN, ctx.Scale.DPMaxBudget, errDPCapped)
 		}
 		curves, err := sim.BuildCurves(data, budget)
 		if err != nil {
@@ -184,11 +184,11 @@ func runOnce(ctx *Context, data *sim.Data, name string, budget int) (float64, er
 	return st.Quality(), nil
 }
 
-// Fig6f prints the effect of ω on MU and FP-MU with FP as the ω-free
+// fig6f prints the effect of ω on MU and FP-MU with FP as the ω-free
 // reference (Figure 6(f)): MU degrades as ω grows (it ignores more
 // under-tagged resources); FP-MU approaches FP once the warm-up stage
 // consumes the whole budget.
-func Fig6f(ctx *Context, w io.Writer) error {
+func fig6f(ctx *Context, w io.Writer) error {
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 6(f): effect of ω (B=%d)", ctx.Scale.OmegaBudget),
 		Headers: []string{"ω", "FP-MU", "FP", "MU"},
@@ -207,9 +207,9 @@ func Fig6f(ctx *Context, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		t.AddRow(d(omega), f4(fpmuQ), f4(fpQ), f4(muQ))
+		t.addRow(d(omega), f4(fpmuQ), f4(fpQ), f4(muQ))
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
 // runOnceOmega runs one strategy with an explicit ω.
@@ -225,10 +225,10 @@ func runOnceOmega(ctx *Context, name string, omega, budget int) (float64, error)
 	return st.Quality(), nil
 }
 
-// Fig6g prints runtime vs budget (Figure 6(g)): DP grows super-linearly
+// fig6g prints runtime vs budget (Figure 6(g)): DP grows super-linearly
 // and dwarfs the practical strategies; RR is fastest, FP a little slower
 // (heap), MU/FP-MU slower still (MA maintenance), all near-linear in B.
-func Fig6g(ctx *Context, w io.Writer) error {
+func fig6g(ctx *Context, w io.Writer) error {
 	names := []string{"DP", "FP-MU", "FP", "RR", "MU"}
 	t := &Table{
 		Title:   "Figure 6(g): runtime vs budget",
@@ -259,11 +259,11 @@ func Fig6g(ctx *Context, w io.Writer) error {
 			}
 			row = append(row, fmtDur(took))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.Note("budgets beyond the replayable stream saturate at MaxBudget=%d", ctx.Data.MaxBudget())
-	t.Note(residentNote)
-	return t.Fprint(w)
+	t.note("budgets beyond the replayable stream saturate at MaxBudget=%d", ctx.Data.MaxBudget())
+	t.note(residentNote)
+	return t.fprint(w)
 }
 
 const residentNote = "strategy times start from a fully resident state (first-touch rehydration is not timed)"
@@ -290,15 +290,15 @@ func timedRun(ctx *Context, data *sim.Data, name string, budget int) (time.Durat
 	return time.Since(start), nil
 }
 
-// Fig6h prints runtime vs number of resources (Figure 6(h)).
-func Fig6h(ctx *Context, w io.Writer) error {
+// fig6h prints runtime vs number of resources (Figure 6(h)).
+func fig6h(ctx *Context, w io.Writer) error {
 	names := []string{"DP", "FP-MU", "FP", "RR", "MU"}
 	t := &Table{
 		Title:   fmt.Sprintf("Figure 6(h): runtime vs number of resources (B=%d)", ctx.Scale.FixedBudgetE),
 		Headers: append([]string{"n"}, names...),
 	}
 	for _, n := range ctx.Scale.NSeries {
-		data := ctx.SubsetData(n)
+		data := ctx.subsetData(n)
 		row := []string{d(n)}
 		for _, name := range names {
 			if name == "DP" {
@@ -323,10 +323,10 @@ func Fig6h(ctx *Context, w io.Writer) error {
 			}
 			row = append(row, fmtDur(took))
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
-	t.Note(residentNote)
-	return t.Fprint(w)
+	t.note(residentNote)
+	return t.fprint(w)
 }
 
 // fmtDur renders durations compactly for runtime tables.

@@ -50,8 +50,8 @@ func collectTauPoints(ctx *Context) ([]tauPoint, error) {
 			var rfds []*sparse.Counts
 			var qual float64
 			if name == "DP" {
-				res, bcap, err := ctx.DP()
-				if errors.Is(err, ErrDPCapped) {
+				res, bcap, err := ctx.solveDP()
+				if errors.Is(err, errDPCapped) {
 					continue
 				}
 				if err != nil {
@@ -91,9 +91,9 @@ func collectTauPoints(ctx *Context) ([]tauPoint, error) {
 	return points, nil
 }
 
-// Fig7a prints Kendall's τ ranking accuracy vs budget per strategy
+// fig7a prints Kendall's τ ranking accuracy vs budget per strategy
 // (Figure 7(a)); its shape mirrors Figure 6(a).
-func Fig7a(ctx *Context, w io.Writer) error {
+func fig7a(ctx *Context, w io.Writer) error {
 	points, err := collectTauPoints(ctx)
 	if err != nil {
 		return err
@@ -113,7 +113,7 @@ func Fig7a(ctx *Context, w io.Writer) error {
 			}
 			row = append(row, cell)
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	// Improvement note (paper: FP-MU +7.6%, FP +7.1% at B=5000).
 	base := 0.0
@@ -130,15 +130,15 @@ func Fig7a(ctx *Context, w io.Writer) error {
 					best = p.Tau
 				}
 			}
-			t.Note("%s max accuracy improvement: %+.1f%%", name, 100*(best-base)/base)
+			t.note("%s max accuracy improvement: %+.1f%%", name, 100*(best-base)/base)
 		}
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
-// Fig7b prints the quality-vs-accuracy scatter and its Pearson
+// fig7b prints the quality-vs-accuracy scatter and its Pearson
 // correlation (Figure 7(b); paper reports correlation above 98%).
-func Fig7b(ctx *Context, w io.Writer) error {
+func fig7b(ctx *Context, w io.Writer) error {
 	points, err := collectTauPoints(ctx)
 	if err != nil {
 		return err
@@ -150,14 +150,14 @@ func Fig7b(ctx *Context, w io.Writer) error {
 	xs := make([]float64, 0, len(points))
 	ys := make([]float64, 0, len(points))
 	for _, p := range points {
-		t.AddRow(p.Strategy, d(p.Budget), f4(p.Quality), f4(p.Tau))
+		t.addRow(p.Strategy, d(p.Budget), f4(p.Quality), f4(p.Tau))
 		xs = append(xs, p.Quality)
 		ys = append(ys, p.Tau)
 	}
 	if corr, err := stats.Pearson(xs, ys); err == nil {
-		t.Note("Pearson correlation between tagging quality and ranking accuracy: %.1f%% (paper: >98%%)", 100*corr)
+		t.note("Pearson correlation between tagging quality and ranking accuracy: %.1f%% (paper: >98%%)", 100*corr)
 	} else {
-		t.Note("correlation undefined: %v", err)
+		t.note("correlation undefined: %v", err)
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }

@@ -14,16 +14,16 @@ type Table struct {
 	Notes   []string
 }
 
-// AddRow appends one row of already-formatted cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// addRow appends one row of already-formatted cells.
+func (t *Table) addRow(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Note appends a footnote line.
-func (t *Table) Note(format string, args ...interface{}) {
+// note appends a footnote line.
+func (t *Table) note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Fprint writes the table.
-func (t *Table) Fprint(w io.Writer) error {
+// fprint writes the table.
+func (t *Table) fprint(w io.Writer) error {
 	if t.Title != "" {
 		if _, err := fmt.Fprintf(w, "== %s ==\n", t.Title); err != nil {
 			return err

@@ -34,7 +34,7 @@ func quickCtx(t *testing.T) *Context {
 
 func finalQuality(t *testing.T, ctx *Context, name string) float64 {
 	t.Helper()
-	cps, err := ctx.Sweep(name)
+	cps, err := ctx.sweep(name)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -49,7 +49,7 @@ func TestShapeFig6aOrdering(t *testing.T) {
 	for _, name := range StrategyNames {
 		q[name] = finalQuality(t, ctx, name)
 	}
-	base, err := ctx.Sweep("FC")
+	base, err := ctx.sweep("FC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestShapeFig6aOrdering(t *testing.T) {
 	}
 	// Everyone's quality is non-decreasing in budget.
 	for _, name := range StrategyNames {
-		cps, err := ctx.Sweep(name)
+		cps, err := ctx.sweep(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestShapeFig6aOrdering(t *testing.T) {
 func TestShapeFig6bcWaste(t *testing.T) {
 	ctx := quickCtx(t)
 	for _, name := range []string{"DP", "FP", "MU", "FP-MU"} {
-		cps, err := ctx.Sweep(name)
+		cps, err := ctx.sweep(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,11 +110,11 @@ func TestShapeFig6bcWaste(t *testing.T) {
 			t.Errorf("%s changed the over-tagged count", name)
 		}
 	}
-	fc, err := ctx.Sweep("FC")
+	fc, err := ctx.sweep("FC")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := ctx.Sweep("RR")
+	rr, err := ctx.sweep("RR")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestShapeFig6bcWaste(t *testing.T) {
 func TestShapeFig6dUnderTagged(t *testing.T) {
 	ctx := quickCtx(t)
 	get := func(name string) []float64 {
-		cps, err := ctx.Sweep(name)
+		cps, err := ctx.sweep(name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,12 +46,12 @@ func caseSnapshots(ctx *Context) (map[string]*ir.InvertedIndex, error) {
 // caseColumns is the presentation order of the case-study tables.
 var caseColumns = []string{"Jan 31", "FC", "FP", "Dec 31"}
 
-// Table6 reproduces Table VI: the top-k most similar resources to the
+// table6 reproduces Table VI: the top-k most similar resources to the
 // physics case-study site under the four snapshots. At "Jan 31" the
 // subject's rfd is dominated by its early Java-centric posts, so the list
 // is Java sites; FP repairs it to match the ideal physics-dominated
 // "Dec 31" list far better than FC does.
-func Table6(ctx *Context, w io.Writer) error {
+func table6(ctx *Context, w io.Writer) error {
 	subjectName := "www.myphysicslab.example"
 	subject, ok := ctx.DS.ByName(subjectName)
 	if !ok {
@@ -79,7 +79,7 @@ func Table6(ctx *Context, w io.Writer) error {
 				row = append(row, "-")
 			}
 		}
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	// Category census + overlap with the ideal list.
 	trueLeaf := ctx.DS.Resources[subject].Leaf
@@ -97,15 +97,15 @@ func Table6(ctx *Context, w io.Writer) error {
 				inIdeal++
 			}
 		}
-		t.Note("%-7s %d/%d in true category (%s), %d/%d matching the ideal Dec-31 list",
+		t.note("%-7s %d/%d in true category (%s), %d/%d matching the ideal Dec-31 list",
 			col, inLeaf, k, ctx.DS.Tax.Name(trueLeaf), inIdeal, k)
 	}
-	return t.Fprint(w)
+	return t.fprint(w)
 }
 
-// Table7 reproduces Table VII: per-snapshot category composition of the
+// table7 reproduces Table VII: per-snapshot category composition of the
 // top-k lists of the remaining case-study resources.
-func Table7(ctx *Context, w io.Writer) error {
+func table7(ctx *Context, w io.Writer) error {
 	snaps, err := caseSnapshots(ctx)
 	if err != nil {
 		return err
@@ -160,9 +160,9 @@ func Table7(ctx *Context, w io.Writer) error {
 			for ci := range caseColumns {
 				row = append(row, d(rows[lab][ci]))
 			}
-			t.AddRow(row...)
+			t.addRow(row...)
 		}
 	}
-	t.Note("cells: members of the top-%d list per category; ideal column is Dec 31", k)
-	return t.Fprint(w)
+	t.note("cells: members of the top-%d list per category; ideal column is Dec 31", k)
+	return t.fprint(w)
 }

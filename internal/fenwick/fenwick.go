@@ -14,8 +14,8 @@ type Tree struct {
 	vals []float64 // current weight per index, for Get and validation
 }
 
-// New returns a tree of n zero weights.
-func New(n int) *Tree {
+// newTree returns a tree of n zero weights.
+func newTree(n int) *Tree {
 	if n < 0 {
 		panic(fmt.Sprintf("fenwick: negative size %d", n))
 	}
@@ -24,7 +24,7 @@ func New(n int) *Tree {
 
 // FromWeights builds a tree initialized to ws in O(n).
 func FromWeights(ws []float64) *Tree {
-	t := New(len(ws))
+	t := newTree(len(ws))
 	copy(t.vals, ws)
 	for i, w := range ws {
 		if w < 0 {
@@ -37,12 +37,6 @@ func FromWeights(ws []float64) *Tree {
 	}
 	return t
 }
-
-// Len returns the number of slots.
-func (t *Tree) Len() int { return t.n }
-
-// Get returns the current weight at i.
-func (t *Tree) Get(i int) float64 { return t.vals[i] }
 
 // Set assigns weight w ≥ 0 to index i.
 func (t *Tree) Set(i int, w float64) {
@@ -76,19 +70,10 @@ func (t *Tree) Total() float64 {
 	return s
 }
 
-// Prefix returns the sum of weights in [0, i].
-func (t *Tree) Prefix(i int) float64 {
-	var s float64
-	for j := i + 1; j > 0; j -= j & -j {
-		s += t.bit[j]
-	}
-	return s
-}
-
-// Search returns the smallest index i such that Prefix(i) > x. For
-// sampling, draw x uniform in [0, Total()) and call Search; indices are
-// returned with probability proportional to weight. Returns −1 when
-// x ≥ Total() (e.g. all weights zero).
+// Search returns the smallest index i such that the weights in [0, i]
+// sum past x. For sampling, draw x uniform in [0, Total()) and call
+// Search; indices are returned with probability proportional to weight.
+// Returns −1 when x ≥ Total() (e.g. all weights zero).
 func (t *Tree) Search(x float64) int {
 	if x < 0 {
 		return -1

@@ -7,9 +7,19 @@ import (
 	"testing/quick"
 )
 
+// prefix is the tree's sum of weights in [0, i], read off the Fenwick
+// array the way Search walks it.
+func prefix(t *Tree, i int) float64 {
+	var s float64
+	for j := i + 1; j > 0; j -= j & -j {
+		s += t.bit[j]
+	}
+	return s
+}
+
 func TestBasicOps(t *testing.T) {
-	tr := New(5)
-	if tr.Len() != 5 || tr.Total() != 0 {
+	tr := newTree(5)
+	if tr.n != 5 || tr.Total() != 0 {
 		t.Fatal("fresh tree not empty")
 	}
 	tr.Set(0, 2)
@@ -17,32 +27,32 @@ func TestBasicOps(t *testing.T) {
 	if got := tr.Total(); math.Abs(got-7) > 1e-12 {
 		t.Errorf("Total = %g", got)
 	}
-	if got := tr.Prefix(2); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Prefix(2) = %g", got)
+	if got := prefix(tr, 2); math.Abs(got-2) > 1e-12 {
+		t.Errorf("prefix(2) = %g", got)
 	}
-	if got := tr.Prefix(3); math.Abs(got-7) > 1e-12 {
-		t.Errorf("Prefix(3) = %g", got)
+	if got := prefix(tr, 3); math.Abs(got-7) > 1e-12 {
+		t.Errorf("prefix(3) = %g", got)
 	}
 	tr.Add(3, -2)
-	if got := tr.Get(3); math.Abs(got-3) > 1e-12 {
-		t.Errorf("Get after Add = %g", got)
+	if got := tr.vals[3]; math.Abs(got-3) > 1e-12 {
+		t.Errorf("weight after Add = %g", got)
 	}
 	tr.Add(3, -10) // clamps at 0
-	if tr.Get(3) != 0 {
-		t.Errorf("Add below zero not clamped: %g", tr.Get(3))
+	if tr.vals[3] != 0 {
+		t.Errorf("Add below zero not clamped: %g", tr.vals[3])
 	}
 }
 
 func TestFromWeightsMatchesSets(t *testing.T) {
 	ws := []float64{1, 0, 3, 2.5, 0, 4}
 	a := FromWeights(ws)
-	b := New(len(ws))
+	b := newTree(len(ws))
 	for i, w := range ws {
 		b.Set(i, w)
 	}
 	for i := range ws {
-		if math.Abs(a.Prefix(i)-b.Prefix(i)) > 1e-12 {
-			t.Fatalf("Prefix(%d): %g vs %g", i, a.Prefix(i), b.Prefix(i))
+		if math.Abs(prefix(a, i)-prefix(b, i)) > 1e-12 {
+			t.Fatalf("prefix(%d): %g vs %g", i, prefix(a, i), prefix(b, i))
 		}
 	}
 }
@@ -111,7 +121,7 @@ func TestNegativePanics(t *testing.T) {
 			t.Error("negative Set accepted")
 		}
 	}()
-	New(3).Set(0, -1)
+	newTree(3).Set(0, -1)
 }
 
 func TestFromWeightsNegativePanics(t *testing.T) {
@@ -129,16 +139,17 @@ func TestNewNegativePanics(t *testing.T) {
 			t.Error("negative size accepted")
 		}
 	}()
-	New(-1)
+	newTree(-1)
 }
 
-// Property: Prefix matches a naive running sum after arbitrary updates,
-// and Search(x) returns the smallest i with Prefix(i) > x.
+// Property: the Fenwick array's prefix sums match a naive running sum
+// after arbitrary updates, and Search(x) returns the smallest i whose
+// prefix sum exceeds x.
 func TestPrefixSearchProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		m := int(n%32) + 1
 		r := rand.New(rand.NewSource(seed))
-		tr := New(m)
+		tr := newTree(m)
 		ws := make([]float64, m)
 		for op := 0; op < 3*m; op++ {
 			i := r.Intn(m)
@@ -149,7 +160,7 @@ func TestPrefixSearchProperty(t *testing.T) {
 		sum := 0.0
 		for i, w := range ws {
 			sum += w
-			if math.Abs(tr.Prefix(i)-sum) > 1e-9 {
+			if math.Abs(prefix(tr, i)-sum) > 1e-9 {
 				return false
 			}
 		}

@@ -102,14 +102,14 @@ func (m *member) search(q tags.Post, k int) []Scored {
 func assertOwnedPostings(t *testing.T, ctx string, m *member, full *OnlineIndex, owned []bool) {
 	t.Helper()
 	total := 0
-	for _, tg := range full.Tags() {
+	for _, tg := range full.tags() {
 		var want []Posting
-		for _, p := range full.PostingEntries(tg) {
+		for _, p := range full.postingEntries(tg) {
 			if owned == nil || owned[p.ID] {
 				want = append(want, p)
 			}
 		}
-		got := m.ix.PostingEntries(tg)
+		got := m.ix.postingEntries(tg)
 		if len(got) != len(want) {
 			t.Fatalf("%s: tag %d has %d postings, want the %d owned ones", ctx, tg, len(got), len(want))
 		}
@@ -179,7 +179,7 @@ func topKWeightedExhaustive(ix *OnlineIndex, query []WeightedTag, qNorm2 float64
 }
 
 // searchOwnedExhaustive is the test-only oracle for an owned index's
-// Search: InvertedIndex.Search's scan with an ownership filter on the
+// Search: InvertedIndex.search's scan with an ownership filter on the
 // postings.
 func searchOwnedExhaustive(ix *OnlineIndex, query tags.Post, k int, owned []bool) []Scored {
 	query = normalizeQuery(query)
@@ -368,7 +368,7 @@ func TestOwnedKernelsMatchExhaustiveOracle(t *testing.T) {
 // An index ranks what it holds: the owned set the five-argument
 // TopKWeighted still takes must be nil, and any other is refused loudly.
 func TestTopKWeightedRefusesOwnedSet(t *testing.T) {
-	rfds := cloneAll(randomIndex(81, 10, 6).RFDs())
+	rfds := cloneAll(randomIndex(81, 10, 6).rfds)
 	ix := NewOnlineIndex(rfds, 2)
 	defer func() {
 		if recover() == nil {
@@ -520,7 +520,7 @@ func TestOwnedQueriesConcurrentApplyRace(t *testing.T) {
 // tag order, counts and norm matching the index's own view.
 func TestRFDEntriesShape(t *testing.T) {
 	base := randomIndex(51, 20, 15)
-	ix := NewOnlineIndex(cloneAll(base.RFDs()), 2)
+	ix := NewOnlineIndex(cloneAll(base.rfds), 2)
 	ix.Apply(3, tags.MustPost(1, 2))
 	entries, norm2, posts, epoch := ix.RFDEntries(3)
 	if epoch != 1 {

@@ -16,7 +16,7 @@ import (
 // is scored. It accumulates into a map rather than the serving kernel's
 // dense row, so the two share no accumulation code.
 //
-// TopK and Search score with the serving expressions, so OnlineIndex is
+// TopK and search score with the serving expressions, so OnlineIndex is
 // bit-identical to BuildInverted over the same counts. The structure is
 // immutable after Build.
 type InvertedIndex struct {
@@ -47,20 +47,17 @@ func BuildInverted(rfds []*sparse.Counts) *InvertedIndex {
 // N returns the number of indexed resources.
 func (ix *InvertedIndex) N() int { return len(ix.rfds) }
 
-// RFDs exposes the indexed snapshot slice (shared, do not mutate).
-func (ix *InvertedIndex) RFDs() []*sparse.Counts { return ix.rfds }
-
-// Similarity returns the cosine similarity of resources a and b
+// similarity returns the cosine similarity of resources a and b
 // (Equation 16).
-func (ix *InvertedIndex) Similarity(a, b int) float64 {
+func (ix *InvertedIndex) similarity(a, b int) float64 {
 	return ix.rfds[a].Cosine(ix.rfds[b])
 }
 
-// PairSimilarities evaluates Similarity on each pair.
+// PairSimilarities evaluates similarity on each pair.
 func (ix *InvertedIndex) PairSimilarities(pairs []Pair) []float64 {
 	out := make([]float64, len(pairs))
 	for i, p := range pairs {
-		out[i] = ix.Similarity(p.A, p.B)
+		out[i] = ix.similarity(p.A, p.B)
 	}
 	return out
 }
@@ -101,12 +98,12 @@ func (ix *InvertedIndex) TopK(subject, k int) []Scored {
 	return sel.results()
 }
 
-// Search ranks resources by cosine similarity between the query tag set
+// search ranks resources by cosine similarity between the query tag set
 // (a unit-count vector over its distinct tags) and every rfd, with the
 // same query dedup and score expression as OnlineIndex.Search. Only
 // resources sharing a query tag are ranked; zero-overlap resources are
 // not padded in.
-func (ix *InvertedIndex) Search(query tags.Post, k int) []Scored {
+func (ix *InvertedIndex) search(query tags.Post, k int) []Scored {
 	query = normalizeQuery(query)
 	if k <= 0 || len(query) == 0 {
 		return nil
@@ -248,37 +245,4 @@ func padTopK(sel *topKSelector, n, subject int, overlaps func(id int) bool) {
 			sel.push(id, 0)
 		}
 	}
-}
-
-// Posting is one (resource, count) pair of a posting list, exposed for
-// diagnostics and the posting-for-posting equivalence tests between the
-// immutable and online indexes.
-type Posting struct {
-	ID    int32
-	Count int64
-}
-
-// PostingEntries returns tag t's posting list in ascending resource-id
-// order (empty when the tag is unindexed).
-func (ix *InvertedIndex) PostingEntries(t tags.Tag) []Posting {
-	pl := ix.postings[t]
-	if len(pl) == 0 {
-		return nil
-	}
-	out := make([]Posting, len(pl))
-	for i, p := range pl {
-		out[i] = Posting{ID: p.id, Count: p.count}
-	}
-	return out // built in ascending id order
-}
-
-// Tags returns every tag with a non-empty posting list in ascending
-// order.
-func (ix *InvertedIndex) Tags() []tags.Tag {
-	out := make([]tags.Tag, 0, len(ix.postings))
-	for t := range ix.postings {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

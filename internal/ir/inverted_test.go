@@ -12,7 +12,7 @@ import (
 // reference does, bit for bit, on random corpora.
 func TestInvertedMatchesExhaustive(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		assertMatchesFullSort(t, tSprintf("seed %d", seed), randomIndex(seed, 80, 30).RFDs())
+		assertMatchesFullSort(t, tSprintf("seed %d", seed), randomIndex(seed, 80, 30).rfds)
 	}
 }
 
@@ -41,7 +41,7 @@ func TestInvertedEdgeCases(t *testing.T) {
 	if inv.TopK(-1, 3) != nil || inv.TopK(99, 3) != nil || inv.TopK(0, 0) != nil {
 		t.Error("invalid queries returned results")
 	}
-	if inv.Search(nil, 3) != nil || inv.Search(tags.Post{-1}, 3) != nil || inv.Search(tags.MustPost(1), 0) != nil {
+	if inv.search(nil, 3) != nil || inv.search(tags.Post{-1}, 3) != nil || inv.search(tags.MustPost(1), 0) != nil {
 		t.Error("invalid searches returned results")
 	}
 	if inv.N() != 10 {

@@ -42,8 +42,8 @@ func (h scoredHeap) Less(a, b int) bool {
 // Pair is an unordered resource pair (A < B).
 type Pair struct{ A, B int }
 
-// AllPairs enumerates every unordered pair of [0, n).
-func AllPairs(n int) []Pair {
+// allPairs enumerates every unordered pair of [0, n).
+func allPairs(n int) []Pair {
 	out := make([]Pair, 0, n*(n-1)/2)
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
@@ -54,13 +54,13 @@ func AllPairs(n int) []Pair {
 }
 
 // SamplePairs draws m distinct unordered pairs uniformly (with rejection)
-// from [0, n); if m ≥ C(n,2) it returns AllPairs(n). Pair sampling keeps
+// from [0, n); if m ≥ C(n,2) it returns allPairs(n). Pair sampling keeps
 // the Figure 7 experiment tractable at paper scale (5,000 resources have
 // 12.5M pairs).
 func SamplePairs(n, m int, seed int64) []Pair {
 	total := n * (n - 1) / 2
 	if m >= total {
-		return AllPairs(n)
+		return allPairs(n)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[Pair]bool, m)

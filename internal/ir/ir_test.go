@@ -117,9 +117,9 @@ func TestTopKEdgeCases(t *testing.T) {
 }
 
 func TestAllPairs(t *testing.T) {
-	ps := AllPairs(4)
+	ps := allPairs(4)
 	if len(ps) != 6 {
-		t.Fatalf("AllPairs(4) has %d pairs", len(ps))
+		t.Fatalf("allPairs(4) has %d pairs", len(ps))
 	}
 	seen := map[Pair]bool{}
 	for _, p := range ps {
@@ -167,7 +167,7 @@ func TestGroundTruthAndAccuracy(t *testing.T) {
 	leaves := tax.Leaves()
 	// Three resources: two in the same leaf, one far away.
 	rl := []taxonomy.NodeID{leaves[0], leaves[0], leaves[len(leaves)-1]}
-	pairs := AllPairs(3)
+	pairs := allPairs(3)
 	truth := GroundTruth(tax, rl, pairs)
 	if len(truth) != 3 {
 		t.Fatal("truth length wrong")
@@ -214,7 +214,7 @@ func TestAccuracyPositiveForAlignedIndex(t *testing.T) {
 		rfds[i] = c
 	}
 	ix := BuildInverted(rfds)
-	pairs := AllPairs(n)
+	pairs := allPairs(n)
 	tau, err := RankingAccuracy(ix.PairSimilarities(pairs), GroundTruth(tax, rl, pairs))
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestPairSimilaritiesSymmetricBounds(t *testing.T) {
 		if v < 0 || v > 1 {
 			t.Fatalf("similarity %g out of [0,1]", v)
 		}
-		if got := ix.Similarity(pairs[i].B, pairs[i].A); math.Abs(got-v) > 1e-12 {
+		if got := ix.similarity(pairs[i].B, pairs[i].A); math.Abs(got-v) > 1e-12 {
 			t.Fatal("similarity not symmetric")
 		}
 	}

@@ -29,7 +29,6 @@ package ir
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -399,7 +398,7 @@ func normalizeQuery(q tags.Post) tags.Post {
 // min(k, |candidates|) entries, score-descending with ties broken
 // toward smaller ids; zero-overlap resources are not padded in (an
 // empty result means nothing matched). Like TopK it runs the one
-// kernel, bit-identical to InvertedIndex.Search; on cluster members,
+// kernel, bit-identical to InvertedIndex.search; on cluster members,
 // whose indexes hold disjoint parts of the corpus, per-node answers merge
 // into exactly the single-node ranking under the (score desc, id asc)
 // comparator. Returns the epoch-consistent view it scored against.
@@ -424,33 +423,6 @@ func (ix *OnlineIndex) Search(query tags.Post, k int) ([]Scored, uint64) {
 	ix.putScratch(sc)
 	ix.runlockAll()
 	return res, epoch
-}
-
-// PostingEntries returns tag t's live postings in ascending resource-id
-// order — the posting-for-posting equivalence surface against
-// BuildInverted.
-func (ix *OnlineIndex) PostingEntries(t tags.Tag) []Posting {
-	ix.rlockAll()
-	defer ix.runlockAll()
-	var out []Posting
-	for _, pl := range ix.dir.get(t).lists {
-		for _, p := range pl.entries {
-			out = append(out, Posting{ID: p.id, Count: int64(p.count)})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
-	return out
-}
-
-// Tags returns every tag with a non-empty posting list in ascending
-// order.
-func (ix *OnlineIndex) Tags() []tags.Tag {
-	ix.rlockAll()
-	defer ix.runlockAll()
-	out := make([]tags.Tag, 0, ix.dir.n)
-	ix.dir.each(func(t tags.Tag, _ dirRow) { out = append(out, t) })
-	slices.Sort(out)
-	return out
 }
 
 // OnlineStats is a point-in-time census of the online index, exposed

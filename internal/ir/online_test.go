@@ -74,12 +74,12 @@ func TestOnlineMatchesBuildInverted(t *testing.T) {
 			oracle := BuildInverted(model)
 			// Posting-for-posting identity over the union of tag sets.
 			seen := map[tags.Tag]bool{}
-			for _, tg := range append(online.Tags(), oracle.Tags()...) {
+			for _, tg := range append(online.tags(), oracle.tags()...) {
 				if seen[tg] {
 					continue
 				}
 				seen[tg] = true
-				got, want := online.PostingEntries(tg), oracle.PostingEntries(tg)
+				got, want := online.postingEntries(tg), oracle.postingEntries(tg)
 				if len(got) != len(want) {
 					t.Fatalf("seed %d step %d tag %d: %d postings vs %d", tc.seed, step, tg, len(got), len(want))
 				}
@@ -138,7 +138,7 @@ func TestOnlineMatchesBuildInverted(t *testing.T) {
 func TestOnlineSearchMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	base := randomIndex(11, 50, 20)
-	online := NewOnlineIndex(cloneAll(base.RFDs()), 4)
+	online := NewOnlineIndex(cloneAll(base.rfds), 4)
 	for trial := 0; trial < 30; trial++ {
 		query := randomPost(rng, 20)
 		k := 1 + rng.Intn(8)
@@ -152,7 +152,7 @@ func TestOnlineSearchMatchesBruteForce(t *testing.T) {
 			score float64
 		}
 		var cands []cand
-		for i, c := range base.RFDs() {
+		for i, c := range base.rfds {
 			overlap := false
 			for _, tg := range query {
 				if c.Get(tg) > 0 {
@@ -182,7 +182,7 @@ func TestOnlineSearchMatchesBruteForce(t *testing.T) {
 			want[i] = Scored{ID: c.id, Score: c.score}
 		}
 		assertIdentical(t, tSprintf("trial %d online", trial), got, want)
-		assertIdentical(t, tSprintf("trial %d offline", trial), base.Search(query, k), want)
+		assertIdentical(t, tSprintf("trial %d offline", trial), base.search(query, k), want)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestReadersSeeWholeShardBatches(t *testing.T) {
 		if a.subject >= 0 {
 			assertIdentical(t, tSprintf("topk %d at epoch %d", a.subject, a.epoch), a.res, inv.TopK(a.subject, k))
 		} else {
-			assertIdentical(t, tSprintf("search %v at epoch %d", a.query, a.epoch), a.res, inv.Search(a.query, k))
+			assertIdentical(t, tSprintf("search %v at epoch %d", a.query, a.epoch), a.res, inv.search(a.query, k))
 		}
 	}
 	if got := ix.Stats().Epoch; got != uint64(len(applied)) {
@@ -363,7 +363,7 @@ func TestOnlineEdgeCases(t *testing.T) {
 	}
 
 	base := randomIndex(31, 10, 8)
-	online = NewOnlineIndex(cloneAll(base.RFDs()), 3)
+	online = NewOnlineIndex(cloneAll(base.rfds), 3)
 	if res, _ := online.TopK(-1, 3); res != nil {
 		t.Error("negative subject answered")
 	}
@@ -416,7 +416,7 @@ func TestInvertedZeroNormSubject(t *testing.T) {
 
 func BenchmarkOnlineTopK(b *testing.B) {
 	base := randomIndex(7, 2000, 400)
-	online := NewOnlineIndex(cloneAll(base.RFDs()), 8)
+	online := NewOnlineIndex(cloneAll(base.rfds), 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -441,11 +441,11 @@ func TestBoundaryTagIDsEndToEnd(t *testing.T) {
 	check := func(ctx string) {
 		t.Helper()
 		inv := BuildInverted(eng.SnapshotRFDs())
-		if got, want := ix.Tags(), inv.Tags(); !slices.Equal(got, want) {
+		if got, want := ix.tags(), inv.tags(); !slices.Equal(got, want) {
 			t.Fatalf("%s: tags %v, rebuild %v", ctx, got, want)
 		}
-		for _, tg := range inv.Tags() {
-			if got, want := ix.PostingEntries(tg), inv.PostingEntries(tg); !slices.Equal(got, want) {
+		for _, tg := range inv.tags() {
+			if got, want := ix.postingEntries(tg), inv.postingEntries(tg); !slices.Equal(got, want) {
 				t.Fatalf("%s: tag %d postings %+v, rebuild %+v", ctx, tg, got, want)
 			}
 		}
@@ -470,8 +470,8 @@ func TestBoundaryTagIDsEndToEnd(t *testing.T) {
 		t.Fatalf("the last query was not folded: hits %d → %d, misses %d → %d",
 			before.CacheHits, after.CacheHits, before.CacheMisses, after.CacheMisses)
 	}
-	if st := ix.Stats(); st.Tags != len(ix.Tags()) {
-		t.Fatalf("census counts %d tags, the directory lists %d", st.Tags, len(ix.Tags()))
+	if st := ix.Stats(); st.Tags != len(ix.tags()) {
+		t.Fatalf("census counts %d tags, the directory lists %d", st.Tags, len(ix.tags()))
 	}
 }
 

@@ -90,7 +90,7 @@ func TestPrunedZipfBitIdentity(t *testing.T) {
 				q := zipfPost(rng, z, tc.dim)
 				k := 1 + rng.Intn(12)
 				got, _ := online.Search(q, k)
-				assertIdentical(t, tSprintf("seed %d step %d search k=%d", tc.seed, step, k), got, oracle.Search(q, k))
+				assertIdentical(t, tSprintf("seed %d step %d search k=%d", tc.seed, step, k), got, oracle.search(q, k))
 			}
 		}
 
@@ -187,14 +187,14 @@ func TestPrunedDegenerateShapes(t *testing.T) {
 // exceed 1.
 func TestSearchDuplicateTagsRegression(t *testing.T) {
 	base := randomIndex(17, 60, 15)
-	online := NewOnlineIndex(cloneAll(base.RFDs()), 4)
+	online := NewOnlineIndex(cloneAll(base.rfds), 4)
 	raw := tags.Post{9, 2, 9, 5, 2, 9} // bypasses NewPost: duplicates, unsorted
 	clean := tags.MustPost(2, 5, 9)
 	for _, k := range []int{1, 7, 60} {
 		got, _ := online.Search(raw, k)
-		want := BuildInverted(base.RFDs()).Search(clean, k)
+		want := BuildInverted(base.rfds).search(clean, k)
 		assertIdentical(t, tSprintf("dup-query k=%d", k), got, want)
-		assertIdentical(t, tSprintf("offline dup-query k=%d", k), base.Search(raw, k), want)
+		assertIdentical(t, tSprintf("offline dup-query k=%d", k), base.search(raw, k), want)
 		for i, s := range got {
 			if s.Score > 1 {
 				t.Fatalf("dup-query k=%d rank %d: cosine %v > 1", k, i, s.Score)
@@ -202,7 +202,7 @@ func TestSearchDuplicateTagsRegression(t *testing.T) {
 		}
 	}
 	// A resource holding exactly the clean tag set must score 1.0.
-	probe := cloneAll(base.RFDs())
+	probe := cloneAll(base.rfds)
 	probe = append(probe, sparse.NewCounts())
 	probe[len(probe)-1].Add(clean)
 	online2 := NewOnlineIndex(probe, 4)
@@ -221,8 +221,8 @@ func TestStatsCensusMatchesRecount(t *testing.T) {
 		t.Helper()
 		st := online.Stats()
 		tagsN, postings, maxP := 0, 0, 0
-		for _, tg := range online.Tags() {
-			n := len(online.PostingEntries(tg))
+		for _, tg := range online.tags() {
+			n := len(online.postingEntries(tg))
 			tagsN++
 			postings += n
 			if n > maxP {

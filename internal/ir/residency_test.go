@@ -243,8 +243,8 @@ func TestFrozenConstructorMatchesHot(t *testing.T) {
 		t.Fatalf("cold seeding read %d cold resources, want %d", got, n)
 	}
 	// Postings are live even though every resource is cold.
-	for _, tg := range hot.Tags() {
-		got, want := cold.PostingEntries(tg), hot.PostingEntries(tg)
+	for _, tg := range hot.tags() {
+		got, want := cold.postingEntries(tg), hot.postingEntries(tg)
 		if len(got) != len(want) {
 			t.Fatalf("tag %d: %d postings vs %d", tg, len(got), len(want))
 		}

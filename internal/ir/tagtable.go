@@ -92,12 +92,3 @@ func (h *tagTable[V]) resize(size int) {
 		}
 	}
 }
-
-// each visits every (tag, value) in slot order.
-func (h *tagTable[V]) each(fn func(t tags.Tag, v V)) {
-	for _, s := range h.slots {
-		if s.key != 0 {
-			fn(tags.Tag(s.key-1), s.val)
-		}
-	}
-}

@@ -154,10 +154,10 @@ func (r *Result) MeanQualityAt(b int) float64 {
 	return r.Values[b] / float64(r.n)
 }
 
-// BruteForce enumerates every feasible assignment and returns the optimal
+// bruteForce enumerates every feasible assignment and returns the optimal
 // total quality and one argmax. Exponential; exists solely to validate the
 // DP on tiny instances (Table IV is a 2-resource, B=2 case).
-func BruteForce(curves []quality.Curve, B int, costs []int) (float64, core.Assignment) {
+func bruteForce(curves []quality.Curve, B int, costs []int) (float64, core.Assignment) {
 	n := len(curves)
 	best := math.Inf(-1)
 	var bestX core.Assignment

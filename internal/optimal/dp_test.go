@@ -44,7 +44,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfVal, bfX := BruteForce(curves, B, nil)
+		bfVal, bfX := bruteForce(curves, B, nil)
 		if math.Abs(res.Values[B]-bfVal) > 1e-9 {
 			t.Fatalf("trial %d (n=%d B=%d): DP %.9f vs brute force %.9f (bf x=%v)",
 				trial, n, B, res.Values[B], bfVal, bfX)
@@ -81,7 +81,7 @@ func TestDPPerBudgetValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for b := 0; b <= B; b++ {
-		bfVal, _ := BruteForce(curves, b, nil)
+		bfVal, _ := bruteForce(curves, b, nil)
 		if math.Abs(res.Values[b]-bfVal) > 1e-9 {
 			t.Fatalf("b=%d: DP %.9f vs brute %.9f", b, res.Values[b], bfVal)
 		}
@@ -160,7 +160,7 @@ func TestDPWithCosts(t *testing.T) {
 		// against the max over b ≤ B of exact-spend optima.
 		best := math.Inf(-1)
 		for b := 0; b <= B; b++ {
-			if v, x := BruteForce(curves, b, costs); x != nil && v > best {
+			if v, x := bruteForce(curves, b, costs); x != nil && v > best {
 				best = v
 			}
 		}
@@ -168,7 +168,7 @@ func TestDPWithCosts(t *testing.T) {
 		// x_i = 0 allocations, so it may fall below `best` only when no
 		// exact assignment exists; with x=0 always feasible, Values[B]
 		// must be ≥ the b=B optimum and ≤ best overall.
-		vB, _ := BruteForce(curves, B, costs)
+		vB, _ := bruteForce(curves, B, costs)
 		if res.Values[B]+1e-9 < vB {
 			t.Fatalf("trial %d: DP %.9f below exact-spend optimum %.9f", trial, res.Values[B], vB)
 		}

@@ -34,19 +34,6 @@ func (r *Reference) Of(current *sparse.Counts) float64 {
 	return current.Cosine(r.counts)
 }
 
-// SetQuality returns q(R, k) (Definition 10): the average of the given
-// per-resource qualities. An empty slice yields 0.
-func SetQuality(perResource []float64) float64 {
-	if len(perResource) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, q := range perResource {
-		sum += q
-	}
-	return sum / float64(len(perResource))
-}
-
 // Curve is the per-resource quality function x ↦ q_i(c_i + x) that the DP
 // algorithm of Section III-D maximizes over. Curve[x] is the quality after
 // x additional post tasks; len(Curve) − 1 is the maximum x for which
@@ -89,15 +76,4 @@ func BuildCurve(seq tags.Seq, c int, budgetBound int, ref *Reference) (Curve, er
 		curve[x] = ref.Of(counts)
 	}
 	return curve, nil
-}
-
-// GainAt returns the marginal quality gain q(c+x) − q(c+x−1) of the x-th
-// allocated task, 0 if x is out of range. Used by diagnostics and the
-// Figure 5 reproduction (large improvement for under-tagged resources,
-// small for well-tagged ones).
-func (c Curve) GainAt(x int) float64 {
-	if x <= 0 || x >= len(c) {
-		return 0
-	}
-	return c[x] - c[x-1]
 }

@@ -58,10 +58,6 @@ func TestPaperExample2(t *testing.T) {
 	if math.Abs(q2-2/math.Sqrt(5)) > 1e-9 {
 		t.Errorf("q2(2) = %.6f, want 2/√5 = %.6f", q2, 2/math.Sqrt(5))
 	}
-	set := SetQuality([]float64{q1, q2})
-	if math.Abs(set-(q1+q2)/2) > 1e-12 {
-		t.Errorf("SetQuality = %g", set)
-	}
 }
 
 // TestPaperExample3 reproduces Table IV: with c=(3,2), B=2, and the
@@ -137,22 +133,6 @@ func TestBuildCurveBounds(t *testing.T) {
 	// At clamps out-of-range x.
 	if c.At(-3) != c.At(0) || c.At(99) != c.At(2) {
 		t.Error("At does not clamp")
-	}
-}
-
-func TestCurveGainAt(t *testing.T) {
-	c := Curve{0.5, 0.7, 0.8}
-	if g := c.GainAt(1); math.Abs(g-0.2) > 1e-12 {
-		t.Errorf("GainAt(1) = %g", g)
-	}
-	if c.GainAt(0) != 0 || c.GainAt(3) != 0 {
-		t.Error("out-of-range gain not 0")
-	}
-}
-
-func TestSetQualityEmpty(t *testing.T) {
-	if SetQuality(nil) != 0 {
-		t.Error("SetQuality(nil) != 0")
 	}
 }
 

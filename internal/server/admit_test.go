@@ -332,7 +332,7 @@ func TestDrainGateRefusesMidDrain(t *testing.T) {
 	defer cancel()
 	go func() { shutdownDone <- srv.Shutdown(ctx) }()
 	deadline := time.Now().Add(2 * time.Second)
-	for !srv.Draining() {
+	for !srv.draining.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("Shutdown never raised the drain gate")
 		}

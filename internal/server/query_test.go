@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	incentivetag "incentivetag"
+	"incentivetag/internal/ir"
 	"incentivetag/internal/server"
 )
 
@@ -34,7 +34,7 @@ func TestQueryEndpoints(t *testing.T) {
 	}
 
 	// The online answer must equal the offline index over the same counts.
-	oracle := incentivetag.NewSimilarityIndex(h.svc.SnapshotRFDs()).TopK(1, 10)
+	oracle := ir.BuildInverted(h.svc.SnapshotRFDs()).TopK(1, 10)
 	for i, want := range oracle {
 		if tk.Top[i].Resource != want.ID || tk.Top[i].Score != want.Score {
 			t.Fatalf("rank %d: (%d,%v) vs oracle (%d,%v)",

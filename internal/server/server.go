@@ -207,9 +207,6 @@ func (s *Server) service(w http.ResponseWriter) *incentivetag.Service {
 	return svc
 }
 
-// Ready reports whether the service has been installed.
-func (s *Server) Ready() bool { return s.svc.Load() != nil }
-
 // Handler returns the route table as an http.Handler, wrapped in the
 // drain gate: once Shutdown begins, every request except /healthz gets
 // an immediate 503 — no new work starts while in-flight requests
@@ -257,9 +254,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	return hs.Shutdown(ctx)
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // --- wire schema ---------------------------------------------------------
 

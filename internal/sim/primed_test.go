@@ -199,7 +199,7 @@ func TestCostsAndStablePointsBypassTemplate(t *testing.T) {
 		if st.Cost(i) != d.Costs[i] {
 			t.Fatalf("resource %d cost %d, want %d", i, st.Cost(i), d.Costs[i])
 		}
-		if err := st.Step(i); err != nil {
+		if err := st.step(i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -231,7 +231,7 @@ func (d *Data) EngineSpecs() []engine.ResourceSpec {
 // template with the day's stable points and costs. All resources start
 // COLD, aliasing the shared read-only payload: Count, MA, QualityOf and
 // Snapshot answer from the scalars a cold resource retains, so MU's MA
-// sweep and FP's count heap rehydrate nothing, and Step rehydrates
+// sweep and FP's count heap rehydrate nothing, and step rehydrates
 // exactly the resources a strategy pays — each first touch decodes its
 // record in one pass into a presized tracker, three allocations (the
 // engine's BenchmarkRehydrate times it). A fork copies the resource
@@ -338,11 +338,11 @@ func (st *State) snapshot(elapsed time.Duration) Checkpoint {
 	return fromMetrics(st.eng.Snapshot(), elapsed)
 }
 
-// VerifySnapshot recomputes the checkpoint by the seed's full scan —
+// verifySnapshot recomputes the checkpoint by the seed's full scan —
 // the O(n·|tags|) reference path retained for equivalence tests and
 // the checkpoint-cost benchmarks. Production callers use the O(1)
 // incremental snapshot via Run / Quality.
-func (st *State) VerifySnapshot(elapsed time.Duration) Checkpoint {
+func (st *State) verifySnapshot(elapsed time.Duration) Checkpoint {
 	return fromMetrics(st.eng.VerifyMetrics(), elapsed)
 }
 
@@ -359,9 +359,9 @@ func (st *State) Assignment() core.Assignment { return st.x.Clone() }
 // Spent returns the budget consumed so far.
 func (st *State) Spent() int { return st.eng.Spent() }
 
-// Step allocates one post task to resource i, replaying its next recorded
+// step allocates one post task to resource i, replaying its next recorded
 // post. It returns an error if the resource is exhausted.
-func (st *State) Step(i int) error {
+func (st *State) step(i int) error {
 	if i < 0 || i >= st.data.N() {
 		return fmt.Errorf("sim: resource index %d out of range", i)
 	}
@@ -398,7 +398,7 @@ func (st *State) RunReference(s strategy.Strategy, budget int, checkpoints []int
 			return nil, fmt.Errorf("sim: %w", err)
 		}
 	}
-	return st.run(s, budget, checkpoints, st.VerifySnapshot)
+	return st.run(s, budget, checkpoints, st.verifySnapshot)
 }
 
 func (st *State) run(s strategy.Strategy, budget int, checkpoints []int, snap func(time.Duration) Checkpoint) ([]Checkpoint, error) {
@@ -428,7 +428,7 @@ func (st *State) run(s strategy.Strategy, budget int, checkpoints []int, snap fu
 		if !ok {
 			break // nothing allocatable: replay exhausted or unaffordable
 		}
-		if err := st.Step(i); err != nil {
+		if err := st.step(i); err != nil {
 			return nil, fmt.Errorf("sim: strategy %s chose invalid resource: %w", s.Name(), err)
 		}
 		s.Update(i)

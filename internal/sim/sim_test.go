@@ -67,7 +67,7 @@ func TestStepAccounting(t *testing.T) {
 	st := NewState(d, 5, 1)
 	i := 0
 	before := st.Count(i)
-	if err := st.Step(i); err != nil {
+	if err := st.step(i); err != nil {
 		t.Fatal(err)
 	}
 	if st.Count(i) != before+1 || st.Spent() != 1 {
@@ -76,7 +76,7 @@ func TestStepAccounting(t *testing.T) {
 	if st.Assignment()[i] != 1 {
 		t.Error("assignment not recorded")
 	}
-	if err := st.Step(-1); err == nil {
+	if err := st.step(-1); err == nil {
 		t.Error("negative index accepted")
 	}
 }
@@ -87,14 +87,14 @@ func TestStepExhaustion(t *testing.T) {
 	i := 0
 	avail := len(d.Seqs[i]) - d.Initial[i]
 	for k := 0; k < avail; k++ {
-		if err := st.Step(i); err != nil {
+		if err := st.step(i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if st.Available(i) {
 		t.Fatal("resource still available after consuming all posts")
 	}
-	if err := st.Step(i); err == nil {
+	if err := st.step(i); err == nil {
 		t.Error("Step beyond recorded posts accepted")
 	}
 }

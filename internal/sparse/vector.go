@@ -15,8 +15,8 @@
 // a power-of-two length, at most ¾ full, probed linearly from a
 // Fibonacci hash of the tag mixed with a per-process seed (tag ids come
 // from clients, and a fixed hash would let them build long probe
-// chains). A count of 0 marks an empty slot, and Remove deletes by
-// backward shift, so no tombstones accumulate. A vector costs 8 bytes
+// chains). A count of 0 marks an empty slot; an entry is never
+// deleted, so the table holds no tombstones. A vector costs 8 bytes
 // per slot whatever its tag ids are: a reference of 44 tags is a
 // 64-slot table (512 B), where a dense base indexed by tag id would
 // spend tens of kilobytes on zeros. The replay simulator, the serving
@@ -123,21 +123,6 @@ func (c *Counts) claim(t tags.Tag) int {
 	return i
 }
 
-// del empties slot i by backward shift: each later entry of the probe
-// run moves back into the hole unless its home lies cyclically in
-// (hole, entry], so every probe still reaches its entry.
-func (c *Counts) del(i int) {
-	mask := len(c.slots) - 1
-	for j := (i + 1) & mask; c.slots[j].n != 0; j = (j + 1) & mask {
-		if (j-c.home(c.slots[j].t))&mask >= (j-i)&mask {
-			c.slots[i] = c.slots[j]
-			i = j
-		}
-	}
-	c.slots[i] = slot{}
-	c.n--
-}
-
 // Posts returns k, the number of posts accumulated so far.
 func (c *Counts) Posts() int { return c.posts }
 
@@ -180,7 +165,7 @@ func (c *Counts) RelFreq(t tags.Tag) float64 {
 // Add accumulates one post: every tag in p has its count incremented by
 // one, and k advances by one. It returns the overlap sum S = Σ_{t∈p} h(t)
 // measured BEFORE the increment, which is exactly the quantity needed by
-// AdjacentCosine.
+// adjacentCosine.
 func (c *Counts) Add(p tags.Post) (overlap int64) {
 	for _, t := range p {
 		i := c.claim(t)
@@ -196,30 +181,6 @@ func (c *Counts) Add(p tags.Post) (overlap int64) {
 	c.mass += int64(len(p))
 	c.posts++
 	return overlap
-}
-
-// Remove subtracts one previously-added post. It is the exact inverse of
-// Add and panics if any tag of p has zero count (which would indicate the
-// post was never added). Used by rollback-style simulations and tests.
-func (c *Counts) Remove(p tags.Post) {
-	for _, t := range p {
-		i, old := 0, int32(0)
-		if c.n > 0 {
-			i = c.find(t)
-			old = c.slots[i].n
-		}
-		if old == 0 {
-			panic(fmt.Sprintf("sparse: Remove of tag %d with count 0", t))
-		}
-		if old == 1 {
-			c.del(i)
-		} else {
-			c.slots[i].n = old - 1
-		}
-		c.norm2 -= float64(2*int64(old) - 1)
-	}
-	c.mass -= int64(len(p))
-	c.posts--
 }
 
 // Reset returns the vector to its empty state (k = 0) while retaining its
@@ -240,7 +201,7 @@ func (c *Counts) Clone() *Counts {
 // ForEach visits every non-zero (tag, count) entry in unspecified
 // order, without allocating. The query engine uses it to lift a
 // subject's support and weights in one pass; callers needing ascending
-// order should use AppendSupport instead.
+// order should use Support or Entries instead.
 func (c *Counts) ForEach(fn func(t tags.Tag, n int64)) {
 	for _, s := range c.slots {
 		if s.n != 0 {
@@ -251,14 +212,14 @@ func (c *Counts) ForEach(fn func(t tags.Tag, n int64)) {
 
 // Support returns the non-zero tag ids in ascending order.
 func (c *Counts) Support() []tags.Tag {
-	return c.AppendSupport(make([]tags.Tag, 0, c.Len()))
+	return c.appendSupport(make([]tags.Tag, 0, c.Len()))
 }
 
-// AppendSupport appends the non-zero tag ids to dst in ascending order
+// appendSupport appends the non-zero tag ids to dst in ascending order
 // and returns the extended slice. It is the allocation-free counterpart
 // of Support for callers that pool their scratch (the query engine's
 // per-query tag plan): when dst has capacity the call allocates nothing.
-func (c *Counts) AppendSupport(dst []tags.Tag) []tags.Tag {
+func (c *Counts) appendSupport(dst []tags.Tag) []tags.Tag {
 	start := len(dst)
 	for _, s := range c.slots {
 		if s.n != 0 {
@@ -309,7 +270,7 @@ func (c *Counts) Cosine(o *Counts) float64 {
 	return s
 }
 
-// AdjacentCosine returns s(F(k−1), F(k)) — the adjacent similarity at the
+// adjacentCosine returns s(F(k−1), F(k)) — the adjacent similarity at the
 // k-th post (Definition 7) — in O(|post|) given the state BEFORE the post
 // is applied.
 //
@@ -322,7 +283,7 @@ func (c *Counts) Cosine(o *Counts) float64 {
 //
 // By Equation 16 the similarity is 0 when k−1 = 0 (the previous rfd is the
 // zero vector).
-func AdjacentCosine(norm2Before float64, overlap int64, postLen int) float64 {
+func adjacentCosine(norm2Before float64, overlap int64, postLen int) float64 {
 	if norm2Before == 0 {
 		return 0
 	}
@@ -344,7 +305,7 @@ func AdjacentCosine(norm2Before float64, overlap int64, postLen int) float64 {
 func (c *Counts) AddWithAdjacent(p tags.Post) float64 {
 	norm2Before := c.norm2
 	overlap := c.Add(p)
-	return AdjacentCosine(norm2Before, overlap, len(p))
+	return adjacentCosine(norm2Before, overlap, len(p))
 }
 
 // Presize empties c for a rebuild from a snapshot's support — posts
@@ -384,7 +345,7 @@ func (c *Counts) Insert(t tags.Tag, n int64) error {
 // Insert.
 func (c *Counts) Entries(ts []tags.Tag, ns []int64) ([]tags.Tag, []int64) {
 	start := len(ts)
-	ts = c.AppendSupport(ts)
+	ts = c.appendSupport(ts)
 	for _, t := range ts[start:] {
 		ns = append(ns, c.Get(t))
 	}

@@ -133,16 +133,6 @@ func (tr *Tracker) MA() (float64, bool) {
 // Snapshot returns an independent copy of the current rfd counts F(k).
 func (tr *Tracker) Snapshot() *sparse.Counts { return tr.counts.Clone() }
 
-// Reset returns the tracker to its initial empty state, retaining ω and
-// the count vector's backing storage.
-func (tr *Tracker) Reset() {
-	tr.counts.Reset()
-	for i := range tr.ring {
-		tr.ring[i] = 0
-	}
-	tr.head, tr.fill, tr.sum = 0, 0, 0
-}
-
 // StablePointResult describes the outcome of a practically-stable rfd
 // search (Definition 8) over a finite post sequence.
 type StablePointResult struct {

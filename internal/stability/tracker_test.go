@@ -3,7 +3,6 @@ package stability
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"incentivetag/internal/sparse"
@@ -152,41 +151,6 @@ func TestSeriesShape(t *testing.T) {
 	for k := 1; k <= 40; k++ {
 		if (k >= 5) != s.Defined[k-1] {
 			t.Fatalf("definedness at k=%d wrong", k)
-		}
-	}
-}
-
-func TestTrackerReset(t *testing.T) {
-	for _, mk := range []func() *Tracker{
-		func() *Tracker { return NewTracker(3) },
-		func() *Tracker { return NewTrackerSized(3, 64) },
-	} {
-		tr := mk()
-		seq := randSeq(13, 20, 5)
-		for _, p := range seq {
-			tr.Observe(p)
-		}
-		tr.Reset()
-		if tr.Posts() != 0 || tr.Counts().Len() != 0 {
-			t.Error("Reset did not clear posts")
-		}
-		if _, ok := tr.MA(); ok {
-			t.Error("Reset did not clear MA window")
-		}
-		// Replays identically after reset.
-		tr2 := mk()
-		for i, p := range seq {
-			a, b := tr.Observe(p), tr2.Observe(p)
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("post %d: reset tracker diverged (%g vs %g)", i, a, b)
-			}
-		}
-		m1, _ := tr.MA()
-		m2, _ := tr2.MA()
-		ts1, ns1 := tr.Counts().Entries(nil, nil)
-		ts2, ns2 := tr2.Counts().Entries(nil, nil)
-		if math.Float64bits(m1) != math.Float64bits(m2) || !reflect.DeepEqual(ts1, ts2) || !reflect.DeepEqual(ns1, ns2) {
-			t.Error("reset tracker's final state differs from a fresh tracker's")
 		}
 	}
 }

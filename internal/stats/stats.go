@@ -11,8 +11,8 @@ import (
 	"sort"
 )
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
+// mean returns the arithmetic mean of xs (0 for an empty slice).
+func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
@@ -23,14 +23,14 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (n−1 denominator), matching
+// stdDev returns the sample standard deviation (n−1 denominator), matching
 // the s_x of Equation 15. It returns 0 for fewer than two samples.
-func StdDev(xs []float64) float64 {
+func stdDev(xs []float64) float64 {
 	n := len(xs)
 	if n < 2 {
 		return 0
 	}
-	m := Mean(xs)
+	m := mean(xs)
 	var ss float64
 	for _, x := range xs {
 		d := x - m
@@ -53,8 +53,8 @@ func Pearson(xs, ys []float64) (float64, error) {
 	if n < 2 {
 		return 0, fmt.Errorf("stats: Pearson needs at least 2 samples, got %d", n)
 	}
-	mx, my := Mean(xs), Mean(ys)
-	sx, sy := StdDev(xs), StdDev(ys)
+	mx, my := mean(xs), mean(ys)
+	sx, sy := stdDev(xs), stdDev(ys)
 	if sx == 0 || sy == 0 {
 		return 0, fmt.Errorf("stats: Pearson undefined for zero-variance input")
 	}
@@ -189,9 +189,9 @@ func mergeCountSwaps(a, buf []float64) int64 {
 	return swaps
 }
 
-// KendallTauNaive is the O(n²) reference implementation of τ-b, used by
+// kendallTauNaive is the O(n²) reference implementation of τ-b, used by
 // tests to validate KendallTau on small inputs.
-func KendallTauNaive(xs, ys []float64) (float64, error) {
+func kendallTauNaive(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(xs), len(ys))
 	}
@@ -245,17 +245,17 @@ func Summarize(xs []float64) Summary {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
 	s.Min, s.Max = cp[0], cp[len(cp)-1]
-	s.Mean = Mean(cp)
-	s.Std = StdDev(cp)
-	s.P25 = Quantile(cp, 0.25)
-	s.Median = Quantile(cp, 0.5)
-	s.P75 = Quantile(cp, 0.75)
+	s.Mean = mean(cp)
+	s.Std = stdDev(cp)
+	s.P25 = quantile(cp, 0.25)
+	s.Median = quantile(cp, 0.5)
+	s.P75 = quantile(cp, 0.75)
 	return s
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted
+// quantile returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted
 // sample using linear interpolation.
-func Quantile(sorted []float64, q float64) float64 {
+func quantile(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 0 {
 		return 0
@@ -315,21 +315,4 @@ func LogHistogram(values []int, base int) []LogBin {
 		bins[idx].Count++
 	}
 	return bins
-}
-
-// MinMaxInt returns the minimum and maximum of a non-empty int slice.
-func MinMaxInt(xs []int) (int, int) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	mn, mx := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	return mn, mx
 }

@@ -9,14 +9,14 @@ import (
 
 func TestMeanStd(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := Mean(xs); math.Abs(m-5) > 1e-12 {
+	if m := mean(xs); math.Abs(m-5) > 1e-12 {
 		t.Errorf("Mean = %g, want 5", m)
 	}
 	// Sample std with n−1 denominator: variance 32/7.
-	if s := StdDev(xs); math.Abs(s-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Errorf("StdDev = %g", s)
+	if s := stdDev(xs); math.Abs(s-math.Sqrt(32.0/7)) > 1e-12 {
+		t.Errorf("stdDev = %g", s)
 	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
+	if mean(nil) != 0 || stdDev(nil) != 0 || stdDev([]float64{1}) != 0 {
 		t.Error("degenerate inputs mishandled")
 	}
 }
@@ -89,7 +89,7 @@ func TestKendallMatchesNaive(t *testing.T) {
 			ys[i] = float64(r.Intn(6))
 		}
 		fast, errF := KendallTau(xs, ys)
-		slow, errS := KendallTauNaive(xs, ys)
+		slow, errS := kendallTauNaive(xs, ys)
 		if (errF == nil) != (errS == nil) {
 			return false
 		}
@@ -111,13 +111,13 @@ func TestSummarizeQuantile(t *testing.T) {
 	if s.P25 != 2 || s.P75 != 4 {
 		t.Errorf("quartiles: %g %g", s.P25, s.P75)
 	}
-	if got := Quantile([]float64{1, 2}, 0.5); math.Abs(got-1.5) > 1e-12 {
+	if got := quantile([]float64{1, 2}, 0.5); math.Abs(got-1.5) > 1e-12 {
 		t.Errorf("interpolated median = %g", got)
 	}
-	if Quantile(nil, 0.5) != 0 {
+	if quantile(nil, 0.5) != 0 {
 		t.Error("empty quantile != 0")
 	}
-	if Quantile([]float64{7}, 0) != 7 || Quantile([]float64{7}, 1) != 7 {
+	if quantile([]float64{7}, 0) != 7 || quantile([]float64{7}, 1) != 7 {
 		t.Error("edge quantiles wrong")
 	}
 	empty := Summarize(nil)
@@ -154,16 +154,6 @@ func TestLogHistogramPanicsOnBase(t *testing.T) {
 		}
 	}()
 	LogHistogram([]int{1}, 1)
-}
-
-func TestMinMaxInt(t *testing.T) {
-	mn, mx := MinMaxInt([]int{3, -1, 7, 0})
-	if mn != -1 || mx != 7 {
-		t.Errorf("MinMaxInt = %d,%d", mn, mx)
-	}
-	if mn, mx := MinMaxInt(nil); mn != 0 || mx != 0 {
-		t.Error("empty MinMaxInt not zero")
-	}
 }
 
 // Property: τ is symmetric under exchanging the two rankings and

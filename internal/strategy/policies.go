@@ -294,10 +294,3 @@ func (s *FPMU) Update(i int) {
 	s.fp.Update(i)
 	s.warmup--
 }
-
-// Warmup reports the remaining warm-up budget; it is exported for tests
-// and the ω-effect experiment (Figure 6(f)).
-func (s *FPMU) Warmup() int { return s.warmup }
-
-// InMU reports whether the hybrid has switched to the MU stage.
-func (s *FPMU) InMU() bool { return s.inMU }

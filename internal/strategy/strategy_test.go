@@ -189,8 +189,8 @@ func TestFPMUWarmupThenSwitch(t *testing.T) {
 	e.ma = []float64{0, 0, 0.8}
 	s := NewFPMU(4)
 	s.Init(e)
-	if s.Warmup() != 5 {
-		t.Fatalf("warm-up budget %d, want 5", s.Warmup())
+	if s.warmup != 5 {
+		t.Fatalf("warm-up budget %d, want 5", s.warmup)
 	}
 	for k := 0; k < 5; k++ {
 		i := step(t, s, e, 100)
@@ -203,12 +203,12 @@ func TestFPMUWarmupThenSwitch(t *testing.T) {
 			e.ma[i] = 0.5
 		}
 	}
-	if s.InMU() {
+	if s.inMU {
 		t.Fatal("switched to MU before warm-up budget spent")
 	}
 	// Next choice flips to MU and targets the lowest-MA resource.
 	i, ok := s.Choose(100)
-	if !ok || !s.InMU() {
+	if !ok || !s.inMU {
 		t.Fatalf("hybrid did not switch to MU (i=%d ok=%v)", i, ok)
 	}
 	if e.ma[i] != 0.5 {

@@ -118,12 +118,12 @@ type Config struct {
 	Drift []DriftSpec
 }
 
-// DefaultDrift returns the case-study resources mirroring Tables VI–VII:
+// defaultDrift returns the case-study resources mirroring Tables VI–VII:
 // a physics site initially tagged as Java, a video-editing site initially
 // tagged as video sharing, a photo-editing site initially tagged as
 // photography, an architecture-news site initially tagged as media news,
 // and a hugely popular sports site with no drift.
-func DefaultDrift() []DriftSpec {
+func defaultDrift() []DriftSpec {
 	// The drift subjects start under-tagged (c_i ≈ 9) with their early
 	// posts drawn from the wrong facet, mirroring the paper's subject
 	// whose initial posts "focus on the java implementation": FP, which
@@ -173,7 +173,7 @@ func DefaultConfig(n int, seed int64) Config {
 
 		UnderTaggedThreshold: stability.DefaultUnderTaggedThreshold,
 
-		Drift: DefaultDrift(),
+		Drift: defaultDrift(),
 	}
 }
 

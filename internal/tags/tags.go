@@ -135,37 +135,6 @@ func MustPost(ts ...Tag) Post {
 	return p
 }
 
-// ParsePost interns the given tag names into v and returns the post.
-// Empty names are rejected.
-func ParsePost(v *Vocab, names ...string) (Post, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("tags: a post must contain at least one tag")
-	}
-	ts := make([]Tag, 0, len(names))
-	for _, n := range names {
-		if n == "" {
-			return nil, fmt.Errorf("tags: empty tag name in post")
-		}
-		ts = append(ts, v.Intern(n))
-	}
-	return NewPost(ts...)
-}
-
-// Contains reports whether the post contains tag t.
-func (p Post) Contains(t Tag) bool {
-	// Posts are sorted; binary search.
-	lo, hi := 0, len(p)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(p) && p[lo] == t
-}
-
 // Clone returns an independent copy of the post.
 func (p Post) Clone() Post {
 	out := make(Post, len(p))

@@ -82,39 +82,6 @@ func TestNewPostRejectsEmptyAndNegative(t *testing.T) {
 	}
 }
 
-func TestParsePost(t *testing.T) {
-	v := NewVocab()
-	p, err := ParsePost(v, "google", "earth", "google")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p) != 2 {
-		t.Errorf("ParsePost kept duplicate: %v", p)
-	}
-	if p.Format(v) != "{google, earth}" && p.Format(v) != "{earth, google}" {
-		// Order depends on intern ids; google interned first → id 0.
-		t.Errorf("Format = %q", p.Format(v))
-	}
-	if _, err := ParsePost(v, "a", ""); err == nil {
-		t.Error("empty tag name accepted")
-	}
-	if _, err := ParsePost(v); err == nil {
-		t.Error("empty post accepted")
-	}
-}
-
-func TestPostContains(t *testing.T) {
-	p := MustPost(1, 4, 9)
-	for _, tc := range []struct {
-		tag  Tag
-		want bool
-	}{{1, true}, {4, true}, {9, true}, {0, false}, {5, false}, {10, false}} {
-		if got := p.Contains(tc.tag); got != tc.want {
-			t.Errorf("Contains(%d) = %v, want %v", tc.tag, got, tc.want)
-		}
-	}
-}
-
 func TestPostCloneIndependent(t *testing.T) {
 	p := MustPost(1, 2)
 	q := p.Clone()

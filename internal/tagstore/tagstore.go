@@ -425,9 +425,6 @@ func (b *Batch) Add(rid uint32, p tags.Post) error {
 // Records returns the number of records currently framed in the batch.
 func (b *Batch) Records() int { return b.n }
 
-// Bytes returns the framed size of the batch.
-func (b *Batch) Bytes() int { return len(b.buf) }
-
 // Reset empties the batch, retaining its buffer for reuse.
 func (b *Batch) Reset() {
 	b.buf = b.buf[:0]

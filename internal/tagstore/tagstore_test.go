@@ -524,7 +524,7 @@ func TestBatchValidation(t *testing.T) {
 	if err := b.Add(1, tags.Post{}); err == nil {
 		t.Error("empty post accepted")
 	}
-	if b.Records() != 0 || b.Bytes() != 0 {
+	if b.Records() != 0 || len(b.buf) != 0 {
 		t.Error("failed Add left bytes behind")
 	}
 }

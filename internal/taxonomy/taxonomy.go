@@ -8,7 +8,6 @@ package taxonomy
 
 import (
 	"fmt"
-	"strings"
 )
 
 // NodeID identifies a node in the tree. The root is always node 0.
@@ -28,9 +27,9 @@ type Builder struct {
 	children map[NodeID][]NodeID
 }
 
-// NewBuilder returns a builder holding just the root node, named "Top"
+// newBuilder returns a builder holding just the root node, named "Top"
 // (the conventional dmoz root).
-func NewBuilder() *Builder {
+func newBuilder() *Builder {
 	t := &Tree{
 		parent: []NodeID{0},
 		depth:  []int{0},
@@ -39,13 +38,13 @@ func NewBuilder() *Builder {
 	return &Builder{t: t, children: map[NodeID][]NodeID{}}
 }
 
-// Root returns the root node id.
-func (b *Builder) Root() NodeID { return 0 }
+// root returns the root node id.
+func (b *Builder) root() NodeID { return 0 }
 
-// AddChild appends a child named name under parent and returns its id.
-func (b *Builder) AddChild(parent NodeID, name string) NodeID {
+// addChild appends a child named name under parent and returns its id.
+func (b *Builder) addChild(parent NodeID, name string) NodeID {
 	if int(parent) >= len(b.t.parent) {
-		panic(fmt.Sprintf("taxonomy: AddChild under unknown node %d", parent))
+		panic(fmt.Sprintf("taxonomy: addChild under unknown node %d", parent))
 	}
 	id := NodeID(len(b.t.parent))
 	b.t.parent = append(b.t.parent, parent)
@@ -55,8 +54,8 @@ func (b *Builder) AddChild(parent NodeID, name string) NodeID {
 	return id
 }
 
-// Build finalizes the tree, computing the leaf set.
-func (b *Builder) Build() *Tree {
+// build finalizes the tree, computing the leaf set.
+func (b *Builder) build() *Tree {
 	t := b.t
 	t.leaves = t.leaves[:0]
 	for id := range t.parent {
@@ -67,9 +66,6 @@ func (b *Builder) Build() *Tree {
 	return t
 }
 
-// Size returns the number of nodes including the root.
-func (t *Tree) Size() int { return len(t.parent) }
-
 // Leaves returns all leaf ids (copy).
 func (t *Tree) Leaves() []NodeID {
 	out := make([]NodeID, len(t.leaves))
@@ -77,35 +73,14 @@ func (t *Tree) Leaves() []NodeID {
 	return out
 }
 
-// Depth returns the depth of node id (root = 0).
-func (t *Tree) Depth(id NodeID) int { return t.depth[id] }
-
 // Parent returns the parent of id (the root is its own parent).
 func (t *Tree) Parent(id NodeID) NodeID { return t.parent[id] }
-
-// Path returns the slash-joined path of a node, e.g.
-// "Top/Science/Physics".
-func (t *Tree) Path(id NodeID) string {
-	var parts []string
-	for {
-		parts = append(parts, t.name[id])
-		if id == 0 {
-			break
-		}
-		id = t.parent[id]
-	}
-	// Reverse.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return strings.Join(parts, "/")
-}
 
 // Name returns the node's own path segment.
 func (t *Tree) Name(id NodeID) string { return t.name[id] }
 
-// LCA returns the lowest common ancestor of a and b.
-func (t *Tree) LCA(a, b NodeID) NodeID {
+// lca returns the lowest common ancestor of a and b.
+func (t *Tree) lca(a, b NodeID) NodeID {
 	for t.depth[a] > t.depth[b] {
 		a = t.parent[a]
 	}
@@ -119,9 +94,9 @@ func (t *Tree) LCA(a, b NodeID) NodeID {
 	return a
 }
 
-// Dist returns the number of tree edges on the path between a and b.
-func (t *Tree) Dist(a, b NodeID) int {
-	l := t.LCA(a, b)
+// dist returns the number of tree edges on the path between a and b.
+func (t *Tree) dist(a, b NodeID) int {
+	l := t.lca(a, b)
 	return (t.depth[a] - t.depth[l]) + (t.depth[b] - t.depth[l])
 }
 
@@ -130,7 +105,7 @@ func (t *Tree) Dist(a, b NodeID) int {
 // strictly decreasing map yields the same Kendall ranking, which is all
 // the Figure 7 experiment consumes.
 func (t *Tree) Similarity(a, b NodeID) float64 {
-	return 1.0 / (1.0 + float64(t.Dist(a, b)))
+	return 1.0 / (1.0 + float64(t.dist(a, b)))
 }
 
 // topCategories mirrors the flavor of dmoz top-level categories, and
@@ -159,26 +134,26 @@ var subCategories = map[string][]string{
 // minLeaves leaf categories; extra synthetic leaves ("SubN") are appended
 // round-robin under the top categories if the themed lists run out.
 func BuildDefault(minLeaves int) *Tree {
-	b := NewBuilder()
+	b := newBuilder()
 	tops := make([]NodeID, len(topCategories))
 	for i, name := range topCategories {
-		tops[i] = b.AddChild(b.Root(), name)
+		tops[i] = b.addChild(b.root(), name)
 	}
 	total := 0
 	for i, name := range topCategories {
 		for _, sub := range subCategories[name] {
-			b.AddChild(tops[i], sub)
+			b.addChild(tops[i], sub)
 			total++
 		}
 	}
 	extra := 0
 	for total < minLeaves {
 		i := extra % len(tops)
-		b.AddChild(tops[i], fmt.Sprintf("Sub%d", extra))
+		b.addChild(tops[i], fmt.Sprintf("Sub%d", extra))
 		extra++
 		total++
 	}
-	return b.Build()
+	return b.build()
 }
 
 // FindLeaf returns the first leaf whose path ends with the given segment

@@ -11,22 +11,22 @@ import (
 //	Top ── A ── A1, A2
 //	    └─ B ── B1
 func buildSmall() (*Tree, map[string]NodeID) {
-	b := NewBuilder()
-	a := b.AddChild(b.Root(), "A")
-	bb := b.AddChild(b.Root(), "B")
-	a1 := b.AddChild(a, "A1")
-	a2 := b.AddChild(a, "A2")
-	b1 := b.AddChild(bb, "B1")
-	t := b.Build()
+	b := newBuilder()
+	a := b.addChild(b.root(), "A")
+	bb := b.addChild(b.root(), "B")
+	a1 := b.addChild(a, "A1")
+	a2 := b.addChild(a, "A2")
+	b1 := b.addChild(bb, "B1")
+	t := b.build()
 	return t, map[string]NodeID{"A": a, "B": bb, "A1": a1, "A2": a2, "B1": b1}
 }
 
 func TestTreeStructure(t *testing.T) {
 	tr, ids := buildSmall()
-	if tr.Size() != 6 {
-		t.Errorf("Size = %d, want 6", tr.Size())
+	if len(tr.parent) != 6 {
+		t.Errorf("%d nodes, want 6", len(tr.parent))
 	}
-	if tr.Depth(ids["A1"]) != 2 || tr.Depth(ids["A"]) != 1 || tr.Depth(0) != 0 {
+	if tr.depth[ids["A1"]] != 2 || tr.depth[ids["A"]] != 1 || tr.depth[0] != 0 {
 		t.Error("depths wrong")
 	}
 	if tr.Parent(ids["A1"]) != ids["A"] {
@@ -36,8 +36,8 @@ func TestTreeStructure(t *testing.T) {
 	if len(leaves) != 3 {
 		t.Errorf("leaves = %v", leaves)
 	}
-	if tr.Path(ids["A1"]) != "Top/A/A1" {
-		t.Errorf("Path = %q", tr.Path(ids["A1"]))
+	if tr.Name(ids["A1"]) != "A1" || tr.Name(tr.Parent(ids["A1"])) != "A" || tr.Name(0) != "Top" {
+		t.Errorf("names = %q, %q, %q", tr.Name(ids["A1"]), tr.Name(tr.Parent(ids["A1"])), tr.Name(0))
 	}
 }
 
@@ -54,7 +54,7 @@ func TestLCADist(t *testing.T) {
 		{"A", "A1", "A", 1},
 	}
 	for _, tc := range cases {
-		lca := tr.LCA(ids[tc.a], ids[tc.b])
+		lca := tr.lca(ids[tc.a], ids[tc.b])
 		if tc.lca == "" {
 			if lca != 0 {
 				t.Errorf("LCA(%s,%s) = %d, want root", tc.a, tc.b, lca)
@@ -62,7 +62,7 @@ func TestLCADist(t *testing.T) {
 		} else if lca != ids[tc.lca] {
 			t.Errorf("LCA(%s,%s) wrong", tc.a, tc.b)
 		}
-		if d := tr.Dist(ids[tc.a], ids[tc.b]); d != tc.dist {
+		if d := tr.dist(ids[tc.a], ids[tc.b]); d != tc.dist {
 			t.Errorf("Dist(%s,%s) = %d, want %d", tc.a, tc.b, d, tc.dist)
 		}
 	}
@@ -97,8 +97,8 @@ func TestBuildDefault(t *testing.T) {
 	}
 	// Every leaf has depth 2 (top/sub).
 	for _, l := range tr.Leaves() {
-		if tr.Depth(l) != 2 {
-			t.Errorf("leaf %s depth %d", tr.Path(l), tr.Depth(l))
+		if tr.depth[l] != 2 {
+			t.Errorf("leaf %s depth %d", tr.Name(l), tr.depth[l])
 		}
 	}
 }
@@ -126,5 +126,5 @@ func TestAddChildPanicsOnUnknownParent(t *testing.T) {
 			t.Error("unknown parent accepted")
 		}
 	}()
-	NewBuilder().AddChild(99, "X")
+	newBuilder().addChild(99, "X")
 }

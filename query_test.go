@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"incentivetag/internal/ir"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
 )
@@ -30,7 +31,7 @@ func assertScoredEqual(t *testing.T, ctx string, got, want []Scored) {
 // over the service's own rfd snapshot.
 func assertQueryOracle(t *testing.T, svc *Service, subjects []int, k int) {
 	t.Helper()
-	oracle := NewSimilarityIndex(svc.SnapshotRFDs())
+	oracle := ir.BuildInverted(svc.SnapshotRFDs())
 	for _, subject := range subjects {
 		got, _, err := svc.TopK(subject, k)
 		if err != nil {
@@ -74,7 +75,8 @@ func TestServiceQueryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		case 1: // single-resource batch
-			if err := svc.IngestBatch(rng.Intn(ds.N()), []Post{post(), post()}); err != nil {
+			i := rng.Intn(ds.N())
+			if err := svc.IngestMany([]PostEvent{{Resource: i, Post: post()}, {Resource: i, Post: post()}}); err != nil {
 				t.Fatal(err)
 			}
 		case 2: // cross-resource batch

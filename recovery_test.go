@@ -43,8 +43,8 @@ func assertServicesBitIdentical(t *testing.T, want, got *Service) {
 	if mw != mg {
 		t.Fatalf("metric snapshots differ:\nwant %+v\ngot  %+v", mw, mg)
 	}
-	if math.Float64bits(want.Quality()) != math.Float64bits(got.Quality()) {
-		t.Fatalf("quality differs: %v != %v", want.Quality(), got.Quality())
+	if math.Float64bits(want.Snapshot().MeanQuality) != math.Float64bits(got.Snapshot().MeanQuality) {
+		t.Fatalf("quality differs: %v != %v", want.Snapshot().MeanQuality, got.Snapshot().MeanQuality)
 	}
 	for i := 0; i < want.N(); i++ {
 		if want.Count(i) != got.Count(i) {
@@ -152,7 +152,7 @@ func TestServiceReopenRecovers(t *testing.T) {
 		}
 	}
 	want := svc.Snapshot()
-	wantQ := svc.Quality()
+	wantQ := svc.Snapshot().MeanQuality
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestServiceReopenRecovers(t *testing.T) {
 	if m := re.Snapshot(); m != want {
 		t.Fatalf("reopened metrics differ:\nwant %+v\ngot  %+v", want, m)
 	}
-	if math.Float64bits(re.Quality()) != math.Float64bits(wantQ) {
-		t.Fatalf("reopened quality %v != %v", re.Quality(), wantQ)
+	if math.Float64bits(re.Snapshot().MeanQuality) != math.Float64bits(wantQ) {
+		t.Fatalf("reopened quality %v != %v", re.Snapshot().MeanQuality, wantQ)
 	}
 	// The reopened service keeps serving: further ingest appends to the
 	// same log without double-applying history.

@@ -72,11 +72,11 @@ func TestServiceTieredBitIdentical(t *testing.T) {
 			}
 		case 3:
 			i := rng.Intn(ds.N())
-			posts := []Post{nextPost(ds, cursor, i), nextPost(ds, cursor, i)}
-			if err := plain.IngestBatch(i, posts); err != nil {
+			posts := []PostEvent{{Resource: i, Post: nextPost(ds, cursor, i)}, {Resource: i, Post: nextPost(ds, cursor, i)}}
+			if err := plain.IngestMany(posts); err != nil {
 				t.Fatal(err)
 			}
-			if err := tiered.IngestBatch(i, posts); err != nil {
+			if err := tiered.IngestMany(posts); err != nil {
 				t.Fatal(err)
 			}
 		case 4:
@@ -146,8 +146,8 @@ func TestServiceTieredBitIdentical(t *testing.T) {
 			}
 			assertScoredEqual(t, ctx+" search", got, want)
 		}
-		if math.Float64bits(tiered.Quality()) != math.Float64bits(plain.Quality()) {
-			t.Fatalf("%s: quality diverged: %v vs %v", ctx, tiered.Quality(), plain.Quality())
+		if math.Float64bits(tiered.Snapshot().MeanQuality) != math.Float64bits(plain.Snapshot().MeanQuality) {
+			t.Fatalf("%s: quality diverged: %v vs %v", ctx, tiered.Snapshot().MeanQuality, plain.Snapshot().MeanQuality)
 		}
 	}
 	// Final sweep over every subject, then the full metric comparison.
@@ -225,8 +225,8 @@ func TestServiceTieredColdBootFromSnapshot(t *testing.T) {
 		t.Fatalf("cold boot is not cold: %+v", st)
 	}
 	// Scalar surfaces answer without waking anything.
-	if math.Float64bits(cold.Quality()) != math.Float64bits(ref.Quality()) {
-		t.Fatalf("quality %v != %v", cold.Quality(), ref.Quality())
+	if math.Float64bits(cold.Snapshot().MeanQuality) != math.Float64bits(ref.Snapshot().MeanQuality) {
+		t.Fatalf("quality %v != %v", cold.Snapshot().MeanQuality, ref.Snapshot().MeanQuality)
 	}
 	if cold.Snapshot() != ref.Snapshot() {
 		t.Fatalf("metrics differ:\nwant %+v\ngot  %+v", ref.Snapshot(), cold.Snapshot())
@@ -292,8 +292,8 @@ func TestServiceTieredColdBootFromSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if math.Float64bits(re.Quality()) != math.Float64bits(ref.Quality()) {
-		t.Fatalf("reopened quality %v != %v", re.Quality(), ref.Quality())
+	if math.Float64bits(re.Snapshot().MeanQuality) != math.Float64bits(ref.Snapshot().MeanQuality) {
+		t.Fatalf("reopened quality %v != %v", re.Snapshot().MeanQuality, ref.Snapshot().MeanQuality)
 	}
 	assertServicesBitIdentical(t, ref, re)
 }
