@@ -171,7 +171,7 @@ func (s *Simulation) RunCheckpoints(name string, budget int, checkpoints []int) 
 // returns the optimal assignment with its mean quality. The DP costs
 // O(n·B²); keep instances moderate.
 func (s *Simulation) SolveOptimal(budget int) (Assignment, float64, error) {
-	curves, err := sim.BuildCurves(s.data, budget)
+	curves, err := s.data.Curves(s.opts.Omega, budget)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -191,7 +191,7 @@ func (s *Simulation) SolveOptimal(budget int) (Assignment, float64, error) {
 // O((n+B) log n) instead of the DP's O(n·B²). Returns the assignment and
 // its mean quality.
 func (s *Simulation) SolveGreedy(budget int) (Assignment, float64, error) {
-	curves, err := sim.BuildCurvesParallel(s.data, budget)
+	curves, err := s.data.Curves(s.opts.Omega, budget)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -798,10 +798,12 @@ func (s *Service) IngestMany(events []PostEvent) error {
 // task's cost against ServiceOptions.Budget. remaining is an extra
 // per-call bound on top of the budget ledger (pass math.MaxInt32 for
 // none); the strategy sees the smaller of the two. ok is false when
-// nothing is allocatable. The resource is hidden from further Leases
-// until this one settles via Fulfill or Expire, so any number of workers
-// can hold tasks concurrently without ever being handed the same
-// resource twice.
+// nothing is allocatable. A lease holds its resource until its post is
+// applied: the resource is hidden from further Leases until Expire
+// settles the lease or Fulfill has ingested its post, so any number of
+// workers can hold tasks concurrently without ever being handed the
+// same resource twice, and a worker that reads the resource's Count
+// after its Lease sees every post fulfilled before it.
 func (s *Service) Lease(remaining int) (resource int, lease LeaseID, ok bool) {
 	resource, lease, ok = s.alloc.Lease(remaining)
 	if ok && s.ids != nil {

@@ -327,22 +327,16 @@ func BenchmarkAblationTopKInverted(b *testing.B) {
 	}
 }
 
-// Sequential vs parallel quality-curve precomputation (the DP's setup).
-func BenchmarkAblationCurvesSequential(b *testing.B) {
+// The replay tape build: one tracker pass per resource, fanned out over
+// GOMAXPROCS workers — the set-up of every replay and of the DP's curves.
+// Each iteration builds over a fresh Data, so no cached tape is reused.
+func BenchmarkTapeBuild(b *testing.B) {
 	ctx := benchContext(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.BuildCurves(ctx.Data, 400); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationCurvesParallel(b *testing.B) {
-	ctx := benchContext(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.BuildCurvesParallel(ctx.Data, 400); err != nil {
+		b.StopTimer()
+		data := sim.FromDataset(ctx.DS, 0)
+		b.StartTimer()
+		if _, err := data.Curves(5, -1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -153,7 +153,8 @@ func New(strat strategy.Strategy, env strategy.Env, sink Sink, budget int) *Allo
 // sees the smaller of the two. ok is false when nothing is allocatable —
 // the budget is spent or reserved, or every candidate is exhausted,
 // leased, or costs more than remains. The resource stays hidden from
-// further Leases until the lease settles via Fulfill or Expire.
+// further Leases until the lease settles via Expire, or via Fulfill once
+// its post is applied.
 func (a *Allocator) Lease(remaining int) (resource int, lease LeaseID, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -177,15 +178,14 @@ func (a *Allocator) Lease(remaining int) (resource int, lease LeaseID, ok bool) 
 }
 
 // settleLocked removes the lease from the lease bookkeeping; its
-// reservation stays for the caller to charge or release. Caller holds
-// a.mu.
+// reservation and its in-flight mark stay for the caller to release.
+// Caller holds a.mu.
 func (a *Allocator) settleLocked(lease LeaseID) (held, error) {
 	h, ok := a.leases[lease]
 	if !ok {
 		return held{}, fmt.Errorf("alloc: lease %d: %w", lease, ErrUnknownLease)
 	}
 	delete(a.leases, lease)
-	a.inflight[h.resource]--
 	a.settled++
 	return h, nil
 }
@@ -209,10 +209,14 @@ func (a *Allocator) Fulfill(lease LeaseID, p tags.Post) error {
 	// Ingest outside the allocator mutex (the engine's shard locks
 	// provide safety), then settle the ledger and UPDATE under it. The
 	// reservation is held across the ingest, so a concurrent Lease can
-	// never count these units as free. The order matters — MU's priority
+	// never count these units as free, and so is the in-flight mark, so
+	// the mask hides the resource until its post is applied: a cursor
+	// strategy (RR) that handed it out again in between would have the
+	// next worker read the old count. The order matters — MU's priority
 	// key is the post-ingest MA score.
 	err = a.sink.Ingest(h.resource, p)
 	a.mu.Lock()
+	a.inflight[h.resource]--
 	a.reserved -= h.cost
 	if err == nil {
 		a.spent += h.cost
@@ -236,6 +240,7 @@ func (a *Allocator) Expire(lease LeaseID) error {
 		return err
 	}
 	a.expired++
+	a.inflight[h.resource]--
 	a.reserved -= h.cost
 	a.strat.Update(h.resource)
 	return nil

@@ -1,7 +1,8 @@
-// Package engine is the concurrent live-tagging core shared by the
-// replay simulator (internal/sim) and the serving facade (the public
-// Service). It generalizes the single-goroutine simulation loop into a
-// sharded, concurrency-safe ingest path with O(1) incremental metrics:
+// Package engine is the concurrent live-tagging core of the serving
+// facade (the public Service); the replay simulator (internal/sim) runs
+// its reference oracle on it. It generalizes the single-goroutine
+// simulation loop into a sharded, concurrency-safe ingest path with O(1)
+// incremental metrics:
 //
 //   - resources are partitioned across S shards (resource i lives on
 //     shard i mod S); each shard's state is guarded by its own mutex, so
@@ -56,6 +57,7 @@ import (
 	"incentivetag/internal/quality"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/stability"
+	"incentivetag/internal/stats"
 	"incentivetag/internal/tags"
 	"incentivetag/internal/tagstore"
 )
@@ -196,14 +198,10 @@ type resource struct {
 	maSum float64
 }
 
-// quality recomputes q_i from the maintained dot and norms. The
-// expression mirrors sparse.Counts.Cosine term for term (same guards,
-// same operand order, same clamping) so the result is bit-identical to
-// the seed's full-scan computation.
+// computeQuality recomputes q_i from the maintained dot and norms
+// through sparse.CosineOf, the expression Counts.Cosine evaluates, so
+// the result is bit-identical to the seed's full-scan computation.
 func (r *resource) computeQuality() float64 {
-	if r.refCounts == nil {
-		return 0
-	}
 	c := r.tracker.Counts()
 	return qualityFrom(r, r.dot, c.Norm2(), c.Posts())
 }
@@ -250,19 +248,6 @@ func (sh *shard) push(ev PostEvent, l int) {
 // later batches overwrite them.
 func (sh *shard) resetBatch() {
 	sh.batch, sh.targets = sh.batch[:0], sh.targets[:0]
-}
-
-// add accumulates x into the shard's compensated quality sum
-// (Neumaier's variant of Kahan summation: the correction term absorbs
-// the rounding error of each addition, whichever operand was smaller).
-func (s *shard) add(x float64) {
-	t := s.qsum + x
-	if math.Abs(s.qsum) >= math.Abs(x) {
-		s.qcomp += (s.qsum - t) + x
-	} else {
-		s.qcomp += (x - t) + s.qsum
-	}
-	s.qsum = t
 }
 
 // ErrResourceRange and ErrEmptyPost mark the two ingest failures that are
@@ -392,14 +377,14 @@ func New(cfg Config, specs []ResourceSpec) (*Engine, error) {
 
 		sh := e.shards[i%cfg.Shards]
 		sh.index(r, cfg.UnderThreshold)
-		sh.add(r.quality)
+		sh.qsum, sh.qcomp = stats.NeumaierAdd(sh.qsum, sh.qcomp, r.quality)
 	}
 	return e, nil
 }
 
 // checkSpecs refuses what no resource may declare: a negative stable
-// point or cost, or an id list of another length. New, Restore and Fork
-// all run it before building.
+// point or cost, or an id list of another length. New and Restore both
+// run it before building.
 func checkSpecs(specs []ResourceSpec, ids []uint32) error {
 	if ids != nil && len(ids) != len(specs) {
 		return fmt.Errorf("engine: %d ids for %d resources", len(ids), len(specs))
@@ -625,7 +610,7 @@ func (e *Engine) applyShard(s int, sh *shard, logged bool) error {
 
 		oldQ := r.quality
 		r.quality = r.computeQuality()
-		sh.add(r.quality - oldQ)
+		sh.qsum, sh.qcomp = stats.NeumaierAdd(sh.qsum, sh.qcomp, r.quality-oldQ)
 
 		// Over-tagged can only flip false→true (counts are monotone).
 		if r.stableK > 0 && r.consumed == r.stableK {
@@ -705,17 +690,6 @@ func (e *Engine) CostOf(i int) int {
 	sh, l := e.locate(i)
 	// cost is immutable after construction; no lock needed.
 	return sh.res[l].cost
-}
-
-// Spent returns the total reward units consumed by ingested posts.
-func (e *Engine) Spent() int {
-	total := 0
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		total += sh.spent
-		sh.mu.Unlock()
-	}
-	return total
 }
 
 // Snapshot reads the incrementally maintained aggregates — an O(shards)

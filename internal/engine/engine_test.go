@@ -668,7 +668,7 @@ func TestBatchValidation(t *testing.T) {
 		{e.IngestMany([]PostEvent{{3, nil}}), ErrEmptyPost, "engine: event 0: empty post for resource 3"},
 		{e.Replay(4, tags.Post{1}), ErrResourceRange, "engine: resource index 4 out of range [0,4)"},
 		{e.Replay(1, nil), ErrEmptyPost, "engine: empty post for resource 1"},
-		{e.EnsureResident(7), ErrResourceRange, "engine: resource index 7 out of range [0,4)"},
+		{e.ensureResident(7), ErrResourceRange, "engine: resource index 7 out of range [0,4)"},
 	} {
 		if !errors.Is(tc.err, tc.is) || tc.err.Error() != tc.text {
 			t.Errorf("got %q (is %q: %v), want %q", tc.err, tc.is, errors.Is(tc.err, tc.is), tc.text)

@@ -257,7 +257,7 @@ func TestRehydrateRefusesRingOffPosts(t *testing.T) {
 		eng.shards[0].res[0].frozen = tampered
 		ma, _ := eng.MA(0)
 		before := eng.Residency()
-		if err := eng.EnsureResident(0); err == nil {
+		if err := eng.ensureResident(0); err == nil {
 			t.Fatalf("%d posts at head %d fill %d accepted for 12 consumed", bad.Posts, bad.Head, bad.Fill)
 		}
 		after := eng.Residency()
@@ -282,7 +282,7 @@ func TestRehydrateRefusesRingOffPosts(t *testing.T) {
 	assertEnginesBitIdentical(t, eng, twin)
 }
 
-// BenchmarkRehydrate times one cold → hot transition (EnsureResident on
+// BenchmarkRehydrate times one cold → hot transition (ensureResident on
 // a cold resource) over the January state of an n = 2 000 synthetic
 // corpus, the Figure-6 replay's scale: ns/op and allocs/op are per
 // rehydration. Every resource is evicted, outside the timer, before
@@ -316,7 +316,7 @@ func BenchmarkRehydrate(b *testing.B) {
 			}
 			b.StartTimer()
 		}
-		if err := eng.EnsureResident(i); err != nil {
+		if err := eng.ensureResident(i); err != nil {
 			b.Fatal(err)
 		}
 	}

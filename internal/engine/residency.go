@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -69,25 +68,12 @@ type ResidencyStats struct {
 
 // qualityFrom is computeQuality over explicit operands — shared by the
 // hot path (tracker-backed) and the cold paths (scanned from a frozen
-// record), guard for guard and clamp for clamp with Counts.Cosine.
+// record); sparse.CosineOf makes it Counts.Cosine bit for bit.
 func qualityFrom(r *resource, dot int64, n2 float64, posts int) float64 {
 	if r.refCounts == nil {
 		return 0
 	}
-	if posts == 0 || r.refPosts == 0 {
-		return 0
-	}
-	if n2 == 0 || r.refNorm2 == 0 {
-		return 0
-	}
-	s := float64(dot) / math.Sqrt(n2*r.refNorm2)
-	if s > 1 {
-		s = 1
-	}
-	if s < 0 {
-		s = 0
-	}
-	return s
+	return sparse.CosineOf(float64(dot), n2, posts, r.refNorm2, r.refPosts)
 }
 
 // ma answers MA for hot or cold resources: hot delegates to the
@@ -222,10 +208,10 @@ func (e *Engine) Resident(i int) bool {
 	return hot
 }
 
-// EnsureResident rehydrates resource i if it is cold and bumps its
+// ensureResident rehydrates resource i if it is cold and bumps its
 // access recency — the explicit form of the rehydrate-on-touch every
 // ingest path performs implicitly.
-func (e *Engine) EnsureResident(i int) error {
+func (e *Engine) ensureResident(i int) error {
 	if i < 0 || i >= e.n {
 		return fmt.Errorf("engine: resource index %d %w [0,%d)", i, ErrResourceRange, e.n)
 	}

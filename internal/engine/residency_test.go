@@ -22,10 +22,10 @@ func marshaled(t *testing.T, e *Engine) []byte {
 // never-evicted twin through a random interleaving of every mutating
 // and residency operation and demands bit-identical observables
 // throughout — the tentpole guarantee: eviction and rehydration are
-// invisible to every read. The tiered side is an engine built hot, one
-// booted cold by Restore and a Fork of another such boot, so the dot a
-// cold resource retains — computed by Restore, copied by Fork, kept by
-// every freeze — is held to the twin's on every post that follows.
+// invisible to every read. The tiered side is an engine built hot and
+// one booted cold by Restore, so the dot a cold resource retains —
+// computed by Restore, kept by every freeze — is held to the twin's on
+// every post that follows.
 func TestResidencyPropertyBitIdentical(t *testing.T) {
 	for _, universe := range []int{0, 512} {
 		const n = 48
@@ -43,15 +43,7 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		template, _, err := Restore(cfg, specs, marshaled(t, oracle))
-		if err != nil {
-			t.Fatal(err)
-		}
-		forked, err := template.Fork(specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines := []*Engine{tiered, booted, forked}
+		engines := []*Engine{tiered, booted}
 		all := append([]*Engine{oracle}, engines...)
 		rng := rand.New(rand.NewSource(23))
 		for step := 0; step < 4000; step++ {
@@ -97,7 +89,7 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 				}
 			case op < 9: // explicit rehydrate-on-touch
 				for _, e := range engines {
-					if err := e.EnsureResident(i); err != nil {
+					if err := e.ensureResident(i); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -265,49 +265,6 @@ func (sh *shard) index(r *resource, under int) {
 	}
 }
 
-// Fork returns an independent engine equal to Restore(cfg, specs, p) for
-// the payload p this engine was restored from, at the cost of a copy: the
-// resource structs are copied into one slab and the shard aggregates
-// carried over, while the frozen records and reference vectors — never
-// written in place — are shared. specs supply the stable points and task
-// costs, which may differ from call to call, and over-tagged resources
-// are recounted under them; initial prefixes and references must be the
-// ones the engine was restored over. Only a quiescent template can fork:
-// an engine with a WAL, a subscriber or a hot resource is refused.
-func (e *Engine) Fork(specs []ResourceSpec) (*Engine, error) {
-	if len(specs) != e.n {
-		return nil, fmt.Errorf("engine: fork of %d resources over %d specs", e.n, len(specs))
-	}
-	if err := checkSpecs(specs, e.cfg.IDs); err != nil {
-		return nil, err
-	}
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	if e.cfg.WAL != nil || e.sub != nil {
-		return nil, fmt.Errorf("engine: cannot fork an engine with a WAL or a subscriber")
-	}
-	f := &Engine{cfg: e.cfg, n: e.n, shards: make([]*shard, len(e.shards))}
-	slab := make([]resource, e.n)
-	for s, sh := range e.shards {
-		fs := &shard{qsum: sh.qsum, qcomp: sh.qcomp, spent: sh.spent, posts: sh.posts, wasted: sh.wasted,
-			res: make([]*resource, 0, len(sh.res))}
-		for l, r := range sh.res {
-			i := l*len(e.shards) + s
-			if r.tracker != nil {
-				return nil, fmt.Errorf("engine: cannot fork: resource %d is resident", i)
-			}
-			fr := &slab[i]
-			*fr = *r
-			fr.stableK, fr.cost, fr.lastTouch = specs[i].StableK, max(specs[i].Cost, 1), 0
-			fs.index(fr, e.cfg.UnderThreshold)
-		}
-		f.shards[s] = fs
-	}
-	return f, nil
-}
-
 // Replay applies one recovered post to resource i without writing the
 // WAL — the record already sits in the log. It is the recovery twin of
 // Ingest: same validation, same metric deltas, no append. Replaying a

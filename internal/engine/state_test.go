@@ -11,7 +11,6 @@ import (
 	"incentivetag/internal/quality"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
-	"incentivetag/internal/tagstore"
 )
 
 // stateSpecs builds a small synthetic corpus of engine specs with
@@ -105,12 +104,12 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 		// for bit: nothing is lost or rounded on the way through a frozen
 		// record.
 		for i := 0; i < restored.N(); i++ {
-			if err := restored.EnsureResident(i); err != nil {
+			if err := restored.ensureResident(i); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if st := restored.Residency(); st.Cold != 0 {
-			t.Fatalf("EnsureResident left %d resources cold", st.Cold)
+			t.Fatalf("ensureResident left %d resources cold", st.Cold)
 		}
 		if !bytes.Equal(marshaled(t, restored), payload) {
 			t.Fatal("re-exported state differs from the restored payload")
@@ -327,90 +326,6 @@ func withIDs(cfg Config, n int, offset uint32) Config {
 		cfg.IDs[i] = 2*uint32(i) + offset
 	}
 	return cfg
-}
-
-// A fork equals a restore of the same payload under the fork's own
-// stable points and costs, and only a quiescent template forks: one with
-// a WAL, a subscriber or a resident resource is refused, as are specs
-// Restore would refuse.
-func TestFork(t *testing.T) {
-	specs := stateSpecs(16, 11)
-	cfg := Config{Omega: 5, Shards: 2, UnderThreshold: 10}
-	eng, err := New(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := marshaled(t, eng)
-	restore := func(cfg Config, specs []ResourceSpec) *Engine {
-		t.Helper()
-		e, _, err := Restore(cfg, specs, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	moved := append([]ResourceSpec(nil), specs...)
-	for i := range moved {
-		moved[i].StableK, moved[i].Cost = 1+i%5, 1+i%3
-	}
-	template := restore(cfg, specs)
-	fork, err := template.Fork(moved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := restore(cfg, moved)
-	assertEnginesBitIdentical(t, fork, want)
-	rng := rand.New(rand.NewSource(3))
-	for k := 0; k < 200; k++ {
-		i, p := rng.Intn(16), testPost(rng)
-		if fork.CostOf(i) != want.CostOf(i) {
-			t.Fatalf("resource %d costs %d, restored %d", i, fork.CostOf(i), want.CostOf(i))
-		}
-		if err := fork.Ingest(i, p); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.Ingest(i, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertEnginesBitIdentical(t, fork, want)
-	if !bytes.Equal(marshaled(t, template), payload) {
-		t.Fatal("traffic on a fork reached its template")
-	}
-
-	negCost := append([]ResourceSpec(nil), specs...)
-	negCost[3].Cost = -3
-	hot := restore(cfg, specs)
-	if err := hot.EnsureResident(5); err != nil {
-		t.Fatal(err)
-	}
-	subscribed := restore(cfg, specs)
-	if err := subscribed.Subscribe(newRecordingSub(subscribed)); err != nil {
-		t.Fatal(err)
-	}
-	wal, err := tagstore.Open(t.TempDir(), tagstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wal.Close()
-	walCfg := cfg
-	walCfg.WAL = wal
-	cases := []struct {
-		name     string
-		template *Engine
-		sp       []ResourceSpec
-	}{
-		{"resident resource", hot, specs},
-		{"subscriber", subscribed, specs},
-		{"WAL", restore(walCfg, specs), specs},
-		{"negative cost", template, negCost},
-		{"resource count mismatch", template, specs[:8]},
-	}
-	for _, tc := range cases {
-		if _, err := tc.template.Fork(tc.sp); err == nil {
-			t.Errorf("%s: forked", tc.name)
-		}
-	}
 }
 
 func TestExportStateConcurrentWithIngest(t *testing.T) {

@@ -287,7 +287,7 @@ func TestSubscriberViewLockPerTransition(t *testing.T) {
 		return eng.IngestMany([]PostEvent{{i, tags.MustPost(1)}, {2, tags.MustPost(2)}, {7, tags.MustPost(3)}, {i, tags.MustPost(1, 9)}})
 	})
 	step("evict before ensure", 1, 0, evict)
-	step("ensure resident", 1, 0, func() error { return eng.EnsureResident(i) })
+	step("ensure resident", 1, 0, func() error { return eng.ensureResident(i) })
 }
 
 // Concurrent ingest with a subscriber attached — single posts and

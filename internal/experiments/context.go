@@ -129,7 +129,7 @@ func (ctx *Context) Curves() ([]quality.Curve, error) {
 	if ctx.Scale.DPMaxBudget > bound {
 		bound = ctx.Scale.DPMaxBudget
 	}
-	curves, err := sim.BuildCurves(ctx.Data, bound)
+	curves, err := ctx.Data.Curves(ctx.Scale.Omega, bound)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func TestRunAllTiny(t *testing.T) {
 		"Figure 6(a)", "Figure 6(b)", "Figure 6(c)", "Figure 6(d)",
 		"Figure 6(e)", "Figure 6(f)", "Figure 6(g)", "Figure 6(h)",
 		"Table VI", "Table VII", "Figure 7(a)", "Figure 7(b)",
-		"Dataset census", residentNote,
+		"Dataset census", timingNote,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)

@@ -4,18 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"incentivetag/internal/quality"
-	"incentivetag/internal/sparse"
 	"incentivetag/internal/stability"
 	"incentivetag/internal/stats"
 	"incentivetag/internal/synth"
 )
-
-// sparseFrom replays the first k posts of a resource into a fresh count
-// vector.
-func sparseFrom(r *synth.Resource, k int) *sparse.Counts {
-	return sparse.FromSeq(r.Seq, k)
-}
 
 // pickShowcase returns the resource with the longest sequence among
 // ordinary (non-drift) resources — the analogue of the heavily-tagged
@@ -134,6 +126,10 @@ func fig5(ctx *Context, w io.Writer) error {
 	// Pick the under-tagged resource with the lowest initial quality (the
 	// paper's r_i, where 10 extra posts buy a large improvement) and a
 	// nearly-stable one (r_j, where the same tasks buy almost nothing).
+	curves, err := ctx.Data.Curves(ctx.Scale.Omega, 40)
+	if err != nil {
+		return err
+	}
 	under, over := -1, -1
 	underQ := 2.0
 	for i := range ctx.DS.Resources {
@@ -141,8 +137,7 @@ func fig5(ctx *Context, w io.Writer) error {
 		if r.Drift != nil || len(r.Seq) <= r.Initial+40 {
 			continue
 		}
-		ref := quality.NewReference(r.StableRFD)
-		q0 := ref.Of(sparseFrom(r, r.Initial))
+		q0 := curves[i][0]
 		if r.Initial <= ctx.DS.Cfg.UnderTaggedThreshold && q0 < underQ {
 			under, underQ = i, q0
 		}
@@ -158,14 +153,7 @@ func fig5(ctx *Context, w io.Writer) error {
 		Headers: []string{"extra posts x", "q_i(c_i+x)", "q_j(c_j+x)"},
 	}
 	ri, rj := &ctx.DS.Resources[under], &ctx.DS.Resources[over]
-	ci, err := quality.BuildCurve(ri.Seq, ri.Initial, 40, quality.NewReference(ri.StableRFD))
-	if err != nil {
-		return err
-	}
-	cj, err := quality.BuildCurve(rj.Seq, rj.Initial, 40, quality.NewReference(rj.StableRFD))
-	if err != nil {
-		return err
-	}
+	ci, cj := curves[under], curves[over]
 	for x := 0; x <= 40; x += 5 {
 		t.addRow(d(x), f4(ci.At(x)), f4(cj.At(x)))
 	}

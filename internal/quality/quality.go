@@ -1,15 +1,10 @@
 // Package quality implements tagging quality (Definitions 9–10): the
 // cosine similarity between a resource's current rfd and its
-// practically-stable rfd, plus the replayed quality curves the DP optimal
-// algorithm consumes.
+// practically-stable rfd, plus the quality curve type the DP optimal
+// algorithm consumes (the replay tabulates the curves, see sim.Data.Curves).
 package quality
 
-import (
-	"fmt"
-
-	"incentivetag/internal/sparse"
-	"incentivetag/internal/tags"
-)
+import "incentivetag/internal/sparse"
 
 // Reference is the practically-stable rfd φ̂_i of a resource, against
 // which tagging quality is measured: a reference is its counts.
@@ -54,26 +49,4 @@ func (c Curve) At(x int) float64 {
 		x = len(c) - 1
 	}
 	return c[x]
-}
-
-// BuildCurve replays seq and returns the quality curve of one resource:
-// entry x is q(c+x) = s(F(c+x), ref) for x in [0, maxX], where maxX is
-// capped by both the requested budget bound and the number of future posts
-// available (len(seq) − c).
-func BuildCurve(seq tags.Seq, c int, budgetBound int, ref *Reference) (Curve, error) {
-	if c < 0 || c > len(seq) {
-		return nil, fmt.Errorf("quality: initial post count %d out of range [0,%d]", c, len(seq))
-	}
-	maxX := len(seq) - c
-	if budgetBound >= 0 && budgetBound < maxX {
-		maxX = budgetBound
-	}
-	counts := sparse.FromSeq(seq, c)
-	curve := make(Curve, maxX+1)
-	curve[0] = ref.Of(counts)
-	for x := 1; x <= maxX; x++ {
-		counts.Add(seq[c+x-1])
-		curve[x] = ref.Of(counts)
-	}
-	return curve, nil
 }

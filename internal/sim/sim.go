@@ -14,17 +14,11 @@
 // over-tagged resource counts, wasted post tasks, under-tagged
 // percentages, and wall-clock runtime.
 //
-// Since the engine extraction, State is a thin replay adapter over
-// internal/engine: the engine owns trackers, consumed counts and the
-// incrementally maintained aggregate metrics, so checkpoint snapshots
-// are O(1) reads instead of O(n·|tags|) scans. RunReference retains the
-// seed's full-scan snapshot path as the equivalence oracle.
-//
-// The January state is primed once per (Data, ω) — engine.New over the
-// initial prefixes, marshalled and restored cold into a template engine
-// cached on the Data — and every NewState is a Fork of that template:
-// all resources start cold, and a run rehydrates exactly the resources
-// its strategy pays.
+// A resource's state after k posts depends on k alone, so each
+// (Data, ω) is tabulated once into a tape (tape.go), and a run is the
+// strategy plus reads of it. Checkpoints are O(1) reads, bit-identical
+// to a single-shard engine run's; RunReference checks them against a hot
+// engine and the seed's full scan.
 package sim
 
 import (
@@ -37,6 +31,7 @@ import (
 	"incentivetag/internal/engine"
 	"incentivetag/internal/quality"
 	"incentivetag/internal/sparse"
+	"incentivetag/internal/stats"
 	"incentivetag/internal/strategy"
 	"incentivetag/internal/synth"
 	"incentivetag/internal/tags"
@@ -62,65 +57,10 @@ type Data struct {
 	// snapshots; it selects no count representation.
 	TagUniverse int
 
-	// primed caches, per ω, the January state NewState forks.
-	mu     sync.Mutex
-	primed map[int]*primedState
-}
-
-// primedState is one primed engine restored cold from its marshalled
-// form — the immutable template every State of the same (Data, ω) forks —
-// with the inputs it was primed over, so a Data mutated since is never
-// replayed stale. StableK and Costs need no entry: no payload stores
-// them, every Fork takes them from the specs of the day.
-type primedState struct {
-	template *engine.Engine
-	under    int
-	specs    []engine.ResourceSpec
-}
-
-// primedOver reports whether the template was primed over these inputs:
-// per resource the same reference and the same initial prefix, by
-// identity (same backing array, same length).
-func (t *primedState) primedOver(under int, specs []engine.ResourceSpec) bool {
-	if t.under != under || len(t.specs) != len(specs) {
-		return false
-	}
-	for i := range specs {
-		a, b := t.specs[i].Initial, specs[i].Initial
-		if t.specs[i].Ref != specs[i].Ref || len(a) != len(b) || (len(a) > 0 && &a[0] != &b[0]) {
-			return false
-		}
-	}
-	return true
-}
-
-// primedTemplate returns the cold January template for cfg, priming it
-// with engine.New — the only code that primes — and restoring it through
-// engine.Restore on the first call for cfg.Omega and again whenever the
-// Data has changed underneath the cache.
-func (d *Data) primedTemplate(cfg engine.Config, specs []engine.ResourceSpec) (*engine.Engine, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if t := d.primed[cfg.Omega]; t != nil && t.primedOver(cfg.UnderThreshold, specs) {
-		return t.template, nil
-	}
-	eng, err := engine.New(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := eng.ExportState().MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	template, _, err := engine.Restore(cfg, specs, payload)
-	if err != nil {
-		return nil, err
-	}
-	if d.primed == nil {
-		d.primed = make(map[int]*primedState)
-	}
-	d.primed[cfg.Omega] = &primedState{template: template, under: cfg.UnderThreshold, specs: specs}
-	return template, nil
+	// tape caches the replay table of the last ω NewState or Curves
+	// asked for (see tapeFor).
+	mu   sync.Mutex
+	tape *tape
 }
 
 // FromDataset adapts a synthetic dataset (optionally restricted to the
@@ -191,18 +131,22 @@ func (d *Data) MaxBudget() int {
 	return total
 }
 
-// State is one mutable simulation run: a thin replay adapter over the
-// shared engine core (internal/engine), which owns the trackers, the
-// consumed counts and the incrementally maintained metrics. State adds
-// the replay semantics — posts come from the recorded sequences, and a
-// resource is Available only while recorded posts remain — and keeps
-// the assignment vector the paper's analyses read. It implements
-// strategy.Env and strategy.OrganicWeighter.
+// State is one mutable simulation run over its Data's tape: the
+// assignment vector the paper's analyses read, and the aggregates kept
+// as the single-shard engine keeps them. A resource is Available only
+// while recorded posts remain. It implements strategy.Env and
+// strategy.OrganicWeighter.
 type State struct {
 	data *Data
+	tape *tape
 	rng  *rand.Rand
-	eng  *engine.Engine
 	x    core.Assignment
+
+	qsum, qcomp                float64
+	over, under, wasted, spent int
+
+	// eng is the engine twin Engine builds on its first call.
+	eng *engine.Engine
 }
 
 // EngineSpecs maps the replay data onto engine resource declarations:
@@ -224,52 +168,59 @@ func (d *Data) EngineSpecs() []engine.ResourceSpec {
 	return specs
 }
 
-// NewState starts a fresh run from the January state. That state is
-// primed once per (Data, ω), marshalled (226 KB at Figure-6 scale) and
-// restored cold into a template engine — the restore a serving node
-// boots through, every validation included — and each call forks the
-// template with the day's stable points and costs. All resources start
-// COLD, aliasing the shared read-only payload: Count, MA, QualityOf and
-// Snapshot answer from the scalars a cold resource retains, so MU's MA
-// sweep and FP's count heap rehydrate nothing, and step rehydrates
-// exactly the resources a strategy pays — each first touch decodes its
-// record in one pass into a presized tracker, three allocations (the
-// engine's BenchmarkRehydrate times it). A fork copies the resource
-// structs and shares the frozen records: on replay-fig6 (n = 2 005,
-// B = 10 000, 2 vCPU) it costs 0.14–0.20 ms, under 2.5 % of the run
-// that follows.
-//
-// The engine has a single shard, so aggregate summation order (and thus
-// every reported float) is reproducible across machines. It leaves
-// TagUniverse undeclared: the universe only labels snapshots, and the
-// template's payload never leaves the process.
+// NewState starts a fresh run from the January state over the Data's
+// tape for omega, built on the first call (see tapeFor). A call then
+// costs the cache check, an assignment vector and one pass over the
+// day's stable points and costs.
 func NewState(data *Data, omega int, seed int64) *State {
-	cfg := engine.Config{
-		Omega:          omega,
-		Shards:         1,
-		UnderThreshold: data.UnderThreshold,
-	}
-	specs := data.EngineSpecs()
-	eng, err := data.primedTemplate(cfg, specs)
-	if err == nil {
-		eng, err = eng.Fork(specs)
-	}
+	tp, err := data.tapeFor(omega)
 	if err != nil {
 		// Data.Validate catches every bad input; reaching here means the
 		// caller skipped validation with corrupt vectors.
 		panic(fmt.Sprintf("sim: %v", err))
 	}
-	return &State{
-		data: data,
-		rng:  rand.New(rand.NewSource(seed)),
-		eng:  eng,
-		x:    make(core.Assignment, data.N()),
+	st := &State{
+		data:  data,
+		tape:  tp,
+		rng:   rand.New(rand.NewSource(seed)),
+		x:     make(core.Assignment, data.N()),
+		qsum:  tp.qsum,
+		qcomp: tp.qcomp,
 	}
+	for i, k := range data.Initial {
+		if data.StableK[i] < 0 || (data.Costs != nil && data.Costs[i] < 0) {
+			panic(fmt.Sprintf("sim: resource %d: negative stable point or cost", i))
+		}
+		if sk := data.StableK[i]; sk > 0 && k >= sk {
+			st.over++
+		}
+		if u := data.UnderThreshold; u >= 0 && k <= u {
+			st.under++
+		}
+	}
+	return st
 }
 
-// Engine exposes the underlying shared engine core (read-side use:
-// per-resource quality, live metric snapshots).
-func (st *State) Engine() *engine.Engine { return st.eng }
+// Engine returns the run's engine twin: a hot single-shard engine
+// primed by engine.New, fed the posts the run has paid so far, and from
+// then on every post a step pays. It is built on the first call.
+func (st *State) Engine() *engine.Engine {
+	if st.eng != nil {
+		return st.eng
+	}
+	eng, err := engine.New(engine.Config{Omega: st.tape.omega, Shards: 1, UnderThreshold: st.data.UnderThreshold}, st.data.EngineSpecs())
+	for i, xi := range st.x {
+		c := st.data.Initial[i]
+		for k := c; k < c+xi && err == nil; k++ {
+			err = eng.Ingest(i, st.data.Seqs[i][k])
+		}
+	}
+	if err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+	st.eng = eng
+	return eng
+}
 
 // --- strategy.Env implementation ---
 
@@ -279,16 +230,26 @@ func (st *State) N() int { return st.data.N() }
 // Count returns c_i + x_i, read from the run's own assignment.
 func (st *State) Count(i int) int { return st.data.Initial[i] + st.x[i] }
 
-// MA returns the resource's current MA score.
-func (st *State) MA(i int) (float64, bool) { return st.eng.MA(i) }
+// MA returns the resource's current MA score, read off the tape.
+func (st *State) MA(i int) (float64, bool) {
+	if st.Count(i) < st.tape.omega {
+		return 0, false
+	}
+	return st.tape.ma[st.tape.off[i]+st.x[i]], true
+}
 
 // Available reports whether recorded future posts remain for i.
 func (st *State) Available(i int) bool { return st.Count(i) < len(st.data.Seqs[i]) }
 
-// Cost returns the reward units of one post task on i, captured from
-// Data.Costs at NewState (costs must be positive; Data.Validate
-// enforces it).
-func (st *State) Cost(i int) int { return st.eng.CostOf(i) }
+// Cost returns the reward units of one post task on i: Data.Costs[i],
+// or 1 under unit costs (costs must be positive; Data.Validate enforces
+// it).
+func (st *State) Cost(i int) int {
+	if st.data.Costs == nil {
+		return 1
+	}
+	return max(st.data.Costs[i], 1)
+}
 
 // Rand returns the run's deterministic RNG.
 func (st *State) Rand() *rand.Rand { return st.rng }
@@ -313,8 +274,8 @@ type Checkpoint struct {
 	// past their stable point when the task ran.
 	WastedPosts int
 	// Elapsed is cumulative strategy+replay wall time, excluding metric
-	// computation. It includes the first-touch rehydration of each
-	// resource the run pays (every State starts cold, see NewState).
+	// computation: selection plus tape reads (the tape is built in
+	// NewState).
 	Elapsed time.Duration
 }
 
@@ -331,47 +292,68 @@ func fromMetrics(m engine.Metrics, elapsed time.Duration) Checkpoint {
 	}
 }
 
-// snapshot reads the engine's incrementally maintained metrics — O(1)
-// in the resource count, where the seed recomputed an O(n·|tags|) scan
-// at every checkpoint.
+// snapshot reads the run's aggregates: O(1) in the resource count,
+// where the seed recomputed an O(n·|tags|) scan at every checkpoint.
+// It divides as engine.Snapshot does, so the two agree bit for bit.
 func (st *State) snapshot(elapsed time.Duration) Checkpoint {
-	return fromMetrics(st.eng.Snapshot(), elapsed)
-}
-
-// verifySnapshot recomputes the checkpoint by the seed's full scan —
-// the O(n·|tags|) reference path retained for equivalence tests and
-// the checkpoint-cost benchmarks. Production callers use the O(1)
-// incremental snapshot via Run / Quality.
-func (st *State) verifySnapshot(elapsed time.Duration) Checkpoint {
-	return fromMetrics(st.eng.VerifyMetrics(), elapsed)
+	cp := Checkpoint{Budget: st.spent, OverTagged: st.over, UnderTagged: st.under, WastedPosts: st.wasted, Elapsed: elapsed}
+	if n := st.N(); n > 0 {
+		cp.MeanQuality = (st.qsum + st.qcomp) / float64(n)
+		cp.UnderTaggedPct = float64(st.under) / float64(n)
+	}
+	return cp
 }
 
 // Quality returns the current mean tagging quality q(R, ·).
-func (st *State) Quality() float64 { return st.eng.Snapshot().MeanQuality }
+func (st *State) Quality() float64 { return st.snapshot(0).MeanQuality }
 
-// SnapshotRFDs clones every resource's current rfd counts — the input of
-// the similarity case studies (§V-C).
-func (st *State) SnapshotRFDs() []*sparse.Counts { return st.eng.SnapshotRFDs() }
+// SnapshotRFDs rebuilds every resource's current rfd counts from the
+// assignment — the input of the similarity case studies (§V-C).
+func (st *State) SnapshotRFDs() []*sparse.Counts {
+	out := make([]*sparse.Counts, st.N())
+	for i := range out {
+		out[i] = sparse.FromSeq(st.data.Seqs[i], st.Count(i))
+	}
+	return out
+}
 
 // Assignment returns a copy of the tasks allocated so far.
 func (st *State) Assignment() core.Assignment { return st.x.Clone() }
 
 // Spent returns the budget consumed so far.
-func (st *State) Spent() int { return st.eng.Spent() }
+func (st *State) Spent() int { return st.spent }
 
 // step allocates one post task to resource i, replaying its next recorded
-// post. It returns an error if the resource is exhausted.
+// post with the engine's accounting: the tape's quality delta goes into
+// the compensated sum, the flags follow from the count. It returns an
+// error if the resource is exhausted.
 func (st *State) step(i int) error {
-	if i < 0 || i >= st.data.N() {
+	if i < 0 || i >= st.N() {
 		return fmt.Errorf("sim: resource index %d out of range", i)
 	}
 	if !st.Available(i) {
 		return fmt.Errorf("sim: resource %d has no replayable posts left", i)
 	}
-	if err := st.eng.Ingest(i, st.data.Seqs[i][st.Count(i)]); err != nil {
-		return fmt.Errorf("sim: %w", err)
+	k := st.Count(i)
+	if st.eng != nil {
+		if err := st.eng.Ingest(i, st.data.Seqs[i][k]); err != nil {
+			return fmt.Errorf("sim: %w", err)
+		}
 	}
+	sk := st.data.StableK[i]
+	if sk > 0 && k >= sk { // wasted: the task ran at or past the stable point
+		st.wasted++
+	}
+	row := st.tape.q[st.tape.off[i]+st.x[i]:]
+	st.qsum, st.qcomp = stats.NeumaierAdd(st.qsum, st.qcomp, row[1]-row[0])
 	st.x[i]++
+	if k+1 == sk {
+		st.over++
+	}
+	if u := st.data.UnderThreshold; u >= 0 && k == u {
+		st.under--
+	}
+	st.spent += st.Cost(i)
 	return nil
 }
 
@@ -380,28 +362,37 @@ func (st *State) step(i int) error {
 // exhausted or the strategy has nothing to allocate. Snapshots are taken
 // whenever spent budget crosses one of the ascending checkpoint values
 // (checkpoints == nil records only the final state). Each snapshot is an
-// O(1) read of the engine's incremental metrics.
+// O(1) read of the run's aggregates.
 func (st *State) Run(s strategy.Strategy, budget int, checkpoints []int) ([]Checkpoint, error) {
-	return st.run(s, budget, checkpoints, st.snapshot)
+	return st.run(st, s, budget, checkpoints, st.snapshot)
 }
 
-// RunReference is Run with every snapshot recomputed by the seed's full
-// O(n·|tags|) scan instead of the incremental metrics. It exists as the
-// equivalence oracle: for a fixed seed it must produce the same
-// checkpoints as Run (bit-identical integer metrics and per-resource
-// qualities; mean quality up to float reassociation of the n-term sum).
-// The whole state is rehydrated first: the oracle scans live vectors at
-// every checkpoint and shares nothing with the frozen-record read path.
+// RunReference is Run checked by an independent oracle: the engine twin
+// (Engine), primed hot by engine.New. The strategy reads counts, MA
+// scores and costs from that engine through an engine.View, and every
+// checkpoint is its VerifyMetrics, the seed's full O(n·|tags|) scan.
+// For a fixed seed it must produce the checkpoints Run does:
+// bit-identical integer metrics and per-resource qualities, and mean
+// quality up to float reassociation of the n-term sum.
 func (st *State) RunReference(s strategy.Strategy, budget int, checkpoints []int) ([]Checkpoint, error) {
-	for i := 0; i < st.data.N(); i++ {
-		if err := st.eng.EnsureResident(i); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-	}
-	return st.run(s, budget, checkpoints, st.verifySnapshot)
+	eng := st.Engine()
+	return st.run(st.engineEnv(), s, budget, checkpoints, func(elapsed time.Duration) Checkpoint {
+		return fromMetrics(eng.VerifyMetrics(), elapsed)
+	})
 }
 
-func (st *State) run(s strategy.Strategy, budget int, checkpoints []int, snap func(time.Duration) Checkpoint) ([]Checkpoint, error) {
+// engineEnv is the Env over the engine twin: counts, MA scores and
+// costs from the engine, availability from the engine's counts, and the
+// State's organic weights and RNG.
+func (st *State) engineEnv() strategy.Env {
+	eng := st.Engine()
+	return struct {
+		*engine.View
+		strategy.OrganicWeighter
+	}{&engine.View{Eng: eng, Rng: st.rng, AvailableFn: func(i int) bool { return eng.Count(i) < len(st.data.Seqs[i]) }}, st}
+}
+
+func (st *State) run(env strategy.Env, s strategy.Strategy, budget int, checkpoints []int, snap func(time.Duration) Checkpoint) ([]Checkpoint, error) {
 	if budget < 0 {
 		return nil, fmt.Errorf("sim: negative budget %d", budget)
 	}
@@ -422,7 +413,7 @@ func (st *State) run(s strategy.Strategy, budget int, checkpoints []int, snap fu
 		next++
 	}
 
-	s.Init(st)
+	s.Init(env)
 	for spent < budget {
 		i, ok := s.Choose(budget - spent)
 		if !ok {
@@ -501,19 +492,4 @@ func ApplyAssignment(data *Data, x core.Assignment) (Checkpoint, error) {
 	}
 	cp.MeanQuality = qsum / float64(n)
 	return cp, nil
-}
-
-// BuildCurves precomputes every resource's quality curve up to
-// budgetBound extra posts — the DP's input (and the simulator's oracle
-// for objective evaluation).
-func BuildCurves(data *Data, budgetBound int) ([]quality.Curve, error) {
-	curves := make([]quality.Curve, data.N())
-	for i := range curves {
-		c, err := quality.BuildCurve(data.Seqs[i], data.Initial[i], budgetBound, data.Refs[i])
-		if err != nil {
-			return nil, fmt.Errorf("sim: resource %d: %w", i, err)
-		}
-		curves[i] = c
-	}
-	return curves, nil
 }

@@ -136,10 +136,11 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// The engine-backed incremental checkpoint path must reproduce the
-// seed's full-scan checkpoints for a fixed seed, for every strategy:
-// identical assignments, bit-identical integer metrics and per-resource
-// qualities, and mean quality up to the reassociation of the n-term sum
+// The tape run must reproduce the independent oracle — a hot engine
+// primed by engine.New, its strategy reading the engine, its checkpoints
+// the seed's full scan — for a fixed seed, for every strategy: identical
+// assignments, bit-identical integer metrics, per-resource qualities and
+// MA scores, and mean quality up to the reassociation of the n-term sum
 // (the per-resource cosines are integer-exact in both paths, so only
 // the order of the final float additions can differ).
 func TestEngineMatchesReferenceCheckpoints(t *testing.T) {
@@ -179,16 +180,23 @@ func TestEngineMatchesReferenceCheckpoints(t *testing.T) {
 				t.Fatalf("%s: checkpoint %d mean quality %.17g vs %.17g", name, k, a.MeanQuality, b.MeanQuality)
 			}
 		}
-		// Per-resource qualities are bit-identical between the engine's
-		// incremental maintenance and a from-scratch cosine.
+		// Per-resource qualities and MA scores are bit-identical between
+		// the tape, the oracle's engine and a from-scratch tracker.
 		for i := 0; i < d.N(); i++ {
 			tr := stability.NewTracker(5)
 			for k := 0; k < inc.Count(i); k++ {
 				tr.Observe(d.Seqs[i][k])
 			}
 			want := d.Refs[i].Of(tr.Counts())
-			if got := inc.Engine().QualityOf(i); got != want {
-				t.Fatalf("%s: resource %d quality %.17g != full-scan %.17g", name, i, got, want)
+			if got, eng := qualityOf(inc, i), ref.Engine().QualityOf(i); math.Float64bits(got) != math.Float64bits(want) ||
+				math.Float64bits(eng) != math.Float64bits(want) {
+				t.Fatalf("%s: resource %d quality %.17g, oracle %.17g, full scan %.17g", name, i, got, eng, want)
+			}
+			gm, gok := inc.MA(i)
+			em, eok := ref.Engine().MA(i)
+			wm, wok := tr.MA()
+			if gok != wok || eok != wok || math.Float64bits(gm) != math.Float64bits(wm) || math.Float64bits(em) != math.Float64bits(wm) {
+				t.Fatalf("%s: resource %d MA %v/%v, oracle %v/%v, tracker %v/%v", name, i, gm, gok, em, eok, wm, wok)
 			}
 		}
 	}
@@ -276,17 +284,28 @@ func TestApplyAssignmentValidation(t *testing.T) {
 	}
 }
 
+// The tape's quality rows — the DP's curves — equal Reference.Of over a
+// fresh count vector at every entry, bit for bit.
 func TestBuildCurvesConsistentWithRefs(t *testing.T) {
-	d := testData(t, 10, 10)
-	curves, err := BuildCurves(d, 50)
+	d := testData(t, 60, 10)
+	curves, err := d.Curves(5, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	entries := 0
 	for i, c := range curves {
-		// Curve[0] equals quality of the initial state.
+		if c.MaxX() != len(d.Seqs[i])-d.Initial[i] {
+			t.Fatalf("resource %d: curve reaches x=%d of %d", i, c.MaxX(), len(d.Seqs[i])-d.Initial[i])
+		}
 		counts := sparse.FromSeq(d.Seqs[i], d.Initial[i])
-		if math.Abs(c.At(0)-d.Refs[i].Of(counts)) > 1e-12 {
-			t.Fatalf("resource %d: curve[0] mismatch", i)
+		for x := range c {
+			if x > 0 {
+				counts.Add(d.Seqs[i][d.Initial[i]+x-1])
+			}
+			if want := d.Refs[i].Of(counts); math.Float64bits(c[x]) != math.Float64bits(want) {
+				t.Fatalf("resource %d x=%d: tape %.17g, Reference.Of %.17g", i, x, c[x], want)
+			}
+			entries++
 		}
 		// Quality at the stable point is ≈ 1 when reachable.
 		if x := d.StableK[i] - d.Initial[i]; x >= 0 && x <= c.MaxX() {
@@ -295,6 +314,16 @@ func TestBuildCurvesConsistentWithRefs(t *testing.T) {
 			}
 		}
 	}
+	bounded, err := d.Curves(5, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range bounded {
+		if want := min(7, curves[i].MaxX()); c.MaxX() != want || c[0] != curves[i][0] {
+			t.Fatalf("resource %d: bound 7 gives a curve to x=%d, want %d", i, c.MaxX(), want)
+		}
+	}
+	t.Logf("%d entries", entries)
 }
 
 // Custom cost vector: budget is spent in cost units.
@@ -381,7 +410,7 @@ func TestFromDatasetSubset(t *testing.T) {
 	if full.N() != 12 {
 		t.Errorf("full N = %d", full.N())
 	}
-	if _, err := BuildCurves(d, 10); err != nil {
+	if _, err := d.Curves(5, 10); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -252,13 +252,22 @@ func (c *Counts) Dot(o *Counts) float64 {
 // vectors, which equals the cosine of the raw count vectors. If either
 // vector has received no posts (k = 0), the similarity is 0 by definition.
 func (c *Counts) Cosine(o *Counts) float64 {
-	if c.posts == 0 || o.posts == 0 {
+	return CosineOf(c.Dot(o), c.norm2, c.posts, o.norm2, o.posts)
+}
+
+// CosineOf is Cosine over its operands: the exact dot product of two
+// count vectors and each one's squared norm and post count. It is the
+// one copy of the expression, so a caller that maintains the dot
+// incrementally (the engine, the replay tape) gets Cosine's result bit
+// for bit: same guards, same operand order, same clamping.
+func CosineOf(dot, norm2A float64, postsA int, norm2B float64, postsB int) float64 {
+	if postsA == 0 || postsB == 0 {
 		return 0
 	}
-	if c.norm2 == 0 || o.norm2 == 0 {
+	if norm2A == 0 || norm2B == 0 {
 		return 0
 	}
-	s := c.Dot(o) / math.Sqrt(c.norm2*o.norm2)
+	s := dot / math.Sqrt(norm2A*norm2B)
 	// Guard against floating-point drift pushing us out of [0, 1]; counts
 	// are non-negative so the true cosine is never negative.
 	if s > 1 {

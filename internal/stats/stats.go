@@ -1,8 +1,8 @@
 // Package stats provides the statistical primitives the paper's evaluation
 // relies on and Go's standard library lacks: Kendall's τ rank correlation
 // (used as the ranking-accuracy measure of Figure 7, following Markines et
-// al.), the Pearson correlation of Equation 15, sample summaries, and the
-// log-binned histogram behind Figure 1(b).
+// al.), the Pearson correlation of Equation 15, sample summaries, the
+// log-binned histogram behind Figure 1(b), and a compensated running sum.
 package stats
 
 import (
@@ -37,6 +37,21 @@ func stdDev(xs []float64) float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
+}
+
+// NeumaierAdd adds x to the compensated sum (sum, comp) and returns the
+// new pair; the total is sum + comp. It is Neumaier's variant of Kahan
+// summation: comp absorbs the rounding error of each addition, whichever
+// operand was smaller. The engine's quality aggregates and the replay's
+// run both sum through it, so one order of additions gives one total.
+func NeumaierAdd(sum, comp, x float64) (float64, float64) {
+	t := sum + x
+	if math.Abs(sum) >= math.Abs(x) {
+		comp += (sum - t) + x
+	} else {
+		comp += (x - t) + sum
+	}
+	return t, comp
 }
 
 // Pearson computes Equation 15 of the paper:
