@@ -331,9 +331,9 @@ type ServiceOptions struct {
 	// the engine's record, and its posting lists stay live, so queries
 	// score cold candidates from postings without rehydrating them and a
 	// cold subject stays cold. The budget does NOT
-	// choose how a durable service boots: recovery always maps the newest
+	// choose how a durable service boots: recovery always reads the newest
 	// snapshot and starts every resource cold, aliasing its record inside
-	// the mapping. Without a budget nothing is ever evicted, so a
+	// the payload read. Without a budget nothing is ever evicted, so a
 	// restarted node converges to all-resident as traffic touches each
 	// resource; with one, the policy holds it inside the budget. Every
 	// answer on every path is bit-identical either way; only memory and
@@ -413,18 +413,14 @@ type Service struct {
 	stopSnap chan struct{}
 	snapWG   sync.WaitGroup
 
-	// Residency machinery. mapped is the snapshot mapping recovery
-	// aliased its frozen records out of (nil when no snapshot was
-	// loaded); it must outlive the engine, so Close releases it last.
-	// rehydrateHist collects per-rehydration latencies from the engine's
-	// observer hook (lock-free; it runs under shard locks). tiered, the
-	// budgets and the tier loop are zero when no residency budget is
-	// configured.
+	// Residency machinery. rehydrateHist collects per-rehydration
+	// latencies from the engine's observer hook (lock-free; it runs under
+	// shard locks). tiered, the budgets and the tier loop are zero when
+	// no residency budget is configured.
 	tiered           bool
 	maxResident      int
 	maxResidentBytes int64
 	rehydrateHist    *admit.Histogram
-	mapped           *tagstore.MappedSnapshot
 	stopTier         chan struct{}
 	tierWG           sync.WaitGroup
 }
@@ -464,13 +460,13 @@ type RecoveryStats struct {
 // historical tagging log would be.
 //
 // With a non-empty WALDir the service is durable: if the directory
-// already holds state, NewService first RECOVERS — it maps the newest
+// already holds state, NewService first RECOVERS — it reads the newest
 // valid snapshot (falling back over damaged ones) and indexes it cold,
 // replays the log tail past it (rehydrating the resources it touches),
 // and only then starts serving, yielding an engine that is
 // bit-identical to the one that last acknowledged a post there. A
 // background snapshotter then keeps recovery cheap: on the configured
-// interval/record policy it exports engine state, durably writes a
+// interval/record policy it writes the engine's state as a durable
 // snapshot, drops the log segments the snapshot covers and prunes old
 // snapshots. Close flushes a final snapshot.
 func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
@@ -526,7 +522,7 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		}
 		engCfg.WAL = wal
 	}
-	eng, rec, mapped, err := buildEngine(engCfg, specs, slot, wal, opts.WALDir)
+	eng, rec, err := buildEngine(engCfg, specs, slot, wal, opts.WALDir)
 	if err != nil {
 		if wal != nil {
 			wal.Close()
@@ -535,7 +531,6 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	}
 	strat, err := NewStrategy(opts.Strategy, opts.Omega)
 	if err != nil {
-		mapped.Close()
 		if wal != nil {
 			wal.Close()
 		}
@@ -554,7 +549,6 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 		maxResident:      opts.MaxResidentResources,
 		maxResidentBytes: opts.MaxResidentBytes,
 		rehydrateHist:    hist,
-		mapped:           mapped,
 	}
 	// Build the live query index over the engine — whose state, on the
 	// durable path, is the recovered one (snapshot + WAL tail already
@@ -566,7 +560,6 @@ func NewService(ds *Dataset, opts ServiceOptions) (*Service, error) {
 	// hot and is the only corpus scan the query path ever performs.
 	s.idx = ir.NewOnlineIndexOver(eng, eng.N(), eng.Shards())
 	if err := eng.Subscribe(s.idx); err != nil {
-		mapped.Close()
 		if wal != nil {
 			wal.Close()
 		}
@@ -615,36 +608,35 @@ func ownedSlots(specs []engine.ResourceSpec, owned func(int) bool) (ids []uint32
 // the directory and the corpus/options is a loud error: recovery either
 // reproduces the pre-crash engine exactly or refuses to serve.
 //
-// There is one restore path: the newest valid snapshot file is mmap'd,
-// engine.Restore indexes it COLD — each resource's frozen record aliases
-// its byte span inside the mapping and only scalars are computed during
-// one streaming validation pass — and the WAL tail past the snapshot is
-// replayed on top, rehydrating exactly the resources it touches. The
-// returned mapping (nil when no snapshot was loaded) must stay open as
-// long as the engine lives; Service.Close releases it.
+// There is one restore path: the newest valid snapshot file is read,
+// engine.Restore indexes its payload COLD — each resource's frozen
+// record aliases its byte span inside the payload and only scalars are
+// computed during one streaming validation pass — and the WAL tail past
+// the snapshot is replayed on top, rehydrating exactly the resources it
+// touches.
 //
 // On a cluster member (slot non-nil) the directory is bound to the owned
 // set: engine.Restore refuses a snapshot whose id fingerprint differs,
 // and the log, which records global ids, is replayed through slot, so a
 // record for a resource this member does not own is refused too.
-func buildEngine(cfg engine.Config, specs []engine.ResourceSpec, slot []int32, wal *tagstore.Store, walDir string) (*engine.Engine, RecoveryStats, *tagstore.MappedSnapshot, error) {
+func buildEngine(cfg engine.Config, specs []engine.ResourceSpec, slot []int32, wal *tagstore.Store, walDir string) (*engine.Engine, RecoveryStats, error) {
 	var rec RecoveryStats
 	if wal == nil {
 		eng, err := engine.New(cfg, specs)
-		return eng, rec, nil, err
+		return eng, rec, err
 	}
 	start := time.Now()
-	mapped, ok, skipped, err := tagstore.MapLatestSnapshot(walDir)
+	payload, snapSeq, ok, skipped, err := tagstore.ReadLatestSnapshot(walDir)
 	if err != nil {
-		return nil, rec, nil, err
+		return nil, rec, err
 	}
 	rec.SnapshotsSkipped = skipped
 	var eng *engine.Engine
 	if ok {
 		var stateSeq uint64
-		eng, stateSeq, err = engine.Restore(cfg, specs, mapped.Payload)
-		if err == nil && stateSeq != mapped.LastSeq {
-			err = fmt.Errorf("snapshot file covers seq %d but its state says %d", mapped.LastSeq, stateSeq)
+		eng, stateSeq, err = engine.Restore(cfg, specs, payload)
+		if err == nil && stateSeq != snapSeq {
+			err = fmt.Errorf("snapshot file covers seq %d but its state says %d", snapSeq, stateSeq)
 		}
 		if err == nil && stateSeq > wal.LastSeq() {
 			err = fmt.Errorf("snapshot covers seq %d but the log ends at %d — log truncated behind the snapshot", stateSeq, wal.LastSeq())
@@ -653,17 +645,16 @@ func buildEngine(cfg engine.Config, specs []engine.ResourceSpec, slot []int32, w
 			err = fmt.Errorf("log starts at seq %d, leaving a gap after snapshot seq %d", wal.FirstSeq(), stateSeq)
 		}
 		if err != nil {
-			mapped.Close()
-			return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: %w", walDir, err)
+			return nil, rec, fmt.Errorf("incentivetag: recovering %s: %w", walDir, err)
 		}
 		rec.SnapshotLoaded = true
-		rec.SnapshotSeq = mapped.LastSeq
+		rec.SnapshotSeq = snapSeq
 	} else {
 		if wal.LastSeq() > 0 && wal.FirstSeq() > 1 {
-			return nil, rec, nil, fmt.Errorf("incentivetag: recovering %s: log starts at seq %d with no usable snapshot — compacted records are unrecoverable", walDir, wal.FirstSeq())
+			return nil, rec, fmt.Errorf("incentivetag: recovering %s: log starts at seq %d with no usable snapshot — compacted records are unrecoverable", walDir, wal.FirstSeq())
 		}
 		if eng, err = engine.New(cfg, specs); err != nil {
-			return nil, rec, nil, err
+			return nil, rec, err
 		}
 	}
 	n := eng.N()
@@ -684,14 +675,13 @@ func buildEngine(cfg engine.Config, specs []engine.ResourceSpec, slot []int32, w
 		return eng.Replay(i, p)
 	})
 	if err != nil {
-		mapped.Close()
-		return nil, rec, nil, err
+		return nil, rec, err
 	}
 	rec.ReplayBytes = bytes
 	rec.RecoveredPosts = eng.Snapshot().Posts
 	rec.ReplayMillis = time.Since(start).Milliseconds()
 	rec.Recovered = rec.SnapshotLoaded || rec.ReplayedRecords > 0
-	return eng, rec, mapped, nil
+	return eng, rec, nil
 }
 
 // N returns the corpus size: the range of resource ids every method
@@ -1038,11 +1028,12 @@ type SnapshotResult struct {
 	Millis int64 `json:"millis"`
 }
 
-// SnapshotNow synchronously runs one snapshot/compaction cycle: export
-// a consistent engine state cut, durably write it as a snapshot, drop
-// the log segments it covers, and prune old snapshots. Safe to call
-// while the service ingests; concurrent cycles are serialized. Returns
-// an error when the service has no WALDir.
+// SnapshotNow synchronously runs one snapshot/compaction cycle: write
+// a consistent engine state cut as a durable snapshot, drop the log
+// segments it covers, and prune old snapshots. A cycle with no log
+// record since the last snapshot is skipped before the engine is
+// stopped. Safe to call while the service ingests; concurrent cycles
+// are serialized. Returns an error when the service has no WALDir.
 func (s *Service) SnapshotNow() (SnapshotResult, error) {
 	if s.wal == nil {
 		return SnapshotResult{}, fmt.Errorf("incentivetag: service has no WAL configured")
@@ -1050,18 +1041,14 @@ func (s *Service) SnapshotNow() (SnapshotResult, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	t0 := time.Now()
-	st := s.eng.ExportState()
-	if st.LastSeq == s.lastSnapSeq {
-		return SnapshotResult{Skipped: true, LastSeq: st.LastSeq}, nil
+	if seq := s.walSeq(); seq == s.lastSnapSeq {
+		return SnapshotResult{Skipped: true, LastSeq: seq}, nil
 	}
-	payload, err := st.MarshalBinary()
-	if err != nil {
+	payload, lastSeq := s.eng.AppendSnapshot(nil)
+	if _, err := tagstore.WriteSnapshot(s.walDir, lastSeq, payload); err != nil {
 		return SnapshotResult{}, err
 	}
-	if _, err := tagstore.WriteSnapshot(s.walDir, st.LastSeq, payload); err != nil {
-		return SnapshotResult{}, err
-	}
-	res := SnapshotResult{LastSeq: st.LastSeq, Bytes: len(payload)}
+	res := SnapshotResult{LastSeq: lastSeq, Bytes: len(payload)}
 	// Prune damaged snapshots plus valid ones beyond the retention
 	// count, then compact only through the OLDEST retained VALID
 	// snapshot — not the one just written: the segments between retained
@@ -1072,7 +1059,7 @@ func (s *Service) SnapshotNow() (SnapshotResult, error) {
 		return SnapshotResult{}, err
 	}
 	if !ok {
-		compactSeq = st.LastSeq // unreachable: the snapshot just written is valid
+		compactSeq = lastSeq // unreachable: the snapshot just written is valid
 	}
 	if err := s.eng.WithWAL(func(w *tagstore.Store) error {
 		n, err := w.DropThrough(compactSeq)
@@ -1081,11 +1068,21 @@ func (s *Service) SnapshotNow() (SnapshotResult, error) {
 	}); err != nil {
 		return SnapshotResult{}, err
 	}
-	s.lastSnapSeq = st.LastSeq
+	s.lastSnapSeq = lastSeq
 	s.snapsTaken.Add(1)
 	s.segsDropped.Add(int64(res.SegmentsDropped))
 	res.Millis = time.Since(t0).Milliseconds()
 	return res, nil
+}
+
+// walSeq is the sequence number of the last record appended to the
+// log.
+func (s *Service) walSeq() (seq uint64) {
+	s.eng.WithWAL(func(w *tagstore.Store) error {
+		seq = w.LastSeq()
+		return nil
+	})
+	return seq
 }
 
 // snapshotter is the background snapshot loop: a snapshot is due when
@@ -1108,11 +1105,7 @@ func (s *Service) snapshotter(interval time.Duration, records int) {
 		}
 		due := time.Since(last) >= interval
 		if !due && records > 0 {
-			var pending uint64
-			s.eng.WithWAL(func(w *tagstore.Store) error {
-				pending = w.LastSeq()
-				return nil
-			})
+			pending := s.walSeq()
 			s.snapMu.Lock()
 			due = pending >= s.lastSnapSeq+uint64(records)
 			s.snapMu.Unlock()
@@ -1197,8 +1190,7 @@ func (s *Service) TierNow() (evicted int, err error) {
 	if !s.tiered {
 		return 0, fmt.Errorf("incentivetag: service has no residency budget configured")
 	}
-	ids, err := s.eng.EvictToBudget(s.maxResident, s.maxResidentBytes)
-	return len(ids), err
+	return len(s.eng.EvictToBudget(s.maxResident, s.maxResidentBytes)), nil
 }
 
 // tierLoop is the background tiering policy: every interval, bring the
@@ -1220,11 +1212,9 @@ func (s *Service) tierLoop(interval time.Duration) {
 }
 
 // Close stops the background snapshotter and tiering loop, writes a
-// final snapshot (when a WAL is configured and new records landed),
-// flushes and releases the log, and finally unmaps the snapshot recovery
-// booted from — cold resources read their frozen records out of that
-// mapping, so it must outlive every engine read, and the Service must
-// not be used after Close.
+// final snapshot (when a WAL is configured and new records landed), and
+// flushes and releases the log. The Service must not be used after
+// Close.
 func (s *Service) Close() error {
 	if s.stopSnap != nil {
 		close(s.stopSnap)
@@ -1244,12 +1234,6 @@ func (s *Service) Close() error {
 		if err == nil {
 			err = snapErr
 		}
-	}
-	if s.mapped != nil {
-		if cerr := s.mapped.Close(); err == nil {
-			err = cerr
-		}
-		s.mapped = nil
 	}
 	return err
 }

@@ -44,7 +44,7 @@
 // heap) stay hot; the rest are frozen to compact records and rehydrated
 // on touch, a background policy loop (-tier-interval) evicts the
 // least-recently-touched back inside the budget. A -wal restart always
-// boots COLD straight off the mmap'd snapshot (budget or not); without
+// boots COLD straight off the newest snapshot (budget or not); without
 // a budget the cold records simply warm up on touch and are never
 // evicted again. Answers on every endpoint are
 // bit-identical with tiering on or off; /info, /metrics and

@@ -95,10 +95,10 @@
 // live and nothing is mirrored. Any write touching a cold resource
 // rehydrates it on the spot with the same exact-integer recompute. Every restart on a WALDir — with or without
 // a budget; there is one restore path — boots cold straight off the
-// mmap'd snapshot (tagstore.MapLatestSnapshot → engine.Restore): every
-// frozen record aliases the mapping, and the log-tail replay rehydrates
-// what it touches. Under a budget the heap cost per cold resource stays
-// a few scalars (~17x fewer live-heap bytes per resource than with
+// newest snapshot (tagstore.ReadLatestSnapshot → engine.Restore): every
+// frozen record aliases the payload read from the file, and the
+// log-tail replay rehydrates what it touches. Under a budget the heap
+// cost per cold resource stays its frozen record and a few scalars (~17x fewer live-heap bytes per resource than with
 // everything rehydrated at fig6 scale — gated in CI); without one
 // nothing is evicted, so a restarted node reports cold resources and
 // rehydrations until traffic has touched everything, then stays

@@ -306,7 +306,7 @@ func e2eCrashRecovery(t *testing.T, node starter) {
 	restart := func() *e2eProc { return node(t, "-n", "200", "-wal", wal) }
 	p, info, m := recoverAfterKill(t, node(t, "-n", "200", "-wal", wal, "-snap-every", "5000"), restart)
 	// No residency budget, yet the boot went through the one restore path —
-	// the mmap'd snapshot indexed cold: every resource is still cold or was
+	// the snapshot indexed cold: every resource is still cold or was
 	// rehydrated once, by the tail replay; nothing evicts without a budget.
 	if info.Residency.Enabled || m.Evictions != 0 || m.ColdResources+int(m.Rehydrations) != info.N || info.N == 0 {
 		t.Fatalf("restore path: /info %+v, /metrics %+v", info, m)
@@ -380,7 +380,7 @@ func settledCensus(t *testing.T, c e2eClient) server.InfoResponse {
 // recoverAfterKill drives p with an unbounded batched ingest and SIGKILLs
 // it while the crowd is in flight, has 20 000 or more posts acked and the
 // node has written a snapshot (its snapshotter polls every 250 ms). The
-// restarted node must recover through the mmap'd snapshot with every
+// restarted node must recover through the snapshot with every
 // committed post.
 func recoverAfterKill(t *testing.T, p *e2eProc, restart func() *e2eProc) (*e2eProc, server.InfoResponse, server.MetricsResponse) {
 	t.Helper()

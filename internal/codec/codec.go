@@ -1,8 +1,8 @@
 // Package codec is the shared varint+delta state codec of the durable
-// formats: the engine's snapshot payload (internal/engine State), the
+// formats: the engine's snapshot payload (engine.AppendSnapshot), the
 // per-resource frozen records of the residency tier, and tagstore's WAL
-// post records. It existed implicitly twice — engine.MarshalBinary and
-// tagstore.encodePost each hand-rolled the same primitives — and is
+// post records. It existed implicitly twice — the engine's state encoder
+// and tagstore.encodePost each hand-rolled the same primitives — and is
 // extracted here so every byte layout is produced and parsed by exactly
 // one implementation.
 //

@@ -186,8 +186,8 @@ type resource struct {
 	// Residency tier (see residency.go). A resource is HOT when tracker
 	// is non-nil and COLD when it is nil; cold resources keep their full
 	// state in frozen (the shared per-resource record layout, possibly
-	// aliasing an mmap'd snapshot) plus the read scalars quality,
-	// consumed and maSum.
+	// aliasing the payload Restore booted from) plus the read scalars
+	// quality, consumed and maSum.
 	frozen []byte
 	// lastTouch is the engine access-clock reading of the last apply or
 	// rehydrate — the recency the LRU eviction policy orders by.
@@ -217,6 +217,12 @@ type shard struct {
 	// lock, then commits them with one store write under the engine's
 	// WAL mutex.
 	walBatch tagstore.Batch
+
+	// support and record are the shard's reusable record-encoding
+	// scratch (appendRecord's sorted support, freezeLocked's record
+	// before its exact copy), reused under the shard lock.
+	support []entry
+	record  []byte
 
 	// batch is the shard batch being applied — the shard's share of one
 	// ingest call, in apply order — targets its events' resources, and

@@ -749,8 +749,8 @@ func TestIngestManyBucketingMatchesIngest(t *testing.T) {
 					}
 				}
 			}
-			state := marshaled(t, many)
-			if !bytes.Equal(state, marshaled(t, inOrder)) || !bytes.Equal(state, marshaled(t, committed)) {
+			state := payloadOf(many)
+			if !bytes.Equal(state, payloadOf(inOrder)) || !bytes.Equal(state, payloadOf(committed)) {
 				t.Fatalf("shards %d, batches of %d: IngestMany's state differs from per-event Ingest", shards, size)
 			}
 			if !bytes.Equal(walBytes(t, manyWAL, manyDir), walBytes(t, committedWAL, committedDir)) {

@@ -22,50 +22,95 @@ import (
 // decodeTracker makes one. It makes every check decodeTracker makes
 // except the ring position against the post count.
 func oracleDecode(rec []byte, omega int) (*stability.Tracker, error) {
-	var rs ResourceState
+	var rs testRecord
 	rd := codec.NewReader(rec, statePrefix)
 	readResourceState(rd, &rs)
 	if err := rd.Finish(); err != nil {
 		return nil, err
 	}
 	counts := sparse.NewCounts()
-	counts.Presize(rs.Posts, len(rs.Tags))
-	for k, t := range rs.Tags {
-		if err := counts.Insert(t, rs.Counts[k]); err != nil {
+	counts.Presize(rs.posts, len(rs.tags))
+	for k, t := range rs.tags {
+		if err := counts.Insert(t, rs.counts[k]); err != nil {
 			return nil, err
 		}
 	}
-	return stability.RestoreTracker(omega, counts, rs.Ring, rs.Head, rs.Fill, rs.Sum)
+	return stability.RestoreTracker(omega, counts, rs.ring, rs.head, rs.fill, rs.sum)
 }
 
-// readResourceState decodes one appendResourceState record at the
-// reader's position into rs, field by field. Its slice lengths are
-// bounded by the bytes left (an entry takes at least two, a ring float
-// eight), so a fuzzed length cannot allocate gigabytes; a longer one is
-// truncated and fails either way.
-func readResourceState(r *codec.Reader, rs *ResourceState) {
-	rs.Posts = int(r.Uvarint("posts"))
+// testRecord is one record's fields, materialized.
+type testRecord struct {
+	posts  int
+	tags   []tags.Tag
+	counts []int64
+	ring   []float64
+	head   int
+	fill   int
+	sum    float64
+}
+
+// readResourceState decodes one appendRecord record at the reader's
+// position into rs, field by field. Its slice lengths are bounded by the
+// bytes left (an entry takes at least two, a ring float eight), so a
+// fuzzed length cannot allocate gigabytes; a longer one is truncated
+// and fails either way.
+func readResourceState(r *codec.Reader, rs *testRecord) {
+	rs.posts = int(r.Uvarint("posts"))
 	nt := r.Length("support size", r.Remaining()/2)
 	if r.Err() != nil {
 		return
 	}
-	rs.Tags = make([]tags.Tag, nt)
-	rs.Counts = make([]int64, nt)
+	rs.tags = make([]tags.Tag, nt)
+	rs.counts = make([]int64, nt)
 	d := codec.NewDelta(-1)
 	for k := 0; k < nt && r.Err() == nil; k++ {
-		rs.Tags[k], rs.Counts[k] = readEntry(r, &d)
+		rs.tags[k], rs.counts[k] = readEntry(r, &d)
 	}
 	nr := r.Length("ring size", r.Remaining()/8)
 	if r.Err() != nil {
 		return
 	}
-	rs.Ring = make([]float64, nr)
+	rs.ring = make([]float64, nr)
 	for k := 0; k < nr && r.Err() == nil; k++ {
-		rs.Ring[k] = r.Float64("ring entry")
+		rs.ring[k] = r.Float64("ring entry")
 	}
-	rs.Head = int(r.Uvarint("ring head"))
-	rs.Fill = int(r.Uvarint("ring fill"))
-	rs.Sum = r.Float64("ring sum")
+	rs.head = int(r.Uvarint("ring head"))
+	rs.fill = int(r.Uvarint("ring fill"))
+	rs.sum = r.Float64("ring sum")
+}
+
+// readRecord decodes a whole record into its fields.
+func readRecord(t *testing.T, rec []byte) testRecord {
+	t.Helper()
+	var rs testRecord
+	rd := codec.NewReader(rec, statePrefix)
+	readResourceState(rd, &rs)
+	if err := rd.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// encode writes rs back in the record layout with no check, so a test
+// can damage any field: each tag is stored as its gap from the one
+// before (from −1), wrapped to uint64, so descending or repeated tags
+// encode as they would be misread.
+func (rs testRecord) encode() []byte {
+	buf := codec.AppendUvarint(nil, uint64(rs.posts))
+	buf = codec.AppendUvarint(buf, uint64(len(rs.tags)))
+	prev := int64(-1)
+	for k, t := range rs.tags {
+		buf = codec.AppendUvarint(buf, uint64(int64(t)-prev))
+		buf = codec.AppendUvarint(buf, uint64(rs.counts[k]))
+		prev = int64(t)
+	}
+	buf = codec.AppendUvarint(buf, uint64(len(rs.ring)))
+	for _, f := range rs.ring {
+		buf = codec.AppendFloat64(buf, f)
+	}
+	buf = codec.AppendUvarint(buf, uint64(rs.head))
+	buf = codec.AppendUvarint(buf, uint64(rs.fill))
+	return codec.AppendFloat64(buf, rs.sum)
 }
 
 // rawRecord encodes a record field by field with no check, so a test
@@ -132,13 +177,23 @@ func damagedRecords() []struct {
 	}
 }
 
+// sortedEntries is c's support ascending and the count of each tag.
+func sortedEntries(c *sparse.Counts) ([]tags.Tag, []int64) {
+	ts := c.Support()
+	ns := make([]int64, len(ts))
+	for k, tg := range ts {
+		ns[k] = c.Get(tg)
+	}
+	return ts, ns
+}
+
 // requireSameTracker demands bit-identical decoded state: entries,
 // norm², mass, post count, ring, head, fill and sum.
 func requireSameTracker(t *testing.T, got, want *stability.Tracker) {
 	t.Helper()
 	gc, wc := got.Counts(), want.Counts()
-	gts, gns := gc.Entries(nil, nil)
-	wts, wns := wc.Entries(nil, nil)
+	gts, gns := sortedEntries(gc)
+	wts, wns := sortedEntries(wc)
 	if !slices.Equal(gts, wts) || !slices.Equal(gns, wns) {
 		t.Fatalf("entries %v %v, want %v %v", gts, gns, wts, wns)
 	}
@@ -242,23 +297,20 @@ func TestRehydrateRefusesRingOffPosts(t *testing.T) {
 	if _, err := eng.Evict(0); err != nil {
 		t.Fatal(err)
 	}
-	rs := eng.ExportState().Resources[0]
-	if rs.Head != 0 || rs.Fill != 4 {
-		t.Fatalf("12 posts froze at head %d fill %d, want 0 and 4", rs.Head, rs.Fill)
-	}
 	intact := eng.shards[0].res[0].frozen
+	rs := readRecord(t, intact)
+	if rs.head != 0 || rs.fill != 4 {
+		t.Fatalf("12 posts froze at head %d fill %d, want 0 and 4", rs.head, rs.fill)
+	}
 	for _, tamper := range [][3]int{{12, 3, 1}, {12, 0, 1}, {12, 1, 4}, {13, 1, 4}} {
 		bad := rs
-		bad.Posts, bad.Head, bad.Fill = tamper[0], tamper[1], tamper[2]
-		tampered, err := appendResourceState(nil, 0, &bad)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bad.posts, bad.head, bad.fill = tamper[0], tamper[1], tamper[2]
+		tampered := bad.encode()
 		eng.shards[0].res[0].frozen = tampered
 		ma, _ := eng.MA(0)
 		before := eng.Residency()
 		if err := eng.ensureResident(0); err == nil {
-			t.Fatalf("%d posts at head %d fill %d accepted for 12 consumed", bad.Posts, bad.Head, bad.Fill)
+			t.Fatalf("%d posts at head %d fill %d accepted for 12 consumed", bad.posts, bad.head, bad.fill)
 		}
 		after := eng.Residency()
 		if eng.Resident(0) || !bytes.Equal(eng.shards[0].res[0].frozen, tampered) || after != before {
@@ -282,12 +334,10 @@ func TestRehydrateRefusesRingOffPosts(t *testing.T) {
 	assertEnginesBitIdentical(t, eng, twin)
 }
 
-// BenchmarkRehydrate times one cold → hot transition (ensureResident on
-// a cold resource) over the January state of an n = 2 000 synthetic
-// corpus, the Figure-6 replay's scale: ns/op and allocs/op are per
-// rehydration. Every resource is evicted, outside the timer, before
-// each sweep.
-func BenchmarkRehydrate(b *testing.B) {
+// synthEngine builds an engine at cfg over the January state of an
+// n = 2 000 synthetic corpus, the Figure-6 replay's scale; with all set,
+// every recorded post is then ingested too.
+func synthEngine(b *testing.B, cfg Config, all bool) *Engine {
 	ds, err := synth.Generate(synth.DefaultConfig(2000, 311))
 	if err != nil {
 		b.Fatal(err)
@@ -300,10 +350,29 @@ func BenchmarkRehydrate(b *testing.B) {
 			StableK: r.StableK,
 		}
 	}
-	eng, err := New(Config{Shards: 1}, specs)
+	eng, err := New(cfg, specs)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for i, r := range ds.Resources {
+		if !all {
+			break
+		}
+		for _, p := range r.Seq[r.Initial:] {
+			if err := eng.Ingest(i, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return eng
+}
+
+// BenchmarkRehydrate times one cold → hot transition (ensureResident on
+// a cold resource) over synthEngine's January state: ns/op and
+// allocs/op are per rehydration. Every resource is evicted, outside the
+// timer, before each sweep.
+func BenchmarkRehydrate(b *testing.B) {
+	eng := synthEngine(b, Config{Shards: 1}, false)
 	n := eng.N()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -311,13 +380,60 @@ func BenchmarkRehydrate(b *testing.B) {
 		i := k % n
 		if i == 0 {
 			b.StopTimer()
-			if _, err := eng.EvictColder(math.MaxUint64); err != nil {
-				b.Fatal(err)
-			}
+			eng.EvictColder(math.MaxUint64)
 			b.StartTimer()
 		}
 		if err := eng.ensureResident(i); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFreeze times one hot → cold transition (Evict on a hot
+// resource) over synthEngine's January state: ns/op and allocs/op are
+// per freeze, the record's one exactly sized allocation included. Every
+// resource is rehydrated, outside the timer, before each later sweep.
+func BenchmarkFreeze(b *testing.B) {
+	eng := synthEngine(b, Config{Shards: 1}, false)
+	n := eng.N()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		i := k % n
+		if i == 0 && k > 0 {
+			b.StopTimer()
+			for j := 0; j < n; j++ {
+				if err := eng.ensureResident(j); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if _, err := eng.Evict(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSnapshotExport times one AppendSnapshot — the whole payload,
+// written under every shard lock — after every recorded post of
+// synthEngine's corpus is ingested, with every resource hot and with
+// three in four frozen (their records are copied verbatim).
+func BenchmarkSnapshotExport(b *testing.B) {
+	eng := synthEngine(b, Config{}, true)
+	run := func(b *testing.B) {
+		b.ReportAllocs()
+		for k := 0; k < b.N; k++ {
+			eng.AppendSnapshot(nil)
+		}
+	}
+	b.Run("hot", run)
+	for i := 0; i < eng.N(); i++ {
+		if i%4 != 0 {
+			if _, err := eng.Evict(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("cold3of4", run)
 }

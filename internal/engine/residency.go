@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -14,14 +15,15 @@ import (
 // This file is the per-resource residency state machine: each resource
 // is either HOT (tracker materialized) or COLD (state frozen into a
 // compact varint record — the same per-resource layout the snapshot
-// format uses, so a freshly booted engine can alias records straight out
-// of an mmap'd snapshot). Transitions happen only under the owning
+// format uses, so a freshly booted engine aliases records straight out
+// of the snapshot payload, and a snapshot copies a cold record
+// verbatim). Transitions happen only under the owning
 // shard's lock, and each ends with one pointer swap under the
 // subscriber's view lock (swapLocked), which is all a query index
 // reading ViewCounts/ViewEntries has to exclude:
 //
-//	hot → cold  (freezeLocked)    encode tracker state, drop tracker;
-//	                              keep the exact dot
+//	hot → cold  (freezeLocked)    encode tracker state (appendRecord),
+//	                              drop tracker; keep the exact dot
 //	cold → hot  (rehydrateLocked) decode the record in one pass into a
 //	                              tracker (decodeTracker); the retained
 //	                              dot is still exact, since nothing
@@ -32,9 +34,9 @@ import (
 // Count, MA, QualityOf, CostOf, Snapshot — answer from values a cold
 // resource retains (consumed, maSum, quality), so allocation strategies
 // like MU that sweep MA over the whole corpus never force residency.
-// Reads that need the full vector (VerifyMetrics, SnapshotRFDs,
-// ExportState) decode transiently, through the same decodeTracker,
-// without changing residency.
+// Reads that need the full vector (VerifyMetrics, SnapshotRFDs) decode
+// transiently, through the same decodeTracker, without changing
+// residency; AppendSnapshot needs no decode at all.
 //
 // Bit-identity across a freeze/rehydrate cycle — and across a restart,
 // which is Restore indexing every resource cold and this same rehydrate
@@ -97,23 +99,16 @@ func (r *resource) ma(omega int) (float64, bool) {
 	return ma, true
 }
 
-// freezeLocked transitions a hot resource to cold: its tracker state is
-// encoded into the shared per-resource record layout and the tracker is
-// dropped (dot and quality are retained as scalars). Caller holds the
-// owning shard's lock.
-func (e *Engine) freezeLocked(r *resource, i int) error {
-	var rs ResourceState
-	rs.Posts = r.tracker.Posts()
-	rs.Tags, rs.Counts = r.tracker.Counts().Entries(nil, nil)
-	rs.Ring, rs.Head, rs.Fill, rs.Sum = r.tracker.ExportRing()
-	buf, err := appendResourceState(make([]byte, 0, 24+len(rs.Tags)*4+len(rs.Ring)*8), i, &rs)
-	if err != nil {
-		return err
-	}
-	r.maSum = rs.Sum
-	e.swapLocked(r, i, nil, buf)
+// freezeLocked transitions a hot resource to cold: appendRecord encodes
+// its tracker state into the shard's record scratch, one exactly sized
+// copy becomes the frozen record, and the tracker is dropped (dot and
+// quality are retained as scalars). Caller holds sh's lock, the owning
+// shard's.
+func (e *Engine) freezeLocked(sh *shard, r *resource, i int) {
+	sh.record, sh.support = appendRecord(sh.record[:0], r.tracker, sh.support)
+	_, _, _, r.maSum = r.tracker.ExportRing()
+	e.swapLocked(r, i, nil, bytes.Clone(sh.record))
 	e.evictions.Add(1)
-	return nil
 }
 
 // swapLocked installs a resource's residency form — a tracker (hot) or a
@@ -240,15 +235,13 @@ func (e *Engine) Evict(i int) (bool, error) {
 	if r.tracker == nil {
 		return false, nil
 	}
-	if err := e.freezeLocked(r, i); err != nil {
-		return false, err
-	}
+	e.freezeLocked(sh, r, i)
 	return true, nil
 }
 
 // EvictColder freezes every hot resource whose last touch predates the
 // given clock reading (see AccessClock) and returns how many froze.
-func (e *Engine) EvictColder(before uint64) (int, error) {
+func (e *Engine) EvictColder(before uint64) int {
 	evicted := 0
 	for s, sh := range e.shards {
 		sh.mu.Lock()
@@ -256,15 +249,12 @@ func (e *Engine) EvictColder(before uint64) (int, error) {
 			if r.tracker == nil || r.lastTouch >= before {
 				continue
 			}
-			if err := e.freezeLocked(r, l*len(e.shards)+s); err != nil {
-				sh.mu.Unlock()
-				return evicted, err
-			}
+			e.freezeLocked(sh, r, l*len(e.shards)+s)
 			evicted++
 		}
 		sh.mu.Unlock()
 	}
-	return evicted, nil
+	return evicted
 }
 
 // evictCandidate is one hot resource observed during EvictToBudget's
@@ -282,7 +272,7 @@ type evictCandidate struct {
 // resource touched between the two passes is left hot (its recency
 // changed; the next policy tick reconsiders it). Returns the ids that
 // froze.
-func (e *Engine) EvictToBudget(maxResident int, maxBytes int64) ([]int, error) {
+func (e *Engine) EvictToBudget(maxResident int, maxBytes int64) []int {
 	var cands []evictCandidate
 	var bytes int64
 	for s, sh := range e.shards {
@@ -306,7 +296,7 @@ func (e *Engine) EvictToBudget(maxResident int, maxBytes int64) ([]int, error) {
 		overBytes = bytes - maxBytes
 	}
 	if overCount == 0 && overBytes == 0 {
-		return nil, nil
+		return nil
 	}
 	// Oldest touch first; ties broken by id for determinism.
 	sort.Slice(cands, func(a, b int) bool {
@@ -328,16 +318,13 @@ func (e *Engine) EvictToBudget(maxResident int, maxBytes int64) ([]int, error) {
 			sh.mu.Unlock()
 			continue
 		}
-		err := e.freezeLocked(r, c.id)
+		e.freezeLocked(sh, r, c.id)
 		sh.mu.Unlock()
-		if err != nil {
-			return evicted, err
-		}
 		evicted = append(evicted, c.id)
 		overCount--
 		overBytes -= c.bytes
 	}
-	return evicted, nil
+	return evicted
 }
 
 // Residency reports the residency census: a full scan under each shard
@@ -391,7 +378,7 @@ func (e *Engine) ViewEntries(i int, fn func(t tags.Tag, n int64)) int {
 		return c.Posts()
 	}
 	rd := codec.NewReader(r.frozen, statePrefix)
-	posts, _ := scanResourceState(rd, e.cfg.Omega, fn)
+	posts, _ := scanRecord(rd, e.cfg.Omega, fn)
 	if err := rd.Err(); err != nil {
 		panic(fmt.Sprintf("engine: resource %d frozen record corrupt: %v", i, err))
 	}

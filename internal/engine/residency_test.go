@@ -7,14 +7,10 @@ import (
 	"testing"
 )
 
-// marshaled is the strongest bit-identity probe: every count, every
+// payloadOf is the strongest bit-identity probe: every count, every
 // ring float, every compensated aggregate, byte for byte.
-func marshaled(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	payload, err := e.ExportState().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+func payloadOf(e *Engine) []byte {
+	payload, _ := e.AppendSnapshot(nil)
 	return payload
 }
 
@@ -39,7 +35,7 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		booted, _, err := Restore(cfg, specs, marshaled(t, oracle))
+		booted, _, err := Restore(cfg, specs, payloadOf(oracle))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +79,8 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 						if _, err := e.Evict(i); err != nil {
 							t.Fatal(err)
 						}
-					} else if _, err := e.EvictColder(e.AccessClock() + 1); err != nil {
-						t.Fatal(err)
+					} else {
+						e.EvictColder(e.AccessClock() + 1)
 					}
 				}
 			case op < 9: // explicit rehydrate-on-touch
@@ -96,9 +92,7 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 			default: // LRU budget eviction
 				budget := 1 + rng.Intn(n)
 				for _, e := range engines {
-					if _, err := e.EvictToBudget(budget, 0); err != nil {
-						t.Fatal(err)
-					}
+					e.EvictToBudget(budget, 0)
 				}
 			}
 			// Reads must agree at every step, whatever the residency mix.
@@ -122,7 +116,7 @@ func TestResidencyPropertyBitIdentical(t *testing.T) {
 				t.Fatalf("universe %d engine %d: property run exercised no transitions: %+v", universe, k, st)
 			}
 			assertEnginesBitIdentical(t, e, oracle)
-			if !bytes.Equal(marshaled(t, e), marshaled(t, oracle)) {
+			if !bytes.Equal(payloadOf(e), payloadOf(oracle)) {
 				t.Fatalf("universe %d engine %d: marshalled states differ after evict/rehydrate interleaving", universe, k)
 			}
 		}
@@ -148,7 +142,7 @@ func TestRestoreColdBoot(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		payload := marshaled(t, live)
+		payload := payloadOf(live)
 
 		cold, lastSeq, err := Restore(cfg, specs, payload)
 		if err != nil {
@@ -200,7 +194,7 @@ func TestRestoreColdBoot(t *testing.T) {
 			t.Fatalf("after touching %d resources: %+v", n/2, st)
 		}
 		assertEnginesBitIdentical(t, cold, live)
-		if !bytes.Equal(marshaled(t, cold), marshaled(t, live)) {
+		if !bytes.Equal(payloadOf(cold), payloadOf(live)) {
 			t.Fatal("marshalled states differ after mapped boot + traffic")
 		}
 	}
@@ -222,10 +216,7 @@ func TestEvictToBudgetLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evicted, err := e.EvictToBudget(6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	evicted := e.EvictToBudget(6, 0)
 	if len(evicted) != n-6 {
 		t.Fatalf("evicted %d, want %d", len(evicted), n-6)
 	}
@@ -240,15 +231,13 @@ func TestEvictToBudgetLRU(t *testing.T) {
 	}
 	// Bytes-only budget: evicting to a tiny byte budget leaves at most
 	// one survivor over it.
-	if _, err := e.EvictToBudget(0, 1); err != nil {
-		t.Fatal(err)
-	}
+	e.EvictToBudget(0, 1)
 	if st := e.Residency(); st.Resident != 0 {
 		t.Fatalf("byte budget of 1 left %d resident", st.Resident)
 	}
 	// A no-op budget call changes nothing.
-	if ids, err := e.EvictToBudget(0, 0); err != nil || ids != nil {
-		t.Fatalf("unbounded budget evicted %v (err %v)", ids, err)
+	if ids := e.EvictToBudget(0, 0); ids != nil {
+		t.Fatalf("unbounded budget evicted %v", ids)
 	}
 }
 
@@ -279,10 +268,7 @@ func TestResidencyConcurrent(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := e.EvictToBudget(n/2, 0); err != nil {
-						t.Error(err)
-						return
-					}
+					e.EvictToBudget(n/2, 0)
 				case 2:
 					e.Residency()
 					e.MA(i)

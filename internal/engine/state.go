@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 
 	"incentivetag/internal/codec"
 	"incentivetag/internal/sparse"
@@ -13,21 +15,33 @@ import (
 	"incentivetag/internal/tagstore"
 )
 
-// stateVersion is bumped on State encoding changes; Restore rejects
-// unknown versions loudly instead of misreading. Version 2 added the id
-// fingerprint; a version-1 payload reads as one with no Config.IDs.
+// stateVersion is bumped on payload encoding changes; Restore rejects
+// any other version loudly instead of misreading.
 const stateVersion = 2
 
 // statePrefix namespaces the codec reader's positioned decode errors.
 const statePrefix = "engine: state"
 
-// State is the complete serializable engine state — the WRITE side of
-// durability (ExportState → MarshalBinary → tagstore.WriteSnapshot);
-// Restore reads the marshalled form back. It holds everything needed to
-// rebuild an engine that is bit-identical to the one exported — same
-// per-resource counts, MA windows, qualities, and aggregate metrics, so
-// a snapshot plus the WAL records with seq > LastSeq replays to exactly
-// the pre-crash engine.
+// AppendSnapshot appends the engine's snapshot payload to buf — the
+// WRITE side of durability (AppendSnapshot → tagstore.WriteSnapshot);
+// Restore reads it back — and returns the WAL sequence number it
+// covers: every record with seq ≤ lastSeq is reflected in it (0 when no
+// WAL is attached). The payload rebuilds an engine bit-identical to
+// this one — same per-resource counts, MA windows, qualities and
+// aggregate metrics — so a snapshot plus the WAL records past lastSeq
+// replays to exactly the pre-crash engine.
+//
+// All shard locks are held for the duration, so the payload is a
+// consistent cut: no post is half-reflected, and lastSeq is exactly
+// the set of records the payload covers (WAL appends happen under a
+// shard lock, so a lock-stopped engine has applied every record it
+// logged). The layout is a header (version, omega, shards, under
+// threshold, tag universe, lastSeq, ids fingerprint, resource count),
+// one record per resource in global index order, then each shard's
+// aggregates (Neumaier sum and compensation, spent, posts, wasted). A
+// hot resource's record is encoded from its tracker (appendRecord); a
+// cold one's frozen record already has that layout and is copied
+// verbatim.
 //
 // Derived integers (reference dot products, over-/under-tagged flags,
 // norms, masses) are deliberately NOT stored: they are exact integer
@@ -37,58 +51,7 @@ const statePrefix = "engine: state"
 // history (MA rings and running sums, shard quality accumulators) ARE
 // stored, bit for bit — recomputing them would drift from the exported
 // engine by reassociation.
-type State struct {
-	// Omega, Shards, UnderThreshold and TagUniverse mirror the Config of
-	// the exporting engine; restore demands an identical configuration.
-	Omega          int
-	Shards         int
-	UnderThreshold int
-	TagUniverse    int
-	// LastSeq is the WAL sequence number this state covers: every record
-	// with seq ≤ LastSeq is reflected in it (0 when no WAL is attached).
-	LastSeq uint64
-	// IDsFingerprint is idsFingerprint(Config.IDs) of the exporting
-	// engine (0 without IDs); restore demands the same.
-	IDsFingerprint uint64
-	// Resources holds per-resource state in global index order.
-	Resources []ResourceState
-	// Aggregates holds per-shard metric accumulators in shard order.
-	Aggregates []ShardAggregate
-}
-
-// ResourceState is one resource's exported state.
-type ResourceState struct {
-	// Posts is the tracker's accumulated post count (primed + ingested).
-	Posts int
-	// Tags/Counts are the count vector's non-zero support, parallel,
-	// ascending by tag.
-	Tags   []tags.Tag
-	Counts []int64
-	// Ring, Head, Fill and Sum are the MA window internals
-	// (stability.Tracker.ExportRing).
-	Ring []float64
-	Head int
-	Fill int
-	Sum  float64
-}
-
-// ShardAggregate is one shard's exported metric accumulators. Over- and
-// under-tagged counts are recomputed from resource state at restore.
-type ShardAggregate struct {
-	QSum   float64
-	QComp  float64
-	Spent  int
-	Posts  int
-	Wasted int
-}
-
-// ExportState captures a consistent cut of the engine: all shard locks
-// are held for the duration, so no post is ever half-reflected, and the
-// recorded LastSeq is exactly the set of WAL records the state covers
-// (WAL appends happen under a shard lock, so a lock-stopped engine has
-// applied every record it logged). Cold resources are exported through
-// a transient decode of their frozen records, without being rehydrated.
-func (e *Engine) ExportState() *State {
+func (e *Engine) AppendSnapshot(buf []byte) (payload []byte, lastSeq uint64) {
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
@@ -97,61 +60,57 @@ func (e *Engine) ExportState() *State {
 			sh.mu.Unlock()
 		}
 	}()
-	st := &State{
-		Omega:          e.cfg.Omega,
-		Shards:         len(e.shards),
-		UnderThreshold: e.cfg.UnderThreshold,
-		TagUniverse:    e.cfg.TagUniverse,
-		IDsFingerprint: idsFingerprint(e.cfg.IDs),
-		Resources:      make([]ResourceState, e.n),
-		Aggregates:     make([]ShardAggregate, 0, len(e.shards)),
-	}
 	if e.cfg.WAL != nil {
 		e.walMu.Lock()
-		st.LastSeq = e.cfg.WAL.LastSeq()
+		lastSeq = e.cfg.WAL.LastSeq()
 		e.walMu.Unlock()
 	}
+	buf = codec.AppendUvarint(buf, stateVersion)
+	buf = codec.AppendUvarint(buf, uint64(e.cfg.Omega))
+	buf = codec.AppendUvarint(buf, uint64(len(e.shards)))
+	buf = codec.AppendVarint(buf, int64(e.cfg.UnderThreshold))
+	buf = codec.AppendUvarint(buf, uint64(e.cfg.TagUniverse))
+	buf = codec.AppendUvarint(buf, lastSeq)
+	buf = codec.AppendUvarint(buf, idsFingerprint(e.cfg.IDs))
+	buf = codec.AppendUvarint(buf, uint64(e.n))
 	for i := 0; i < e.n; i++ {
 		sh, l := e.locate(i)
-		r := sh.res[l]
-		tr := r.tracker
-		if tr == nil {
-			tr = e.frozenTracker(r, i)
+		if r := sh.res[l]; r.tracker != nil {
+			buf, sh.support = appendRecord(buf, r.tracker, sh.support)
+		} else {
+			buf = append(buf, r.frozen...)
 		}
-		rs := &st.Resources[i]
-		rs.Posts = tr.Posts()
-		rs.Tags, rs.Counts = tr.Counts().Entries(nil, nil)
-		rs.Ring, rs.Head, rs.Fill, rs.Sum = tr.ExportRing()
 	}
+	buf = codec.AppendUvarint(buf, uint64(len(e.shards)))
 	for _, sh := range e.shards {
-		st.Aggregates = append(st.Aggregates, ShardAggregate{
-			QSum: sh.qsum, QComp: sh.qcomp,
-			Spent: sh.spent, Posts: sh.posts, Wasted: sh.wasted,
-		})
+		buf = codec.AppendFloat64(buf, sh.qsum)
+		buf = codec.AppendFloat64(buf, sh.qcomp)
+		buf = codec.AppendUvarint(buf, uint64(sh.spent))
+		buf = codec.AppendUvarint(buf, uint64(sh.posts))
+		buf = codec.AppendUvarint(buf, uint64(sh.wasted))
 	}
-	return st
+	return buf, lastSeq
 }
 
-// Restore rebuilds an engine from a marshalled State payload — the only
+// Restore rebuilds an engine from an AppendSnapshot payload — the only
 // way durable state enters an engine. Every resource starts COLD: the
 // payload is indexed, not decoded — each resource keeps a frozen record
 // that aliases its byte span inside payload, and only the scalars the
 // engine answers reads from (post count, quality, MA window sum) and
 // the reference dot a later rehydration keeps are computed during a
-// single streaming pass. When payload is an mmap'd
-// snapshot (tagstore.MapSnapshot), boot cost is one sequential
-// page-cache walk and the resident heap holds no per-resource vectors or
-// trackers at all; resources rehydrate lazily as traffic touches them,
-// so an engine nobody evicts converges to all-resident under traffic.
+// single streaming pass. Boot cost is that one sequential walk, and the
+// heap holds no per-resource vectors or trackers beyond the payload
+// itself; resources rehydrate lazily as traffic touches them, so an
+// engine nobody evicts converges to all-resident under traffic, and the
+// payload is garbage once no frozen record aliases it.
 //
 // The specs supply what a snapshot never stores — references, stable
 // points, task costs — and must describe the same corpus the exporting
 // engine was built over; the configuration must match the exporting
 // engine's exactly. Violations fail loudly: a snapshot restored against
 // the wrong corpus or options must never silently diverge. The caller
-// must keep payload valid (the mapping open) for the life of the
-// engine: frozen records alias it until their resource is rehydrated.
-// The returned lastSeq is the snapshot's WAL coverage, as State.LastSeq.
+// must not modify payload afterwards. The returned lastSeq is the
+// snapshot's WAL coverage, as AppendSnapshot returned it.
 func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastSeq uint64, err error) {
 	cfg = cfg.withDefaults()
 	if cfg.Omega < 2 {
@@ -159,7 +118,7 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 	}
 	r := codec.NewReader(payload, statePrefix)
 	v := r.Uvarint("version")
-	if r.Err() == nil && v != 1 && v != stateVersion {
+	if r.Err() == nil && v != stateVersion {
 		return nil, 0, fmt.Errorf("engine: state version %d not supported (want %d)", v, stateVersion)
 	}
 	omega := int(r.Uvarint("omega"))
@@ -167,10 +126,7 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 	under := int(r.Varint("under threshold"))
 	universe := int(r.Uvarint("tag universe"))
 	lastSeq = r.Uvarint("last seq")
-	var fingerprint uint64
-	if v == stateVersion {
-		fingerprint = r.Uvarint("ids fingerprint")
-	}
+	fingerprint := r.Uvarint("ids fingerprint")
 	n := r.Length("resource count", maxStateSlice)
 	if err := r.Err(); err != nil {
 		return nil, 0, err
@@ -206,7 +162,7 @@ func Restore(cfg Config, specs []ResourceSpec, payload []byte) (e *Engine, lastS
 		start := r.Offset()
 		var dot int64
 		var norm2 float64
-		posts, sum := scanResourceState(r, cfg.Omega, func(t tags.Tag, cnt int64) {
+		posts, sum := scanRecord(r, cfg.Omega, func(t tags.Tag, cnt int64) {
 			norm2 += float64(cnt) * float64(cnt)
 			if res.refCounts != nil {
 				dot += cnt * res.refCounts.Get(t)
@@ -269,7 +225,8 @@ func (sh *shard) index(r *resource, under int) {
 // WAL — the record already sits in the log. It is the recovery twin of
 // Ingest: same validation, same metric deltas, no append. Replaying a
 // record that was already reflected in a restored snapshot would double
-// apply it; callers must feed only the WAL tail past State.LastSeq.
+// apply it; callers must feed only the WAL tail past the snapshot's
+// lastSeq.
 // Like Ingest, it is a shard batch of one.
 func (e *Engine) Replay(i int, p tags.Post) error {
 	if i < 0 || i >= e.n {
@@ -316,37 +273,43 @@ func idsFingerprint(ids []uint32) uint64 {
 // allocating unbounded memory.
 const maxStateSlice = 1 << 28
 
-// appendResourceState appends one resource's record in the state
-// format's per-resource layout: posts, support size, delta-encoded
-// (tag, count) pairs ascending from a −1 base, then the MA window (ring
-// length, bit-exact ring floats, head, fill, sum). This layout is the
-// unit shared by full snapshots (MarshalBinary), the residency tier's
-// frozen records, and Restore's cold index — one encoder, read whole by
-// decodeTracker and streamed by scanResourceState. i names the resource
-// in errors.
-func appendResourceState(buf []byte, i int, rs *ResourceState) ([]byte, error) {
-	if len(rs.Tags) != len(rs.Counts) {
-		return nil, fmt.Errorf("engine: resource %d has %d tags for %d counts", i, len(rs.Tags), len(rs.Counts))
-	}
-	buf = codec.AppendUvarint(buf, uint64(rs.Posts))
-	buf = codec.AppendUvarint(buf, uint64(len(rs.Tags)))
+// entry is one (tag, count) pair of a record's support.
+type entry struct {
+	t tags.Tag
+	n int64
+}
+
+// appendRecord appends a hot resource's record in the snapshot's
+// per-resource layout: posts, support size, delta-encoded (tag, count)
+// pairs ascending from a −1 base, then the MA window (ring length,
+// bit-exact ring floats, head, fill, sum). This layout is the unit
+// shared by snapshots (AppendSnapshot), the residency tier's frozen
+// records (freezeLocked) and Restore's cold index — one encoder, read
+// whole by decodeTracker and streamed by scanRecord. The support is
+// gathered into scratch in one ForEach pass and sorted there; the grown
+// scratch is returned for reuse.
+func appendRecord(buf []byte, tr *stability.Tracker, scratch []entry) ([]byte, []entry) {
+	c := tr.Counts()
+	scratch = scratch[:0]
+	c.ForEach(func(t tags.Tag, n int64) { scratch = append(scratch, entry{t, n}) })
+	slices.SortFunc(scratch, func(a, b entry) int { return cmp.Compare(a.t, b.t) })
+	buf = codec.AppendUvarint(buf, uint64(c.Posts()))
+	buf = codec.AppendUvarint(buf, uint64(len(scratch)))
 	d := codec.NewDelta(-1)
-	for k, t := range rs.Tags {
-		gap, ok := d.Gap(int64(t))
-		if !ok {
-			return nil, fmt.Errorf("engine: resource %d support not ascending", i)
-		}
+	for _, en := range scratch {
+		gap, _ := d.Gap(int64(en.t)) // a support's tags are distinct
 		buf = codec.AppendUvarint(buf, gap)
-		buf = codec.AppendUvarint(buf, uint64(rs.Counts[k]))
+		buf = codec.AppendUvarint(buf, uint64(en.n))
 	}
-	buf = codec.AppendUvarint(buf, uint64(len(rs.Ring)))
-	for _, f := range rs.Ring {
+	ring, head, fill, sum := tr.ExportRing()
+	buf = codec.AppendUvarint(buf, uint64(len(ring)))
+	for _, f := range ring {
 		buf = codec.AppendFloat64(buf, f)
 	}
-	buf = codec.AppendUvarint(buf, uint64(rs.Head))
-	buf = codec.AppendUvarint(buf, uint64(rs.Fill))
-	buf = codec.AppendFloat64(buf, rs.Sum)
-	return buf, nil
+	buf = codec.AppendUvarint(buf, uint64(head))
+	buf = codec.AppendUvarint(buf, uint64(fill))
+	buf = codec.AppendFloat64(buf, sum)
+	return buf, scratch
 }
 
 // readEntry decodes one support pair of a record: the tag's gap from
@@ -368,7 +331,7 @@ func readEntry(r *codec.Reader, d *codec.Delta) (tags.Tag, int64) {
 }
 
 // decodeTracker is the one record decoder: it reads an
-// appendResourceState record in one pass into a restored tracker. The
+// appendRecord record in one pass into a restored tracker. The
 // post count and support size come first, so every (tag, count) goes
 // straight into a table presized for the support, and the ring is read
 // into the one slice the tracker keeps — three allocations (table,
@@ -433,7 +396,7 @@ func checkRingPosition(r *codec.Reader, posts, nr, head, fill int) {
 	}
 }
 
-// scanResourceState walks one record without materializing slices:
+// scanRecord walks one record without materializing slices:
 // entry (when non-nil) sees each (tag, count) support pair, the ring is
 // skipped, and the scalars a cold resource retains — the post count and
 // the MA window's running sum — are returned. Besides the framing it
@@ -441,7 +404,7 @@ func checkRingPosition(r *codec.Reader, posts, nr, head, fill int) {
 // would refuse later: strictly ascending tags, each count in (0, posts],
 // a ring of ω−1 entries and a ring position that agrees with the post
 // count. Restore and ViewEntries stream records with it.
-func scanResourceState(r *codec.Reader, omega int, entry func(t tags.Tag, n int64)) (posts int, sum float64) {
+func scanRecord(r *codec.Reader, omega int, entry func(t tags.Tag, n int64)) (posts int, sum float64) {
 	posts = int(r.Uvarint("posts"))
 	nt := r.Length("support size", maxStateSlice)
 	if r.Err() != nil {
@@ -469,37 +432,4 @@ func scanResourceState(r *codec.Reader, omega int, entry func(t tags.Tag, n int6
 	sum = r.Float64("ring sum")
 	checkRingPosition(r, posts, nr, head, fill)
 	return posts, sum
-}
-
-// MarshalBinary renders the state as a compact, versioned byte payload
-// (the snapshot body tagstore.WriteSnapshot frames and checksums).
-// Integers are varint-encoded; tag ids are delta-encoded within each
-// resource (ascending order); floats are raw IEEE-754 bits. All
-// primitives come from internal/codec — the same implementation the
-// tagstore record format uses.
-func (st *State) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, 64+len(st.Resources)*64)
-	buf = codec.AppendUvarint(buf, stateVersion)
-	buf = codec.AppendUvarint(buf, uint64(st.Omega))
-	buf = codec.AppendUvarint(buf, uint64(st.Shards))
-	buf = codec.AppendVarint(buf, int64(st.UnderThreshold))
-	buf = codec.AppendUvarint(buf, uint64(st.TagUniverse))
-	buf = codec.AppendUvarint(buf, st.LastSeq)
-	buf = codec.AppendUvarint(buf, st.IDsFingerprint)
-	buf = codec.AppendUvarint(buf, uint64(len(st.Resources)))
-	var err error
-	for i := range st.Resources {
-		if buf, err = appendResourceState(buf, i, &st.Resources[i]); err != nil {
-			return nil, err
-		}
-	}
-	buf = codec.AppendUvarint(buf, uint64(len(st.Aggregates)))
-	for _, agg := range st.Aggregates {
-		buf = codec.AppendFloat64(buf, agg.QSum)
-		buf = codec.AppendFloat64(buf, agg.QComp)
-		buf = codec.AppendUvarint(buf, uint64(agg.Spent))
-		buf = codec.AppendUvarint(buf, uint64(agg.Posts))
-		buf = codec.AppendUvarint(buf, uint64(agg.Wasted))
-	}
-	return buf, nil
 }

@@ -2,15 +2,19 @@ package engine
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
+	"incentivetag/internal/codec"
 	"incentivetag/internal/quality"
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
+	"incentivetag/internal/tagstore"
 )
 
 // stateSpecs builds a small synthetic corpus of engine specs with
@@ -93,7 +97,7 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 
 		// Round-trip through the binary encoding, as recovery does. The
 		// restored engine starts cold and must already read identically.
-		payload := marshaled(t, live)
+		payload := payloadOf(live)
 		restored, _, err := Restore(cfg, specs, payload)
 		if err != nil {
 			t.Fatal(err)
@@ -111,7 +115,7 @@ func TestExportRestoreBitIdentical(t *testing.T) {
 		if st := restored.Residency(); st.Cold != 0 {
 			t.Fatalf("ensureResident left %d resources cold", st.Cold)
 		}
-		if !bytes.Equal(marshaled(t, restored), payload) {
+		if !bytes.Equal(payloadOf(restored), payload) {
 			t.Fatal("re-exported state differs from the restored payload")
 		}
 		assertEnginesBitIdentical(t, live, restored)
@@ -178,7 +182,7 @@ func TestRestoreRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	payload := marshaled(t, eng)
+	payload := payloadOf(eng)
 	if _, _, err := Restore(cfg, specs, payload); err != nil {
 		t.Fatalf("intact payload rejected: %v", err)
 	}
@@ -192,12 +196,9 @@ func TestRestoreRejects(t *testing.T) {
 		}
 	}
 	// Aggregates that disagree with the per-resource post counts.
-	skewed := eng.ExportState()
-	skewed.Aggregates[0].Posts++
-	skewedPayload, err := skewed.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng.shards[0].posts++
+	skewedPayload := payloadOf(eng)
+	eng.shards[0].posts--
 	// The version is the payload's first varint.
 	future := append([]byte{stateVersion + 1}, payload[1:]...)
 	// A part of a larger corpus: the same state exported over ids 0, 2,
@@ -207,7 +208,7 @@ func TestRestoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idsPayload := marshaled(t, part)
+	idsPayload := payloadOf(part)
 	if _, _, err := Restore(partCfg, specs, idsPayload); err != nil {
 		t.Fatalf("intact payload over ids rejected: %v", err)
 	}
@@ -253,7 +254,7 @@ func TestRestoreRejects(t *testing.T) {
 // by one, a fill short of full, a count of 0 or above the post count,
 // and tags that walk backwards (gaps 6 and 2⁶⁴−2 read as tags 5, 3) or
 // repeat (a gap of 0) each fail Restore — before, such a snapshot booted,
-// failed its first write, and every ExportState panicked on it.
+// failed its first write, and every snapshot export panicked on it.
 func TestRestoreRefusesRingOffPosts(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	initial := make(tags.Seq, 24)
@@ -266,48 +267,40 @@ func TestRestoreRefusesRingOffPosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.ExportState()
-	payload, err := st.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := payloadOf(eng)
 	if _, _, err := Restore(cfg, specs, payload); err != nil {
 		t.Fatalf("intact payload rejected: %v", err)
 	}
-	rs := st.Resources[0]
-	if rs.Head != 0 || rs.Fill != 4 || len(rs.Tags) < 2 {
-		t.Fatalf("24 posts froze at head %d fill %d over %d tags, want 0, 4 and two or more", rs.Head, rs.Fill, len(rs.Tags))
-	}
-	rec, err := appendResourceState(nil, 0, &rs)
-	if err != nil {
+	if _, err := eng.Evict(0); err != nil {
 		t.Fatal(err)
+	}
+	rec := eng.shards[0].res[0].frozen
+	rs := readRecord(t, rec)
+	if rs.head != 0 || rs.fill != 4 || len(rs.tags) < 2 {
+		t.Fatalf("24 posts froze at head %d fill %d over %d tags, want 0, 4 and two or more", rs.head, rs.fill, len(rs.tags))
 	}
 	at := bytes.Index(payload, rec)
 	if at < 0 {
 		t.Fatal("resource record not found in its payload")
 	}
-	encode := func(edit func(bad *ResourceState)) []byte {
+	encode := func(edit func(bad *testRecord)) []byte {
 		bad := rs
-		bad.Counts = slices.Clone(rs.Counts)
+		bad.counts = slices.Clone(rs.counts)
 		edit(&bad)
-		b, err := appendResourceState(nil, 0, &bad)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return bad.encode()
 	}
 	gaps := func(gs ...uint64) []byte {
 		counts := make([]uint64, len(gs))
 		for k := range counts {
 			counts[k] = 1
 		}
-		return rawRecord(24, gs, counts, rs.Ring, 0, 4)
+		return rawRecord(24, gs, counts, rs.ring, 0, 4)
 	}
 	for name, bad := range map[string][]byte{
-		"head moved by one":    encode(func(b *ResourceState) { b.Head = 1 }),
-		"fill short of full":   encode(func(b *ResourceState) { b.Fill = 3 }),
-		"count above posts":    encode(func(b *ResourceState) { b.Counts[0] = 25 }),
-		"count 0":              encode(func(b *ResourceState) { b.Counts[1] = 0 }),
+		"head moved by one":    encode(func(b *testRecord) { b.head = 1 }),
+		"fill short of full":   encode(func(b *testRecord) { b.fill = 3 }),
+		"count above posts":    encode(func(b *testRecord) { b.counts[0] = 25 }),
+		"count 0":              encode(func(b *testRecord) { b.counts[1] = 0 }),
 		"descending gap":       gaps(6, math.MaxUint64-1),
 		"repeated tag":         gaps(6, 0),
 		"gap past int32 range": gaps(math.MaxInt32+2, 1),
@@ -328,9 +321,14 @@ func withIDs(cfg Config, n int, offset uint32) Config {
 	return cfg
 }
 
+// A snapshot taken while four writers ingest is a consistent cut:
+// Restore, which checks the shard aggregates against the posts the
+// resource records imply, accepts every one, and the restored engine
+// agrees with its own payload.
 func TestExportStateConcurrentWithIngest(t *testing.T) {
 	specs := stateSpecs(64, 21)
-	eng, err := New(Config{Omega: 5, Shards: 8, UnderThreshold: 10}, specs)
+	cfg := Config{Omega: 5, Shards: 8, UnderThreshold: 10}
+	eng, err := New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,20 +353,116 @@ func TestExportStateConcurrentWithIngest(t *testing.T) {
 		}(w)
 	}
 	for k := 0; k < 20; k++ {
-		st := eng.ExportState()
-		// A consistent cut: aggregate posts must equal the sum of
-		// per-resource ingested counts at the cut.
-		posts, implied := 0, 0
-		for _, agg := range st.Aggregates {
-			posts += agg.Posts
+		payload := payloadOf(eng)
+		restored, _, err := Restore(cfg, specs, payload)
+		if err != nil {
+			t.Fatalf("inconsistent cut: %v", err)
 		}
-		for i := range st.Resources {
-			implied += st.Resources[i].Posts - len(specs[i].Initial)
-		}
-		if posts != implied {
-			t.Fatalf("inconsistent cut: aggregates say %d posts, resources imply %d", posts, implied)
+		if !bytes.Equal(payloadOf(restored), payload) {
+			t.Fatal("restored engine re-exports another payload")
 		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// Restore accepts only the state version this tree writes: a payload in
+// the version-1 framing, which had no id fingerprint, is refused with
+// the version error rather than read as one over the whole corpus.
+func TestRestoreRefusesVersion1(t *testing.T) {
+	specs := stateSpecs(16, 11)
+	cfg := Config{Omega: 5, Shards: 2, UnderThreshold: 10}
+	eng, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 100; k++ {
+		if err := eng.Ingest(rng.Intn(16), testPost(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := payloadOf(eng)
+	r := codec.NewReader(payload, statePrefix)
+	r.Uvarint("version")
+	v1 := codec.AppendUvarint(nil, 1)
+	v1 = codec.AppendUvarint(v1, r.Uvarint("omega"))
+	v1 = codec.AppendUvarint(v1, r.Uvarint("shards"))
+	v1 = codec.AppendVarint(v1, r.Varint("under threshold"))
+	v1 = codec.AppendUvarint(v1, r.Uvarint("tag universe"))
+	v1 = codec.AppendUvarint(v1, r.Uvarint("last seq"))
+	if fp := r.Uvarint("ids fingerprint"); fp != 0 || r.Err() != nil {
+		t.Fatalf("fingerprint %d, err %v", fp, r.Err())
+	}
+	v1 = append(v1, payload[r.Offset():]...)
+	if _, _, err := Restore(cfg, specs, v1); err == nil || !strings.Contains(err.Error(), "version 1 not supported") {
+		t.Fatalf("version-1 payload: err %v, want the version error", err)
+	}
+}
+
+// TestSnapshotPayloadGolden pins the snapshot format byte for byte: one
+// fixed corpus (ids, a tag universe and a WAL, so every header field is
+// non-trivial) in three residency mixes — all hot; a third evicted and
+// left cold while the rest ingest on; booted cold by Restore and then
+// partly touched — each with its payload's length and FNV-64a. The
+// pins were taken from the two-step export this encoder replaced, so a
+// payload written before it restores here bit-identically.
+func TestSnapshotPayloadGolden(t *testing.T) {
+	const n = 48
+	specs := stateSpecs(n, 13)
+	wal, err := tagstore.Open(t.TempDir(), tagstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	cfg := withIDs(Config{Omega: 5, Shards: 4, UnderThreshold: 10, TagUniverse: 512}, n, 0)
+	cfg.WAL = wal
+	eng, err := New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	ingest := func(e *Engine, posts int, skip func(i int) bool) {
+		for k := 0; k < posts; k++ {
+			i := rng.Intn(n)
+			if skip(i) {
+				continue
+			}
+			if err := e.Ingest(i, testPost(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pin := func(name string, e *Engine, wantLen int, wantHash, wantSeq uint64) []byte {
+		t.Helper()
+		payload, seq := e.AppendSnapshot(nil)
+		h := fnv.New64a()
+		h.Write(payload)
+		if len(payload) != wantLen || h.Sum64() != wantHash || seq != wantSeq {
+			t.Fatalf("%s: %d bytes, fnv %#016x, last seq %d; want %d, %#016x, %d", name, len(payload), h.Sum64(), seq, wantLen, wantHash, wantSeq)
+		}
+		return payload
+	}
+
+	ingest(eng, 1500, func(int) bool { return false })
+	hot := pin("all hot", eng, 9531, 0x54f8e0278e6f808c, 1500)
+	for i := 0; i < n; i += 3 {
+		if _, err := eng.Evict(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(payloadOf(eng), hot) {
+		t.Fatal("evicting changed the payload")
+	}
+	ingest(eng, 400, func(i int) bool { return i%3 == 0 })
+	parted := pin("part evicted", eng, 10569, 0x700987aeefdc1a2f, 1787)
+
+	bootCfg := cfg
+	bootCfg.WAL = nil
+	booted, _, err := Restore(bootCfg, specs, parted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(booted, 300, func(i int) bool { return i%4 != 1 })
+	pin("booted, partly touched", booted, 10824, 0x1319bd9a69bf7d99, 0)
 }

@@ -201,7 +201,7 @@ func (c *Counts) Clone() *Counts {
 // ForEach visits every non-zero (tag, count) entry in unspecified
 // order, without allocating. The query engine uses it to lift a
 // subject's support and weights in one pass; callers needing ascending
-// order should use Support or Entries instead.
+// order should use Support instead.
 func (c *Counts) ForEach(fn func(t tags.Tag, n int64)) {
 	for _, s := range c.slots {
 		if s.n != 0 {
@@ -347,18 +347,6 @@ func (c *Counts) Insert(t tags.Tag, n int64) error {
 	c.norm2 += float64(n) * float64(n)
 	c.mass += n
 	return nil
-}
-
-// Entries appends the non-zero (tag, count) support to the given slices
-// in ascending tag order — the export counterpart of Presize and
-// Insert.
-func (c *Counts) Entries(ts []tags.Tag, ns []int64) ([]tags.Tag, []int64) {
-	start := len(ts)
-	ts = c.appendSupport(ts)
-	for _, t := range ts[start:] {
-		ns = append(ns, c.Get(t))
-	}
-	return ts, ns
 }
 
 // FromSeq builds counts by accumulating the first k posts of seq.

@@ -214,7 +214,7 @@ func (m *model) add(p tags.Post) {
 
 // requireModel checks every observable of c against m: Get on the
 // support and on absent ids, Len, norm², mass, posts, the ForEach set,
-// and the ascending Entries and appendSupport.
+// and the ascending appendSupport.
 func requireModel(t testing.TB, c *Counts, m *model) {
 	t.Helper()
 	var norm2 float64
@@ -248,17 +248,16 @@ func requireModel(t testing.TB, c *Counts, m *model) {
 	if seen != len(m.m) {
 		t.Fatalf("ForEach visited %d entries, model has %d", seen, len(m.m))
 	}
-	ts, ns := c.Entries([]tags.Tag{7}, []int64{7})
 	sup := c.appendSupport([]tags.Tag{7})
-	if len(ts) != len(m.m)+1 || len(ns) != len(ts) || len(sup) != len(ts) {
-		t.Fatalf("Entries/appendSupport lengths %d/%d/%d, want %d", len(ts), len(ns), len(sup), len(m.m)+1)
+	if len(sup) != len(m.m)+1 || sup[0] != 7 {
+		t.Fatalf("appendSupport after 7 gave %v, want 7 then %d ids", sup, len(m.m))
 	}
-	for i := 1; i < len(ts); i++ {
-		if i > 1 && ts[i] <= ts[i-1] {
-			t.Fatalf("Entries not ascending at %d: %d after %d", i, ts[i], ts[i-1])
+	for i := 1; i < len(sup); i++ {
+		if i > 1 && sup[i] <= sup[i-1] {
+			t.Fatalf("appendSupport not ascending at %d: %d after %d", i, sup[i], sup[i-1])
 		}
-		if ns[i] != m.m[ts[i]] || sup[i] != ts[i] {
-			t.Fatalf("entry %d: (%d, %d) support %d, model count %d", i, ts[i], ns[i], sup[i], m.m[ts[i]])
+		if _, ok := m.m[sup[i]]; !ok {
+			t.Fatalf("support id %d at %d is not in the model", sup[i], i)
 		}
 	}
 }
@@ -323,11 +322,11 @@ func runModel(t testing.TB, prog []byte) {
 			m.add(p)
 			c = d
 		case 7: // round-trip through the snapshot form
-			ts, ns := c.Entries(nil, nil)
+			ts := c.Support()
 			d := NewCounts()
 			d.Presize(c.Posts(), len(ts))
 			for k := len(ts) - 1; k >= 0; k-- {
-				if err := d.Insert(ts[k], ns[k]); err != nil {
+				if err := d.Insert(ts[k], c.Get(ts[k])); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -79,12 +79,11 @@ func RestoreTracker(omega int, counts *sparse.Counts, ring []float64, head, fill
 	return &Tracker{omega: omega, counts: *counts, ring: ring, head: head, fill: fill, sum: sum}, nil
 }
 
-// ExportRing copies the MA window internals out of the tracker — the
-// counterpart of RestoreTracker. The returned ring is a copy.
+// ExportRing returns the MA window internals — the counterpart of
+// RestoreTracker. The ring is the tracker's own: read it, never mutate
+// or retain it.
 func (tr *Tracker) ExportRing() (ring []float64, head, fill int, sum float64) {
-	ring = make([]float64, len(tr.ring))
-	copy(ring, tr.ring)
-	return ring, tr.head, tr.fill, tr.sum
+	return tr.ring, tr.head, tr.fill, tr.sum
 }
 
 // Posts returns k, the number of posts observed.

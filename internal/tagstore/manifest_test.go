@@ -1,6 +1,8 @@
 package tagstore
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -299,25 +301,14 @@ func TestOpenAdoptsOrphanRotatedSegment(t *testing.T) {
 	}
 }
 
-// latestSnapshot maps the newest valid snapshot, copies what the
-// assertions need out of the mapping and releases it.
+// latestSnapshot reads the newest valid snapshot.
 func latestSnapshot(t *testing.T, dir string) (seq uint64, payload string, ok bool, skipped int) {
 	t.Helper()
-	m, ok, skipped, err := MapLatestSnapshot(dir)
+	p, seq, ok, skipped, err := ReadLatestSnapshot(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		return 0, "", false, skipped
-	}
-	seq, payload = m.LastSeq, string(m.Payload)
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Payload != nil || m.Close() != nil {
-		t.Fatal("Close must drop the payload and be safe to repeat")
-	}
-	return seq, payload, true, skipped
+	return seq, string(p), ok, skipped
 }
 
 func TestSnapshotRoundTripAndFallback(t *testing.T) {
@@ -369,7 +360,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(99)), raw[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MapSnapshot(filepath.Join(dir, snapName(99))); err == nil {
+	if _, _, err := readSnapshot(filepath.Join(dir, snapName(99))); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 
@@ -386,6 +377,45 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	infos, err := ListSnapshots(dir)
 	if err != nil || len(infos) != 1 || infos[0].LastSeq != 10 {
 		t.Fatalf("after prune: %v err=%v", infos, err)
+	}
+}
+
+// Every check the snapshot reader makes refuses a file that fails only
+// that check: the CRC is recomputed over each damaged header, so only
+// the magic, the length field or the name/header seq agreement is wrong.
+func TestReadSnapshotRejects(t *testing.T) {
+	dir := t.TempDir()
+	frame := func(magic string, seq uint64, n uint32, payload string) []byte {
+		buf := append([]byte(magic), binary.LittleEndian.AppendUint64(nil, seq)...)
+		buf = binary.LittleEndian.AppendUint32(buf, n)
+		buf = append(buf, payload...)
+		return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	}
+	for _, tc := range []struct {
+		name string
+		file string
+		raw  []byte
+		ok   bool
+	}{
+		{"intact", snapName(7), frame(snapMagic, 7, 5, "state"), true},
+		{"bad magic", snapName(7), frame("ITSNAP02", 7, 5, "state"), false},
+		{"length past the payload", snapName(7), frame(snapMagic, 7, 6, "state"), false},
+		{"length short of the payload", snapName(7), frame(snapMagic, 7, 4, "state"), false},
+		{"header seq off its name", snapName(8), frame(snapMagic, 7, 5, "state"), false},
+		{"truncated header", snapName(7), frame(snapMagic, 7, 5, "state")[:15], false},
+	} {
+		path := filepath.Join(dir, tc.file)
+		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		payload, seq, err := readSnapshot(path)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err %v", tc.name, err)
+		}
+		if tc.ok && (string(payload) != "state" || seq != 7) {
+			t.Errorf("%s: read (%q, %d), want (\"state\", 7)", tc.name, payload, seq)
+		}
+		os.Remove(path)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -22,7 +23,7 @@ import (
 // The CRC covers the header too, so a snapshot whose seq or length field
 // was torn is rejected, not misread. Files are written to a temp name,
 // fsynced and renamed into place, so a crash mid-write never produces a
-// file that MapLatestSnapshot could half-trust; readers skip damaged files
+// file that ReadLatestSnapshot could half-trust; readers skip damaged files
 // and fall back to the next-newest, and in the worst case recovery
 // degrades to a full log replay — never to silent corruption.
 const (
@@ -44,7 +45,7 @@ type SnapshotInfo struct {
 	// Name is the file name within the store directory.
 	Name string
 	// LastSeq is the log sequence number the snapshot covers (parsed
-	// from the name; MapSnapshot re-verifies it against the header).
+	// from the name; readSnapshot re-verifies it against the header).
 	LastSeq uint64
 	// Bytes is the file size.
 	Bytes int64
@@ -146,15 +147,13 @@ func PruneSnapshots(dir string, keep int) (removed int, oldestSeq uint64, ok boo
 	}
 	var valid []SnapshotInfo
 	for _, info := range infos {
-		m, merr := MapSnapshot(filepath.Join(dir, info.Name))
-		if merr != nil {
+		if _, _, rerr := readSnapshot(filepath.Join(dir, info.Name)); rerr != nil {
 			if err := os.Remove(filepath.Join(dir, info.Name)); err != nil {
 				return removed, 0, false, fmt.Errorf("tagstore: prune snapshot: %w", err)
 			}
 			removed++
 			continue
 		}
-		m.Close()
 		valid = append(valid, info)
 	}
 	for i := 0; i+keep < len(valid); i++ {
@@ -170,4 +169,70 @@ func PruneSnapshots(dir string, keep int) (removed int, oldestSeq uint64, ok boo
 		}
 	}
 	return removed, 0, false, nil
+}
+
+// ReadLatestSnapshot reads the newest snapshot in dir that validates,
+// trying older ones when newer files are damaged, and returns its
+// payload (the engine's encoded state, a fresh heap slice the caller
+// owns) and the log sequence number it covers. ok is false when no
+// valid snapshot exists (recovery then falls back to a full log
+// replay); skipped counts damaged files passed over.
+func ReadLatestSnapshot(dir string) (payload []byte, lastSeq uint64, ok bool, skipped int, err error) {
+	infos, err := ListSnapshots(dir)
+	if err != nil {
+		return nil, 0, false, 0, err
+	}
+	for i := len(infos) - 1; i >= 0; i-- {
+		payload, lastSeq, rerr := readSnapshot(filepath.Join(dir, infos[i].Name))
+		if rerr != nil {
+			skipped++
+			continue
+		}
+		return payload, lastSeq, true, skipped, nil
+	}
+	return nil, 0, false, skipped, nil
+}
+
+// readSnapshot reads and fully validates one snapshot file — magic,
+// length framing, CRC over header and payload, and name/header seq
+// agreement — and returns its payload and covered seq. It is the only
+// snapshot reader: recovery loads through it and pruning validates
+// through it. The size is checked before anything is read, so a huge
+// stray file is refused, not allocated.
+func readSnapshot(path string) (payload []byte, lastSeq uint64, err error) {
+	name := filepath.Base(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("tagstore: read snapshot: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("tagstore: read snapshot: %w", err)
+	}
+	hdr := len(snapMagic) + 8 + 4
+	size := fi.Size()
+	if size < int64(hdr+4) || size > int64(maxSnapshotBytes)+int64(hdr+4) {
+		return nil, 0, fmt.Errorf("tagstore: snapshot %s truncated (%d bytes)", name, size)
+	}
+	raw := make([]byte, size)
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, 0, fmt.Errorf("tagstore: read snapshot %s: %w", name, err)
+	}
+	if string(raw[:len(snapMagic)]) != snapMagic {
+		return nil, 0, fmt.Errorf("tagstore: snapshot %s has bad magic", name)
+	}
+	lastSeq = binary.LittleEndian.Uint64(raw[len(snapMagic):])
+	n := binary.LittleEndian.Uint32(raw[len(snapMagic)+8:])
+	if int64(n) > maxSnapshotBytes || len(raw) != hdr+int(n)+4 {
+		return nil, 0, fmt.Errorf("tagstore: snapshot %s length mismatch (payload %d, file %d)", name, n, len(raw))
+	}
+	body := raw[:hdr+int(n)]
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(raw[hdr+int(n):]) {
+		return nil, 0, fmt.Errorf("tagstore: snapshot %s crc mismatch", name)
+	}
+	if name != snapName(lastSeq) && strings.HasPrefix(name, snapPrefix) {
+		return nil, 0, fmt.Errorf("tagstore: snapshot %s header seq %d disagrees with its name", name, lastSeq)
+	}
+	return body[hdr:], lastSeq, nil
 }

@@ -182,7 +182,7 @@ func TestServiceTieredBitIdentical(t *testing.T) {
 	}
 }
 
-// A tiered service must boot COLD from an mmap'd snapshot — zero
+// A tiered service must boot COLD from a snapshot — zero
 // resident resources — and still answer
 // every query and metric read bit-identically to an untiered service
 // recovered from the same directory.
@@ -258,7 +258,7 @@ func TestServiceTieredColdBootFromSnapshot(t *testing.T) {
 	}
 	assertScoredEqual(t, "cold-boot search", got, want)
 
-	// Live traffic lands on the mapped engine (rehydrate-on-touch), the
+	// Live traffic lands on the cold-booted engine (rehydrate-on-touch), the
 	// policy re-freezes, and the service shuts down through a final
 	// snapshot taken over a mixed hot/cold corpus.
 	cursor := startCursor(ds)
