@@ -404,11 +404,13 @@ type Service struct {
 
 	// Snapshot machinery. snapMu serializes snapshot/compaction cycles
 	// (the background snapshotter, /admin/snapshot and Close can race);
-	// lastSnapSeq is guarded by it.
-	snapMu      sync.Mutex
-	lastSnapSeq uint64
-	snapsTaken  atomic.Int64
-	segsDropped atomic.Int64
+	// lastSnapSeq and lastSnapBytes, the last payload's length, are
+	// guarded by it.
+	snapMu        sync.Mutex
+	lastSnapSeq   uint64
+	lastSnapBytes int
+	snapsTaken    atomic.Int64
+	segsDropped   atomic.Int64
 
 	stopSnap chan struct{}
 	snapWG   sync.WaitGroup
@@ -1044,7 +1046,10 @@ func (s *Service) SnapshotNow() (SnapshotResult, error) {
 	if seq := s.walSeq(); seq == s.lastSnapSeq {
 		return SnapshotResult{Skipped: true, LastSeq: seq}, nil
 	}
-	payload, lastSeq := s.eng.AppendSnapshot(nil)
+	// Size the buffer from the last payload, plus an eighth for growth,
+	// so the payload is written without regrowing it.
+	payload, lastSeq := s.eng.AppendSnapshot(make([]byte, 0, s.lastSnapBytes+s.lastSnapBytes/8))
+	s.lastSnapBytes = len(payload)
 	if _, err := tagstore.WriteSnapshot(s.walDir, lastSeq, payload); err != nil {
 		return SnapshotResult{}, err
 	}

@@ -56,9 +56,10 @@
 // background snapshotter (interval and/or record-count policy) bounds
 // both recovery time and on-disk log size, and a restart on the same
 // directory RECOVERS — newest valid snapshot plus the log tail — before
-// serving. The listener binds immediately so /healthz answers during
-// recovery (503 until replay completes, 200 after); every other
-// endpoint refuses with 503 until the service is ready.
+// serving. The listener binds immediately so /healthz answers while
+// the service comes up: 503 through corpus generation (or -data load)
+// and NewService's recovery, 200 after; every other endpoint refuses
+// with 503 until the service is ready.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests finish, then a final snapshot is written and the WAL (when
@@ -150,9 +151,9 @@ func main() {
 		fail("server: %v", err)
 	}
 
-	// Bind before the (possibly long) corpus load and WAL recovery:
-	// /healthz answers 503 throughout, so restart scripts can wait on
-	// readiness instead of racing the replay.
+	// Bind before the corpus is generated or loaded and NewService
+	// recovers: /healthz answers 503 throughout, so restart scripts can
+	// wait on readiness instead of racing the replay.
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fail("listen: %v", err)

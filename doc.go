@@ -21,7 +21,8 @@
 //   - a deterministic replay simulator implementing the paper's
 //     evaluation protocol (Simulation);
 //   - a calibrated synthetic del.icio.us-style corpus generator with a
-//     taxonomy ground truth (Generate, DefaultConfig);
+//     taxonomy ground truth (Generate, DefaultConfig), parallel over
+//     GOMAXPROCS and byte-identical whatever GOMAXPROCS is;
 //   - persistence via an embedded crash-safe append-only post store
 //     (SaveDataset, LoadDataset);
 //   - the IR case-study layer: top-k similar resources and tag-set

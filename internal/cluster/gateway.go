@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -275,11 +276,11 @@ func mergeTop(lists [][]server.TopKEntry, k int) []server.TopKEntry {
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
+	slices.SortFunc(all, func(a, b server.TopKEntry) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return all[i].Resource < all[j].Resource
+		return cmp.Compare(a.Resource, b.Resource)
 	})
 	if len(all) > k {
 		all = all[:k]

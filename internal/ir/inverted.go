@@ -1,8 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/tags"
@@ -216,11 +217,11 @@ func (s *topKSelector) results() []Scored {
 	out := make([]Scored, len(s.h))
 	copy(out, s.h)
 	s.h = s.h[:0]
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+	slices.SortFunc(out, func(a, b Scored) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return out[a].ID < out[b].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return out
 }

@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"incentivetag/internal/sparse"
 	"incentivetag/internal/stability"
@@ -55,9 +60,16 @@ func (d *Dataset) ByName(name string) (int, bool) {
 }
 
 // Generate builds a dataset from cfg. Generation is deterministic in
-// cfg.Seed and independent of GOMAXPROCS: every resource derives its own
-// RNG stream from (Seed, ID).
+// cfg.Seed and byte-identical whatever GOMAXPROCS is: every resource
+// draws from its own RNG stream derived from (Seed, ID), resources are
+// generated on GOMAXPROCS workers, and typo tags are interned afterwards
+// in resource order.
 func Generate(cfg Config) (*Dataset, error) {
+	return generate(cfg, runtime.GOMAXPROCS(0))
+}
+
+// generate is Generate on the given number of workers.
+func generate(cfg Config, workers int) (*Dataset, error) {
 	cfg = cfg.normalize()
 	ds := &Dataset{
 		Cfg:    cfg,
@@ -73,38 +85,86 @@ func Generate(cfg Config) (*Dataset, error) {
 		return nil, fmt.Errorf("synth: taxonomy has no leaves")
 	}
 
+	// Fix every resource's leaf and drift spec up front. Ordinary
+	// resources are assigned to leaves round-robin with a seeded shuffle
+	// so category sizes are balanced but not striped; the case-study
+	// drift resources follow them.
 	total := cfg.NResources + len(cfg.Drift)
-	ds.Resources = make([]Resource, 0, total)
-
-	// Ordinary resources, assigned to leaves round-robin with a seeded
-	// shuffle so category sizes are balanced but not striped.
+	leafOf := make([]taxonomy.NodeID, total)
+	specOf := make([]*DriftSpec, total)
+	errs := make([]error, total)
 	order := rand.New(rand.NewSource(int64(splitmix64(uint64(cfg.Seed) ^ 0xfeed)))).Perm(cfg.NResources)
 	for i := 0; i < cfg.NResources; i++ {
-		leaf := leaves[order[i]%len(leaves)]
-		res, err := generateResource(cfg, pools, ds.Tax, ds.Vocab, i, leaf, nil)
-		if err != nil {
-			return nil, err
-		}
-		ds.Resources = append(ds.Resources, res)
+		leafOf[i] = leaves[order[i]%len(leaves)]
 	}
-
-	// Case-study drift resources.
 	for di := range cfg.Drift {
-		spec := cfg.Drift[di]
-		leaf := ds.Tax.FindLeaf(spec.Leaf)
-		if leaf < 0 {
-			return nil, fmt.Errorf("synth: drift spec %q names unknown leaf %q", spec.Name, spec.Leaf)
-		}
 		id := cfg.NResources + di
-		res, err := generateResource(cfg, pools, ds.Tax, ds.Vocab, id, leaf, &spec)
+		specOf[id] = &cfg.Drift[di]
+		if leafOf[id] = ds.Tax.FindLeaf(cfg.Drift[di].Leaf); leafOf[id] < 0 {
+			errs[id] = fmt.Errorf("synth: drift spec %q names unknown leaf %q", cfg.Drift[di].Name, cfg.Drift[di].Leaf)
+		}
+	}
+
+	// Workers read the pools and taxonomy and write only resource i's
+	// slots. The vocabulary is not touched: a worker draws resource i's
+	// j-th typo as the placeholder id base+j−1, above every pool id.
+	base := tags.Tag(ds.Vocab.Size())
+	ds.Resources = make([]Resource, total)
+	typos := make([]int, total)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, total); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < total; i = int(next.Add(1)) - 1 {
+				if errs[i] == nil {
+					ds.Resources[i], typos[i], errs[i] = generateResource(cfg, pools, ds.Tax, base, i, leafOf[i], specOf[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// The lowest-index failure is the one a sequential loop meets first.
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		ds.Resources = append(ds.Resources, res)
 	}
 
+	// Intern the typo names in the order a sequential loop interns them
+	// and move each resource's placeholders onto the ids that gives: one
+	// constant shift per resource, monotone and above every pool id, so
+	// every post stays sorted and every MA and similarity is unchanged.
+	// The stable rfd is rebuilt with its entries relabelled alike.
+	var name []byte
 	for i := range ds.Resources {
-		ds.byName[ds.Resources[i].Name] = i
+		r := &ds.Resources[i]
+		shift := tags.Tag(ds.Vocab.Size()) - base
+		for j := 1; j <= typos[i]; j++ {
+			name = strconv.AppendInt(append(name[:0], "typo~r"...), int64(i), 10)
+			name = strconv.AppendInt(append(name, '.'), int64(j), 10)
+			ds.Vocab.Intern(string(name))
+		}
+		if typos[i] > 0 && shift != 0 {
+			for _, p := range r.Seq {
+				for k := len(p) - 1; k >= 0 && p[k] >= base; k-- {
+					p[k] += shift
+				}
+			}
+			old := r.StableRFD
+			r.StableRFD = sparse.NewCounts()
+			r.StableRFD.Presize(old.Posts(), old.Len())
+			old.ForEach(func(t tags.Tag, n int64) {
+				if t >= base {
+					t += shift
+				}
+				if err := r.StableRFD.Insert(t, n); err != nil {
+					panic(err) // unreachable: the relabel is one-to-one
+				}
+			})
+		}
+		ds.byName[r.Name] = i
 	}
 	return ds, nil
 }
@@ -183,9 +243,8 @@ type resourceModel struct {
 	lenCum   []float64 // cumulative post-length weights
 	noise    float64
 	spamRate float64
-	vocab    *tags.Vocab
-	id       int
-	typoSeq  int
+	typoBase tags.Tag // placeholder id of the resource's first typo
+	typoSeq  int      // typos drawn so far
 	maxTries int
 }
 
@@ -193,14 +252,13 @@ type resourceModel struct {
 // of the leaf pool (mass 1 − ParentMix − GlobalMix), a few tags shared by
 // the whole top-level category (mass ParentMix), and a few global tags
 // (mass GlobalMix).
-func buildModel(cfg Config, pools *tagPools, tax *taxonomy.Tree, v *tags.Vocab, id int, leaf taxonomy.NodeID, spec *DriftSpec) *resourceModel {
+func buildModel(cfg Config, pools *tagPools, tax *taxonomy.Tree, typoBase tags.Tag, id int, leaf taxonomy.NodeID, spec *DriftSpec) *resourceModel {
 	rng := resourceRNG(cfg.Seed, id)
 	m := &resourceModel{
 		rng:      rng,
 		noise:    cfg.NoiseRate,
 		spamRate: cfg.SpamRate,
-		vocab:    v,
-		id:       id,
+		typoBase: typoBase,
 		maxTries: 4*len(cfg.PostLenWeights) + 8,
 	}
 	if cfg.SpamRate > 0 && len(pools.spam) > 0 {
@@ -262,27 +320,26 @@ func (m *resourceModel) nextPost(k int) tags.Post {
 		dist = m.spam
 	}
 	want := m.postLen()
-	seen := make(map[tags.Tag]bool, want)
 	out := make([]tags.Tag, 0, want)
 	for tries := 0; len(out) < want && tries < m.maxTries; tries++ {
 		var t tags.Tag
 		if m.rng.Float64() < m.noise {
 			// Fresh typo tag: unique name, never repeats, statistically
 			// insignificant once the resource has enough posts (§I).
+			// Its placeholder id is relabelled once generation ends.
+			t = m.typoBase + tags.Tag(m.typoSeq)
 			m.typoSeq++
-			t = m.vocab.Intern(fmt.Sprintf("typo~r%d.%d", m.id, m.typoSeq))
 		} else {
 			t = dist.sample(m.rng)
 		}
-		if !seen[t] {
-			seen[t] = true
+		if !slices.Contains(out, t) {
 			out = append(out, t)
 		}
 	}
 	if len(out) == 0 {
 		out = append(out, dist.sample(m.rng))
 	}
-	p, err := tags.NewPost(out...)
+	p, err := tags.Normalize(out)
 	if err != nil {
 		panic(err) // unreachable: out is non-empty with valid ids
 	}
@@ -296,8 +353,11 @@ func (m *resourceModel) nextPost(k int) tags.Post {
 //  2. draw a Pareto popularity factor f and extend the sequence to
 //     L = min(MaxPosts, ceil(k*·f)),
 //  3. choose the January prefix c_i with a popularity-correlated share.
-func generateResource(cfg Config, pools *tagPools, tax *taxonomy.Tree, v *tags.Vocab, id int, leaf taxonomy.NodeID, spec *DriftSpec) (Resource, error) {
-	m := buildModel(cfg, pools, tax, v, id, leaf, spec)
+//
+// Typo tags carry placeholder ids from typoBase up; the second result is
+// how many the resource drew.
+func generateResource(cfg Config, pools *tagPools, tax *taxonomy.Tree, typoBase tags.Tag, id int, leaf taxonomy.NodeID, spec *DriftSpec) (Resource, int, error) {
+	m := buildModel(cfg, pools, tax, typoBase, id, leaf, spec)
 	tr := stability.NewTracker(cfg.PrepOmega)
 
 	seq := make(tags.Seq, 0, 256)
@@ -318,7 +378,7 @@ func generateResource(cfg Config, pools *tagPools, tax *taxonomy.Tree, v *tags.V
 		// dataset preparation would discard it; our generative model makes
 		// this essentially impossible at the default calibration, so treat
 		// it as a configuration error rather than silently skewing data.
-		return Resource{}, fmt.Errorf("synth: resource %d did not stabilize within %d posts; widen MaxPosts or relax PrepTau", id, cfg.MaxPosts)
+		return Resource{}, 0, fmt.Errorf("synth: resource %d did not stabilize within %d posts; widen MaxPosts or relax PrepTau", id, cfg.MaxPosts)
 	}
 
 	// Popularity factor f ∈ [1.05, cap]: L = ceil(k*·f).
@@ -363,7 +423,7 @@ func generateResource(cfg Config, pools *tagPools, tax *taxonomy.Tree, v *tags.V
 		StableK:   stableK,
 		StableRFD: stableRFD,
 		Drift:     specCopy,
-	}, nil
+	}, m.typoSeq, nil
 }
 
 // januaryPrefix chooses c_i. The share of a resource's posts that had

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -310,5 +312,59 @@ func TestNormalizeDefaults(t *testing.T) {
 	}
 	if ds.Cfg.MaxPosts <= 0 || len(ds.Cfg.PostLenWeights) == 0 {
 		t.Error("normalize did not fill generation params")
+	}
+}
+
+// TestGenerateIndependentOfWorkers checks that one worker and four
+// produce the same dataset field for field, vocabulary included, and
+// the same error when a resource fails to stabilize.
+func TestGenerateIndependentOfWorkers(t *testing.T) {
+	drift := DefaultConfig(40, 3)
+	spam := DefaultConfig(40, 4)
+	spam.SpamRate = 0.2
+	noisy := DefaultConfig(40, 5)
+	noisy.NoiseRate = 0.3
+	unstable := DefaultConfig(40, 6)
+	unstable.MaxPosts = 150 // resource 3 is the first of several to fail
+	for name, cfg := range map[string]Config{"drift": drift, "spam": spam, "noisy": noisy, "unstable": unstable} {
+		t.Run(name, func(t *testing.T) {
+			one, err1 := generate(cfg, 1)
+			four, err4 := generate(cfg, 4)
+			if name == "unstable" {
+				// The sequential generator stops at resource 3.
+				if err1 == nil || err4 == nil || err1.Error() != err4.Error() || !strings.Contains(err1.Error(), "resource 3 ") {
+					t.Fatalf("1 worker: %v; 4 workers: %v; want resource 3's error from both", err1, err4)
+				}
+				return
+			}
+			if err1 != nil || err4 != nil {
+				t.Fatal(err1, err4)
+			}
+			if !reflect.DeepEqual(one.Cfg, four.Cfg) || !reflect.DeepEqual(one.Tax, four.Tax) || !reflect.DeepEqual(one.byName, four.byName) {
+				t.Fatal("config, taxonomy or names differ")
+			}
+			if !slices.Equal(one.Vocab.Names(), four.Vocab.Names()) {
+				t.Fatal("vocabularies differ")
+			}
+			if len(one.Resources) != len(four.Resources) {
+				t.Fatalf("%d resources against %d", len(one.Resources), len(four.Resources))
+			}
+			for i := range one.Resources {
+				if !reflect.DeepEqual(one.Resources[i], four.Resources[i]) {
+					t.Fatalf("resource %d differs", i)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGenerate times the paper-scale generator at n = 2 000 on
+// GOMAXPROCS workers (set with -cpu).
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(DefaultConfig(2000, 42)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

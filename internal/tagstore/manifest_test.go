@@ -1,6 +1,7 @@
 package tagstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
@@ -360,7 +361,7 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapName(99)), raw[:10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readSnapshot(filepath.Join(dir, snapName(99))); err == nil {
+	if _, _, err := readSnapshot(filepath.Join(dir, snapName(99)), nil); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 
@@ -408,7 +409,7 @@ func TestReadSnapshotRejects(t *testing.T) {
 		if err := os.WriteFile(path, tc.raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		payload, seq, err := readSnapshot(path)
+		payload, seq, err := readSnapshot(path, nil)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err %v", tc.name, err)
 		}
@@ -416,6 +417,36 @@ func TestReadSnapshotRejects(t *testing.T) {
 			t.Errorf("%s: read (%q, %d), want (\"state\", 7)", tc.name, payload, seq)
 		}
 		os.Remove(path)
+	}
+}
+
+// WriteSnapshot streams header, payload and trailer; the file must be
+// byte for byte the framed copy it once built, and readSnapshot must
+// return the payload whether its buffer is short, exact or long.
+func TestWriteSnapshotFramingUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	payload := make([]byte, 5000)
+	rand.New(rand.NewSource(3)).Read(payload)
+	path, err := WriteSnapshot(dir, 42, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(snapMagic), binary.LittleEndian.AppendUint64(nil, 42)...)
+	want = binary.LittleEndian.AppendUint32(want, uint32(len(payload)))
+	want = append(want, payload...)
+	want = binary.LittleEndian.AppendUint32(want, crc32.ChecksumIEEE(want))
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("file differs from the framed copy (%d bytes, want %d)", len(got), len(want))
+	}
+	for _, n := range []int{0, 100, len(want), 2 * len(want)} {
+		read, seq, err := readSnapshot(path, make([]byte, n))
+		if err != nil || seq != 42 || !bytes.Equal(read, payload) {
+			t.Fatalf("buffer of %d bytes: seq %d err %v, payload equal %v", n, seq, err, bytes.Equal(read, payload))
+		}
 	}
 }
 

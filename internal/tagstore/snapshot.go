@@ -34,6 +34,9 @@ const (
 	// maxRecordBytes for records). Kept below 2³¹ so the bound fits int
 	// on 32-bit builds.
 	maxSnapshotBytes = 1 << 30
+	// snapFraming is the bytes a file adds to its payload: magic, seq,
+	// length and CRC.
+	snapFraming = len(snapMagic) + 8 + 4 + 4
 )
 
 func snapName(lastSeq uint64) string {
@@ -94,12 +97,14 @@ func WriteSnapshot(dir string, lastSeq uint64, payload []byte) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("tagstore: mkdir: %w", err)
 	}
-	buf := make([]byte, 0, len(snapMagic)+8+4+len(payload)+4)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, lastSeq)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	// The file is header, payload and CRC trailer, written from the
+	// caller's payload without a framed copy.
+	var hdr [len(snapMagic) + 8 + 4]byte
+	copy(hdr[:], snapMagic)
+	binary.LittleEndian.PutUint64(hdr[len(snapMagic):], lastSeq)
+	binary.LittleEndian.PutUint32(hdr[len(snapMagic)+8:], uint32(len(payload)))
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload))
 
 	path := filepath.Join(dir, snapName(lastSeq))
 	tmp := path + ".tmp"
@@ -107,9 +112,11 @@ func WriteSnapshot(dir string, lastSeq uint64, payload []byte) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("tagstore: write snapshot: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return "", fmt.Errorf("tagstore: write snapshot: %w", err)
+	for _, part := range [][]byte{hdr[:], payload, trailer[:]} {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return "", fmt.Errorf("tagstore: write snapshot: %w", err)
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -145,9 +152,15 @@ func PruneSnapshots(dir string, keep int) (removed int, oldestSeq uint64, ok boo
 	if err != nil {
 		return 0, 0, false, err
 	}
+	// One buffer, sized for the largest file listed, serves every read.
+	var size int64
+	for _, info := range infos {
+		size = max(size, min(info.Bytes, int64(maxSnapshotBytes+snapFraming)))
+	}
+	buf := make([]byte, size)
 	var valid []SnapshotInfo
 	for _, info := range infos {
-		if _, _, rerr := readSnapshot(filepath.Join(dir, info.Name)); rerr != nil {
+		if _, _, rerr := readSnapshot(filepath.Join(dir, info.Name), buf); rerr != nil {
 			if err := os.Remove(filepath.Join(dir, info.Name)); err != nil {
 				return removed, 0, false, fmt.Errorf("tagstore: prune snapshot: %w", err)
 			}
@@ -183,7 +196,7 @@ func ReadLatestSnapshot(dir string) (payload []byte, lastSeq uint64, ok bool, sk
 		return nil, 0, false, 0, err
 	}
 	for i := len(infos) - 1; i >= 0; i-- {
-		payload, lastSeq, rerr := readSnapshot(filepath.Join(dir, infos[i].Name))
+		payload, lastSeq, rerr := readSnapshot(filepath.Join(dir, infos[i].Name), nil)
 		if rerr != nil {
 			skipped++
 			continue
@@ -198,8 +211,9 @@ func ReadLatestSnapshot(dir string) (payload []byte, lastSeq uint64, ok bool, sk
 // agreement — and returns its payload and covered seq. It is the only
 // snapshot reader: recovery loads through it and pruning validates
 // through it. The size is checked before anything is read, so a huge
-// stray file is refused, not allocated.
-func readSnapshot(path string) (payload []byte, lastSeq uint64, err error) {
+// stray file is refused, not allocated. The file is read into buf when
+// it fits, else into a fresh slice; the payload aliases what was read.
+func readSnapshot(path string, buf []byte) (payload []byte, lastSeq uint64, err error) {
 	name := filepath.Base(path)
 	f, err := os.Open(path)
 	if err != nil {
@@ -212,10 +226,14 @@ func readSnapshot(path string) (payload []byte, lastSeq uint64, err error) {
 	}
 	hdr := len(snapMagic) + 8 + 4
 	size := fi.Size()
-	if size < int64(hdr+4) || size > int64(maxSnapshotBytes)+int64(hdr+4) {
+	if size < int64(snapFraming) || size > int64(maxSnapshotBytes+snapFraming) {
 		return nil, 0, fmt.Errorf("tagstore: snapshot %s truncated (%d bytes)", name, size)
 	}
-	raw := make([]byte, size)
+	raw := buf
+	if int64(cap(raw)) < size {
+		raw = make([]byte, size)
+	}
+	raw = raw[:size]
 	if _, err := io.ReadFull(f, raw); err != nil {
 		return nil, 0, fmt.Errorf("tagstore: read snapshot %s: %w", name, err)
 	}
